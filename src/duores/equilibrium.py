@@ -185,14 +185,36 @@ def pi_mean_fill(rho: RateRatios, K: int) -> float:
 # Two-variable reduction (aggregated infinite-server roles)
 # ============================================================
 
-def _exp_partial(x: float, K: int) -> float:
-    """Partial exponential sum ``sum_{i<=K} x^i / i!``."""
-    total = 1.0
-    term = 1.0
-    for i in range(K):
-        term *= x / (i + 1)
-        total += term
-    return total
+@lru_cache(maxsize=None)
+def _triangle(K: int):
+    """Index grids ``(i, j)`` over the (K+1, K+1) square and the mask of
+    cells outside the triangle ``i + j <= K``, read-only."""
+    ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
+    outside = ii + jj > K
+    for arr in (ii, jj, outside):
+        arr.setflags(write=False)
+    return ii, jj, outside
+
+
+def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float]:
+    """One O(K) pass giving ``(Z, dZ/dy, E)`` for the reduced family.
+
+    ``Z = sum_{i+j<=K} x^i/i! y^j = sum_i x^i/i! G_{K-i}(y)`` with the
+    geometric sums ``G_n = 1 + y G_{n-1}``, and ``E = sum_{i<=K} x^i/i!``
+    is the partial exponential.  The sum is taken in Horner form over the
+    capacity, ``Z_n = E_n + y Z_{n-1}``: the states with an available car
+    at capacity ``n`` are those of capacity ``n - 1`` with one more.
+    """
+    term = 1.0  # x^n / n!
+    E = 1.0
+    Z = 1.0
+    dZ = 0.0
+    for n in range(1, K + 1):
+        term *= x / n
+        E += term
+        dZ = Z + y * dZ
+        Z = E + y * Z
+    return Z, dZ, E
 
 
 def simple_partition(x: float, y: float, K: int) -> float:
@@ -200,17 +222,7 @@ def simple_partition(x: float, y: float, K: int) -> float:
     two-coordinate family."""
     if x < 0 or y < 0:
         raise ValueError("intensities must be >= 0")
-    total = 0.0
-    xt = 1.0  # x^i / i!
-    for i in range(K + 1):
-        geo = 1.0
-        t = 1.0
-        for _ in range(K - i):
-            t *= y
-            geo += t
-        total += xt * geo
-        xt *= x / (i + 1)
-    return total
+    return _reduced_sums(x, y, K)[0]
 
 
 def _simple_raw(x: float, y: float, K: int) -> np.ndarray:
@@ -224,8 +236,7 @@ def _simple_raw(x: float, y: float, K: int) -> np.ndarray:
     else:
         yj = np.power(y, i)
     wts = np.outer(xi, yj)
-    ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-    wts[ii + jj > K] = 0.0
+    wts[_triangle(K)[2]] = 0.0
     return wts
 
 
@@ -238,8 +249,7 @@ def _log_simple_weights(x: float, y: float, K: int) -> np.ndarray:
         li = np.where(i > 0, i * lx, 0.0) - _log_factorials(K)
         lj = np.where(i > 0, i * ly, 0.0)
     lw = li[:, None] + lj[None, :]
-    ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-    lw[ii + jj > K] = -np.inf
+    lw[_triangle(K)[2]] = -np.inf
     return lw
 
 
@@ -278,47 +288,71 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     increasing in ``y`` and crosses zero exactly once; the zero ties the
     aggregated intensity ``x`` to the acceptance probability.
     """
-    return (a - x) * simple_partition(x, y, K) - a * _exp_partial(x, K)
+    Z, _, E = _reduced_sums(x, y, K)
+    return (a - x) * Z - a * E
 
 
-def solve_phi(x: float, a: float, K: int, tol_factor: float = 1e-12,
-              max_iter: int = 400) -> float:
+def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
-    Requires ``0 < x < a``.  Brackets by doubling (``f(x, 0) < 0`` and
-    ``f`` grows like ``y^K``), then bisects until
-    ``|f| <= tol_factor * a * Z(x, y)``.
+    Requires ``0 < x < a``.  Brackets the root by doubling
+    (``f(x, 0) < 0`` and ``f`` grows like ``y^K``), then runs Newton's
+    method on ``h(u) = log((a - x) Z / (a E))`` with ``u = log y``,
+    which has the sign of ``f``.  ``h`` is convex and increasing in
+    ``u``, so Newton steps from the upper end of the bracket close in
+    from above; a step that would leave the sign bracket is replaced by
+    a bisection.  The solve runs to machine precision: it stops when a
+    Newton step moves ``y`` by at most 2 ulp, or when the bracket ends
+    are adjacent doubles, and then returns the end with the smaller
+    ``|h|``.
 
     Raises
     ------
     RuntimeError
-        If the tolerance is not reached within ``max_iter`` bisections.
+        If the root cannot be bracketed in double precision, or the
+        stop is not reached within ``max_iter`` steps.
     """
     if not 0.0 < x < a:
         raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x}")
-    lo = 0.0
+    b = a - x
+
+    def h_and_slope(y: float) -> tuple[float, float]:
+        Z, dZ, E = _reduced_sums(x, y, K)
+        return math.log(b * Z / (a * E)), y * dZ / Z
+
+    lo, h_lo = 0.0, math.log(b / a)
     hi = 1.0
-    while f_simple(x, hi, a, K) < 0.0:
-        lo = hi
+    h_hi, slope = h_and_slope(hi)
+    while h_hi < 0.0:
+        lo, h_lo = hi, h_hi
         hi *= 2.0
         if hi == math.inf:
             raise RuntimeError("failed to bracket the root")
+        h_hi, slope = h_and_slope(hi)
+    y, h = hi, h_hi
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f_simple(x, mid, a, K)
-        if abs(fm) <= tol_factor * a * simple_partition(x, mid, K):
-            return mid
-        if fm < 0.0:
-            lo = mid
+        if h == 0.0:
+            return y
+        cand = y * math.exp(-h / slope) if math.isfinite(slope) else math.nan
+        if lo <= cand <= hi and abs(cand - y) <= 2.0 * math.ulp(y):
+            return cand
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+            if cand == lo or cand == hi:
+                return lo if abs(h_lo) < abs(h_hi) else hi
+        y = cand
+        h, slope = h_and_slope(y)
+        if h < 0.0:
+            lo, h_lo = y, h
         else:
-            hi = mid
-    raise RuntimeError(f"no convergence after {max_iter} bisections at x={x}")
+            hi, h_hi = y, h
+    raise RuntimeError(f"no convergence after {max_iter} steps at x={x}")
 
 
 def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
     """Weighted mean ``E[ci * i + j]`` under the reduced family."""
     p = simple_form(x, y, K)
-    ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
+    ii, jj, _ = _triangle(K)
     return float(((ci * ii + jj) * p).sum())
 
 
@@ -432,29 +466,38 @@ def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     ``fill(lo) < s < fill(hi)`` is maintained without evaluating at the
     endpoints.  Returns the root, every (t, fill) evaluation made, and
     whether those evaluations were increasing in t.
+
+    Raises
+    ------
+    RuntimeError
+        If the bracket shrinks to adjacent doubles, or ``max_outer``
+        steps pass, before the fill is within ``fill_tol`` of ``s``.
     """
     evals = []
-
-    def fill_at(t: float) -> float:
-        val = fill_along_curve(t, a, c, K)
-        evals.append((t, val))
-        return val
-
     lo, hi = 0.0, a
+    fill_lo, fill_hi = 0.0, float(K)
     t_star = None
     outer = 0
     for outer in range(1, max_outer + 1):
         mid = 0.5 * (lo + hi)
-        val = fill_at(mid)
+        if mid == lo or mid == hi:
+            break
+        val = fill_along_curve(mid, a, c, K)
+        evals.append((mid, val))
         if abs(val - s) < fill_tol:
             t_star = mid
             break
         if val < s:
-            lo = mid
+            lo, fill_lo = mid, val
         else:
-            hi = mid
+            hi, fill_hi = mid, val
     if t_star is None:
-        raise RuntimeError(f"fill bisection did not converge in {max_outer} steps")
+        raise RuntimeError(
+            f"fill bisection at K={K}, s={s!r} stopped after {len(evals)} "
+            f"evaluations on the bracket [{lo!r}, {hi!r}] with fills "
+            f"[{fill_lo!r}, {fill_hi!r}]: gap {fill_hi - fill_lo:.3g}, "
+            f"fill_tol {fill_tol:.3g}"
+        )
     ordered = sorted(evals)
     slack = 1e-12 * max(1.0, float(K))
     monotone = all(b[1] >= a_[1] - slack for a_, b in zip(ordered, ordered[1:]))
@@ -492,6 +535,32 @@ def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float,
     return roots
 
 
+def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
+                max_outer: int):
+    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve.
+
+    Bisects; when that trace is not monotone, a grid scan looks for
+    every root and the single one found replaces the bisection's.
+    Returns the root, the outer step count, the number of bisection
+    evaluations, the monotonicity flag and the scan's roots (empty when
+    no scan ran).
+
+    Raises
+    ------
+    MultipleEquilibriaError
+        If the scan finds more than one root.
+    """
+    t_star, outer, evals, monotone = _bisect_fill(a, c, K, s, fill_tol, max_outer)
+    roots: list[float] = []
+    if not monotone:
+        roots = _scan_fill_roots(a, c, K, s, fill_tol)
+        if len(roots) > 1:
+            raise MultipleEquilibriaError(roots, s)
+        if roots:
+            t_star = roots[0]
+    return t_star, outer, len(evals), monotone, tuple(roots)
+
+
 def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
                       max_outer: int = 200) -> SolveReport:
     """Solve the full fixed point at car density ``s``.
@@ -517,16 +586,8 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
     c = (1.0 + r) / (1.0 + 2.0 * r)
 
-    t_star, outer, evals, monotone = _bisect_fill(a, c, p.K, s, fill_tol, max_outer)
-    fallback_roots: tuple = ()
-    if not monotone:
-        roots = _scan_fill_roots(a, c, p.K, s, fill_tol)
-        if len(roots) > 1:
-            raise MultipleEquilibriaError(roots, s)
-        if roots:
-            t_star = roots[0]
-        fallback_roots = tuple(roots)
-
+    t_star, outer, n_evals, monotone, fallback_roots = _solve_fill(
+        a, c, p.K, s, fill_tol, max_outer)
     rho2 = solve_phi(t_star, a, p.K)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1
@@ -555,7 +616,7 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
         rho=rho,
         residuals=residuals,
         outer_iterations=outer,
-        fill_evaluations=len(evals),
+        fill_evaluations=n_evals,
         monotone_ok=monotone,
         fallback_roots=fallback_roots,
     )
@@ -575,13 +636,7 @@ def solve_simple_reservation(lam: float, mu: float, s: float, K: int,
     if not 0.0 < s < K:
         raise ValueError(f"target fill must lie in (0, {K}), got {s}")
     a = lam / mu
-    t_star, outer, _evals, monotone = _bisect_fill(a, 1.0, K, s, fill_tol, max_outer)
-    if not monotone:
-        roots = _scan_fill_roots(a, 1.0, K, s, fill_tol)
-        if len(roots) > 1:
-            raise MultipleEquilibriaError(roots, s)
-        if roots:
-            t_star = roots[0]
+    t_star, outer, _, monotone, _ = _solve_fill(a, 1.0, K, s, fill_tol, max_outer)
     rho2 = solve_phi(t_star, a, K)
     residuals = {
         "rho1": t_star - a * (1.0 - simple_no_available(t_star, rho2, K)),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import ModelParams, count_arrays, enumerate_states, index_of, num_states, state_of
 from .equilibrium import (
+    MultipleEquilibriaError,
     RateRatios,
     product_form,
     pi_mean_fill,
@@ -35,6 +36,7 @@ __all__ = [
     "check_aggregation_identity",
     "check_fill_identity",
     "check_fixed_point",
+    "check_fixed_point_large_K",
     "CHECKS",
     "run_checks",
 ]
@@ -281,6 +283,43 @@ def check_fixed_point(
     )
 
 
+def check_fixed_point_large_K(
+    K_list=(3, 5, 10, 20, 30, 40),
+    s_fracs=(0.2, 0.5, 0.8),
+    nu_over_mu=(0.1, 1.0, 10.0, 1e8),
+    tol: float = 1e-10,
+) -> CheckResult:
+    """Fixed-point residuals up to capacity 40 at ``lam = mu = 1``,
+    slow to near-instant reservations.
+
+    Each solve must meet ``tol`` or raise
+    :class:`MultipleEquilibriaError`, the solver's one named refusal;
+    any other exception propagates.  This covers the steep-fill regime
+    of large ``K`` that :func:`check_fixed_point` does not reach.
+    """
+    worst = 0.0
+    n_solves = 0
+    n_multiple = 0
+    for K in K_list:
+        for frac in s_fracs:
+            for nu in nu_over_mu:
+                p = ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
+                n_solves += 1
+                try:
+                    rep = solve_equilibrium(p, frac * K)
+                except MultipleEquilibriaError:
+                    n_multiple += 1
+                    continue
+                worst = max(worst, rep.max_residual)
+    return CheckResult(
+        name="fixed_point_large_K",
+        passed=worst < tol,
+        worst=worst,
+        tol=tol,
+        details={"n_solves": n_solves, "n_multiple_equilibria": n_multiple},
+    )
+
+
 CHECKS = {
     "enumeration": check_enumeration,
     "product_form_stationarity": check_product_form_stationarity,
@@ -288,6 +327,7 @@ CHECKS = {
     "aggregation_identity": check_aggregation_identity,
     "fill_identity": check_fill_identity,
     "fixed_point": check_fixed_point,
+    "fixed_point_large_K": check_fixed_point_large_K,
 }
 
 

@@ -8,6 +8,8 @@ dictionary.
 
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +206,30 @@ def test_solve_phi_residual_is_small():
             assert abs(f_simple(x, y, a, K)) <= bound
 
 
+def _exact_f_sign(x, y, a, K):
+    """Sign of f_simple in exact rational arithmetic at float inputs."""
+    x, y, a = Fraction(x), Fraction(y), Fraction(a)
+    term = E = Z = Fraction(1)
+    for n in range(1, K + 1):
+        term *= x / n
+        E += term
+        Z = E + y * Z
+    f = (a - x) * Z - a * E
+    return (f > 0) - (f < 0)
+
+
+def test_solve_phi_is_machine_precise():
+    # The exact root lies within 1e-14 relative of the returned value,
+    # which leaves room for rounding in f; a stop on |f| <= 1e-12 a Z
+    # leaves relative errors near 1e-12.
+    for a, K in ((2.0, 3), (3.0, 30), (21.0, 40)):
+        for frac in (0.1, 0.5, 0.9, 0.999):
+            x = frac * a
+            y = solve_phi(x, a, K)
+            d = 1e-14 * y
+            assert _exact_f_sign(x, y - d, a, K) < 0 < _exact_f_sign(x, y + d, a, K)
+
+
 def test_solve_phi_is_increasing():
     a, K = 3.0, 4
     xs = np.linspace(0.05, 0.95, 19) * a
@@ -258,6 +284,28 @@ def test_solver_residuals_across_parameters():
         rep = solve_equilibrium(ModelParams(lam=lam, mu=mu, nu=nu, K=K), s)
         assert rep.max_residual < 1e-10
         assert abs(pi_mean_fill(rep.rho, K) - s) < 1e-10
+
+
+@pytest.mark.parametrize("K, s", [
+    (12, 6.0), (12, 9.6), (15, 12.0), (20, 10.0), (20, 16.0),
+    (25, 12.5), (30, 6.0), (30, 15.0), (40, 20.0),
+])
+def test_solver_converges_where_the_fill_is_steep(K, s):
+    # Large K makes fill(t) steep near the root; an inexact inner solve
+    # puts more noise on the fill than fill_tol allows.
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), s)
+    assert rep.max_residual <= 1e-10
+
+
+def test_fill_bisection_stops_on_an_exhausted_bracket():
+    # No double meets a 1e-16 fill tolerance at K = 40: the bisection
+    # must stop once the bracket ends are adjacent doubles, well before
+    # max_outer, and say where it stopped.
+    with pytest.raises(RuntimeError, match=r"K=40, s=20\.0 .*bracket \[.*gap") as err:
+        solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=40), 20.0,
+                          fill_tol=1e-16)
+    n_evals = int(re.search(r"after (\d+) evaluations", str(err.value)).group(1))
+    assert n_evals <= 60
 
 
 def test_solver_reservation_ratios_are_equal():

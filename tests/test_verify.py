@@ -9,6 +9,7 @@ from duores.equilibrium import RateRatios, product_form
 from duores.verify import (
     CHECKS,
     check_enumeration,
+    check_fixed_point_large_K,
     check_step2_identity,
     run_checks,
     tandem_generator,
@@ -48,6 +49,7 @@ def test_check_registry_and_overrides():
     assert set(CHECKS) == {
         "enumeration", "product_form_stationarity", "step2_identity",
         "aggregation_identity", "fill_identity", "fixed_point",
+        "fixed_point_large_K",
     }
     res = run_checks(["step2_identity"], {"step2_identity": {"trials": 10}})
     assert len(res) == 1
@@ -61,4 +63,10 @@ def test_checks_report_worst_below_tolerance():
     res = check_enumeration()
     assert res.passed and res.worst == 0.0
     res = check_step2_identity(trials=20)
+    assert res.passed and res.worst < res.tol
+
+
+def test_fixed_point_large_K_meets_tolerance_on_every_solve():
+    res = check_fixed_point_large_K()
+    assert res.details["n_solves"] == 72
     assert res.passed and res.worst < res.tol

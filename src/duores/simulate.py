@@ -20,7 +20,16 @@ order, whether or not each draw ends up used:
    driving list.
 
 Keeping the draw count fixed makes trajectories reproducible byte for
-byte across refactorings of the branch logic.
+byte across refactorings of the branch logic.  ``run`` takes its draws
+from the generator in blocks of many events, which leaves the stream
+and the per-event draw order unchanged (``k`` calls of
+``rng.random(4)`` yield exactly ``rng.random(4 * k)``): for a fixed seed
+its trajectories are byte-identical to those of a ``step`` loop.
+
+One kernel, ``_fire``, holds the transition rules for both ``step`` and
+``run``.  A plain ``run`` keeps the counts in Python lists, where an
+event costs a few list operations; an audited one applies the kernel to
+the state's own arrays and checks the invariants after every event.
 """
 
 from __future__ import annotations
@@ -145,6 +154,12 @@ class SimState:
                 raise SimInvariantError(f"list/count reconciliation failed at t={self.t}")
 
 
+# Events drawn per generator call in ``run``: the first call draws for
+# a few events, so short runs stay cheap, and each later one doubles up
+# to the cap.
+_FIRST_BLOCK, _MAX_BLOCK = 16, 1024
+
+
 def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState:
     if M > N * K:
         raise ValueError(f"cannot place {M} cars on {N} stations of capacity {K}")
@@ -167,43 +182,43 @@ def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
-def _apply(state: SimState, p: ModelParams, u: np.ndarray) -> str:
-    """Apply the event selected by draws ``u[1:]`` to the current
-    state.  The caller has already consumed ``u[0]`` for the holding
-    time; rates here must match those at draw time, so nothing may
-    change the state in between."""
-    N = state.N
-    P = len(state.pickups)
-    D = len(state.driving)
-    rate = p.lam * N + p.nu * P + p.mu * D
-    r = u[1] * rate
-    if r < p.lam * N:
-        i = min(int(u[2] * N), N - 1)
-        j = min(int(u[3] * N), N - 1)
-        occ_j = int(state.w[j] + state.x[j] + state.y[j] + state.z[j])
-        if state.y[i] > 0 and occ_j < p.K:
-            state.y[i] -= 1
-            state.z[i] += 1
-            state.w[j] += 1
-            state.pickups.append((i, j))
+def _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, r, u2, u3) -> str:
+    """Apply one event to the counts ``w, x, y, z`` (lists or arrays)
+    and the ``pickups``/``driving`` lists; return its tag.
+
+    ``r`` is the event-class draw scaled by the total rate, ``u2`` and
+    ``u3`` are the last two draws.  ``lam_N`` and the list lengths must
+    be those the total rate was computed from, so nothing may change
+    the state between the draws and this call.
+    """
+    if r < lam_N:
+        i = min(int(u2 * N), N - 1)
+        j = min(int(u3 * N), N - 1)
+        if y[i] > 0 and w[j] + x[j] + y[j] + z[j] < K:
+            y[i] -= 1
+            z[i] += 1
+            w[j] += 1
+            pickups.append((i, j))
             return "arrival"
         return "blocked"
-    if r < p.lam * N + p.nu * P:
-        idx = min(int(u[3] * P), P - 1)
-        i, j = state.pickups[idx]
-        state.pickups[idx] = state.pickups[-1]
-        state.pickups.pop()
-        state.z[i] -= 1
-        state.w[j] -= 1
-        state.x[j] += 1
-        state.driving.append(j)
+    P = len(pickups)
+    if r < lam_N + nu * P:
+        idx = min(int(u3 * P), P - 1)
+        i, j = pickups[idx]
+        pickups[idx] = pickups[-1]
+        pickups.pop()
+        z[i] -= 1
+        w[j] -= 1
+        x[j] += 1
+        driving.append(j)
         return "pickup"
-    idx = min(int(u[3] * D), D - 1)
-    j = state.driving[idx]
-    state.driving[idx] = state.driving[-1]
-    state.driving.pop()
-    state.x[j] -= 1
-    state.y[j] += 1
+    D = len(driving)
+    idx = min(int(u3 * D), D - 1)
+    j = driving[idx]
+    driving[idx] = driving[-1]
+    driving.pop()
+    x[j] -= 1
+    y[j] += 1
     return "return"
 
 
@@ -218,10 +233,12 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
     rate = state.total_rate(p)
     if rate <= 0.0:
         raise ValueError("no active transitions: total rate is zero")
-    u = rng.random(4)
-    dt = -math.log1p(-u[0]) / rate
+    u0, u1, u2, u3 = rng.random(4).tolist()
+    dt = -math.log1p(-u0) / rate
     state.t += dt
-    tag = _apply(state, p, u)
+    N = state.N
+    tag = _fire(state.w, state.x, state.y, state.z, state.pickups, state.driving,
+                N, p.K, p.lam * N, p.nu, u1 * rate, u2, u3)
     return state, dt, tag
 
 
@@ -255,35 +272,49 @@ def run(
         state = initial.copy()
         state.t = 0.0
     out: list[tuple[float, np.ndarray]] = []
-    samples = list(config.sample_times)
-    ptr = 0
-    pending: tuple | None = None  # (event time, draws)
-    while ptr < len(samples):
-        if pending is None:
-            rate = state.total_rate(p)
+    samples = config.sample_times
+    if not samples:
+        return out
+    N, K, M = config.N, p.K, config.M
+    lam_N, nu, mu = p.lam * N, p.nu, p.mu
+    pickups, driving = state.pickups, state.driving
+    if audit:
+        # the kernel writes straight into the state the checks read
+        w, x, y, z = state.w, state.x, state.y, state.z
+    else:
+        w, x, y, z = (a.tolist() for a in (state.w, state.x, state.y, state.z))
+
+    def snapshot(tau: float) -> None:
+        if audit:
+            out.append((tau, state.counts()))
+            state.check_invariants(K, M, deep=True)
+        else:
+            out.append((tau, np.array((w, x, y, z), dtype=np.int64).T.copy()))
+
+    ptr, n_samples, t = 0, len(samples), 0.0
+    block = _FIRST_BLOCK
+    while True:
+        # rows of four draws in stream order: one block equals that many
+        # successive rng.random(4) calls
+        for u0, u1, u2, u3 in rng.random((block, 4)).tolist():
+            rate = lam_N + nu * len(pickups) + mu * len(driving)
             if rate <= 0.0:
                 # Frozen network: nothing can ever fire again.
                 for tau in samples[ptr:]:
-                    out.append((tau, state.counts()))
-                    if audit:
-                        state.check_invariants(p.K, config.M, deep=True)
-                ptr = len(samples)
-                break
-            u = rng.random(4)
-            pending = (state.t - math.log1p(-u[0]) / rate, u)
-        if samples[ptr] < pending[0]:
-            out.append((samples[ptr], state.counts()))
+                    snapshot(tau)
+                return out
+            t_event = t - math.log1p(-u0) / rate
+            while samples[ptr] < t_event:
+                snapshot(samples[ptr])
+                ptr += 1
+                if ptr == n_samples:
+                    return out
+            t = t_event
+            _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, u1 * rate, u2, u3)
             if audit:
-                state.check_invariants(p.K, config.M, deep=True)
-            ptr += 1
-            continue
-        t_event, u = pending
-        state.t = t_event
-        _apply(state, p, u)
-        if audit:
-            state.check_invariants(p.K, config.M)
-        pending = None
-    return out
+                state.t = t
+                state.check_invariants(K, M)
+        block = min(2 * block, _MAX_BLOCK)
 
 
 def empirical_measure(counts: np.ndarray, K: int) -> Measure:

@@ -2,6 +2,7 @@
 frozen degenerate networks, and a tiny ergodic chain with a known
 stationary law."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 
 from duores.core import ModelParams, index_of
 from duores.simulate import (
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
     SimConfig,
     SimInvariantError,
     SimState,
+    _init_with_rng,
     empirical_measure,
     init_uniform,
     pair_empirical,
@@ -204,6 +208,79 @@ def test_run_is_deterministic_in_the_seed():
     assert any(not np.array_equal(x[1], y[1]) for x, y in zip(a, c))
 
 
+def _snapshot_digest(out):
+    h = hashlib.sha256()
+    for t, counts in out:
+        h.update(np.float64(t).tobytes())
+        h.update(counts.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_run_trajectory_is_pinned_byte_for_byte(audit):
+    # digest of a run of about 14k events (56k draws, many blocks),
+    # placement included; any change to the draw order or the
+    # transition rules changes it
+    p = ModelParams(lam=1, mu=1, nu=2, K=3)
+    cfg = SimConfig(N=200, M=300, T=20.0, sample_times=tuple(range(0, 21, 2)), seed=2024)
+    out = run(p, cfg, audit=audit)
+    for _, counts in out:
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert _snapshot_digest(out) == (
+        "b4680b8cbe4ae94ee53880213e0a196a48fed302c59c9802a650dd2ea05489a9")
+
+
+def _events_ending_a_block(n_events):
+    """Whether ``run``'s last event is the last one of a draw block."""
+    block, end = _FIRST_BLOCK, _FIRST_BLOCK
+    while end < n_events:
+        block = min(2 * block, _MAX_BLOCK)
+        end += block
+    return end == n_events
+
+
+def test_run_equals_a_step_loop_on_the_same_stream():
+    p = ModelParams(lam=1.0, mu=1.5, nu=2.0, K=2)
+    times = (0.0, 0.0, 1.0, 4.2, 12.7)
+    cfg = SimConfig(N=150, M=200, T=12.7, sample_times=times, seed=606)
+    # the generator places the cars first, then drives the events
+    rng = np.random.default_rng(cfg.seed)
+    st = _init_with_rng(cfg.N, cfg.M, p.K, rng)
+    expected, n_events = [], 0
+    while len(expected) < len(times):
+        before = st.counts()
+        step(st, p, rng)
+        n_events += 1
+        # right-continuous paths: a sample before this event sees the
+        # state it left
+        while len(expected) < len(times) and times[len(expected)] < st.t:
+            expected.append((times[len(expected)], before))
+    # run draws for the first event past T too, and that draw ends
+    # inside a block, after several full-size ones
+    assert n_events > 2 * _MAX_BLOCK and not _events_ending_a_block(n_events)
+    out = run(p, cfg)
+    assert [t for t, _ in out] == list(times)
+    assert _snapshot_digest(out) == _snapshot_digest(expected)
+
+
+def test_audit_checks_every_event():
+    # the counts hold one reservation (origin 0, destination 1) that the
+    # pickups list lacks; only the per-event audit can see it before
+    # the single snapshot at T
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
+    st = SimState(np.array([0, 1, 0], dtype=np.int64), np.zeros(3, dtype=np.int64),
+                  np.array([0, 1, 1], dtype=np.int64), np.array([1, 0, 0], dtype=np.int64))
+    cfg = SimConfig(N=3, M=3, T=5.0, sample_times=(5.0,), seed=8)
+    first = st.copy()
+    step(first, p, np.random.default_rng(cfg.seed))
+    with pytest.raises(SimInvariantError, match="pending-pickup") as err:
+        run(p, cfg, initial=st, audit=True)
+    # raised right after the first event, not at the snapshot
+    assert f"at t={first.t}" in str(err.value)
+    assert first.t < cfg.T
+    assert len(run(p, cfg, initial=st, audit=False)) == 1
+
+
 def test_run_rejects_mismatched_initial_state():
     p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=1)
     init = init_uniform(N=3, M=2, K=1, seed=0)
@@ -301,6 +378,11 @@ def test_single_station_capacity_one_is_frozen():
     assert list(first[0]) == [0, 0, 1, 0]
 
 
+def _station_zero(st):
+    """Counts ``(w, x, y, z)`` of station 0 as plain ints."""
+    return int(st.w[0]), int(st.x[0]), int(st.y[0]), int(st.z[0])
+
+
 def test_single_station_three_cycle_time_average():
     # one station, one car, K = 2: the chain cycles through exactly
     # three states at unit rates, so each gets time fraction 1/3
@@ -311,7 +393,7 @@ def test_single_station_three_cycle_time_average():
     occupation = {}
     T = 1e5
     while st.t < T:
-        pre = tuple(int(v) for v in st.counts()[0])
+        pre = _station_zero(st)
         _, dt, _ = step(st, p, rng)
         occupation[pre] = occupation.get(pre, 0.0) + dt
     total = sum(occupation.values())
@@ -331,7 +413,7 @@ def test_time_average_matches_product_form_on_tiny_network():
     occupation = {(0, 0, 1, 0): 0.0, (1, 0, 0, 1): 0.0, (0, 1, 0, 0): 0.0}
     T = 1e5
     while st.t < T:
-        pre = tuple(int(v) for v in st.counts()[0])
+        pre = _station_zero(st)
         _, dt, _ = step(st, p, rng)
         occupation[pre] += dt
     total = sum(occupation.values())

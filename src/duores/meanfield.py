@@ -18,16 +18,37 @@ mass of unsaturated states, a station in state ``(w, x, y, z)``:
    wherever a space is free);
 5. sends a reserved car away, ``z -> z - 1``, at rate ``nu * z``.
 
-The flow is nonlinear only through the scalars ``pV`` and ``pF``.
+The flow is nonlinear only through the scalars ``pV`` and ``pF``.  With
+``c = (lam pV, nu, mu, lam pF, nu)`` the family rates are ``c[f]`` times
+a count factor of the state.  Each family moves a state to at most one
+destination and no two states to the same one, so the inflow into every
+state is a gather: one source rank per family and destination (rank 0,
+with weight 0, where there is none).  One drift evaluation is then two
+dot products for ``pV`` and ``pF``, one ``take`` into a ``(5, n)``
+workspace, one in-place product with the inflow weights and two
+length-5 contractions, for the inflow and the total outflow rate.
+
+No temporary of a drift evaluation is larger than one n-vector.  The
+caller owns the workspace, a ``(5, n)`` buffer and a writable copy of
+the gather indices, and ``take`` writes into the buffer with
+``mode="clip"``.  ``np.take`` copies a read-only index array, and in its
+default mode it buffers its output, so either would add a hidden
+``(5, n)`` temporary per call.  At K = 15 such an array is 155 KB, above
+glibc's mmap threshold: allocating one per call maps and faults in fresh
+pages every time, which costs more than the arithmetic it holds.  The
+integrator allocates one workspace per call and reuses it for every
+stage of every step.
+
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
 ``dt * (lam + nu K + mu K) <= 0.5``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +58,6 @@ from .core import (
     count_arrays,
     no_available_mask,
     num_states,
-    occupancy_vector,
     ranks_of,
     saturated_mask,
 )
@@ -77,53 +97,72 @@ class DriftVector:
 
 @dataclass(frozen=True)
 class _Stencils:
-    """Per-capacity transition stencils: source rank, destination rank
-    and count weight for each family, plus the functional masks."""
+    """Per-capacity drift tables, all read-only since they are cached.
+
+    ``w_out[f, r]`` is the count factor of family ``f`` at rank ``r``
+    (the indicator of the family's condition for families 1 and 4, the
+    count ``w``, ``x`` or ``z`` otherwise), so family ``f`` carries mass
+    out of ``r`` at rate ``c[f] * w_out[f, r]``.  ``gather[f, d]`` is the
+    rank family ``f`` moves into ``d`` and ``w_in[f, d]`` its count
+    factor; both are 0 where no state moves into ``d``.  ``avail_f`` and
+    ``notfull_f`` are the rows of ``w_out`` that ``pV`` and ``pF`` sum.
+    """
 
     n: int
     avail_f: np.ndarray    # 1.0 where y > 0
     notfull_f: np.ndarray  # 1.0 where occupancy < K
-    families: tuple       # five (src, dst, weight) triples
+    w_out: np.ndarray      # (5, n) outflow count factors
+    gather: np.ndarray     # (5, n) source rank of each inflow
+    w_in: np.ndarray       # (5, n) count factor of that source
+
+
+# (dw, dx, dy, dz) of each family, in the order of ``c``
+_MOVES = ((+1, 0, 0, 0), (-1, +1, 0, 0), (0, -1, +1, 0), (0, 0, -1, +1), (0, 0, 0, -1))
 
 
 @lru_cache(maxsize=None)
 def _stencils(K: int) -> _Stencils:
     w, x, y, z = count_arrays(K)
-    occ = occupancy_vector(K)
     n = num_states(K)
-    idx = np.arange(n)
-
-    def fam(mask, dw, dx, dy, dz, weight):
-        src = idx[mask]
-        dst = ranks_of(w[mask] + dw, x[mask] + dx, y[mask] + dy, z[mask] + dz, K)
-        return src, dst, np.asarray(weight[mask], dtype=np.float64)
-
-    ones = np.ones(n)
-    families = (
-        fam(occ < K, +1, 0, 0, 0, ones),
-        fam(w > 0, -1, +1, 0, 0, w.astype(np.float64)),
-        fam(x > 0, 0, -1, +1, 0, x.astype(np.float64)),
-        fam(y > 0, 0, 0, -1, +1, ones),
-        fam(z > 0, 0, 0, 0, -1, z.astype(np.float64)),
-    )
-    avail_f = (~no_available_mask(K)).astype(np.float64)
-    notfull_f = (~saturated_mask(K)).astype(np.float64)
-    avail_f.setflags(write=False)
-    notfull_f.setflags(write=False)
-    return _Stencils(n=n, avail_f=avail_f, notfull_f=notfull_f, families=families)
+    notfull = ~saturated_mask(K)
+    avail = ~no_available_mask(K)
+    w_out = np.stack([notfull, w, x, avail, z]).astype(np.float64)
+    gather = np.zeros((5, n), dtype=np.intp)
+    w_in = np.zeros((5, n))
+    for f, (dw, dx, dy, dz) in enumerate(_MOVES):
+        src = np.flatnonzero(w_out[f])
+        dst = ranks_of(w[src] + dw, x[src] + dx, y[src] + dy, z[src] + dz, K)
+        gather[f, dst] = src
+        w_in[f, dst] = w_out[f, src]
+    for a in (w_out, gather, w_in):
+        a.setflags(write=False)
+    return _Stencils(n=n, avail_f=w_out[3], notfull_f=w_out[0], w_out=w_out,
+                     gather=gather, w_in=w_in)
 
 
-def _drift_raw(v: np.ndarray, p: ModelParams, st: _Stencils) -> np.ndarray:
+def _workspace(st: _Stencils) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch arrays for :func:`_drift_raw`: a ``(5, n)`` buffer and a
+    private writable copy of ``st.gather`` (``np.take`` would copy the
+    read-only cached one on every call)."""
+    return np.empty((5, st.n)), st.gather.copy()
+
+
+def _drift_raw(v: np.ndarray, p: ModelParams, st: _Stencils,
+               ws: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Drift of a raw vector; also accepts the slightly off-simplex
-    vectors that appear inside Runge-Kutta stages."""
-    p_avail = float(v @ st.avail_f)
-    p_free = float(v @ st.notfull_f)
-    coeffs = (p.lam * p_avail, p.nu, p.mu, p.lam * p_free, p.nu)
-    out = np.zeros(st.n)
-    for coeff, (src, dst, wgt) in zip(coeffs, st.families):
-        flux = coeff * wgt * v[src]
-        out += np.bincount(dst, weights=flux, minlength=st.n)
-        out -= np.bincount(src, weights=flux, minlength=st.n)
+    vectors that appear inside Runge-Kutta stages.
+
+    ``ws`` comes from :func:`_workspace`; the call overwrites its buffer.
+    """
+    buf, gather = ws
+    c = np.array((p.lam * float(v @ st.avail_f), p.nu, p.mu,
+                  p.lam * float(v @ st.notfull_f), p.nu))
+    np.take(v, gather, out=buf, mode="clip")
+    buf *= st.w_in
+    out = c @ buf
+    loss = c @ st.w_out
+    loss *= v
+    out -= loss
     return out
 
 
@@ -131,7 +170,8 @@ def drift(m: Measure, p: ModelParams) -> DriftVector:
     """Instantaneous drift of ``m`` under the five transition families."""
     if m.K != p.K:
         raise ValueError(f"measure capacity {m.K} != model capacity {p.K}")
-    return DriftVector(_drift_raw(m.probs, p, _stencils(p.K)), p.K)
+    st = _stencils(p.K)
+    return DriftVector(_drift_raw(m.probs, p, st, _workspace(st)), p.K)
 
 
 def stationarity_residual(m: Measure, p: ModelParams) -> float:
@@ -139,9 +179,9 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
     return drift(m, p).max_abs
 
 
-def _check_step(p: ModelParams, dt: float) -> None:
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+def _check_step(p: ModelParams, dt: float, name: str) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {dt!r}")
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
@@ -150,12 +190,25 @@ def _check_step(p: ModelParams, dt: float) -> None:
         )
 
 
-def _rk4_step(v: np.ndarray, p: ModelParams, st: _Stencils, dt: float) -> np.ndarray:
-    k1 = _drift_raw(v, p, st)
-    k2 = _drift_raw(v + 0.5 * dt * k1, p, st)
-    k3 = _drift_raw(v + 0.5 * dt * k2, p, st)
-    k4 = _drift_raw(v + dt * k3, p, st)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(
+    v: np.ndarray, p: ModelParams, st: _Stencils,
+    plan: Sequence[tuple[float, int, float]],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Run ``plan``: for each ``(t, steps, h)`` take ``steps`` classical
+    Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
+
+    The one drift workspace of the whole run is allocated here.  ``v``
+    is never written in place, so the caller's vector may be passed.
+    """
+    ws = _workspace(st)
+    for t, steps, h in plan:
+        for _ in range(steps):
+            k1 = _drift_raw(v, p, st, ws)
+            k2 = _drift_raw(v + 0.5 * h * k1, p, st, ws)
+            k3 = _drift_raw(v + 0.5 * h * k2, p, st, ws)
+            k4 = _drift_raw(v + h * k3, p, st, ws)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield t, v
 
 
 _NEG_TOL = -1e-12
@@ -189,21 +242,16 @@ def integrate(
     """
     if m0.K != p.K:
         raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    _check_step(p, dt)
-    st = _stencils(p.K)
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+    _check_step(p, dt, "dt")
     n_full = int(np.floor(T / dt + 1e-9))
-    v = m0.probs.copy()
-    out = [(0.0, m0)]
-    t = 0.0
-    for k in range(n_full):
-        v = _rk4_step(v, p, st, dt)
-        t = (k + 1) * dt
-        out.append((t, _as_measure(v, p.K, t)))
+    plan = [((k + 1) * dt, 1, dt) for k in range(n_full)]
+    t = n_full * dt
     if T - t > 1e-9 * max(1.0, T):
-        v = _rk4_step(v, p, st, T - t)
-        out.append((T, _as_measure(v, p.K, T)))
+        plan.append((T, 1, T - t))
+    out = [(0.0, m0)]
+    out += [(s, _as_measure(v, p.K, s)) for s, v in _rk4(m0.probs, p, _stencils(p.K), plan)]
     return out
 
 
@@ -215,24 +263,21 @@ def integrate_at(
 
     Each segment between consecutive output times is covered by equal
     steps no longer than ``dt_max``, so outputs land exactly on the
-    requested instants.
+    requested instants.  Every time must be finite and ``>= 0``.
     """
     if m0.K != p.K:
         raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    _check_step(p, dt_max)
-    st = _stencils(p.K)
-    prev = 0.0
-    v = m0.probs.copy()
-    out = []
-    for t in times:
+    _check_step(p, dt_max, "dt_max")
+    plan, prev = [], 0.0
+    for i, t in enumerate(times):
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"times[{i}] must be finite and >= 0, got {t!r}")
         if t < prev:
-            raise ValueError("output times must be nondecreasing")
+            raise ValueError(
+                f"output times must be nondecreasing: times[{i}] = {t!r} < {prev!r}"
+            )
         span = t - prev
-        if span > 0:
-            n = max(1, int(np.ceil(span / dt_max - 1e-12)))
-            h = span / n
-            for _ in range(n):
-                v = _rk4_step(v, p, st, h)
-        out.append(_as_measure(v, p.K, t))
+        n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
+        plan.append((t, n, span / n if n else 0.0))
         prev = t
-    return out
+    return [_as_measure(v, p.K, s) for s, v in _rk4(m0.probs, p, _stencils(p.K), plan)]

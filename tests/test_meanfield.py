@@ -1,22 +1,31 @@
 """Mean-field drift and Runge-Kutta integration.
 
-The drift oracle below is a from-scratch dictionary walk over the five
-transition families, sharing nothing with the vectorized stencils.
+Two drift oracles share nothing with the gather kernel: a from-scratch
+dictionary walk over the five transition families, and the per-family
+``bincount`` scatter that the kernel replaced, kept here as the
+reference at large capacity.
 """
 
+import importlib
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from duores import meanfield
 from duores.core import (
     Measure,
     ModelParams,
+    count_arrays,
     enumerate_states,
     fill_vector,
     index_of,
     mean_fill,
     num_states,
+    occupancy_vector,
+    ranks_of,
     tv_distance,
 )
 from duores.equilibrium import product_form, solve_equilibrium
@@ -29,12 +38,13 @@ from duores.meanfield import (
 )
 
 
-def _oracle_drift(m: Measure, p: ModelParams) -> np.ndarray:
-    """Drift recomputed state by state with a dictionary."""
+def _oracle_drift(v: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Drift of the raw vector ``v`` recomputed state by state with a
+    dictionary."""
     K = p.K
     states = enumerate_states(K)
-    pV = sum(m.probs[r] for r, s in enumerate(states) if s.y > 0)
-    pF = sum(m.probs[r] for r, s in enumerate(states) if s.total < K)
+    pV = sum(v[r] for r, s in enumerate(states) if s.y > 0)
+    pF = sum(v[r] for r, s in enumerate(states) if s.total < K)
     out = np.zeros(num_states(K))
     for r, (w, x, y, z) in enumerate(states):
         moves = []
@@ -49,9 +59,44 @@ def _oracle_drift(m: Measure, p: ModelParams) -> np.ndarray:
         if z > 0:
             moves.append(((w, x, y, z - 1), p.nu * z))
         for dst, rate in moves:
-            flow = m.probs[r] * rate
+            flow = v[r] * rate
             out[r] -= flow
             out[index_of(dst, K)] += flow
+    return out
+
+
+def _bincount_families(K: int) -> list:
+    """Per-family ``(src, dst, weight)`` triples over ranks."""
+    w, x, y, z = count_arrays(K)
+    occ = occupancy_vector(K)
+    idx = np.arange(num_states(K))
+
+    def fam(mask, dw, dx, dy, dz, weight):
+        dst = ranks_of(w[mask] + dw, x[mask] + dx, y[mask] + dy, z[mask] + dz, K)
+        return idx[mask], dst, np.asarray(weight[mask], dtype=np.float64)
+
+    ones = np.ones(len(idx))
+    return [
+        fam(occ < K, +1, 0, 0, 0, ones),
+        fam(w > 0, -1, +1, 0, 0, w.astype(np.float64)),
+        fam(x > 0, 0, -1, +1, 0, x.astype(np.float64)),
+        fam(y > 0, 0, 0, -1, +1, ones),
+        fam(z > 0, 0, 0, 0, -1, z.astype(np.float64)),
+    ]
+
+
+def _bincount_drift(v: np.ndarray, p: ModelParams, families: list) -> np.ndarray:
+    """Drift as one weighted scatter in and one out per family."""
+    w, x, y, z = count_arrays(p.K)
+    p_avail = float(v @ (y > 0))
+    p_free = float(v @ (occupancy_vector(p.K) < p.K))
+    coeffs = (p.lam * p_avail, p.nu, p.mu, p.lam * p_free, p.nu)
+    n = len(v)
+    out = np.zeros(n)
+    for coeff, (src, dst, wgt) in zip(coeffs, families):
+        flux = coeff * wgt * v[src]
+        out += np.bincount(dst, weights=flux, minlength=n)
+        out -= np.bincount(src, weights=flux, minlength=n)
     return out
 
 
@@ -61,13 +106,102 @@ def _random_measure(K, seed):
     return Measure(p / p.sum(), K)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_drift_matches_dictionary_oracle(K):
-    p = ModelParams(lam=1.3, mu=0.7, nu=2.1, K=K)
+# (nu, mu): the reference rates, then nu/mu = 1e-3 and 1e3
+_RATES = [(2.1, 0.7), (1e-3, 1.0), (1e3, 1.0)]
+
+
+def _rate_cases(capacities):
+    """``(K, nu, mu)`` cases; those at the reference rates are named by K."""
+    return [pytest.param(K, nu, mu,
+                         id=str(K) if (nu, mu) == _RATES[0] else f"{K}-nu/mu={nu / mu:g}")
+            for nu, mu in _RATES for K in capacities]
+
+
+@pytest.mark.parametrize("K,nu,mu", _rate_cases([1, 2, 3, 6, 10]))
+def test_drift_matches_dictionary_oracle(K, nu, mu):
+    p = ModelParams(lam=1.3, mu=mu, nu=nu, K=K)
     for seed in range(5):
         m = _random_measure(K, 500 + 10 * K + seed)
         d = drift(m, p)
-        assert np.max(np.abs(d.entries - _oracle_drift(m, p))) < 1e-13
+        ref = _oracle_drift(m.probs, p)
+        # absolute 1e-13 at the reference rates, relative beyond them
+        scale = max(1.0, nu / 2.1, mu / 0.7)
+        assert np.max(np.abs(d.entries - ref)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("K,nu,mu", _rate_cases([1, 3, 6]))
+def test_drift_of_off_simplex_vectors_matches_oracle(K, nu, mu):
+    # Runge-Kutta stages leave the simplex by roundoff: entries slightly
+    # below zero and a total slightly off one
+    p = ModelParams(lam=1.3, mu=mu, nu=nu, K=K)
+    st = meanfield._stencils(K)
+    rng = np.random.default_rng(900 + K)
+    for seed in range(3):
+        v = _random_measure(K, 910 + 10 * K + seed).probs.copy()
+        v[rng.choice(len(v), size=max(1, len(v) // 4), replace=False)] = -1e-13
+        v *= 1.0 + 1e-12
+        assert v.min() == -1e-13 * (1.0 + 1e-12)
+        got = meanfield._drift_raw(v, p, st, meanfield._workspace(st))
+        scale = max(1.0, nu / 2.1, mu / 0.7)
+        assert np.max(np.abs(got - _oracle_drift(v, p))) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("K", [15, 20])
+def test_drift_matches_bincount_oracle_at_large_capacity(K):
+    families = _bincount_families(K)
+    st = meanfield._stencils(K)
+    ws = meanfield._workspace(st)
+    for nu, mu in _RATES:
+        p = ModelParams(lam=1.3, mu=mu, nu=nu, K=K)
+        for seed in range(3):
+            v = _random_measure(K, 950 + K + seed).probs
+            ref = _bincount_drift(v, p, families)
+            got = meanfield._drift_raw(v, p, st, ws)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_trajectory_matches_bincount_oracle_at_K15():
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    dt = 0.25 / p.rate_bound
+    families = _bincount_families(p.K)
+    traj = integrate(Measure.uniform(p.K), p, T=5.0, dt=dt)
+    assert len(traj) == 921  # 920 whole steps, no shortened one
+    v = Measure.uniform(p.K).probs
+    worst = 0.0
+    for _, m in traj[1:]:
+        k1 = _bincount_drift(v, p, families)
+        k2 = _bincount_drift(v + 0.5 * dt * k1, p, families)
+        k3 = _bincount_drift(v + 0.5 * dt * k2, p, families)
+        k4 = _bincount_drift(v + dt * k3, p, families)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        worst = max(worst, float(np.max(np.abs(m.probs - np.clip(v, 0.0, None)))))
+    assert worst <= 1e-14
+
+
+def test_cached_stencils_are_read_only():
+    st = meanfield._stencils(3)
+    for a in (st.avail_f, st.notfull_f, st.w_out, st.gather, st.w_in):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_drift_allocates_at_most_four_vectors():
+    # a (5, n) temporary per call crosses glibc's mmap threshold at
+    # K = 15 and faults in fresh pages on every evaluation; the result
+    # and the outflow vector are 2n, while a buffered or read-only-index
+    # take adds 5n and the unfused form c @ (w_in * v[gather]) 10n
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    st = meanfield._stencils(p.K)
+    v = _random_measure(p.K, 990).probs
+    ws = meanfield._workspace(st)
+    meanfield._drift_raw(v, p, st, ws)
+    tracemalloc.start()
+    try:
+        meanfield._drift_raw(v, p, st, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * st.n * 8
 
 
 def test_drift_sums_to_zero():
@@ -181,3 +315,68 @@ def test_integrate_at_validates_order():
     p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=1)
     with pytest.raises(ValueError):
         integrate_at(Measure.uniform(1), p, [0.5, 0.2], dt_max=0.1)
+
+
+_P1 = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=1)
+_INF = float("inf")
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("T,dt,match", [
+    (_NAN, 0.1, r"T must be finite and >= 0, got nan"),
+    (_INF, 0.1, r"T must be finite and >= 0, got inf"),
+    (1.0, _NAN, r"dt must be finite and > 0, got nan"),
+    (1.0, _INF, r"dt must be finite and > 0, got inf"),
+])
+def test_integrate_rejects_non_finite_inputs(T, dt, match):
+    with pytest.raises(ValueError, match=match):
+        integrate(Measure.uniform(1), _P1, T=T, dt=dt)
+
+
+@pytest.mark.parametrize("times,dt_max,match", [
+    ([_NAN], 0.1, r"times\[0\] must be finite and >= 0, got nan"),
+    ([0.5, _INF], 0.1, r"times\[1\] must be finite and >= 0, got inf"),
+    ([-0.5, 0.2], 0.1, r"times\[0\] must be finite and >= 0, got -0.5"),
+    ([0.5], _NAN, r"dt_max must be finite and > 0, got nan"),
+    ([0.5], _INF, r"dt_max must be finite and > 0, got inf"),
+])
+def test_integrate_at_rejects_non_finite_inputs(times, dt_max, match):
+    with pytest.raises(ValueError, match=match):
+        integrate_at(Measure.uniform(1), _P1, times, dt_max=dt_max)
+
+
+def test_step_rules_match_the_benchmark_step_counts(monkeypatch):
+    # the benchmark derives its step counts from these rules
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    calls = [0]
+    kernel = meanfield._drift_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(meanfield, "_drift_raw", counted)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    m0 = Measure.uniform(p.K)
+    flow_dt = 0.25 / p.rate_bound
+    # (T, dt, steps, last output time): 0.47 / 0.01 = 46.99999999999999,
+    # so the 1e-9 slack takes 47 whole steps and ends on 47 * 0.01, not on
+    # T; a remainder of 1e-12 takes no extra step; 0.255 ends on a short one
+    cases = [(0.0, 0.01, 0, 0.0), (0.47, 0.01, 47, 47 * 0.01),
+             (0.25 + 1e-12, 0.01, 25, 25 * 0.01), (0.255, 0.01, 26, 0.255),
+             (5.0, flow_dt, 200, 200 * flow_dt)]
+    for T, dt, steps, t_last in cases:
+        calls[0] = 0
+        traj = integrate(m0, p, T=T, dt=dt)
+        assert workloads.rk4_steps_integrate(T, dt) == steps
+        assert calls[0] == 4 * steps
+        assert len(traj) == steps + 1 and traj[-1][0] == t_last
+    cases = [([0.0, 0.3, 0.3, 0.7, 1.0], 20), ([0.04], 1), ([0.0], 0), ([], 0),
+             ([0.1, 0.25, 2.0, 2.0001], 41)]
+    for times, steps in cases:
+        calls[0] = 0
+        outs = integrate_at(m0, p, times, dt_max=0.05)
+        assert workloads.rk4_steps_at(times, 0.05) == steps
+        assert calls[0] == 4 * steps
+        assert len(outs) == len(times)

@@ -237,6 +237,10 @@ class ModelParams:
     K: int
 
     def __post_init__(self) -> None:
+        for name in ("lam", "mu", "nu"):
+            rate = getattr(self, name)
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} must be finite, got {rate!r}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.mu <= 0 or self.nu <= 0:

@@ -27,9 +27,14 @@ and the per-event draw order unchanged (``k`` calls of
 its trajectories are byte-identical to those of a ``step`` loop.
 
 One kernel, ``_fire``, holds the transition rules for both ``step`` and
-``run``.  A plain ``run`` keeps the counts in Python lists, where an
-event costs a few list operations; an audited one applies the kernel to
-the state's own arrays and checks the invariants after every event.
+``run``, and reports the two stations an event read; it writes no
+other.  ``run`` keeps the counts in Python lists, where an event costs
+a few list operations, audited or not.  An audited run checks after
+each event only the stations the kernel reported: nonnegative counts,
+occupancy at most ``K``, and running totals of ``w, x, y, z`` against
+the car count and the pending-pickup and driving list lengths, O(1) per
+event.  The whole-state ``check_invariants`` runs after the first event
+and, with the deep list reconciliation, at every snapshot.
 """
 
 from __future__ import annotations
@@ -72,10 +77,13 @@ class SimConfig:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.M < 0:
             raise ValueError(f"M must be >= 0, got {self.M}")
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
         ts = tuple(float(t) for t in self.sample_times)
-        if any(t < 0 or t > self.T for t in ts):
+        for k, t in enumerate(ts):
+            if not (math.isfinite(t) and t >= 0):
+                raise ValueError(f"sample_times[{k}] must be finite and >= 0, got {t!r}")
+        if any(t > self.T for t in ts):
             raise ValueError("sample times must lie within [0, T]")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("sample times must be nondecreasing")
@@ -125,9 +133,11 @@ class SimState:
         """Raise :class:`SimInvariantError` on any structural violation.
 
         The cheap checks (nonnegativity, capacity, car conservation,
-        list lengths vs count sums) run after every event in audit
-        mode; ``deep=True`` additionally reconciles the lists against
-        the per-station counts.
+        list lengths vs count sums) cover every station; an audited
+        ``run`` makes them after its first event and then keeps them up
+        over the stations each event touches.  ``deep=True``
+        additionally reconciles the lists against the per-station
+        counts.
         """
         arrs = (self.w, self.x, self.y, self.z)
         if min(int(a.min()) for a in arrs) < 0:
@@ -182,28 +192,41 @@ def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
-def _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, r, u2, u3) -> str:
+def _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, r, u2, u3):
     """Apply one event to the counts ``w, x, y, z`` (lists or arrays)
-    and the ``pickups``/``driving`` lists; return its tag.
+    and the ``pickups``/``driving`` lists.
+
+    Returns ``(tag, i, j)``: the event's tag and the stations it read,
+    the origin ``i`` and destination ``j`` (``i == j`` for a return).
+    No other station's counts change, which is what lets the audit of
+    ``run`` check only these two.
 
     ``r`` is the event-class draw scaled by the total rate, ``u2`` and
     ``u3`` are the last two draws.  ``lam_N`` and the list lengths must
     be those the total rate was computed from, so nothing may change
     the state between the draws and this call.
     """
+    # each draw u picks one of n items as int(u * n), clamped to n - 1
+    # as min() would, at a fraction of a min() call's cost
     if r < lam_N:
-        i = min(int(u2 * N), N - 1)
-        j = min(int(u3 * N), N - 1)
+        i = int(u2 * N)
+        if i >= N:
+            i = N - 1
+        j = int(u3 * N)
+        if j >= N:
+            j = N - 1
         if y[i] > 0 and w[j] + x[j] + y[j] + z[j] < K:
             y[i] -= 1
             z[i] += 1
             w[j] += 1
             pickups.append((i, j))
-            return "arrival"
-        return "blocked"
+            return "arrival", i, j
+        return "blocked", i, j
     P = len(pickups)
     if r < lam_N + nu * P:
-        idx = min(int(u3 * P), P - 1)
+        idx = int(u3 * P)
+        if idx >= P:
+            idx = P - 1
         i, j = pickups[idx]
         pickups[idx] = pickups[-1]
         pickups.pop()
@@ -211,15 +234,17 @@ def _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, r, u2, u3) -> str:
         w[j] -= 1
         x[j] += 1
         driving.append(j)
-        return "pickup"
+        return "pickup", i, j
     D = len(driving)
-    idx = min(int(u3 * D), D - 1)
+    idx = int(u3 * D)
+    if idx >= D:
+        idx = D - 1
     j = driving[idx]
     driving[idx] = driving[-1]
     driving.pop()
     x[j] -= 1
     y[j] += 1
-    return "return"
+    return "return", j, j
 
 
 def step(state: SimState, p: ModelParams, rng: np.random.Generator):
@@ -237,9 +262,66 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
     dt = -math.log1p(-u0) / rate
     state.t += dt
     N = state.N
-    tag = _fire(state.w, state.x, state.y, state.z, state.pickups, state.driving,
-                N, p.K, p.lam * N, p.nu, u1 * rate, u2, u3)
+    tag, _, _ = _fire(state.w, state.x, state.y, state.z, state.pickups, state.driving,
+                      N, p.K, p.lam * N, p.nu, u1 * rate, u2, u3)
     return state, dt, tag
+
+
+class _Audit:
+    """Invariant checks of an audited ``run`` over its list counts.
+
+    ``whole`` copies the counts into the ``SimState`` and runs
+    ``check_invariants`` on all of it.  ``event`` runs after every
+    event: its first call is ``whole``; each later one checks only the
+    two stations ``_fire`` reports, and running totals of ``w, x, y, z``
+    moved by each such station's change since its last check, in O(1).
+    """
+
+    def __init__(self, state: SimState, counts: list, K: int, M: int):
+        self.state, self.counts, self.K, self.M = state, counts, K, M
+        self.seen: list | None = None  # per-station counts at the last check
+        self.totals = (0, 0, 0, 0)
+
+    def whole(self, deep: bool) -> None:
+        st = self.state
+        st.w[:], st.x[:], st.y[:], st.z[:] = self.counts
+        st.check_invariants(self.K, self.M, deep=deep)
+
+    def event(self, t: float, event: tuple) -> None:
+        st = self.state
+        st.t = t
+        if self.seen is None:
+            self.whole(deep=False)
+            self.seen = list(zip(*self.counts))
+            self.totals = tuple(sum(a) for a in self.counts)
+            return
+        _, i, j = event
+        w, x, y, z = self.counts
+        a = (w[i], x[i], y[i], z[i])
+        b = (w[j], x[j], y[j], z[j])
+        if min(a) < 0 or min(b) < 0:
+            raise SimInvariantError(f"negative count at t={t}")
+        if sum(a) > self.K or sum(b) > self.K:
+            raise SimInvariantError(f"station over capacity at t={t}")
+        # when i == j the second pair of lines reads back ``a`` and
+        # adds nothing, so the station counts once
+        seen = self.seen
+        pa, seen[i] = seen[i], a
+        pb, seen[j] = seen[j], b
+        sw, sx, sy, sz = self.totals
+        sw += a[0] - pa[0] + b[0] - pb[0]
+        sx += a[1] - pa[1] + b[1] - pb[1]
+        sy += a[2] - pa[2] + b[2] - pb[2]
+        sz += a[3] - pa[3] + b[3] - pb[3]
+        self.totals = sw, sx, sy, sz
+        cars = sx + sy + sz
+        if cars != self.M:
+            raise SimInvariantError(f"car total {cars} != {self.M} at t={t}")
+        P = len(st.pickups)
+        if P != sz or P != sw:
+            raise SimInvariantError(f"pending-pickup count mismatch at t={t}")
+        if len(st.driving) != sx:
+            raise SimInvariantError(f"driving count mismatch at t={t}")
 
 
 def run(
@@ -256,8 +338,16 @@ def run(
     ``config.seed`` and used first for initial placement (skipped when
     ``initial`` is given), then for events.
 
-    With ``audit=True`` every event is followed by the cheap invariant
-    checks and every snapshot by the deep list reconciliation.
+    With ``audit=True`` the run checks the model's invariants: cars are
+    conserved, no station holds more than ``K``, and the pending-pickup
+    and driving lists match the counts.  After each event it checks
+    only the stations the event touched, in O(1): each is nonnegative
+    and within capacity, and running totals of ``w, x, y, z`` match
+    ``M`` and the list lengths (the first event gets the whole-state
+    ``check_invariants``, so a bad ``initial`` raises there).  At every
+    snapshot it runs ``check_invariants(deep=True)`` on the whole state,
+    which also reconciles the lists against the per-station counts.
+    Audited and plain runs give byte-identical snapshots.
     """
     if config.M > config.N * p.K:
         raise ValueError(
@@ -278,20 +368,17 @@ def run(
     N, K, M = config.N, p.K, config.M
     lam_N, nu, mu = p.lam * N, p.nu, p.mu
     pickups, driving = state.pickups, state.driving
-    if audit:
-        # the kernel writes straight into the state the checks read
-        w, x, y, z = state.w, state.x, state.y, state.z
-    else:
-        w, x, y, z = (a.tolist() for a in (state.w, state.x, state.y, state.z))
+    counts = [a.tolist() for a in (state.w, state.x, state.y, state.z)]
+    w, x, y, z = counts
+    check = _Audit(state, counts, K, M) if audit else None
 
     def snapshot(tau: float) -> None:
+        out.append((tau, np.array(counts, dtype=np.int64).T.copy()))
         if audit:
-            out.append((tau, state.counts()))
-            state.check_invariants(K, M, deep=True)
-        else:
-            out.append((tau, np.array((w, x, y, z), dtype=np.int64).T.copy()))
+            check.whole(deep=True)
 
     ptr, n_samples, t = 0, len(samples), 0.0
+    t_next, log1p = samples[0], math.log1p
     block = _FIRST_BLOCK
     while True:
         # rows of four draws in stream order: one block equals that many
@@ -303,17 +390,17 @@ def run(
                 for tau in samples[ptr:]:
                     snapshot(tau)
                 return out
-            t_event = t - math.log1p(-u0) / rate
-            while samples[ptr] < t_event:
-                snapshot(samples[ptr])
+            t_event = t - log1p(-u0) / rate
+            while t_next < t_event:
+                snapshot(t_next)
                 ptr += 1
                 if ptr == n_samples:
                     return out
+                t_next = samples[ptr]
             t = t_event
-            _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, u1 * rate, u2, u3)
+            event = _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, u1 * rate, u2, u3)
             if audit:
-                state.t = t
-                state.check_invariants(K, M)
+                check.event(t, event)
         block = min(2 * block, _MAX_BLOCK)
 
 

@@ -193,3 +193,19 @@ def test_model_params_validation():
         ModelParams(lam=1.0, mu=1.0, nu=-2.0, K=1)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, mu=1.0, nu=1.0, K=0)
+
+
+@pytest.mark.parametrize("name", ["lam", "mu", "nu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_params_reject_non_finite_rates(name, value):
+    rates = {"lam": 1.0, "mu": 1.0, "nu": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        ModelParams(K=2, **rates)
+
+
+def test_model_params_keep_their_sign_messages():
+    with pytest.raises(ValueError, match=r"^lam must be >= 0, got -1\.0$"):
+        ModelParams(lam=-1.0, mu=1.0, nu=1.0, K=1)
+    for mu, nu in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="^mu and nu must be > 0$"):
+            ModelParams(lam=1.0, mu=mu, nu=nu, K=1)

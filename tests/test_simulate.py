@@ -4,10 +4,12 @@ stationary law."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from duores import simulate
 from duores.core import ModelParams, index_of
 from duores.simulate import (
     _FIRST_BLOCK,
@@ -15,6 +17,7 @@ from duores.simulate import (
     SimConfig,
     SimInvariantError,
     SimState,
+    _fire,
     _init_with_rng,
     empirical_measure,
     init_uniform,
@@ -181,6 +184,20 @@ def test_sim_config_validation():
     assert cfg.sample_times == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("T, times, message", [
+    (math.nan, (), "T must be finite and >= 0, got nan"),
+    (math.inf, (0.5,), "T must be finite and >= 0, got inf"),
+    (-1.0, (), "T must be finite and >= 0, got -1.0"),
+    # a NaN sample time used to pass every comparison and hang run
+    (1.0, (math.nan,), "sample_times[0] must be finite and >= 0, got nan"),
+    (1.0, (0.5, math.inf), "sample_times[1] must be finite and >= 0, got inf"),
+    (1.0, (0.0, -0.5), "sample_times[1] must be finite and >= 0, got -0.5"),
+])
+def test_sim_config_rejects_non_finite_times(T, times, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(N=2, M=1, T=T, sample_times=times, seed=0)
+
+
 def test_run_at_time_zero_returns_the_initial_state():
     p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
     init = init_uniform(N=5, M=6, K=2, seed=3)
@@ -279,6 +296,174 @@ def test_audit_checks_every_event():
     assert f"at t={first.t}" in str(err.value)
     assert first.t < cfg.T
     assert len(run(p, cfg, initial=st, audit=False)) == 1
+
+
+def test_kernel_writes_only_the_stations_it_reports():
+    # the per-event audit looks only at the stations _fire reports, so
+    # it is as strong as a whole-state check only while this holds
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+    rng = np.random.default_rng(4242)
+    tags = set()
+    for _ in range(60):
+        N = int(rng.integers(1, 7))
+        st = _init_with_rng(N, int(rng.integers(0, N * p.K + 1)), p.K, rng)
+        for _ in range(int(rng.integers(0, 25))):
+            step(st, p, rng)
+        for _ in range(10):
+            counts = [a.tolist() for a in (st.w, st.x, st.y, st.z)]
+            before = [list(c) for c in counts]
+            u1, u2, u3 = rng.random(3).tolist()
+            tag, i, j = _fire(*counts, list(st.pickups), list(st.driving),
+                              N, p.K, p.lam * N, p.nu, u1 * st.total_rate(p), u2, u3)
+            changed = {s for s in range(N) if any(a[s] != b[s] for a, b in zip(counts, before))}
+            assert changed == (set() if tag == "blocked" else {i, j}), (tag, i, j)
+            tags.add(tag)
+    assert tags == {"arrival", "blocked", "pickup", "return"}
+
+
+def _shift(src, dst):
+    """Corruption moving one unit between two counts of a station:
+    occupancy and car total unchanged, one count sum off by one."""
+    def corrupt(counts, s, K):
+        if counts[src][s] == 0:
+            return False
+        counts[src][s] -= 1
+        counts[dst][s] += 1
+        return True
+    return corrupt
+
+
+def _set_negative(counts, s, K):
+    counts[0][s] = -1
+    return True
+
+
+def _overfill(counts, s, K):
+    counts[2][s] += K + 1
+    return True
+
+
+def _add_car(counts, s, K):
+    if sum(c[s] for c in counts) == K:
+        return False
+    counts[2][s] += 1
+    return True
+
+
+def _corrupting_fire(after, pick, corrupt, K):
+    """``_fire`` that applies ``corrupt`` once, to the station ``pick``
+    chooses, at the first event from number ``after`` on where it can;
+    ``calls`` records that event's number."""
+    calls = {"n": 0, "at": None}
+
+    def fire(w, x, y, z, *rest):
+        event = _fire(w, x, y, z, *rest)
+        calls["n"] += 1
+        if calls["at"] is None and calls["n"] >= after:
+            s = pick(event, len(w))
+            if s is not None and corrupt([w, x, y, z], s, K):
+                calls["at"] = calls["n"]
+        return event
+    return fire, calls
+
+
+def _event_time(p, cfg, initial, n):
+    """Time of event number ``n`` of ``run(p, cfg, initial)``, by a
+    ``step`` loop on the same stream."""
+    rng = np.random.default_rng(cfg.seed)
+    st = initial.copy()
+    for _ in range(n):
+        step(st, p, rng)
+    return st.t
+
+
+_AUDIT_P = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+_AUDIT_CFG = SimConfig(N=40, M=60, T=6.0, sample_times=(2.0, 4.0, 6.0), seed=91)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_set_negative, "negative count", id="negative"),
+    pytest.param(_overfill, "station over capacity", id="capacity"),
+    pytest.param(_add_car, "car total 61 != 60", id="car-total"),
+    pytest.param(_shift(2, 3), "pending-pickup count mismatch", id="pending-pickup"),
+    pytest.param(_shift(2, 1), "driving count mismatch", id="driving"),
+])
+def test_audit_raises_at_the_event_that_corrupts_a_touched_station(
+        monkeypatch, corrupt, message):
+    p, cfg = _AUDIT_P, _AUDIT_CFG
+    init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
+    # corrupt the destination, which every non-blocked event writes
+    fire, calls = _corrupting_fire(30, lambda ev, N: ev[2] if ev[0] != "blocked" else None,
+                                   corrupt, p.K)
+    monkeypatch.setattr(simulate, "_fire", fire)
+    with pytest.raises(SimInvariantError) as err:
+        run(p, cfg, initial=init, audit=True)
+    monkeypatch.undo()
+    assert calls["at"] is not None
+    t = _event_time(p, cfg, init, calls["at"])
+    assert t < cfg.sample_times[0]  # raised by the per-event audit
+    assert str(err.value) == f"{message} at t={t}"
+
+
+def test_audit_catches_an_untouched_station_by_the_next_snapshot(monkeypatch):
+    p, cfg = _AUDIT_P, _AUDIT_CFG
+    init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
+
+    def untouched(event, N):
+        _, i, j = event
+        return next(s for s in range(N) if s not in (i, j))
+
+    fire, calls = _corrupting_fire(30, untouched, _shift(2, 1), p.K)
+    monkeypatch.setattr(simulate, "_fire", fire)
+    with pytest.raises(SimInvariantError, match="driving count mismatch") as err:
+        run(p, cfg, initial=init, audit=True)
+    monkeypatch.undo()
+    raised_at = float(re.search(r"at t=(\S+)$", str(err.value)).group(1))
+    t = _event_time(p, cfg, init, calls["at"])
+    next_sample = min(tau for tau in cfg.sample_times if tau >= t)
+    assert t <= raised_at <= next_sample
+
+
+def test_audited_run_checks_the_whole_state_once_plus_per_snapshot(monkeypatch):
+    p, cfg = _AUDIT_P, _AUDIT_CFG
+    whole, events = [], []
+    check = SimState.check_invariants
+    monkeypatch.setattr(SimState, "check_invariants",
+                        lambda st, K, M, deep=False: whole.append(deep) or check(st, K, M, deep))
+    monkeypatch.setattr(simulate, "_fire", lambda *a: events.append(1) or _fire(*a))
+    out = run(p, cfg, audit=True)
+    assert len(out) == len(cfg.sample_times)
+    assert len(events) > 100
+    # one cheap check after the first event, one deep check per snapshot
+    assert whole == [False] + [True] * len(cfg.sample_times)
+
+
+def _stepped_state(N, M, K, seed):
+    """A reachable state with reservations pending and cars driving."""
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=K)
+    rng = np.random.default_rng(seed)
+    st = _init_with_rng(N, M, K, rng)
+    for _ in range(8 * N):
+        step(st, p, rng)
+    return st
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 6])
+@pytest.mark.parametrize("lam", [0.0, 1.0])  # lam = 0 freezes the network
+@pytest.mark.parametrize("given", [False, True])
+def test_audited_and_plain_runs_give_identical_snapshots(K, N, lam, given):
+    p = ModelParams(lam=lam, mu=1.0, nu=2.0, K=K)
+    M = (N * K + 1) // 2
+    # a sample at time 0 and repeated sample times
+    cfg = SimConfig(N=N, M=M, T=4.0, sample_times=(0.0, 0.0, 0.7, 2.0, 2.0, 4.0),
+                    seed=K + 10 * N)
+    initial = _stepped_state(N, M, K, seed=N + K) if given else None
+    plain = run(p, cfg, initial=initial)
+    audited = run(p, cfg, initial=initial, audit=True)
+    assert [t for t, _ in audited] == list(cfg.sample_times)
+    assert [t for t, _ in plain] == list(cfg.sample_times)
+    assert _snapshot_digest(audited) == _snapshot_digest(plain)
 
 
 def test_run_rejects_mismatched_initial_state():

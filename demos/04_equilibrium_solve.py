@@ -10,7 +10,13 @@ The script sweeps the load and the reservation speed, then shows the
 capacity-one corner where everything is solvable on paper.
 """
 
-from duores import ModelParams, pi_no_available, pi_saturated, solve_equilibrium
+from duores import (
+    ModelParams,
+    prob_no_available,
+    prob_saturated,
+    product_form,
+    solve_equilibrium,
+)
 
 
 def main() -> None:
@@ -18,7 +24,7 @@ def main() -> None:
     print("  s      rho1     rho2     P[reject]  max residual")
     for s in (0.3, 0.9, 1.5, 2.1, 2.7):
         rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3), s)
-        reject = pi_no_available(rep.rho, 3)
+        reject = prob_no_available(product_form(rep.rho, 3))
         print(f"  {s:.1f}   {rep.rho.rho1:7.4f}  {rep.rho.rho2:7.4f}"
               f"    {reject:.4f}     {rep.max_residual:.1e}")
 
@@ -27,7 +33,7 @@ def main() -> None:
     for nu in (0.5, 2.0, 10.0, 1000.0):
         rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu, K=3), 1.5)
         print(f"  {nu:6.1f}  {rep.rho.eta1:8.4f}  {rep.rho.rho2:7.4f}"
-              f"     {pi_saturated(rep.rho, 3):.4f}")
+              f"     {prob_saturated(product_form(rep.rho, 3)):.4f}")
     print("slow reservations (small nu) pile up reserved spaces and cars;")
     print("fast ones (large nu) vanish from the state, eta1 -> 0")
 

@@ -33,10 +33,6 @@ from .equilibrium import (
     SolveReport,
     f_simple,
     g_mean,
-    partition_function,
-    pi_mean_fill,
-    pi_no_available,
-    pi_saturated,
     product_form,
     solve_equilibrium,
     solve_phi,
@@ -79,11 +75,7 @@ __all__ = [
     "SolveReport",
     "SimpleSolveReport",
     "MultipleEquilibriaError",
-    "partition_function",
     "product_form",
-    "pi_no_available",
-    "pi_saturated",
-    "pi_mean_fill",
     "f_simple",
     "solve_phi",
     "g_mean",

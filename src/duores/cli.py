@@ -87,7 +87,7 @@ def _model_params(cfg: dict) -> ModelParams:
     _need(sec, ["lam", "mu", "nu", "K"], "'model'")
     try:
         return ModelParams(lam=float(sec["lam"]), mu=float(sec["mu"]),
-                           nu=float(sec["nu"]), K=int(sec["K"]))
+                           nu=float(sec["nu"]), K=sec["K"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad model parameters: {e}")
 
@@ -120,7 +120,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
         raise ConfigError("replicas must be >= 1")
     out = _out_dir(cfg, args.output_dir)
     try:
-        base = SimConfig(N=int(sec["N"]), M=int(sec["M"]), T=float(sec["T"]),
+        base = SimConfig(N=sec["N"], M=sec["M"], T=float(sec["T"]),
                          sample_times=tuple(sec["sample_times"]),
                          seed=int(sec["seed"]))
     except (TypeError, ValueError) as e:

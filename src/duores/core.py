@@ -18,6 +18,7 @@ order index probability vectors over station states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -212,6 +213,17 @@ def saturated_mask(K: int) -> np.ndarray:
 # Model parameters
 # ============================================================
 
+def _integral(name: str, value) -> int:
+    """``value`` as an ``int``.  Integers pass and integral floats
+    (``3.0``) are converted; anything else raises a ``ValueError``
+    naming ``name``."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Rates and capacity of the symmetric network.
@@ -228,7 +240,7 @@ class ModelParams:
         Reservation holding rate; governs both pickup of a reserved car
         and confirmation of a reserved destination space.
     K : int
-        Parking spaces per station.
+        Parking spaces per station; an integral float is converted.
     """
 
     lam: float
@@ -245,6 +257,7 @@ class ModelParams:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("mu and nu must be > 0")
+        object.__setattr__(self, "K", _integral("K", self.K))
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
 

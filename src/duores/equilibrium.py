@@ -32,6 +32,23 @@ rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
 
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
+
+Every reduced-family quantity the solver uses comes from one O(K) pass,
+``_reduced_sums(x, y, K)``, which returns the normalizing constant
+``Z``, its derivative ``dZ/dy``, the partial exponential ``E`` (the
+weight of ``j = 0``), ``Z_{K-1}`` (the constant one capacity lower) and
+the saturated-diagonal sum ``S``, all scaled by one power of two so that
+no step overflows.  From them:
+
+* ``P[j = 0] = E / Z`` (``simple_no_available``);
+* ``P[i + j = K] = S / Z`` (``simple_saturated``);
+* ``E[c i + j] = (c x Z_{K-1} + y dZ/dy) / Z`` (``g_mean`` at ``c = 1``,
+  ``fill_along_curve``);
+* ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
+
+The four-coordinate product form is built in log space, once per solve,
+and the residuals are the ``core`` functionals of that one measure.
+``simple_form`` is the (K+1, K+1) reference array of the reduced family.
 """
 
 from __future__ import annotations
@@ -42,18 +59,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Measure, ModelParams, count_arrays, fill_vector
+from .core import (
+    Measure,
+    ModelParams,
+    count_arrays,
+    mean_fill,
+    prob_no_available,
+    prob_saturated,
+)
 
 __all__ = [
     "RateRatios",
     "SolveReport",
     "SimpleSolveReport",
     "MultipleEquilibriaError",
-    "partition_function",
     "product_form",
-    "pi_no_available",
-    "pi_saturated",
-    "pi_mean_fill",
     "simple_partition",
     "simple_form",
     "simple_no_available",
@@ -96,49 +116,27 @@ class RateRatios:
 
 
 @lru_cache(maxsize=None)
-def _factorials(K: int) -> np.ndarray:
-    f = np.array([math.factorial(n) for n in range(K + 1)], dtype=np.float64)
-    f.setflags(write=False)
-    return f
-
-
-@lru_cache(maxsize=None)
 def _log_factorials(K: int) -> np.ndarray:
     f = np.array([math.lgamma(n + 1) for n in range(K + 1)], dtype=np.float64)
     f.setflags(write=False)
     return f
 
 
-def _raw_weights(rho: RateRatios, K: int) -> np.ndarray:
-    w, x, y, z = count_arrays(K)
-    f = _factorials(K)
-    return (
-        rho.eta1 ** w / f[w]
-        * (rho.rho1 ** x / f[x])
-        * rho.rho2 ** y
-        * (rho.eta2 ** z / f[z])
-    )
+def _xlogr(counts: np.ndarray, r: float) -> np.ndarray:
+    """``counts * log(r)``, with ``0 * log(0) = 0``."""
+    if r > 0.0:
+        return counts * math.log(r)
+    return np.where(counts == 0, 0.0, -np.inf)
 
 
 def _normalized_weights(rho: RateRatios, K: int) -> np.ndarray:
-    """Product-form probabilities; falls back to log-space arithmetic
-    when the plain weights over- or underflow."""
-    with np.errstate(over="ignore"):
-        wts = _raw_weights(rho, K)
-        total = wts.sum()
-    if np.isfinite(total) and total > 0.0:
-        return wts / total
+    """Product-form probabilities, built in log space so that no weight
+    over- or underflows before normalization."""
     w, x, y, z = count_arrays(K)
     lf = _log_factorials(K)
-
-    def xlogr(counts: np.ndarray, r: float) -> np.ndarray:
-        if r > 0.0:
-            return counts * math.log(r)
-        return np.where(counts == 0, 0.0, -np.inf)
-
     logw = (
-        xlogr(w, rho.eta1) + xlogr(x, rho.rho1)
-        + xlogr(y, rho.rho2) + xlogr(z, rho.eta2)
+        _xlogr(w, rho.eta1) + _xlogr(x, rho.rho1)
+        + _xlogr(y, rho.rho2) + _xlogr(z, rho.eta2)
         - lf[w] - lf[x] - lf[z]
     )
     logw -= logw.max()
@@ -146,138 +144,108 @@ def _normalized_weights(rho: RateRatios, K: int) -> np.ndarray:
     return e / e.sum()
 
 
-def partition_function(rho: RateRatios, K: int) -> float:
-    """Normalizing constant of the truncated product form.
-
-    Sum of the unnormalized weights over all admissible states; returns
-    ``inf`` honestly if the weights overflow double precision.
-    """
-    with np.errstate(over="ignore"):
-        return float(_raw_weights(rho, K).sum())
-
-
 def product_form(rho: RateRatios, K: int) -> Measure:
     """Truncated product-form measure with intensities ``rho``."""
     return Measure(_normalized_weights(rho, K), K)
-
-
-def pi_no_available(rho: RateRatios, K: int) -> float:
-    """Product-form mass of states with no available car (y = 0)."""
-    p = _normalized_weights(rho, K)
-    _, _, y, _ = count_arrays(K)
-    return float(p[y == 0].sum())
-
-
-def pi_saturated(rho: RateRatios, K: int) -> float:
-    """Product-form mass of states with all ``K`` spaces taken."""
-    p = _normalized_weights(rho, K)
-    w, x, y, z = count_arrays(K)
-    return float(p[w + x + y + z == K].sum())
-
-
-def pi_mean_fill(rho: RateRatios, K: int) -> float:
-    """Product-form mean car count ``E[x + y + z]``."""
-    p = _normalized_weights(rho, K)
-    return float(p @ fill_vector(K))
 
 
 # ============================================================
 # Two-variable reduction (aggregated infinite-server roles)
 # ============================================================
 
-@lru_cache(maxsize=None)
-def _triangle(K: int):
-    """Index grids ``(i, j)`` over the (K+1, K+1) square and the mask of
-    cells outside the triangle ``i + j <= K``, read-only."""
-    ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-    outside = ii + jj > K
-    for arr in (ii, jj, outside):
-        arr.setflags(write=False)
-    return ii, jj, outside
+def _check_intensities(x: float, y: float) -> None:
+    if x < 0 or y < 0:
+        raise ValueError("intensities must be >= 0")
 
 
-def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float]:
-    """One O(K) pass giving ``(Z, dZ/dy, E)`` for the reduced family.
+def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, float, float, int]:
+    """One O(K) pass over the reduced family, returning
+    ``(Z, dZ/dy, E, Z_{K-1}, S, e)``.
 
     ``Z = sum_{i+j<=K} x^i/i! y^j = sum_i x^i/i! G_{K-i}(y)`` with the
     geometric sums ``G_n = 1 + y G_{n-1}``, and ``E = sum_{i<=K} x^i/i!``
     is the partial exponential.  The sum is taken in Horner form over the
     capacity, ``Z_n = E_n + y Z_{n-1}``: the states with an available car
     at capacity ``n`` are those of capacity ``n - 1`` with one more.
+    ``S = sum_{i+j=K} x^i/i! y^j`` is the saturated diagonal, carried as
+    ``S_n = x^n/n! + y S_{n-1}``.
+
+    The five sums are returned scaled by ``2^-e``.  Whenever ``Z``
+    passes ``1e300 / max(1, x, y)`` every carried value is multiplied by
+    the power of two that brings ``Z`` below 1, so no step overflows and
+    ratios of the sums are exact; ``e = 0`` when no rescale happened.
     """
+    big = 1e300 / max(1.0, x, y)
     term = 1.0  # x^n / n!
     E = 1.0
     Z = 1.0
     dZ = 0.0
+    Z1 = 0.0  # Z_{n-1}
+    S = 1.0
+    e = 0
     for n in range(1, K + 1):
         term *= x / n
         E += term
+        S = term + y * S
         dZ = Z + y * dZ
+        Z1 = Z
         Z = E + y * Z
-    return Z, dZ, E
+        if Z > big:
+            k = math.frexp(Z)[1]
+            f = math.ldexp(1.0, -k)
+            term *= f
+            E *= f
+            S *= f
+            dZ *= f
+            Z1 *= f
+            Z *= f
+            e += k
+    return Z, dZ, E, Z1, S, e
+
+
+def _unscale(v: float, e: int) -> float:
+    """``v * 2^e``, infinite where that overflows a double."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def simple_partition(x: float, y: float, K: int) -> float:
     """Normalizing constant ``sum_{i+j<=K} x^i/i! y^j`` of the reduced
-    two-coordinate family."""
-    if x < 0 or y < 0:
-        raise ValueError("intensities must be >= 0")
-    return _reduced_sums(x, y, K)[0]
-
-
-def _simple_raw(x: float, y: float, K: int) -> np.ndarray:
-    """Unnormalized reduced weights on the triangle, shape (K+1, K+1),
-    zero outside ``i + j <= K``.  Scaled by ``y^-K`` when ``y > 1`` so
-    large intensities cannot overflow; ratios are unaffected."""
-    i = np.arange(K + 1, dtype=np.float64)
-    xi = np.power(x, i) / _factorials(K)
-    if y > 1.0:
-        yj = np.power(y, i - K)
-    else:
-        yj = np.power(y, i)
-    wts = np.outer(xi, yj)
-    wts[_triangle(K)[2]] = 0.0
-    return wts
-
-
-def _log_simple_weights(x: float, y: float, K: int) -> np.ndarray:
-    """Log of the reduced weights, -inf outside the triangle."""
-    i = np.arange(K + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.log(x) if x > 0 else -np.inf
-        ly = np.log(y) if y > 0 else -np.inf
-        li = np.where(i > 0, i * lx, 0.0) - _log_factorials(K)
-        lj = np.where(i > 0, i * ly, 0.0)
-    lw = li[:, None] + lj[None, :]
-    lw[_triangle(K)[2]] = -np.inf
-    return lw
+    two-coordinate family; ``inf`` where it overflows a double."""
+    _check_intensities(x, y)
+    Z, _, _, _, _, e = _reduced_sums(x, y, K)
+    return _unscale(Z, e)
 
 
 def simple_form(x: float, y: float, K: int) -> np.ndarray:
     """Normalized reduced measure as a (K+1, K+1) array over
-    ``(i, j) = (aggregated reservations, available cars)``."""
-    if x < 0 or y < 0:
-        raise ValueError("intensities must be >= 0")
-    with np.errstate(over="ignore"):
-        wts = _simple_raw(x, y, K)
-        total = wts.sum()
-    if np.isfinite(total) and total > 0.0:
-        return wts / total
-    # x^i/i! alone can overflow a double; rescale in log space
-    lw = _log_simple_weights(x, y, K)
+    ``(i, j) = (aggregated reservations, available cars)``, built in log
+    space.  The solver reads the reduced family through the O(K) pass;
+    this array is the reference that checks the pass and the
+    aggregation of the four-coordinate form."""
+    _check_intensities(x, y)
+    i = np.arange(K + 1)
+    lw = (_xlogr(i, x) - _log_factorials(K))[:, None] + _xlogr(i, y)[None, :]
+    lw[i[:, None] + i[None, :] > K] = -np.inf
     p = np.exp(lw - lw.max())
     return p / p.sum()
 
 
 def simple_no_available(x: float, y: float, K: int) -> float:
-    """Reduced-family mass of ``j = 0`` (no available car)."""
-    return float(simple_form(x, y, K)[:, 0].sum())
+    """Reduced-family mass of ``j = 0`` (no available car), ``E / Z``."""
+    _check_intensities(x, y)
+    Z, _, E, _, _, _ = _reduced_sums(x, y, K)
+    return E / Z
 
 
 def simple_saturated(x: float, y: float, K: int) -> float:
-    """Reduced-family mass of the full diagonal ``i + j = K``."""
-    p = simple_form(x, y, K)
-    return float(np.fliplr(p).trace())
+    """Reduced-family mass of the full diagonal ``i + j = K``,
+    ``S / Z``."""
+    _check_intensities(x, y)
+    Z, _, _, _, S, _ = _reduced_sums(x, y, K)
+    return S / Z
 
 
 def f_simple(x: float, y: float, a: float, K: int) -> float:
@@ -288,8 +256,8 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     increasing in ``y`` and crosses zero exactly once; the zero ties the
     aggregated intensity ``x`` to the acceptance probability.
     """
-    Z, _, E = _reduced_sums(x, y, K)
-    return (a - x) * Z - a * E
+    Z, _, E, _, _, e = _reduced_sums(x, y, K)
+    return _unscale((a - x) * Z - a * E, e)
 
 
 def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
@@ -317,7 +285,7 @@ def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
     b = a - x
 
     def h_and_slope(y: float) -> tuple[float, float]:
-        Z, dZ, E = _reduced_sums(x, y, K)
+        Z, dZ, E, _, _, _ = _reduced_sums(x, y, K)
         return math.log(b * Z / (a * E)), y * dZ / Z
 
     lo, h_lo = 0.0, math.log(b / a)
@@ -350,10 +318,11 @@ def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
 
 
 def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
-    """Weighted mean ``E[ci * i + j]`` under the reduced family."""
-    p = simple_form(x, y, K)
-    ii, jj, _ = _triangle(K)
-    return float(((ci * ii + jj) * p).sum())
+    """Weighted mean ``E[ci * i + j]`` under the reduced family,
+    ``(ci x Z_{K-1} + y dZ/dy) / Z``: ``x Z_{K-1}`` sums ``i`` times the
+    weights and ``y dZ/dy`` sums ``j`` times them."""
+    Z, dZ, _, Z1, _, _ = _reduced_sums(x, y, K)
+    return (ci * x * Z1 + y * dZ) / Z
 
 
 def g_mean(x: float, y: float, K: int) -> float:
@@ -362,8 +331,7 @@ def g_mean(x: float, y: float, K: int) -> float:
     This is the car density of the instantaneous-reservation variant;
     it increases strictly in both intensities and tends to ``K`` as
     ``y`` grows."""
-    if x < 0 or y < 0:
-        raise ValueError("intensities must be >= 0")
+    _check_intensities(x, y)
     return _simple_mean(x, y, K, 1.0)
 
 
@@ -593,15 +561,15 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
     eta = r * rho1
     rho = RateRatios(eta, rho1, rho2, eta)
 
-    p0v = pi_no_available(rho, p.K)
-    psat = pi_saturated(rho, p.K)
-    accept = 1.0 - p0v
+    m = product_form(rho, p.K)
+    psat = prob_saturated(m)
+    accept = 1.0 - prob_no_available(m)
     residuals = {
         "eta1": rho.eta1 - (p.lam / p.nu) * accept,
         "rho1": rho.rho1 - (p.lam / p.mu) * accept,
         "rho2": rho.rho2 - accept / (1.0 - psat),
         "eta2": rho.eta2 - (p.lam / p.nu) * accept,
-        "fill": s - pi_mean_fill(rho, p.K),
+        "fill": s - mean_fill(m),
     }
     # The rho2 balance holds identically on the curve; it is asserted,
     # never solved for.

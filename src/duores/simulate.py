@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measure, ModelParams, num_states, ranks_of
+from .core import Measure, ModelParams, _integral, num_states, ranks_of
 
 __all__ = [
     "SimConfig",
@@ -64,7 +64,9 @@ class SimInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run shape: network size, car count, horizon, snapshot times."""
+    """Run shape: network size, car count, horizon, snapshot times.
+
+    ``N`` and ``M`` must be integers; integral floats are converted."""
 
     N: int
     M: int
@@ -73,6 +75,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N", _integral("N", self.N))
+        object.__setattr__(self, "M", _integral("M", self.M))
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.M < 0:

@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, count_arrays, enumerate_states, index_of, num_states, state_of
+from .core import (
+    ModelParams,
+    count_arrays,
+    enumerate_states,
+    index_of,
+    mean_fill,
+    num_states,
+    state_of,
+)
 from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
+    _simple_mean,
     product_form,
-    pi_mean_fill,
     simple_form,
     simple_no_available,
     simple_saturated,
@@ -216,7 +224,8 @@ def check_fill_identity(
 ) -> CheckResult:
     """Car density agrees between the four-coordinate form and the
     weighted mean of the reduced family, with the aggregated coordinate
-    weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``."""
+    weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``; the
+    reduced mean is the one the solver's O(K) pass gives."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(trials):
@@ -225,12 +234,9 @@ def check_fill_identity(
         rho1 = _positive_uniform(rng, 3.0)
         rho2 = _positive_uniform(rng, 3.0)
         rho = RateRatios(eta, rho1, rho2, eta)
-        full = pi_mean_fill(rho, K)
-        t = rho.rho1_tilde
+        full = mean_fill(product_form(rho, K))
         c = (rho1 + eta) / (rho1 + 2.0 * eta)
-        P2 = simple_form(t, rho2, K)
-        ii, jj = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-        reduced = float(((c * ii + jj) * P2).sum())
+        reduced = _simple_mean(rho.rho1_tilde, rho2, K, c)
         worst = max(worst, abs(full - reduced))
     return CheckResult(
         name="fill_identity",

@@ -242,6 +242,20 @@ def test_simulate_config_errors(tmp_path, cfg, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, where", [
+    ("model", "K", "bad model parameters"),
+    ("sim", "N", "bad sim config"),
+    ("sim", "M", "bad sim config"),
+])
+def test_simulate_rejects_non_integral_sizes(tmp_path, capsys, section, key, where):
+    cfg = {"model": dict(_MODEL),
+           "sim": {"N": 2, "M": 2, "T": 0.0, "sample_times": [0.0], "seed": 1},
+           "output_dir": str(tmp_path / "out")}
+    cfg[section][key] = 2.5  # was cast to 2 and run
+    assert main(["simulate", _write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert f"{where}: {key} must be an integer, got 2.5" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_check_and_experiment(tmp_path):
     cfg = {"checks": ["does_not_exist"]}
     assert main(["verify", _write_cfg(tmp_path, "v1.json", cfg)]) == 2

@@ -1,6 +1,7 @@
 """State enumeration, ranking, and measure functionals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from duores.core import (
     state_of,
     tv_distance,
 )
+from duores.equilibrium import solve_equilibrium
 
 
 def test_state_counts_match_simplex_formula():
@@ -201,6 +203,19 @@ def test_model_params_reject_non_finite_rates(name, value):
     rates = {"lam": 1.0, "mu": 1.0, "nu": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         ModelParams(K=2, **rates)
+
+
+@pytest.mark.parametrize("K", [2.5, math.nan, math.inf, "3"])
+def test_model_params_reject_non_integral_capacity(K):
+    with pytest.raises(ValueError, match=f"^K must be an integer, got {re.escape(repr(K))}$"):
+        ModelParams(lam=1.0, mu=1.0, nu=1.0, K=K)
+
+
+@pytest.mark.parametrize("K", [3.0, np.int64(3), np.float64(3.0)])
+def test_model_params_convert_integral_capacity(K):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    assert p.K == 3 and type(p.K) is int
+    assert solve_equilibrium(p, 1.5).max_residual < 1e-10
 
 
 def test_model_params_keep_their_sign_messages():

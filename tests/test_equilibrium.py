@@ -9,17 +9,17 @@ dictionary.
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import duores.equilibrium as equilibrium
 from duores.core import (
     ModelParams,
     enumerate_states,
     mean_fill,
-    prob_no_available,
-    prob_saturated,
 )
 from duores.equilibrium import (
     MultipleEquilibriaError,
@@ -27,10 +27,6 @@ from duores.equilibrium import (
     f_simple,
     fill_along_curve,
     g_mean,
-    partition_function,
-    pi_mean_fill,
-    pi_no_available,
-    pi_saturated,
     product_form,
     simple_form,
     simple_no_available,
@@ -71,12 +67,6 @@ def test_rate_ratios_validation():
         RateRatios(1.0, math.inf, 1.0, 1.0)
 
 
-def test_partition_function_frozen_values():
-    assert partition_function(RateRatios(1, 1, 1, 1), 1) == 5.0
-    assert partition_function(RateRatios(1, 1, 1, 1), 2) == 13.5
-    assert partition_function(RateRatios(0, 0, 0, 0), 3) == 1.0
-
-
 def test_product_form_capacity_one_frozen():
     m = product_form(RateRatios(1, 1, 1, 1), 1)
     assert np.allclose(m.probs, 0.2, rtol=0, atol=1e-15)
@@ -99,21 +89,9 @@ def test_product_form_survives_weight_overflow():
     # eta1^K alone overflows a double; the normalized measure must not.
     rho = RateRatios(1e80, 1.0, 1.0, 1.0)
     K = 5
-    assert partition_function(rho, K) == math.inf
     m = product_form(rho, K)
     oracle = _oracle_weights(rho, K)
     assert np.max(np.abs(m.probs - oracle)) < 1e-13
-
-
-def test_pi_functionals_agree_with_measure_functionals():
-    rng = np.random.default_rng(17)
-    for K in (1, 2, 3):
-        for _ in range(5):
-            rho = RateRatios(*np.exp(rng.uniform(-2, 2, size=4)))
-            m = product_form(rho, K)
-            assert abs(pi_no_available(rho, K) - prob_no_available(m)) < 1e-14
-            assert abs(pi_saturated(rho, K) - prob_saturated(m)) < 1e-14
-            assert abs(pi_mean_fill(rho, K) - mean_fill(m)) < 1e-12 * K
 
 
 # ------------------------------------------------------------
@@ -161,6 +139,69 @@ def test_simple_form_survives_large_intensities():
     assert abs(p2.sum() - 1.0) < 1e-12
     # all mass on the saturated anti-diagonal in this limit
     assert np.fliplr(p2).trace() > 1.0 - 1e-12
+
+
+def _exact_reduced_moments(x, y, K, cs):
+    """Exact ``(F Z, F)``, ``P[j=0]``, ``P[i+j=K]`` and the list of
+    ``E[c i + j]`` for ``c`` in ``cs`` of the reduced family at float
+    inputs, each ratio rounded once.
+
+    Each weight ``x^i/i! y^j`` is multiplied by ``F = K! dx^K dy^K``,
+    with ``dx``, ``dy`` the floats' power-of-two denominators, which
+    makes it an integer; sums are taken column by column (``i`` fixed),
+    not by the Horner recursion over capacity.  Python's integer
+    division rounds correctly, so each ratio is the double nearest the
+    exact one.
+    """
+    (X, dx), (Y, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+    xi = [X**i * dx ** (K - i) * (math.factorial(K) // math.factorial(i))
+          for i in range(K + 1)]
+    yj = [Y**j * dy ** (K - j) for j in range(K + 1)]
+    G = [sum(yj[: n + 1]) for n in range(K + 1)]  # column sums of w
+    H = [sum(j * yj[j] for j in range(n + 1)) for n in range(K + 1)]  # of j w
+    Z = sum(xi[i] * G[K - i] for i in range(K + 1))
+    P0 = sum(xi) * yj[0]
+    Psat = sum(xi[i] * yj[K - i] for i in range(K + 1))
+    SI = sum(xi[i] * i * G[K - i] for i in range(K + 1))
+    SJ = sum(xi[i] * H[K - i] for i in range(K + 1))
+    F = math.factorial(K) * dx**K * dy**K
+    means = []
+    for C, dc in (c.as_integer_ratio() for c in cs):
+        means.append((C * SI + dc * SJ) / (dc * Z))
+    return (Z, F), P0 / Z, Psat / Z, means
+
+
+_EXTREMES = (0.0, 1e-300, 1e-10, 0.3, 2.5, 1e10, 1e80, 1e300)
+
+
+@pytest.mark.parametrize("K", [1, 3, 10, 40])
+def test_reduced_pass_matches_exact_rationals(K):
+    # Ratios within 1e-14 relative; a ratio below the smallest normal
+    # double may underflow, so the comparison has that absolute floor.
+    rescaled = 0
+    for x in _EXTREMES:
+        for y in _EXTREMES:
+            rescaled += equilibrium._reduced_sums(x, y, K)[-1] != 0
+            cs = (1.0, 0.6)
+            (Z, F), p0, psat, means = _exact_reduced_moments(x, y, K, cs)
+            pairs = [(simple_no_available(x, y, K), p0),
+                     (simple_saturated(x, y, K), psat)]
+            pairs += [(equilibrium._simple_mean(x, y, K, c), m) for c, m in zip(cs, means)]
+            for got, exact in pairs:
+                assert math.isclose(got, exact, rel_tol=1e-14,
+                                    abs_tol=sys.float_info.min), (x, y, got, exact)
+            if Z <= F * int(sys.float_info.max):
+                assert math.isclose(simple_partition(x, y, K), Z / F, rel_tol=1e-14)
+            else:
+                assert simple_partition(x, y, K) == math.inf
+    assert rescaled > 0
+
+
+def test_reduced_pass_at_intensities_beyond_the_plain_sums():
+    # x^K/K! and y^K overflow a double here
+    assert g_mean(1e80, 1e80, 4) == pytest.approx(4.0, rel=1e-15)
+    assert simple_no_available(1e300, 1.0, 4) == 1.0
+    assert simple_saturated(1e80, 1e80, 4) == 1.0
 
 
 def test_f_simple_capacity_one_closed_form():
@@ -283,7 +324,7 @@ def test_solver_residuals_across_parameters():
     ):
         rep = solve_equilibrium(ModelParams(lam=lam, mu=mu, nu=nu, K=K), s)
         assert rep.max_residual < 1e-10
-        assert abs(pi_mean_fill(rep.rho, K) - s) < 1e-10
+        assert abs(mean_fill(product_form(rep.rho, K)) - s) < 1e-10
 
 
 @pytest.mark.parametrize("K, s", [
@@ -306,6 +347,19 @@ def test_fill_bisection_stops_on_an_exhausted_bracket():
                           fill_tol=1e-16)
     n_evals = int(re.search(r"after (\d+) evaluations", str(err.value)).group(1))
     assert n_evals <= 60
+
+
+def test_solve_builds_the_product_form_once(monkeypatch):
+    calls = []
+    build = equilibrium._normalized_weights
+
+    def counted(rho, K):
+        calls.append(K)
+        return build(rho, K)
+
+    monkeypatch.setattr(equilibrium, "_normalized_weights", counted)
+    solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=5), 2.5)
+    assert calls == [5]
 
 
 def test_solver_reservation_ratios_are_equal():

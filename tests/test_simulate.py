@@ -184,6 +184,24 @@ def test_sim_config_validation():
     assert cfg.sample_times == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("N", 2.5), ("N", math.inf), ("N", "4"),
+    ("M", 2.5), ("M", math.nan), ("M", -math.inf),
+])
+def test_sim_config_rejects_non_integral_sizes(name, value):
+    sizes = {"N": 4, "M": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        SimConfig(T=1.0, sample_times=(1.0,), seed=0, **sizes)
+
+
+def test_sim_config_converts_integral_sizes():
+    cfg = SimConfig(N=4.0, M=np.float64(3.0), T=1.0, sample_times=(1.0,), seed=0)
+    assert (cfg.N, cfg.M) == (4, 3)
+    assert type(cfg.N) is int and type(cfg.M) is int
+    (_, counts), = run(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2), cfg)
+    assert counts.shape == (4, 4)
+
+
 @pytest.mark.parametrize("T, times, message", [
     (math.nan, (), "T must be finite and >= 0, got nan"),
     (math.inf, (0.5,), "T must be finite and >= 0, got inf"),

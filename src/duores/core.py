@@ -193,6 +193,15 @@ def fill_vector(K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _fill_weights(K: int) -> np.ndarray:
+    """:func:`fill_vector` as float64, so that :func:`mean_fill`'s
+    product takes the float dot kernel instead of a mixed-type loop."""
+    v = fill_vector(K).astype(np.float64)
+    v.setflags(write=False)
+    return v
+
+
+@lru_cache(maxsize=None)
 def no_available_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with no available car (y = 0)."""
     _, _, y, _ = _count_arrays(K)
@@ -342,7 +351,7 @@ def mean_fill(m: Measure) -> float:
     This is the conserved car density; a closed network with ``M`` cars
     on ``N`` stations keeps its empirical version at exactly ``M / N``.
     """
-    return float(m.probs @ fill_vector(m.K))
+    return float(m.probs @ _fill_weights(m.K))
 
 
 def prob_no_available(m: Measure) -> float:

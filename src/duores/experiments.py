@@ -251,16 +251,22 @@ def chaos_experiment(
 # ============================================================
 
 @lru_cache(maxsize=None)
-def _shift_classes(K: int) -> tuple:
-    """Rank classes of equal ``(w, z, x + y)``, each in enumeration
-    order.  Redistribution within a class moves mass only between
-    states with the same car count and the same reservation counts, so
-    the mean fill and the two reservation means are all preserved."""
+def _shift_permutation(K: int) -> np.ndarray:
+    """Read-only rank permutation that rotates each class of equal
+    ``(w, z, x + y)`` by one place: ``perm[cls[i]] = cls[i - 1]`` for
+    every class ``cls`` in enumeration order.  Redistribution within a
+    class moves mass only between states with the same car count and
+    the same reservation counts, so the mean fill and the two
+    reservation means are all preserved."""
     w, x, y, z = count_arrays(K)
-    groups: dict = {}
-    for r in range(len(w)):
-        groups.setdefault((int(w[r]), int(z[r]), int(x[r] + y[r])), []).append(r)
-    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
+    classes: dict = {}
+    for r, key in enumerate(zip(w.tolist(), z.tolist(), (x + y).tolist())):
+        classes.setdefault(key, []).append(r)
+    perm = np.arange(len(w))
+    for cls in classes.values():
+        perm[cls] = np.roll(cls, 1)
+    perm.setflags(write=False)
+    return perm
 
 
 def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
@@ -274,9 +280,7 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    shifted = np.array(m.probs, copy=True)
-    for cls in _shift_classes(m.K):
-        shifted[list(cls)] = np.roll(m.probs[list(cls)], 1)
+    shifted = m.probs[_shift_permutation(m.K)]
     full = 0.5 * float(np.abs(shifted - m.probs).sum())
     if full == 0.0 or size == 0.0:
         return m

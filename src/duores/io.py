@@ -3,6 +3,15 @@
 Floats are written with ``repr``, the shortest representation that
 round-trips to the identical IEEE-754 double, so write -> read is
 bit-exact.
+
+The three CSV writers emit the bytes of ``csv.writer``'s default
+dialect: comma-separated fields, none of which needs quoting, and rows
+ended by ``\\r\\n``.  They share one block writer instead of making a
+``csv.writer`` row per state.  The state columns are formatted once
+per call from :func:`~duores.core.count_arrays`; the last column is
+formatted ``_CHUNK`` rows at a time by ``repr`` of its Python values,
+and each chunk of rows is joined into one string and written, so the
+transient text stays bounded by the chunk size.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Measure, enumerate_states, num_states
+from .core import Measure, count_arrays, enumerate_states, num_states
 
 __all__ = [
     "measure_to_csv",
@@ -28,6 +37,27 @@ __all__ = [
 ]
 
 _MEASURE_HEADER = ["w", "x", "y", "z", "prob"]
+_CHUNK = 1024  # rows joined into one string per write
+
+
+def _prefixes(*columns: np.ndarray) -> list[str]:
+    """``"a,b,...,"`` for each row of the given parallel columns."""
+    fmt = ",".join(["{}"] * len(columns)) + ","
+    return list(map(fmt.format, *(c.tolist() for c in columns)))
+
+
+def _write_rows(fh, head: str, prefixes: Sequence[str], last: np.ndarray) -> None:
+    """Write one row ``head + prefixes[r] + repr(last[r])`` per entry of
+    ``last``, each ended by ``\\r\\n``, in chunks of ``_CHUNK`` rows.
+
+    ``last`` holds Python-convertible scalars: floats are written with
+    the shortest round-trip ``repr``, integers in decimal.
+    """
+    sep = "\r\n" + head
+    for lo in range(0, len(last), _CHUNK):
+        hi = lo + _CHUNK
+        cells = map(repr, last[lo:hi].tolist())
+        fh.write(head + sep.join(map(str.__add__, prefixes[lo:hi], cells)) + "\r\n")
 
 
 def _capacity_from_rows(n_rows: int) -> int:
@@ -43,12 +73,9 @@ def _capacity_from_rows(n_rows: int) -> int:
 def measure_to_csv(m: Measure, path: str | Path) -> None:
     """Write ``m`` as CSV with header ``w,x,y,z,prob``, one row per
     state in enumeration order."""
-    states = enumerate_states(m.K)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MEASURE_HEADER)
-        for st, p in zip(states, m.probs):
-            writer.writerow([st.w, st.x, st.y, st.z, repr(float(p))])
+        fh.write(",".join(_MEASURE_HEADER) + "\r\n")
+        _write_rows(fh, "", _prefixes(*count_arrays(m.K)), m.probs)
 
 
 def measure_from_csv(path: str | Path) -> Measure:
@@ -91,13 +118,13 @@ def write_timed_measure_csv(
     """Write a measure-valued trajectory as CSV ``t,w,x,y,z,prob``."""
     if len(times) != len(measures):
         raise ValueError("times and measures differ in length")
+    prefixes: dict[int, list[str]] = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + _MEASURE_HEADER)
+        fh.write(",".join(["t"] + _MEASURE_HEADER) + "\r\n")
         for t, m in zip(times, measures):
-            states = enumerate_states(m.K)
-            for st, p in zip(states, m.probs):
-                writer.writerow([repr(float(t)), st.w, st.x, st.y, st.z, repr(float(p))])
+            if m.K not in prefixes:
+                prefixes[m.K] = _prefixes(*count_arrays(m.K))
+            _write_rows(fh, repr(float(t)) + ",", prefixes[m.K], m.probs)
 
 
 def write_station_trajectory_csv(
@@ -109,11 +136,11 @@ def write_station_trajectory_csv(
     shape ``(N, 4)`` with columns ``w,x,y,z``.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "station", "w", "x", "y", "z"])
+        fh.write("t,station,w,x,y,z\r\n")
         for t, counts in snapshots:
-            for i, (w, x, y, z) in enumerate(counts):
-                writer.writerow([repr(float(t)), i, int(w), int(x), int(y), int(z)])
+            c = np.asarray(counts, dtype=np.int64)
+            _write_rows(fh, repr(float(t)) + ",",
+                        _prefixes(np.arange(len(c)), c[:, 0], c[:, 1], c[:, 2]), c[:, 3])
 
 
 def _sanitize(obj):

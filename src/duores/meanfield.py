@@ -28,16 +28,18 @@ dot products for ``pV`` and ``pF``, one ``take`` into a ``(5, n)``
 workspace, one in-place product with the inflow weights and two
 length-5 contractions, for the inflow and the total outflow rate.
 
-No temporary of a drift evaluation is larger than one n-vector.  The
-caller owns the workspace, a ``(5, n)`` buffer and a writable copy of
-the gather indices, and ``take`` writes into the buffer with
-``mode="clip"``.  ``np.take`` copies a read-only index array, and in its
-default mode it buffers its output, so either would add a hidden
-``(5, n)`` temporary per call.  At K = 15 such an array is 155 KB, above
-glibc's mmap threshold: allocating one per call maps and faults in fresh
-pages every time, which costs more than the arithmetic it holds.  The
-integrator allocates one workspace per call and reuses it for every
-stage of every step.
+A drift evaluation allocates no n-vector.  The caller owns the
+workspace and the output vector: the workspace holds the ``(5, n)``
+buffer, a writable copy of the gather indices, the rate vector ``c``
+(only ``c[0]`` and ``c[3]`` change per call) and the outflow vector, and
+``take`` writes into the buffer with ``mode="clip"``.  ``np.take``
+copies a read-only index array, and in its default mode it buffers its
+output, so either would add a hidden ``(5, n)`` temporary per call.  At
+K = 15 such an array is 155 KB, above glibc's mmap threshold: allocating
+one per call maps and faults in fresh pages every time, which costs more
+than the arithmetic it holds.  The integrator allocates one workspace,
+the four stage derivatives and one stage vector per call and reuses
+them for every step, so a step allocates only its new state.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
 ``dt * (lam + nu K + mu K) <= 0.5``.
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,27 +142,39 @@ def _stencils(K: int) -> _Stencils:
                      gather=gather, w_in=w_in)
 
 
-def _workspace(st: _Stencils) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch arrays for :func:`_drift_raw`: a ``(5, n)`` buffer and a
-    private writable copy of ``st.gather`` (``np.take`` would copy the
-    read-only cached one on every call)."""
-    return np.empty((5, st.n)), st.gather.copy()
+class _Workspace(NamedTuple):
+    """Working state of :func:`_drift_raw` at one capacity and one set
+    of rates; every call overwrites it."""
+
+    lam: float
+    c: np.ndarray       # (5,) family rates; c[1], c[2], c[4] are fixed
+    buf: np.ndarray     # (5, n) gathered inflow
+    gather: np.ndarray  # private writable copy of the stencil's gather
+    loss: np.ndarray    # (n,) outflow
 
 
-def _drift_raw(v: np.ndarray, p: ModelParams, st: _Stencils,
-               ws: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Drift of a raw vector; also accepts the slightly off-simplex
-    vectors that appear inside Runge-Kutta stages.
+def _workspace(st: _Stencils, p: ModelParams) -> _Workspace:
+    """Workspace for drift evaluations at rates ``p``.  The gather
+    indices are copied once here because ``np.take`` would copy the
+    read-only cached ones on every call."""
+    return _Workspace(lam=p.lam, c=np.array((0.0, p.nu, p.mu, 0.0, p.nu)),
+                      buf=np.empty((5, st.n)), gather=st.gather.copy(),
+                      loss=np.empty(st.n))
 
-    ``ws`` comes from :func:`_workspace`; the call overwrites its buffer.
+
+def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
+               out: np.ndarray) -> np.ndarray:
+    """Write the drift of a raw vector into ``out`` and return it; also
+    accepts the slightly off-simplex vectors that appear inside
+    Runge-Kutta stages.  ``out`` must not share memory with ``v``.
     """
-    buf, gather = ws
-    c = np.array((p.lam * float(v @ st.avail_f), p.nu, p.mu,
-                  p.lam * float(v @ st.notfull_f), p.nu))
+    lam, c, buf, gather, loss = ws
+    c[0] = lam * float(v @ st.avail_f)
+    c[3] = lam * float(v @ st.notfull_f)
     np.take(v, gather, out=buf, mode="clip")
     buf *= st.w_in
-    out = c @ buf
-    loss = c @ st.w_out
+    np.matmul(c, buf, out=out)
+    np.matmul(c, st.w_out, out=loss)
     loss *= v
     out -= loss
     return out
@@ -171,7 +185,7 @@ def drift(m: Measure, p: ModelParams) -> DriftVector:
     if m.K != p.K:
         raise ValueError(f"measure capacity {m.K} != model capacity {p.K}")
     st = _stencils(p.K)
-    return DriftVector(_drift_raw(m.probs, p, st, _workspace(st)), p.K)
+    return DriftVector(_drift_raw(m.probs, st, _workspace(st, p), np.empty(st.n)), p.K)
 
 
 def stationarity_residual(m: Measure, p: ModelParams) -> float:
@@ -197,17 +211,35 @@ def _rk4(
     """Run ``plan``: for each ``(t, steps, h)`` take ``steps`` classical
     Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
 
-    The one drift workspace of the whole run is allocated here.  ``v``
-    is never written in place, so the caller's vector may be passed.
+    The drift workspace, the four stage derivatives and the stage
+    vector of the whole run are allocated here; a step allocates only
+    its new state.  The in-place updates evaluate the textbook
+    expressions ``v + 0.5 h k1`` and ``v + h/6 (k1 + 2 k2 + 2 k3 + k4)``
+    operation by operation in the same order, so the states are
+    bit-identical to that form.  ``v`` is never written in place, so the
+    caller's vector may be passed, and every yielded state stays valid.
     """
-    ws = _workspace(st)
+    ws = _workspace(st, p)
+    k1, k2, k3, k4, stage = (np.empty(st.n) for _ in range(5))
     for t, steps, h in plan:
         for _ in range(steps):
-            k1 = _drift_raw(v, p, st, ws)
-            k2 = _drift_raw(v + 0.5 * h * k1, p, st, ws)
-            k3 = _drift_raw(v + 0.5 * h * k2, p, st, ws)
-            k4 = _drift_raw(v + h * k3, p, st, ws)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _drift_raw(v, st, ws, k1)
+            np.multiply(0.5 * h, k1, out=stage)
+            stage += v
+            _drift_raw(stage, st, ws, k2)
+            np.multiply(0.5 * h, k2, out=stage)
+            stage += v
+            _drift_raw(stage, st, ws, k3)
+            np.multiply(h, k3, out=stage)
+            stage += v
+            _drift_raw(stage, st, ws, k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= h / 6.0
+            v = v + k2
         yield t, v
 
 

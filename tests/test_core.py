@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from duores import core
 from duores.core import (
     Measure,
     ModelParams,
@@ -160,6 +161,21 @@ def test_mean_fill_frozen_values():
     assert mean_fill(Measure.point((0, 0, 0, 0), 2)) == 0.0
     assert mean_fill(Measure.point((1, 1, 1, 0), 3)) == 2.0
     assert abs(mean_fill(Measure.uniform(1)) - 3.0 / 5.0) < 1e-15
+
+
+def test_mean_fill_reads_a_read_only_float_copy_of_the_fill_vector():
+    # the float64 copy changes the product's loop, not its value
+    w = core._fill_weights(4)
+    assert w is core._fill_weights(4) and w.dtype == np.float64
+    assert np.array_equal(w, fill_vector(4))
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert fill_vector(4).dtype == np.int64
+    rng = np.random.default_rng(31)
+    for K in (1, 3, 15, 20):
+        for _ in range(20):
+            m = Measure(rng.dirichlet(np.ones(num_states(K)) * rng.uniform(0.05, 5)), K)
+            assert mean_fill(m) == float(m.probs @ fill_vector(K))
 
 
 def test_mean_fill_is_affine_in_the_measure():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from duores import experiments
 from duores.core import (
     Measure,
     ModelParams,
@@ -74,9 +75,43 @@ def test_perturbation_edge_cases():
     assert fill_preserving_perturbation(m, 0.0) is m
     with pytest.raises(ValueError):
         fill_preserving_perturbation(m, -0.1)
-    # capacity 1 has no class of size > 1, so nothing can move
+    # the uniform measure is invariant under every rotation within a class
     u = Measure.uniform(1)
     assert fill_preserving_perturbation(u, 0.2) is u
+
+
+def _rolled_per_class(m: Measure, size: float) -> Measure:
+    """The perturbation as first written: one ``np.roll`` per class of
+    equal ``(w, z, x + y)``, each class in enumeration order."""
+    classes = {}
+    for r, s in enumerate(enumerate_states(m.K)):
+        classes.setdefault((s.w, s.z, s.x + s.y), []).append(r)
+    shifted = np.array(m.probs, copy=True)
+    for cls in classes.values():
+        shifted[cls] = np.roll(m.probs[cls], 1)
+    full = 0.5 * float(np.abs(shifted - m.probs).sum())
+    if full == 0.0 or size == 0.0:
+        return m
+    kappa = min(1.0, size / full)
+    return Measure((1.0 - kappa) * m.probs + kappa * shifted, m.K)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8, 15])
+def test_perturbation_is_bit_equal_to_the_per_class_roll(K):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    pi = product_form(solve_equilibrium(p, K / 2).rho, K)
+    for m in (_random_measure(K, 950 + K), pi):
+        for size in (0.01, 0.1, 10.0):  # 10 is beyond reach: the full rotation
+            got = fill_preserving_perturbation(m, size)
+            assert np.array_equal(got.probs, _rolled_per_class(m, size).probs)
+
+
+def test_shift_permutation_is_a_cached_read_only_permutation():
+    perm = experiments._shift_permutation(6)
+    assert perm is experiments._shift_permutation(6)
+    assert np.array_equal(np.sort(perm), np.arange(num_states(6)))
+    with pytest.raises(ValueError):
+        perm[0] = 1
 
 
 # ------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Round-trip fidelity of the CSV and JSON measure formats."""
+"""Round-trip fidelity of the CSV and JSON measure formats, and the
+CSV writers' bytes against a ``csv.writer`` reference."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from duores.core import Measure, num_states
+from duores import io as dio
+from duores.core import Measure, enumerate_states, num_states
 from duores.io import (
     measure_from_csv,
     measure_from_json,
@@ -117,3 +121,84 @@ def test_write_json_sanitizes_numpy_scalars(tmp_path):
     assert data["b"] == 3
     assert data["c"] == [1.0]
     assert data["d"] == "inf"
+
+
+# ------------------------------------------------------------
+# Byte-golden writers: the bytes csv.writer wrote one row at a time
+# ------------------------------------------------------------
+
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def _reference_measure_csv(m):
+    return _csv_bytes(["w", "x", "y", "z", "prob"],
+                      ([st.w, st.x, st.y, st.z, repr(float(p))]
+                       for st, p in zip(enumerate_states(m.K), m.probs)))
+
+
+def _reference_timed_csv(times, measures):
+    return _csv_bytes(["t", "w", "x", "y", "z", "prob"],
+                      ([repr(float(t)), st.w, st.x, st.y, st.z, repr(float(p))]
+                       for t, m in zip(times, measures)
+                       for st, p in zip(enumerate_states(m.K), m.probs)))
+
+
+def _reference_station_csv(snapshots):
+    return _csv_bytes(["t", "station", "w", "x", "y", "z"],
+                      ([repr(float(t)), i, int(w), int(x), int(y), int(z)]
+                       for t, counts in snapshots
+                       for i, (w, x, y, z) in enumerate(counts)))
+
+
+def _awkward_measure(K, seed):
+    """A random measure with a 1e-300 entry and two subnormal ones."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(num_states(K)))
+    p[-1], p[-2], p[-3] = 1e-300, 5e-324, 2.5e-310
+    p[0] += 1.0 - p.sum()
+    return Measure(p, K)
+
+
+_TIMES = [0.0, 0.1 + 0.2, 1e-7, np.float64(2.5), 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("K", [1, 3, 15])
+def test_measure_csv_bytes_match_csv_writer(tmp_path, K):
+    for m in (_awkward_measure(K, 40 + K), Measure.uniform(K), Measure.point((0, 0, K, 0), K)):
+        path = tmp_path / "m.csv"
+        measure_to_csv(m, path)
+        assert path.read_bytes() == _reference_measure_csv(m)
+
+
+@pytest.mark.parametrize("K", [1, 3, 15])
+def test_timed_measure_csv_bytes_match_csv_writer(tmp_path, K):
+    measures = [_awkward_measure(K, 50 + K + i) for i in range(len(_TIMES))]
+    path = tmp_path / "traj.csv"
+    write_timed_measure_csv(_TIMES, measures, path)
+    assert path.read_bytes() == _reference_timed_csv(_TIMES, measures)
+
+
+def test_timed_measure_csv_bytes_with_capacities_mixed_in_one_file(tmp_path):
+    assert 3 * dio._CHUNK < num_states(15) < 4 * dio._CHUNK  # a K = 15 block spans 4 chunks
+    measures = [_awkward_measure(K, 60 + K) for K in (3, 15, 1, 3, 15)]
+    path = tmp_path / "traj.csv"
+    write_timed_measure_csv(_TIMES, measures, path)
+    assert path.read_bytes() == _reference_timed_csv(_TIMES, measures)
+    assert path.read_bytes().count(b"\r\n") == 1 + sum(num_states(m.K) for m in measures)
+
+
+def test_station_csv_bytes_match_csv_writer(tmp_path):
+    # more stations than one chunk of rows, and an exact chunk multiple
+    rng = np.random.default_rng(70)
+    sizes = [2 * dio._CHUNK + 3, dio._CHUNK, 1]
+    snapshots = [(t, rng.integers(0, 6, size=(n, 4))) for t, n in zip(_TIMES, sizes)]
+    snapshots.append((7, [[1, 0, 2, 0], [0, 3, 0, 1]]))  # plain lists and an int time
+    path = tmp_path / "stations.csv"
+    write_station_trajectory_csv(snapshots, path)
+    assert path.read_bytes() == _reference_station_csv(snapshots)

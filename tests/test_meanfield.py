@@ -141,7 +141,7 @@ def test_drift_of_off_simplex_vectors_matches_oracle(K, nu, mu):
         v[rng.choice(len(v), size=max(1, len(v) // 4), replace=False)] = -1e-13
         v *= 1.0 + 1e-12
         assert v.min() == -1e-13 * (1.0 + 1e-12)
-        got = meanfield._drift_raw(v, p, st, meanfield._workspace(st))
+        got = meanfield._drift_raw(v, st, meanfield._workspace(st, p), np.empty(st.n))
         scale = max(1.0, nu / 2.1, mu / 0.7)
         assert np.max(np.abs(got - _oracle_drift(v, p))) < 1e-13 * scale
 
@@ -150,13 +150,14 @@ def test_drift_of_off_simplex_vectors_matches_oracle(K, nu, mu):
 def test_drift_matches_bincount_oracle_at_large_capacity(K):
     families = _bincount_families(K)
     st = meanfield._stencils(K)
-    ws = meanfield._workspace(st)
+    out = np.empty(st.n)
     for nu, mu in _RATES:
         p = ModelParams(lam=1.3, mu=mu, nu=nu, K=K)
+        ws = meanfield._workspace(st, p)
         for seed in range(3):
             v = _random_measure(K, 950 + K + seed).probs
             ref = _bincount_drift(v, p, families)
-            got = meanfield._drift_raw(v, p, st, ws)
+            got = meanfield._drift_raw(v, st, ws, out)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -178,6 +179,78 @@ def test_trajectory_matches_bincount_oracle_at_K15():
     assert worst <= 1e-14
 
 
+def _textbook_rk4(v, p, plan):
+    """The integrator's states recomputed with fresh arrays in the
+    textbook expression form, over the same ``(t, steps, h)`` plan."""
+    st = meanfield._stencils(p.K)
+
+    def f(u):
+        return meanfield._drift_raw(u, st, meanfield._workspace(st, p), np.empty(st.n))
+
+    out = []
+    for t, steps, h in plan:
+        for _ in range(steps):
+            k1 = f(v)
+            k2 = f(v + 0.5 * h * k1)
+            k3 = f(v + 0.5 * h * k2)
+            k4 = f(v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append((t, np.clip(v, 0.0, None)))
+    return out
+
+
+@pytest.mark.parametrize("K", [3, 15])
+def test_integrate_is_bit_equal_to_the_textbook_form(K):
+    p = ModelParams(lam=1.3, mu=0.7, nu=2.1, K=K)
+    dt = 0.25 / p.rate_bound
+    T = 40.5 * dt  # 40 whole steps and a shortened last one
+    m0 = _random_measure(K, 1000 + K)
+    plan = [((k + 1) * dt, 1, dt) for k in range(40)] + [(T, 1, T - 40 * dt)]
+    traj = integrate(m0, p, T=T, dt=dt)
+    assert len(traj) == 42
+    for (t, m), (s, ref) in zip(traj[1:], _textbook_rk4(m0.probs, p, plan)):
+        assert t == s
+        assert np.array_equal(m.probs, ref)
+
+
+@pytest.mark.parametrize("K", [3, 15])
+def test_integrate_at_is_bit_equal_to_the_textbook_form(K):
+    p = ModelParams(lam=1.3, mu=0.7, nu=2.1, K=K)
+    dt_max = 0.25 / p.rate_bound
+    times = [0.0, 0.3, 0.3, 0.7, 1.0]
+    m0 = _random_measure(K, 1100 + K)
+    plan, prev = [], 0.0
+    for t in times:
+        n = max(1, math.ceil((t - prev) / dt_max - 1e-12)) if t > prev else 0
+        plan.append((t, n, (t - prev) / n if n else 0.0))
+        prev = t
+    outs = integrate_at(m0, p, times, dt_max=dt_max)
+    assert len(outs) == len(times)
+    for m, (_, ref) in zip(outs, _textbook_rk4(m0.probs, p, plan)):
+        assert np.array_equal(m.probs, ref)
+
+
+def test_an_integrator_step_allocates_only_its_state_and_measure():
+    # the stages live in the run's workspace; a step allocates the new
+    # state, and validating it as a Measure copies it twice (the clamp
+    # in _as_measure and Measure's own read-only copy)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    st = meanfield._stencils(p.K)
+    dt = 0.25 / p.rate_bound
+    steps = meanfield._rk4(_random_measure(p.K, 1200).probs, p, st,
+                           [(dt, 1, dt), (2 * dt, 1, dt)])
+    next(steps)  # allocates the run's workspace
+    tracemalloc.start()
+    try:
+        t, v = next(steps)
+        meanfield._as_measure(v, p.K, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three n-vectors plus the small objects around them, below a fourth
+    assert peak <= 3 * st.n * 8 + 4096
+
+
 def test_cached_stencils_are_read_only():
     st = meanfield._stencils(3)
     for a in (st.avail_f, st.notfull_f, st.w_out, st.gather, st.w_in):
@@ -193,11 +266,12 @@ def test_drift_allocates_at_most_four_vectors():
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     st = meanfield._stencils(p.K)
     v = _random_measure(p.K, 990).probs
-    ws = meanfield._workspace(st)
-    meanfield._drift_raw(v, p, st, ws)
+    ws = meanfield._workspace(st, p)
+    out = np.empty(st.n)
+    meanfield._drift_raw(v, st, ws, out)
     tracemalloc.start()
     try:
-        meanfield._drift_raw(v, p, st, ws)
+        meanfield._drift_raw(v, st, ws, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

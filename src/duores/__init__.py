@@ -2,7 +2,7 @@
 
 A toolkit for a symmetric car-sharing model in which a trip reserves a
 car at its origin and a parking space at its destination in one atomic
-step.  Four layers, importable a la carte:
+step.  Its library modules, importable a la carte:
 
 * :mod:`duores.core` -- station states, enumeration, measures;
 * :mod:`duores.simulate` -- exact event-driven finite-network runs;
@@ -10,7 +10,8 @@ step.  Four layers, importable a la carte:
 * :mod:`duores.equilibrium` -- the product-form fixed point and its
   solver;
 * :mod:`duores.experiments` -- reproducible studies tying them together;
-* :mod:`duores.verify` -- self-contained consistency suites.
+* :mod:`duores.verify` -- self-contained consistency suites;
+* :mod:`duores.io` -- measure and trajectory files, JSON reports.
 """
 
 from .core import (
@@ -29,14 +30,12 @@ from .core import (
 from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
-    SimpleSolveReport,
     SolveReport,
     f_simple,
     g_mean,
     product_form,
     solve_equilibrium,
     solve_phi,
-    solve_simple_reservation,
 )
 from .experiments import (
     ExperimentReport,
@@ -46,7 +45,7 @@ from .experiments import (
     fill_preserving_perturbation,
     monotonicity_scan,
 )
-from .meanfield import DriftVector, drift, integrate, integrate_at, stationarity_residual
+from .meanfield import drift, integrate, integrate_at, stationarity_residual
 from .simulate import (
     SimConfig,
     SimState,
@@ -73,15 +72,12 @@ __all__ = [
     "prob_saturated",
     "RateRatios",
     "SolveReport",
-    "SimpleSolveReport",
     "MultipleEquilibriaError",
     "product_form",
     "f_simple",
     "solve_phi",
     "g_mean",
     "solve_equilibrium",
-    "solve_simple_reservation",
-    "DriftVector",
     "drift",
     "integrate",
     "integrate_at",

@@ -7,7 +7,8 @@ Four subcommands, each driven by a JSON config file::
     duores equilibrium cfg.json   solve the fixed point, export the measure
     duores verify     cfg.json    run verification suites and experiments
 
-Flags override individual file keys; unknown config keys are rejected.
+Flags override individual file keys.  Every config section is read against
+one schema table, which rejects unknown keys and values of the wrong kind.
 Exit codes: 0 success, 1 a threshold or check failed, 2 the config was
 unusable.
 """
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import Measure, ModelParams, mean_fill, prob_no_available, prob_saturated
-from .equilibrium import MultipleEquilibriaError, product_form, solve_equilibrium
+from .equilibrium import product_form, solve_equilibrium
 from .experiments import (
     attraction_experiment,
     chaos_experiment,
@@ -64,31 +67,120 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+# ------------------------------------------------------------
+# config schema
+# ------------------------------------------------------------
+
+# Value kinds: what a value of each must be.  Numbers are read as
+# floats and lists as tuples; "any" values pass on as given, to code
+# that checks them.
+_WHAT = {"num": "a number", "int": "an integer", "bool": "true or false",
+         "nums": "a list of numbers", "ints": "a list of integers",
+         "obj": "an object"}
+
+# Section name -> (required keys, optional keys), each mapping a key to
+# its value kind or to the section it is read as; section keys come
+# first.  A "duores ..." section is a command's whole config.  K, N and
+# M are "any": ModelParams and SimConfig check them.  _STUDY holds the
+# required keys of both replica studies.
+_STUDY = {"model": "model", "s": "num", "N_list": "ints", "replicas": "int",
+          "T": "num", "sample_times": "nums", "seed0": "int"}
+_SCHEMA = {
+    "duores simulate": ({"model": "model", "sim": "sim"}, {"output_dir": "any"}),
+    "duores meanfield": ({"model": "model", "meanfield": "meanfield"},
+                         {"output_dir": "any"}),
+    "duores equilibrium": ({"model": "model", "equilibrium": "equilibrium"},
+                           {"output_dir": "any"}),
+    "duores verify": ({}, {"checks": "any", "overrides": "obj", "experiments": "obj",
+                           "output_dir": "any"}),
+    "model": ({"lam": "num", "mu": "num", "nu": "num", "K": "any"}, {}),
+    "sim": ({"N": "any", "M": "any", "T": "num", "sample_times": "nums", "seed": "int"},
+            {"replicas": "int", "audit": "bool"}),
+    "meanfield": ({"T": "num", "dt": "num"}, {"initial": "any", "output_every": "int"}),
+    "meanfield.initial": ({}, {"point": "ints", "csv": "any",
+                               "equilibrium": "meanfield.initial.equilibrium"}),
+    "meanfield.initial.equilibrium": ({"s": "num"}, {}),
+    "equilibrium": ({"s": "num"}, {"fill_tol": "num"}),
+    "experiments.convergence": (_STUDY, {"audit": "bool", "dt_max": "num",
+                                         "slope_range": "nums"}),
+    "experiments.chaos": (_STUDY, {"audit": "bool", "dt_max": "num",
+                                   "marginal_tol": "num"}),
+    "experiments.attraction": (
+        {"model": "model", "s": "num", "perturbation_size": "num", "T": "num"},
+        {"dt": "num", "final_tv_tol": "num", "fill_drift_tol": "num"}),
+    "experiments.monotonicity": (
+        {}, {"a_list": "nums", "K_list": "ints", "grid_step": "num", "xy_max": "num",
+             "n_curve": "int", "enforce_nu_over_mu": "nums",
+             "probe_nu_over_mu": "nums"}),
+}
+
+_EXPERIMENTS = {"convergence": convergence_experiment, "chaos": chaos_experiment,
+                "attraction": attraction_experiment, "monotonicity": monotonicity_scan}
+
+
+def _kind_of(default) -> str:
+    if isinstance(default, tuple):
+        return "ints" if all(type(v) is int for v in default) else "nums"
+    return {bool: "bool", int: "int", float: "num"}[type(default)]
+
+
+# A check's overrides are its parameters, of the kinds of their defaults.
+_SCHEMA.update({
+    f"overrides.{name}": ({}, {k: _kind_of(prm.default)
+                               for k, prm in inspect.signature(fn).parameters.items()})
+    for name, fn in CHECKS.items()
+})
+
+
+def _convert(v, kind: str):
+    """``v`` read as ``kind``; a ``ValueError`` if it is not one."""
+    if kind in _SCHEMA:
+        return _read(v, kind)
+    if kind == "any" or (kind, type(v)) in (("bool", bool), ("obj", dict)):
+        return v
+    if kind in ("nums", "ints") and isinstance(v, list):
+        return tuple(_convert(x, kind[:-1]) for x in v)
+    if kind == "num" and type(v) in (int, float):
+        return float(v)
+    if kind == "int" and (type(v) is int or type(v) is float and v.is_integer()):
+        return int(v)
+    raise ValueError(kind)
+
+
+def _read(sec, name: str) -> dict:
+    """``sec`` read against ``_SCHEMA[name]``: a new dict of its keys in
+    schema order, each value converted to its kind."""
+    root = name.startswith("duores ")
+    where = "config" if root else f"'{name}'"
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{where} must be an object")
+    required, optional = _SCHEMA[name]
+    allowed = {**required, **optional}
+    unknown = set(sec) - set(allowed)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in {where}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _need(section: dict, keys, where: str) -> None:
-    missing = [k for k in keys if k not in section]
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
+                          f"allowed: {sorted(allowed)}")
+    missing = [k for k in required if k not in sec]
+    if missing and required[missing[0]] in _SCHEMA:
+        raise ConfigError(f"missing '{missing[0]}' section" if root
+                          else f"missing '{missing[0]}' in {where}")
     if missing:
         raise ConfigError(f"missing key(s) {missing} in {where}")
+    out = {}
+    for k, kind in allowed.items():
+        if k in sec:
+            try:
+                out[k] = _convert(sec[k], kind)
+            except (ValueError, OverflowError):
+                raise ConfigError(
+                    f"'{k if root else f'{name}.{k}'}' must be {_WHAT[kind]}")
+    return out
 
 
-def _model_params(cfg: dict) -> ModelParams:
-    if "model" not in cfg:
-        raise ConfigError("missing 'model' section")
-    sec = cfg["model"]
-    _reject_unknown(sec, {"lam", "mu", "nu", "K"}, "'model'")
-    _need(sec, ["lam", "mu", "nu", "K"], "'model'")
+def _model_params(sec: dict) -> ModelParams:
     try:
-        return ModelParams(lam=float(sec["lam"]), mu=float(sec["mu"]),
-                           nu=float(sec["nu"]), K=sec["K"])
-    except (TypeError, ValueError) as e:
+        return ModelParams(**sec)
+    except ValueError as e:
         raise ConfigError(f"bad model parameters: {e}")
 
 
@@ -102,49 +194,36 @@ def _out_dir(cfg: dict, override: str | None) -> Path:
 # simulate
 # ------------------------------------------------------------
 
-def _cmd_simulate(cfg: dict, args) -> int:
-    _reject_unknown(cfg, {"model", "sim", "output_dir"}, "config")
-    p = _model_params(cfg)
-    if "sim" not in cfg:
-        raise ConfigError("missing 'sim' section")
-    sec = dict(cfg["sim"])
-    _reject_unknown(
-        sec, {"N", "M", "T", "sample_times", "seed", "replicas", "audit"}, "'sim'"
-    )
-    _need(sec, ["N", "M", "T", "sample_times", "seed"], "'sim'")
+def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
+    p = _model_params(conf["model"])
+    sec = conf["sim"]
     if args.seed is not None:
         sec["seed"] = args.seed
-    replicas = int(sec.get("replicas", 1))
-    audit = bool(sec.get("audit", False))
+    replicas = sec.pop("replicas", 1)
+    audit = sec.pop("audit", False)
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")
     out = _out_dir(cfg, args.output_dir)
     try:
-        base = SimConfig(N=sec["N"], M=sec["M"], T=float(sec["T"]),
-                         sample_times=tuple(sec["sample_times"]),
-                         seed=int(sec["seed"]))
-    except (TypeError, ValueError) as e:
+        base = SimConfig(**sec)
+    except ValueError as e:
         raise ConfigError(f"bad sim config: {e}")
-    seeds = []
-    for r in range(replicas):
-        seed = base.seed if replicas == 1 else (base.seed, r)
-        seeds.append(seed)
-        cfg_r = SimConfig(N=base.N, M=base.M, T=base.T,
-                          sample_times=base.sample_times, seed=seed)
+    seeds = [base.seed] if replicas == 1 else [[base.seed, r] for r in range(replicas)]
+    for r, seed in enumerate(seeds):
         try:
-            traj = run(p, cfg_r, audit=audit)
+            traj = run(p, replace(base, seed=seed), audit=audit)
+            measures = [empirical_measure(c, p.K) for _, c in traj]
         except ValueError as e:
             raise ConfigError(str(e))
         suffix = "" if replicas == 1 else f"_r{r}"
         write_station_trajectory_csv(traj, out / f"trajectory{suffix}.csv")
-        times = [t for t, _ in traj]
-        measures = [empirical_measure(c, p.K) for _, c in traj]
-        write_timed_measure_csv(times, measures, out / f"empirical{suffix}.csv")
+        write_timed_measure_csv([t for t, _ in traj], measures,
+                                out / f"empirical{suffix}.csv")
     manifest = {
         "command": "simulate",
         "config": cfg,
         "config_sha256": _config_hash(cfg),
-        "seeds": [list(s) if isinstance(s, tuple) else s for s in seeds],
+        "seeds": seeds,
         "replicas": replicas,
         "audit": audit,
     }
@@ -157,59 +236,45 @@ def _cmd_simulate(cfg: dict, args) -> int:
 # meanfield
 # ------------------------------------------------------------
 
-def _initial_measure(sec: dict, p: ModelParams) -> Measure:
-    init = sec.get("initial", "uniform")
+def _initial_measure(init, p: ModelParams) -> Measure:
     if init == "uniform":
         return Measure.uniform(p.K)
-    if isinstance(init, dict):
-        _reject_unknown(init, {"point", "csv", "equilibrium"},
-                        "'meanfield.initial'")
-        if len(init) != 1:
-            raise ConfigError("'meanfield.initial' must pick exactly one form")
-        if "point" in init:
-            state = init["point"]
-            try:
-                return Measure.point(tuple(int(v) for v in state), p.K)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad initial point: {e}")
-        if "csv" in init:
-            try:
-                m = measure_from_csv(init["csv"])
-            except (OSError, ValueError) as e:
-                raise ConfigError(f"cannot read initial measure: {e}")
-            if m.K != p.K:
-                raise ConfigError(
-                    f"initial measure capacity {m.K} != model capacity {p.K}"
-                )
-            return m
-        spec_eq = init["equilibrium"]
-        _reject_unknown(spec_eq, {"s"}, "'meanfield.initial.equilibrium'")
-        _need(spec_eq, ["s"], "'meanfield.initial.equilibrium'")
+    if not isinstance(init, dict):
+        raise ConfigError(f"unrecognized 'meanfield.initial': {init!r}")
+    init = _read(init, "meanfield.initial")
+    if len(init) != 1:
+        raise ConfigError("'meanfield.initial' must pick exactly one form")
+    if "point" in init:
         try:
-            report = solve_equilibrium(p, float(spec_eq["s"]))
+            return Measure.point(init["point"], p.K)
         except ValueError as e:
-            raise ConfigError(str(e))
-        return product_form(report.rho, p.K)
-    raise ConfigError(f"unrecognized 'meanfield.initial': {init!r}")
+            raise ConfigError(f"bad initial point: {e}")
+    if "csv" in init:
+        try:
+            m = measure_from_csv(init["csv"])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read initial measure: {e}")
+        if m.K != p.K:
+            raise ConfigError(
+                f"initial measure capacity {m.K} != model capacity {p.K}"
+            )
+        return m
+    report = solve_equilibrium(p, init["equilibrium"]["s"])
+    return product_form(report.rho, p.K)
 
 
-def _cmd_meanfield(cfg: dict, args) -> int:
-    _reject_unknown(cfg, {"model", "meanfield", "output_dir"}, "config")
-    p = _model_params(cfg)
-    if "meanfield" not in cfg:
-        raise ConfigError("missing 'meanfield' section")
-    sec = cfg["meanfield"]
-    _reject_unknown(sec, {"initial", "T", "dt", "output_every"}, "'meanfield'")
-    _need(sec, ["T", "dt"], "'meanfield'")
-    every = int(sec.get("output_every", 1))
+def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
+    p = _model_params(conf["model"])
+    sec = conf["meanfield"]
+    every = sec.get("output_every", 1)
     if every < 1:
         raise ConfigError("output_every must be >= 1")
-    m0 = _initial_measure(sec, p)
-    out = _out_dir(cfg, args.output_dir)
     try:
-        traj = integrate(m0, p, float(sec["T"]), float(sec["dt"]))
+        m0 = _initial_measure(sec.get("initial", "uniform"), p)
+        traj = integrate(m0, p, sec["T"], sec["dt"])
     except ValueError as e:
         raise ConfigError(str(e))
+    out = _out_dir(cfg, args.output_dir)
     kept = traj[::every]
     if kept[-1][0] != traj[-1][0]:
         kept.append(traj[-1])
@@ -238,31 +303,17 @@ def _cmd_meanfield(cfg: dict, args) -> int:
 # equilibrium
 # ------------------------------------------------------------
 
-def _cmd_equilibrium(cfg: dict, args) -> int:
-    _reject_unknown(cfg, {"model", "equilibrium", "output_dir"}, "config")
-    p = _model_params(cfg)
-    if "equilibrium" not in cfg:
-        raise ConfigError("missing 'equilibrium' section")
-    sec = cfg["equilibrium"]
-    _reject_unknown(sec, {"s", "fill_tol"}, "'equilibrium'")
-    _need(sec, ["s"], "'equilibrium'")
+def _cmd_equilibrium(cfg: dict, conf: dict, args) -> int:
+    p = _model_params(conf["model"])
     out = _out_dir(cfg, args.output_dir)
-    kwargs = {}
-    if "fill_tol" in sec:
-        kwargs["fill_tol"] = float(sec["fill_tol"])
     try:
-        report = solve_equilibrium(p, float(sec["s"]), **kwargs)
+        report = solve_equilibrium(p, **conf["equilibrium"])
     except ValueError as e:
         raise ConfigError(str(e))
-    except MultipleEquilibriaError as e:
+    except RuntimeError as e:  # MultipleEquilibriaError included
         print(f"FAIL: {e}", file=sys.stderr)
         return 1
-    except RuntimeError as e:
-        print(f"FAIL: {e}", file=sys.stderr)
-        return 1
-    doc = report.to_dict()
-    doc["config"] = cfg
-    doc["config_sha256"] = _config_hash(cfg)
+    doc = {**report.to_dict(), "config": cfg, "config_sha256": _config_hash(cfg)}
     write_json(doc, out / "solve_report.json")
     measure_to_csv(product_form(report.rho, p.K), out / "equilibrium_measure.csv")
     r = report.rho
@@ -278,93 +329,41 @@ def _cmd_equilibrium(cfg: dict, args) -> int:
 # verify
 # ------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "convergence": {"model", "s", "N_list", "replicas", "T", "sample_times",
-                    "seed0", "audit", "dt_max", "slope_range"},
-    "chaos": {"model", "s", "N_list", "replicas", "T", "sample_times",
-              "seed0", "audit", "dt_max", "marginal_tol"},
-    "attraction": {"model", "s", "perturbation_size", "T", "dt",
-                   "final_tv_tol", "fill_drift_tol"},
-    "monotonicity": {"a_list", "K_list", "grid_step", "xy_max", "n_curve",
-                     "enforce_nu_over_mu", "probe_nu_over_mu"},
-}
-
-
-def _run_experiment(name: str, sec: dict):
-    _reject_unknown(sec, _EXPERIMENT_KEYS[name], f"'experiments.{name}'")
-    sec = dict(sec)
-    if name == "monotonicity":
-        kwargs = {k: v for k, v in sec.items()}
-        for key in ("a_list", "K_list", "enforce_nu_over_mu", "probe_nu_over_mu"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return monotonicity_scan(**kwargs)
-    if "model" not in sec:
-        raise ConfigError(f"missing 'model' in 'experiments.{name}'")
-    p = _model_params({"model": sec.pop("model")})
-    if name == "attraction":
-        _need(sec, ["s", "perturbation_size", "T"], "'experiments.attraction'")
-        return attraction_experiment(
-            p, float(sec.pop("perturbation_size")), float(sec.pop("T")),
-            s=float(sec.pop("s")),
-            **{k: v for k, v in sec.items()},
-        )
-    _need(sec, ["s", "N_list", "replicas", "T", "sample_times", "seed0"],
-          f"'experiments.{name}'")
-    fn = convergence_experiment if name == "convergence" else chaos_experiment
-    extra = {k: v for k, v in sec.items()
-             if k in ("audit", "dt_max", "marginal_tol")}
-    if "slope_range" in sec:
-        extra["slope_range"] = tuple(sec["slope_range"])
-    return fn(
-        p, list(sec["N_list"]), int(sec["replicas"]), float(sec["T"]),
-        tuple(sec["sample_times"]), int(sec["seed0"]), s=float(sec["s"]),
-        **extra,
-    )
-
-
-def _cmd_verify(cfg: dict, args) -> int:
-    _reject_unknown(cfg, {"checks", "overrides", "experiments", "output_dir"},
-                    "config")
-    checks = cfg.get("checks", [])
+def _cmd_verify(cfg: dict, conf: dict, args) -> int:
+    checks = conf.get("checks", [])
     if checks == "all":
         checks = list(CHECKS)
     if not isinstance(checks, list):
         raise ConfigError("'checks' must be a list of suite names or \"all\"")
-    overrides = cfg.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'overrides' must be an object")
-    for name, kw in overrides.items():
+    overrides = {}
+    for name, kw in conf.get("overrides", {}).items():
         if name not in CHECKS:
             raise ConfigError(f"override for unknown check {name!r}")
         if not isinstance(kw, dict):
             raise ConfigError(f"override for {name!r} must be an object")
-    experiments = cfg.get("experiments", {})
-    if not isinstance(experiments, dict):
-        raise ConfigError("'experiments' must be an object")
-    for name in experiments:
-        if name not in _EXPERIMENT_KEYS:
-            raise ConfigError(
-                f"unknown experiment {name!r}; known: {sorted(_EXPERIMENT_KEYS)}"
-            )
-    try:
-        results = run_checks(checks, overrides)
-    except KeyError as e:
-        raise ConfigError(str(e))
-    reports = []
-    for name, sec in experiments.items():
+        overrides[name] = _read(kw, f"overrides.{name}")
+    experiments = []
+    for name, sec in conf.get("experiments", {}).items():
+        if name not in _EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}; "
+                              f"known: {sorted(_EXPERIMENTS)}")
         if not isinstance(sec, dict):
             raise ConfigError(f"experiment {name!r} config must be an object")
-        reports.append(_run_experiment(name, sec))
+        kw = _read(sec, f"experiments.{name}")
+        lead = (_model_params(kw.pop("model")),) if "model" in kw else ()
+        experiments.append((_EXPERIMENTS[name], lead, kw))
+    try:
+        results = run_checks(checks, overrides)
+        reports = [fn(*lead, **kw) for fn, lead, kw in experiments]
+    except (KeyError, ValueError) as e:
+        raise ConfigError(str(e))
 
-    all_ok = True
+    all_ok = all(r.passed for r in results + reports)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        all_ok = all_ok and res.passed
         print(f"{status} {res.name} (worst={res.worst:.3g}, tol={res.tol:.3g})")
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        all_ok = all_ok and rep.passed
         keys = ", ".join(f"{k}={v:.4g}" for k, v in rep.metrics.items()
                          if isinstance(v, (int, float)) and not isinstance(v, bool))
         print(f"{status} experiment:{rep.name} ({keys})")
@@ -407,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return args.fn(cfg, args)
+        return args.fn(cfg, _read(cfg, f"duores {args.command}"), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

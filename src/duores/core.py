@@ -36,7 +36,6 @@ __all__ = [
     "ranks_of",
     "count_arrays",
     "fill_vector",
-    "occupancy_vector",
     "no_available_mask",
     "saturated_mask",
     "tv_distance",
@@ -75,8 +74,28 @@ def num_states(K: int) -> int:
     return math.comb(K + 4, 4)
 
 
+MAX_STATES = 2_000_000
+"""Largest state count for which a per-state table is built: the
+enumeration, its count arrays and everything derived from them, and the
+measures allocated here and in ``simulate``.  It admits capacities up to
+``K = 80`` (1 929 501 states).  Above it a ``ValueError`` is raised
+before anything of that size is allocated."""
+
+
+def _budgeted_states(K: int) -> int:
+    """:func:`num_states`, refused above :data:`MAX_STATES`."""
+    n = num_states(K)
+    if n > MAX_STATES:
+        raise ValueError(
+            f"capacity K={K} has {n} station states, above the state budget "
+            f"MAX_STATES={MAX_STATES}"
+        )
+    return n
+
+
 @lru_cache(maxsize=None)
 def _enumerate(K: int) -> tuple[StationState, ...]:
+    _budgeted_states(K)
     out = []
     for w in range(K + 1):
         for x in range(K + 1 - w):
@@ -165,17 +184,8 @@ def _count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only arrays ``(w, x, y, z)`` over ranks, each of length
-    ``num_states(K)``."""
+    ``num_states(K)``; a ``ValueError`` above :data:`MAX_STATES`."""
     return _count_arrays(K)
-
-
-@lru_cache(maxsize=None)
-def occupancy_vector(K: int) -> np.ndarray:
-    """Occupied-or-reserved space count ``w + x + y + z`` per rank."""
-    w, x, y, z = _count_arrays(K)
-    v = w + x + y + z
-    v.setflags(write=False)
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +223,8 @@ def no_available_mask(K: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def saturated_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with every space taken."""
-    m = occupancy_vector(K) == K
+    w, x, y, z = _count_arrays(K)
+    m = w + x + y + z == K
     m.setflags(write=False)
     return m
 
@@ -317,14 +328,14 @@ class Measure:
     @staticmethod
     def point(state: Iterable[int], K: int) -> "Measure":
         """Point mass at ``state``."""
-        p = np.zeros(num_states(K))
+        p = np.zeros(_budgeted_states(K))
         p[index_of(tuple(state), K)] = 1.0
         return Measure(p, K)
 
     @staticmethod
     def uniform(K: int) -> "Measure":
         """Uniform measure over all admissible states."""
-        n = num_states(K)
+        n = _budgeted_states(K)
         return Measure(np.full(n, 1.0 / n), K)
 
     # ---- conveniences --------------------------------------------------

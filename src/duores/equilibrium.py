@@ -71,7 +71,6 @@ from .core import (
 __all__ = [
     "RateRatios",
     "SolveReport",
-    "SimpleSolveReport",
     "MultipleEquilibriaError",
     "product_form",
     "simple_partition",
@@ -83,7 +82,6 @@ __all__ = [
     "g_mean",
     "fill_along_curve",
     "solve_equilibrium",
-    "solve_simple_reservation",
 ]
 
 
@@ -260,7 +258,10 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     return _unscale((a - x) * Z - a * E, e)
 
 
-def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
+_PHI_MAX_ITER = 400  # Newton and bisection steps of solve_phi
+
+
+def solve_phi(x: float, a: float, K: int) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
     Requires ``0 < x < a``.  Brackets the root by doubling
@@ -278,7 +279,7 @@ def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
     ------
     RuntimeError
         If the root cannot be bracketed in double precision, or the
-        stop is not reached within ``max_iter`` steps.
+        stop is not reached within ``_PHI_MAX_ITER`` steps.
     """
     if not 0.0 < x < a:
         raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x}")
@@ -298,7 +299,7 @@ def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
             raise RuntimeError("failed to bracket the root")
         h_hi, slope = h_and_slope(hi)
     y, h = hi, h_hi
-    for _ in range(max_iter):
+    for _ in range(_PHI_MAX_ITER):
         if h == 0.0:
             return y
         cand = y * math.exp(-h / slope) if math.isfinite(slope) else math.nan
@@ -314,7 +315,7 @@ def solve_phi(x: float, a: float, K: int, max_iter: int = 400) -> float:
             lo, h_lo = y, h
         else:
             hi, h_hi = y, h
-    raise RuntimeError(f"no convergence after {max_iter} steps at x={x}")
+    raise RuntimeError(f"no convergence after {_PHI_MAX_ITER} steps at x={x}")
 
 
 def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
@@ -350,6 +351,10 @@ def fill_along_curve(t: float, a: float, c: float, K: int) -> float:
 # ============================================================
 # Fixed-point solvers
 # ============================================================
+
+_MAX_OUTER = 200  # steps of the outer fill bisection
+_SCAN_GRID = 4096  # grid points of the root scan after a non-monotone trace
+
 
 class MultipleEquilibriaError(RuntimeError):
     """The fill equation admits several roots; refusing to pick one."""
@@ -407,27 +412,7 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True)
-class SimpleSolveReport:
-    """Outcome of the instantaneous-reservation solve."""
-
-    lam: float
-    mu: float
-    s_target: float
-    K: int
-    rho1: float
-    rho2: float
-    residuals: dict
-    outer_iterations: int
-    monotone_ok: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
-
-
-def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
-                 max_outer: int):
+def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float):
     """Outer bisection of the fill equation on t in (0, a).
 
     The virtual endpoint values are 0 and K, so the sign bracket
@@ -438,7 +423,7 @@ def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     Raises
     ------
     RuntimeError
-        If the bracket shrinks to adjacent doubles, or ``max_outer``
+        If the bracket shrinks to adjacent doubles, or ``_MAX_OUTER``
         steps pass, before the fill is within ``fill_tol`` of ``s``.
     """
     evals = []
@@ -446,7 +431,7 @@ def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     fill_lo, fill_hi = 0.0, float(K)
     t_star = None
     outer = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -472,11 +457,10 @@ def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     return t_star, outer, evals, monotone
 
 
-def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float,
-                     n_grid: int = 4096) -> list[float]:
+def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float) -> list[float]:
     """Grid scan + local bisection, reporting every root of
     ``fill(t) = s``.  Used when the bisection trace was not monotone."""
-    ts = [a * k / (n_grid + 1) for k in range(1, n_grid + 1)]
+    ts = [a * k / (_SCAN_GRID + 1) for k in range(1, _SCAN_GRID + 1)]
     vals = [fill_along_curve(t, a, c, K) - s for t in ts]
     roots = []
     for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
@@ -503,8 +487,7 @@ def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float,
     return roots
 
 
-def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
-                max_outer: int):
+def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
     """Root ``t`` of ``fill(t) = s`` on the fixed-point curve.
 
     Bisects; when that trace is not monotone, a grid scan looks for
@@ -518,7 +501,7 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     MultipleEquilibriaError
         If the scan finds more than one root.
     """
-    t_star, outer, evals, monotone = _bisect_fill(a, c, K, s, fill_tol, max_outer)
+    t_star, outer, evals, monotone = _bisect_fill(a, c, K, s, fill_tol)
     roots: list[float] = []
     if not monotone:
         roots = _scan_fill_roots(a, c, K, s, fill_tol)
@@ -529,8 +512,7 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     return t_star, outer, len(evals), monotone, tuple(roots)
 
 
-def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
-                      max_outer: int = 200) -> SolveReport:
+def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
     """Solve the full fixed point at car density ``s``.
 
     Bisects the fill equation along the one-parameter curve of
@@ -555,7 +537,7 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
     c = (1.0 + r) / (1.0 + 2.0 * r)
 
     t_star, outer, n_evals, monotone, fallback_roots = _solve_fill(
-        a, c, p.K, s, fill_tol, max_outer)
+        a, c, p.K, s, fill_tol)
     rho2 = solve_phi(t_star, a, p.K)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1
@@ -589,37 +571,3 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11,
         fallback_roots=fallback_roots,
     )
 
-
-def solve_simple_reservation(lam: float, mu: float, s: float, K: int,
-                             fill_tol: float = 1e-11,
-                             max_outer: int = 200) -> SimpleSolveReport:
-    """Solve the instantaneous-reservation fixed point (the limit of
-    vanishing reservation holding time).
-
-    Same bisection scheme as :func:`solve_equilibrium` with the
-    aggregated intensity equal to ``rho1`` itself and unit car weight.
-    """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be > 0")
-    if not 0.0 < s < K:
-        raise ValueError(f"target fill must lie in (0, {K}), got {s}")
-    a = lam / mu
-    t_star, outer, _, monotone, _ = _solve_fill(a, 1.0, K, s, fill_tol, max_outer)
-    rho2 = solve_phi(t_star, a, K)
-    residuals = {
-        "rho1": t_star - a * (1.0 - simple_no_available(t_star, rho2, K)),
-        "rho2": rho2 * (1.0 - simple_saturated(t_star, rho2, K))
-        - (1.0 - simple_no_available(t_star, rho2, K)),
-        "fill": s - g_mean(t_star, rho2, K),
-    }
-    return SimpleSolveReport(
-        lam=lam,
-        mu=mu,
-        s_target=s,
-        K=K,
-        rho1=t_star,
-        rho2=rho2,
-        residuals=residuals,
-        outer_iterations=outer,
-        monotone_ok=monotone,
-    )

@@ -288,6 +288,9 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     return Measure((1.0 - kappa) * m.probs + kappa * shifted, m.K)
 
 
+_REPORT_POINTS = 200  # rows an attraction report thins its trajectory to
+
+
 def attraction_experiment(
     p: ModelParams,
     perturbation_size: float,
@@ -297,7 +300,6 @@ def attraction_experiment(
     dt: float | None = None,
     final_tv_tol: float = 1e-4,
     fill_drift_tol: float = 1e-9,
-    report_points: int = 200,
 ) -> ExperimentReport:
     """Integrate from a fill-preserving perturbation of the fixed point
     and watch the flow return.
@@ -315,7 +317,7 @@ def attraction_experiment(
     tvs = [tv_distance(m, pi) for _, m in traj]
     fills = [mean_fill(m) for _, m in traj]
     fill_drift = max(abs(f - fills[0]) for f in fills)
-    stride = max(1, len(traj) // report_points)
+    stride = max(1, len(traj) // _REPORT_POINTS)
     rows = [
         {"t": traj[k][0], "tv": tvs[k], "fill": fills[k]}
         for k in range(0, len(traj), stride)

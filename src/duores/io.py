@@ -1,4 +1,4 @@
-"""File formats: measure CSV/JSON, trajectory CSV, JSON reports.
+"""File formats: measure CSV, trajectory CSV, JSON reports.
 
 Floats are written with ``repr``, the shortest representation that
 round-trips to the identical IEEE-754 double, so write -> read is
@@ -29,8 +29,6 @@ from .core import Measure, count_arrays, enumerate_states, num_states
 __all__ = [
     "measure_to_csv",
     "measure_from_csv",
-    "measure_to_json",
-    "measure_from_json",
     "write_timed_measure_csv",
     "write_station_trajectory_csv",
     "write_json",
@@ -98,18 +96,6 @@ def measure_from_csv(path: str | Path) -> Measure:
             raise ValueError(f"row {r} state {row[:4]} out of enumeration order")
         probs[r] = float(row[4])
     return Measure(probs, K)
-
-
-def measure_to_json(m: Measure, path: str | Path) -> None:
-    """Write ``m`` as JSON: ``{"K": K, "probs": [...]}`` with the array
-    indexed by state rank."""
-    write_json({"K": m.K, "probs": [float(p) for p in m.probs]}, path)
-
-
-def measure_from_json(path: str | Path) -> Measure:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return Measure(np.asarray(obj["probs"], dtype=np.float64), int(obj["K"]))
 
 
 def write_timed_measure_csv(

@@ -64,37 +64,7 @@ from .core import (
     saturated_mask,
 )
 
-__all__ = ["DriftVector", "drift", "integrate", "integrate_at",
-           "stationarity_residual"]
-
-
-@dataclass(frozen=True)
-class DriftVector:
-    """Signed time derivative of a measure; entries sum to zero.
-
-    The zero-sum check is scaled by the total flow magnitude: at unit
-    rates it is the plain 1e-12, at large rates the same relative
-    accuracy is required.
-    """
-
-    entries: np.ndarray
-    K: int
-
-    def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=np.float64, copy=True)
-        if e.shape != (num_states(self.K),):
-            raise ValueError(
-                f"expected {num_states(self.K)} entries for capacity {self.K}"
-            )
-        tol = 1e-12 * max(1.0, float(np.abs(e).sum()))
-        if abs(float(e.sum())) > tol:
-            raise ValueError(f"drift entries sum to {e.sum()!r}, not 0")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.entries).max())
+__all__ = ["drift", "integrate", "integrate_at", "stationarity_residual"]
 
 
 @dataclass(frozen=True)
@@ -180,17 +150,28 @@ def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
     return out
 
 
-def drift(m: Measure, p: ModelParams) -> DriftVector:
-    """Instantaneous drift of ``m`` under the five transition families."""
+def drift(m: Measure, p: ModelParams) -> np.ndarray:
+    """Instantaneous drift of ``m`` under the five transition families,
+    as a read-only vector over ranks.
+
+    Its entries sum to zero, since the flow conserves mass.  That is
+    checked against a tolerance scaled by the total flow magnitude: at
+    unit rates it is the plain 1e-12, at large rates the same relative
+    accuracy is required.
+    """
     if m.K != p.K:
         raise ValueError(f"measure capacity {m.K} != model capacity {p.K}")
     st = _stencils(p.K)
-    return DriftVector(_drift_raw(m.probs, st, _workspace(st, p), np.empty(st.n)), p.K)
+    d = _drift_raw(m.probs, st, _workspace(st, p), np.empty(st.n))
+    if abs(float(d.sum())) > 1e-12 * max(1.0, float(np.abs(d).sum())):
+        raise RuntimeError(f"drift entries sum to {d.sum()!r}, not 0")
+    d.setflags(write=False)
+    return d
 
 
 def stationarity_residual(m: Measure, p: ModelParams) -> float:
     """Largest absolute drift entry; zero exactly at fixed points."""
-    return drift(m, p).max_abs
+    return float(np.abs(drift(m, p)).max())
 
 
 def _check_step(p: ModelParams, dt: float, name: str) -> None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measure, ModelParams, _integral, num_states, ranks_of
+from .core import Measure, ModelParams, _budgeted_states, _integral, ranks_of
 
 __all__ = [
     "SimConfig",
@@ -413,7 +413,7 @@ def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     counts = np.asarray(counts)
     ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
     N = counts.shape[0]
-    return Measure(np.bincount(ranks, minlength=num_states(K)) / N, K)
+    return Measure(np.bincount(ranks, minlength=_budgeted_states(K)) / N, K)
 
 
 def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
@@ -428,6 +428,6 @@ def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
     if N < 2:
         raise ValueError("pair statistics need at least two stations")
     ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
-    c = np.bincount(ranks, minlength=num_states(K)).astype(np.float64)
+    c = np.bincount(ranks, minlength=_budgeted_states(K)).astype(np.float64)
     joint = np.outer(c, c) - np.diag(c)
     return joint / (N * (N - 1))

@@ -272,3 +272,48 @@ def test_meanfield_rejects_unstable_step(tmp_path):
         "output_dir": str(tmp_path / "out"),
     }
     assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 2
+
+
+_SIM = {"N": 2, "M": 2, "T": 0.0, "sample_times": [0.0], "seed": 1}
+_STUDY = {"model": _MODEL, "s": 1.0, "N_list": [5, 10], "replicas": 1, "T": 0.5,
+          "sample_times": [0.5], "seed0": 1}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("simulate", {"model": _MODEL, "sim": {**_SIM, "replicas": "two"}},
+     "'sim.replicas' must be an integer"),
+    ("equilibrium", {"model": _MODEL, "equilibrium": {"s": 1.0, "fill_tol": "x"}},
+     "'equilibrium.fill_tol' must be a number"),
+    ("verify", {"experiments": {"monotonicity": {"K_list": 3}}},
+     "'experiments.monotonicity.K_list' must be a list of integers"),
+    ("verify", {"experiments": {"convergence": {**_STUDY, "slope_range": 5}}},
+     "'experiments.convergence.slope_range' must be a list of numbers"),
+    ("verify", {"checks": ["enumeration"], "overrides": {"enumeration": {"bogus": 1}}},
+     "unknown key(s) ['bogus'] in 'overrides.enumeration'"),
+    ("verify", {"checks": ["enumeration"], "overrides": {"enumeration": {"K_max": "x"}}},
+     "'overrides.enumeration.K_max' must be an integer"),
+    ("meanfield", {"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05, "output_every": 2.5}},
+     "'meanfield.output_every' must be an integer"),  # was run as 2
+    ("simulate", {"model": _MODEL, "sim": {**_SIM, "audit": "no"}},
+     "'sim.audit' must be true or false"),  # was run audited
+    ("simulate", {"model": "abc", "sim": _SIM}, "'model' must be an object"),
+])
+def test_malformed_values_are_config_errors(tmp_path, capsys, command, cfg, named):
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"model": {**_MODEL, "K": 200}, "sim": _SIM}),
+    ("meanfield", {"model": {**_MODEL, "K": 200}, "meanfield": {"T": 1e-4, "dt": 1e-4}}),
+    ("equilibrium", {"model": {**_MODEL, "K": 171}, "equilibrium": {"s": 85.5}}),
+    ("verify", {"experiments": {"attraction": {"model": {**_MODEL, "K": 171}, "s": 85.5,
+                                               "perturbation_size": 0.1, "T": 1.0}}}),
+])
+def test_capacities_above_the_state_budget_are_config_errors(tmp_path, capsys, command, cfg):
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "above the state budget" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from duores.core import (
     index_of,
     mean_fill,
     num_states,
-    occupancy_vector,
     prob_no_available,
     prob_saturated,
     ranks_of,
@@ -74,12 +73,24 @@ def test_inadmissible_states_are_rejected():
         ranks_of(np.array([0]), np.array([0]), np.array([0]), np.array([2]), 1)
 
 
+@pytest.mark.parametrize("K", [171, 200])
+def test_state_tables_refuse_capacities_above_the_budget(K):
+    # counting stays exact; building anything with one entry per state is refused
+    assert num_states(K) == math.comb(K + 4, 4) > core.MAX_STATES
+    msg = rf"K={K} has {num_states(K)} station states, above the state budget"
+    for build in (enumerate_states, count_arrays, Measure.uniform,
+                  lambda K: Measure.point((0, 0, 0, 0), K)):
+        with pytest.raises(ValueError, match=msg):
+            build(K)
+
+
 def test_count_vectors():
     # fill counts cars (x + y + z); occupancy counts every taken space.
     K = 3
     r = index_of((1, 1, 1, 0), K)
     assert fill_vector(K)[r] == 2
-    assert occupancy_vector(K)[r] == 3
+    assert sum(int(c[r]) for c in count_arrays(K)) == 3
+    assert core.saturated_mask(K)[r]
 
 
 # ------------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ import pytest
 
 import duores.equilibrium as equilibrium
 from duores.core import (
+    MAX_STATES,
     ModelParams,
     enumerate_states,
     mean_fill,
+    num_states,
 )
 from duores.equilibrium import (
     MultipleEquilibriaError,
@@ -34,7 +37,6 @@ from duores.equilibrium import (
     simple_saturated,
     solve_equilibrium,
     solve_phi,
-    solve_simple_reservation,
 )
 
 
@@ -341,7 +343,7 @@ def test_solver_converges_where_the_fill_is_steep(K, s):
 def test_fill_bisection_stops_on_an_exhausted_bracket():
     # No double meets a 1e-16 fill tolerance at K = 40: the bisection
     # must stop once the bracket ends are adjacent doubles, well before
-    # max_outer, and say where it stopped.
+    # its step limit, and say where it stopped.
     with pytest.raises(RuntimeError, match=r"K=40, s=20\.0 .*bracket \[.*gap") as err:
         solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=40), 20.0,
                           fill_tol=1e-16)
@@ -377,19 +379,22 @@ def test_solver_input_validation():
         solve_equilibrium(ModelParams(lam=0.0, mu=1.0, nu=1.0, K=2), 1.0)
 
 
-def test_simple_reservation_capacity_one_closed_form():
-    rep = solve_simple_reservation(2.0, 1.0, 0.75, 1)
-    assert abs(rep.rho1 - 1.0) < 1e-9
-    assert abs(rep.rho2 - 2.0) < 1e-9
-    assert rep.max_residual < 1e-10
-
-
 def test_fast_reservations_approach_the_simple_variant():
+    # As nu -> infinity the full fixed point tends to the
+    # instantaneous-reservation one, (t, rho2) with a = lam/mu:
+    # t = a (1 - P[j=0]), rho2 (1 - P[i+j=K]) = 1 - P[j=0], g_mean = s.
+    lam, mu = 1.5, 1.0
+    a = lam / mu
     for K, s in ((2, 1.0), (3, 2.1)):
-        full = solve_equilibrium(ModelParams(lam=1.5, mu=1.0, nu=1e8, K=K), s)
-        simp = solve_simple_reservation(1.5, 1.0, s, K)
-        assert abs(full.rho.rho1 - simp.rho1) < 1e-6
-        assert abs(full.rho.rho2 - simp.rho2) < 1e-6
+        rho = solve_equilibrium(ModelParams(lam=lam, mu=mu, nu=1e8, K=K), s).rho
+        t, r = rho.rho1_tilde, rho.rho2
+        no_car = simple_no_available(t, r, K)
+        residuals = (
+            t - a * (1.0 - no_car),
+            r * (1.0 - simple_saturated(t, r, K)) - (1.0 - no_car),
+            s - g_mean(t, r, K),
+        )
+        assert max(abs(v) for v in residuals) < 1e-6
 
 
 def test_multiple_equilibria_error_carries_roots():
@@ -405,3 +410,57 @@ def test_solve_report_serializes():
     data = json.loads(blob)
     assert data["s_target"] == 1.0
     assert set(data["residuals"]) == {"eta1", "rho1", "rho2", "eta2", "fill"}
+
+
+# ------------------------------------------------------------
+# Non-monotone fill traces (synthetic curves)
+# ------------------------------------------------------------
+
+def _piecewise_fill(monkeypatch, knots):
+    ts, fills = zip(*knots)
+    monkeypatch.setattr(equilibrium, "fill_along_curve",
+                        lambda t, a, c, K: float(np.interp(t, ts, fills)))
+
+
+def test_single_root_found_by_the_scan_replaces_the_bisections(monkeypatch):
+    # The fill rises to 1.2, dips to 0.9 and rises again: the bisection
+    # evaluates on both sides of the dip, but s = 0.6 is met only once,
+    # at t = 0.15.
+    _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
+    t_star, _, n_evals, monotone, roots = equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11)
+    assert not monotone
+    assert len(roots) == 1 and t_star == roots[0]
+    assert abs(t_star - 0.15) < 1e-11
+    assert n_evals > 0
+
+
+def test_several_roots_raise_multiple_equilibria(monkeypatch):
+    # s = 0.6 is crossed three times: rising, falling, rising again
+    _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
+                                  (1.0, 2.0)])
+    with pytest.raises(MultipleEquilibriaError) as err:
+        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11)
+    assert err.value.s == 0.6
+    expected = [0.08, 0.2 + 0.15 * 0.9 / 1.2, 0.35 + 0.25 * 0.3 / 0.7]
+    assert len(err.value.roots) == 3
+    assert np.allclose(err.value.roots, expected, rtol=0.0, atol=1e-10)
+
+
+# ------------------------------------------------------------
+# State budget
+# ------------------------------------------------------------
+
+@pytest.mark.parametrize("K", [171, 200])
+def test_solve_above_the_state_budget_raises_before_building_states(K):
+    n = num_states(K)
+    assert n > MAX_STATES >= num_states(80)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=rf"K={K} has {n} station states, above the state "
+                                 rf"budget MAX_STATES={MAX_STATES}"):
+            solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing of one entry per state was allocated

@@ -1,5 +1,5 @@
-"""Round-trip fidelity of the CSV and JSON measure formats, and the
-CSV writers' bytes against a ``csv.writer`` reference."""
+"""Round-trip fidelity of the CSV measure format, and the CSV writers'
+bytes against a ``csv.writer`` reference."""
 
 import csv
 import io
@@ -12,9 +12,7 @@ from duores import io as dio
 from duores.core import Measure, enumerate_states, num_states
 from duores.io import (
     measure_from_csv,
-    measure_from_json,
     measure_to_csv,
-    measure_to_json,
     write_json,
     write_station_trajectory_csv,
     write_timed_measure_csv,
@@ -48,16 +46,6 @@ def test_csv_roundtrip_awkward_floats(tmp_path):
     path = tmp_path / "m.csv"
     measure_to_csv(m, path)
     assert np.array_equal(measure_from_csv(path).probs, p)
-
-
-@pytest.mark.parametrize("K", [1, 3])
-def test_json_roundtrip_is_bit_exact(tmp_path, K):
-    m = _random_measure(K, seed=200 + K)
-    path = tmp_path / "m.json"
-    measure_to_json(m, path)
-    back = measure_from_json(path)
-    assert back.K == K
-    assert np.array_equal(back.probs, m.probs)
 
 
 def test_csv_rejects_bad_header(tmp_path):

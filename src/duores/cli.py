@@ -9,8 +9,8 @@ Four subcommands, each driven by a JSON config file::
 
 Flags override individual file keys.  Every config section is read against
 one schema table, which rejects unknown keys and values of the wrong kind.
-Exit codes: 0 success, 1 a threshold or check failed, 2 the config was
-unusable.
+Exit codes: 0 success, 1 a threshold, check or solve failed, 2 the config
+was unusable.
 """
 
 from __future__ import annotations
@@ -76,28 +76,29 @@ def _config_hash(cfg: dict) -> str:
 # that checks them.
 _WHAT = {"num": "a number", "int": "an integer", "bool": "true or false",
          "nums": "a list of numbers", "ints": "a list of integers",
-         "obj": "an object"}
+         "obj": "an object", "str": "a string"}
 
 # Section name -> (required keys, optional keys), each mapping a key to
 # its value kind or to the section it is read as; section keys come
 # first.  A "duores ..." section is a command's whole config.  K, N and
-# M are "any": ModelParams and SimConfig check them.  _STUDY holds the
-# required keys of both replica studies.
+# M are "any": ModelParams and SimConfig check them; so are "checks" and
+# "initial", which _cmd_verify and _initial_measure check.  _STUDY holds
+# the required keys of both replica studies.
 _STUDY = {"model": "model", "s": "num", "N_list": "ints", "replicas": "int",
           "T": "num", "sample_times": "nums", "seed0": "int"}
 _SCHEMA = {
-    "duores simulate": ({"model": "model", "sim": "sim"}, {"output_dir": "any"}),
+    "duores simulate": ({"model": "model", "sim": "sim"}, {"output_dir": "str"}),
     "duores meanfield": ({"model": "model", "meanfield": "meanfield"},
-                         {"output_dir": "any"}),
+                         {"output_dir": "str"}),
     "duores equilibrium": ({"model": "model", "equilibrium": "equilibrium"},
-                           {"output_dir": "any"}),
+                           {"output_dir": "str"}),
     "duores verify": ({}, {"checks": "any", "overrides": "obj", "experiments": "obj",
-                           "output_dir": "any"}),
+                           "output_dir": "str"}),
     "model": ({"lam": "num", "mu": "num", "nu": "num", "K": "any"}, {}),
     "sim": ({"N": "any", "M": "any", "T": "num", "sample_times": "nums", "seed": "int"},
             {"replicas": "int", "audit": "bool"}),
     "meanfield": ({"T": "num", "dt": "num"}, {"initial": "any", "output_every": "int"}),
-    "meanfield.initial": ({}, {"point": "ints", "csv": "any",
+    "meanfield.initial": ({}, {"point": "ints", "csv": "str",
                                "equilibrium": "meanfield.initial.equilibrium"}),
     "meanfield.initial.equilibrium": ({"s": "num"}, {}),
     "equilibrium": ({"s": "num"}, {"fill_tol": "num"}),
@@ -136,7 +137,7 @@ def _convert(v, kind: str):
     """``v`` read as ``kind``; a ``ValueError`` if it is not one."""
     if kind in _SCHEMA:
         return _read(v, kind)
-    if kind == "any" or (kind, type(v)) in (("bool", bool), ("obj", dict)):
+    if kind == "any" or (kind, type(v)) in (("bool", bool), ("obj", dict), ("str", str)):
         return v
     if kind in ("nums", "ints") and isinstance(v, list):
         return tuple(_convert(x, kind[:-1]) for x in v)
@@ -274,6 +275,9 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
         traj = integrate(m0, p, sec["T"], sec["dt"])
     except ValueError as e:
         raise ConfigError(str(e))
+    except RuntimeError as e:  # a failed start solve or step; MultipleEquilibriaError too
+        print(f"FAIL: {e}", file=sys.stderr)
+        return 1
     out = _out_dir(cfg, args.output_dir)
     kept = traj[::every]
     if kept[-1][0] != traj[-1][0]:
@@ -333,7 +337,7 @@ def _cmd_verify(cfg: dict, conf: dict, args) -> int:
     checks = conf.get("checks", [])
     if checks == "all":
         checks = list(CHECKS)
-    if not isinstance(checks, list):
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("'checks' must be a list of suite names or \"all\"")
     overrides = {}
     for name, kw in conf.get("overrides", {}).items():

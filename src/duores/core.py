@@ -123,21 +123,33 @@ def _check_state(w: int, x: int, y: int, z: int, K: int) -> None:
         )
 
 
-def index_of(state: Iterable[int], K: int) -> int:
-    """Rank of ``state`` in the lexicographic enumeration for ``K``.
+def _simplex(n, d: int):
+    """``C(n + d, d)``, the number of ``d``-tuples of counts with sum at
+    most ``n``, as an integer polynomial: each partial product
+    ``C(n + k, k)`` divides exactly."""
+    out = n + 1
+    for k in range(2, d + 1):
+        out = out * (n + k) // k
+    return out
 
-    Closed form: counts the states that sort strictly before ``state``,
-    block by block, using simplex-count prefix sums.
-    """
-    w, x, y, z = state
-    _check_state(w, x, y, z, K)
+
+def _rank(w, x, y, z, K: int):
+    """Rank of ``(w, x, y, z)`` in the lexicographic enumeration for
+    ``K``: counts the states that sort strictly before it, block by
+    block, with simplex-count prefix sums.  Integer polynomials only, so
+    the same code runs on Python ints and on int64 arrays."""
     r0 = K - w          # capacity left after fixing w
     r1 = r0 - x
     r2 = r1 - y
-    rank = math.comb(K + 4, 4) - math.comb(r0 + 4, 4)
-    rank += math.comb(r0 + 3, 3) - math.comb(r1 + 3, 3)
-    rank += math.comb(r1 + 2, 2) - math.comb(r2 + 2, 2)
-    return rank + z
+    return (_simplex(K, 4) - _simplex(r0, 4) + _simplex(r0, 3) - _simplex(r1, 3)
+            + _simplex(r1, 2) - _simplex(r2, 2) + z)
+
+
+def index_of(state: Iterable[int], K: int) -> int:
+    """Rank of ``state`` in the lexicographic enumeration for ``K``."""
+    w, x, y, z = state
+    _check_state(w, x, y, z, K)
+    return _rank(w, x, y, z, K)
 
 
 def state_of(rank: int, K: int) -> StationState:
@@ -152,26 +164,10 @@ def ranks_of(
     w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, K: int
 ) -> np.ndarray:
     """Vectorized :func:`index_of` over parallel count arrays."""
-    w = np.asarray(w, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-
-    def t4(n):  # C(n+4, 4)
-        return (n + 1) * (n + 2) * (n + 3) * (n + 4) // 24
-
-    def t3(n):  # C(n+3, 3)
-        return (n + 1) * (n + 2) * (n + 3) // 6
-
-    def t2(n):  # C(n+2, 2)
-        return (n + 1) * (n + 2) // 2
-
-    r0 = K - w
-    r1 = r0 - x
-    r2 = r1 - y
-    if np.min(np.stack([w, x, y, z])) < 0 or np.any(r2 - z < 0):
+    w, x, y, z = (np.asarray(v, dtype=np.int64) for v in (w, x, y, z))
+    if np.min(np.stack([w, x, y, z])) < 0 or np.any(w + x + y + z > K):
         raise ValueError("inadmissible state in rank query")
-    return t4(K) - t4(r0) + t3(r0) - t3(r1) + t2(r1) - t2(r2) + z
+    return _rank(w, x, y, z, K)
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ and the residuals are the ``core`` functionals of that one measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -387,12 +387,7 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "lam": self.params.lam,
-                "mu": self.params.mu,
-                "nu": self.params.nu,
-                "K": self.params.K,
-            },
+            "params": asdict(self.params),
             "s_target": self.s_target,
             "ratios": {
                 "eta1": self.rho.eta1,
@@ -412,39 +407,77 @@ class SolveReport:
         }
 
 
-def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float):
-    """Outer bisection of the fill equation on t in (0, a).
-
-    The virtual endpoint values are 0 and K, so the sign bracket
-    ``fill(lo) < s < fill(hi)`` is maintained without evaluating at the
-    endpoints.  Returns the root, every (t, fill) evaluation made, and
-    whether those evaluations were increasing in t.
-
-    Raises
-    ------
-    RuntimeError
-        If the bracket shrinks to adjacent doubles, or ``_MAX_OUTER``
-        steps pass, before the fill is within ``fill_tol`` of ``s``.
-    """
+def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
+                 lo: float, hi: float, v_lo: float):
+    """Bisection of the fill equation on ``[lo, hi]``, keeping ``lo``
+    while ``fill - s`` has the sign of ``v_lo``; the ends are never
+    evaluated.  Stops at ``|fill - s| < fill_tol``, at adjacent doubles
+    or after ``_MAX_OUTER`` steps.  Returns the root (``None`` if none
+    was met), the last bracket and every (t, fill) evaluation."""
     evals = []
-    lo, hi = 0.0, a
-    fill_lo, fill_hi = 0.0, float(K)
-    t_star = None
-    outer = 0
-    for outer in range(1, _MAX_OUTER + 1):
+    below = bool(v_lo < 0.0)  # a plain bool: np.bool_ == bool is a slow ufunc call
+    for _ in range(_MAX_OUTER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         val = fill_along_curve(mid, a, c, K)
         evals.append((mid, val))
         if abs(val - s) < fill_tol:
-            t_star = mid
-            break
-        if val < s:
-            lo, fill_lo = mid, val
+            return mid, lo, hi, evals
+        if bool(val < s) == below:
+            lo = mid
         else:
-            hi, fill_hi = mid, val
+            hi = mid
+    return None, lo, hi, evals
+
+
+def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float) -> list[float]:
+    """Grid scan + local bisection, reporting every root of
+    ``fill(t) = s``.  Used when the bisection trace was not monotone;
+    a bracket the bisection exhausts gives its midpoint."""
+    ts = [a * k / (_SCAN_GRID + 1) for k in range(1, _SCAN_GRID + 1)]
+    vals = [fill_along_curve(t, a, c, K) - s for t in ts]
+    roots = []
+    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
+        if v0 == 0.0:
+            roots.append(t0)
+        elif v0 * v1 < 0.0:
+            t, lo, hi, _ = _bisect_fill(a, c, K, s, fill_tol, t0, t1, v0)
+            roots.append(0.5 * (lo + hi) if t is None else t)
+    if vals and vals[-1] == 0.0:
+        roots.append(ts[-1])
+    return roots
+
+
+def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
+    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve.
+
+    Bisects on (0, a), whose virtual end values are 0 and K; when that
+    trace is not monotone, a grid scan looks for every root and the
+    single one found replaces the bisection's.  Returns the root, the
+    outer step count, the number of bisection evaluations, the
+    monotonicity flag and the scan's roots (empty when no scan ran).
+
+    Raises
+    ------
+    ValueError
+        If the bracket closes on ``a``: ``s`` is above the fill at the
+        largest double below ``a``, the largest fill doubles reach.
+    RuntimeError
+        If the bisection stops anywhere else.
+    MultipleEquilibriaError
+        If the scan finds more than one root.
+    """
+    t_star, lo, hi, evals = _bisect_fill(a, c, K, s, fill_tol, 0.0, a, -s)
     if t_star is None:
+        fills = dict(evals)
+        if hi == a:  # closed on the unevaluated top end: lo is a's lower neighbour
+            raise ValueError(
+                f"fill s={s!r} at K={K} is out of reach in double precision: "
+                f"the largest fill reached, at t={lo!r} just below a={a!r}, "
+                f"is {fills.get(lo, 0.0)!r}"
+            )
+        fill_lo, fill_hi = fills.get(lo, 0.0), fills[hi]
         raise RuntimeError(
             f"fill bisection at K={K}, s={s!r} stopped after {len(evals)} "
             f"evaluations on the bracket [{lo!r}, {hi!r}] with fills "
@@ -454,54 +487,6 @@ def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float):
     ordered = sorted(evals)
     slack = 1e-12 * max(1.0, float(K))
     monotone = all(b[1] >= a_[1] - slack for a_, b in zip(ordered, ordered[1:]))
-    return t_star, outer, evals, monotone
-
-
-def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float) -> list[float]:
-    """Grid scan + local bisection, reporting every root of
-    ``fill(t) = s``.  Used when the bisection trace was not monotone."""
-    ts = [a * k / (_SCAN_GRID + 1) for k in range(1, _SCAN_GRID + 1)]
-    vals = [fill_along_curve(t, a, c, K) - s for t in ts]
-    roots = []
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        if v0 == 0.0:
-            roots.append(t0)
-            continue
-        if v0 * v1 < 0.0:
-            lo, hi = t0, t1
-            vlo = v0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                vm = fill_along_curve(mid, a, c, K) - s
-                if abs(vm) < fill_tol:
-                    roots.append(mid)
-                    break
-                if (vm < 0.0) == (vlo < 0.0):
-                    lo, vlo = mid, vm
-                else:
-                    hi = mid
-            else:
-                roots.append(0.5 * (lo + hi))
-    if vals and vals[-1] == 0.0:
-        roots.append(ts[-1])
-    return roots
-
-
-def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
-    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve.
-
-    Bisects; when that trace is not monotone, a grid scan looks for
-    every root and the single one found replaces the bisection's.
-    Returns the root, the outer step count, the number of bisection
-    evaluations, the monotonicity flag and the scan's roots (empty when
-    no scan ran).
-
-    Raises
-    ------
-    MultipleEquilibriaError
-        If the scan finds more than one root.
-    """
-    t_star, outer, evals, monotone = _bisect_fill(a, c, K, s, fill_tol)
     roots: list[float] = []
     if not monotone:
         roots = _scan_fill_roots(a, c, K, s, fill_tol)
@@ -509,7 +494,7 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
             raise MultipleEquilibriaError(roots, s)
         if roots:
             t_star = roots[0]
-    return t_star, outer, len(evals), monotone, tuple(roots)
+    return t_star, len(evals), len(evals), monotone, tuple(roots)
 
 
 def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
@@ -523,7 +508,12 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     Raises
     ------
     ValueError
-        If ``s`` is outside ``(0, K)`` or ``lam`` is zero.
+        If ``s`` is outside ``(0, K)`` or ``lam`` is zero, or if ``s``
+        is above the largest fill doubles reach; the message names K,
+        s, nu/mu and that fill.
+    RuntimeError
+        If the fill bisection stops before the fill is within
+        ``fill_tol`` of ``s``.
     MultipleEquilibriaError
         If the evaluations were not monotone and a grid scan finds more
         than one root of the fill equation.
@@ -536,8 +526,11 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
     c = (1.0 + r) / (1.0 + 2.0 * r)
 
-    t_star, outer, n_evals, monotone, fallback_roots = _solve_fill(
-        a, c, p.K, s, fill_tol)
+    try:
+        t_star, outer, n_evals, monotone, fallback_roots = _solve_fill(
+            a, c, p.K, s, fill_tol)
+    except ValueError as err:  # an unreachable fill; name the speed too
+        raise ValueError(f"{err} (nu/mu={p.nu / p.mu!r})") from None
     rho2 = solve_phi(t_star, a, p.K)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1

@@ -14,7 +14,7 @@ independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,8 @@ from .equilibrium import (
     solve_phi,
 )
 from .meanfield import integrate, integrate_at
-from .simulate import SimConfig, empirical_measure, init_uniform, pair_empirical, run
+from .simulate import (SimConfig, _budgeted_pairs, empirical_measure, init_uniform,
+                       pair_empirical, run)
 
 __all__ = [
     "ExperimentReport",
@@ -90,35 +91,56 @@ def _default_dt(p: ModelParams) -> float:
 # Convergence of empirical measures to the flow
 # ============================================================
 
-def _replica_sweep(p, N, M, replicas, T, sample_times, seed0, audit, with_pairs):
-    """Average empirical (and optionally pair) measures over replicas
-    started from one shared initial state."""
-    init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
-    init_measure = empirical_measure(init.counts(), p.K)
-    n_t = len(sample_times)
-    acc = [np.zeros_like(init_measure.probs) for _ in range(n_t)]
-    acc_pair = [0.0] * n_t if with_pairs else None
-    marginal_err = 0.0
-    seeds = []
-    for rep in range(1, replicas + 1):
-        seed = derive_seed(seed0, N, rep)
-        seeds.append(list(seed))
-        cfg = SimConfig(N=N, M=M, T=T, sample_times=tuple(sample_times), seed=seed)
-        traj = run(p, cfg, initial=init, audit=audit)
-        for k, (_, counts) in enumerate(traj):
-            emp = empirical_measure(counts, p.K)
-            acc[k] += emp.probs
-            if with_pairs:
-                pair = pair_empirical(counts, p.K)
-                acc_pair[k] = acc_pair[k] + pair
-                marginal_err = max(
-                    marginal_err,
-                    float(np.abs(pair.sum(axis=1) - emp.probs).max()),
-                    float(np.abs(pair.sum(axis=0) - emp.probs).max()),
-                )
-    avg = [Measure(a / replicas, p.K) for a in acc]
-    avg_pair = [a / replicas for a in acc_pair] if with_pairs else None
-    return init_measure, avg, avg_pair, seeds, marginal_err
+def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max,
+                   with_pairs):
+    """The replica study behind the convergence and chaos experiments:
+    the report's ``config`` and an iterator that yields, one ``N`` at a
+    time, the row head ``{N, M, seeds}``, the replica-averaged measures,
+    the averaged pair measures and worst marginal error (``None`` and 0
+    without ``with_pairs``) and the flow at the sample times.  Pair
+    tables above the state budget are refused here, before any run."""
+    sample_times = tuple(float(t) for t in sample_times)
+    dt_max = dt_max if dt_max is not None else _default_dt(p)
+    if with_pairs:
+        _budgeted_pairs(p.K)
+    config = {
+        "params": asdict(p),
+        "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
+        "sample_times": list(sample_times), "seed0": seed0,
+        "dt_max": dt_max, "audit": audit,
+    }
+
+    def conditions():
+        for N in N_list:
+            M = round(N * s)
+            init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
+            init_measure = empirical_measure(init.counts(), p.K)
+            acc = [np.zeros_like(init_measure.probs) for _ in sample_times]
+            acc_pair = [0.0] * len(sample_times)
+            marginal_err = 0.0
+            seeds = []
+            for rep in range(1, replicas + 1):
+                seed = derive_seed(seed0, N, rep)
+                seeds.append(list(seed))
+                cfg = SimConfig(N=N, M=M, T=T, sample_times=sample_times, seed=seed)
+                traj = run(p, cfg, initial=init, audit=audit)
+                for k, (_, counts) in enumerate(traj):
+                    emp = empirical_measure(counts, p.K)
+                    acc[k] += emp.probs
+                    if with_pairs:
+                        pair = pair_empirical(counts, p.K)
+                        acc_pair[k] = acc_pair[k] + pair
+                        marginal_err = max(
+                            marginal_err,
+                            float(np.abs(pair.sum(axis=1) - emp.probs).max()),
+                            float(np.abs(pair.sum(axis=0) - emp.probs).max()),
+                        )
+            avg = [Measure(a / replicas, p.K) for a in acc]
+            avg_pair = [a / replicas for a in acc_pair] if with_pairs else None
+            flow = integrate_at(init_measure, p, sample_times, dt_max)
+            yield {"N": N, "M": M, "seeds": seeds}, avg, avg_pair, marginal_err, flow
+
+    return config, conditions()
 
 
 def convergence_experiment(
@@ -143,37 +165,22 @@ def convergence_experiment(
     Passing requires the distance at the final sample time to decrease
     strictly in ``N`` with a log-log slope inside ``slope_range``.
     """
-    sample_times = tuple(float(t) for t in sample_times)
-    dt_max = dt_max if dt_max is not None else _default_dt(p)
+    config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
+                                   audit, dt_max, with_pairs=False)
     rows = []
-    finals = []
-    for N in N_list:
-        M = round(N * s)
-        init_measure, avg, _, seeds, _ = _replica_sweep(
-            p, N, M, replicas, T, sample_times, seed0, audit, with_pairs=False
-        )
-        flow = integrate_at(init_measure, p, sample_times, dt_max)
+    for row, avg, _, _, flow in study:
         tv_series = [tv_distance(a, f) for a, f in zip(avg, flow)]
-        rows.append({
-            "N": N,
-            "M": M,
-            "seeds": seeds,
-            "tv": [[t, v] for t, v in zip(sample_times, tv_series)],
-            "tv_final": tv_series[-1],
-        })
-        finals.append(tv_series[-1])
+        row["tv"] = [[t, v] for t, v in zip(config["sample_times"], tv_series)]
+        row["tv_final"] = tv_series[-1]
+        rows.append(row)
+    finals = [row["tv_final"] for row in rows]
     logs = np.log(np.asarray(finals))
     slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), logs, 1)[0])
     decreasing = all(b < a for a, b in zip(finals, finals[1:]))
     passed = decreasing and slope_range[0] <= slope <= slope_range[1]
     return ExperimentReport(
         name="convergence",
-        config={
-            "params": {"lam": p.lam, "mu": p.mu, "nu": p.nu, "K": p.K},
-            "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
-            "sample_times": list(sample_times), "seed0": seed0,
-            "dt_max": dt_max, "audit": audit,
-        },
+        config=config,
         rows=rows,
         metrics={"tv_final": finals, "slope": slope,
                  "strictly_decreasing": decreasing},
@@ -201,43 +208,28 @@ def chaos_experiment(
     Same replica layout as :func:`convergence_experiment`.  Passing
     requires the final-time pair distance to decrease strictly in ``N``
     and every pair measure's marginals to match the one-station
-    empirical within ``marginal_tol``.
+    empirical within ``marginal_tol``.  A pair table above the state
+    budget is refused before any run.
     """
-    sample_times = tuple(float(t) for t in sample_times)
-    dt_max = dt_max if dt_max is not None else _default_dt(p)
+    config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
+                                   audit, dt_max, with_pairs=True)
     rows = []
-    finals = []
-    worst_marginal = 0.0
-    for N in N_list:
-        M = round(N * s)
-        init_measure, _, avg_pair, seeds, marg = _replica_sweep(
-            p, N, M, replicas, T, sample_times, seed0, audit, with_pairs=True
-        )
-        worst_marginal = max(worst_marginal, marg)
-        flow = integrate_at(init_measure, p, sample_times, dt_max)
+    for row, _, avg_pair, marg, flow in study:
         tv2 = [
             0.5 * float(np.abs(ap - np.outer(f.probs, f.probs)).sum())
             for ap, f in zip(avg_pair, flow)
         ]
-        rows.append({
-            "N": N,
-            "M": M,
-            "seeds": seeds,
-            "pair_tv": [[t, v] for t, v in zip(sample_times, tv2)],
-            "pair_tv_final": tv2[-1],
-            "marginal_err": marg,
-        })
-        finals.append(tv2[-1])
+        row["pair_tv"] = [[t, v] for t, v in zip(config["sample_times"], tv2)]
+        row["pair_tv_final"] = tv2[-1]
+        row["marginal_err"] = marg
+        rows.append(row)
+    finals = [row["pair_tv_final"] for row in rows]
+    worst_marginal = max((row["marginal_err"] for row in rows), default=0.0)
     decreasing = all(b < a for a, b in zip(finals, finals[1:]))
     passed = decreasing and worst_marginal <= marginal_tol
     return ExperimentReport(
         name="chaos",
-        config={
-            "params": {"lam": p.lam, "mu": p.mu, "nu": p.nu, "K": p.K},
-            "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
-            "sample_times": list(sample_times), "seed0": seed0,
-            "dt_max": dt_max, "audit": audit,
-        },
+        config=config,
         rows=rows,
         metrics={"pair_tv_final": finals, "strictly_decreasing": decreasing,
                  "marginal_err_max": worst_marginal},
@@ -328,7 +320,7 @@ def attraction_experiment(
     return ExperimentReport(
         name="attraction",
         config={
-            "params": {"lam": p.lam, "mu": p.mu, "nu": p.nu, "K": p.K},
+            "params": asdict(p),
             "s": s, "perturbation_size": perturbation_size, "T": T, "dt": dt,
         },
         rows=rows,

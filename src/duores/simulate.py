@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measure, ModelParams, _budgeted_states, _integral, ranks_of
+from .core import (MAX_STATES, Measure, ModelParams, _budgeted_states, _integral,
+                   num_states, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -416,18 +417,33 @@ def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     return Measure(np.bincount(ranks, minlength=_budgeted_states(K)) / N, K)
 
 
+def _budgeted_pairs(K: int) -> int:
+    """:func:`~duores.core.num_states` ``n``, refused when a pair table's
+    ``n^2`` entries are above :data:`~duores.core.MAX_STATES`."""
+    n = num_states(K)
+    if n * n > MAX_STATES:
+        raise ValueError(
+            f"pair statistics at capacity K={K} need n^2={n * n} entries, above "
+            f"the state budget MAX_STATES={MAX_STATES}"
+        )
+    return n
+
+
 def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
     """Joint distribution of the states of an ordered station pair
     ``(i, j)``, ``i != j``, drawn uniformly.
 
     Returns an ``(n, n)`` array over rank pairs.  Both marginals equal
-    the one-station empirical measure exactly.
+    the one-station empirical measure exactly.  A ``ValueError`` is
+    raised before anything is built when ``n^2`` is above the state
+    budget (K >= 12).
     """
+    n = _budgeted_pairs(K)
     counts = np.asarray(counts)
     N = counts.shape[0]
     if N < 2:
         raise ValueError("pair statistics need at least two stations")
     ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
-    c = np.bincount(ranks, minlength=_budgeted_states(K)).astype(np.float64)
+    c = np.bincount(ranks, minlength=n).astype(np.float64)
     joint = np.outer(c, c) - np.diag(c)
     return joint / (N * (N - 1))

@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from duores import cli
 from duores.cli import main
 from duores.core import num_states
+from duores.equilibrium import MultipleEquilibriaError
 from duores.io import measure_from_csv
 
 
@@ -317,3 +319,46 @@ def test_capacities_above_the_state_budget_are_config_errors(tmp_path, capsys, c
     path = _write_cfg(tmp_path, "c.json", cfg)
     assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
     assert "above the state budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("verify", {"checks": "all", "output_dir": 5}, "'output_dir' must be a string"),
+    ("verify", {"checks": [["enumeration"]]}, "'checks' must be a list of suite names"),
+    ("meanfield", {"model": _MODEL, "meanfield": {"initial": {"csv": 5}, "T": 0.1,
+                                                  "dt": 0.05}},
+     "'meanfield.initial.csv' must be a string"),  # was opened as file descriptor 5
+])
+def test_pass_through_values_are_checked_by_kind(tmp_path, capsys, command, cfg, named):
+    assert main([command, _write_cfg(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+_UNREACHABLE = {"model": {"lam": 1.0, "mu": 1.0, "nu": 1.0, "K": 10}}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("equilibrium", {"equilibrium": {"s": 9.999}}),
+    ("meanfield", {"meanfield": {"initial": {"equilibrium": {"s": 9.999}},
+                                 "T": 0.01, "dt": 0.01}}),
+])
+def test_fills_beyond_double_precision_are_config_errors(tmp_path, capsys, command, section):
+    cfg = {**_UNREACHABLE, **section}
+    assert main([command, _write_cfg(tmp_path, "c.json", cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fill s=9.999 at K=10 is out of reach")
+
+
+def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
+    def several(p, s):
+        raise MultipleEquilibriaError([0.5, 1.5], s)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", several)
+    cfg = {"model": _MODEL, "meanfield": {"initial": {"equilibrium": {"s": 1.0}},
+                                          "T": 0.1, "dt": 0.05},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: fill target 1.0 is attained at 2 distinct")
+    assert not (tmp_path / "out").exists()

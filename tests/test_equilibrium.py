@@ -6,6 +6,7 @@ capacity-one closed forms, and pushforward aggregation done with a
 dictionary.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -351,6 +352,18 @@ def test_fill_bisection_stops_on_an_exhausted_bracket():
     assert n_evals <= 60
 
 
+@pytest.mark.parametrize("K, nu, s, largest", [
+    (10, 1.0, 9.999, r"9\.9606\d*"),
+    (40, 0.01, 38.0, r"36\.1656\d*"),
+])
+def test_fills_beyond_double_precision_are_refused_by_name(K, nu, s, largest):
+    # The curve ends at t = a, which is never evaluated; s is above the
+    # fill at the largest double below a, so the bracket closes on a.
+    with pytest.raises(ValueError, match=rf"fill s={s} at K={K} is out of reach .* "
+                                         rf"is {largest} \(nu/mu={nu}\)"):
+        solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), s)
+
+
 def test_solve_builds_the_product_form_once(monkeypatch):
     calls = []
     build = equilibrium._normalized_weights
@@ -464,3 +477,39 @@ def test_solve_above_the_state_budget_raises_before_building_states(K):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # nothing of one entry per state was allocated
+
+
+# ------------------------------------------------------------
+# Golden solves
+# ------------------------------------------------------------
+
+# sha-256 of ``json.dumps(report.to_dict(), sort_keys=True)``, lam = mu = 1,
+# taken at commit 67d531f, before the fill solve and its root scan shared
+# one bisection.
+_GOLDEN_SOLVES = {
+    (3, 0.2, 0.1): "fea11d46194054c35570b636937e487c78e1e18e04a0e020740fce6926ecffd5",
+    (3, 0.2, 10.0): "3131f0983a5c1e60f1828e9f0b00eb4b97520d22d1343c350a6099922530f6a7",
+    (3, 0.5, 0.1): "390fcd7dc513d8ec8443f6672d4b044cef580eaf591f6be2d935822ae0e4e1a2",
+    (3, 0.5, 10.0): "325ca158766a8c50b027727c576746523025e11c4f7b3223ddf19c3ba6a85320",
+    (3, 0.8, 0.1): "6b93a4646656d761e326c1136804381aa51dca6277fded4585de4c635289a4cd",
+    (3, 0.8, 10.0): "c012334754eba4ec6ba04a63c2b6b9933b9aeaf4bca5bf94750df2743c07d03c",
+    (10, 0.2, 0.1): "55cd2a5dbd532775f135afe8895b38cefa971b1686e33b108307d8d6cfa3dc33",
+    (10, 0.2, 10.0): "c15a7a3749be94918bf561d14d012bea1db16a5e0aafda2d74ac3000587f141d",
+    (10, 0.5, 0.1): "ce75917c7c169a029a77de9e572faa70a360f69527f843be5d7ba360b6d97d8e",
+    (10, 0.5, 10.0): "d44490e5216cd21399fff276e34ce4ec83ee75a7efc0f85f100badfa1950c816",
+    (10, 0.8, 0.1): "748c6eddedcbdada7064ba7028025104c632a09d70ee3368892d583a1ee7e2b4",
+    (10, 0.8, 10.0): "f21d7bdb002b184f356a0a0f1fc52eb46605d1c0de61094f018b1943df33fc53",
+    (20, 0.2, 0.1): "732bc14a42886c11cd86acde14c93d96856497dd25b0880e589f1ca9b57663af",
+    (20, 0.2, 10.0): "861152c5d7fb134886ad5796f20d9cf553a8ae42ef8d7edf0b6d904232fb2059",
+    (20, 0.5, 0.1): "3f7898e43ff0520a8286407795566cea7f466e57e0a783724403a7be86fbb5cc",
+    (20, 0.5, 10.0): "7742dadcf236544049e793b94ad2213399317ca702874098962a1a95322859e6",
+    (20, 0.8, 0.1): "49c5ba9fb61eaf0e995d94856c3f7bd0b5f28aa548eabf21a4f1dff4294f771b",
+    (20, 0.8, 10.0): "7783e1f3a8d22b6aac04049f93e1bece3c3d1ca4f2638463f1decb3392ce0449",
+}
+
+
+@pytest.mark.parametrize("K, s_over_K, nu_over_mu", sorted(_GOLDEN_SOLVES))
+def test_solve_reports_match_their_golden_digests(K, s_over_K, nu_over_mu):
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s_over_K * K)
+    blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_SOLVES[K, s_over_K, nu_over_mu]

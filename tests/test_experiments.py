@@ -1,6 +1,7 @@
 """Experiment harness: seed derivation, the fill-preserving
 perturbation, and small-scale runs of each study."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -161,3 +162,29 @@ def test_monotonicity_toy_scan_passes():
     assert rep.passed
     assert rep.metrics["n_checks"] > 0
     json.dumps(rep.to_dict())
+
+
+def test_chaos_refuses_a_pair_table_above_the_budget_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulator ran before the pair budget was checked")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=12)
+    with pytest.raises(ValueError, match=r"K=12 need n\^2=3312400 entries"):
+        chaos_experiment(p, N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,),
+                         seed0=5, s=1.0)
+
+
+# Golden digests of ``json.dumps(report.to_dict(), sort_keys=True)``,
+# taken at commit 67d531f before the two studies shared one replica loop.
+@pytest.mark.parametrize("study, sample_times, digest", [
+    (convergence_experiment, (0.0, 0.5, 1.0),
+     "8494f9183fb3da349380e0c7d0f132204df7adb76df975713d22d280144dcf95"),
+    (chaos_experiment, (0.5, 1.0),
+     "68d7e37b5efb650bf46f1ec24919934f235e18190b91f71a53f0968760fed36e"),
+], ids=["convergence", "chaos"])
+def test_study_reports_match_their_golden_digests(study, sample_times, digest):
+    rep = study(_P, N_list=[4, 8], replicas=4, T=1.0, sample_times=sample_times,
+                seed0=5, s=1.0)
+    blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -5,12 +5,13 @@ stationary law."""
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from duores import simulate
-from duores.core import ModelParams, index_of
+from duores.core import MAX_STATES, ModelParams, index_of, num_states
 from duores.simulate import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
@@ -551,6 +552,23 @@ def test_pair_empirical_two_equal_stations():
     r = index_of((0, 0, 1, 0), 1)
     assert joint[r, r] == 1.0
     assert joint.sum() == 1.0
+
+
+@pytest.mark.parametrize("K", [12, 20])
+def test_pair_tables_above_the_state_budget_are_refused_before_allocation(K):
+    # n^2 entries above MAX_STATES (K >= 12); the dense tables at K=20 would take ~2.7 GB
+    n = num_states(K)
+    assert n * n > MAX_STATES >= num_states(11) ** 2
+    counts = np.zeros((4, 4), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"K={K} need n\^2={n * n} entries, above "
+                                             rf"the state budget MAX_STATES={MAX_STATES}"):
+            pair_empirical(counts, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pair_empirical_marginals_match_exactly():

@@ -4,8 +4,9 @@ A station of capacity K holds four kinds of content: spaces reserved by
 users still elsewhere (w), spaces reserved for cars already driving in
 (x), available cars (y), and cars reserved for imminent departure (z).
 Any combination with w + x + y + z <= K is a valid station state; this
-script walks the enumeration, the rank bijection, and the functionals
-that the rest of the toolkit measures everything with.
+script walks the enumeration, the rank bijection, the count arrays the
+enumeration is read from, and the functionals that the rest of the
+toolkit measures everything with.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from duores import (
     state_of,
     tv_distance,
 )
+from duores.core import count_arrays, ranks_of
 
 
 def main() -> None:
@@ -35,6 +37,12 @@ def main() -> None:
         print(f"  rank {rank:2d}: w={st.w} x={st.x} y={st.y} z={st.z}"
               f"  (round trip -> {back})")
         assert back == rank and state_of(rank, K) == st
+
+    print("\nthe same states as the four count arrays that measures are indexed by")
+    w, x, y, z = count_arrays(K)
+    for name, col in zip("wxyz", (w, x, y, z)):
+        print(f"  {name}: {' '.join(map(str, col.tolist()))}")
+    assert np.array_equal(ranks_of(w, x, y, z, K), np.arange(num_states(K)))
 
     print("\nthree measures on the K=2 space")
     empty = Measure.point((0, 0, 0, 0), K)

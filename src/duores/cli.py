@@ -23,7 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Measure, ModelParams, mean_fill, prob_no_available, prob_saturated
+from .core import (Measure, ModelParams, _budgeted_states, mean_fill, prob_no_available,
+                   prob_saturated)
 from .equilibrium import product_form, solve_equilibrium
 from .experiments import (
     attraction_experiment,
@@ -204,7 +205,6 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
     audit = sec.pop("audit", False)
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")
-    out = _out_dir(cfg, args.output_dir)
     try:
         base = SimConfig(**sec)
     except ValueError as e:
@@ -216,6 +216,7 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
             measures = [empirical_measure(c, p.K) for _, c in traj]
         except ValueError as e:
             raise ConfigError(str(e))
+        out = _out_dir(cfg, args.output_dir)
         suffix = "" if replicas == 1 else f"_r{r}"
         write_station_trajectory_csv(traj, out / f"trajectory{suffix}.csv")
         write_timed_measure_csv([t for t, _ in traj], measures,
@@ -309,14 +310,15 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
 
 def _cmd_equilibrium(cfg: dict, conf: dict, args) -> int:
     p = _model_params(conf["model"])
-    out = _out_dir(cfg, args.output_dir)
     try:
+        _budgeted_states(p.K)  # the measure file has one row per state
         report = solve_equilibrium(p, **conf["equilibrium"])
     except ValueError as e:
         raise ConfigError(str(e))
     except RuntimeError as e:  # MultipleEquilibriaError included
         print(f"FAIL: {e}", file=sys.stderr)
         return 1
+    out = _out_dir(cfg, args.output_dir)
     doc = {**report.to_dict(), "config": cfg, "config_sha256": _config_hash(cfg)}
     write_json(doc, out / "solve_report.json")
     measure_to_csv(product_form(report.rho, p.K), out / "equilibrium_measure.csv")

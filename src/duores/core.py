@@ -75,11 +75,13 @@ def num_states(K: int) -> int:
 
 
 MAX_STATES = 2_000_000
-"""Largest state count for which a per-state table is built: the
-enumeration, its count arrays and everything derived from them, and the
-measures allocated here and in ``simulate``.  It admits capacities up to
+"""Largest state count for which a per-state table is built: the count
+arrays and everything derived from them, the measures allocated here and
+in ``simulate``, the mean-field drift, the CSV writers and the measure
+file of the CLI's ``equilibrium`` command.  It admits capacities up to
 ``K = 80`` (1 929 501 states).  Above it a ``ValueError`` is raised
-before anything of that size is allocated."""
+before anything of that size is allocated.  The fixed-point solver
+builds no per-state table and is not bound by it."""
 
 
 def _budgeted_states(K: int) -> int:
@@ -93,27 +95,14 @@ def _budgeted_states(K: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
-def _enumerate(K: int) -> tuple[StationState, ...]:
-    _budgeted_states(K)
-    out = []
-    for w in range(K + 1):
-        for x in range(K + 1 - w):
-            for y in range(K + 1 - w - x):
-                for z in range(K + 1 - w - x - y):
-                    out.append(StationState(w, x, y, z))
-    return tuple(out)
-
-
 def enumerate_states(K: int) -> list[StationState]:
     """All admissible states for capacity ``K`` in lexicographic order.
 
     The order is lexicographic in ``(w, x, y, z)``; position in this
-    list is the rank used throughout for indexing measures.
+    list is the rank used throughout for indexing measures.  Built from
+    :func:`count_arrays` on each call.
     """
-    if K < 0:
-        raise ValueError(f"capacity must be >= 0, got {K}")
-    return list(_enumerate(K))
+    return list(map(StationState, *(c.tolist() for c in count_arrays(K))))
 
 
 def _check_state(w: int, x: int, y: int, z: int, K: int) -> None:
@@ -157,7 +146,7 @@ def state_of(rank: int, K: int) -> StationState:
     n = num_states(K)
     if not 0 <= rank < n:
         raise ValueError(f"rank {rank} out of range [0, {n}) for capacity {K}")
-    return _enumerate(K)[rank]
+    return StationState(*(int(c[rank]) for c in count_arrays(K)))
 
 
 def ranks_of(
@@ -172,10 +161,20 @@ def ranks_of(
 
 @lru_cache(maxsize=None)
 def _count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    states = _enumerate(K)
-    arr = np.array(states, dtype=np.int64).reshape(len(states), 4)
-    arr.setflags(write=False)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    """The four count columns in rank order, one vectorized level per
+    count: every prefix with capacity ``r`` left expands into ``r + 1``
+    children, the next count running ``0..r``."""
+    _budgeted_states(K)
+    left = np.array([K], dtype=np.int64)  # capacity left after each prefix
+    cols: list[np.ndarray] = []
+    for _ in range(4):
+        reps = left + 1
+        child = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = [np.repeat(c, reps) for c in cols] + [child]
+        left = np.repeat(left, reps) - child
+    for c in cols:
+        c.setflags(write=False)
+    return tuple(cols)
 
 
 def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -46,9 +46,13 @@ no step overflows.  From them:
   ``fill_along_curve``);
 * ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
 
-The four-coordinate product form is built in log space, once per solve,
-and the residuals are the ``core`` functionals of that one measure.
-``simple_form`` is the (K+1, K+1) reference array of the reduced family.
+The residuals are not read from the reduced family: ``_state_sums``
+takes them from O(K^2) convolutions of the four one-coordinate weight
+vectors, a path that shares no code with the pass, so the residuals
+cross-check it.  A solve builds nothing with one entry per station
+state.  ``product_form`` builds the four-coordinate measure in log
+space for callers that need it, and ``simple_form`` is the (K+1, K+1)
+reference array of the reduced family.
 """
 
 from __future__ import annotations
@@ -59,14 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    Measure,
-    ModelParams,
-    count_arrays,
-    mean_fill,
-    prob_no_available,
-    prob_saturated,
-)
+from .core import Measure, ModelParams, count_arrays
 
 __all__ = [
     "RateRatios",
@@ -145,6 +142,48 @@ def _normalized_weights(rho: RateRatios, K: int) -> np.ndarray:
 def product_form(rho: RateRatios, K: int) -> Measure:
     """Truncated product-form measure with intensities ``rho``."""
     return Measure(_normalized_weights(rho, K), K)
+
+
+def _state_sums(rho: RateRatios, K: int) -> tuple[float, float, float]:
+    """``(P[y > 0], P[w + x + y + z < K], E[x + y + z])`` under the
+    truncated product form, from O(K^2) convolutions over the total
+    occupancy ``n``; nothing with one entry per state is built.
+
+    The weight vectors ``eta1^k/k!``, ``rho1^k/k!``, ``rho2^k`` and
+    ``eta2^k/k!`` over ``k = 0..K`` are built in log space, tilted by
+    ``theta^-k`` with ``theta = max(1, rho2, (eta1 + rho1 + eta2)/K)``,
+    and each scaled by its max.  The sums over ``n`` are then weighted by
+    ``theta^(n - K) <= 1``, which undoes the tilt.  The tilt moves the
+    state made of the four modes inside the truncation, so every state
+    weighs at most its tilted weight, at most 1, and the heaviest state
+    weighs within a small factor of 1: the entries that underflow to 0
+    are negligible, and nothing overflows.  Both probabilities are
+    summed directly over their states, never taken as one minus the
+    rest, so each keeps its relative accuracy when small: the
+    unsaturated mass near saturation, the acceptance at slow
+    reservations.
+    """
+    intensities = (rho.eta1, rho.rho1, rho.rho2, rho.eta2)
+    log_theta = math.log(max(1.0, rho.rho2, rho.rho1_tilde / K))
+    k = np.arange(K + 1)
+    lv = np.zeros((4, K + 1))
+    lv[:, 1:] = np.multiply.outer(
+        [math.log(r) - log_theta if r > 0.0 else -math.inf for r in intensities], k[1:])
+    lf = _log_factorials(K)
+    lv -= lf
+    lv[2] += lf  # rho2^k has no factorial
+    w, x, y, z = np.exp(lv - lv.max(axis=1, keepdims=True))  # weights of each count
+    n = K + 1
+    y[0] = 0.0  # y then weighs only the states with an available car
+    xz = np.convolve(x, z)[:n]  # cars, none available
+    with_y = np.convolve(xz, y)[:n]  # cars, some available
+    untilt = np.exp((k - K) * log_theta)
+    available = np.convolve(w, with_y)[:n]
+    total = np.convolve(w, xz)[:n] + available
+    Z = untilt @ total
+    unsaturated = untilt[:K] @ total[:K]
+    fill = untilt @ np.convolve(w, k * (xz + with_y))[:n]
+    return float(untilt @ available / Z), float(unsaturated / Z), float(fill / Z)
 
 
 # ============================================================
@@ -503,7 +542,10 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     Bisects the fill equation along the one-parameter curve of
     solutions to the acceptance equation, then reconstructs the four
     intensities and evaluates all five fixed-point residuals against
-    the untruncated four-coordinate product form.
+    the truncated four-coordinate product form, through the O(K^2)
+    convolutions of ``_state_sums``.  Memory is O(K): no per-state
+    table is built, so :data:`~duores.core.MAX_STATES` does not bound
+    ``K`` here.
 
     Raises
     ------
@@ -536,15 +578,13 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     eta = r * rho1
     rho = RateRatios(eta, rho1, rho2, eta)
 
-    m = product_form(rho, p.K)
-    psat = prob_saturated(m)
-    accept = 1.0 - prob_no_available(m)
+    accept, unsaturated, fill = _state_sums(rho, p.K)
     residuals = {
         "eta1": rho.eta1 - (p.lam / p.nu) * accept,
         "rho1": rho.rho1 - (p.lam / p.mu) * accept,
-        "rho2": rho.rho2 - accept / (1.0 - psat),
+        "rho2": rho.rho2 - accept / unsaturated,
         "eta2": rho.eta2 - (p.lam / p.nu) * accept,
-        "fill": s - mean_fill(m),
+        "fill": s - fill,
     }
     # The rho2 balance holds identically on the curve; it is asserted,
     # never solved for.

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Measure, count_arrays, enumerate_states, num_states
+from .core import Measure, count_arrays, num_states
 
 __all__ = [
     "measure_to_csv",
@@ -89,13 +89,18 @@ def measure_from_csv(path: str | Path) -> Measure:
             raise ValueError(f"unexpected header {header!r}")
         rows = [row for row in reader if row]
     K = _capacity_from_rows(len(rows))
-    states = enumerate_states(K)
-    probs = np.empty(len(rows))
-    for r, (row, st) in enumerate(zip(rows, states)):
-        if tuple(int(v) for v in row[:4]) != tuple(st):
-            raise ValueError(f"row {r} state {row[:4]} out of enumeration order")
-        probs[r] = float(row[4])
-    return Measure(probs, K)
+    for r, row in enumerate(rows):
+        if len(row) != len(_MEASURE_HEADER):
+            raise ValueError(f"row {r} has {len(row)} fields, not {len(_MEASURE_HEADER)}")
+    try:
+        counts = np.array([row[:4] for row in rows], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a state count does not fit in 64 bits") from None
+    bad = np.flatnonzero((counts != np.stack(count_arrays(K), axis=1)).any(axis=1))
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(f"row {r} state {rows[r][:4]} out of enumeration order")
+    return Measure(np.array([float(row[4]) for row in rows]), K)
 
 
 def write_timed_measure_csv(

@@ -114,18 +114,24 @@ def _positive_uniform(rng: np.random.Generator, high: float) -> float:
 
 
 def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
-    """Closed-form state counts and the rank/state bijection."""
+    """Closed-form state counts, the count arrays against their defining
+    nested loop over ``(w, x, y, z)`` in lexicographic order, and the
+    rank/state bijection."""
     mismatches = 0
-    for K in range(K_max + 1):
-        if num_states(K) != math.comb(K + 4, 4):
+    for K in range(max(K_max, roundtrip_K_max) + 1):
+        states = [(w, x, y, z) for w in range(K + 1) for x in range(K + 1 - w)
+                  for y in range(K + 1 - w - x) for z in range(K + 1 - w - x - y)]
+        if not num_states(K) == math.comb(K + 4, 4) == len(states):
             mismatches += 1
-    for K in range(roundtrip_K_max + 1):
-        states = enumerate_states(K)
-        if len(states) != num_states(K):
+        arrays = np.stack(count_arrays(K), axis=1)
+        if arrays.shape != (len(states), 4):
             mismatches += 1
-        for rank, st in enumerate(states):
-            if index_of(st, K) != rank or state_of(rank, K) != st:
-                mismatches += 1
+        else:
+            mismatches += int((arrays != np.array(states)).any(axis=1).sum())
+        if K <= roundtrip_K_max:
+            for rank, st in enumerate(states):
+                if index_of(st, K) != rank or state_of(rank, K) != st:
+                    mismatches += 1
     return CheckResult(
         name="enumeration",
         passed=mismatches == 0,
@@ -290,12 +296,12 @@ def check_fixed_point(
 
 
 def check_fixed_point_large_K(
-    K_list=(3, 5, 10, 20, 30, 40),
+    K_list=(3, 5, 10, 20, 30, 40, 80, 200),
     s_fracs=(0.2, 0.5, 0.8),
     nu_over_mu=(0.1, 1.0, 10.0, 1e8),
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Fixed-point residuals up to capacity 40 at ``lam = mu = 1``,
+    """Fixed-point residuals up to capacity 200 at ``lam = mu = 1``,
     slow to near-instant reservations.
 
     Each solve must meet ``tol`` or raise

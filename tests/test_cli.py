@@ -362,3 +362,27 @@ def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("FAIL: fill target 1.0 is attained at 2 distinct")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("equilibrium", {**_UNREACHABLE, "equilibrium": {"s": 9.999}}),
+    ("simulate", {"model": _MODEL,
+                  "sim": {"N": 2, "M": 2, "T": -1, "sample_times": [0.0], "seed": 1}}),
+])
+def test_config_errors_leave_no_output_directory(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    assert main([command, _write_cfg(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_equilibrium_checks_the_state_budget_before_the_solve(tmp_path, capsys, monkeypatch):
+    def unexpected(p, s):
+        raise AssertionError("solved a capacity whose measure file is refused")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", unexpected)
+    cfg = {"model": {**_MODEL, "K": 200}, "equilibrium": {"s": 100.0},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["equilibrium", _write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert "above the state budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

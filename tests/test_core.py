@@ -62,6 +62,15 @@ def test_vectorized_ranks_agree_with_scalar():
         assert np.array_equal(ranks_of(w, x, y, z, K), np.arange(num_states(K)))
 
 
+@pytest.mark.parametrize("K", [20, 40, 80])
+def test_count_arrays_are_in_rank_order_at_large_capacity(K):
+    try:
+        w, x, y, z = count_arrays(K)
+        assert np.array_equal(ranks_of(w, x, y, z, K), np.arange(num_states(K)))
+    finally:
+        core._count_arrays.cache_clear()  # K = 80 holds 62 MB
+
+
 def test_inadmissible_states_are_rejected():
     with pytest.raises(ValueError):
         index_of((0, 0, 0, 2), 1)

@@ -7,6 +7,7 @@ dictionary.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import duores.equilibrium as equilibrium
+from duores import core
 from duores.core import (
     MAX_STATES,
     ModelParams,
@@ -364,17 +366,49 @@ def test_fills_beyond_double_precision_are_refused_by_name(K, nu, s, largest):
         solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), s)
 
 
-def test_solve_builds_the_product_form_once(monkeypatch):
-    calls = []
-    build = equilibrium._normalized_weights
+def test_solve_builds_no_per_state_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a solve built a per-state table")
 
-    def counted(rho, K):
-        calls.append(K)
-        return build(rho, K)
+    monkeypatch.setattr(equilibrium, "_normalized_weights", refuse)
+    monkeypatch.setattr(equilibrium, "count_arrays", refuse)
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=5), 2.5)
+    assert rep.max_residual < 1e-10
 
-    monkeypatch.setattr(equilibrium, "_normalized_weights", counted)
-    solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=5), 2.5)
-    assert calls == [5]
+
+@pytest.mark.parametrize("K", [1, 3, 8, 20])
+def test_state_sums_match_the_per_state_sums_of_the_product_form(K):
+    w, x, y, z = core.count_arrays(K)
+    for ratios in itertools.product((0.05, 1.0, 20.0), repeat=4):
+        rho = RateRatios(*ratios)
+        m = product_form(rho, K)
+        expected = (m.probs[y > 0].sum(), m.probs[w + x + y + z < K].sum(), mean_fill(m))
+        got = equilibrium._state_sums(rho, K)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0), ratios
+
+
+@pytest.mark.parametrize("ratios", [
+    (1e12, 0.5, 2.0, 1e12), (1e12, 1e12, 1e-12, 1e12), (1e-3, 1e-3, 1e15, 1e-3),
+    (3e4, 3e4, 3e4, 3e4),
+])
+def test_state_sums_survive_intensities_far_beyond_the_capacity(ratios):
+    # Scaled by their own maxima alone, the weight vectors of these cases
+    # underflow to nothing or lose every digit; the tilt keeps them.
+    K = 30
+    w, x, y, z = core.count_arrays(K)
+    m = product_form(RateRatios(*ratios), K)
+    expected = (m.probs[y > 0].sum(), m.probs[w + x + y + z < K].sum(), mean_fill(m))
+    got = equilibrium._state_sums(RateRatios(*ratios), K)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s_over_K", [0.991, 0.995])
+def test_rho2_identity_holds_near_saturation(s_over_K):
+    # Taken as one minus the saturated mass, 1 - P[saturated] cancels here
+    # and the identity read 4.9e-9 and -1.3e-8; summed directly it holds.
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=0.01, K=3), s_over_K * 3)
+    assert abs(rep.residuals["rho2"]) <= 1e-12 * max(1.0, rep.rho.rho2)
+    assert rep.max_residual <= 1e-10
 
 
 def test_solver_reservation_ratios_are_equal():
@@ -460,56 +494,107 @@ def test_several_roots_raise_multiple_equilibria(monkeypatch):
 
 
 # ------------------------------------------------------------
-# State budget
+# Capacities above the state budget
 # ------------------------------------------------------------
 
-@pytest.mark.parametrize("K", [171, 200])
-def test_solve_above_the_state_budget_raises_before_building_states(K):
-    n = num_states(K)
-    assert n > MAX_STATES >= num_states(80)
+@pytest.mark.parametrize("K", [200, 1000])
+def test_large_capacities_solve_within_a_small_traced_peak(K):
+    assert num_states(K) > MAX_STATES
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError,
-                           match=rf"K={K} has {n} station states, above the state "
-                                 rf"budget MAX_STATES={MAX_STATES}"):
-            solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
+        rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert rep.max_residual <= 1e-10
     assert peak < 1 << 20  # nothing of one entry per state was allocated
+
+
+@pytest.mark.parametrize("s_over_K", [0.2, 0.5])
+@pytest.mark.parametrize("nu_over_mu", [0.1, 1.0, 10.0, 1e8])
+def test_capacity_1000_solves_meet_the_residual_bound(s_over_K, nu_over_mu):
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=1000),
+                            s_over_K * 1000)
+    assert rep.max_residual <= 1e-10
 
 
 # ------------------------------------------------------------
 # Golden solves
 # ------------------------------------------------------------
 
-# sha-256 of ``json.dumps(report.to_dict(), sort_keys=True)``, lam = mu = 1,
-# taken at commit 67d531f, before the fill solve and its root scan shared
-# one bisection.
+# Per cell, lam = mu = 1, both taken at commit 363e21a, where the residuals
+# were the functionals of the per-state product form: the sha-256 of
+# ``json.dumps(to_dict(), sort_keys=True)`` without "residuals" and
+# "max_residual", and the residuals (eta1, rho1, rho2, eta2, fill).  The
+# convolution residuals round differently, so they are held within 1e-13 of
+# those values instead of bit for bit.
 _GOLDEN_SOLVES = {
-    (3, 0.2, 0.1): "fea11d46194054c35570b636937e487c78e1e18e04a0e020740fce6926ecffd5",
-    (3, 0.2, 10.0): "3131f0983a5c1e60f1828e9f0b00eb4b97520d22d1343c350a6099922530f6a7",
-    (3, 0.5, 0.1): "390fcd7dc513d8ec8443f6672d4b044cef580eaf591f6be2d935822ae0e4e1a2",
-    (3, 0.5, 10.0): "325ca158766a8c50b027727c576746523025e11c4f7b3223ddf19c3ba6a85320",
-    (3, 0.8, 0.1): "6b93a4646656d761e326c1136804381aa51dca6277fded4585de4c635289a4cd",
-    (3, 0.8, 10.0): "c012334754eba4ec6ba04a63c2b6b9933b9aeaf4bca5bf94750df2743c07d03c",
-    (10, 0.2, 0.1): "55cd2a5dbd532775f135afe8895b38cefa971b1686e33b108307d8d6cfa3dc33",
-    (10, 0.2, 10.0): "c15a7a3749be94918bf561d14d012bea1db16a5e0aafda2d74ac3000587f141d",
-    (10, 0.5, 0.1): "ce75917c7c169a029a77de9e572faa70a360f69527f843be5d7ba360b6d97d8e",
-    (10, 0.5, 10.0): "d44490e5216cd21399fff276e34ce4ec83ee75a7efc0f85f100badfa1950c816",
-    (10, 0.8, 0.1): "748c6eddedcbdada7064ba7028025104c632a09d70ee3368892d583a1ee7e2b4",
-    (10, 0.8, 10.0): "f21d7bdb002b184f356a0a0f1fc52eb46605d1c0de61094f018b1943df33fc53",
-    (20, 0.2, 0.1): "732bc14a42886c11cd86acde14c93d96856497dd25b0880e589f1ca9b57663af",
-    (20, 0.2, 10.0): "861152c5d7fb134886ad5796f20d9cf553a8ae42ef8d7edf0b6d904232fb2059",
-    (20, 0.5, 0.1): "3f7898e43ff0520a8286407795566cea7f466e57e0a783724403a7be86fbb5cc",
-    (20, 0.5, 10.0): "7742dadcf236544049e793b94ad2213399317ca702874098962a1a95322859e6",
-    (20, 0.8, 0.1): "49c5ba9fb61eaf0e995d94856c3f7bd0b5f28aa548eabf21a4f1dff4294f771b",
-    (20, 0.8, 10.0): "7783e1f3a8d22b6aac04049f93e1bece3c3d1ca4f2638463f1decb3392ce0449",
+    (3, 0.2, 0.1): ("595fb2aa318aceb52e6bb05c9fc65bab4ecc0e555f0932619191887367868cab",
+                    (0.0, 0.0, -1.1796119636642288e-16, 0.0, 1.0089706847793423e-12)),
+    (3, 0.2, 10.0): ("4b37b0eefa372da59e319c87beca6af9400644a1f3d54436fc0234563d97ef1d",
+                     (-1.0408340855860843e-17, -1.1102230246251565e-16,
+                      -1.1102230246251565e-16, -1.0408340855860843e-17,
+                      -3.623767952376511e-13)),
+    (3, 0.5, 0.1): ("25cbe52c8048279b36cbdfbcd88fd28384ec33e8dfbbda2964bc6d026e3074d5",
+                    (8.881784197001252e-16, 1.1102230246251565e-16, -1.1102230246251565e-16,
+                     8.881784197001252e-16, 3.992584041156988e-12)),
+    (3, 0.5, 10.0): ("72779e833c2b6ef87fceb13bb7e8a77bc11d1bab0174f34b71685ee52ae437c5",
+                     (0.0, 0.0, 1.1102230246251565e-16, 0.0, 6.849854017332291e-12)),
+    (3, 0.8, 0.1): ("6a03789dc1b948ef80eedc43bb9add12e0ae1ed80967f02d7498de2f88e2e1ec",
+                    (0.0, 0.0, -3.197442310920451e-14, 0.0, 6.3016258877723885e-12)),
+    (3, 0.8, 10.0): ("d61595e5171d249b50f1866ab6594870d77195900049b9ff2a5897fe15abbb68",
+                     (0.0, 0.0, -4.440892098500626e-16, 0.0, 1.20525811553307e-12)),
+    (10, 0.2, 0.1): ("7f9d0690408ceb8e7e62cf9f726601f8cb8b75b7b9e8efb371e6986fb2d2c847",
+                     (1.1102230246251565e-15, 1.1102230246251565e-16, 8.326672684688674e-17,
+                      1.1102230246251565e-15, -2.2146728895222623e-12)),
+    (10, 0.2, 10.0): ("aa88995ac7888b1a8bd59dbdde085dae4044aa45c96a64feea2c1c1c76839662",
+                      (1.3877787807814457e-17, 1.1102230246251565e-16,
+                       1.1102230246251565e-16, 1.3877787807814457e-17,
+                       -5.499156685573325e-12)),
+    (10, 0.5, 0.1): ("569067d27968b0a856bd733a25ea8bee2c8e57301f8e36713a4327ef69527659",
+                     (0.0, 0.0, 1.1102230246251565e-16, 0.0, -2.2426505097428162e-12)),
+    (10, 0.5, 10.0): ("4c960bf864a8658dfd07376b5b893a0dde206ea1e1eab952d94bcd5705ed449d",
+                      (0.0, 0.0, -1.1102230246251565e-16, 0.0, -8.945733043219661e-12)),
+    (10, 0.8, 0.1): ("8909c59b3f31adb0649fc604a4ab14f8ae5b470ff7df807d2ad81cf035f942f1",
+                     (0.0, 0.0, -4.440892098500626e-15, 0.0, 8.93152218850446e-12)),
+    (10, 0.8, 10.0): ("4501a0d29265d57fff228c6675d526a77997c73f1f0056f9d7d90fa102ba98c9",
+                      (0.0, 0.0, 2.220446049250313e-16, 0.0, -4.058975378029572e-12)),
+    (20, 0.2, 0.1): ("5d6fc2346a60763b399a41a6034127bef7495ef1fc62444be83b5e1378c14f31",
+                     (8.881784197001252e-16, 1.1102230246251565e-16, 1.6653345369377348e-16,
+                      8.881784197001252e-16, -4.774847184307873e-12)),
+    (20, 0.2, 10.0): ("3e03544fc3027b989daaca03970d86dfb844b94e94595de5a9cb3000165a5c29",
+                      (0.0, 0.0, -1.1102230246251565e-16, 0.0, 3.1374902675906924e-12)),
+    (20, 0.5, 0.1): ("452b59fe1629e4bfc9f2d87f0baf18a9decc9efcf746376c261fcd0a6523e723",
+                     (1.7763568394002505e-15, 2.220446049250313e-16, 0.0,
+                      1.7763568394002505e-15, -1.3837819778927951e-12)),
+    (20, 0.5, 10.0): ("cfa1b7f1b78843bb95eff85b071f92ad45cafffffceac0657d4870abdd74e61d",
+                      (-1.3877787807814457e-17, -1.1102230246251565e-16,
+                       -1.1102230246251565e-16, -1.3877787807814457e-17,
+                       6.036060540282051e-12)),
+    (20, 0.8, 0.1): ("a94f6c2438afe73a0392cd6666b1f0a26f7c7b7a761e2150ec040bccebe34f01",
+                     (0.0, 0.0, 8.881784197001252e-16, 0.0, 8.197886813832156e-12)),
+    (20, 0.8, 10.0): ("0a5b419ff0aa1e18361435d3b2e8d586d259dca22133c9312622ef0ce47afdee",
+                      (0.0, 0.0, 0.0, 0.0, -2.547295707699959e-12)),
 }
+
+
+def _golden_solve(K, s_over_K, nu_over_mu) -> dict:
+    return solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K),
+                             s_over_K * K).to_dict()
 
 
 @pytest.mark.parametrize("K, s_over_K, nu_over_mu", sorted(_GOLDEN_SOLVES))
 def test_solve_reports_match_their_golden_digests(K, s_over_K, nu_over_mu):
-    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s_over_K * K)
-    blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_SOLVES[K, s_over_K, nu_over_mu]
+    doc = _golden_solve(K, s_over_K, nu_over_mu)
+    del doc["residuals"], doc["max_residual"]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_SOLVES[K, s_over_K, nu_over_mu][0]
+
+
+@pytest.mark.parametrize("K, s_over_K, nu_over_mu", sorted(_GOLDEN_SOLVES))
+def test_solve_residuals_match_their_golden_values(K, s_over_K, nu_over_mu):
+    residuals = _golden_solve(K, s_over_K, nu_over_mu)["residuals"]
+    golden = _GOLDEN_SOLVES[K, s_over_K, nu_over_mu][1]
+    for name, value in zip(("eta1", "rho1", "rho2", "eta2", "fill"), golden):
+        assert abs(residuals[name] - value) <= 1e-13, name
+        assert abs(residuals[name]) <= 1e-10, name

@@ -76,6 +76,19 @@ def test_csv_rejects_out_of_order_rows(tmp_path):
         measure_from_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,0,1,0,0.2", r"row 1 state \['0', '0', '1', '0'\] out of enumeration order"),
+    ("0,0,0,1", r"row 1 has 4 fields, not 5"),  # was an IndexError
+    ("0,0,0,99999999999999999999,0.2", r"a state count does not fit in 64 bits"),
+])
+def test_csv_names_the_first_malformed_row(tmp_path, row, message):
+    path = tmp_path / "m.csv"
+    path.write_text("w,x,y,z,prob\n0,0,0,0,0.2\n" + row + "\n"
+                    "0,0,1,0,0.2\n0,1,0,0,0.2\n1,0,0,0,0.2\n")
+    with pytest.raises(ValueError, match=message):
+        measure_from_csv(path)
+
+
 def test_timed_measure_csv_layout(tmp_path):
     m0 = Measure.point((0, 0, 1, 0), 1)
     m1 = Measure.uniform(1)

@@ -4,7 +4,8 @@ check registry."""
 import numpy as np
 import pytest
 
-from duores.core import enumerate_states, num_states
+import duores.verify as verify
+from duores.core import count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
 from duores.verify import (
     CHECKS,
@@ -66,7 +67,20 @@ def test_checks_report_worst_below_tolerance():
     assert res.passed and res.worst < res.tol
 
 
+def test_enumeration_check_catches_count_arrays_out_of_order(monkeypatch):
+    def swapped(K):
+        cols = [c.copy() for c in count_arrays(K)]
+        if K == 3:
+            for c in cols:
+                c[[5, 6]] = c[[6, 5]]
+        return tuple(cols)
+
+    monkeypatch.setattr(verify, "count_arrays", swapped)
+    res = check_enumeration()
+    assert not res.passed and res.worst == 2.0
+
+
 def test_fixed_point_large_K_meets_tolerance_on_every_solve():
     res = check_fixed_point_large_K()
-    assert res.details["n_solves"] == 72
+    assert res.details["n_solves"] == 96
     assert res.passed and res.worst < res.tol

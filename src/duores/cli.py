@@ -325,8 +325,7 @@ def _cmd_equilibrium(cfg: dict, conf: dict, args) -> int:
     r = report.rho
     print(
         f"eta1={r.eta1:.10g} rho1={r.rho1:.10g} rho2={r.rho2:.10g} "
-        f"eta2={r.eta2:.10g} max_residual={report.max_residual:.3g} "
-        f"monotone_ok={report.monotone_ok}"
+        f"eta2={r.eta2:.10g} max_residual={report.max_residual:.3g}"
     )
     return 0
 

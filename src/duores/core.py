@@ -310,10 +310,16 @@ class Measure:
                 f"expected {num_states(self.K)} entries for capacity {self.K}, "
                 f"got shape {p.shape}"
             )
-        if p.min() < 0.0:
-            raise ValueError(f"negative mass {p.min()!r} at rank {int(p.argmin())}")
-        total = float(p.sum())
-        if abs(total - 1.0) > _SUM_TOL:
+        # NaN fails both comparisons; the offending rank is looked for
+        # only on the way out, so a valid measure costs one min and one sum.
+        low, total = p.min(), float(p.sum())
+        if not (low >= 0.0 and abs(total - 1.0) <= _SUM_TOL):
+            bad = np.flatnonzero(~np.isfinite(p))
+            if bad.size:
+                r = int(bad[0])
+                raise ValueError(f"non-finite mass {float(p[r])!r} at rank {r}")
+            if low < 0.0:
+                raise ValueError(f"negative mass {float(low)!r} at rank {int(p.argmin())}")
             raise ValueError(f"mass sums to {total!r}, not 1 within {_SUM_TOL}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

@@ -392,18 +392,24 @@ def fill_along_curve(t: float, a: float, c: float, K: int) -> float:
 # ============================================================
 
 _MAX_OUTER = 200  # steps of the outer fill bisection
-_SCAN_GRID = 4096  # grid points of the root scan after a non-monotone trace
 
 
 class MultipleEquilibriaError(RuntimeError):
-    """The fill equation admits several roots; refusing to pick one."""
+    """The fill along the fixed-point curve decreased between two
+    evaluations of the fill bisection, so the fill equation may have
+    several roots; the solver refuses instead of picking one.  ``s`` is
+    the fill target and ``pair`` the first decreasing pair of
+    ``(t, fill)`` evaluations in ``t`` order."""
 
-    def __init__(self, roots: list[float], s: float):
-        self.roots = list(roots)
+    def __init__(self, K: int, s: float, nu_over_mu: float, pair):
         self.s = s
+        self.pair = pair
+        (t0, f0), (t1, f1) = pair
         super().__init__(
-            f"fill target {s} is attained at {len(roots)} distinct "
-            f"aggregated intensities: {roots}"
+            f"fill at K={K}, s={s!r}, nu/mu={nu_over_mu!r} decreases along the "
+            f"fixed-point curve, from {f0!r} at t={t0!r} to {f1!r} at t={t1!r}: "
+            "uniqueness of the equilibrium is not established here, so no root "
+            "is picked (see experiments.monotonicity_scan)"
         )
 
 
@@ -417,8 +423,6 @@ class SolveReport:
     residuals: dict
     outer_iterations: int
     fill_evaluations: int
-    monotone_ok: bool
-    fallback_roots: tuple = ()
 
     @property
     def max_residual(self) -> float:
@@ -441,61 +445,19 @@ class SolveReport:
                 "outer": self.outer_iterations,
                 "fill_evaluations": self.fill_evaluations,
             },
-            "monotone_ok": self.monotone_ok,
-            "fallback_roots": list(self.fallback_roots),
         }
 
 
-def _bisect_fill(a: float, c: float, K: int, s: float, fill_tol: float,
-                 lo: float, hi: float, v_lo: float):
-    """Bisection of the fill equation on ``[lo, hi]``, keeping ``lo``
-    while ``fill - s`` has the sign of ``v_lo``; the ends are never
-    evaluated.  Stops at ``|fill - s| < fill_tol``, at adjacent doubles
-    or after ``_MAX_OUTER`` steps.  Returns the root (``None`` if none
-    was met), the last bracket and every (t, fill) evaluation."""
-    evals = []
-    below = bool(v_lo < 0.0)  # a plain bool: np.bool_ == bool is a slow ufunc call
-    for _ in range(_MAX_OUTER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = fill_along_curve(mid, a, c, K)
-        evals.append((mid, val))
-        if abs(val - s) < fill_tol:
-            return mid, lo, hi, evals
-        if bool(val < s) == below:
-            lo = mid
-        else:
-            hi = mid
-    return None, lo, hi, evals
+def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
+                nu_over_mu: float) -> tuple[float, int]:
+    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve and the
+    number of fill evaluations.
 
-
-def _scan_fill_roots(a: float, c: float, K: int, s: float, fill_tol: float) -> list[float]:
-    """Grid scan + local bisection, reporting every root of
-    ``fill(t) = s``.  Used when the bisection trace was not monotone;
-    a bracket the bisection exhausts gives its midpoint."""
-    ts = [a * k / (_SCAN_GRID + 1) for k in range(1, _SCAN_GRID + 1)]
-    vals = [fill_along_curve(t, a, c, K) - s for t in ts]
-    roots = []
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        if v0 == 0.0:
-            roots.append(t0)
-        elif v0 * v1 < 0.0:
-            t, lo, hi, _ = _bisect_fill(a, c, K, s, fill_tol, t0, t1, v0)
-            roots.append(0.5 * (lo + hi) if t is None else t)
-    if vals and vals[-1] == 0.0:
-        roots.append(ts[-1])
-    return roots
-
-
-def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
-    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve.
-
-    Bisects on (0, a), whose virtual end values are 0 and K; when that
-    trace is not monotone, a grid scan looks for every root and the
-    single one found replaces the bisection's.  Returns the root, the
-    outer step count, the number of bisection evaluations, the
-    monotonicity flag and the scan's roots (empty when no scan ran).
+    Bisects on (0, a), whose virtual end values are 0 and K; the ends
+    are never evaluated.  Stops at ``|fill - s| < fill_tol``, at adjacent
+    doubles or after ``_MAX_OUTER`` steps.  A root is returned only if
+    the evaluations, in ``t`` order, never decrease by more than
+    ``1e-12 max(1, K)``.
 
     Raises
     ------
@@ -505,35 +467,42 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float):
     RuntimeError
         If the bisection stops anywhere else.
     MultipleEquilibriaError
-        If the scan finds more than one root.
+        If the bisection met ``fill_tol`` but its evaluations decrease
+        somewhere; no other root is searched for.
     """
-    t_star, lo, hi, evals = _bisect_fill(a, c, K, s, fill_tol, 0.0, a, -s)
-    if t_star is None:
-        fills = dict(evals)
-        if hi == a:  # closed on the unevaluated top end: lo is a's lower neighbour
-            raise ValueError(
-                f"fill s={s!r} at K={K} is out of reach in double precision: "
-                f"the largest fill reached, at t={lo!r} just below a={a!r}, "
-                f"is {fills.get(lo, 0.0)!r}"
-            )
-        fill_lo, fill_hi = fills.get(lo, 0.0), fills[hi]
-        raise RuntimeError(
-            f"fill bisection at K={K}, s={s!r} stopped after {len(evals)} "
-            f"evaluations on the bracket [{lo!r}, {hi!r}] with fills "
-            f"[{fill_lo!r}, {fill_hi!r}]: gap {fill_hi - fill_lo:.3g}, "
-            f"fill_tol {fill_tol:.3g}"
+    lo, hi = 0.0, a
+    evals = []
+    for _ in range(_MAX_OUTER):
+        t = 0.5 * (lo + hi)
+        if t == lo or t == hi:
+            break
+        fill = fill_along_curve(t, a, c, K)
+        evals.append((t, fill))
+        if abs(fill - s) < fill_tol:
+            ordered = sorted(evals)
+            slack = 1e-12 * max(1.0, float(K))
+            for (t0, f0), (t1, f1) in zip(ordered, ordered[1:]):
+                if not f1 >= f0 - slack:
+                    raise MultipleEquilibriaError(K, s, nu_over_mu, ((t0, f0), (t1, f1)))
+            return t, len(evals)
+        if fill < s:
+            lo = t
+        else:
+            hi = t
+    fills = dict(evals)
+    if hi == a:  # closed on the unevaluated top end: lo is a's lower neighbour
+        raise ValueError(
+            f"fill s={s!r} at K={K} is out of reach in double precision: "
+            f"the largest fill reached, at t={lo!r} just below a={a!r}, "
+            f"is {fills.get(lo, 0.0)!r} (nu/mu={nu_over_mu!r})"
         )
-    ordered = sorted(evals)
-    slack = 1e-12 * max(1.0, float(K))
-    monotone = all(b[1] >= a_[1] - slack for a_, b in zip(ordered, ordered[1:]))
-    roots: list[float] = []
-    if not monotone:
-        roots = _scan_fill_roots(a, c, K, s, fill_tol)
-        if len(roots) > 1:
-            raise MultipleEquilibriaError(roots, s)
-        if roots:
-            t_star = roots[0]
-    return t_star, len(evals), len(evals), monotone, tuple(roots)
+    fill_lo, fill_hi = fills.get(lo, 0.0), fills[hi]
+    raise RuntimeError(
+        f"fill bisection at K={K}, s={s!r} stopped after {len(evals)} "
+        f"evaluations on the bracket [{lo!r}, {hi!r}] with fills "
+        f"[{fill_lo!r}, {fill_hi!r}]: gap {fill_hi - fill_lo:.3g}, "
+        f"fill_tol {fill_tol:.3g}"
+    )
 
 
 def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
@@ -557,8 +526,9 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         If the fill bisection stops before the fill is within
         ``fill_tol`` of ``s``.
     MultipleEquilibriaError
-        If the evaluations were not monotone and a grid scan finds more
-        than one root of the fill equation.
+        If the bisection's fill evaluations are not increasing in ``t``:
+        uniqueness is not established there, and no root is picked.  The
+        message names K, s, nu/mu and the first decreasing pair.
     """
     if p.lam <= 0:
         raise ValueError("lam must be > 0 to solve the fixed point")
@@ -568,11 +538,7 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
     c = (1.0 + r) / (1.0 + 2.0 * r)
 
-    try:
-        t_star, outer, n_evals, monotone, fallback_roots = _solve_fill(
-            a, c, p.K, s, fill_tol)
-    except ValueError as err:  # an unreachable fill; name the speed too
-        raise ValueError(f"{err} (nu/mu={p.nu / p.mu!r})") from None
+    t_star, n_evals = _solve_fill(a, c, p.K, s, fill_tol, p.nu / p.mu)
     rho2 = solve_phi(t_star, a, p.K)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1
@@ -598,9 +564,7 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         s_target=s,
         rho=rho,
         residuals=residuals,
-        outer_iterations=outer,
+        outer_iterations=n_evals,
         fill_evaluations=n_evals,
-        monotone_ok=monotone,
-        fallback_roots=fallback_roots,
     )
 

@@ -34,8 +34,8 @@ from .equilibrium import (
     solve_phi,
 )
 from .meanfield import integrate, integrate_at
-from .simulate import (SimConfig, _budgeted_pairs, empirical_measure, init_uniform,
-                       pair_empirical, run)
+from .simulate import (SimConfig, _budgeted_pairs, _pair_table, _rank_counts,
+                       empirical_measure, init_uniform, run)
 
 __all__ = [
     "ExperimentReport",
@@ -96,13 +96,13 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     """The replica study behind the convergence and chaos experiments:
     the report's ``config`` and an iterator that yields, one ``N`` at a
     time, the row head ``{N, M, seeds}``, the replica-averaged measures,
-    the averaged pair measures and worst marginal error (``None`` and 0
-    without ``with_pairs``) and the flow at the sample times.  Pair
-    tables above the state budget are refused here, before any run."""
+    the pair averages of :func:`_averaged_pairs` (``None`` without
+    ``with_pairs``) and the flow at the sample times.  Pair tables above
+    the state budget are refused here, before any run."""
     sample_times = tuple(float(t) for t in sample_times)
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     if with_pairs:
-        _budgeted_pairs(p.K)
+        n = _budgeted_pairs(p.K)
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
@@ -116,8 +116,7 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
             init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
             init_measure = empirical_measure(init.counts(), p.K)
             acc = [np.zeros_like(init_measure.probs) for _ in sample_times]
-            acc_pair = [0.0] * len(sample_times)
-            marginal_err = 0.0
+            hists = [[] for _ in sample_times]  # rank counts per time, in replica order
             seeds = []
             for rep in range(1, replicas + 1):
                 seed = derive_seed(seed0, N, rep)
@@ -125,22 +124,36 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
                 cfg = SimConfig(N=N, M=M, T=T, sample_times=sample_times, seed=seed)
                 traj = run(p, cfg, initial=init, audit=audit)
                 for k, (_, counts) in enumerate(traj):
-                    emp = empirical_measure(counts, p.K)
-                    acc[k] += emp.probs
+                    acc[k] += empirical_measure(counts, p.K).probs
                     if with_pairs:
-                        pair = pair_empirical(counts, p.K)
-                        acc_pair[k] = acc_pair[k] + pair
-                        marginal_err = max(
-                            marginal_err,
-                            float(np.abs(pair.sum(axis=1) - emp.probs).max()),
-                            float(np.abs(pair.sum(axis=0) - emp.probs).max()),
-                        )
+                        hists[k].append(_rank_counts(counts, p.K, n))
             avg = [Measure(a / replicas, p.K) for a in acc]
-            avg_pair = [a / replicas for a in acc_pair] if with_pairs else None
+            pairs = _averaged_pairs(hists, N, n) if with_pairs else None
             flow = integrate_at(init_measure, p, sample_times, dt_max)
-            yield {"N": N, "M": M, "seeds": seeds}, avg, avg_pair, marginal_err, flow
+            yield {"N": N, "M": M, "seeds": seeds}, avg, pairs, flow
 
     return config, conditions()
+
+
+def _averaged_pairs(hists, N, n):
+    """Yield, one sample time at a time, the replica-averaged pair table
+    of :func:`~duores.simulate.pair_empirical` and the worst difference
+    between a replica's pair marginals and its one-station empirical
+    measure.  ``hists[k]`` holds each replica's counts over the ``n``
+    state ranks at sample time ``k``; the tables are built and summed in
+    replica order, so one sample time's tables are held at a time, never
+    one per time."""
+    for per_replica in hists:
+        acc = np.zeros((n, n))
+        worst = 0.0
+        for c in per_replica:
+            pair = _pair_table(c, N)
+            emp = c / N
+            worst = max(worst, float(np.abs(pair.sum(axis=1) - emp).max()),
+                        float(np.abs(pair.sum(axis=0) - emp).max()))
+            acc += pair
+        acc /= len(per_replica)
+        yield acc, worst
 
 
 def convergence_experiment(
@@ -168,7 +181,7 @@ def convergence_experiment(
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=False)
     rows = []
-    for row, avg, _, _, flow in study:
+    for row, avg, _, flow in study:
         tv_series = [tv_distance(a, f) for a, f in zip(avg, flow)]
         row["tv"] = [[t, v] for t, v in zip(config["sample_times"], tv_series)]
         row["tv_final"] = tv_series[-1]
@@ -214,11 +227,11 @@ def chaos_experiment(
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=True)
     rows = []
-    for row, _, avg_pair, marg, flow in study:
-        tv2 = [
-            0.5 * float(np.abs(ap - np.outer(f.probs, f.probs)).sum())
-            for ap, f in zip(avg_pair, flow)
-        ]
+    for row, _, pairs, flow in study:
+        tv2, marg = [], 0.0
+        for (avg_pair, err), f in zip(pairs, flow):
+            tv2.append(0.5 * float(np.abs(avg_pair - np.outer(f.probs, f.probs)).sum()))
+            marg = max(marg, err)
         row["pair_tv"] = [[t, v] for t, v in zip(config["sample_times"], tv2)]
         row["pair_tv_final"] = tv2[-1]
         row["marginal_err"] = marg

@@ -84,7 +84,9 @@ def measure_from_csv(path: str | Path) -> Measure:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} has no header: the file is empty")
         if header != _MEASURE_HEADER:
             raise ValueError(f"unexpected header {header!r}")
         rows = [row for row in reader if row]

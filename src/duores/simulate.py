@@ -409,12 +409,16 @@ def run(
         block = min(2 * block, _MAX_BLOCK)
 
 
+def _rank_counts(counts: np.ndarray, K: int, n: int) -> np.ndarray:
+    """Number of stations of a snapshot in each of the ``n`` state ranks."""
+    ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
+    return np.bincount(ranks, minlength=n)
+
+
 def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     """Empirical station-state distribution of a snapshot."""
     counts = np.asarray(counts)
-    ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
-    N = counts.shape[0]
-    return Measure(np.bincount(ranks, minlength=_budgeted_states(K)) / N, K)
+    return Measure(_rank_counts(counts, K, _budgeted_states(K)) / counts.shape[0], K)
 
 
 def _budgeted_pairs(K: int) -> int:
@@ -443,7 +447,14 @@ def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
     N = counts.shape[0]
     if N < 2:
         raise ValueError("pair statistics need at least two stations")
-    ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
-    c = np.bincount(ranks, minlength=n).astype(np.float64)
-    joint = np.outer(c, c) - np.diag(c)
-    return joint / (N * (N - 1))
+    return _pair_table(_rank_counts(counts, K, n), N)
+
+
+def _pair_table(c: np.ndarray, N: int) -> np.ndarray:
+    """:func:`pair_empirical` from the rank counts ``c`` of a snapshot of
+    ``N`` stations, built in one ``(n, n)`` array."""
+    c = c.astype(np.float64)
+    joint = np.outer(c, c)
+    joint.flat[::len(c) + 1] -= c
+    joint /= N * (N - 1)
+    return joint

@@ -305,9 +305,11 @@ def check_fixed_point_large_K(
     slow to near-instant reservations.
 
     Each solve must meet ``tol`` or raise
-    :class:`MultipleEquilibriaError`, the solver's one named refusal;
-    any other exception propagates.  This covers the steep-fill regime
-    of large ``K`` that :func:`check_fixed_point` does not reach.
+    :class:`MultipleEquilibriaError`, the solver's refusal of a fill
+    that decreases along the fixed-point curve, which is counted; any
+    other exception propagates, the named ``ValueError`` of an
+    unreachable fill included.  This covers the steep-fill regime of
+    large ``K`` that :func:`check_fixed_point` does not reach.
     """
     worst = 0.0
     n_solves = 0

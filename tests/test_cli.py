@@ -135,6 +135,23 @@ def test_meanfield_csv_initial_roundtrip(tmp_path):
     assert summary["stationarity_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("text, named", [
+    ("", "has no header: the file is empty"),  # was a StopIteration traceback
+    ("w,x,y,z,prob\n0,0,0,0,nan\n0,0,0,1,0\n0,0,1,0,0.5\n0,1,0,0,0.5\n1,0,0,0,0\n",
+     "non-finite mass nan at rank 0"),  # was accepted
+])
+def test_meanfield_unreadable_initial_csv_is_a_config_error(tmp_path, capsys, text, named):
+    init = tmp_path / "initial.csv"
+    init.write_text(text)
+    cfg = {"model": {**_MODEL, "K": 1},
+           "meanfield": {"initial": {"csv": str(init)}, "T": 0.1, "dt": 0.05},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read initial measure: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------
 # equilibrium
 # ------------------------------------------------------------
@@ -352,7 +369,7 @@ def test_fills_beyond_double_precision_are_config_errors(tmp_path, capsys, comma
 
 def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
     def several(p, s):
-        raise MultipleEquilibriaError([0.5, 1.5], s)
+        raise MultipleEquilibriaError(p.K, s, p.nu / p.mu, ((0.5, 1.5), (0.75, 1.25)))
 
     monkeypatch.setattr(cli, "solve_equilibrium", several)
     cfg = {"model": _MODEL, "meanfield": {"initial": {"equilibrium": {"s": 1.0}},
@@ -360,7 +377,7 @@ def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
            "output_dir": str(tmp_path / "out")}
     assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAIL: fill target 1.0 is attained at 2 distinct")
+    assert err.startswith("FAIL: fill at K=2, s=1.0, nu/mu=2.0 decreases")
     assert not (tmp_path / "out").exists()
 
 

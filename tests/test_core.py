@@ -119,6 +119,18 @@ def test_measure_validates_shape_and_simplex():
         Measure(neg, 1)
 
 
+@pytest.mark.parametrize("probs, named", [
+    ([math.nan, 0.0, 0.0, 0.0, 1.0], "nan at rank 0"),
+    ([0.0, 0.0, math.nan, 0.0, 1.0], "nan at rank 2"),
+    ([1.0, 0.0, 0.0, 0.0, math.nan], "nan at rank 4"),
+    ([0.0, math.inf, math.nan, 0.0, 0.0], "inf at rank 1"),  # the first of two
+])
+def test_measure_names_the_first_non_finite_rank(probs, named):
+    # NaN fails neither "min < 0" nor "|sum - 1| > tol", so it was accepted.
+    with pytest.raises(ValueError, match=rf"non-finite mass {named}$"):
+        Measure(probs, 1)
+
+
 def test_measure_never_renormalizes():
     p = np.full(5, 0.2)
     m = Measure(p, 1)

@@ -318,7 +318,6 @@ def test_solver_capacity_one_closed_form():
     assert abs(rep.rho.rho1 - 1.0) < 1e-6
     assert abs(rep.rho.rho2 - 2.0) < 1e-6
     assert rep.max_residual < 1e-10
-    assert rep.monotone_ok
 
 
 def test_solver_residuals_across_parameters():
@@ -444,17 +443,23 @@ def test_fast_reservations_approach_the_simple_variant():
         assert max(abs(v) for v in residuals) < 1e-6
 
 
-def test_multiple_equilibria_error_carries_roots():
-    err = MultipleEquilibriaError([0.5, 1.5], 1.0)
-    assert err.roots == [0.5, 1.5]
+def test_multiple_equilibria_error_names_the_decreasing_pair():
+    err = MultipleEquilibriaError(4, 1.0, 0.5, ((0.25, 1.5), (0.375, 0.75)))
     assert err.s == 1.0
-    assert "2 distinct" in str(err)
+    assert err.pair == ((0.25, 1.5), (0.375, 0.75))
+    assert str(err) == (
+        "fill at K=4, s=1.0, nu/mu=0.5 decreases along the fixed-point curve, "
+        "from 1.5 at t=0.25 to 0.75 at t=0.375: uniqueness of the equilibrium is "
+        "not established here, so no root is picked (see experiments.monotonicity_scan)"
+    )
 
 
 def test_solve_report_serializes():
     rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2), 1.0)
     blob = json.dumps(rep.to_dict())
     data = json.loads(blob)
+    assert set(data) == {"params", "s_target", "ratios", "residuals", "max_residual",
+                         "iterations"}
     assert data["s_target"] == 1.0
     assert set(data["residuals"]) == {"eta1", "rho1", "rho2", "eta2", "fill"}
 
@@ -464,33 +469,51 @@ def test_solve_report_serializes():
 # ------------------------------------------------------------
 
 def _piecewise_fill(monkeypatch, knots):
+    """Replace the fill curve by linear interpolation of ``knots`` and
+    return the list that records every evaluation."""
     ts, fills = zip(*knots)
-    monkeypatch.setattr(equilibrium, "fill_along_curve",
-                        lambda t, a, c, K: float(np.interp(t, ts, fills)))
+    calls = []
+
+    def fill(t, a, c, K):
+        calls.append(t)
+        return float(np.interp(t, ts, fills))
+
+    monkeypatch.setattr(equilibrium, "fill_along_curve", fill)
+    return calls
 
 
-def test_single_root_found_by_the_scan_replaces_the_bisections(monkeypatch):
-    # The fill rises to 1.2, dips to 0.9 and rises again: the bisection
-    # evaluates on both sides of the dip, but s = 0.6 is met only once,
-    # at t = 0.15.
-    _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
-    t_star, _, n_evals, monotone, roots = equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11)
-    assert not monotone
-    assert len(roots) == 1 and t_star == roots[0]
-    assert abs(t_star - 0.15) < 1e-11
-    assert n_evals > 0
+def test_a_decreasing_trace_with_one_root_is_refused(monkeypatch):
+    # The fill rises to 1.2, dips to 0.9 and rises again: s = 0.6 is met
+    # only once, at t = 0.15, but the bisection evaluates on both sides of
+    # the dip, and a decreasing trace is refused, never resolved by a
+    # search for roots.
+    calls = _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
+    with pytest.raises(MultipleEquilibriaError, match=r"K=2, s=0\.6, nu/mu=1\.5 decreases") as err:
+        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11, 1.5)
+    (t0, f0), (t1, f1) = err.value.pair
+    assert t0 < t1 and f1 < f0
+    assert t0 < 0.5 and t1 > 0.3  # the fill falls only on (0.3, 0.5)
+    assert 0 < len(calls) <= equilibrium._MAX_OUTER  # the bisection's, no scan
 
 
-def test_several_roots_raise_multiple_equilibria(monkeypatch):
+def test_several_roots_are_refused_without_a_scan(monkeypatch):
     # s = 0.6 is crossed three times: rising, falling, rising again
-    _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
-                                  (1.0, 2.0)])
+    calls = _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
+                                          (1.0, 2.0)])
     with pytest.raises(MultipleEquilibriaError) as err:
-        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11)
+        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11, 1.5)
     assert err.value.s == 0.6
-    expected = [0.08, 0.2 + 0.15 * 0.9 / 1.2, 0.35 + 0.25 * 0.3 / 0.7]
-    assert len(err.value.roots) == 3
-    assert np.allclose(err.value.roots, expected, rtol=0.0, atol=1e-10)
+    (t0, f0), (t1, f1) = err.value.pair
+    assert t0 < 0.35 and t1 > 0.2 and f1 < f0  # the fill falls only on (0.2, 0.35)
+    assert 0 < len(calls) <= equilibrium._MAX_OUTER
+
+
+@pytest.mark.parametrize("K", [3, 10, 40])
+@pytest.mark.parametrize("nu_over_mu", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("s_over_K", [0.3, 0.6])
+def test_ordinary_cells_are_solved_not_refused(K, nu_over_mu, s_over_K):
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s_over_K * K)
+    assert rep.max_residual <= 1e-10
 
 
 # ------------------------------------------------------------
@@ -522,58 +545,59 @@ def test_capacity_1000_solves_meet_the_residual_bound(s_over_K, nu_over_mu):
 # Golden solves
 # ------------------------------------------------------------
 
-# Per cell, lam = mu = 1, both taken at commit 363e21a, where the residuals
-# were the functionals of the per-state product form: the sha-256 of
-# ``json.dumps(to_dict(), sort_keys=True)`` without "residuals" and
-# "max_residual", and the residuals (eta1, rho1, rho2, eta2, fill).  The
+# Per cell, lam = mu = 1: the sha-256 of ``json.dumps(to_dict(),
+# sort_keys=True)`` without "residuals" and "max_residual", taken at commit
+# d73f569 with its "monotone_ok" and "fallback_roots" keys removed too; and
+# the residuals (eta1, rho1, rho2, eta2, fill), taken at commit 363e21a,
+# where they were the functionals of the per-state product form.  The
 # convolution residuals round differently, so they are held within 1e-13 of
 # those values instead of bit for bit.
 _GOLDEN_SOLVES = {
-    (3, 0.2, 0.1): ("595fb2aa318aceb52e6bb05c9fc65bab4ecc0e555f0932619191887367868cab",
+    (3, 0.2, 0.1): ("ad185821df349c2fab8642113ff9486aaa2ff25cb47c7667e81e6d9d6e4d0e23",
                     (0.0, 0.0, -1.1796119636642288e-16, 0.0, 1.0089706847793423e-12)),
-    (3, 0.2, 10.0): ("4b37b0eefa372da59e319c87beca6af9400644a1f3d54436fc0234563d97ef1d",
+    (3, 0.2, 10.0): ("ec5a221281328e3a2e7ad5125cdd7c04c1ae3e535a3f40135447aa64855ab6c1",
                      (-1.0408340855860843e-17, -1.1102230246251565e-16,
                       -1.1102230246251565e-16, -1.0408340855860843e-17,
                       -3.623767952376511e-13)),
-    (3, 0.5, 0.1): ("25cbe52c8048279b36cbdfbcd88fd28384ec33e8dfbbda2964bc6d026e3074d5",
+    (3, 0.5, 0.1): ("8da01e5dd0d19f19fbb20460397eeabefb805febdcb5a428c95679a17dcabafc",
                     (8.881784197001252e-16, 1.1102230246251565e-16, -1.1102230246251565e-16,
                      8.881784197001252e-16, 3.992584041156988e-12)),
-    (3, 0.5, 10.0): ("72779e833c2b6ef87fceb13bb7e8a77bc11d1bab0174f34b71685ee52ae437c5",
+    (3, 0.5, 10.0): ("2ba66a2a7594d08c4bab9f3e6c008b4cc94b7891892a07bab4ae49ff42301711",
                      (0.0, 0.0, 1.1102230246251565e-16, 0.0, 6.849854017332291e-12)),
-    (3, 0.8, 0.1): ("6a03789dc1b948ef80eedc43bb9add12e0ae1ed80967f02d7498de2f88e2e1ec",
+    (3, 0.8, 0.1): ("a24db6588dc13cd9bc35936b825f1f1595340e9db3eb05894875e9930570ed11",
                     (0.0, 0.0, -3.197442310920451e-14, 0.0, 6.3016258877723885e-12)),
-    (3, 0.8, 10.0): ("d61595e5171d249b50f1866ab6594870d77195900049b9ff2a5897fe15abbb68",
+    (3, 0.8, 10.0): ("3689eac89bbead7ce1da01a6681e6ce859037c292e6c7dcb61fbb9300210a672",
                      (0.0, 0.0, -4.440892098500626e-16, 0.0, 1.20525811553307e-12)),
-    (10, 0.2, 0.1): ("7f9d0690408ceb8e7e62cf9f726601f8cb8b75b7b9e8efb371e6986fb2d2c847",
+    (10, 0.2, 0.1): ("7e596b8380c74952e6c2fb44a32a6f1ffeebc7222a386cf541ae348317a0a9bc",
                      (1.1102230246251565e-15, 1.1102230246251565e-16, 8.326672684688674e-17,
                       1.1102230246251565e-15, -2.2146728895222623e-12)),
-    (10, 0.2, 10.0): ("aa88995ac7888b1a8bd59dbdde085dae4044aa45c96a64feea2c1c1c76839662",
+    (10, 0.2, 10.0): ("2aa7f3da5ef979fafff62bbd39a998ab433b88bf662f7c044d7786740900cf5c",
                       (1.3877787807814457e-17, 1.1102230246251565e-16,
                        1.1102230246251565e-16, 1.3877787807814457e-17,
                        -5.499156685573325e-12)),
-    (10, 0.5, 0.1): ("569067d27968b0a856bd733a25ea8bee2c8e57301f8e36713a4327ef69527659",
+    (10, 0.5, 0.1): ("3eccf9d6b5c2e383f66f4c753724f2b7fac7860bfde1221e7765591162ad7ba0",
                      (0.0, 0.0, 1.1102230246251565e-16, 0.0, -2.2426505097428162e-12)),
-    (10, 0.5, 10.0): ("4c960bf864a8658dfd07376b5b893a0dde206ea1e1eab952d94bcd5705ed449d",
+    (10, 0.5, 10.0): ("1123b80b752845ae382c8c592bb72095bdd8264120f48143d0154bb20794ad31",
                       (0.0, 0.0, -1.1102230246251565e-16, 0.0, -8.945733043219661e-12)),
-    (10, 0.8, 0.1): ("8909c59b3f31adb0649fc604a4ab14f8ae5b470ff7df807d2ad81cf035f942f1",
+    (10, 0.8, 0.1): ("709f3770f95a4b574bda42d90b305c1cea8ae29131d618e8a435c483b602fca4",
                      (0.0, 0.0, -4.440892098500626e-15, 0.0, 8.93152218850446e-12)),
-    (10, 0.8, 10.0): ("4501a0d29265d57fff228c6675d526a77997c73f1f0056f9d7d90fa102ba98c9",
+    (10, 0.8, 10.0): ("550a133ef148316a26538da8fea4289f67b04992294a626d2ef2621316263554",
                       (0.0, 0.0, 2.220446049250313e-16, 0.0, -4.058975378029572e-12)),
-    (20, 0.2, 0.1): ("5d6fc2346a60763b399a41a6034127bef7495ef1fc62444be83b5e1378c14f31",
+    (20, 0.2, 0.1): ("19ec963b508381b594f8739dedb7d8adc40809008fe56b7349886b7a35662da0",
                      (8.881784197001252e-16, 1.1102230246251565e-16, 1.6653345369377348e-16,
                       8.881784197001252e-16, -4.774847184307873e-12)),
-    (20, 0.2, 10.0): ("3e03544fc3027b989daaca03970d86dfb844b94e94595de5a9cb3000165a5c29",
+    (20, 0.2, 10.0): ("d1f36a2599542c97fed575b595d3492188ff036c7249915e59a73814ad288d33",
                       (0.0, 0.0, -1.1102230246251565e-16, 0.0, 3.1374902675906924e-12)),
-    (20, 0.5, 0.1): ("452b59fe1629e4bfc9f2d87f0baf18a9decc9efcf746376c261fcd0a6523e723",
+    (20, 0.5, 0.1): ("2e581c24da5638c4b448820e3f1a61f14f290f5ef913bb81f92f5aa1d89d9219",
                      (1.7763568394002505e-15, 2.220446049250313e-16, 0.0,
                       1.7763568394002505e-15, -1.3837819778927951e-12)),
-    (20, 0.5, 10.0): ("cfa1b7f1b78843bb95eff85b071f92ad45cafffffceac0657d4870abdd74e61d",
+    (20, 0.5, 10.0): ("cb10d851c42e51cb35690db1863b5f213aa6b0908f45e99a728b350170b85c54",
                       (-1.3877787807814457e-17, -1.1102230246251565e-16,
                        -1.1102230246251565e-16, -1.3877787807814457e-17,
                        6.036060540282051e-12)),
-    (20, 0.8, 0.1): ("a94f6c2438afe73a0392cd6666b1f0a26f7c7b7a761e2150ec040bccebe34f01",
+    (20, 0.8, 0.1): ("39033b7774627d81b141f1466e2b8122ca08342c4d53ab0a81d534b0f65300a4",
                      (0.0, 0.0, 8.881784197001252e-16, 0.0, 8.197886813832156e-12)),
-    (20, 0.8, 10.0): ("0a5b419ff0aa1e18361435d3b2e8d586d259dca22133c9312622ef0ce47afdee",
+    (20, 0.8, 10.0): ("84b97bf26a6d724a51eb7c45174f3674b46ccbdc51e3a38a5d87089063bae4b5",
                       (0.0, 0.0, 0.0, 0.0, -2.547295707699959e-12)),
 }
 

@@ -55,6 +55,13 @@ def test_csv_rejects_bad_header(tmp_path):
         measure_from_csv(path)
 
 
+def test_csv_refuses_an_empty_file_by_name(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")  # was a StopIteration from the csv reader
+    with pytest.raises(ValueError, match=r"empty\.csv has no header: the file is empty"):
+        measure_from_csv(path)
+
+
 def test_csv_rejects_wrong_row_count(tmp_path):
     m = _random_measure(1, seed=3)
     path = tmp_path / "m.csv"

@@ -216,6 +216,9 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
             measures = [empirical_measure(c, p.K) for _, c in traj]
         except ValueError as e:
             raise ConfigError(str(e))
+        except RuntimeError as e:  # SimInvariantError from an audited run
+            print(f"FAIL: {e}", file=sys.stderr)
+            return 1
         out = _out_dir(cfg, args.output_dir)
         suffix = "" if replicas == 1 else f"_r{r}"
         write_station_trajectory_csv(traj, out / f"trajectory{suffix}.csv")

@@ -95,6 +95,13 @@ def _budgeted_states(K: int) -> int:
     return n
 
 
+_CACHED_CAPACITIES = 8
+"""Number of capacities that each per-capacity table cache (here, in
+``meanfield`` and in ``experiments``) keeps.  Beyond it the least
+recently used capacity is dropped, so a process that touches many
+capacities does not hold all their tables until it exits."""
+
+
 def enumerate_states(K: int) -> list[StationState]:
     """All admissible states for capacity ``K`` in lexicographic order.
 
@@ -159,7 +166,7 @@ def ranks_of(
     return _rank(w, x, y, z, K)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def _count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four count columns in rank order, one vectorized level per
     count: every prefix with capacity ``r`` left expands into ``r + 1``
@@ -183,7 +190,7 @@ def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return _count_arrays(K)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def fill_vector(K: int) -> np.ndarray:
     """Cars attributed to the station per rank: ``x + y + z``.
 
@@ -197,7 +204,7 @@ def fill_vector(K: int) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def _fill_weights(K: int) -> np.ndarray:
     """:func:`fill_vector` as float64, so that :func:`mean_fill`'s
     product takes the float dot kernel instead of a mixed-type loop."""
@@ -206,7 +213,7 @@ def _fill_weights(K: int) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def no_available_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with no available car (y = 0)."""
     _, _, y, _ = _count_arrays(K)
@@ -215,7 +222,7 @@ def no_available_mask(K: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def saturated_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with every space taken."""
     w, x, y, z = _count_arrays(K)

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _CACHED_CAPACITIES,
     Measure,
     ModelParams,
     count_arrays,
@@ -255,7 +256,7 @@ def chaos_experiment(
 # Attraction of the flow to the fixed point
 # ============================================================
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def _shift_permutation(K: int) -> np.ndarray:
     """Read-only rank permutation that rotates each class of equal
     ``(w, z, x + y)`` by one place: ``perm[cls[i]] = cls[i - 1]`` for

@@ -55,6 +55,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _CACHED_CAPACITIES,
     Measure,
     ModelParams,
     count_arrays,
@@ -92,7 +93,7 @@ class _Stencils:
 _MOVES = ((+1, 0, 0, 0), (-1, +1, 0, 0), (0, -1, +1, 0), (0, 0, -1, +1), (0, 0, 0, -1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def _stencils(K: int) -> _Stencils:
     w, x, y, z = count_arrays(K)
     n = num_states(K)

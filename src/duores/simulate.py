@@ -26,21 +26,34 @@ and the per-event draw order unchanged (``k`` calls of
 ``rng.random(4)`` yield exactly ``rng.random(4 * k)``): for a fixed seed
 its trajectories are byte-identical to those of a ``step`` loop.
 
-One kernel, ``_fire``, holds the transition rules for both ``step`` and
-``run``, and reports the two stations an event read; it writes no
-other.  ``run`` keeps the counts in Python lists, where an event costs
-a few list operations, audited or not.  An audited run checks after
-each event only the stations the kernel reported: nonnegative counts,
-occupancy at most ``K``, and running totals of ``w, x, y, z`` against
-the car count and the pending-pickup and driving list lengths, O(1) per
-event.  The whole-state ``check_invariants`` runs after the first event
-and, with the deep list reconciliation, at every snapshot.
+One loop, ``_advance``, holds the transition rules for both ``step``
+and ``run``: it fires a block of draw rows, with no Python call per
+event on a plain run.  ``run`` feeds it each block it draws, and
+``step`` feeds it a single row.  A block's arrival stations come from
+one numpy expression, ``min(int(u * N), N - 1)`` over the third and
+fourth columns; that is exact, since ``u * N`` is the same IEEE double
+product as Python's and the cast truncates toward zero as ``int()``
+does.  ``step`` takes its one row's stations by the same rule in
+scalars, where numpy's per-call cost would outweigh the work.  The
+holding time ``-log1p(-u0) / rate`` stays a per-event ``math.log1p``:
+numpy's ``log1p`` differs from it in the last bit on some inputs, which
+would change every trajectory.
+
+``run`` keeps the counts in Python lists, where an event costs a few
+list operations.  Each event reports the two stations it read and
+writes no other.  An audited run checks after each event only those
+stations: nonnegative counts, occupancy at most ``K``, and running
+totals of ``w, x, y, z`` against the car count and the pending-pickup
+and driving list lengths, O(1) per event.  The whole-state
+``check_invariants`` runs after the first event and, with the deep
+list reconciliation, at every snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import inf, log1p
 
 import numpy as np
 
@@ -197,59 +210,97 @@ def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
-def _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, r, u2, u3):
-    """Apply one event to the counts ``w, x, y, z`` (lists or arrays)
-    and the ``pickups``/``driving`` lists.
+def _stations(u: np.ndarray, N: int) -> np.ndarray:
+    """Stations ``min(int(v * N), N - 1)`` for the draws ``v`` of ``u``.
 
-    Returns ``(tag, i, j)``: the event's tag and the stations it read,
-    the origin ``i`` and destination ``j`` (``i == j`` for a return).
-    No other station's counts change, which is what lets the audit of
-    ``run`` check only these two.
-
-    ``r`` is the event-class draw scaled by the total rate, ``u2`` and
-    ``u3`` are the last two draws.  ``lam_N`` and the list lengths must
-    be those the total rate was computed from, so nothing may change
-    the state between the draws and this call.
+    Exactly the scalar rule: ``u * N`` is the same IEEE double product
+    as Python's ``v * N``, and the cast truncates toward zero as
+    ``int()`` does.  The clamp guards a product that rounds up to ``N``.
     """
-    # each draw u picks one of n items as int(u * n), clamped to n - 1
-    # as min() would, at a fraction of a min() call's cost
-    if r < lam_N:
-        i = int(u2 * N)
-        if i >= N:
-            i = N - 1
-        j = int(u3 * N)
-        if j >= N:
-            j = N - 1
-        if y[i] > 0 and w[j] + x[j] + y[j] + z[j] < K:
-            y[i] -= 1
-            z[i] += 1
-            w[j] += 1
-            pickups.append((i, j))
-            return "arrival", i, j
-        return "blocked", i, j
-    P = len(pickups)
-    if r < lam_N + nu * P:
-        idx = int(u3 * P)
-        if idx >= P:
-            idx = P - 1
-        i, j = pickups[idx]
-        pickups[idx] = pickups[-1]
-        pickups.pop()
-        z[i] -= 1
-        w[j] -= 1
-        x[j] += 1
-        driving.append(j)
-        return "pickup", i, j
-    D = len(driving)
-    idx = int(u3 * D)
-    if idx >= D:
-        idx = D - 1
-    j = driving[idx]
-    driving[idx] = driving[-1]
-    driving.pop()
-    x[j] -= 1
-    y[j] += 1
-    return "return", j, j
+    return np.minimum((u * N).astype(np.int64), N - 1)
+
+
+def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, check=None, t_next=inf,
+             take=None):
+    """Fire the events of ``rows`` in order: the one copy of the
+    transition rules, for both ``step`` and ``run``.
+
+    ``w, x, y, z`` are the counts (lists or arrays) and ``pickups``,
+    ``driving`` the lists, all changed in place.  Each row is
+    ``(u0, u1, i, j, u3)``: the holding-time and event-class draws, the
+    arrival's origin and destination stations (the third and fourth
+    draws through :func:`_stations`), and the fourth draw again, which
+    picks a pending pickup or a driving car.
+
+    Before an event past the sample time ``t_next`` fires,
+    ``take(t_next)`` records the state and returns the next sample time,
+    or ``None`` after the last one, which ends the advance before that
+    event fires.  A network with no active transition never fires
+    again: its next event lies at infinity.  With ``check`` set,
+    ``check.event(t, tag, i, j)`` runs after each event with the
+    stations it read, the origin ``i`` and destination ``j``
+    (``i == j`` for a return); no other station's counts change.
+
+    Returns ``(t, t_next, tag, dt)``: the time and tag of the last event
+    fired, the next sample time (``None`` once all are taken) and the
+    last holding time computed.  ``t + dt`` is the same double as
+    ``t - log1p(-u0) / rate``.
+    """
+    P, D = len(pickups), len(driving)
+    tag = dt = None
+    for u0, u1, i, j, u3 in rows:
+        rate = lam_N + nu * P + mu * D
+        if rate > 0.0:
+            dt = -log1p(-u0) / rate
+            t_event = t + dt
+        else:
+            t_event = inf
+        while t_next < t_event:
+            t_next = take(t_next)
+            if t_next is None:
+                return t, None, tag, dt
+        t = t_event
+        r = u1 * rate
+        if r < lam_N:
+            if y[i] > 0 and w[j] + x[j] + y[j] + z[j] < K:
+                y[i] -= 1
+                z[i] += 1
+                w[j] += 1
+                pickups.append((i, j))
+                P += 1
+                tag = "arrival"
+            else:
+                tag = "blocked"
+        elif r < lam_N + nu * P:
+            # an index draw picks one of n items as int(u3 * n), clamped
+            # to n - 1 as min() would, at a fraction of a min() call's cost
+            k = int(u3 * P)
+            if k >= P:
+                k = P - 1
+            i, j = pickups[k]
+            pickups[k] = pickups[-1]
+            pickups.pop()
+            z[i] -= 1
+            w[j] -= 1
+            x[j] += 1
+            driving.append(j)
+            P -= 1
+            D += 1
+            tag = "pickup"
+        else:
+            k = int(u3 * D)
+            if k >= D:
+                k = D - 1
+            i = j = driving[k]
+            driving[k] = driving[-1]
+            driving.pop()
+            x[j] -= 1
+            y[j] += 1
+            D -= 1
+            tag = "return"
+        if check is not None:
+            check.event(t, tag, i, j)
+    return t, t_next, tag, dt
 
 
 def step(state: SimState, p: ModelParams, rng: np.random.Generator):
@@ -260,15 +311,22 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
     arrivals consume time and draws but change nothing.  Requires at
     least one active transition (``total_rate > 0``).
     """
-    rate = state.total_rate(p)
-    if rate <= 0.0:
+    N = len(state.w)
+    lam_N = p.lam * N
+    # the rates are validated nonnegative, mu and nu positive
+    if not (lam_N > 0.0 or state.pickups or state.driving):
         raise ValueError("no active transitions: total rate is zero")
     u0, u1, u2, u3 = rng.random(4).tolist()
-    dt = -math.log1p(-u0) / rate
-    state.t += dt
-    N = state.N
-    tag, _, _ = _fire(state.w, state.x, state.y, state.z, state.pickups, state.driving,
-                      N, p.K, p.lam * N, p.nu, u1 * rate, u2, u3)
+    # the scalar form of _stations: one row does not pay numpy's overhead
+    i = int(u2 * N)
+    if i >= N:
+        i = N - 1
+    j = int(u3 * N)
+    if j >= N:
+        j = N - 1
+    state.t, _, tag, dt = _advance(state.w, state.x, state.y, state.z, state.pickups,
+                                   state.driving, p.K, lam_N, p.nu, p.mu, state.t,
+                                   ((u0, u1, i, j, u3),))
     return state, dt, tag
 
 
@@ -278,7 +336,7 @@ class _Audit:
     ``whole`` copies the counts into the ``SimState`` and runs
     ``check_invariants`` on all of it.  ``event`` runs after every
     event: its first call is ``whole``; each later one checks only the
-    two stations ``_fire`` reports, and running totals of ``w, x, y, z``
+    two stations the event read, and running totals of ``w, x, y, z``
     moved by each such station's change since its last check, in O(1).
     """
 
@@ -292,7 +350,7 @@ class _Audit:
         st.w[:], st.x[:], st.y[:], st.z[:] = self.counts
         st.check_invariants(self.K, self.M, deep=deep)
 
-    def event(self, t: float, event: tuple) -> None:
+    def event(self, t: float, tag: str, i: int, j: int) -> None:
         st = self.state
         st.t = t
         if self.seen is None:
@@ -300,7 +358,6 @@ class _Audit:
             self.seen = list(zip(*self.counts))
             self.totals = tuple(sum(a) for a in self.counts)
             return
-        _, i, j = event
         w, x, y, z = self.counts
         a = (w[i], x[i], y[i], z[i])
         b = (w[j], x[j], y[j], z[j])
@@ -370,43 +427,31 @@ def run(
     samples = config.sample_times
     if not samples:
         return out
-    N, K, M = config.N, p.K, config.M
-    lam_N, nu, mu = p.lam * N, p.nu, p.mu
-    pickups, driving = state.pickups, state.driving
+    N = config.N
     counts = [a.tolist() for a in (state.w, state.x, state.y, state.z)]
-    w, x, y, z = counts
-    check = _Audit(state, counts, K, M) if audit else None
+    check = _Audit(state, counts, p.K, config.M) if audit else None
+    later = iter(samples[1:])
 
-    def snapshot(tau: float) -> None:
-        out.append((tau, np.array(counts, dtype=np.int64).T.copy()))
-        if audit:
+    def take(tau: float) -> float | None:
+        snap = np.empty((N, 4), dtype=np.int64)
+        for k, c in enumerate(counts):
+            snap[:, k] = c
+        out.append((tau, snap))
+        if check is not None:
             check.whole(deep=True)
+        return next(later, None)
 
-    ptr, n_samples, t = 0, len(samples), 0.0
-    t_next, log1p = samples[0], math.log1p
-    block = _FIRST_BLOCK
-    while True:
+    t, t_next, block = 0.0, samples[0], _FIRST_BLOCK
+    while t_next is not None:
         # rows of four draws in stream order: one block equals that many
         # successive rng.random(4) calls
-        for u0, u1, u2, u3 in rng.random((block, 4)).tolist():
-            rate = lam_N + nu * len(pickups) + mu * len(driving)
-            if rate <= 0.0:
-                # Frozen network: nothing can ever fire again.
-                for tau in samples[ptr:]:
-                    snapshot(tau)
-                return out
-            t_event = t - log1p(-u0) / rate
-            while t_next < t_event:
-                snapshot(t_next)
-                ptr += 1
-                if ptr == n_samples:
-                    return out
-                t_next = samples[ptr]
-            t = t_event
-            event = _fire(w, x, y, z, pickups, driving, N, K, lam_N, nu, u1 * rate, u2, u3)
-            if audit:
-                check.event(t, event)
+        u = rng.random((block, 4))
+        u0, u1, _, u3 = u.T.tolist()
+        i, j = _stations(u[:, 2:], N).T.tolist()
+        t, t_next, _, _ = _advance(*counts, state.pickups, state.driving, p.K, p.lam * N,
+                                   p.nu, p.mu, t, zip(u0, u1, i, j, u3), check, t_next, take)
         block = min(2 * block, _MAX_BLOCK)
+    return out
 
 
 def _rank_counts(counts: np.ndarray, K: int, n: int) -> np.ndarray:

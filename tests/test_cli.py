@@ -12,6 +12,7 @@ from duores.cli import main
 from duores.core import num_states
 from duores.equilibrium import MultipleEquilibriaError
 from duores.io import measure_from_csv
+from duores.simulate import SimInvariantError
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -378,6 +379,20 @@ def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
     assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("FAIL: fill at K=2, s=1.0, nu/mu=2.0 decreases")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_reports_a_failed_audit(tmp_path, capsys, monkeypatch):
+    def corrupted(p, config, audit):
+        assert audit
+        raise SimInvariantError("car total 7 != 6 at t=0.25")
+
+    monkeypatch.setattr(cli, "run", corrupted)
+    cfg = {"model": _MODEL,
+           "sim": {"N": 3, "M": 6, "T": 1.0, "sample_times": [1.0], "seed": 1, "audit": True},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["simulate", _write_cfg(tmp_path, "sim.json", cfg)]) == 1
+    assert capsys.readouterr().err == "FAIL: car total 7 != 6 at t=0.25\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -2,11 +2,12 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from duores import core
+from duores import core, experiments, meanfield
 from duores.core import (
     Measure,
     ModelParams,
@@ -69,6 +70,33 @@ def test_count_arrays_are_in_rank_order_at_large_capacity(K):
         assert np.array_equal(ranks_of(w, x, y, z, K), np.arange(num_states(K)))
     finally:
         core._count_arrays.cache_clear()  # K = 80 holds 62 MB
+
+
+def _touch_capacity(K):
+    """Fill every per-capacity cache at ``K``: the drift's stencils, the
+    functionals' masks and weights, the perturbation's permutation."""
+    m = Measure.uniform(K)
+    meanfield.drift(m, ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K))
+    mean_fill(m), prob_no_available(m), prob_saturated(m)
+    experiments._shift_permutation(K)
+
+
+def test_per_capacity_caches_drop_a_large_capacity():
+    small = range(1, core._CACHED_CAPACITIES + 1)
+    for K in small:  # evicts whatever earlier tests left cached
+        _touch_capacity(K)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        _touch_capacity(40)
+        held, _ = tracemalloc.get_traced_memory()
+        for K in small:
+            _touch_capacity(K)
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start > 10 * 2**20
+    assert end - start < 2**20
 
 
 def test_inadmissible_states_are_rejected():

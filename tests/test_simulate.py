@@ -18,8 +18,8 @@ from duores.simulate import (
     SimConfig,
     SimInvariantError,
     SimState,
-    _fire,
     _init_with_rng,
+    _stations,
     empirical_measure,
     init_uniform,
     pair_empirical,
@@ -122,6 +122,58 @@ def test_station_draw_uses_inclusive_upper_guard():
     _, _, tag = step(st, p, FakeRng([[0.5, 0.0, 0.999999, 0.999999]]))
     assert tag == "arrival"
     assert st.pickups == [(1, 1)]
+
+
+_LAST_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _with_neighbours(us):
+    """``us`` and their adjacent doubles, kept inside ``[0, 1)``."""
+    near = {v for u in us for v in (np.nextafter(u, -1.0), u, np.nextafter(u, 2.0))}
+    return sorted(float(v) for v in near if 0.0 <= v < 1.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4000, 2**20 + 1])
+def test_block_stations_equal_the_scalar_clamp(N):
+    # run takes a block's arrival stations from numpy, step from the
+    # scalar rule; the two must agree on every draw
+    us = _with_neighbours([0.0, 0.5, _LAST_BELOW_ONE])
+    assert len(us) == 7
+    expected = [min(int(u * N), N - 1) for u in us]
+    assert _stations(np.array(us), N).tolist() == expected
+    assert _stations(np.array([us, us]).T, N).T.tolist() == [expected, expected]
+
+
+class _ScriptedGenerator:
+    """Generator whose first draw row is ``first``; every later row has
+    a holding-time draw just below one, so no second event fires soon."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def random(self, shape):
+        block = np.full(shape, 0.5)
+        block[:, 0] = _LAST_BELOW_ONE
+        block[0] = self.first
+        return block
+
+
+@pytest.mark.parametrize("N", [1, 3, 4000])
+def test_run_station_draw_uses_inclusive_upper_guard(monkeypatch, N):
+    # run's twin of the step test above: u2 = u3 = 1 - 2^-53 reserve at
+    # the last station, never past it
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
+    z = np.zeros(N, dtype=np.int64)
+    initial = SimState(z.copy(), z.copy(), np.ones(N, dtype=np.int64), z.copy())
+    rng = _ScriptedGenerator([0.5, 0.0, _LAST_BELOW_ONE, _LAST_BELOW_ONE])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    # the first event fires at log(2) / N, the second about 36 / (N + 1) later
+    cfg = SimConfig(N=N, M=N, T=1.0 / N, sample_times=(1.0 / N,), seed=0)
+    (_, counts), = run(p, cfg, initial=initial)
+    expected = np.zeros((N, 4), dtype=np.int64)
+    expected[:, 2] = 1
+    expected[N - 1] = (1, 0, 0, 1)
+    assert np.array_equal(counts, expected)
 
 
 def test_step_requires_active_transitions():
@@ -266,6 +318,17 @@ def test_run_trajectory_is_pinned_byte_for_byte(audit):
         "b4680b8cbe4ae94ee53880213e0a196a48fed302c59c9802a650dd2ea05489a9")
 
 
+@pytest.mark.parametrize("audit", [False, True])
+def test_large_run_trajectory_is_pinned_byte_for_byte(audit):
+    # the network study's size and shape at N = 4000 (about 34k events);
+    # the digest was computed with the per-event kernel that preceded the
+    # block loop, not recorded from it
+    p = ModelParams(lam=1, mu=1, nu=2, K=3)
+    cfg = SimConfig(N=4000, M=6000, T=5.0, sample_times=(0.0, 1.0, 2.5, 4.0, 5.0), seed=4000)
+    assert _snapshot_digest(run(p, cfg, audit=audit)) == (
+        "5bc84a8b8d426d4ca4008ba6f51c2c4c46fd595cf2ae879adf6054d53410552c")
+
+
 def _events_ending_a_block(n_events):
     """Whether ``run``'s last event is the last one of a draw block."""
     block, end = _FIRST_BLOCK, _FIRST_BLOCK
@@ -317,26 +380,37 @@ def test_audit_checks_every_event():
     assert len(run(p, cfg, initial=st, audit=False)) == 1
 
 
-def test_kernel_writes_only_the_stations_it_reports():
-    # the per-event audit looks only at the stations _fire reports, so
-    # it is as strong as a whole-state check only while this holds
+def test_kernel_writes_only_the_stations_it_reports(monkeypatch):
+    # the per-event audit looks only at the stations each event reports,
+    # so it is as strong as a whole-state check only while this holds;
+    # the audit hook sees the counts after each event and before its check
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
     rng = np.random.default_rng(4242)
-    tags = set()
+    tags, before = set(), []
+    event = simulate._Audit.event
+
+    def compare(audit, t, tag, i, j):
+        counts = audit.counts
+        changed = {s for s in range(len(counts[0]))
+                   if any(a[s] != b[s] for a, b in zip(counts, before[-1]))}
+        assert changed == (set() if tag == "blocked" else {i, j}), (tag, i, j)
+        tags.add(tag)
+        before.append([list(c) for c in counts])
+        event(audit, t, tag, i, j)
+
+    monkeypatch.setattr(simulate._Audit, "event", compare)
+    n_events = 0
     for _ in range(60):
         N = int(rng.integers(1, 7))
         st = _init_with_rng(N, int(rng.integers(0, N * p.K + 1)), p.K, rng)
         for _ in range(int(rng.integers(0, 25))):
             step(st, p, rng)
-        for _ in range(10):
-            counts = [a.tolist() for a in (st.w, st.x, st.y, st.z)]
-            before = [list(c) for c in counts]
-            u1, u2, u3 = rng.random(3).tolist()
-            tag, i, j = _fire(*counts, list(st.pickups), list(st.driving),
-                              N, p.K, p.lam * N, p.nu, u1 * st.total_rate(p), u2, u3)
-            changed = {s for s in range(N) if any(a[s] != b[s] for a, b in zip(counts, before))}
-            assert changed == (set() if tag == "blocked" else {i, j}), (tag, i, j)
-            tags.add(tag)
+        before[:] = [[a.tolist() for a in (st.w, st.x, st.y, st.z)]]
+        cfg = SimConfig(N=N, M=st.car_total, T=3.0, sample_times=(3.0,),
+                        seed=int(rng.integers(2**31)))
+        run(p, cfg, initial=st, audit=True)
+        n_events += len(before) - 1
+    assert n_events > 600
     assert tags == {"arrival", "blocked", "pickup", "return"}
 
 
@@ -369,21 +443,22 @@ def _add_car(counts, s, K):
     return True
 
 
-def _corrupting_fire(after, pick, corrupt, K):
-    """``_fire`` that applies ``corrupt`` once, to the station ``pick``
-    chooses, at the first event from number ``after`` on where it can;
-    ``calls`` records that event's number."""
+def _corrupting_audit(after, pick, corrupt, K):
+    """``_Audit.event`` that first applies ``corrupt`` once, to the
+    station ``pick`` chooses, at the first event from number ``after`` on
+    where it can: after the event has changed the counts and before its
+    audit.  ``calls`` records that event's number."""
     calls = {"n": 0, "at": None}
+    event = simulate._Audit.event
 
-    def fire(w, x, y, z, *rest):
-        event = _fire(w, x, y, z, *rest)
+    def audited(audit, t, tag, i, j):
         calls["n"] += 1
         if calls["at"] is None and calls["n"] >= after:
-            s = pick(event, len(w))
-            if s is not None and corrupt([w, x, y, z], s, K):
+            s = pick((tag, i, j), len(audit.counts[0]))
+            if s is not None and corrupt(audit.counts, s, K):
                 calls["at"] = calls["n"]
-        return event
-    return fire, calls
+        event(audit, t, tag, i, j)
+    return audited, calls
 
 
 def _event_time(p, cfg, initial, n):
@@ -412,9 +487,9 @@ def test_audit_raises_at_the_event_that_corrupts_a_touched_station(
     p, cfg = _AUDIT_P, _AUDIT_CFG
     init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
     # corrupt the destination, which every non-blocked event writes
-    fire, calls = _corrupting_fire(30, lambda ev, N: ev[2] if ev[0] != "blocked" else None,
-                                   corrupt, p.K)
-    monkeypatch.setattr(simulate, "_fire", fire)
+    audited, calls = _corrupting_audit(
+        30, lambda ev, N: ev[2] if ev[0] != "blocked" else None, corrupt, p.K)
+    monkeypatch.setattr(simulate._Audit, "event", audited)
     with pytest.raises(SimInvariantError) as err:
         run(p, cfg, initial=init, audit=True)
     monkeypatch.undo()
@@ -432,8 +507,8 @@ def test_audit_catches_an_untouched_station_by_the_next_snapshot(monkeypatch):
         _, i, j = event
         return next(s for s in range(N) if s not in (i, j))
 
-    fire, calls = _corrupting_fire(30, untouched, _shift(2, 1), p.K)
-    monkeypatch.setattr(simulate, "_fire", fire)
+    audited, calls = _corrupting_audit(30, untouched, _shift(2, 1), p.K)
+    monkeypatch.setattr(simulate._Audit, "event", audited)
     with pytest.raises(SimInvariantError, match="driving count mismatch") as err:
         run(p, cfg, initial=init, audit=True)
     monkeypatch.undo()
@@ -449,7 +524,9 @@ def test_audited_run_checks_the_whole_state_once_plus_per_snapshot(monkeypatch):
     check = SimState.check_invariants
     monkeypatch.setattr(SimState, "check_invariants",
                         lambda st, K, M, deep=False: whole.append(deep) or check(st, K, M, deep))
-    monkeypatch.setattr(simulate, "_fire", lambda *a: events.append(1) or _fire(*a))
+    event = simulate._Audit.event
+    monkeypatch.setattr(simulate._Audit, "event",
+                        lambda audit, *a: events.append(1) or event(audit, *a))
     out = run(p, cfg, audit=True)
     assert len(out) == len(cfg.sample_times)
     assert len(events) > 100

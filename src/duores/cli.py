@@ -365,6 +365,9 @@ def _cmd_verify(cfg: dict, conf: dict, args) -> int:
         reports = [fn(*lead, **kw) for fn, lead, kw in experiments]
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e))
+    except RuntimeError as e:  # an experiment's failed solve; suites count theirs
+        print(f"FAIL: {e}", file=sys.stderr)
+        return 1
 
     all_ok = all(r.passed for r in results + reports)
     for res in results:

@@ -97,7 +97,7 @@ def _budgeted_states(K: int) -> int:
 
 _CACHED_CAPACITIES = 8
 """Number of capacities that each per-capacity table cache (here, in
-``meanfield`` and in ``experiments``) keeps.  Beyond it the least
+``equilibrium``, ``meanfield`` and ``experiments``) keeps.  Beyond it the least
 recently used capacity is dropped, so a process that touches many
 capacities does not hold all their tables until it exits."""
 

@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Measure, ModelParams, count_arrays
+from .core import _CACHED_CAPACITIES, Measure, ModelParams, count_arrays
 
 __all__ = [
     "RateRatios",
@@ -110,7 +110,7 @@ class RateRatios:
         return self.eta1 + self.rho1 + self.eta2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CAPACITIES)
 def _log_factorials(K: int) -> np.ndarray:
     f = np.array([math.lgamma(n + 1) for n in range(K + 1)], dtype=np.float64)
     f.setflags(write=False)

@@ -45,6 +45,8 @@ __all__ = [
     "check_fill_identity",
     "check_fixed_point",
     "check_fixed_point_large_K",
+    "OUTCOMES",
+    "solve_grid",
     "CHECKS",
     "run_checks",
 ]
@@ -106,11 +108,26 @@ def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
     return Q / scale if scale > 0 else Q
 
 
-def _positive_uniform(rng: np.random.Generator, high: float) -> float:
-    v = 0.0
-    while v == 0.0:
-        v = float(rng.uniform(0.0, high))
-    return v
+def _draws(rng: np.random.Generator, n: int) -> list[float]:
+    """``n`` draws from ``(0, 3)``, a zero draw redrawn."""
+    out = []
+    while len(out) < n:
+        v = float(rng.uniform(0.0, 3.0))
+        if v != 0.0:
+            out.append(v)
+    return out
+
+
+def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float,
+                     **details) -> CheckResult:
+    """Worst ``trial(rng, i)`` over ``i < trials`` on one generator seeded
+    with ``seed``; passes below ``tol``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(trials):
+        worst = max(worst, float(trial(rng, i)))
+    return CheckResult(name=name, passed=worst < tol, worst=worst, tol=tol,
+                       details={"trials": trials, **details, "seed": seed})
 
 
 def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
@@ -148,23 +165,14 @@ def check_product_form_stationarity(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Product form against the independent dense tandem generator."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
+    def trial(rng, i):
         K = K_list[i % len(K_list)]
-        eta = _positive_uniform(rng, 3.0)
-        rho1 = _positive_uniform(rng, 3.0)
-        rho2 = _positive_uniform(rng, 3.0)
+        eta, rho1, rho2 = _draws(rng, 3)
         pi = product_form(RateRatios(eta, rho1, rho2, eta), K).probs
-        Q = tandem_generator(eta, rho1, rho2, eta, K)
-        worst = max(worst, float(np.abs(pi @ Q).max()))
-    return CheckResult(
-        name="product_form_stationarity",
-        passed=worst < tol,
-        worst=worst,
-        tol=tol,
-        details={"trials": trials, "K_list": list(K_list), "seed": seed},
-    )
+        return np.abs(pi @ tandem_generator(eta, rho1, rho2, eta, K)).max()
+
+    return _worst_of_trials("product_form_stationarity", trial, trials, seed, tol,
+                            K_list=list(K_list))
 
 
 def check_step2_identity(
@@ -174,22 +182,12 @@ def check_step2_identity(
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
     ``(x, rho2)``; the solver asserts this instead of solving it."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
+    def trial(rng, i):
         K = 1 + i % K_max
-        x = _positive_uniform(rng, 3.0)
-        y = _positive_uniform(rng, 3.0)
-        lhs = y * (1.0 - simple_saturated(x, y, K))
-        rhs = 1.0 - simple_no_available(x, y, K)
-        worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        name="step2_identity",
-        passed=worst < tol,
-        worst=worst,
-        tol=tol,
-        details={"trials": trials, "K_max": K_max, "seed": seed},
-    )
+        x, y = _draws(rng, 2)
+        return abs(y * (1.0 - simple_saturated(x, y, K)) - (1.0 - simple_no_available(x, y, K)))
+
+    return _worst_of_trials("step2_identity", trial, trials, seed, tol, K_max=K_max)
 
 
 def check_aggregation_identity(
@@ -199,29 +197,15 @@ def check_aggregation_identity(
     """Pushing the four-coordinate product form through
     ``(w, x, y, z) -> (w + x + z, y)`` lands exactly on the reduced
     family at aggregated intensity ``eta1 + rho1 + eta2``."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
+    def trial(rng, i):
         K = 1 + i % K_max
-        rho = RateRatios(
-            _positive_uniform(rng, 3.0),
-            _positive_uniform(rng, 3.0),
-            _positive_uniform(rng, 3.0),
-            _positive_uniform(rng, 3.0),
-        )
-        probs = product_form(rho, K).probs
+        rho = RateRatios(*_draws(rng, 4))
         w, x, y, z = count_arrays(K)
         pushed = np.zeros((K + 1, K + 1))
-        np.add.at(pushed, (w + x + z, y), probs)
-        reduced = simple_form(rho.rho1_tilde, rho.rho2, K)
-        worst = max(worst, float(np.abs(pushed - reduced).max()))
-    return CheckResult(
-        name="aggregation_identity",
-        passed=worst < tol,
-        worst=worst,
-        tol=tol,
-        details={"trials": trials, "K_max": K_max, "seed": seed},
-    )
+        np.add.at(pushed, (w + x + z, y), product_form(rho, K).probs)
+        return np.abs(pushed - simple_form(rho.rho1_tilde, rho.rho2, K)).max()
+
+    return _worst_of_trials("aggregation_identity", trial, trials, seed, tol, K_max=K_max)
 
 
 def check_fill_identity(
@@ -232,25 +216,60 @@ def check_fill_identity(
     weighted mean of the reduced family, with the aggregated coordinate
     weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``; the
     reduced mean is the one the solver's O(K) pass gives."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
+    def trial(rng, i):
         K = 1 + i % K_max
-        eta = _positive_uniform(rng, 3.0)
-        rho1 = _positive_uniform(rng, 3.0)
-        rho2 = _positive_uniform(rng, 3.0)
+        eta, rho1, rho2 = _draws(rng, 3)
         rho = RateRatios(eta, rho1, rho2, eta)
-        full = mean_fill(product_form(rho, K))
         c = (rho1 + eta) / (rho1 + 2.0 * eta)
-        reduced = _simple_mean(rho.rho1_tilde, rho2, K, c)
-        worst = max(worst, abs(full - reduced))
-    return CheckResult(
-        name="fill_identity",
-        passed=worst < tol,
-        worst=worst,
-        tol=tol,
-        details={"trials": trials, "K_max": K_max, "seed": seed},
-    )
+        return abs(mean_fill(product_form(rho, K)) - _simple_mean(rho.rho1_tilde, rho2, K, c))
+
+    return _worst_of_trials("fill_identity", trial, trials, seed, tol, K_max=K_max)
+
+
+OUTCOMES = ("solved", "solved_above_tol", "value_error", "runtime_error",
+            "multiple_equilibria", "assertion_error")
+"""How a fixed-point solve ends: a report with ``max_residual <= tol``
+or above it; the named ``ValueError`` of a fill out of reach; the
+generic ``RuntimeError`` of a fill bisection that stopped short;
+:class:`MultipleEquilibriaError`; the ``rho2`` identity assertion."""
+
+
+def _outcome(p: ModelParams, s: float, tol: float) -> tuple[str, float]:
+    try:
+        rep = solve_equilibrium(p, s)
+    except MultipleEquilibriaError:  # a RuntimeError; tested first
+        return "multiple_equilibria", 0.0
+    except ValueError:
+        return "value_error", math.inf
+    except RuntimeError:
+        return "runtime_error", math.inf
+    except AssertionError:
+        return "assertion_error", math.inf
+    return ("solved" if rep.max_residual <= tol else "solved_above_tol"), rep.max_residual
+
+
+def solve_grid(cells, tol: float) -> tuple[float, dict]:
+    """Solve ``solve_equilibrium(p, frac * p.K)`` on each ``(p, frac)``
+    cell: the one judge of a fixed-point grid.
+
+    Returns the worst residual and the count of each of :data:`OUTCOMES`.
+    A solve that raises scores an infinite residual, except the refusal
+    :class:`MultipleEquilibriaError`, which is only counted.  A fraction
+    outside ``(0, 1)`` or ``lam <= 0`` raises ``ValueError`` before any
+    solve.
+    """
+    cells = list(cells)
+    for p, frac in cells:
+        if not 0.0 < frac < 1.0 or p.lam <= 0:
+            raise ValueError(f"a fixed-point grid needs fill fractions in (0, 1) and "
+                             f"lam > 0, got s/K={frac} at lam={p.lam}")
+    worst = 0.0
+    counts = dict.fromkeys(OUTCOMES, 0)
+    for p, frac in cells:
+        outcome, residual = _outcome(p, frac * p.K, tol)
+        counts[outcome] += 1
+        worst = max(worst, residual)
+    return worst, counts
 
 
 def check_fixed_point(
@@ -262,36 +281,24 @@ def check_fixed_point(
     tol: float = 1e-10,
     closed_form_tol: float = 1e-6,
 ) -> CheckResult:
-    """Fixed-point residuals across a parameter grid, plus the
-    capacity-one closed form in the fast-reservation limit.
+    """Fixed-point residuals across a parameter grid (:func:`solve_grid`),
+    plus the capacity-one closed form in the fast-reservation limit.
 
     At ``K = 1``, ``lam = 2``, ``mu = 1`` the aggregate ratio is 2 and
     the fill 3/4 is attained exactly at intensities ``(1, 2)``.
     """
-    worst = 0.0
-    n_solves = 0
-    for lam in lam_list:
-        for nu in nu_list:
-            for K in K_list:
-                for frac in s_fracs:
-                    p = ModelParams(lam=lam, mu=mu, nu=nu, K=K)
-                    rep = solve_equilibrium(p, frac * K)
-                    worst = max(worst, rep.max_residual)
-                    n_solves += 1
-    p1 = ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1)
-    rep1 = solve_equilibrium(p1, 0.75)
+    cells = [(ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac)
+             for lam in lam_list for nu in nu_list for K in K_list for frac in s_fracs]
+    worst, counts = solve_grid(cells, tol)
+    rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
     closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
-    passed = worst < tol and closed_err < closed_form_tol
     return CheckResult(
         name="fixed_point",
-        passed=passed,
+        passed=worst < tol and closed_err < closed_form_tol,
         worst=worst,
         tol=tol,
-        details={
-            "n_solves": n_solves,
-            "closed_form_err": closed_err,
-            "closed_form_tol": closed_form_tol,
-        },
+        details={"n_solves": len(cells), "closed_form_err": closed_err,
+                 "closed_form_tol": closed_form_tol, "outcomes": counts},
     )
 
 
@@ -301,36 +308,20 @@ def check_fixed_point_large_K(
     nu_over_mu=(0.1, 1.0, 10.0, 1e8),
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Fixed-point residuals up to capacity 200 at ``lam = mu = 1``,
-    slow to near-instant reservations.
-
-    Each solve must meet ``tol`` or raise
-    :class:`MultipleEquilibriaError`, the solver's refusal of a fill
-    that decreases along the fixed-point curve, which is counted; any
-    other exception propagates, the named ``ValueError`` of an
-    unreachable fill included.  This covers the steep-fill regime of
-    large ``K`` that :func:`check_fixed_point` does not reach.
-    """
-    worst = 0.0
-    n_solves = 0
-    n_multiple = 0
-    for K in K_list:
-        for frac in s_fracs:
-            for nu in nu_over_mu:
-                p = ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
-                n_solves += 1
-                try:
-                    rep = solve_equilibrium(p, frac * K)
-                except MultipleEquilibriaError:
-                    n_multiple += 1
-                    continue
-                worst = max(worst, rep.max_residual)
+    """Fixed-point residuals (:func:`solve_grid`) up to capacity 200 at
+    ``lam = mu = 1``, slow to near-instant reservations.  This covers the
+    steep-fill regime of large ``K`` that :func:`check_fixed_point` does
+    not reach."""
+    cells = [(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
+             for K in K_list for frac in s_fracs for nu in nu_over_mu]
+    worst, counts = solve_grid(cells, tol)
     return CheckResult(
         name="fixed_point_large_K",
         passed=worst < tol,
         worst=worst,
         tol=tol,
-        details={"n_solves": n_solves, "n_multiple_equilibria": n_multiple},
+        details={"n_solves": len(cells), "n_multiple_equilibria": counts["multiple_equilibria"],
+                 "outcomes": counts},
     )
 
 

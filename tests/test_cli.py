@@ -229,6 +229,39 @@ def test_verify_empty_config_passes(tmp_path):
     assert main(["verify", _write_cfg(tmp_path, "v.json", {})]) == 0
 
 
+def _large_K_grid(K_list, s_fracs, nu_over_mu):
+    return {"checks": ["fixed_point_large_K"],
+            "overrides": {"fixed_point_large_K": {"K_list": K_list, "s_fracs": s_fracs,
+                                                  "nu_over_mu": nu_over_mu}}}
+
+
+@pytest.mark.parametrize("cfg, failed", [
+    # the named refusal of a fill out of reach: was a config error
+    (_large_K_grid([40], [0.95], [0.1]), "FAIL fixed_point_large_K (worst=inf"),
+    # the generic fill bisection failure: was a traceback
+    (_large_K_grid([20, 40], [0.8, 0.9], [0.01, 1.0]), "FAIL fixed_point_large_K (worst=inf"),
+    # the experiment's start solve meets the same failure: was a traceback
+    ({"experiments": {"attraction": {"model": {"lam": 1.0, "mu": 1.0, "nu": 0.01, "K": 20},
+                                     "s": 18.0, "perturbation_size": 0.1, "T": 1.0}}},
+     "FAIL: fill bisection at K=20"),
+])
+def test_verify_reports_a_failed_solve_as_a_failure(tmp_path, capsys, cfg, failed):
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    assert failed in captured.out + captured.err
+    assert "Traceback" not in captured.err and "config error" not in captured.err
+
+
+@pytest.mark.parametrize("cfg", [
+    _large_K_grid([10], [1.0], [1.0]),
+    {"checks": ["fixed_point"], "overrides": {"fixed_point": {"s_fracs": [0.5, -0.2]}}},
+    {"checks": ["fixed_point"], "overrides": {"fixed_point": {"lam_list": [-1.0]}}},
+])
+def test_verify_grids_a_suite_rejects_before_solving_are_config_errors(tmp_path, capsys, cfg):
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # ------------------------------------------------------------
 # config errors -> exit code 2
 # ------------------------------------------------------------

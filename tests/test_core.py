@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duores import core, experiments, meanfield
+from duores import core, equilibrium, experiments, meanfield
 from duores.core import (
     Measure,
     ModelParams,
@@ -74,14 +74,20 @@ def test_count_arrays_are_in_rank_order_at_large_capacity(K):
 
 def _touch_capacity(K):
     """Fill every per-capacity cache at ``K``: the drift's stencils, the
-    functionals' masks and weights, the perturbation's permutation."""
+    functionals' masks and weights, the perturbation's permutation, the
+    solver's log factorials."""
     m = Measure.uniform(K)
     meanfield.drift(m, ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K))
     mean_fill(m), prob_no_available(m), prob_saturated(m)
     experiments._shift_permutation(K)
+    equilibrium._log_factorials(K)
 
 
 def test_per_capacity_caches_drop_a_large_capacity():
+    caches = [core._count_arrays, core.fill_vector, core._fill_weights,
+              core.no_available_mask, core.saturated_mask, meanfield._stencils,
+              experiments._shift_permutation, equilibrium._log_factorials]
+    assert {c.cache_info().maxsize for c in caches} == {core._CACHED_CAPACITIES}
     small = range(1, core._CACHED_CAPACITIES + 1)
     for K in small:  # evicts whatever earlier tests left cached
         _touch_capacity(K)

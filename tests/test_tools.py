@@ -1,0 +1,49 @@
+"""The layer-measuring script ``tools/layers.py``, imported without
+measuring anything."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from duores import verify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_subject_writes_a_committed_bench_file_by_default(layers):
+    assert set(layers.SUBJECTS) == {"flow", "simulate", "state_space", "solver_outcomes"}
+    for measure, repeats, out in layers.SUBJECTS.values():
+        assert callable(measure) and (repeats is None or repeats >= 2)
+        assert out.startswith("BENCH_") and out.endswith(".json")
+        assert (ROOT / out).is_file()
+
+
+def test_solver_outcomes_takes_its_outcome_names_from_verify(layers, monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "OUTCOMES", ("first", "second"))
+    monkeypatch.setattr(verify, "solve_grid", lambda cells, tol: (0.0, {"first": len(cells),
+                                                                         "second": 0}))
+    out = tmp_path / "outcomes.json"
+    kept = {"python": "3", "totals": {"solved": 1}}
+    out.write_text(json.dumps({"earlier": kept}))
+    assert layers.main(["solver_outcomes", "--label", "fake", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["earlier"] == kept  # the merge leaves other labels alone
+    record = data["fake"]
+    assert record["totals"] == {"first": 3328, "second": 0}
+    assert len(record["cells"]) == 64
+    assert all(cell == {"first": 52, "second": 0} for cell in record["cells"].values())
+
+
+def test_solver_outcomes_takes_no_repeats(layers):
+    with pytest.raises(SystemExit):
+        layers.main(["solver_outcomes", "--label", "x", "--repeats", "3"])

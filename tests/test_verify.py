@@ -1,18 +1,23 @@
 """The verification suites themselves: generator structure and the
 check registry."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 import duores.verify as verify
-from duores.core import count_arrays, enumerate_states, num_states
+from duores.core import ModelParams, count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
 from duores.verify import (
     CHECKS,
+    OUTCOMES,
     check_enumeration,
     check_fixed_point_large_K,
     check_step2_identity,
     run_checks,
+    solve_grid,
     tandem_generator,
 )
 
@@ -83,4 +88,79 @@ def test_enumeration_check_catches_count_arrays_out_of_order(monkeypatch):
 def test_fixed_point_large_K_meets_tolerance_on_every_solve():
     res = check_fixed_point_large_K()
     assert res.details["n_solves"] == 96
+    assert res.details["outcomes"] == {**dict.fromkeys(OUTCOMES, 0), "solved": 96}
     assert res.passed and res.worst < res.tol
+
+
+# Every suite at its defaults, as computed before the suites shared the
+# seeded trials loop and the solve-grid loop.  The fixed-point suites
+# have since added their outcome counts at the end of ``details``.
+_PINNED = [
+    {"name": "enumeration", "passed": True, "worst": 0.0, "tol": 0.0,
+     "details": {"K_max": 10, "roundtrip_K_max": 6}},
+    {"name": "product_form_stationarity", "passed": True, "worst": 2.7755575615628914e-17,
+     "tol": 1e-10, "details": {"trials": 50, "K_list": [1, 2, 3, 4, 5], "seed": 20260817}},
+    {"name": "step2_identity", "passed": True, "worst": 3.3306690738754696e-16,
+     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260818}},
+    {"name": "aggregation_identity", "passed": True, "worst": 2.7755575615628914e-16,
+     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260819}},
+    {"name": "fill_identity", "passed": True, "worst": 1.7763568394002505e-15,
+     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260820}},
+    {"name": "fixed_point", "passed": True, "worst": 9.697798120100742e-12, "tol": 1e-10,
+     "details": {"n_solves": 81, "closed_form_err": 1.999999987845058e-08,
+                 "closed_form_tol": 1e-06}},
+    {"name": "fixed_point_large_K", "passed": True, "worst": 9.825917857142485e-12,
+     "tol": 1e-10, "details": {"n_solves": 96, "n_multiple_equilibria": 0}},
+]
+
+
+@pytest.mark.parametrize("pinned", _PINNED, ids=[p["name"] for p in _PINNED])
+def test_suites_at_their_defaults_are_pinned(pinned):
+    got = CHECKS[pinned["name"]]().to_dict()
+    if pinned["name"].startswith("fixed_point"):
+        outcomes = got["details"].pop("outcomes")
+        assert outcomes == {**dict.fromkeys(OUTCOMES, 0), "solved": got["details"]["n_solves"]}
+    assert json.dumps(got) == json.dumps(pinned)  # key order too
+
+
+def _one_cell(K, s_over_K, nu_over_mu):
+    return [(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s_over_K)]
+
+
+@pytest.mark.parametrize("cell, outcome", [
+    ((40, 0.95, 0.1), "value_error"),  # the named refusal of a fill out of reach
+    ((20, 0.9, 0.01), "runtime_error"),  # the generic fill bisection failure
+])
+def test_a_failed_solve_scores_an_infinite_residual(cell, outcome):
+    worst, counts = solve_grid(_one_cell(*cell), 1e-10)
+    assert worst == math.inf
+    assert counts == {**dict.fromkeys(OUTCOMES, 0), outcome: 1}
+    K, s_over_K, nu = cell
+    res = check_fixed_point_large_K(K_list=(K,), s_fracs=(s_over_K,), nu_over_mu=(nu,))
+    assert not res.passed and res.worst == math.inf
+    assert res.details["outcomes"][outcome] == 1
+
+
+def test_a_refused_fixed_point_is_counted_but_does_not_fail(monkeypatch):
+    def refuse(p, s):
+        raise verify.MultipleEquilibriaError(p.K, s, p.nu / p.mu, ((1.0, 2.0), (1.5, 1.9)))
+
+    monkeypatch.setattr(verify, "solve_equilibrium", refuse)
+    worst, counts = solve_grid(_one_cell(3, 0.5, 1.0), 1e-10)
+    assert worst == 0.0 and counts["multiple_equilibria"] == 1
+
+
+def test_solved_label_and_verdict_keep_their_comparisons():
+    cells = _one_cell(3, 0.5, 1.0)
+    residual, _ = solve_grid(cells, 1e-10)
+    worst, counts = solve_grid(cells, residual)  # the label is <= tol
+    assert worst == residual and counts["solved"] == 1
+    res = check_fixed_point_large_K(K_list=(3,), s_fracs=(0.5,), nu_over_mu=(1.0,),
+                                    tol=residual)  # the verdict is worst < tol
+    assert not res.passed and res.details["outcomes"]["solved"] == 1
+
+
+@pytest.mark.parametrize("s_over_K", [0.0, 1.0, -0.5, 1.5])
+def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
+    with pytest.raises(ValueError, match="fill fractions in"):
+        solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0), 1e-10)

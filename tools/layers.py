@@ -1,0 +1,329 @@
+"""Per-layer measurements of duores, one subject at a time.
+
+Run from the repository root:
+
+    python3 tools/layers.py SUBJECT --label NAME [--repeats R] [--out FILE]
+
+The package is imported from the ``src/`` next to this directory.  The
+subjects, each with its default ``FILE`` at the repository root:
+
+* ``flow`` (``BENCH_flow_layers.json``, R = 15): CPU milliseconds of the
+  benchmark's ``flow`` path at K = 15, lam = mu = 1, nu = 2, fill 7.5, a
+  perturbation of size 0.1, T = 5 at dt = 0.25 / (lam + nu K + mu K),
+  and the trajectory thinned to 11 measures.  The layers are ``write``
+  (``io.write_timed_measure_csv`` of the thinned trajectory),
+  ``perturb`` (``experiments.fill_preserving_perturbation`` of the fixed
+  point) and ``integrate`` (``meanfield.integrate`` from the perturbed
+  start).
+* ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events per CPU
+  second.  ``run_N{N}`` and ``run_N{N}_audit`` are ``simulate.run`` on
+  the benchmark's ``network`` study, K = 3, lam = mu = 1, nu = 2, fill
+  s = 1.5 (M = 1.5 N cars), T = 5 with snapshots every 0.5, at N in
+  {250, 1000, 4000}, plain and audited.  The initial placement is drawn
+  once per N and passed as ``initial``, so only the events and the
+  snapshots are timed; the events a run fires are counted by a ``step``
+  replay on the same stream, outside the timed part.  ``step_cycle`` is
+  the loop of the tiny-network test: one station of capacity 2 holding
+  one car, lam = 2, nu = 4, mu = 1, so the chain cycles through three
+  states; one sample is ``STEP_EVENTS`` calls of ``step``.
+* ``state_space`` (``BENCH_state_space.json``, R = 7): CPU milliseconds
+  and memory of the state space and the solver, with solves of
+  ``solve_equilibrium`` at lam = mu = 1, nu = 2 and fill K/2.  The layers
+  are ``count_arrays`` (``core.count_arrays(K)`` at K in {20, 40, 80},
+  with every cache in ``core`` cleared before each build),
+  ``first_solve`` (one solve in each of R fresh interpreters, the import
+  not timed, at K in {20, 40, 80, 200, 1000}), ``warm_solve`` (the same
+  solve repeated in this process) and ``peak_kib`` (the ``tracemalloc``
+  peak of one warm solve).  A capacity whose solve raises the state
+  budget's ``ValueError`` is recorded as ``"refused"``.
+* ``solver_outcomes`` (``BENCH_solver_outcomes.json``, no repeats): the
+  outcome counts of ``verify.solve_grid`` at lam = mu = 1 on the grid
+  K in {1, 2, 3, 5, 10, 20, 40, 80}, nu/mu = 10^k for k = -4..3, and s/K
+  at 50 evenly spaced points from 0.01 to 0.99, then 0.995 and 0.999:
+  3328 solves, each counted under one of ``verify.OUTCOMES`` with the
+  residual bound 1e-10.  The counts per ``(K, nu/mu)`` cell and in total
+  are deterministic; the CPU time of the whole grid is recorded too.
+
+Each time is taken ``R`` times on ``time.process_time``, after one
+untimed warm-up call unless the layer clears the caches before each
+sample; medians and quartiles are over the ``R`` samples.  The record,
+with the Python, numpy and duores versions and the core count, is merged
+into ``FILE`` under ``NAME``, so two checkouts can record into one file.
+Times are raw CPU times, not scaled to a reference speed, so compare
+only runs taken back to back on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+if __name__ == "__main__":  # one BLAS thread, set before numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import duores  # noqa: E402
+from duores import core, equilibrium, experiments, meanfield, simulate, verify  # noqa: E402
+from duores import io as dio  # noqa: E402
+
+
+def _cpu_s(fn, repeats: int, before=None) -> list:
+    """CPU seconds of ``repeats`` calls of ``fn``; ``before`` runs untimed
+    ahead of each call, and without it one warm-up call comes first."""
+    if before is None:
+        fn()
+    samples = []
+    for _ in range(repeats):
+        if before is not None:
+            before()
+        t0 = time.process_time()
+        fn()
+        samples.append(time.process_time() - t0)
+    return samples
+
+
+def _summary(samples: list, unit: str, ndigits: int | None, **extra) -> dict:
+    q1, med, q3 = statistics.quantiles(samples, n=4)
+    return {f"median_{unit}": round(med, ndigits), f"q1_{unit}": round(q1, ndigits),
+            f"q3_{unit}": round(q3, ndigits), **extra, "n": len(samples)}
+
+
+def _ms(samples: list) -> dict:
+    return _summary([1e3 * t for t in samples], "ms", 3)
+
+
+# ------------------------------------------------------------ flow
+
+def flow(repeats: int) -> dict:
+    p = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    dt = 0.25 / p.rate_bound
+    pi = equilibrium.product_form(equilibrium.solve_equilibrium(p, 7.5).rho, p.K)
+    start = experiments.fill_preserving_perturbation(pi, 0.1)
+    traj = meanfield.integrate(start, p, 5.0, dt)
+    every = max(1, (len(traj) - 1) // 10)
+    kept = traj[::every]
+    if kept[-1][0] != traj[-1][0]:
+        kept.append(traj[-1])
+    times, measures = [t for t, _ in kept], [m for _, m in kept]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trajectory.csv"
+        return {"layers": {
+            "write": _ms(_cpu_s(lambda: dio.write_timed_measure_csv(times, measures, out),
+                                repeats)),
+            "perturb": _ms(_cpu_s(lambda: experiments.fill_preserving_perturbation(pi, 0.1),
+                                  repeats)),
+            "integrate": _ms(_cpu_s(lambda: meanfield.integrate(start, p, 5.0, dt), repeats)),
+        }}
+
+
+# ------------------------------------------------------------ simulate
+
+RUN_N = (250, 1000, 4000)
+S, T = 1.5, 5.0
+SAMPLE_TIMES = tuple(0.5 * k for k in range(11))
+STEP_EVENTS = 20_000
+
+
+def _rates(fn, events: int, repeats: int) -> dict:
+    return _summary([events / t for t in _cpu_s(fn, repeats)], "per_s", None, events=events)
+
+
+def _events_by_T(p, cfg, initial) -> int:
+    """Events ``run(p, cfg, initial)`` fires on ``[0, T]``, by a ``step``
+    replay on the same generator stream."""
+    st = initial.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n = 0
+    while st.total_rate(p) > 0.0:
+        simulate.step(st, p, rng)
+        if st.t > cfg.T:
+            break
+        n += 1
+    return n
+
+
+def simulate_events(repeats: int) -> dict:
+    p = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    layers = {}
+    for N in RUN_N:
+        M = round(S * N)
+        initial = simulate.init_uniform(N, M, p.K, seed=N)
+        cfg = simulate.SimConfig(N=N, M=M, T=T, sample_times=SAMPLE_TIMES, seed=N + 1)
+        events = _events_by_T(p, cfg, initial)
+        for audit in (False, True):
+            name = f"run_N{N}" + ("_audit" if audit else "")
+            layers[name] = _rates(lambda: simulate.run(p, cfg, initial=initial, audit=audit),
+                                  events, repeats)
+
+    cycle = core.ModelParams(lam=2.0, mu=1.0, nu=4.0, K=2)
+    zero = np.zeros(1, dtype=np.int64)
+    start = simulate.SimState(zero.copy(), zero.copy(), np.ones(1, dtype=np.int64),
+                              zero.copy())
+
+    def steps():
+        st, rng = start.copy(), np.random.default_rng(777)
+        for _ in range(STEP_EVENTS):
+            simulate.step(st, cycle, rng)
+
+    layers["step_cycle"] = _rates(steps, STEP_EVENTS, repeats)
+    return {"layers": layers}
+
+
+# ------------------------------------------------------------ state_space
+
+ARRAY_K = (20, 40, 80)
+SOLVE_K = (20, 40, 80, 200, 1000)
+REFUSED = "refused"
+
+
+def _solve(K: int):
+    return equilibrium.solve_equilibrium(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
+
+
+def _refused(K: int) -> bool:
+    try:
+        _solve(K)
+    except ValueError as err:
+        if "state budget" in str(err):
+            return True
+        raise
+    return False
+
+
+def _clear_core_caches() -> None:
+    for obj in vars(core).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _first_solve_ms(K: int, repeats: int):
+    samples = []
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, __file__, "state_space", "--first-solve", str(K)],
+                             check=True, capture_output=True, text=True).stdout.strip()
+        if out == REFUSED:
+            return REFUSED
+        samples.append(float(out))
+    return _summary(samples, "ms", 3)
+
+
+def _peak_kib(K: int) -> int:
+    tracemalloc.start()
+    try:
+        _solve(K)
+        return round(tracemalloc.get_traced_memory()[1] / 1024)
+    finally:
+        tracemalloc.stop()
+
+
+def state_space(repeats: int) -> dict:
+    layers = {
+        "count_arrays": {K: _ms(_cpu_s(lambda: core.count_arrays(K), repeats,
+                                       before=_clear_core_caches)) for K in ARRAY_K},
+        "first_solve": {K: _first_solve_ms(K, repeats) for K in SOLVE_K},
+        "warm_solve": {},
+        "peak_kib": {},
+    }
+    for K in SOLVE_K:
+        if _refused(K):
+            layers["warm_solve"][K] = layers["peak_kib"][K] = REFUSED
+            continue
+        layers["warm_solve"][K] = _ms(_cpu_s(lambda: _solve(K), repeats))
+        layers["peak_kib"][K] = _peak_kib(K)
+        _clear_core_caches()  # drop the per-state tables of a large K before the next
+    return {"layers": layers}
+
+
+# ------------------------------------------------------------ solver_outcomes
+
+K_VALUES = (1, 2, 3, 5, 10, 20, 40, 80)
+NU_OVER_MU = tuple(10.0 ** k for k in range(-4, 4))
+FILLS = tuple(np.linspace(0.01, 0.99, 50).tolist()) + (0.995, 0.999)
+RESIDUAL_TOL = 1e-10
+
+
+def solver_outcomes(repeats: int) -> dict:
+    cells, totals = {}, dict.fromkeys(verify.OUTCOMES, 0)
+    t0 = time.process_time()
+    for K in K_VALUES:
+        for nu in NU_OVER_MU:
+            p = core.ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
+            _, counts = verify.solve_grid([(p, f) for f in FILLS], RESIDUAL_TOL)
+            cells[f"K={K} nu/mu={nu!r}"] = counts
+            for name, n in counts.items():
+                totals[name] += n
+    return {
+        "grid": {"K": list(K_VALUES), "nu_over_mu": list(NU_OVER_MU),
+                 "s_over_K": list(FILLS), "residual_tol": RESIDUAL_TOL},
+        "cpu_s": round(time.process_time() - t0, 3),
+        "totals": totals,
+        "cells": cells,
+    }
+
+
+# ------------------------------------------------------------
+
+SUBJECTS = {  # name: (measure, default repeats, default --out)
+    "flow": (flow, 15, "BENCH_flow_layers.json"),
+    "simulate": (simulate_events, 9, "BENCH_simulate_layers.json"),
+    "state_space": (state_space, 7, "BENCH_state_space.json"),
+    "solver_outcomes": (solver_outcomes, None, "BENCH_solver_outcomes.json"),
+}
+
+
+def _show(prefix: str, row) -> None:
+    if isinstance(row, dict) and "n" not in row:
+        for key, value in row.items():
+            _show(f"{prefix} {key}", value)
+    else:
+        print(f"{prefix}: {row}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("subject", choices=SUBJECTS)
+    ap.add_argument("--label")
+    ap.add_argument("--repeats", type=int)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--first-solve", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    measure, repeats, out = SUBJECTS[args.subject]
+    if args.first_solve is not None:  # one state_space solve in this fresh interpreter
+        t0 = time.process_time()
+        print(REFUSED if _refused(args.first_solve) else 1e3 * (time.process_time() - t0))
+        return 0
+    if args.label is None:
+        ap.error("--label is required")
+    if args.repeats is not None:
+        if repeats is None:
+            ap.error(f"{args.subject} takes no --repeats")
+        if args.repeats < 2:
+            ap.error("--repeats must be >= 2")
+        repeats = args.repeats
+    out = args.out or ROOT / out
+
+    record = {"python": platform.python_version(), "numpy": np.__version__,
+              "duores": duores.__version__, "nproc": os.cpu_count(), **measure(repeats)}
+    data = json.loads(out.read_text()) if out.is_file() else {}
+    data[args.label] = record
+    out.write_text(json.dumps(data, indent=2) + "\n")
+    _show(args.label, record.get("layers") or {k: record[k] for k in ("cpu_s", "totals")})
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,18 @@ Four subcommands, each driven by a JSON config file::
 
 Flags override individual file keys.  Every config section is read against
 one schema table, which rejects unknown keys and values of the wrong kind.
-Exit codes: 0 success, 1 a threshold, check or solve failed, 2 the config
-was unusable.
+
+One exit policy, in :func:`main`, holds for all four: 0 on success; 2 and a
+``config error: <message>`` line on stderr when the config is unusable (a
+``ConfigError``, or any ``ValueError`` the library raises for an input); 1
+and a ``FAIL: <message>`` line when a run fails (any ``RuntimeError``: a
+failed solve, ``MultipleEquilibriaError``, an unstable step, an audit's
+``SimInvariantError``) or a check or threshold fails.  Output directories
+are created only after the work they hold succeeds.  ``verify`` alone
+catches a ``RuntimeError`` per experiment, so the other items are still
+reported.  Each command writes one JSON run record (``manifest.json``,
+``summary.json``, ``solve_report.json`` or ``verify_report.json``) whose
+keys start ``command``, ``config``, ``config_sha256``.
 """
 
 from __future__ import annotations
@@ -61,11 +71,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
-
-
-def _config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 # ------------------------------------------------------------
@@ -186,9 +191,20 @@ def _model_params(sec: dict) -> ModelParams:
         raise ConfigError(f"bad model parameters: {e}")
 
 
-def _out_dir(cfg: dict, override: str | None) -> Path:
-    out = Path(override if override is not None else cfg.get("output_dir", "."))
+def _out_dir(cfg: dict, args) -> Path:
+    out = Path(args.output_dir if args.output_dir is not None else cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_record(cfg: dict, args, name: str, fields: dict) -> Path:
+    """Write the run record ``name`` to the output directory: the command,
+    the config as given and its hash, then the command's own ``fields``."""
+    out = _out_dir(cfg, args)
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    write_json({"command": args.command, "config": cfg,
+                "config_sha256": hashlib.sha256(canon.encode()).hexdigest(), **fields},
+               out / name)
     return out
 
 
@@ -211,28 +227,15 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
         raise ConfigError(f"bad sim config: {e}")
     seeds = [base.seed] if replicas == 1 else [[base.seed, r] for r in range(replicas)]
     for r, seed in enumerate(seeds):
-        try:
-            traj = run(p, replace(base, seed=seed), audit=audit)
-            measures = [empirical_measure(c, p.K) for _, c in traj]
-        except ValueError as e:
-            raise ConfigError(str(e))
-        except RuntimeError as e:  # SimInvariantError from an audited run
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 1
-        out = _out_dir(cfg, args.output_dir)
+        traj = run(p, replace(base, seed=seed), audit=audit)
+        measures = [empirical_measure(c, p.K) for _, c in traj]
+        out = _out_dir(cfg, args)
         suffix = "" if replicas == 1 else f"_r{r}"
         write_station_trajectory_csv(traj, out / f"trajectory{suffix}.csv")
         write_timed_measure_csv([t for t, _ in traj], measures,
                                 out / f"empirical{suffix}.csv")
-    manifest = {
-        "command": "simulate",
-        "config": cfg,
-        "config_sha256": _config_hash(cfg),
-        "seeds": seeds,
-        "replicas": replicas,
-        "audit": audit,
-    }
-    write_json(manifest, out / "manifest.json")
+    _write_record(cfg, args, "manifest.json",
+                  {"seeds": seeds, "replicas": replicas, "audit": audit})
     print(f"wrote {replicas} replica(s) to {out}")
     return 0
 
@@ -274,15 +277,9 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
     every = sec.get("output_every", 1)
     if every < 1:
         raise ConfigError("output_every must be >= 1")
-    try:
-        m0 = _initial_measure(sec.get("initial", "uniform"), p)
-        traj = integrate(m0, p, sec["T"], sec["dt"])
-    except ValueError as e:
-        raise ConfigError(str(e))
-    except RuntimeError as e:  # a failed start solve or step; MultipleEquilibriaError too
-        print(f"FAIL: {e}", file=sys.stderr)
-        return 1
-    out = _out_dir(cfg, args.output_dir)
+    m0 = _initial_measure(sec.get("initial", "uniform"), p)
+    traj = integrate(m0, p, sec["T"], sec["dt"])
+    out = _out_dir(cfg, args)
     kept = traj[::every]
     if kept[-1][0] != traj[-1][0]:
         kept.append(traj[-1])
@@ -290,16 +287,13 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
                             out / "trajectory.csv")
     final = traj[-1][1]
     summary = {
-        "command": "meanfield",
-        "config": cfg,
-        "config_sha256": _config_hash(cfg),
         "T": traj[-1][0],
         "p_available": 1.0 - prob_no_available(final),
         "p_free": 1.0 - prob_saturated(final),
         "mean_fill": mean_fill(final),
         "stationarity_residual": stationarity_residual(final, p),
     }
-    write_json(summary, out / "summary.json")
+    _write_record(cfg, args, "summary.json", summary)
     print(
         f"integrated to T={traj[-1][0]}: mean_fill={summary['mean_fill']:.6g}, "
         f"residual={summary['stationarity_residual']:.3g}"
@@ -313,17 +307,9 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
 
 def _cmd_equilibrium(cfg: dict, conf: dict, args) -> int:
     p = _model_params(conf["model"])
-    try:
-        _budgeted_states(p.K)  # the measure file has one row per state
-        report = solve_equilibrium(p, **conf["equilibrium"])
-    except ValueError as e:
-        raise ConfigError(str(e))
-    except RuntimeError as e:  # MultipleEquilibriaError included
-        print(f"FAIL: {e}", file=sys.stderr)
-        return 1
-    out = _out_dir(cfg, args.output_dir)
-    doc = {**report.to_dict(), "config": cfg, "config_sha256": _config_hash(cfg)}
-    write_json(doc, out / "solve_report.json")
+    _budgeted_states(p.K)  # the measure file has one row per state
+    report = solve_equilibrium(p, **conf["equilibrium"])
+    out = _write_record(cfg, args, "solve_report.json", report.to_dict())
     measure_to_csv(product_form(report.rho, p.K), out / "equilibrium_measure.csv")
     r = report.rho
     print(
@@ -343,6 +329,9 @@ def _cmd_verify(cfg: dict, conf: dict, args) -> int:
         checks = list(CHECKS)
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("'checks' must be a list of suite names or \"all\"")
+    for name in checks:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     overrides = {}
     for name, kw in conf.get("overrides", {}).items():
         if name not in CHECKS:
@@ -359,35 +348,29 @@ def _cmd_verify(cfg: dict, conf: dict, args) -> int:
             raise ConfigError(f"experiment {name!r} config must be an object")
         kw = _read(sec, f"experiments.{name}")
         lead = (_model_params(kw.pop("model")),) if "model" in kw else ()
-        experiments.append((_EXPERIMENTS[name], lead, kw))
-    try:
-        results = run_checks(checks, overrides)
-        reports = [fn(*lead, **kw) for fn, lead, kw in experiments]
-    except (KeyError, ValueError) as e:
-        raise ConfigError(str(e))
-    except RuntimeError as e:  # an experiment's failed solve; suites count theirs
-        print(f"FAIL: {e}", file=sys.stderr)
-        return 1
+        experiments.append((name, lead, kw))
+    results = run_checks(checks, overrides)
+    reports = []
+    for name, lead, kw in experiments:
+        try:
+            reports.append(_EXPERIMENTS[name](*lead, **kw).to_dict())
+        except RuntimeError as e:  # a failed solve: reported, and the other items still are
+            print(f"FAIL: {e}", file=sys.stderr)
+            reports.append({"name": name, "passed": False, "error": str(e)})
 
-    all_ok = all(r.passed for r in results + reports)
+    all_ok = all(r.passed for r in results) and all(r["passed"] for r in reports)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} (worst={res.worst:.3g}, tol={res.tol:.3g})")
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        keys = ", ".join(f"{k}={v:.4g}" for k, v in rep.metrics.items()
+        status = "PASS" if rep["passed"] else "FAIL"
+        keys = ", ".join(f"{k}={v:.4g}" for k, v in rep.get("metrics", {}).items()
                          if isinstance(v, (int, float)) and not isinstance(v, bool))
-        print(f"{status} experiment:{rep.name} ({keys})")
+        print(f"{status} experiment:{rep['name']}" + (f" ({keys})" if "metrics" in rep else ""))
     if args.output_dir is not None or "output_dir" in cfg:
-        out = _out_dir(cfg, args.output_dir)
-        write_json({
-            "command": "verify",
-            "config": cfg,
-            "config_sha256": _config_hash(cfg),
-            "checks": [r.to_dict() for r in results],
-            "experiments": [r.to_dict() for r in reports],
-            "passed": all_ok,
-        }, out / "verify_report.json")
+        _write_record(cfg, args, "verify_report.json",
+                      {"checks": [r.to_dict() for r in results], "experiments": reports,
+                       "passed": all_ok})
     return 0 if all_ok else 1
 
 
@@ -418,9 +401,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.fn(cfg, _read(cfg, f"duores {args.command}"), args)
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:  # a failed solve or step, MultipleEquilibriaError, SimInvariantError
+        print(f"FAIL: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -98,9 +98,20 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     the report's ``config`` and an iterator that yields, one ``N`` at a
     time, the row head ``{N, M, seeds}``, the replica-averaged measures,
     the pair averages of :func:`_averaged_pairs` (``None`` without
-    ``with_pairs``) and the flow at the sample times.  Pair tables above
-    the state budget are refused here, before any run."""
+    ``with_pairs``) and the flow at the sample times.  Degenerate inputs
+    (no size, no sample time, no replica, a size below one station, or
+    below two with pairs) and pair tables above the state budget are
+    refused here, before any run."""
     sample_times = tuple(float(t) for t in sample_times)
+    if not len(N_list):
+        raise ValueError("N_list must hold at least one network size")
+    if not sample_times:
+        raise ValueError("sample_times must hold at least one time")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    least = 2 if with_pairs else 1  # pair statistics divide by N (N - 1)
+    if min(N_list) < least:
+        raise ValueError(f"every N in N_list must be >= {least}, got {min(N_list)}")
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     if with_pairs:
         n = _budgeted_pairs(p.K)
@@ -177,8 +188,11 @@ def convergence_experiment(
     initial state); the flow is integrated from that state's own
     empirical measure, so the distance at time zero is exactly zero.
     Passing requires the distance at the final sample time to decrease
-    strictly in ``N`` with a log-log slope inside ``slope_range``.
+    strictly in ``N`` with a log-log slope inside ``slope_range``, so
+    ``N_list`` must hold at least two sizes.
     """
+    if len(N_list) < 2:
+        raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=False)
     rows = []
@@ -374,14 +388,24 @@ def monotonicity_scan(
     the curve increases when reservations are fast (``nu >= 10 mu``).
     Slow-reservation fill curves are scanned too but only reported:
     whether they can lose monotonicity is an open question, not a
-    defect.
+    defect.  Empty lists, a grid of fewer than two points per side and
+    ``n_curve < 2`` leave nothing to compare and are refused.
     """
+    if not (len(a_list) and len(K_list)):
+        raise ValueError("a_list and K_list must each hold at least one value")
+    if not grid_step > 0:
+        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    if n_curve < 2:
+        raise ValueError(f"n_curve must be >= 2, got {n_curve}")
+    grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)
+    if len(grid) < 2:
+        raise ValueError(f"grid_step={grid_step} leaves {len(grid)} grid point(s) up to "
+                         f"xy_max={xy_max}; need at least two")
     rows = []
     passed = True
     notes = []
 
     # g_mean: forward differences in both arguments on the square grid.
-    grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)
     for K in K_list:
         g = np.array([[g_mean(float(xx), float(yy), K) for yy in grid] for xx in grid])
         dx_min = float((g[1:, :] - g[:-1, :]).min())

@@ -451,3 +451,99 @@ def test_equilibrium_checks_the_state_budget_before_the_solve(tmp_path, capsys, 
     assert main(["equilibrium", _write_cfg(tmp_path, "c.json", cfg)]) == 2
     assert "above the state budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------
+# one exit policy and one run record for the four commands
+# ------------------------------------------------------------
+
+_ATTRACTION = {"model": {**_MODEL, "nu": 10.0}, "s": 1.0, "perturbation_size": 0.05,
+               "T": 20.0}
+
+# Each command's config and the module-level name of its library call.
+_COMMANDS = {
+    "simulate": ({"model": _MODEL, "sim": {"N": 3, "M": 3, "T": 0.5, "sample_times": [0.5],
+                                           "seed": 1}}, "run"),
+    "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "integrate"),
+    "equilibrium": ({"model": _MODEL, "equilibrium": {"s": 1.0}}, "solve_equilibrium"),
+    "verify": ({"checks": ["enumeration"], "experiments": {"attraction": _ATTRACTION}},
+               "attraction"),
+}
+
+
+@pytest.mark.parametrize("error, code, first_line", [
+    (ValueError("x"), 2, "config error: x"),
+    (RuntimeError("y"), 1, "FAIL: y"),
+], ids=["ValueError", "RuntimeError"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_maps_library_errors_to_one_exit_policy(
+        tmp_path, capsys, monkeypatch, command, error, code, first_line):
+    cfg, call = _COMMANDS[command]
+
+    def raises(*args, **kwargs):
+        raise error
+
+    if command == "verify":
+        monkeypatch.setitem(cli._EXPERIMENTS, call, raises)
+    else:
+        monkeypatch.setattr(cli, call, raises)
+    out = tmp_path / "out"
+    assert main([command, _write_cfg(tmp_path, "c.json", cfg), "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == first_line
+    assert "Traceback" not in err
+    if command == "verify" and code == 1:  # a raised experiment is reported with the rest
+        assert [p.name for p in out.iterdir()] == ["verify_report.json"]
+    else:
+        assert not out.exists()
+
+
+def test_every_run_record_starts_with_the_command_and_the_hashed_config(tmp_path):
+    records = {"simulate": "manifest.json", "meanfield": "summary.json",
+               "equilibrium": "solve_report.json", "verify": "verify_report.json"}
+    for command, name in records.items():
+        cfg = {**_COMMANDS[command][0], "output_dir": str(tmp_path / command)}
+        assert main([command, _write_cfg(tmp_path, f"{command}.json", cfg)]) == 0
+        record = json.loads((tmp_path / command / name).read_text())
+        assert list(record)[:3] == ["command", "config", "config_sha256"]
+        assert record["command"] == command and record["config"] == cfg
+        canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert record["config_sha256"] == hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_verify_reports_every_item_when_an_experiment_raises(tmp_path, capsys):
+    # Every finished result was dropped: one stderr line and no output directory.
+    cfg = {"checks": ["enumeration"],
+           "experiments": {"attraction": {"model": {"lam": 1.0, "mu": 1.0, "nu": 0.01, "K": 20},
+                                          "s": 18.0, "perturbation_size": 0.1, "T": 1.0}},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    message = captured.err.splitlines()[0].removeprefix("FAIL: ")
+    assert message.startswith("fill bisection at K=20")
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("PASS enumeration (") and lines[1] == "FAIL experiment:attraction"
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["enumeration"]
+    assert report["experiments"] == [{"name": "attraction", "passed": False, "error": message}]
+    assert report["passed"] is False
+
+
+_STUDY_OK = {**_STUDY, "N_list": [2, 3]}
+
+
+@pytest.mark.parametrize("name, sec, named", [
+    # "non-finite mass nan at rank 0"
+    ("convergence", {**_STUDY_OK, "replicas": 0}, "replicas must be >= 1, got 0"),
+    # reported marginal_err_max = 0.0 from a division by N(N-1) = 0
+    ("chaos", {**_STUDY_OK, "N_list": [1, 4]}, "every N in N_list must be >= 2, got 1"),
+    # a ZeroDivisionError traceback
+    ("monotonicity", {"grid_step": 0}, "grid_step must be > 0, got 0.0"),
+])
+def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, name, sec,
+                                                               named):
+    cfg = {"experiments": {name: sec}, "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out").exists()

@@ -209,3 +209,39 @@ def test_study_reports_match_their_golden_digests(study, sample_times, digest):
                 seed0=5, s=1.0)
     blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+_STUDY_KW = dict(N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,), seed0=5, s=1.0)
+
+
+@pytest.mark.parametrize("study, kw, named", [
+    (convergence_experiment, dict(replicas=0), "replicas must be >= 1"),
+    (convergence_experiment, dict(N_list=[]), "N_list must hold at least two sizes"),
+    (convergence_experiment, dict(N_list=[4]), "N_list must hold at least two sizes"),
+    (chaos_experiment, dict(N_list=[]), "N_list must hold at least one network size"),
+    (convergence_experiment, dict(N_list=[0, 4]), "every N in N_list must be >= 1, got 0"),
+    (chaos_experiment, dict(N_list=[1, 4]), "every N in N_list must be >= 2, got 1"),
+    (chaos_experiment, dict(sample_times=()), "sample_times must hold at least one time"),
+])
+def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw, named):
+    # replicas=0 read "non-finite mass nan"; an empty N_list was a polyfit
+    # TypeError; one N fit a slope to one point; chaos at N=1 divided by
+    # N(N-1) = 0 and reported marginal_err_max = 0.0.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulator ran before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    with pytest.raises(ValueError, match=named):
+        study(_P, **{**_STUDY_KW, **kw})
+
+
+@pytest.mark.parametrize("kw, named", [
+    (dict(grid_step=0.0), "grid_step must be > 0"),  # was a ZeroDivisionError
+    (dict(grid_step=-0.1), "grid_step must be > 0"),  # was an IndexError
+    (dict(xy_max=0.15), "leaves 1 grid point"),  # was an IndexError
+    (dict(n_curve=1), "n_curve must be >= 2"),  # was "zero-size array"
+    (dict(K_list=()), "K_list must each hold"),  # passed with no check made
+])
+def test_monotonicity_scan_refuses_degenerate_grids(kw, named):
+    with pytest.raises(ValueError, match=named):
+        monotonicity_scan(**kw)

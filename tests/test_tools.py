@@ -47,3 +47,8 @@ def test_solver_outcomes_takes_its_outcome_names_from_verify(layers, monkeypatch
 def test_solver_outcomes_takes_no_repeats(layers):
     with pytest.raises(SystemExit):
         layers.main(["solver_outcomes", "--label", "x", "--repeats", "3"])
+
+
+def test_first_solve_prints_the_solve_time_alone(layers, capsys):
+    assert layers.main(["state_space", "--first-solve", "20"]) == 0
+    assert float(capsys.readouterr().out) >= 0.0

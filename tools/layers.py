@@ -34,8 +34,7 @@ subjects, each with its default ``FILE`` at the repository root:
   ``first_solve`` (one solve in each of R fresh interpreters, the import
   not timed, at K in {20, 40, 80, 200, 1000}), ``warm_solve`` (the same
   solve repeated in this process) and ``peak_kib`` (the ``tracemalloc``
-  peak of one warm solve).  A capacity whose solve raises the state
-  budget's ``ValueError`` is recorded as ``"refused"``.
+  peak of one warm solve).
 * ``solver_outcomes`` (``BENCH_solver_outcomes.json``, no repeats): the
   outcome counts of ``verify.solve_grid`` at lam = mu = 1 on the grid
   K in {1, 2, 3, 5, 10, 20, 40, 80}, nu/mu = 10^k for k = -4..3, and s/K
@@ -187,21 +186,10 @@ def simulate_events(repeats: int) -> dict:
 
 ARRAY_K = (20, 40, 80)
 SOLVE_K = (20, 40, 80, 200, 1000)
-REFUSED = "refused"
 
 
 def _solve(K: int):
     return equilibrium.solve_equilibrium(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
-
-
-def _refused(K: int) -> bool:
-    try:
-        _solve(K)
-    except ValueError as err:
-        if "state budget" in str(err):
-            return True
-        raise
-    return False
 
 
 def _clear_core_caches() -> None:
@@ -210,15 +198,10 @@ def _clear_core_caches() -> None:
             obj.cache_clear()
 
 
-def _first_solve_ms(K: int, repeats: int):
-    samples = []
-    for _ in range(repeats):
-        out = subprocess.run([sys.executable, __file__, "state_space", "--first-solve", str(K)],
-                             check=True, capture_output=True, text=True).stdout.strip()
-        if out == REFUSED:
-            return REFUSED
-        samples.append(float(out))
-    return _summary(samples, "ms", 3)
+def _first_solve_ms(K: int, repeats: int) -> dict:
+    cmd = [sys.executable, __file__, "state_space", "--first-solve", str(K)]
+    return _summary([float(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+                     for _ in range(repeats)], "ms", 3)
 
 
 def _peak_kib(K: int) -> int:
@@ -239,9 +222,6 @@ def state_space(repeats: int) -> dict:
         "peak_kib": {},
     }
     for K in SOLVE_K:
-        if _refused(K):
-            layers["warm_solve"][K] = layers["peak_kib"][K] = REFUSED
-            continue
         layers["warm_solve"][K] = _ms(_cpu_s(lambda: _solve(K), repeats))
         layers["peak_kib"][K] = _peak_kib(K)
         _clear_core_caches()  # drop the per-state tables of a large K before the next
@@ -304,7 +284,8 @@ def main(argv=None) -> int:
     measure, repeats, out = SUBJECTS[args.subject]
     if args.first_solve is not None:  # one state_space solve in this fresh interpreter
         t0 = time.process_time()
-        print(REFUSED if _refused(args.first_solve) else 1e3 * (time.process_time() - t0))
+        _solve(args.first_solve)
+        print(1e3 * (time.process_time() - t0))
         return 0
     if args.label is None:
         ap.error("--label is required")

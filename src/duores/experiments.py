@@ -14,6 +14,7 @@ independent of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from .core import (
     _CACHED_CAPACITIES,
     Measure,
     ModelParams,
+    _integral,
     count_arrays,
     mean_fill,
     tv_distance,
@@ -34,7 +36,7 @@ from .equilibrium import (
     solve_equilibrium,
     solve_phi,
 )
-from .meanfield import integrate, integrate_at
+from .meanfield import _grid_plan, _stream, integrate_at
 from .simulate import (SimConfig, _budgeted_pairs, _pair_table, _rank_counts,
                        empirical_measure, init_uniform, run)
 
@@ -296,10 +298,11 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     Mass is rotated cyclically within each class of states sharing
     ``(w, z, x + y)``; the result is the convex combination of ``m``
     and its rotation that lands at the requested distance (or the full
-    rotation, if the requested distance is out of reach).
+    rotation, if the requested distance is out of reach).  A ``size``
+    that is not ``>= 0``, NaN included, is refused.
     """
-    if size < 0:
-        raise ValueError("size must be >= 0")
+    if not size >= 0:
+        raise ValueError(f"size must be >= 0, got {size!r}")
     shifted = m.probs[_shift_permutation(m.K)]
     full = 0.5 * float(np.abs(shifted - m.probs).sum())
     if full == 0.0 or size == 0.0:
@@ -326,25 +329,25 @@ def attraction_experiment(
 
     Passing requires the final distance to the fixed point below
     ``final_tv_tol`` and the mean fill constant along the whole
-    trajectory within ``fill_drift_tol``.
+    trajectory within ``fill_drift_tol``.  The fill drift is taken over
+    every step, but only the strided rows and the last one are kept.
     """
     report = solve_equilibrium(p, s)
     pi = product_form(report.rho, p.K)
     start = fill_preserving_perturbation(pi, perturbation_size)
     actual_size = tv_distance(start, pi)
     dt = dt if dt is not None else _default_dt(p)
-    traj = integrate(start, p, T, dt)
-    tvs = [tv_distance(m, pi) for _, m in traj]
-    fills = [mean_fill(m) for _, m in traj]
-    fill_drift = max(abs(f - fills[0]) for f in fills)
-    stride = max(1, len(traj) // _REPORT_POINTS)
-    rows = [
-        {"t": traj[k][0], "tv": tvs[k], "fill": fills[k]}
-        for k in range(0, len(traj), stride)
-    ]
-    if (len(traj) - 1) % stride != 0:
-        rows.append({"t": traj[-1][0], "tv": tvs[-1], "fill": fills[-1]})
-    passed = tvs[-1] < final_tv_tol and fill_drift <= fill_drift_tol
+    plan, n = _grid_plan(start, p, T, dt)
+    stride = max(1, (n + 1) // _REPORT_POINTS)
+    fill0, fill_drift, final_tv = mean_fill(start), 0.0, actual_size
+    rows = [{"t": 0.0, "tv": final_tv, "fill": fill0}]
+    for k, (t, m) in enumerate(_stream(start, p, plan, n), 1):
+        fill = mean_fill(m)
+        fill_drift = max(fill_drift, abs(fill - fill0))
+        if k % stride == 0 or k == n:
+            final_tv = tv_distance(m, pi)
+            rows.append({"t": t, "tv": final_tv, "fill": fill})
+    passed = final_tv < final_tv_tol and fill_drift <= fill_drift_tol
     return ExperimentReport(
         name="attraction",
         config={
@@ -354,7 +357,7 @@ def attraction_experiment(
         rows=rows,
         metrics={
             "initial_tv": actual_size,
-            "final_tv": tvs[-1],
+            "final_tv": final_tv,
             "fill_drift": fill_drift,
             "solver_max_residual": report.max_residual,
         },
@@ -389,12 +392,25 @@ def monotonicity_scan(
     Slow-reservation fill curves are scanned too but only reported:
     whether they can lose monotonicity is an open question, not a
     defect.  Empty lists, a grid of fewer than two points per side and
-    ``n_curve < 2`` leave nothing to compare and are refused.
+    ``n_curve < 2`` leave nothing to compare and are refused, as are an
+    intensity, step or rate ratio that is not finite and ``> 0`` and a
+    capacity or ``n_curve`` that is not an integer; all before any check
+    runs.
     """
     if not (len(a_list) and len(K_list)):
         raise ValueError("a_list and K_list must each hold at least one value")
     if not grid_step > 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    for name, vs in (("a_list", a_list), ("grid_step", (grid_step,)), ("xy_max", (xy_max,)),
+                     ("enforce_nu_over_mu", enforce_nu_over_mu),
+                     ("probe_nu_over_mu", probe_nu_over_mu)):
+        bad = [v for v in vs if not (math.isfinite(v) and v > 0)]
+        if bad:
+            raise ValueError(f"{name} must be finite and > 0, got {bad[0]!r}")
+    K_list = [_integral("every K in K_list", K) for K in K_list]
+    if min(K_list) < 1:
+        raise ValueError(f"every K in K_list must be >= 1, got {min(K_list)}")
+    n_curve = _integral("n_curve", n_curve)
     if n_curve < 2:
         raise ValueError(f"n_curve must be >= 2, got {n_curve}")
     grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)

@@ -42,7 +42,8 @@ the four stage derivatives and one stage vector per call and reuses
 them for every step, so a step allocates only its new state.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
-``dt * (lam + nu K + mu K) <= 0.5``.
+``dt * (lam + nu K + mu K) <= 0.5``.  One loop checks every state but
+builds a :class:`Measure` only of those its caller keeps.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,7 +190,7 @@ def _check_step(p: ModelParams, dt: float, name: str) -> None:
 
 def _rk4(
     v: np.ndarray, p: ModelParams, st: _Stencils,
-    plan: Sequence[tuple[float, int, float]],
+    plan: Iterable[tuple[float, int, float]],
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Run ``plan``: for each ``(t, steps, h)`` take ``steps`` classical
     Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
@@ -225,23 +227,33 @@ def _rk4(
         yield t, v
 
 
-_NEG_TOL = -1e-12
+def _grid_plan(m0: Measure, p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
+    """:func:`integrate`'s lazy plan and step count: a step of ``dt`` to each
+    ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid."""
+    if m0.K != p.K:
+        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+    _check_step(p, dt, "dt")
+    n_full = int(np.floor(T / dt + 1e-9))
+    t = n_full * dt
+    tail = [(T, 1, T - t)] if T - t > 1e-9 * max(1.0, T) else []
+    return chain((((k + 1) * dt, 1, dt) for k in range(n_full)), tail), n_full + len(tail)
 
 
-def _as_measure(v: np.ndarray, K: int, t: float) -> Measure:
-    """Validate an integrator state as a probability vector.
-
-    Roundoff negatives above -1e-12 are clamped to zero without
-    renormalizing; anything lower aborts the run.
-    """
-    lo = float(v.min())
-    if lo < _NEG_TOL:
-        raise RuntimeError(
-            f"integration produced mass {lo!r} at t={t}; the step is unstable"
-        )
-    out = v.copy()
-    np.clip(out, 0.0, None, out=out)
-    return Measure(out, K)
+def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
+            every: int = 1) -> Iterator[tuple[float, Measure]]:
+    """Run the ``n`` entries of ``plan`` from ``m0``, checking every state (a
+    mass below -1e-12 aborts the run), and yield ``(t, Measure)``, clamped to
+    ``>= 0`` without renormalizing, at every ``every``-th entry and the last."""
+    for i, (t, v) in enumerate(_rk4(m0.probs, p, _stencils(p.K), plan), 1):
+        lo = float(v.min())
+        if lo < -1e-12:
+            raise RuntimeError(
+                f"integration produced mass {lo!r} at t={t}; the step is unstable"
+            )
+        if i % every == 0 or i == n:
+            yield t, Measure(np.clip(v, 0.0, None), p.K)
 
 
 def integrate(
@@ -254,19 +266,7 @@ def integrate(
     ``dt`` the final step is shortened to land exactly on ``T``.  Every
     output is validated as a probability measure.
     """
-    if m0.K != p.K:
-        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"T must be finite and >= 0, got {T!r}")
-    _check_step(p, dt, "dt")
-    n_full = int(np.floor(T / dt + 1e-9))
-    plan = [((k + 1) * dt, 1, dt) for k in range(n_full)]
-    t = n_full * dt
-    if T - t > 1e-9 * max(1.0, T):
-        plan.append((T, 1, T - t))
-    out = [(0.0, m0)]
-    out += [(s, _as_measure(v, p.K, s)) for s, v in _rk4(m0.probs, p, _stencils(p.K), plan)]
-    return out
+    return [(0.0, m0), *_stream(m0, p, *_grid_plan(m0, p, T, dt))]
 
 
 def integrate_at(
@@ -294,4 +294,4 @@ def integrate_at(
         n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
         plan.append((t, n, span / n if n else 0.0))
         prev = t
-    return [_as_measure(v, p.K, s) for s, v in _rk4(m0.probs, p, _stencils(p.K), plan)]
+    return [m for _, m in _stream(m0, p, plan, len(plan))]

@@ -3,15 +3,17 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from duores import cli
 from duores.cli import main
-from duores.core import num_states
+from duores.core import Measure, ModelParams, num_states
 from duores.equilibrium import MultipleEquilibriaError
-from duores.io import measure_from_csv
+from duores.io import measure_from_csv, write_timed_measure_csv
+from duores.meanfield import integrate
 from duores.simulate import SimInvariantError
 
 
@@ -103,6 +105,38 @@ def test_meanfield_from_equilibrium_is_stationary(tmp_path):
         rows = list(csv.reader(fh))
     times = sorted({float(r[0]) for r in rows[1:]})
     assert times[0] == 0.0 and times[-1] == 2.0
+
+
+def test_meanfield_trajectory_is_the_full_flow_thinned(tmp_path):
+    # T = 1.03 is 51 whole steps of 0.02 and a short one; 5 does not divide 52
+    model = {"lam": 1.0, "mu": 1.0, "nu": 2.0, "K": 3}
+    cfg = {"model": model, "meanfield": {"T": 1.03, "dt": 0.02, "output_every": 5},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 0
+    traj = integrate(Measure.uniform(3), ModelParams(**model), 1.03, 0.02)
+    assert len(traj) == 53
+    kept = traj[::5] + [traj[-1]]
+    write_timed_measure_csv([t for t, _ in kept], [m for _, m in kept], tmp_path / "ref.csv")
+    assert (tmp_path / "out" / "trajectory.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()
+
+
+def test_meanfield_memory_holds_only_the_kept_rows(tmp_path):
+    # Every step's Measure was kept and then sliced: the peak grew with T.
+    def peak(T, every):
+        cfg = {"model": {"lam": 1.0, "mu": 1.0, "nu": 2.0, "K": 6},
+               "meanfield": {"T": T, "dt": 0.01, "output_every": every},
+               "output_dir": str(tmp_path / f"out{T}")}
+        path = _write_cfg(tmp_path, f"mf{T}.json", cfg)
+        tracemalloc.start()
+        try:
+            assert main(["meanfield", path]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0, 25)  # builds the per-capacity caches
+    assert peak(16.0, 400) <= 1.25 * peak(4.0, 100)
 
 
 def test_meanfield_point_initial_and_override_dir(tmp_path):
@@ -429,6 +463,28 @@ def test_simulate_reports_a_failed_audit(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_writes_no_replica_when_a_later_one_fails(tmp_path, capsys, monkeypatch):
+    # The first replica's two CSVs were written before the second ran,
+    # and stayed with no manifest.json.
+    real_run, calls = cli.run, []
+
+    def second_fails(p, config, audit):
+        calls.append(config.seed)
+        if len(calls) == 2:
+            raise SimInvariantError("car total 7 != 6 at t=0.25")
+        return real_run(p, config, audit=audit)
+
+    monkeypatch.setattr(cli, "run", second_fails)
+    cfg = {"model": _MODEL,
+           "sim": {"N": 3, "M": 6, "T": 1.0, "sample_times": [1.0], "seed": 1,
+                   "replicas": 2, "audit": True},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["simulate", _write_cfg(tmp_path, "sim.json", cfg)]) == 1
+    assert capsys.readouterr().err == "FAIL: car total 7 != 6 at t=0.25\n"
+    assert len(calls) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("equilibrium", {**_UNREACHABLE, "equilibrium": {"s": 9.999}}),
     ("simulate", {"model": _MODEL,
@@ -464,7 +520,7 @@ _ATTRACTION = {"model": {**_MODEL, "nu": 10.0}, "s": 1.0, "perturbation_size": 0
 _COMMANDS = {
     "simulate": ({"model": _MODEL, "sim": {"N": 3, "M": 3, "T": 0.5, "sample_times": [0.5],
                                            "seed": 1}}, "run"),
-    "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "integrate"),
+    "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "_stream"),
     "equilibrium": ({"model": _MODEL, "equilibrium": {"s": 1.0}}, "solve_equilibrium"),
     "verify": ({"checks": ["enumeration"], "experiments": {"attraction": _ATTRACTION}},
                "attraction"),
@@ -546,4 +602,17 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refuses_a_degenerate_experiment_before_any_suite_runs(tmp_path, capsys,
+                                                                       monkeypatch):
+    # Every suite ran, and its result was dropped, before the refusal.
+    calls = []
+    monkeypatch.setattr(cli, "run_checks", lambda *args: calls.append(args))
+    cfg = {"checks": "all", "experiments": {"convergence": {**_STUDY_OK, "replicas": 0}},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    assert capsys.readouterr().err == "config error: replicas must be >= 1, got 0\n"
+    assert calls == []
     assert not (tmp_path / "out").exists()

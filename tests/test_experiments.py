@@ -77,6 +77,9 @@ def test_perturbation_edge_cases():
     assert fill_preserving_perturbation(m, 0.0) is m
     with pytest.raises(ValueError):
         fill_preserving_perturbation(m, -0.1)
+    # NaN fails every comparison and returned the full rotation
+    with pytest.raises(ValueError, match="size must be >= 0, got nan"):
+        fill_preserving_perturbation(m, float("nan"))
     # the uniform measure is invariant under every rotation within a class
     u = Measure.uniform(1)
     assert fill_preserving_perturbation(u, 0.2) is u
@@ -155,6 +158,22 @@ def test_attraction_toy_run_passes():
     assert rep.rows[0]["t"] == 0.0
     assert rep.rows[-1]["t"] == 20.0
     json.dumps(rep.to_dict())
+
+
+def test_attraction_memory_does_not_grow_with_the_horizon():
+    # One Measure per step was kept, with a TV and a fill per step.
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=6)
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            attraction_experiment(p, 0.1, T, s=3.0, dt=0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)  # builds the per-capacity caches
+    assert peak(32.0) <= 1.25 * peak(8.0)
 
 
 def test_monotonicity_toy_scan_passes():
@@ -243,5 +262,31 @@ def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw,
     (dict(K_list=()), "K_list must each hold"),  # passed with no check made
 ])
 def test_monotonicity_scan_refuses_degenerate_grids(kw, named):
+    with pytest.raises(ValueError, match=named):
+        monotonicity_scan(**kw)
+
+
+_INF = float("inf")
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("kw, named", [
+    (dict(a_list=[-1.0]), "a_list must be finite and > 0, got -1.0"),  # solve_phi's words
+    (dict(a_list=[1.0, _INF]), "a_list must be finite and > 0, got inf"),
+    (dict(a_list=[_NAN]), "a_list must be finite and > 0, got nan"),
+    (dict(K_list=[0]), "every K in K_list must be >= 1, got 0"),  # "failed to bracket"
+    (dict(K_list=[2.5]), "every K in K_list must be an integer, got 2.5"),
+    (dict(enforce_nu_over_mu=[0.0]), "enforce_nu_over_mu must be finite and > 0, got 0.0"),
+    (dict(probe_nu_over_mu=[-1.0]), "probe_nu_over_mu must be finite and > 0, got -1.0"),
+    (dict(xy_max=_NAN), "xy_max must be finite and > 0, got nan"),  # an arange error
+    (dict(grid_step=_INF), "grid_step must be finite and > 0, got inf"),
+    (dict(n_curve=2.5), "n_curve must be an integer, got 2.5"),  # a range() TypeError
+])
+def test_monotonicity_scan_refuses_degenerate_values_by_name(monkeypatch, kw, named):
+    # refused up front: no g_mean evaluation runs
+    def no_check(*args):
+        raise AssertionError("a check ran before the inputs were refused")
+
+    monkeypatch.setattr(experiments, "g_mean", no_check)
     with pytest.raises(ValueError, match=named):
         monotonicity_scan(**kw)

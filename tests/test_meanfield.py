@@ -230,23 +230,44 @@ def test_integrate_at_is_bit_equal_to_the_textbook_form(K):
 
 def test_an_integrator_step_allocates_only_its_state_and_measure():
     # the stages live in the run's workspace; a step allocates the new
-    # state, and validating it as a Measure copies it twice (the clamp
-    # in _as_measure and Measure's own read-only copy)
+    # state, and emitting it as a Measure copies it twice (the clamp and
+    # Measure's own read-only copy)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     st = meanfield._stencils(p.K)
     dt = 0.25 / p.rate_bound
-    steps = meanfield._rk4(_random_measure(p.K, 1200).probs, p, st,
-                           [(dt, 1, dt), (2 * dt, 1, dt)])
+    steps = meanfield._stream(_random_measure(p.K, 1200), p,
+                              [(dt, 1, dt), (2 * dt, 1, dt)], 2)
     next(steps)  # allocates the run's workspace
     tracemalloc.start()
     try:
-        t, v = next(steps)
-        meanfield._as_measure(v, p.K, t)
+        next(steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # three n-vectors plus the small objects around them, below a fourth
     assert peak <= 3 * st.n * 8 + 4096
+
+
+def test_a_negative_state_aborts_the_run_even_when_it_is_not_emitted(monkeypatch):
+    # every=10 emits the 10th and 20th states; the 3rd is only checked
+    rk4 = meanfield._rk4
+
+    def corrupted(*args):
+        for i, (t, v) in enumerate(rk4(*args), 1):
+            if i == 3:
+                v = v.copy()
+                v[0] = -1e-9
+            yield t, v
+
+    monkeypatch.setattr(meanfield, "_rk4", corrupted)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    dt = 0.25 / p.rate_bound
+    m0 = _random_measure(p.K, 1300)
+    plan, n = meanfield._grid_plan(m0, p, 20 * dt, dt)
+    emitted = []
+    with pytest.raises(RuntimeError, match=rf"mass -1e-09 at t={3 * dt}; the step is unstable"):
+        emitted.extend(meanfield._stream(m0, p, plan, n, every=10))
+    assert emitted == []
 
 
 def test_cached_stencils_are_read_only():

@@ -33,8 +33,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import (Measure, ModelParams, _budgeted_states, mean_fill, prob_no_available,
-                   prob_saturated)
+from .core import (Measure, ModelParams, _budgeted_states, _count, mean_fill,
+                   prob_no_available, prob_saturated)
 from .equilibrium import product_form, solve_equilibrium
 from .experiments import (
     attraction_experiment,
@@ -217,10 +217,8 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
     sec = conf["sim"]
     if args.seed is not None:
         sec["seed"] = args.seed
-    replicas = sec.pop("replicas", 1)
+    replicas = _count("replicas", sec.pop("replicas", 1), 1)
     audit = sec.pop("audit", False)
-    if replicas < 1:
-        raise ConfigError("replicas must be >= 1")
     try:
         base = SimConfig(**sec)
     except ValueError as e:
@@ -274,11 +272,9 @@ def _initial_measure(init, p: ModelParams) -> Measure:
 def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
     p = _model_params(conf["model"])
     sec = conf["meanfield"]
-    every = sec.get("output_every", 1)
-    if every < 1:
-        raise ConfigError("output_every must be >= 1")
+    every = _count("output_every", sec.get("output_every", 1), 1)
     m0 = _initial_measure(sec.get("initial", "uniform"), p)
-    kept = [(0.0, m0), *_stream(m0, p, *_grid_plan(m0, p, sec["T"], sec["dt"]), every)]
+    kept = [(0.0, m0), *_stream(m0, p, *_grid_plan(p, sec["T"], sec["dt"]), every)]
     out = _out_dir(cfg, args)
     write_timed_measure_csv([t for t, _ in kept], [m for _, m in kept],
                             out / "trajectory.csv")

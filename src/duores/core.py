@@ -60,6 +60,38 @@ class StationState(NamedTuple):
 
 
 # ============================================================
+# Input domains: each public entry checks its numbers with these first
+# ============================================================
+
+def _real(name: str, value, lo=None, strict: bool = False, finite: bool = True):
+    """``value`` if it is a real, finite unless ``finite`` is false, and ``>= lo``
+    (``> lo`` if ``strict``) unless ``lo`` is ``None``; else a ValueError naming it."""
+    if not (isinstance(value, numbers.Real) and (math.isfinite(value) or not finite)
+            and (lo is None or (value > lo if strict else value >= lo))):
+        need = ["finite"] * finite + [f"{'>' if strict else '>='} {lo}"] * (lo is not None)
+        raise ValueError(f"{name} must be {' and '.join(need)}, got {value!r}")
+    return value
+
+
+def _count(name: str, value, lo: int) -> int:
+    """``value`` as an ``int >= lo``; an integral float (``3.0``) counts."""
+    if not (isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+            and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return _real(name, int(value), lo, finite=False)
+
+
+def _times(name: str, times, T=None) -> tuple:
+    """``times`` as floats, each finite and ``>= 0``, nondecreasing, and at most ``T`` if given."""
+    ts = tuple(float(_real(f"{name}[{k}]", t, 0)) for k, t in enumerate(times))
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"{name} must be nondecreasing")
+    if T is not None and ts and ts[-1] > T:
+        raise ValueError(f"{name} must lie within [0, T] = [0, {T}], got {ts[-1]!r}")
+    return ts
+
+
+# ============================================================
 # Enumeration and ranking
 # ============================================================
 
@@ -69,8 +101,8 @@ def num_states(K: int) -> int:
     Equals the number of 4-part weak compositions of at most ``K``,
     i.e. ``C(K + 4, 4)``.
     """
-    if K < 0:
-        raise ValueError(f"capacity must be >= 0, got {K}")
+    if type(K) is not int or K < 0:  # every Measure calls this: an int costs a sign test
+        K = _count("K", K, 0)
     return math.comb(K + 4, 4)
 
 
@@ -112,13 +144,6 @@ def enumerate_states(K: int) -> list[StationState]:
     return list(map(StationState, *(c.tolist() for c in count_arrays(K))))
 
 
-def _check_state(w: int, x: int, y: int, z: int, K: int) -> None:
-    if min(w, x, y, z) < 0 or w + x + y + z > K:
-        raise ValueError(
-            f"({w},{x},{y},{z}) is not an admissible state for capacity {K}"
-        )
-
-
 def _simplex(n, d: int):
     """``C(n + d, d)``, the number of ``d``-tuples of counts with sum at
     most ``n``, as an integer polynomial: each partial product
@@ -144,13 +169,15 @@ def _rank(w, x, y, z, K: int):
 def index_of(state: Iterable[int], K: int) -> int:
     """Rank of ``state`` in the lexicographic enumeration for ``K``."""
     w, x, y, z = state
-    _check_state(w, x, y, z, K)
+    K = _count("K", K, 0)
+    if min(w, x, y, z) < 0 or w + x + y + z > K:
+        raise ValueError(f"({w},{x},{y},{z}) is not an admissible state for capacity {K}")
     return _rank(w, x, y, z, K)
 
 
 def state_of(rank: int, K: int) -> StationState:
     """Inverse of :func:`index_of`."""
-    n = num_states(K)
+    rank, n = _count("rank", rank, 0), num_states(K)
     if not 0 <= rank < n:
         raise ValueError(f"rank {rank} out of range [0, {n}) for capacity {K}")
     return StationState(*(int(c[rank]) for c in count_arrays(K)))
@@ -160,6 +187,7 @@ def ranks_of(
     w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, K: int
 ) -> np.ndarray:
     """Vectorized :func:`index_of` over parallel count arrays."""
+    K = _count("K", K, 0)
     w, x, y, z = (np.asarray(v, dtype=np.int64) for v in (w, x, y, z))
     if np.min(np.stack([w, x, y, z])) < 0 or np.any(w + x + y + z > K):
         raise ValueError("inadmissible state in rank query")
@@ -235,17 +263,6 @@ def saturated_mask(K: int) -> np.ndarray:
 # Model parameters
 # ============================================================
 
-def _integral(name: str, value) -> int:
-    """``value`` as an ``int``.  Integers pass and integral floats
-    (``3.0``) are converted; anything else raises a ``ValueError``
-    naming ``name``."""
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Rates and capacity of the symmetric network.
@@ -272,16 +289,11 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "nu"):
-            rate = getattr(self, name)
-            if not math.isfinite(rate):
-                raise ValueError(f"{name} must be finite, got {rate!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            _real(name, getattr(self, name))
+        _real("lam", self.lam, 0, finite=False)
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("mu and nu must be > 0")
-        object.__setattr__(self, "K", _integral("K", self.K))
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        object.__setattr__(self, "K", _count("K", self.K, 1))
 
     @property
     def rate_bound(self) -> float:

@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _CACHED_CAPACITIES, Measure, ModelParams, count_arrays
+from .core import _CACHED_CAPACITIES, Measure, ModelParams, _count, _real, count_arrays
 
 __all__ = [
     "RateRatios",
@@ -98,9 +98,8 @@ class RateRatios:
     eta2: float
 
     def __post_init__(self) -> None:
-        vals = (self.eta1, self.rho1, self.rho2, self.eta2)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ValueError(f"ratios must be finite and >= 0, got {vals}")
+        for name in ("eta1", "rho1", "rho2", "eta2"):
+            _real(name, getattr(self, name), 0)
 
     @property
     def rho1_tilde(self) -> float:
@@ -190,9 +189,11 @@ def _state_sums(rho: RateRatios, K: int) -> tuple[float, float, float]:
 # Two-variable reduction (aggregated infinite-server roles)
 # ============================================================
 
-def _check_intensities(x: float, y: float) -> None:
-    if x < 0 or y < 0:
-        raise ValueError("intensities must be >= 0")
+def _check_reduced(x: float, y: float, K: int) -> int:
+    """``K`` as an ``int >= 0``, with finite ``x, y >= 0``."""
+    _real("x", x, 0)
+    _real("y", y, 0)
+    return _count("K", K, 0)
 
 
 def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, float, float, int]:
@@ -251,7 +252,7 @@ def _unscale(v: float, e: int) -> float:
 def simple_partition(x: float, y: float, K: int) -> float:
     """Normalizing constant ``sum_{i+j<=K} x^i/i! y^j`` of the reduced
     two-coordinate family; ``inf`` where it overflows a double."""
-    _check_intensities(x, y)
+    K = _check_reduced(x, y, K)
     Z, _, _, _, _, e = _reduced_sums(x, y, K)
     return _unscale(Z, e)
 
@@ -262,7 +263,7 @@ def simple_form(x: float, y: float, K: int) -> np.ndarray:
     space.  The solver reads the reduced family through the O(K) pass;
     this array is the reference that checks the pass and the
     aggregation of the four-coordinate form."""
-    _check_intensities(x, y)
+    K = _check_reduced(x, y, K)
     i = np.arange(K + 1)
     lw = (_xlogr(i, x) - _log_factorials(K))[:, None] + _xlogr(i, y)[None, :]
     lw[i[:, None] + i[None, :] > K] = -np.inf
@@ -272,7 +273,7 @@ def simple_form(x: float, y: float, K: int) -> np.ndarray:
 
 def simple_no_available(x: float, y: float, K: int) -> float:
     """Reduced-family mass of ``j = 0`` (no available car), ``E / Z``."""
-    _check_intensities(x, y)
+    K = _check_reduced(x, y, K)
     Z, _, E, _, _, _ = _reduced_sums(x, y, K)
     return E / Z
 
@@ -280,7 +281,7 @@ def simple_no_available(x: float, y: float, K: int) -> float:
 def simple_saturated(x: float, y: float, K: int) -> float:
     """Reduced-family mass of the full diagonal ``i + j = K``,
     ``S / Z``."""
-    _check_intensities(x, y)
+    K = _check_reduced(x, y, K)
     Z, _, _, _, S, _ = _reduced_sums(x, y, K)
     return S / Z
 
@@ -293,6 +294,8 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     increasing in ``y`` and crosses zero exactly once; the zero ties the
     aggregated intensity ``x`` to the acceptance probability.
     """
+    K = _check_reduced(x, y, K)
+    _real("a", a, 0, strict=True)
     Z, _, E, _, _, e = _reduced_sums(x, y, K)
     return _unscale((a - x) * Z - a * E, e)
 
@@ -303,16 +306,16 @@ _PHI_MAX_ITER = 400  # Newton and bisection steps of solve_phi
 def solve_phi(x: float, a: float, K: int) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
-    Requires ``0 < x < a``.  Brackets the root by doubling
-    (``f(x, 0) < 0`` and ``f`` grows like ``y^K``), then runs Newton's
-    method on ``h(u) = log((a - x) Z / (a E))`` with ``u = log y``,
-    which has the sign of ``f``.  ``h`` is convex and increasing in
-    ``u``, so Newton steps from the upper end of the bracket close in
-    from above; a step that would leave the sign bracket is replaced by
-    a bisection.  The solve runs to machine precision: it stops when a
-    Newton step moves ``y`` by at most 2 ulp, or when the bracket ends
-    are adjacent doubles, and then returns the end with the smaller
-    ``|h|``.
+    Requires ``0 < x < a < inf`` and an integer ``K >= 1``.  Brackets
+    the root by doubling (``f(x, 0) < 0`` and ``f`` grows like ``y^K``),
+    then runs Newton's method on ``h(u) = log((a - x) Z / (a E))`` with
+    ``u = log y``, which has the sign of ``f``.  ``h`` is convex and
+    increasing in ``u``, so Newton steps from the upper end of the
+    bracket close in from above; a step that would leave the sign
+    bracket is replaced by a bisection.  The solve runs to machine
+    precision: it stops when a Newton step moves ``y`` by at most 2 ulp,
+    or when the bracket ends are adjacent doubles, and then returns the
+    end with the smaller ``|h|``.
 
     Raises
     ------
@@ -320,8 +323,10 @@ def solve_phi(x: float, a: float, K: int) -> float:
         If the root cannot be bracketed in double precision, or the
         stop is not reached within ``_PHI_MAX_ITER`` steps.
     """
-    if not 0.0 < x < a:
-        raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x}")
+    if not (0.0 < x < a < math.inf and type(K) is int and K >= 1):  # once per fill evaluation
+        K = _count("K", K, 1)
+        if not 0.0 < x < _real("a", a, 0, strict=True):
+            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x}")
     b = a - x
 
     def h_and_slope(y: float) -> tuple[float, float]:
@@ -371,7 +376,7 @@ def g_mean(x: float, y: float, K: int) -> float:
     This is the car density of the instantaneous-reservation variant;
     it increases strictly in both intensities and tends to ``K`` as
     ``y`` grows."""
-    _check_intensities(x, y)
+    K = _check_reduced(x, y, K)
     return _simple_mean(x, y, K, 1.0)
 
 
@@ -421,8 +426,12 @@ class SolveReport:
     s_target: float
     rho: RateRatios
     residuals: dict
-    outer_iterations: int
     fill_evaluations: int
+
+    @property
+    def outer_iterations(self) -> int:
+        """Steps of the outer fill bisection: one per fill evaluation."""
+        return self.fill_evaluations
 
     @property
     def max_residual(self) -> float:
@@ -505,6 +514,13 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
     )
 
 
+def _check_solvable(p: ModelParams, s: float) -> None:
+    """The fixed point's domain: ``lam > 0`` and a fill ``s`` in ``(0, K)``."""
+    _real("lam", p.lam, 0, strict=True)
+    if not 0.0 < s < p.K:
+        raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")
+
+
 def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
     """Solve the full fixed point at car density ``s``.
 
@@ -519,9 +535,9 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     Raises
     ------
     ValueError
-        If ``s`` is outside ``(0, K)`` or ``lam`` is zero, or if ``s``
-        is above the largest fill doubles reach; the message names K,
-        s, nu/mu and that fill.
+        If ``s`` is outside ``(0, K)``, ``lam`` is zero or ``fill_tol``
+        is not finite and ``> 0``; or if ``s`` is above the largest fill
+        doubles reach, when the message names K, s, nu/mu and that fill.
     RuntimeError
         If the fill bisection stops before the fill is within
         ``fill_tol`` of ``s``.
@@ -530,10 +546,8 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         uniqueness is not established there, and no root is picked.  The
         message names K, s, nu/mu and the first decreasing pair.
     """
-    if p.lam <= 0:
-        raise ValueError("lam must be > 0 to solve the fixed point")
-    if not 0.0 < s < p.K:
-        raise ValueError(f"target fill must lie in (0, {p.K}), got {s}")
+    _check_solvable(p, s)
+    _real("fill_tol", fill_tol, 0, strict=True)
     r = p.mu / p.nu
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
     c = (1.0 + r) / (1.0 + 2.0 * r)
@@ -564,7 +578,6 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         s_target=s,
         rho=rho,
         residuals=residuals,
-        outer_iterations=n_evals,
         fill_evaluations=n_evals,
     )
 

@@ -14,7 +14,6 @@ independent of execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -24,19 +23,22 @@ from .core import (
     _CACHED_CAPACITIES,
     Measure,
     ModelParams,
-    _integral,
+    _count,
+    _real,
+    _times,
     count_arrays,
     mean_fill,
     tv_distance,
 )
 from .equilibrium import (
+    _check_solvable,
     fill_along_curve,
     g_mean,
     product_form,
     solve_equilibrium,
     solve_phi,
 )
-from .meanfield import _grid_plan, _stream, integrate_at
+from .meanfield import _check_step, _grid_plan, _stream, integrate_at
 from .simulate import (SimConfig, _budgeted_pairs, _pair_table, _rank_counts,
                        empirical_measure, init_uniform, run)
 
@@ -82,7 +84,8 @@ def derive_seed(seed0: int, condition: int, replica: int) -> tuple:
     Replica 0 is reserved for the shared initial placement of the
     condition; dynamics replicas count from 1.
     """
-    return (int(seed0), int(condition), int(replica))
+    return (_count("seed0", seed0, 0), _count("condition", condition, 0),
+            _count("replica", replica, 0))
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -102,19 +105,19 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     the pair averages of :func:`_averaged_pairs` (``None`` without
     ``with_pairs``) and the flow at the sample times.  Degenerate inputs
     (no size, no sample time, no replica, a size below one station, or
-    below two with pairs) and pair tables above the state budget are
-    refused here, before any run."""
-    sample_times = tuple(float(t) for t in sample_times)
-    if not len(N_list):
+    below two with pairs), numbers outside their domains and pair tables
+    above the state budget are refused here, before any run."""
+    least = 2 if with_pairs else 1  # pair statistics divide by N (N - 1)
+    N_list = [_count("every N in N_list", N, least) for N in N_list]
+    if not N_list:
         raise ValueError("N_list must hold at least one network size")
+    replicas = _count("replicas", replicas, 1)
+    sample_times = _times("sample_times", sample_times, _real("T", T, 0))
     if not sample_times:
         raise ValueError("sample_times must hold at least one time")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    least = 2 if with_pairs else 1  # pair statistics divide by N (N - 1)
-    if min(N_list) < least:
-        raise ValueError(f"every N in N_list must be >= {least}, got {min(N_list)}")
+    _real("s", s, 0)
     dt_max = dt_max if dt_max is not None else _default_dt(p)
+    _check_step(p, dt_max, "dt_max")
     if with_pairs:
         n = _budgeted_pairs(p.K)
     config = {
@@ -241,6 +244,7 @@ def chaos_experiment(
     empirical within ``marginal_tol``.  A pair table above the state
     budget is refused before any run.
     """
+    _real("marginal_tol", marginal_tol, 0)
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=True)
     rows = []
@@ -301,8 +305,7 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     rotation, if the requested distance is out of reach).  A ``size``
     that is not ``>= 0``, NaN included, is refused.
     """
-    if not size >= 0:
-        raise ValueError(f"size must be >= 0, got {size!r}")
+    _real("size", size, 0, finite=False)
     shifted = m.probs[_shift_permutation(m.K)]
     full = 0.5 * float(np.abs(shifted - m.probs).sum())
     if full == 0.0 or size == 0.0:
@@ -324,20 +327,24 @@ def attraction_experiment(
     final_tv_tol: float = 1e-4,
     fill_drift_tol: float = 1e-9,
 ) -> ExperimentReport:
-    """Integrate from a fill-preserving perturbation of the fixed point
-    and watch the flow return.
+    """Integrate from a fill-preserving perturbation of the fixed point,
+    solved once every number is checked, and watch the flow return.
 
     Passing requires the final distance to the fixed point below
     ``final_tv_tol`` and the mean fill constant along the whole
     trajectory within ``fill_drift_tol``.  The fill drift is taken over
     every step, but only the strided rows and the last one are kept.
     """
+    _real("perturbation_size", perturbation_size, 0, finite=False)
+    dt = dt if dt is not None else _default_dt(p)
+    plan, n = _grid_plan(p, T, dt)
+    _check_solvable(p, s)
+    _real("final_tv_tol", final_tv_tol, 0)
+    _real("fill_drift_tol", fill_drift_tol, 0)
     report = solve_equilibrium(p, s)
     pi = product_form(report.rho, p.K)
     start = fill_preserving_perturbation(pi, perturbation_size)
     actual_size = tv_distance(start, pi)
-    dt = dt if dt is not None else _default_dt(p)
-    plan, n = _grid_plan(start, p, T, dt)
     stride = max(1, (n + 1) // _REPORT_POINTS)
     fill0, fill_drift, final_tv = mean_fill(start), 0.0, actual_size
     rows = [{"t": 0.0, "tv": final_tv, "fill": fill0}]
@@ -391,28 +398,20 @@ def monotonicity_scan(
     the curve increases when reservations are fast (``nu >= 10 mu``).
     Slow-reservation fill curves are scanned too but only reported:
     whether they can lose monotonicity is an open question, not a
-    defect.  Empty lists, a grid of fewer than two points per side and
-    ``n_curve < 2`` leave nothing to compare and are refused, as are an
-    intensity, step or rate ratio that is not finite and ``> 0`` and a
-    capacity or ``n_curve`` that is not an integer; all before any check
-    runs.
+    defect.  Inputs that leave nothing to compare (an empty list, fewer
+    than two grid or curve points) and numbers outside their domains are
+    refused before any check runs.
     """
     if not (len(a_list) and len(K_list)):
         raise ValueError("a_list and K_list must each hold at least one value")
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    _real("grid_step", grid_step, 0, strict=True, finite=False)
     for name, vs in (("a_list", a_list), ("grid_step", (grid_step,)), ("xy_max", (xy_max,)),
                      ("enforce_nu_over_mu", enforce_nu_over_mu),
                      ("probe_nu_over_mu", probe_nu_over_mu)):
-        bad = [v for v in vs if not (math.isfinite(v) and v > 0)]
-        if bad:
-            raise ValueError(f"{name} must be finite and > 0, got {bad[0]!r}")
-    K_list = [_integral("every K in K_list", K) for K in K_list]
-    if min(K_list) < 1:
-        raise ValueError(f"every K in K_list must be >= 1, got {min(K_list)}")
-    n_curve = _integral("n_curve", n_curve)
-    if n_curve < 2:
-        raise ValueError(f"n_curve must be >= 2, got {n_curve}")
+        for v in vs:
+            _real(name, v, 0, strict=True)
+    K_list = [_count("every K in K_list", K, 1) for K in K_list]
+    n_curve = _count("n_curve", n_curve, 2)
     grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)
     if len(grid) < 2:
         raise ValueError(f"grid_step={grid_step} leaves {len(grid)} grid point(s) up to "

@@ -48,7 +48,6 @@ builds a :class:`Measure` only of those its caller keeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -60,6 +59,8 @@ from .core import (
     _CACHED_CAPACITIES,
     Measure,
     ModelParams,
+    _real,
+    _times,
     count_arrays,
     no_available_mask,
     num_states,
@@ -178,13 +179,12 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 
 
 def _check_step(p: ModelParams, dt: float, name: str) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {dt!r}")
+    _real(name, dt, 0, strict=True)
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
-            f"dt * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
-            "bound 0.5; shrink dt"
+            f"{name} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
+            f"bound 0.5; shrink {name}"
         )
 
 
@@ -227,13 +227,10 @@ def _rk4(
         yield t, v
 
 
-def _grid_plan(m0: Measure, p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
+def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     """:func:`integrate`'s lazy plan and step count: a step of ``dt`` to each
     ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid."""
-    if m0.K != p.K:
-        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+    _real("T", T, 0)
     _check_step(p, dt, "dt")
     n_full = int(np.floor(T / dt + 1e-9))
     t = n_full * dt
@@ -246,6 +243,8 @@ def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
     """Run the ``n`` entries of ``plan`` from ``m0``, checking every state (a
     mass below -1e-12 aborts the run), and yield ``(t, Measure)``, clamped to
     ``>= 0`` without renormalizing, at every ``every``-th entry and the last."""
+    if m0.K != p.K:
+        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
     for i, (t, v) in enumerate(_rk4(m0.probs, p, _stencils(p.K), plan), 1):
         lo = float(v.min())
         if lo < -1e-12:
@@ -266,7 +265,7 @@ def integrate(
     ``dt`` the final step is shortened to land exactly on ``T``.  Every
     output is validated as a probability measure.
     """
-    return [(0.0, m0), *_stream(m0, p, *_grid_plan(m0, p, T, dt))]
+    return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt))]
 
 
 def integrate_at(
@@ -279,17 +278,9 @@ def integrate_at(
     steps no longer than ``dt_max``, so outputs land exactly on the
     requested instants.  Every time must be finite and ``>= 0``.
     """
-    if m0.K != p.K:
-        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
     _check_step(p, dt_max, "dt_max")
     plan, prev = [], 0.0
-    for i, t in enumerate(times):
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"times[{i}] must be finite and >= 0, got {t!r}")
-        if t < prev:
-            raise ValueError(
-                f"output times must be nondecreasing: times[{i}] = {t!r} < {prev!r}"
-            )
+    for t in _times("times", times):
         span = t - prev
         n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
         plan.append((t, n, span / n if n else 0.0))

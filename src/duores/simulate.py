@@ -51,14 +51,13 @@ list reconciliation, at every snapshot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import inf, log1p
 
 import numpy as np
 
-from .core import (MAX_STATES, Measure, ModelParams, _budgeted_states, _integral,
-                   num_states, ranks_of)
+from .core import (MAX_STATES, Measure, ModelParams, _budgeted_states, _count, _real,
+                   _times, num_states, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -89,23 +88,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _integral("N", self.N))
-        object.__setattr__(self, "M", _integral("M", self.M))
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.M < 0:
-            raise ValueError(f"M must be >= 0, got {self.M}")
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
-        ts = tuple(float(t) for t in self.sample_times)
-        for k, t in enumerate(ts):
-            if not (math.isfinite(t) and t >= 0):
-                raise ValueError(f"sample_times[{k}] must be finite and >= 0, got {t!r}")
-        if any(t > self.T for t in ts):
-            raise ValueError("sample times must lie within [0, T]")
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("sample times must be nondecreasing")
-        object.__setattr__(self, "sample_times", ts)
+        object.__setattr__(self, "N", _count("N", self.N, 1))
+        object.__setattr__(self, "M", _count("M", self.M, 0))
+        _real("T", self.T, 0)
+        object.__setattr__(self, "sample_times", _times("sample_times", self.sample_times, self.T))
 
 
 @dataclass
@@ -190,7 +176,7 @@ _FIRST_BLOCK, _MAX_BLOCK = 16, 1024
 
 def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState:
     if M > N * K:
-        raise ValueError(f"cannot place {M} cars on {N} stations of capacity {K}")
+        raise ValueError(f"cannot place M={M} cars on N={N} stations of capacity K={K}")
     y = np.zeros(N, dtype=np.int64)
     eligible = list(range(N))
     for _ in range(M):
@@ -207,7 +193,8 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
 def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     """Place ``M`` available cars one at a time, uniformly among the
     stations still below capacity.  No reservations are pending."""
-    return _init_with_rng(N, M, K, np.random.default_rng(seed))
+    return _init_with_rng(_count("N", N, 1), _count("M", M, 0), _count("K", K, 1),
+                          np.random.default_rng(seed))
 
 
 def _stations(u: np.ndarray, N: int) -> np.ndarray:
@@ -411,16 +398,12 @@ def run(
     which also reconciles the lists against the per-station counts.
     Audited and plain runs give byte-identical snapshots.
     """
-    if config.M > config.N * p.K:
-        raise ValueError(
-            f"cannot place {config.M} cars on {config.N} stations of capacity {p.K}"
-        )
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)
     else:
-        if initial.N != config.N or initial.car_total != config.M:
-            raise ValueError("initial state does not match config shape")
+        if initial.N != config.N or initial.car_total != config.M or config.M > config.N * p.K:
+            raise ValueError("initial state does not match config shape and capacity")
         state = initial.copy()
         state.t = 0.0
     out: list[tuple[float, np.ndarray]] = []
@@ -463,6 +446,8 @@ def _rank_counts(counts: np.ndarray, K: int, n: int) -> np.ndarray:
 def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     """Empirical station-state distribution of a snapshot."""
     counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != 4 or not counts.shape[0]:
+        raise ValueError(f"counts must have shape (N, 4) with N >= 1, got {counts.shape}")
     return Measure(_rank_counts(counts, K, _budgeted_states(K)) / counts.shape[0], K)
 
 
@@ -491,7 +476,7 @@ def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
     counts = np.asarray(counts)
     N = counts.shape[0]
     if N < 2:
-        raise ValueError("pair statistics need at least two stations")
+        raise ValueError(f"counts must hold at least two stations for pair statistics, got {N}")
     return _pair_table(_rank_counts(counts, K, n), N)
 
 

@@ -27,6 +27,7 @@ from .core import (
 from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
+    _check_solvable,
     _simple_mean,
     product_form,
     simple_form,
@@ -254,15 +255,17 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
 
     Returns the worst residual and the count of each of :data:`OUTCOMES`.
     A solve that raises scores an infinite residual, except the refusal
-    :class:`MultipleEquilibriaError`, which is only counted.  A fraction
-    outside ``(0, 1)`` or ``lam <= 0`` raises ``ValueError`` before any
-    solve.
+    :class:`MultipleEquilibriaError`, which is only counted.  A cell the
+    solver's own domain check refuses (a fraction outside ``(0, 1)`` or
+    ``lam <= 0``) raises ``ValueError`` before any solve.
     """
     cells = list(cells)
-    for p, frac in cells:
-        if not 0.0 < frac < 1.0 or p.lam <= 0:
-            raise ValueError(f"a fixed-point grid needs fill fractions in (0, 1) and "
-                             f"lam > 0, got s/K={frac} at lam={p.lam}")
+    for i, (p, frac) in enumerate(cells):
+        try:
+            _check_solvable(p, frac * p.K)
+        except ValueError as e:
+            raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1) "
+                             f"and lam > 0; {e}") from None
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)
     for p, frac in cells:

@@ -6,6 +6,7 @@ capacity-one closed forms, and pushforward aggregation done with a
 dictionary.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -462,6 +463,17 @@ def test_solve_report_serializes():
                          "iterations"}
     assert data["s_target"] == 1.0
     assert set(data["residuals"]) == {"eta1", "rho1", "rho2", "eta2", "fill"}
+
+
+def test_solve_report_stores_one_iteration_counter():
+    # the outer bisection takes one step per fill evaluation, so the two
+    # counters were always equal; only fill_evaluations is stored
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3), 1.5)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "params", "s_target", "rho", "residuals", "fill_evaluations"]
+    assert rep.outer_iterations == rep.fill_evaluations > 0
+    assert rep.to_dict()["iterations"] == {"outer": rep.fill_evaluations,
+                                           "fill_evaluations": rep.fill_evaluations}
 
 
 # ------------------------------------------------------------

@@ -176,6 +176,24 @@ def test_attraction_memory_does_not_grow_with_the_horizon():
     assert peak(32.0) <= 1.25 * peak(8.0)
 
 
+@pytest.mark.parametrize("kw, named", [
+    (dict(T=float("nan")), "^T must be finite and >= 0, got nan$"),
+    (dict(dt=float("nan")), "^dt must be finite and > 0, got nan$"),
+    (dict(dt=1.0), r"^dt \* \(lam \+ nu K \+ mu K\) = 7 exceeds the stability bound"),
+    (dict(perturbation_size=float("nan")), "^perturbation_size must be >= 0, got nan$"),
+    (dict(s=5.0), r"^s must lie in \(0, K\) = \(0, 2\), got 5\.0$"),
+])
+def test_attraction_checks_its_numbers_before_solving(monkeypatch, kw, named):
+    # a NaN T was refused only after a full solve, and a bad s was
+    # reported in its place
+    solves = []
+    monkeypatch.setattr(experiments, "solve_equilibrium", lambda *a, **k: solves.append(a))
+    args = {"perturbation_size": 0.1, "T": 1.0, "s": 1.0, **kw}
+    with pytest.raises(ValueError, match=named):
+        attraction_experiment(_P, args.pop("perturbation_size"), args.pop("T"), **args)
+    assert solves == []
+
+
 def test_monotonicity_toy_scan_passes():
     rep = monotonicity_scan(a_list=(1.0, 2.0), K_list=(1, 2), grid_step=0.5,
                             xy_max=2.0, n_curve=25)

@@ -263,7 +263,7 @@ def test_a_negative_state_aborts_the_run_even_when_it_is_not_emitted(monkeypatch
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     dt = 0.25 / p.rate_bound
     m0 = _random_measure(p.K, 1300)
-    plan, n = meanfield._grid_plan(m0, p, 20 * dt, dt)
+    plan, n = meanfield._grid_plan(p, 20 * dt, dt)
     emitted = []
     with pytest.raises(RuntimeError, match=rf"mass -1e-09 at t={3 * dt}; the step is unstable"):
         emitted.extend(meanfield._stream(m0, p, plan, n, every=10))

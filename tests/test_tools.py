@@ -10,18 +10,19 @@ import pytest
 from duores import verify
 
 ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+LAYERS = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(LAYERS)
 
 
 @pytest.fixture(scope="module")
 def layers():
-    spec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return LAYERS
 
 
 def test_every_subject_writes_a_committed_bench_file_by_default(layers):
-    assert set(layers.SUBJECTS) == {"flow", "simulate", "state_space", "solver_outcomes"}
+    assert set(layers.SUBJECTS) == {"flow", "simulate", "state_space", "solver_outcomes",
+                                    "contract"}
     for measure, repeats, out in layers.SUBJECTS.values():
         assert callable(measure) and (repeats is None or repeats >= 2)
         assert out.startswith("BENCH_") and out.endswith(".json")
@@ -52,3 +53,20 @@ def test_solver_outcomes_takes_no_repeats(layers):
 def test_first_solve_prints_the_solve_time_alone(layers, capsys):
     assert layers.main(["state_space", "--first-solve", "20"]) == 0
     assert float(capsys.readouterr().out) >= 0.0
+
+
+@pytest.mark.parametrize("row", LAYERS.CONTRACT, ids=LAYERS.contract_id)
+def test_every_contract_row_ends_in_an_answer_or_a_refusal_naming_its_argument(row):
+    # one row per input that was accepted silently or failed with an
+    # internal error, and per refusal no other test pins
+    outcome, message = LAYERS.contract_outcome(*row)
+    assert outcome == ("answer" if row[3] is None else "named_value_error"), message
+
+
+def test_contract_counts_every_row_under_its_entry(layers, tmp_path):
+    out = tmp_path / "contract.json"
+    assert layers.main(["contract", "--label", "x", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["x"]
+    assert record["rows"] == len(layers.CONTRACT) == sum(record["totals"].values())
+    assert sum(sum(c.values()) for c in record["entries"].values()) == record["rows"]
+    assert record["unexpected"] == []

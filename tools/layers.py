@@ -42,6 +42,13 @@ subjects, each with its default ``FILE`` at the repository root:
   3328 solves, each counted under one of ``verify.OUTCOMES`` with the
   residual bound 1e-10.  The counts per ``(K, nu/mu)`` cell and in total
   are deterministic; the CPU time of the whole grid is recorded too.
+* ``contract`` (``BENCH_contract.json``, no repeats): each row of
+  ``CONTRACT``, a public entry called on one input, ends in an answer, in
+  a ``ValueError`` whose message names the row's argument, or otherwise
+  (any other exception, or a ``ValueError`` that names something else).
+  The counts per entry and in total are deterministic.  A row is due a
+  refusal that names its argument, or an answer where it names none (a
+  domain edge); the rows that end otherwise are listed.
 
 Each time is taken ``R`` times on ``time.process_time``, after one
 untimed warm-up call unless the layer clears the caches before each
@@ -55,9 +62,12 @@ only runs taken back to back on one machine.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -255,6 +265,100 @@ def solver_outcomes(repeats: int) -> dict:
     }
 
 
+# ------------------------------------------------------------ contract
+
+NAN, INF = math.nan, math.inf
+_P2 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+_P3 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+_STUDY = (_P2, [4, 8], 1, 1.0, (1.0,), 5)  # p, N_list, replicas, T, sample_times, seed0
+
+CONTRACT = (
+    # (entry in duores, args, kwargs, the argument its refusal names, or
+    # None where the input lies on the domain's edge and has an answer)
+    ("g_mean", (NAN, 1.0, 3), {}, "x"),
+    ("g_mean", (1.0, INF, 3), {}, "y"),
+    ("g_mean", (1.0, 1.0, -1), {}, "K"),
+    ("g_mean", (1.0, 1.0, 2.5), {}, "K"),
+    ("f_simple", (NAN, 1.0, 2.0, 3), {}, "x"),
+    ("f_simple", (-1.0, 1.0, 2.0, 3), {}, "x"),
+    ("equilibrium.simple_form", (NAN, 1.0, 3), {}, "x"),
+    ("equilibrium.simple_partition", (1.0, NAN, 3), {}, "y"),
+    ("solve_phi", (0.5, 1.0, 2.5), {}, "K"),
+    ("solve_phi", (0.5, 1.0, 0), {}, "K"),
+    ("solve_phi", (0.5, INF, 3), {}, "a"),
+    ("product_form", (equilibrium.RateRatios(1.0, 1.0, 1.0, 1.0), 2.5), {}, "K"),
+    ("RateRatios", (NAN, 1.0, 1.0, 1.0), {}, "eta1"),
+    ("num_states", (2.5,), {}, "K"),
+    ("num_states", (-1,), {}, "K"),
+    ("Measure.uniform", (2.5,), {}, "K"),
+    ("index_of", ((0, 0, 0, 0), 2.5), {}, "K"),
+    ("state_of", (2.5, 2), {}, "rank"),
+    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": NAN}, "fill_tol"),
+    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": 0.0}, "fill_tol"),
+    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": -1.0}, "fill_tol"),
+    ("solve_equilibrium", (_P3, 3.0), {}, "s"),
+    ("verify.solve_grid", ([(_P3, NAN)], 1e-10), {}, "cells"),
+    ("init_uniform", (0, 0, 3, 1), {}, "N"),
+    ("init_uniform", (3, -1, 3, 1), {}, "M"),
+    ("init_uniform", (3, 10, 3, 1), {}, "M"),
+    ("SimConfig", (2, 1, 1.0, (2.0,), 0), {}, "sample_times"),
+    ("empirical_measure", (np.zeros((0, 4), dtype=np.int64), 2), {}, "counts"),
+    ("pair_empirical", (np.zeros((1, 4), dtype=np.int64), 2), {}, "counts"),
+    ("integrate", (core.Measure.uniform(2), _P2, -1.0, 0.1), {}, "T"),
+    ("integrate", (core.Measure.uniform(2), _P2, 1.0, 1.0), {}, "dt"),
+    ("integrate_at", (core.Measure.uniform(2), _P2, [0.5], 1.0), {}, "dt_max"),
+    ("convergence_experiment", _STUDY, {"s": NAN}, "s"),
+    ("convergence_experiment", (*_STUDY[:2], 1.5, *_STUDY[3:]), {"s": 1.0}, "replicas"),
+    ("convergence_experiment", _STUDY, {"s": 1.0, "dt_max": NAN}, "dt_max"),
+    ("convergence_experiment", (*_STUDY[:4], (2.0,), 5), {"s": 1.0}, "sample_times"),
+    ("chaos_experiment", _STUDY, {"s": 1.0, "marginal_tol": NAN}, "marginal_tol"),
+    ("chaos_experiment", (*_STUDY[:3], NAN, *_STUDY[4:]), {"s": 1.0}, "T"),
+    ("experiments.derive_seed", (2.5, 4, 1), {}, "seed0"),
+    ("attraction_experiment", (_P2, NAN, 1.0), {"s": 1.0}, "perturbation_size"),
+    ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 1.0, "dt": NAN}, "dt"),
+    ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 2.0}, "s"),
+    ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
+    ("num_states", (0,), {}, None),
+    ("init_uniform", (1, 0, 1, 0), {}, None),
+    ("fill_preserving_perturbation", (core.Measure.uniform(2), INF), {}, None),
+)
+CONTRACT_OUTCOMES = ("answer", "named_value_error", "other")
+
+
+def contract_id(row) -> str:
+    """``entry(args, key=value)``, an object argument shown by its type."""
+    entry, args, kwargs, _ = row
+    shown = [repr(a) if isinstance(a, (int, float, tuple, list)) else type(a).__name__
+             for a in args]
+    return f"{entry}({', '.join(shown + [f'{k}={v!r}' for k, v in kwargs.items()])})"
+
+
+def contract_outcome(entry, args, kwargs, named) -> tuple[str, str]:
+    """How the call of ``entry`` ends, one of ``CONTRACT_OUTCOMES``, and its
+    error message (empty for an answer)."""
+    fn = functools.reduce(getattr, entry.split("."), duores)
+    try:
+        fn(*args, **kwargs)
+    except ValueError as e:
+        names = named is not None and re.search(rf"(?<!\w){re.escape(named)}(?!\w)", str(e))
+        return ("named_value_error" if names else "other"), f"ValueError: {e}"
+    except Exception as e:  # any other ending is counted, not raised
+        return "other", f"{type(e).__name__}: {e}"
+    return "answer", ""
+
+
+def contract(repeats: int) -> dict:
+    entries, totals, unexpected = {}, dict.fromkeys(CONTRACT_OUTCOMES, 0), []
+    for row in CONTRACT:
+        outcome, _ = contract_outcome(*row)
+        entries.setdefault(row[0], dict.fromkeys(CONTRACT_OUTCOMES, 0))[outcome] += 1
+        totals[outcome] += 1
+        if outcome != ("answer" if row[3] is None else "named_value_error"):
+            unexpected.append(contract_id(row))
+    return {"rows": len(CONTRACT), "totals": totals, "entries": entries,
+            "unexpected": unexpected}
+
+
 # ------------------------------------------------------------
 
 SUBJECTS = {  # name: (measure, default repeats, default --out)
@@ -262,6 +366,7 @@ SUBJECTS = {  # name: (measure, default repeats, default --out)
     "simulate": (simulate_events, 9, "BENCH_simulate_layers.json"),
     "state_space": (state_space, 7, "BENCH_state_space.json"),
     "solver_outcomes": (solver_outcomes, None, "BENCH_solver_outcomes.json"),
+    "contract": (contract, None, "BENCH_contract.json"),
 }
 
 
@@ -302,7 +407,8 @@ def main(argv=None) -> int:
     data = json.loads(out.read_text()) if out.is_file() else {}
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
-    _show(args.label, record.get("layers") or {k: record[k] for k in ("cpu_s", "totals")})
+    _show(args.label, record.get("layers")
+          or {k: record[k] for k in ("cpu_s", "totals", "unexpected") if k in record})
     return 0
 
 

@@ -332,6 +332,7 @@ def _cmd_verify(cfg: dict, conf: dict, args) -> int:
         if not isinstance(kw, dict):
             raise ConfigError(f"override for {name!r} must be an object")
         overrides[name] = _read(kw, f"overrides.{name}")
+        CHECKS[name].refuse(**overrides[name])  # nothing left to check: refused before any run
     experiments = []
     for name, sec in conf.get("experiments", {}).items():
         if name not in _EXPERIMENTS:

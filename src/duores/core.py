@@ -81,6 +81,16 @@ def _count(name: str, value, lo: int) -> int:
     return _real(name, int(value), lo, finite=False)
 
 
+def _seed(seed):
+    """``seed`` if ``np.random.SeedSequence`` takes it; else a ValueError naming it."""
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ValueError("seed must be None, an integer >= 0 or a sequence of them, "
+                         f"got {seed!r}") from None
+    return seed
+
+
 def _times(name: str, times, T=None) -> tuple:
     """``times`` as floats, each finite and ``>= 0``, nondecreasing, and at most ``T`` if given."""
     ts = tuple(float(_real(f"{name}[{k}]", t, 0)) for k, t in enumerate(times))
@@ -167,9 +177,12 @@ def _rank(w, x, y, z, K: int):
 
 
 def index_of(state: Iterable[int], K: int) -> int:
-    """Rank of ``state`` in the lexicographic enumeration for ``K``."""
+    """Rank of ``state`` in the lexicographic enumeration for ``K``; an
+    integral float entry counts as its int."""
     w, x, y, z = state
     K = _count("K", K, 0)
+    if not type(w) is type(x) is type(y) is type(z) is int:  # numpy or float entries
+        return int(ranks_of(w, x, y, z, K))
     if min(w, x, y, z) < 0 or w + x + y + z > K:
         raise ValueError(f"({w},{x},{y},{z}) is not an admissible state for capacity {K}")
     return _rank(w, x, y, z, K)
@@ -188,10 +201,15 @@ def ranks_of(
 ) -> np.ndarray:
     """Vectorized :func:`index_of` over parallel count arrays."""
     K = _count("K", K, 0)
-    w, x, y, z = (np.asarray(v, dtype=np.int64) for v in (w, x, y, z))
-    if np.min(np.stack([w, x, y, z])) < 0 or np.any(w + x + y + z > K):
-        raise ValueError("inadmissible state in rank query")
-    return _rank(w, x, y, z, K)
+    c = np.stack([np.asarray(v) for v in (w, x, y, z)])
+    flat = c.reshape(4, -1)
+    ok = (flat >= 0).all(axis=0) & (flat.sum(axis=0) <= K)
+    if c.dtype.kind not in "iu":  # an integral float counts as its int
+        ok &= (np.isfinite(flat) & (flat == np.trunc(flat))).all(axis=0)
+    if not ok.all():
+        state = tuple(flat[:, np.argmin(ok)].tolist())
+        raise ValueError(f"{state!r} is not an admissible state for capacity {K}")
+    return _rank(*c.astype(np.int64, copy=False), K)
 
 
 @lru_cache(maxsize=_CACHED_CAPACITIES)

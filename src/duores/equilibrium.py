@@ -30,6 +30,10 @@ rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
 * the car density along the curve is a weighted mean that must equal
   ``s``, which an outer bisection on ``t`` enforces.
 
+Each curve point is solved once: the bisection reads its fill and the
+solver ``rho2`` from that one ``solve_phi``, as ``monotonicity_scan``
+reads its phi rows and the fill rows of every reservation speed.
+
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
 
@@ -43,7 +47,7 @@ no step overflows.  From them:
 * ``P[j = 0] = E / Z`` (``simple_no_available``);
 * ``P[i + j = K] = S / Z`` (``simple_saturated``);
 * ``E[c i + j] = (c x Z_{K-1} + y dZ/dy) / Z`` (``g_mean`` at ``c = 1``,
-  ``fill_along_curve``);
+  and the fill at ``c = _car_weight(mu/nu)``);
 * ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
 
 The residuals are not read from the reduced family: ``_state_sums``
@@ -77,7 +81,6 @@ __all__ = [
     "f_simple",
     "solve_phi",
     "g_mean",
-    "fill_along_curve",
     "solve_equilibrium",
 ]
 
@@ -380,16 +383,10 @@ def g_mean(x: float, y: float, K: int) -> float:
     return _simple_mean(x, y, K, 1.0)
 
 
-def fill_along_curve(t: float, a: float, c: float, K: int) -> float:
-    """Car density at aggregated intensity ``t`` on the fixed-point
-    curve ``y = phi(t)``, with inbound/parked split weight ``c``.
-
-    ``c = (1 + mu/nu) / (1 + 2 mu/nu)`` converts aggregated
-    reservations into cars: of the three aggregated roles, inbound and
-    reserved cars count, spaces reserved ahead do not.
-    """
-    y = solve_phi(t, a, K)
-    return _simple_mean(t, y, K, c)
+def _car_weight(r: float) -> float:
+    """Cars per aggregated reservation, ``(1 + r) / (1 + 2 r)`` at ``r = mu/nu``:
+    inbound and reserved cars count, spaces reserved ahead do not."""
+    return (1.0 + r) / (1.0 + 2.0 * r)
 
 
 # ============================================================
@@ -457,10 +454,10 @@ class SolveReport:
         }
 
 
-def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
-                nu_over_mu: float) -> tuple[float, int]:
-    """Root ``t`` of ``fill(t) = s`` on the fixed-point curve and the
-    number of fill evaluations.
+def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
+                nu_over_mu: float) -> tuple[float, float, int]:
+    """Root ``t`` of ``fill(t) = s`` along ``curve(t) = (y, fill)``, the
+    ``y`` there and the number of fill evaluations.
 
     Bisects on (0, a), whose virtual end values are 0 and K; the ends
     are never evaluated.  Stops at ``|fill - s| < fill_tol``, at adjacent
@@ -485,7 +482,7 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
         t = 0.5 * (lo + hi)
         if t == lo or t == hi:
             break
-        fill = fill_along_curve(t, a, c, K)
+        y, fill = curve(t)
         evals.append((t, fill))
         if abs(fill - s) < fill_tol:
             ordered = sorted(evals)
@@ -493,7 +490,7 @@ def _solve_fill(a: float, c: float, K: int, s: float, fill_tol: float,
             for (t0, f0), (t1, f1) in zip(ordered, ordered[1:]):
                 if not f1 >= f0 - slack:
                     raise MultipleEquilibriaError(K, s, nu_over_mu, ((t0, f0), (t1, f1)))
-            return t, len(evals)
+            return t, y, len(evals)
         if fill < s:
             lo = t
         else:
@@ -550,10 +547,13 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     _real("fill_tol", fill_tol, 0, strict=True)
     r = p.mu / p.nu
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
-    c = (1.0 + r) / (1.0 + 2.0 * r)
+    c = _car_weight(r)
 
-    t_star, n_evals = _solve_fill(a, c, p.K, s, fill_tol, p.nu / p.mu)
-    rho2 = solve_phi(t_star, a, p.K)
+    def curve(t: float) -> tuple[float, float]:
+        y = solve_phi(t, a, p.K)
+        return y, _simple_mean(t, y, p.K, c)
+
+    t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, fill_tol, p.nu / p.mu)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1
     rho = RateRatios(eta, rho1, rho2, eta)

@@ -31,8 +31,9 @@ from .core import (
     tv_distance,
 )
 from .equilibrium import (
+    _car_weight,
     _check_solvable,
-    fill_along_curve,
+    _simple_mean,
     g_mean,
     product_form,
     solve_equilibrium,
@@ -430,41 +431,39 @@ def monotonicity_scan(
         rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
                      "min_diff_y": dy_min, "ok": ok})
 
-    # phi: strict increase along 200-point interior grids.
+    # phi: strict increase along interior grids, one solve per curve point.
+    curves = []
     for K in K_list:
         for a in a_list:
             ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
-            phis = [solve_phi(t, a, K) for t in ts]
-            diffs = np.diff(phis)
+            ys = [solve_phi(t, a, K) for t in ts]
+            curves.append((K, a, ts, ys))
+            diffs = np.diff(ys)
             ok = bool(diffs.min() > 0.0)
             passed = passed and ok
             rows.append({"check": "phi", "K": K, "a": a,
                          "min_diff": float(diffs.min()), "ok": ok})
 
-    # Fill along the curve, per reservation-speed regime.
+    # Fill along the same curves, per reservation-speed regime.
     for ratio, enforced in [(float(q), True) for q in enforce_nu_over_mu] + [
         (float(q), False) for q in probe_nu_over_mu
     ]:
-        r = 1.0 / ratio  # mu / nu
-        c = (1.0 + r) / (1.0 + 2.0 * r)
-        for K in K_list:
-            for a in a_list:
-                ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
-                fills = [fill_along_curve(t, a, c, K) for t in ts]
-                diffs = np.diff(fills)
-                ok = bool(diffs.min() > 0.0)
-                rows.append({
-                    "check": "fill_curve", "K": K, "a": a,
-                    "nu_over_mu": ratio, "enforced": enforced,
-                    "min_diff": float(diffs.min()), "ok": ok,
-                })
-                if enforced:
-                    passed = passed and ok
-                elif not ok:
-                    notes.append(
-                        f"fill curve not monotone at nu/mu={ratio}, K={K}, "
-                        f"a={a} (reported, not enforced)"
-                    )
+        c = _car_weight(1.0 / ratio)  # r = mu / nu
+        for K, a, ts, ys in curves:
+            diffs = np.diff([_simple_mean(t, y, K, c) for t, y in zip(ts, ys)])
+            ok = bool(diffs.min() > 0.0)
+            rows.append({
+                "check": "fill_curve", "K": K, "a": a,
+                "nu_over_mu": ratio, "enforced": enforced,
+                "min_diff": float(diffs.min()), "ok": ok,
+            })
+            if enforced:
+                passed = passed and ok
+            elif not ok:
+                notes.append(
+                    f"fill curve not monotone at nu/mu={ratio}, K={K}, "
+                    f"a={a} (reported, not enforced)"
+                )
     return ExperimentReport(
         name="monotonicity",
         config={

@@ -57,7 +57,7 @@ from math import inf, log1p
 import numpy as np
 
 from .core import (MAX_STATES, Measure, ModelParams, _budgeted_states, _count, _real,
-                   _times, num_states, ranks_of)
+                   _seed, _times, num_states, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -79,7 +79,9 @@ class SimInvariantError(RuntimeError):
 class SimConfig:
     """Run shape: network size, car count, horizon, snapshot times.
 
-    ``N`` and ``M`` must be integers; integral floats are converted."""
+    ``N`` and ``M`` must be integers; integral floats are converted.
+    ``seed`` must be entropy ``np.random.SeedSequence`` takes; it is kept
+    as given."""
 
     N: int
     M: int
@@ -92,6 +94,7 @@ class SimConfig:
         object.__setattr__(self, "M", _count("M", self.M, 0))
         _real("T", self.T, 0)
         object.__setattr__(self, "sample_times", _times("sample_times", self.sample_times, self.T))
+        _seed(self.seed)
 
 
 @dataclass
@@ -194,7 +197,7 @@ def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     """Place ``M`` available cars one at a time, uniformly among the
     stations still below capacity.  No reservations are pending."""
     return _init_with_rng(_count("N", N, 1), _count("M", M, 0), _count("K", K, 1),
-                          np.random.default_rng(seed))
+                          np.random.default_rng(_seed(seed)))
 
 
 def _stations(u: np.ndarray, N: int) -> np.ndarray:

@@ -10,6 +10,8 @@ tolerances.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from .core import (
     ModelParams,
+    _count,
     count_arrays,
     enumerate_states,
     index_of,
@@ -71,6 +74,33 @@ class CheckResult:
             "tol": self.tol,
             "details": dict(self.details),
         }
+
+
+def _sized(*lists, **least):
+    """Suite decorator: before the suite runs, refuse an empty argument named
+    in ``lists`` or a count below its ``least`` (``core._count``, which
+    converts an integral float), given or default, so that no suite passes
+    with nothing checked; ``suite.refuse(**kwargs)`` checks alone."""
+    def wrap(suite):
+        sig = inspect.signature(suite)
+
+        def refuse(*args, **kwargs) -> inspect.BoundArguments:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for k in lists:
+                if not len(v := bound.arguments[k]):
+                    raise ValueError(f"{k} must hold at least one value, got {v!r}")
+            for k, lo in least.items():
+                bound.arguments[k] = _count(k, bound.arguments[k], lo)
+            return bound
+
+        def checked(*args, **kwargs):
+            bound = refuse(*args, **kwargs)
+            return suite(*bound.args, **bound.kwargs)
+
+        checked.refuse = refuse
+        return functools.wraps(suite)(checked)
+    return wrap
 
 
 def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
@@ -131,6 +161,7 @@ def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float,
                        details={"trials": trials, **details, "seed": seed})
 
 
+@_sized(K_max=0, roundtrip_K_max=0)
 def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
     """Closed-form state counts, the count arrays against their defining
     nested loop over ``(w, x, y, z)`` in lexicographic order, and the
@@ -159,6 +190,7 @@ def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
     )
 
 
+@_sized("K_list", trials=1)
 def check_product_form_stationarity(
     trials: int = 50,
     K_list=(1, 2, 3, 4, 5),
@@ -176,6 +208,7 @@ def check_product_form_stationarity(
                             K_list=list(K_list))
 
 
+@_sized(trials=1, K_max=1)
 def check_step2_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260818,
     tol: float = 1e-13,
@@ -191,6 +224,7 @@ def check_step2_identity(
     return _worst_of_trials("step2_identity", trial, trials, seed, tol, K_max=K_max)
 
 
+@_sized(trials=1, K_max=1)
 def check_aggregation_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260819,
     tol: float = 1e-13,
@@ -209,6 +243,7 @@ def check_aggregation_identity(
     return _worst_of_trials("aggregation_identity", trial, trials, seed, tol, K_max=K_max)
 
 
+@_sized(trials=1, K_max=1)
 def check_fill_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260820,
     tol: float = 1e-13,
@@ -275,6 +310,7 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
     return worst, counts
 
 
+@_sized("lam_list", "nu_list", "K_list", "s_fracs")
 def check_fixed_point(
     lam_list=(0.5, 1.0, 2.0),
     mu: float = 1.0,
@@ -305,6 +341,7 @@ def check_fixed_point(
     )
 
 
+@_sized("K_list", "s_fracs", "nu_over_mu")
 def check_fixed_point_large_K(
     K_list=(3, 5, 10, 20, 30, 40, 80, 200),
     s_fracs=(0.2, 0.5, 0.8),

@@ -605,6 +605,27 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"product_form_stationarity": {"K_list": []}}, "K_list must hold at least one value, got ()"),
+    ({"step2_identity": {"K_max": 0}}, "K_max must be >= 1, got 0"),
+    ({"fill_identity": {"trials": 0}}, "trials must be >= 1, got 0"),
+    ({"enumeration": {"K_max": -3, "roundtrip_K_max": -3}}, "K_max must be >= 0, got -3"),
+])
+def test_verify_refuses_a_suite_override_with_nothing_to_check_before_any_work(
+        tmp_path, capsys, monkeypatch, override, message):
+    # K_list=[] and K_max=0 ended in a ZeroDivisionError traceback after
+    # the experiments had run; the others passed with nothing checked
+    calls = []
+    monkeypatch.setitem(cli._EXPERIMENTS, "monotonicity", lambda **kw: calls.append(kw))
+    monkeypatch.setattr(cli, "run_checks", lambda *args: calls.append(args))
+    cfg = {"checks": ["enumeration"], "overrides": override,
+           "experiments": {"monotonicity": {}}, "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_refuses_a_degenerate_experiment_before_any_suite_runs(tmp_path, capsys,
                                                                        monkeypatch):
     # Every suite ran, and its result was dropped, before the refusal.

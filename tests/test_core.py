@@ -116,6 +116,28 @@ def test_inadmissible_states_are_rejected():
         ranks_of(np.array([0]), np.array([0]), np.array([0]), np.array([2]), 1)
 
 
+@pytest.mark.parametrize("state", [(0.5, 0, 0, 0), (0, 0, 0, math.nan), (0, 1.25, 0, 0),
+                                   (np.float64(0.5), 0, 0, 0)])
+def test_fractional_state_entries_are_refused_by_state(state):
+    # index_of((0.5, 0, 0, 0), 2) was 7.0; ranks_of truncated 0.5 to rank 0
+    named = re.escape(repr(tuple(float(c) for c in state)))
+    with pytest.raises(ValueError, match=named):
+        index_of(state, 2)
+    with pytest.raises(ValueError, match=named):
+        ranks_of(*([c] for c in state), 2)
+
+
+def test_integral_float_state_entries_rank_as_ints():
+    for st in enumerate_states(3):
+        rank = index_of(st, 3)
+        as_float = index_of(tuple(map(float, st)), 3)
+        assert as_float == rank and type(as_float) is int
+        assert type(index_of(tuple(map(np.int64, st)), 3)) is int
+    w, x, y, z = count_arrays(3)
+    ranks = ranks_of(w.astype(float), x, y, z.astype(np.int32), 3)
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, np.arange(num_states(3)))
+
+
 @pytest.mark.parametrize("K", [171, 200])
 def test_state_tables_refuse_capacities_above_the_budget(K):
     # counting stays exact; building anything with one entry per state is refused

@@ -31,8 +31,8 @@ from duores.core import (
 from duores.equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
+    _simple_mean,
     f_simple,
-    fill_along_curve,
     g_mean,
     product_form,
     simple_form,
@@ -306,7 +306,7 @@ def test_fill_along_curve_capacity_one_closed_form():
         for t in (0.3, 1.0, 1.7):
             y = t * (1 + t) / (a - t)
             expect = (c * t + y) / (1 + t + y)
-            assert abs(fill_along_curve(t, a, c, 1) - expect) < 1e-9
+            assert abs(_simple_mean(t, solve_phi(t, a, 1), 1, c) - expect) < 1e-9
 
 
 # ------------------------------------------------------------
@@ -476,44 +476,54 @@ def test_solve_report_stores_one_iteration_counter():
                                            "fill_evaluations": rep.fill_evaluations}
 
 
+@pytest.mark.parametrize("K", [3, 10, 40])
+def test_a_solve_solves_phi_once_per_fill_evaluation(monkeypatch, K):
+    # rho2 was solved again at t* after the bisection had solved it there
+    calls = []
+    solve = equilibrium.solve_phi
+    monkeypatch.setattr(equilibrium, "solve_phi", lambda *a: calls.append(a) or solve(*a))
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
+    assert len(calls) == rep.fill_evaluations
+    assert rep.rho.rho2 == solve(*calls[-1])
+
+
 # ------------------------------------------------------------
 # Non-monotone fill traces (synthetic curves)
 # ------------------------------------------------------------
 
-def _piecewise_fill(monkeypatch, knots):
-    """Replace the fill curve by linear interpolation of ``knots`` and
-    return the list that records every evaluation."""
+def _piecewise_fill(knots):
+    """A curve whose fill is the linear interpolation of ``knots``, and
+    the list that records every evaluation."""
     ts, fills = zip(*knots)
     calls = []
 
-    def fill(t, a, c, K):
+    def curve(t):
         calls.append(t)
-        return float(np.interp(t, ts, fills))
+        return 1.0, float(np.interp(t, ts, fills))
 
-    monkeypatch.setattr(equilibrium, "fill_along_curve", fill)
-    return calls
+    return curve, calls
 
 
-def test_a_decreasing_trace_with_one_root_is_refused(monkeypatch):
+def test_a_decreasing_trace_with_one_root_is_refused():
     # The fill rises to 1.2, dips to 0.9 and rises again: s = 0.6 is met
     # only once, at t = 0.15, but the bisection evaluates on both sides of
     # the dip, and a decreasing trace is refused, never resolved by a
     # search for roots.
-    calls = _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
+    curve, calls = _piecewise_fill([(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
     with pytest.raises(MultipleEquilibriaError, match=r"K=2, s=0\.6, nu/mu=1\.5 decreases") as err:
-        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11, 1.5)
+        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1e-11, 1.5)
     (t0, f0), (t1, f1) = err.value.pair
     assert t0 < t1 and f1 < f0
     assert t0 < 0.5 and t1 > 0.3  # the fill falls only on (0.3, 0.5)
     assert 0 < len(calls) <= equilibrium._MAX_OUTER  # the bisection's, no scan
 
 
-def test_several_roots_are_refused_without_a_scan(monkeypatch):
+def test_several_roots_are_refused_without_a_scan():
     # s = 0.6 is crossed three times: rising, falling, rising again
-    calls = _piecewise_fill(monkeypatch, [(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
-                                          (1.0, 2.0)])
+    curve, calls = _piecewise_fill([(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
+                                    (1.0, 2.0)])
     with pytest.raises(MultipleEquilibriaError) as err:
-        equilibrium._solve_fill(1.0, 1.0, 2, 0.6, 1e-11, 1.5)
+        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1e-11, 1.5)
     assert err.value.s == 0.6
     (t0, f0), (t1, f1) = err.value.pair
     assert t0 < 0.35 and t1 > 0.2 and f1 < f0  # the fill falls only on (0.2, 0.35)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duores import experiments
+from duores import equilibrium, experiments
 from duores.core import (
     Measure,
     ModelParams,
@@ -200,6 +200,26 @@ def test_monotonicity_toy_scan_passes():
     assert rep.passed
     assert rep.metrics["n_checks"] > 0
     json.dumps(rep.to_dict())
+
+
+def test_monotonicity_scan_solves_each_curve_point_once(monkeypatch):
+    # The fill rows re-solved every phi once per nu/mu regime: 24000
+    # solve_phi calls at the defaults, where the 4800 curve points suffice.
+    calls = []
+    solve = equilibrium.solve_phi
+    for module in (equilibrium, experiments):
+        monkeypatch.setattr(module, "solve_phi", lambda *a: calls.append(a) or solve(*a))
+    rep = monotonicity_scan()
+    K_list, a_list, n_curve = (rep.config[k] for k in ("K_list", "a_list", "n_curve"))
+    assert len(calls) == len(set(calls)) == len(K_list) * len(a_list) * n_curve == 4800
+
+
+def test_monotonicity_scan_matches_its_golden_digest():
+    # sha-256 of ``json.dumps(to_dict(), sort_keys=True)`` at the defaults,
+    # taken at commit cc8a089, before the scan walked each curve once.
+    blob = json.dumps(monotonicity_scan().to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c3a8867117c5dc41068218b87d582365e91cb9e558c154b3a9c2ea086bf09bbd")
 
 
 def test_chaos_refuses_a_pair_table_above_the_budget_before_any_run(monkeypatch):

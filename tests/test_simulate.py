@@ -212,6 +212,21 @@ def test_init_uniform_reaches_every_station():
     assert seen == {0, 1}
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, (1, -2), "7"])
+def test_seeds_numpy_refuses_are_refused_by_name(seed):
+    # 2.5 was accepted by SimConfig and ended in numpy's TypeError in run
+    with pytest.raises(ValueError, match=r"seed must be .*, got " + re.escape(repr(seed))):
+        SimConfig(N=2, M=1, T=1.0, sample_times=(0.5,), seed=seed)
+    with pytest.raises(ValueError, match=r"seed must be"):
+        init_uniform(N=2, M=1, K=2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 2**70, (3, 4), [5, 6], np.int64(7)])
+def test_accepted_seeds_are_kept_as_given(seed):
+    assert SimConfig(N=2, M=1, T=1.0, sample_times=(0.5,), seed=seed).seed is seed
+    init_uniform(N=2, M=1, K=2, seed=seed)
+
+
 def test_init_uniform_rejects_overfull_network():
     with pytest.raises(ValueError):
         init_uniform(N=2, M=3, K=1, seed=0)

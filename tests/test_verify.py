@@ -164,3 +164,34 @@ def test_solved_label_and_verdict_keep_their_comparisons():
 def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
     with pytest.raises(ValueError, match="fill fractions in"):
         solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0), 1e-10)
+
+
+@pytest.mark.parametrize("name, kw, named", [
+    ("product_form_stationarity", dict(K_list=[]),
+     r"K_list must hold at least one value, got \[\]"),
+    ("step2_identity", dict(K_max=0), "K_max must be >= 1, got 0"),
+    ("aggregation_identity", dict(trials=0), "trials must be >= 1, got 0"),
+    ("fill_identity", dict(trials=2.5), "trials must be an integer, got 2.5"),
+    ("fixed_point", dict(lam_list=[]), "lam_list must hold at least one value"),
+    ("fixed_point_large_K", dict(K_list=[]), r"K_list must hold at least one value, got \[\]"),
+    ("enumeration", dict(K_max=-3, roundtrip_K_max=-3), "K_max must be >= 0, got -3"),
+])
+def test_suites_with_nothing_to_check_are_refused_before_any_work(monkeypatch, name, kw,
+                                                                   named):
+    # K_list=[] and K_max=0 were a ZeroDivisionError; the others passed
+    # with nothing checked
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite worked before its arguments were refused")
+
+    for work in ("product_form", "simple_saturated", "solve_grid", "count_arrays"):
+        monkeypatch.setattr(verify, work, no_work)
+    with pytest.raises(ValueError, match=named):
+        CHECKS[name](**kw)
+    with pytest.raises(ValueError, match=named):
+        CHECKS[name].refuse(**kw)
+
+
+def test_suite_counts_given_as_integral_floats_are_converted():
+    res = check_step2_identity(trials=4.0, K_max=2.0)
+    assert res.details["trials"] == 4 and type(res.details["K_max"]) is int
+    assert res.to_dict() == check_step2_identity(trials=4, K_max=2).to_dict()

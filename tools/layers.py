@@ -317,6 +317,18 @@ CONTRACT = (
     ("attraction_experiment", (_P2, NAN, 1.0), {"s": 1.0}, "perturbation_size"),
     ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 1.0, "dt": NAN}, "dt"),
     ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 2.0}, "s"),
+    ("index_of", ((0.5, 0, 0, 0), 2), {}, "state"),
+    ("core.ranks_of", ([0.5], [0], [0], [0], 2), {}, "state"),
+    ("SimConfig", (2, 1, 1.0, (0.5,), 2.5), {}, "seed"),
+    ("SimConfig", (2, 1, 1.0, (0.5,), -1), {}, "seed"),
+    ("init_uniform", (2, 1, 2, 2.5), {}, "seed"),
+    ("init_uniform", (2, 1, 2, -1), {}, "seed"),
+    ("verify.check_enumeration", (-3, -3), {}, "K_max"),
+    ("verify.check_product_form_stationarity", (), {"K_list": []}, "K_list"),
+    ("verify.check_step2_identity", (), {"K_max": 0}, "K_max"),
+    ("verify.check_aggregation_identity", (), {"trials": 0}, "trials"),
+    ("verify.check_fixed_point", (), {"lam_list": []}, "lam_list"),
+    ("verify.check_fixed_point_large_K", (), {"K_list": []}, "K_list"),
     ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),

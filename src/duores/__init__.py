@@ -51,7 +51,6 @@ from .simulate import (
     SimState,
     empirical_measure,
     init_uniform,
-    pair_empirical,
     run,
     step,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "step",
     "run",
     "empirical_measure",
-    "pair_empirical",
     "ExperimentReport",
     "convergence_experiment",
     "chaos_experiment",

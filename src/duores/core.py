@@ -213,10 +213,13 @@ def ranks_of(
 
 
 @lru_cache(maxsize=_CACHED_CAPACITIES)
-def _count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four count columns in rank order, one vectorized level per
-    count: every prefix with capacity ``r`` left expands into ``r + 1``
-    children, the next count running ``0..r``."""
+def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays ``(w, x, y, z)`` over ranks, each of length
+    ``num_states(K)``; a ``ValueError`` above :data:`MAX_STATES`.
+
+    Built one vectorized level per count: every prefix with capacity
+    ``r`` left expands into ``r + 1`` children, the next count running
+    ``0..r``."""
     _budgeted_states(K)
     left = np.array([K], dtype=np.int64)  # capacity left after each prefix
     cols: list[np.ndarray] = []
@@ -230,31 +233,19 @@ def _count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return tuple(cols)
 
 
-def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only arrays ``(w, x, y, z)`` over ranks, each of length
-    ``num_states(K)``; a ``ValueError`` above :data:`MAX_STATES`."""
-    return _count_arrays(K)
-
-
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def fill_vector(K: int) -> np.ndarray:
     """Cars attributed to the station per rank: ``x + y + z``.
 
     Counts cars driving toward the station plus cars parked there
     (available or reserved).  Summed over stations this is the constant
-    car total, so its mean is the conserved quantity.
+    car total, so its mean is the conserved quantity.  Read-only
+    float64, exact for these small integers, so that
+    :func:`mean_fill`'s product takes the float dot kernel instead of a
+    mixed-type loop.
     """
-    _, x, y, z = _count_arrays(K)
-    v = x + y + z
-    v.setflags(write=False)
-    return v
-
-
-@lru_cache(maxsize=_CACHED_CAPACITIES)
-def _fill_weights(K: int) -> np.ndarray:
-    """:func:`fill_vector` as float64, so that :func:`mean_fill`'s
-    product takes the float dot kernel instead of a mixed-type loop."""
-    v = fill_vector(K).astype(np.float64)
+    _, x, y, z = count_arrays(K)
+    v = (x + y + z).astype(np.float64)
     v.setflags(write=False)
     return v
 
@@ -262,7 +253,7 @@ def _fill_weights(K: int) -> np.ndarray:
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def no_available_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with no available car (y = 0)."""
-    _, _, y, _ = _count_arrays(K)
+    _, _, y, _ = count_arrays(K)
     m = y == 0
     m.setflags(write=False)
     return m
@@ -271,7 +262,7 @@ def no_available_mask(K: int) -> np.ndarray:
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def saturated_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with every space taken."""
-    w, x, y, z = _count_arrays(K)
+    w, x, y, z = count_arrays(K)
     m = w + x + y + z == K
     m.setflags(write=False)
     return m
@@ -400,7 +391,7 @@ def mean_fill(m: Measure) -> float:
     This is the conserved car density; a closed network with ``M`` cars
     on ``N`` stations keeps its empirical version at exactly ``M / N``.
     """
-    return float(m.probs @ _fill_weights(m.K))
+    return float(m.probs @ fill_vector(m.K))
 
 
 def prob_no_available(m: Measure) -> float:

@@ -40,12 +40,9 @@ curve and is asserted, never solved.
 Every reduced-family quantity the solver uses comes from one O(K) pass,
 ``_reduced_sums(x, y, K)``, which returns the normalizing constant
 ``Z``, its derivative ``dZ/dy``, the partial exponential ``E`` (the
-weight of ``j = 0``), ``Z_{K-1}`` (the constant one capacity lower) and
-the saturated-diagonal sum ``S``, all scaled by one power of two so that
-no step overflows.  From them:
+weight of ``j = 0``) and ``Z_{K-1}`` (the constant one capacity lower),
+all scaled by one power of two so that no step overflows.  From them:
 
-* ``P[j = 0] = E / Z`` (``simple_no_available``);
-* ``P[i + j = K] = S / Z`` (``simple_saturated``);
 * ``E[c i + j] = (c x Z_{K-1} + y dZ/dy) / Z`` (``g_mean`` at ``c = 1``,
   and the fill at ``c = _car_weight(mu/nu)``);
 * ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
@@ -56,7 +53,8 @@ vectors, a path that shares no code with the pass, so the residuals
 cross-check it.  A solve builds nothing with one entry per station
 state.  ``product_form`` builds the four-coordinate measure in log
 space for callers that need it, and ``simple_form`` is the (K+1, K+1)
-reference array of the reduced family.
+reference array of the reduced family, from which the balance-identity
+suite reads its saturated and no-car masses.
 """
 
 from __future__ import annotations
@@ -74,10 +72,7 @@ __all__ = [
     "SolveReport",
     "MultipleEquilibriaError",
     "product_form",
-    "simple_partition",
     "simple_form",
-    "simple_no_available",
-    "simple_saturated",
     "f_simple",
     "solve_phi",
     "g_mean",
@@ -199,19 +194,17 @@ def _check_reduced(x: float, y: float, K: int) -> int:
     return _count("K", K, 0)
 
 
-def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, float, float, int]:
+def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, float, int]:
     """One O(K) pass over the reduced family, returning
-    ``(Z, dZ/dy, E, Z_{K-1}, S, e)``.
+    ``(Z, dZ/dy, E, Z_{K-1}, e)``.
 
     ``Z = sum_{i+j<=K} x^i/i! y^j = sum_i x^i/i! G_{K-i}(y)`` with the
     geometric sums ``G_n = 1 + y G_{n-1}``, and ``E = sum_{i<=K} x^i/i!``
     is the partial exponential.  The sum is taken in Horner form over the
     capacity, ``Z_n = E_n + y Z_{n-1}``: the states with an available car
     at capacity ``n`` are those of capacity ``n - 1`` with one more.
-    ``S = sum_{i+j=K} x^i/i! y^j`` is the saturated diagonal, carried as
-    ``S_n = x^n/n! + y S_{n-1}``.
 
-    The five sums are returned scaled by ``2^-e``.  Whenever ``Z``
+    The four sums are returned scaled by ``2^-e``.  Whenever ``Z``
     passes ``1e300 / max(1, x, y)`` every carried value is multiplied by
     the power of two that brings ``Z`` below 1, so no step overflows and
     ratios of the sums are exact; ``e = 0`` when no rescale happened.
@@ -222,12 +215,10 @@ def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, floa
     Z = 1.0
     dZ = 0.0
     Z1 = 0.0  # Z_{n-1}
-    S = 1.0
     e = 0
     for n in range(1, K + 1):
         term *= x / n
         E += term
-        S = term + y * S
         dZ = Z + y * dZ
         Z1 = Z
         Z = E + y * Z
@@ -236,12 +227,11 @@ def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, floa
             f = math.ldexp(1.0, -k)
             term *= f
             E *= f
-            S *= f
             dZ *= f
             Z1 *= f
             Z *= f
             e += k
-    return Z, dZ, E, Z1, S, e
+    return Z, dZ, E, Z1, e
 
 
 def _unscale(v: float, e: int) -> float:
@@ -250,14 +240,6 @@ def _unscale(v: float, e: int) -> float:
         return math.ldexp(v, e)
     except OverflowError:
         return math.copysign(math.inf, v)
-
-
-def simple_partition(x: float, y: float, K: int) -> float:
-    """Normalizing constant ``sum_{i+j<=K} x^i/i! y^j`` of the reduced
-    two-coordinate family; ``inf`` where it overflows a double."""
-    K = _check_reduced(x, y, K)
-    Z, _, _, _, _, e = _reduced_sums(x, y, K)
-    return _unscale(Z, e)
 
 
 def simple_form(x: float, y: float, K: int) -> np.ndarray:
@@ -274,21 +256,6 @@ def simple_form(x: float, y: float, K: int) -> np.ndarray:
     return p / p.sum()
 
 
-def simple_no_available(x: float, y: float, K: int) -> float:
-    """Reduced-family mass of ``j = 0`` (no available car), ``E / Z``."""
-    K = _check_reduced(x, y, K)
-    Z, _, E, _, _, _ = _reduced_sums(x, y, K)
-    return E / Z
-
-
-def simple_saturated(x: float, y: float, K: int) -> float:
-    """Reduced-family mass of the full diagonal ``i + j = K``,
-    ``S / Z``."""
-    K = _check_reduced(x, y, K)
-    Z, _, _, _, S, _ = _reduced_sums(x, y, K)
-    return S / Z
-
-
 def f_simple(x: float, y: float, a: float, K: int) -> float:
     """Fixed-point function of the reduced family.
 
@@ -299,7 +266,7 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     """
     K = _check_reduced(x, y, K)
     _real("a", a, 0, strict=True)
-    Z, _, E, _, _, e = _reduced_sums(x, y, K)
+    Z, _, E, _, e = _reduced_sums(x, y, K)
     return _unscale((a - x) * Z - a * E, e)
 
 
@@ -333,7 +300,7 @@ def solve_phi(x: float, a: float, K: int) -> float:
     b = a - x
 
     def h_and_slope(y: float) -> tuple[float, float]:
-        Z, dZ, E, _, _, _ = _reduced_sums(x, y, K)
+        Z, dZ, E, _, _ = _reduced_sums(x, y, K)
         return math.log(b * Z / (a * E)), y * dZ / Z
 
     lo, h_lo = 0.0, math.log(b / a)
@@ -369,7 +336,7 @@ def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
     """Weighted mean ``E[ci * i + j]`` under the reduced family,
     ``(ci x Z_{K-1} + y dZ/dy) / Z``: ``x Z_{K-1}`` sums ``i`` times the
     weights and ``y dZ/dy`` sums ``j`` times them."""
-    Z, dZ, _, Z1, _, _ = _reduced_sums(x, y, K)
+    Z, dZ, _, Z1, _ = _reduced_sums(x, y, K)
     return (ci * x * Z1 + y * dZ) / Z
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     _CACHED_CAPACITIES,
+    MAX_STATES,
     Measure,
     ModelParams,
     _count,
@@ -28,6 +29,7 @@ from .core import (
     _times,
     count_arrays,
     mean_fill,
+    num_states,
     tv_distance,
 )
 from .equilibrium import (
@@ -40,8 +42,7 @@ from .equilibrium import (
     solve_phi,
 )
 from .meanfield import _check_step, _grid_plan, _stream, integrate_at
-from .simulate import (SimConfig, _budgeted_pairs, _pair_table, _rank_counts,
-                       empirical_measure, init_uniform, run)
+from .simulate import SimConfig, _rank_counts, empirical_measure, init_uniform, run
 
 __all__ = [
     "ExperimentReport",
@@ -153,14 +154,37 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     return config, conditions()
 
 
+def _budgeted_pairs(K: int) -> int:
+    """:func:`~duores.core.num_states` ``n``, refused when a pair table's
+    ``n^2`` entries are above :data:`~duores.core.MAX_STATES`."""
+    n = num_states(K)
+    if n * n > MAX_STATES:
+        raise ValueError(
+            f"pair statistics at capacity K={K} need n^2={n * n} entries, above "
+            f"the state budget MAX_STATES={MAX_STATES}"
+        )
+    return n
+
+
+def _pair_table(c: np.ndarray, N: int) -> np.ndarray:
+    """Joint law of the states of an ordered station pair ``(i, j)``,
+    ``i != j``, drawn uniformly from a snapshot of ``N >= 2`` stations
+    with rank counts ``c``, as one ``(n, n)`` array over rank pairs.
+    Both marginals equal the one-station empirical measure ``c / N``."""
+    c = c.astype(np.float64)
+    joint = np.outer(c, c)
+    joint.flat[::len(c) + 1] -= c
+    joint /= N * (N - 1)
+    return joint
+
+
 def _averaged_pairs(hists, N, n):
     """Yield, one sample time at a time, the replica-averaged pair table
-    of :func:`~duores.simulate.pair_empirical` and the worst difference
-    between a replica's pair marginals and its one-station empirical
-    measure.  ``hists[k]`` holds each replica's counts over the ``n``
-    state ranks at sample time ``k``; the tables are built and summed in
-    replica order, so one sample time's tables are held at a time, never
-    one per time."""
+    of :func:`_pair_table` and the worst difference between a replica's
+    pair marginals and its one-station empirical measure.  ``hists[k]``
+    holds each replica's counts over the ``n`` state ranks at sample time
+    ``k``; the tables are built and summed in replica order, so one
+    sample time's tables are held at a time, never one per time."""
     for per_replica in hists:
         acc = np.zeros((n, n))
         worst = 0.0

@@ -144,10 +144,8 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):  # before the float test: np.float64 is a float
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # json has no inf/nan literals
     return obj

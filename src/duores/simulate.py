@@ -44,9 +44,10 @@ list operations.  Each event reports the two stations it read and
 writes no other.  An audited run checks after each event only those
 stations: nonnegative counts, occupancy at most ``K``, and running
 totals of ``w, x, y, z`` against the car count and the pending-pickup
-and driving list lengths, O(1) per event.  The whole-state
-``check_invariants`` runs after the first event and, with the deep
-list reconciliation, at every snapshot.
+and driving list lengths, O(1) per event, starting from a state that
+holds them: a given ``initial`` gets the whole-state
+``check_invariants``, with the deep list reconciliation, before any
+draw, audited or not, and an audited run repeats it at every snapshot.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from math import inf, log1p
 
 import numpy as np
 
-from .core import (MAX_STATES, Measure, ModelParams, _budgeted_states, _count, _real,
-                   _seed, _times, num_states, ranks_of)
+from .core import (Measure, ModelParams, _budgeted_states, _count, _real, _seed, _times,
+                   ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -67,7 +68,6 @@ __all__ = [
     "step",
     "run",
     "empirical_measure",
-    "pair_empirical",
 ]
 
 
@@ -140,8 +140,8 @@ class SimState:
         """Raise :class:`SimInvariantError` on any structural violation.
 
         The cheap checks (nonnegativity, capacity, car conservation,
-        list lengths vs count sums) cover every station; an audited
-        ``run`` makes them after its first event and then keeps them up
+        list lengths vs count sums) cover every station; ``run`` makes
+        them on a given ``initial`` and an audited run then keeps them up
         over the stations each event touches.  ``deep=True``
         additionally reconciles the lists against the per-station
         counts.
@@ -321,19 +321,20 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
 
 
 class _Audit:
-    """Invariant checks of an audited ``run`` over its list counts.
+    """Invariant checks of an audited ``run`` over its list counts, from
+    a start state that holds them.
 
     ``whole`` copies the counts into the ``SimState`` and runs
     ``check_invariants`` on all of it.  ``event`` runs after every
-    event: its first call is ``whole``; each later one checks only the
-    two stations the event read, and running totals of ``w, x, y, z``
-    moved by each such station's change since its last check, in O(1).
+    event: it checks only the two stations the event read, and running
+    totals of ``w, x, y, z`` moved by each such station's change since
+    its last check, in O(1).
     """
 
     def __init__(self, state: SimState, counts: list, K: int, M: int):
         self.state, self.counts, self.K, self.M = state, counts, K, M
-        self.seen: list | None = None  # per-station counts at the last check
-        self.totals = (0, 0, 0, 0)
+        self.seen = list(zip(*counts))  # per-station counts at the last check
+        self.totals = tuple(sum(a) for a in counts)
 
     def whole(self, deep: bool) -> None:
         st = self.state
@@ -343,11 +344,6 @@ class _Audit:
     def event(self, t: float, tag: str, i: int, j: int) -> None:
         st = self.state
         st.t = t
-        if self.seen is None:
-            self.whole(deep=False)
-            self.seen = list(zip(*self.counts))
-            self.totals = tuple(sum(a) for a in self.counts)
-            return
         w, x, y, z = self.counts
         a = (w[i], x[i], y[i], z[i])
         b = (w[j], x[j], y[j], z[j])
@@ -388,27 +384,33 @@ def run(
     ``(N, 4)``.  Paths are right-continuous: a snapshot exactly at an
     event time sees the post-event state.  The generator is seeded from
     ``config.seed`` and used first for initial placement (skipped when
-    ``initial`` is given), then for events.
+    ``initial`` is given), then for events.  A given ``initial`` must
+    have ``N`` stations and pass ``check_invariants(deep=True)`` for
+    ``K`` and ``M``; it is checked before any draw, audited or not, and
+    refused with a ``ValueError`` naming it.
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
     and driving lists match the counts.  After each event it checks
     only the stations the event touched, in O(1): each is nonnegative
     and within capacity, and running totals of ``w, x, y, z`` match
-    ``M`` and the list lengths (the first event gets the whole-state
-    ``check_invariants``, so a bad ``initial`` raises there).  At every
-    snapshot it runs ``check_invariants(deep=True)`` on the whole state,
-    which also reconciles the lists against the per-station counts.
+    ``M`` and the list lengths.  At every snapshot it runs
+    ``check_invariants(deep=True)`` on the whole state, which also
+    reconciles the lists against the per-station counts.
     Audited and plain runs give byte-identical snapshots.
     """
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)
     else:
-        if initial.N != config.N or initial.car_total != config.M or config.M > config.N * p.K:
-            raise ValueError("initial state does not match config shape and capacity")
+        if initial.N != config.N:
+            raise ValueError(f"initial has {initial.N} stations, config N={config.N}")
         state = initial.copy()
         state.t = 0.0
+        try:
+            state.check_invariants(p.K, config.M, deep=True)
+        except (SimInvariantError, ValueError) as e:  # numpy's for a negative list station
+            raise ValueError(f"initial is not a consistent state: {e}") from None
     out: list[tuple[float, np.ndarray]] = []
     samples = config.sample_times
     if not samples:
@@ -452,42 +454,3 @@ def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     if counts.ndim != 2 or counts.shape[1] != 4 or not counts.shape[0]:
         raise ValueError(f"counts must have shape (N, 4) with N >= 1, got {counts.shape}")
     return Measure(_rank_counts(counts, K, _budgeted_states(K)) / counts.shape[0], K)
-
-
-def _budgeted_pairs(K: int) -> int:
-    """:func:`~duores.core.num_states` ``n``, refused when a pair table's
-    ``n^2`` entries are above :data:`~duores.core.MAX_STATES`."""
-    n = num_states(K)
-    if n * n > MAX_STATES:
-        raise ValueError(
-            f"pair statistics at capacity K={K} need n^2={n * n} entries, above "
-            f"the state budget MAX_STATES={MAX_STATES}"
-        )
-    return n
-
-
-def pair_empirical(counts: np.ndarray, K: int) -> np.ndarray:
-    """Joint distribution of the states of an ordered station pair
-    ``(i, j)``, ``i != j``, drawn uniformly.
-
-    Returns an ``(n, n)`` array over rank pairs.  Both marginals equal
-    the one-station empirical measure exactly.  A ``ValueError`` is
-    raised before anything is built when ``n^2`` is above the state
-    budget (K >= 12).
-    """
-    n = _budgeted_pairs(K)
-    counts = np.asarray(counts)
-    N = counts.shape[0]
-    if N < 2:
-        raise ValueError(f"counts must hold at least two stations for pair statistics, got {N}")
-    return _pair_table(_rank_counts(counts, K, n), N)
-
-
-def _pair_table(c: np.ndarray, N: int) -> np.ndarray:
-    """:func:`pair_empirical` from the rank counts ``c`` of a snapshot of
-    ``N`` stations, built in one ``(n, n)`` array."""
-    c = c.astype(np.float64)
-    joint = np.outer(c, c)
-    joint.flat[::len(c) + 1] -= c
-    joint /= N * (N - 1)
-    return joint

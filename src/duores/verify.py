@@ -3,9 +3,11 @@
 Each check pits two independent computation paths against each other
 (closed form vs. explicit generator, four-coordinate vs. reduced
 family, solver output vs. residual evaluation) and reports the worst
-discrepancy against a tolerance.  The CLI ``verify`` command runs the
-suites named in its config; the test suite pins them at fixed
-tolerances.
+discrepancy against a tolerance.  Each suite refuses its arguments
+before any work: a count below one, an empty grid list, a tolerance
+that is not finite and positive, a seed numpy does not take.  The CLI
+``verify`` command runs the suites named in its config; the test suite
+pins them at fixed tolerances.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 from .core import (
     ModelParams,
     _count,
+    _real,
+    _seed,
     count_arrays,
     enumerate_states,
     index_of,
@@ -34,8 +38,6 @@ from .equilibrium import (
     _simple_mean,
     product_form,
     simple_form,
-    simple_no_available,
-    simple_saturated,
     solve_equilibrium,
 )
 
@@ -78,9 +80,12 @@ class CheckResult:
 
 def _sized(*lists, **least):
     """Suite decorator: before the suite runs, refuse an empty argument named
-    in ``lists`` or a count below its ``least`` (``core._count``, which
-    converts an integral float), given or default, so that no suite passes
-    with nothing checked; ``suite.refuse(**kwargs)`` checks alone."""
+    in ``lists``, a count below its ``least`` (``core._count``, which
+    converts an integral float; for a name also in ``lists``, each entry),
+    a tolerance (``tol`` or ``*_tol``) that is not finite and ``> 0``, or a
+    ``seed`` that ``np.random.SeedSequence`` does not take, given or
+    default, so that no suite passes with nothing checked;
+    ``suite.refuse(**kwargs)`` checks alone."""
     def wrap(suite):
         sig = inspect.signature(suite)
 
@@ -91,7 +96,14 @@ def _sized(*lists, **least):
                 if not len(v := bound.arguments[k]):
                     raise ValueError(f"{k} must hold at least one value, got {v!r}")
             for k, lo in least.items():
-                bound.arguments[k] = _count(k, bound.arguments[k], lo)
+                v = bound.arguments[k]
+                bound.arguments[k] = ([_count(f"every entry of {k}", e, lo) for e in v]
+                                      if k in lists else _count(k, v, lo))
+            for k, v in bound.arguments.items():
+                if k == "tol" or k.endswith("_tol"):
+                    _real(k, v, 0, strict=True)
+                elif k == "seed":
+                    _seed(v)
             return bound
 
         def checked(*args, **kwargs):
@@ -190,7 +202,7 @@ def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
     )
 
 
-@_sized("K_list", trials=1)
+@_sized("K_list", trials=1, K_list=1)
 def check_product_form_stationarity(
     trials: int = 50,
     K_list=(1, 2, 3, 4, 5),
@@ -215,11 +227,13 @@ def check_step2_identity(
 ) -> CheckResult:
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
-    ``(x, rho2)``; the solver asserts this instead of solving it."""
+    ``(x, rho2)``, both masses read from the reference array
+    ``simple_form``; the solver asserts this instead of solving it."""
     def trial(rng, i):
         K = 1 + i % K_max
         x, y = _draws(rng, 2)
-        return abs(y * (1.0 - simple_saturated(x, y, K)) - (1.0 - simple_no_available(x, y, K)))
+        p = simple_form(x, y, K)
+        return abs(y * (1.0 - np.fliplr(p).trace()) - (1.0 - p[:, 0].sum()))
 
     return _worst_of_trials("step2_identity", trial, trials, seed, tol, K_max=K_max)
 

@@ -610,6 +610,11 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
     ({"step2_identity": {"K_max": 0}}, "K_max must be >= 1, got 0"),
     ({"fill_identity": {"trials": 0}}, "trials must be >= 1, got 0"),
     ({"enumeration": {"K_max": -3, "roundtrip_K_max": -3}}, "K_max must be >= 0, got -3"),
+    ({"product_form_stationarity": {"K_list": [0]}}, "every entry of K_list must be >= 1, got 0"),
+    ({"step2_identity": {"seed": -1}},
+     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
+    ({"fixed_point": {"closed_form_tol": float("nan")}},
+     "closed_form_tol must be finite and > 0, got nan"),
 ])
 def test_verify_refuses_a_suite_override_with_nothing_to_check_before_any_work(
         tmp_path, capsys, monkeypatch, override, message):

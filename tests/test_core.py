@@ -69,7 +69,7 @@ def test_count_arrays_are_in_rank_order_at_large_capacity(K):
         w, x, y, z = count_arrays(K)
         assert np.array_equal(ranks_of(w, x, y, z, K), np.arange(num_states(K)))
     finally:
-        core._count_arrays.cache_clear()  # K = 80 holds 62 MB
+        core.count_arrays.cache_clear()  # K = 80 holds 62 MB
 
 
 def _touch_capacity(K):
@@ -84,7 +84,7 @@ def _touch_capacity(K):
 
 
 def test_per_capacity_caches_drop_a_large_capacity():
-    caches = [core._count_arrays, core.fill_vector, core._fill_weights,
+    caches = [core.count_arrays, core.fill_vector,
               core.no_available_mask, core.saturated_mask, meanfield._stencils,
               experiments._shift_permutation, equilibrium._log_factorials]
     assert {c.cache_info().maxsize for c in caches} == {core._CACHED_CAPACITIES}
@@ -251,19 +251,20 @@ def test_mean_fill_frozen_values():
     assert abs(mean_fill(Measure.uniform(1)) - 3.0 / 5.0) < 1e-15
 
 
-def test_mean_fill_reads_a_read_only_float_copy_of_the_fill_vector():
-    # the float64 copy changes the product's loop, not its value
-    w = core._fill_weights(4)
-    assert w is core._fill_weights(4) and w.dtype == np.float64
-    assert np.array_equal(w, fill_vector(4))
+def test_mean_fill_reads_a_read_only_float_fill_vector():
+    # float64 changes the product's loop, not its value
+    w = fill_vector(4)
+    assert w is fill_vector(4) and w.dtype == np.float64
+    _, x, y, z = count_arrays(4)
+    assert np.array_equal(w, x + y + z)
     with pytest.raises(ValueError):
         w[0] = 1.0
-    assert fill_vector(4).dtype == np.int64
     rng = np.random.default_rng(31)
     for K in (1, 3, 15, 20):
+        _, x, y, z = count_arrays(K)
         for _ in range(20):
             m = Measure(rng.dirichlet(np.ones(num_states(K)) * rng.uniform(0.05, 5)), K)
-            assert mean_fill(m) == float(m.probs @ fill_vector(K))
+            assert mean_fill(m) == float(m.probs @ (x + y + z))
 
 
 def test_mean_fill_is_affine_in_the_measure():

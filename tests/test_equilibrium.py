@@ -36,9 +36,6 @@ from duores.equilibrium import (
     g_mean,
     product_form,
     simple_form,
-    simple_no_available,
-    simple_partition,
-    simple_saturated,
     solve_equilibrium,
     solve_phi,
 )
@@ -124,19 +121,32 @@ def test_simple_form_is_the_aggregated_product_form(K):
         assert np.max(np.abs(p2 - _oracle_pushforward(rho, K))) < 1e-13
 
 
-def test_simple_partition_frozen_values():
+def _partition(x, y, K):
+    """The reduced normalizing constant from the O(K) pass, unscaled."""
+    Z, _, _, _, e = equilibrium._reduced_sums(x, y, K)
+    return equilibrium._unscale(Z, e)
+
+
+def _no_available(x, y, K):
+    """``P[j = 0] = E / Z`` from the O(K) pass."""
+    Z, _, E, _, _ = equilibrium._reduced_sums(x, y, K)
+    return E / Z
+
+
+def test_reduced_partition_frozen_values():
     # K=1 states (0,0), (1,0), (0,1)
-    assert simple_partition(1.0, 1.0, 1) == 3.0
-    assert simple_partition(2.0, 3.0, 1) == 6.0
+    assert _partition(1.0, 1.0, 1) == 3.0
+    assert _partition(2.0, 3.0, 1) == 6.0
     # K=2 adds (2,0), (1,1), (0,2): 1 + x + y + x^2/2 + xy + y^2
-    assert simple_partition(2.0, 1.0, 2) == 1 + 2 + 1 + 2 + 2 + 1
+    assert _partition(2.0, 1.0, 2) == 1 + 2 + 1 + 2 + 2 + 1
 
 
 def test_simple_marginals_capacity_one():
     x, y = 0.7, 1.3
     Z = 1 + x + y
-    assert abs(simple_no_available(x, y, 1) - (1 + x) / Z) < 1e-15
-    assert abs(simple_saturated(x, y, 1) - (x + y) / Z) < 1e-15
+    p2 = simple_form(x, y, 1)
+    assert abs(p2[:, 0].sum() - (1 + x) / Z) < 1e-15
+    assert abs(np.fliplr(p2).trace() - (x + y) / Z) < 1e-15
 
 
 def test_simple_form_survives_large_intensities():
@@ -148,7 +158,7 @@ def test_simple_form_survives_large_intensities():
 
 
 def _exact_reduced_moments(x, y, K, cs):
-    """Exact ``(F Z, F)``, ``P[j=0]``, ``P[i+j=K]`` and the list of
+    """Exact ``(F Z, F)``, ``P[j=0]`` and the list of
     ``E[c i + j]`` for ``c`` in ``cs`` of the reduced family at float
     inputs, each ratio rounded once.
 
@@ -167,14 +177,13 @@ def _exact_reduced_moments(x, y, K, cs):
     H = [sum(j * yj[j] for j in range(n + 1)) for n in range(K + 1)]  # of j w
     Z = sum(xi[i] * G[K - i] for i in range(K + 1))
     P0 = sum(xi) * yj[0]
-    Psat = sum(xi[i] * yj[K - i] for i in range(K + 1))
     SI = sum(xi[i] * i * G[K - i] for i in range(K + 1))
     SJ = sum(xi[i] * H[K - i] for i in range(K + 1))
     F = math.factorial(K) * dx**K * dy**K
     means = []
     for C, dc in (c.as_integer_ratio() for c in cs):
         means.append((C * SI + dc * SJ) / (dc * Z))
-    return (Z, F), P0 / Z, Psat / Z, means
+    return (Z, F), P0 / Z, means
 
 
 _EXTREMES = (0.0, 1e-300, 1e-10, 0.3, 2.5, 1e10, 1e80, 1e300)
@@ -189,25 +198,24 @@ def test_reduced_pass_matches_exact_rationals(K):
         for y in _EXTREMES:
             rescaled += equilibrium._reduced_sums(x, y, K)[-1] != 0
             cs = (1.0, 0.6)
-            (Z, F), p0, psat, means = _exact_reduced_moments(x, y, K, cs)
-            pairs = [(simple_no_available(x, y, K), p0),
-                     (simple_saturated(x, y, K), psat)]
+            (Z, F), p0, means = _exact_reduced_moments(x, y, K, cs)
+            pairs = [(_no_available(x, y, K), p0)]
             pairs += [(equilibrium._simple_mean(x, y, K, c), m) for c, m in zip(cs, means)]
             for got, exact in pairs:
                 assert math.isclose(got, exact, rel_tol=1e-14,
                                     abs_tol=sys.float_info.min), (x, y, got, exact)
             if Z <= F * int(sys.float_info.max):
-                assert math.isclose(simple_partition(x, y, K), Z / F, rel_tol=1e-14)
+                assert math.isclose(_partition(x, y, K), Z / F, rel_tol=1e-14)
             else:
-                assert simple_partition(x, y, K) == math.inf
+                assert _partition(x, y, K) == math.inf
     assert rescaled > 0
 
 
 def test_reduced_pass_at_intensities_beyond_the_plain_sums():
     # x^K/K! and y^K overflow a double here
     assert g_mean(1e80, 1e80, 4) == pytest.approx(4.0, rel=1e-15)
-    assert simple_no_available(1e300, 1.0, 4) == 1.0
-    assert simple_saturated(1e80, 1e80, 4) == 1.0
+    assert _no_available(1e300, 1.0, 4) == 1.0
+    assert np.fliplr(simple_form(1e80, 1e80, 4)).trace() == 1.0
 
 
 def test_f_simple_capacity_one_closed_form():
@@ -249,7 +257,7 @@ def test_solve_phi_residual_is_small():
         for frac in (0.1, 0.5, 0.9):
             x = frac * a
             y = solve_phi(x, a, K)
-            bound = 1e-12 * a * simple_partition(x, y, K)
+            bound = 1e-12 * a * _partition(x, y, K)
             assert abs(f_simple(x, y, a, K)) <= bound
 
 
@@ -435,10 +443,11 @@ def test_fast_reservations_approach_the_simple_variant():
     for K, s in ((2, 1.0), (3, 2.1)):
         rho = solve_equilibrium(ModelParams(lam=lam, mu=mu, nu=1e8, K=K), s).rho
         t, r = rho.rho1_tilde, rho.rho2
-        no_car = simple_no_available(t, r, K)
+        p2 = simple_form(t, r, K)
+        no_car = p2[:, 0].sum()
         residuals = (
             t - a * (1.0 - no_car),
-            r * (1.0 - simple_saturated(t, r, K)) - (1.0 - no_car),
+            r * (1.0 - np.fliplr(p2).trace()) - (1.0 - no_car),
             s - g_mean(t, r, K),
         )
         assert max(abs(v) for v in residuals) < 1e-6

@@ -10,10 +10,12 @@ import pytest
 
 from duores import equilibrium, experiments
 from duores.core import (
+    MAX_STATES,
     Measure,
     ModelParams,
     enumerate_states,
     fill_vector,
+    index_of,
     mean_fill,
     num_states,
     tv_distance,
@@ -27,6 +29,7 @@ from duores.experiments import (
     fill_preserving_perturbation,
     monotonicity_scan,
 )
+from duores.simulate import SimConfig, _rank_counts, empirical_measure, run
 
 
 def test_derive_seed_is_deterministic_and_distinct():
@@ -47,7 +50,7 @@ def _random_measure(K, seed):
 
 
 def _fill_histogram(m: Measure) -> np.ndarray:
-    fills = fill_vector(m.K)
+    fills = fill_vector(m.K).astype(np.int64)
     return np.bincount(fills, weights=m.probs, minlength=m.K + 1)
 
 
@@ -220,6 +223,62 @@ def test_monotonicity_scan_matches_its_golden_digest():
     blob = json.dumps(monotonicity_scan().to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "c3a8867117c5dc41068218b87d582365e91cb9e558c154b3a9c2ea086bf09bbd")
+
+
+# ------------------------------------------------------------
+# Pair tables of the chaos study
+# ------------------------------------------------------------
+
+def _pair_table(counts, K):
+    """The chaos study's pair table of one snapshot ``counts``."""
+    n = experiments._budgeted_pairs(K)
+    return experiments._pair_table(_rank_counts(counts, K, n), len(counts))
+
+
+def test_pair_table_two_distinct_stations():
+    counts = np.array([[0, 0, 1, 0], [0, 0, 0, 0]], dtype=np.int64)
+    joint = _pair_table(counts, 1)
+    a = index_of((0, 0, 1, 0), 1)
+    b = index_of((0, 0, 0, 0), 1)
+    assert joint[a, b] == 0.5 and joint[b, a] == 0.5
+    assert joint[a, a] == 0.0 and joint[b, b] == 0.0
+
+
+def test_pair_table_two_equal_stations():
+    counts = np.array([[0, 0, 1, 0], [0, 0, 1, 0]], dtype=np.int64)
+    joint = _pair_table(counts, 1)
+    r = index_of((0, 0, 1, 0), 1)
+    assert joint[r, r] == 1.0
+    assert joint.sum() == 1.0
+
+
+@pytest.mark.parametrize("K", [12, 20])
+def test_pair_tables_above_the_state_budget_are_refused_before_allocation(K):
+    # n^2 entries above MAX_STATES (K >= 12); the dense tables at K=20 would take ~2.7 GB
+    n = num_states(K)
+    assert n * n > MAX_STATES >= num_states(11) ** 2
+    counts = np.zeros((4, 4), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"K={K} need n\^2={n * n} entries, above "
+                                             rf"the state budget MAX_STATES={MAX_STATES}"):
+            _pair_table(counts, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_pair_table_marginals_match_exactly():
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+    cfg = SimConfig(N=60, M=60, T=3.0, sample_times=(3.0,), seed=21)
+    (_, counts), = run(p, cfg)
+    joint = _pair_table(counts, 2)
+    emp = empirical_measure(counts, 2).probs
+    assert np.max(np.abs(joint.sum(axis=0) - emp)) < 1e-14
+    assert np.max(np.abs(joint.sum(axis=1) - emp)) < 1e-14
+    assert np.max(np.abs(joint - joint.T)) == 0.0
+    assert abs(joint.sum() - 1.0) < 1e-12
 
 
 def test_chaos_refuses_a_pair_table_above_the_budget_before_any_run(monkeypatch):

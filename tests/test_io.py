@@ -118,17 +118,26 @@ def test_station_trajectory_csv_layout(tmp_path):
     assert lines[2] == "0.0,1,1,0,0,0"
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_write_json_sanitizes_numpy_scalars(tmp_path):
+    # np.float64 infinities were written as the bare token Infinity and
+    # np.bool_ raised TypeError
     path = tmp_path / "report.json"
     write_json(
-        {"a": np.float64(0.5), "b": np.int64(3), "c": [np.float64(1.0)], "d": float("inf")},
+        {"a": np.float64(0.5), "b": np.int64(3), "c": [np.float64(1.0)], "d": float("inf"),
+         "e": np.float64("-inf"), "f": np.array([np.nan]), "g": np.bool_(True)},
         path,
     )
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(), parse_constant=_not_json)
     assert data["a"] == 0.5
     assert data["b"] == 3
     assert data["c"] == [1.0]
     assert data["d"] == "inf"
+    assert data["e"] == "-inf" and data["f"] == ["nan"]
+    assert data["g"] is True
 
 
 # ------------------------------------------------------------

@@ -5,13 +5,12 @@ stationary law."""
 import hashlib
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from duores import simulate
-from duores.core import MAX_STATES, ModelParams, index_of, num_states
+from duores.core import ModelParams
 from duores.simulate import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
@@ -22,7 +21,6 @@ from duores.simulate import (
     _stations,
     empirical_measure,
     init_uniform,
-    pair_empirical,
     run,
     step,
 )
@@ -379,20 +377,33 @@ def test_run_equals_a_step_loop_on_the_same_stream():
 
 def test_audit_checks_every_event():
     # the counts hold one reservation (origin 0, destination 1) that the
-    # pickups list lacks; only the per-event audit can see it before
-    # the single snapshot at T
+    # pickups list lacks; the whole-state check of a given initial state
+    # refuses it before any draw, audited or not (a plain run used to
+    # return a snapshot, an audited one to raise after the first event)
     p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
     st = SimState(np.array([0, 1, 0], dtype=np.int64), np.zeros(3, dtype=np.int64),
                   np.array([0, 1, 1], dtype=np.int64), np.array([1, 0, 0], dtype=np.int64))
     cfg = SimConfig(N=3, M=3, T=5.0, sample_times=(5.0,), seed=8)
-    first = st.copy()
-    step(first, p, np.random.default_rng(cfg.seed))
-    with pytest.raises(SimInvariantError, match="pending-pickup") as err:
-        run(p, cfg, initial=st, audit=True)
-    # raised right after the first event, not at the snapshot
-    assert f"at t={first.t}" in str(err.value)
-    assert first.t < cfg.T
-    assert len(run(p, cfg, initial=st, audit=False)) == 1
+    for audit in (True, False):
+        with pytest.raises(ValueError, match="^initial .*pending-pickup count mismatch at t=0.0"):
+            run(p, cfg, initial=st, audit=audit)
+
+
+@pytest.mark.parametrize("w, y, z, pickups, message", [
+    ((0, 0, 0), (-1, 2, 2), (0, 0, 0), [], "negative count"),
+    ((0, 0, 0), (3, 0, 0), (0, 0, 0), [], "station over capacity"),
+    ((0, 1, 0), (0, 1, 1), (1, 0, 0), [(-1, 1)], "no negative elements"),
+])
+def test_run_refuses_an_inconsistent_initial_state_before_any_draw(w, y, z, pickups,
+                                                                   message):
+    # the first two ran without a word when not audited: snapshots with
+    # a negative count, a station holding 3 cars at K=2
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
+    st = SimState(*(np.array(c, dtype=np.int64) for c in (w, (0, 0, 0), y, z)),
+                  pickups=pickups)
+    cfg = SimConfig(N=3, M=3, T=5.0, sample_times=(5.0,), seed=8)
+    with pytest.raises(ValueError, match=f"^initial .*{message}"):
+        run(p, cfg, initial=st)
 
 
 def test_kernel_writes_only_the_stations_it_reports(monkeypatch):
@@ -545,8 +556,12 @@ def test_audited_run_checks_the_whole_state_once_plus_per_snapshot(monkeypatch):
     out = run(p, cfg, audit=True)
     assert len(out) == len(cfg.sample_times)
     assert len(events) > 100
-    # one cheap check after the first event, one deep check per snapshot
-    assert whole == [False] + [True] * len(cfg.sample_times)
+    # a drawn start holds the invariants by construction: one deep check per snapshot
+    assert whole == [True] * len(cfg.sample_times)
+    # a given start gets one deep check before any draw
+    whole.clear()
+    run(p, cfg, initial=init_uniform(cfg.N, cfg.M, p.K, seed=5), audit=True)
+    assert whole == [True] + [True] * len(cfg.sample_times)
 
 
 def _stepped_state(N, M, K, seed):
@@ -627,52 +642,6 @@ def test_empirical_measure_small_case():
     m = empirical_measure(counts, 1)
     assert m[(0, 0, 1, 0)] == 0.5
     assert m[(0, 0, 0, 0)] == 0.5
-
-
-def test_pair_empirical_two_distinct_stations():
-    counts = np.array([[0, 0, 1, 0], [0, 0, 0, 0]], dtype=np.int64)
-    joint = pair_empirical(counts, 1)
-    a = index_of((0, 0, 1, 0), 1)
-    b = index_of((0, 0, 0, 0), 1)
-    assert joint[a, b] == 0.5 and joint[b, a] == 0.5
-    assert joint[a, a] == 0.0 and joint[b, b] == 0.0
-
-
-def test_pair_empirical_two_equal_stations():
-    counts = np.array([[0, 0, 1, 0], [0, 0, 1, 0]], dtype=np.int64)
-    joint = pair_empirical(counts, 1)
-    r = index_of((0, 0, 1, 0), 1)
-    assert joint[r, r] == 1.0
-    assert joint.sum() == 1.0
-
-
-@pytest.mark.parametrize("K", [12, 20])
-def test_pair_tables_above_the_state_budget_are_refused_before_allocation(K):
-    # n^2 entries above MAX_STATES (K >= 12); the dense tables at K=20 would take ~2.7 GB
-    n = num_states(K)
-    assert n * n > MAX_STATES >= num_states(11) ** 2
-    counts = np.zeros((4, 4), dtype=np.int64)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=rf"K={K} need n\^2={n * n} entries, above "
-                                             rf"the state budget MAX_STATES={MAX_STATES}"):
-            pair_empirical(counts, K)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_pair_empirical_marginals_match_exactly():
-    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
-    cfg = SimConfig(N=60, M=60, T=3.0, sample_times=(3.0,), seed=21)
-    (_, counts), = run(p, cfg)
-    joint = pair_empirical(counts, 2)
-    emp = empirical_measure(counts, 2).probs
-    assert np.max(np.abs(joint.sum(axis=0) - emp)) < 1e-14
-    assert np.max(np.abs(joint.sum(axis=1) - emp)) < 1e-14
-    assert np.max(np.abs(joint - joint.T)) == 0.0
-    assert abs(joint.sum() - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------

@@ -94,13 +94,15 @@ def test_fixed_point_large_K_meets_tolerance_on_every_solve():
 
 # Every suite at its defaults, as computed before the suites shared the
 # seeded trials loop and the solve-grid loop.  The fixed-point suites
-# have since added their outcome counts at the end of ``details``.
+# have since added their outcome counts at the end of ``details``, and
+# step2_identity reads its two masses from ``simple_form``, not the
+# O(K) pass (its worst was 3.3306690738754696e-16).
 _PINNED = [
     {"name": "enumeration", "passed": True, "worst": 0.0, "tol": 0.0,
      "details": {"K_max": 10, "roundtrip_K_max": 6}},
     {"name": "product_form_stationarity", "passed": True, "worst": 2.7755575615628914e-17,
      "tol": 1e-10, "details": {"trials": 50, "K_list": [1, 2, 3, 4, 5], "seed": 20260817}},
-    {"name": "step2_identity", "passed": True, "worst": 3.3306690738754696e-16,
+    {"name": "step2_identity", "passed": True, "worst": 4.440892098500626e-16,
      "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260818}},
     {"name": "aggregation_identity", "passed": True, "worst": 2.7755575615628914e-16,
      "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260819}},
@@ -175,15 +177,21 @@ def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_o
     ("fixed_point", dict(lam_list=[]), "lam_list must hold at least one value"),
     ("fixed_point_large_K", dict(K_list=[]), r"K_list must hold at least one value, got \[\]"),
     ("enumeration", dict(K_max=-3, roundtrip_K_max=-3), "K_max must be >= 0, got -3"),
+    ("step2_identity", dict(tol=math.nan), "tol must be finite and > 0, got nan"),
+    ("step2_identity", dict(seed=-1),
+     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
+    ("product_form_stationarity", dict(K_list=[0]), "every entry of K_list must be >= 1, got 0"),
+    ("fixed_point", dict(closed_form_tol=math.nan), "closed_form_tol must be finite and > 0"),
 ])
 def test_suites_with_nothing_to_check_are_refused_before_any_work(monkeypatch, name, kw,
                                                                    named):
-    # K_list=[] and K_max=0 were a ZeroDivisionError; the others passed
-    # with nothing checked
+    # K_list=[] and K_max=0 were a ZeroDivisionError, seed=-1 numpy's
+    # unnamed ValueError; the others passed with nothing checked, or
+    # failed on a NaN tolerance
     def no_work(*args, **kwargs):
         raise AssertionError("a suite worked before its arguments were refused")
 
-    for work in ("product_form", "simple_saturated", "solve_grid", "count_arrays"):
+    for work in ("product_form", "simple_form", "solve_grid", "count_arrays"):
         monkeypatch.setattr(verify, work, no_work)
     with pytest.raises(ValueError, match=named):
         CHECKS[name](**kw)

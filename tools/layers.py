@@ -46,6 +46,8 @@ subjects, each with its default ``FILE`` at the repository root:
   ``CONTRACT``, a public entry called on one input, ends in an answer, in
   a ``ValueError`` whose message names the row's argument, or otherwise
   (any other exception, or a ``ValueError`` that names something else).
+  ``json_read_back`` stands for ``io.write_json`` followed by a strict
+  JSON read of the file it wrote.
   The counts per entry and in total are deterministic.  A row is due a
   refusal that names its argument, or an answer where it names none (a
   domain edge); the rows that end otherwise are listed.
@@ -271,10 +273,34 @@ NAN, INF = math.nan, math.inf
 _P2 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
 _P3 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
 _STUDY = (_P2, [4, 8], 1, 1.0, (1.0,), 5)  # p, N_list, replicas, T, sample_times, seed0
+_RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding M = 3 cars
+
+
+def _start(w=(0, 0, 0), y=(0, 0, 0), z=(0, 0, 0)) -> simulate.SimState:
+    """A start state for ``_RUN`` with no cars driving or pickups listed."""
+    zero = np.zeros(3, dtype=np.int64)
+    return simulate.SimState(np.array(w), zero.copy(), np.array(y), np.array(z))
+
+
+def _not_json(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _json_read_back(value):
+    """``value`` written by ``io.write_json`` and read back by a parser that
+    refuses JSON's non-standard constants (``Infinity``, ``NaN``)."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "value.json"
+        dio.write_json({"value": value}, path)
+        return json.loads(path.read_text(), parse_constant=_not_json)
+
+
+_LOCAL = {"json_read_back": _json_read_back}  # contract entries not in duores
 
 CONTRACT = (
-    # (entry in duores, args, kwargs, the argument its refusal names, or
-    # None where the input lies on the domain's edge and has an answer)
+    # (entry in duores or _LOCAL, args, kwargs, the argument its refusal
+    # names, or None where the input lies in the domain or on its edge and
+    # has an answer)
     ("g_mean", (NAN, 1.0, 3), {}, "x"),
     ("g_mean", (1.0, INF, 3), {}, "y"),
     ("g_mean", (1.0, 1.0, -1), {}, "K"),
@@ -282,7 +308,7 @@ CONTRACT = (
     ("f_simple", (NAN, 1.0, 2.0, 3), {}, "x"),
     ("f_simple", (-1.0, 1.0, 2.0, 3), {}, "x"),
     ("equilibrium.simple_form", (NAN, 1.0, 3), {}, "x"),
-    ("equilibrium.simple_partition", (1.0, NAN, 3), {}, "y"),
+    ("equilibrium.simple_form", (1.0, NAN, 3), {}, "y"),
     ("solve_phi", (0.5, 1.0, 2.5), {}, "K"),
     ("solve_phi", (0.5, 1.0, 0), {}, "K"),
     ("solve_phi", (0.5, INF, 3), {}, "a"),
@@ -303,7 +329,7 @@ CONTRACT = (
     ("init_uniform", (3, 10, 3, 1), {}, "M"),
     ("SimConfig", (2, 1, 1.0, (2.0,), 0), {}, "sample_times"),
     ("empirical_measure", (np.zeros((0, 4), dtype=np.int64), 2), {}, "counts"),
-    ("pair_empirical", (np.zeros((1, 4), dtype=np.int64), 2), {}, "counts"),
+    ("chaos_experiment", (_P2, [1, 8], *_STUDY[2:]), {"s": 1.0}, "N_list"),
     ("integrate", (core.Measure.uniform(2), _P2, -1.0, 0.1), {}, "T"),
     ("integrate", (core.Measure.uniform(2), _P2, 1.0, 1.0), {}, "dt"),
     ("integrate_at", (core.Measure.uniform(2), _P2, [0.5], 1.0), {}, "dt_max"),
@@ -329,6 +355,15 @@ CONTRACT = (
     ("verify.check_aggregation_identity", (), {"trials": 0}, "trials"),
     ("verify.check_fixed_point", (), {"lam_list": []}, "lam_list"),
     ("verify.check_fixed_point_large_K", (), {"K_list": []}, "K_list"),
+    ("run", _RUN, {"initial": _start(y=(-1, 2, 2))}, "initial"),
+    ("run", _RUN, {"initial": _start(y=(3, 0, 0))}, "initial"),
+    ("run", _RUN, {"initial": _start(w=(0, 1, 0), y=(0, 1, 1), z=(1, 0, 0))}, "initial"),
+    ("json_read_back", (np.float64(INF),), {}, None),
+    ("json_read_back", (np.bool_(True),), {}, None),
+    ("verify.check_step2_identity", (), {"tol": NAN}, "tol"),
+    ("verify.check_step2_identity", (), {"seed": -1}, "seed"),
+    ("verify.check_product_form_stationarity", (), {"K_list": [0]}, "K_list"),
+    ("verify.check_fixed_point", (), {"closed_form_tol": NAN}, "closed_form_tol"),
     ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),
@@ -348,7 +383,7 @@ def contract_id(row) -> str:
 def contract_outcome(entry, args, kwargs, named) -> tuple[str, str]:
     """How the call of ``entry`` ends, one of ``CONTRACT_OUTCOMES``, and its
     error message (empty for an answer)."""
-    fn = functools.reduce(getattr, entry.split("."), duores)
+    fn = _LOCAL.get(entry) or functools.reduce(getattr, entry.split("."), duores)
     try:
         fn(*args, **kwargs)
     except ValueError as e:

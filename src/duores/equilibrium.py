@@ -47,6 +47,12 @@ all scaled by one power of two so that no step overflows.  From them:
   and the fill at ``c = _car_weight(mu/nu)``);
 * ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
 
+The pass has two factors, ``Z = sum_n E_n(x) y^(K-n)``.  ``solve_phi``
+holds ``x`` fixed, so it builds the partial exponentials ``E_n`` once
+per call and runs only the Horner stage in ``y`` at each step
+(``_staged_sums``), which gives the pass's own doubles; at a ``y`` where
+the pass would rescale, the full pass runs.
+
 The residuals are not read from the reduced family: ``_state_sums``
 takes them from O(K^2) convolutions of the four one-coordinate weight
 vectors, a path that shares no code with the pass, so the residuals
@@ -60,6 +66,7 @@ suite reads its saturated and no-car masses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -234,6 +241,44 @@ def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, floa
     return Z, dZ, E, Z1, e
 
 
+def _partial_exponentials(x: float, K: int) -> list[float]:
+    """``[E_1, ..., E_K]``, ``E_n = sum_{i<=n} x^i/i!``, by the operations
+    of :func:`_reduced_sums` before any rescale: the x-only factor of the
+    pass, built once for all the ``y`` of one ``x``."""
+    term = 1.0
+    E = 1.0
+    Es = []
+    for n in range(1, K + 1):
+        term *= x / n
+        E += term
+        Es.append(E)
+    return Es
+
+
+def _staged_sums(Es: list[float], x: float, y: float,
+                 K: int) -> tuple[float, float, float, float, int]:
+    """``_reduced_sums(x, y, K)`` for ``K >= 1``, given
+    ``Es = _partial_exponentials(x, K)``: only the Horner stage in ``y``
+    runs.
+
+    The computed ``Z_n`` are nondecreasing in ``n``: the ``E_n`` are,
+    ``Z_1 >= Z_0 = 1``, and rounding is monotone.  So the pass rescales
+    somewhere exactly when the last ``Z`` is above its threshold (or NaN,
+    after an overflow); only then does the scaled pass run, and
+    otherwise every sum is the same double as the pass's, with
+    ``e = 0``."""
+    Z = 1.0
+    dZ = 0.0
+    Z1 = 0.0
+    for En in Es:
+        dZ = Z + y * dZ
+        Z1 = Z
+        Z = En + y * Z
+    if not Z <= 1e300 / max(1.0, x, y):
+        return _reduced_sums(x, y, K)
+    return Z, dZ, Es[-1], Z1, 0
+
+
 def _unscale(v: float, e: int) -> float:
     """``v * 2^e``, infinite where that overflows a double."""
     try:
@@ -287,21 +332,33 @@ def solve_phi(x: float, a: float, K: int) -> float:
     or when the bracket ends are adjacent doubles, and then returns the
     end with the smaller ``|h|``.
 
+    ``x`` is fixed for the whole solve, so the partial exponentials
+    ``E_1..E_K`` are built once per call, and each step runs only the
+    Horner stage in ``y`` (:func:`_staged_sums`), with the same bits as
+    the full pass.  Where the scaled pass's ``E`` underflows to 0
+    (``E/Z`` below the smallest double, at large ``K``), ``h`` is taken
+    as ``+inf``: ``h >= 744 + log(b/a) > 0`` there.
+
     Raises
     ------
     RuntimeError
         If the root cannot be bracketed in double precision, or the
         stop is not reached within ``_PHI_MAX_ITER`` steps.
     """
-    if not (0.0 < x < a < math.inf and type(K) is int and K >= 1):  # once per fill evaluation
+    try:  # once per fill evaluation; a string falls through to the named refusal
+        checked = 0.0 < x < a < math.inf and type(K) is int and K >= 1
+    except TypeError:
+        checked = False
+    if not checked:
         K = _count("K", K, 1)
-        if not 0.0 < x < _real("a", a, 0, strict=True):
-            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x}")
+        if not (isinstance(x, numbers.Real) and 0.0 < x < _real("a", a, 0, strict=True)):
+            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
     b = a - x
+    Es = _partial_exponentials(x, K)
 
     def h_and_slope(y: float) -> tuple[float, float]:
-        Z, dZ, E, _, _ = _reduced_sums(x, y, K)
-        return math.log(b * Z / (a * E)), y * dZ / Z
+        Z, dZ, E, _, _ = _staged_sums(Es, x, y, K)
+        return (math.log(b * Z / (a * E)) if E else math.inf), y * dZ / Z
 
     lo, h_lo = 0.0, math.log(b / a)
     hi = 1.0
@@ -481,7 +538,7 @@ def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
 def _check_solvable(p: ModelParams, s: float) -> None:
     """The fixed point's domain: ``lam > 0`` and a fill ``s`` in ``(0, K)``."""
     _real("lam", p.lam, 0, strict=True)
-    if not 0.0 < s < p.K:
+    if not (isinstance(s, numbers.Real) and 0.0 < s < p.K):
         raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")
 
 

@@ -143,7 +143,8 @@ class SimState:
         list lengths vs count sums) cover every station; ``run`` makes
         them on a given ``initial`` and an audited run then keeps them up
         over the stations each event touches.  ``deep=True``
-        additionally reconciles the lists against the per-station
+        additionally checks that every list entry is a station in
+        ``[0, N)`` and reconciles the lists against the per-station
         counts.
         """
         arrs = (self.w, self.x, self.y, self.z)
@@ -163,9 +164,19 @@ class SimState:
             raise SimInvariantError(f"driving count mismatch at t={self.t}")
         if deep:
             N = self.N
-            orig = np.bincount([i for i, _ in self.pickups], minlength=N)
-            dest = np.bincount([j for _, j in self.pickups], minlength=N)
-            drv = np.bincount(self.driving, minlength=N)
+            columns = []
+            for name, entries, width, what in (("pickups", self.pickups, 2, "a pair of stations"),
+                                               ("driving", self.driving, 1, "a station")):
+                try:
+                    a = np.asarray(entries).reshape(len(entries), width)
+                    ok = not len(a) or (a.dtype.kind in "iu" and a.min() >= 0 and a.max() < N)
+                except ValueError:  # ragged, or not ``width`` stations an entry
+                    ok = False
+                if not ok:
+                    raise SimInvariantError(
+                        f"{name} holds an entry that is not {what} in [0, {N}) at t={self.t}")
+                columns.extend(a.astype(np.int64, copy=False).T)
+            orig, dest, drv = (np.bincount(c, minlength=N) for c in columns)
             if not (np.array_equal(orig, self.z) and np.array_equal(dest, self.w)
                     and np.array_equal(drv, self.x)):
                 raise SimInvariantError(f"list/count reconciliation failed at t={self.t}")
@@ -409,7 +420,7 @@ def run(
         state.t = 0.0
         try:
             state.check_invariants(p.K, config.M, deep=True)
-        except (SimInvariantError, ValueError) as e:  # numpy's for a negative list station
+        except SimInvariantError as e:
             raise ValueError(f"initial is not a consistent state: {e}") from None
     out: list[tuple[float, np.ndarray]] = []
     samples = config.sample_times

@@ -324,7 +324,7 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
     return worst, counts
 
 
-@_sized("lam_list", "nu_list", "K_list", "s_fracs")
+@_sized("lam_list", "nu_list", "K_list", "s_fracs", K_list=1)
 def check_fixed_point(
     lam_list=(0.5, 1.0, 2.0),
     mu: float = 1.0,
@@ -355,7 +355,7 @@ def check_fixed_point(
     )
 
 
-@_sized("K_list", "s_fracs", "nu_over_mu")
+@_sized("K_list", "s_fracs", "nu_over_mu", K_list=1)
 def check_fixed_point_large_K(
     K_list=(3, 5, 10, 20, 30, 40, 80, 200),
     s_fracs=(0.2, 0.5, 0.8),

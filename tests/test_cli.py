@@ -615,6 +615,8 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
      "seed must be None, an integer >= 0 or a sequence of them, got -1"),
     ({"fixed_point": {"closed_form_tol": float("nan")}},
      "closed_form_tol must be finite and > 0, got nan"),
+    ({"fixed_point": {"K_list": [0]}}, "every entry of K_list must be >= 1, got 0"),
+    ({"fixed_point_large_K": {"K_list": [3, 0]}}, "every entry of K_list must be >= 1, got 0"),
 ])
 def test_verify_refuses_a_suite_override_with_nothing_to_check_before_any_work(
         tmp_path, capsys, monkeypatch, override, message):

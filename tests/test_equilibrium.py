@@ -218,6 +218,24 @@ def test_reduced_pass_at_intensities_beyond_the_plain_sums():
     assert np.fliplr(simple_form(1e80, 1e80, 4)).trace() == 1.0
 
 
+@pytest.mark.parametrize("K", [1, 3, 10, 40, 1000])
+def test_staged_sums_are_the_scaled_pass_bit_for_bit(monkeypatch, K):
+    # solve_phi builds the partial exponentials once and runs only the
+    # Horner stage per y; the full pass runs where it would rescale
+    full = equilibrium._reduced_sums
+    fallbacks = []
+    monkeypatch.setattr(equilibrium, "_reduced_sums",
+                        lambda *a: fallbacks.append(a) or full(*a))
+    rng = np.random.default_rng(2100 + K)
+    cells = [(x, y) for x in _EXTREMES if x > 0 for y in _EXTREMES]
+    cells += zip(10.0 ** rng.uniform(-12, 12, 400), 10.0 ** rng.uniform(-12, 12, 400))
+    for x, y in cells:
+        x, y = float(x), float(y)
+        staged = equilibrium._staged_sums(equilibrium._partial_exponentials(x, K), x, y, K)
+        assert repr(staged) == repr(full(x, y, K)), (x, y)
+    assert 0 < len(fallbacks) < len(cells)
+
+
 def test_f_simple_capacity_one_closed_form():
     a = 2.0
     for x in (0.25, 0.5, 1.0, 1.5):
@@ -285,6 +303,36 @@ def test_solve_phi_is_machine_precise():
             assert _exact_f_sign(x, y - d, a, K) < 0 < _exact_f_sign(x, y + d, a, K)
 
 
+def test_solve_phi_builds_the_partial_exponentials_once_per_call(monkeypatch):
+    build = equilibrium._partial_exponentials
+    calls = []
+    monkeypatch.setattr(equilibrium, "_partial_exponentials",
+                        lambda x, K: calls.append((x, K)) or build(x, K))
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=10), 5.0)
+    assert len(calls) == rep.fill_evaluations
+    calls.clear()
+    solve_phi(1.5, 2.0, 10)
+    assert calls == [(1.5, 10)]
+
+
+def test_solve_phi_steps_over_an_underflowed_partial_exponential(monkeypatch):
+    # At K = 2000 the scaled pass's E underflows to 0 at the larger y of
+    # the bracket; log(b Z / (a E)) then divided by zero.
+    full = equilibrium._reduced_sums
+    underflows = []
+
+    def spy(*args):
+        sums = full(*args)
+        underflows.append(sums[2] == 0.0)
+        return sums
+
+    monkeypatch.setattr(equilibrium, "_reduced_sums", spy)
+    x, a, K = 2.99853515625, 3.0, 2000
+    y = solve_phi(x, a, K)
+    assert any(underflows)
+    assert abs(f_simple(x, y, a, K)) <= 1e-12 * a * _partition(x, y, K)
+
+
 def test_solve_phi_is_increasing():
     a, K = 3.0, 4
     xs = np.linspace(0.05, 0.95, 19) * a
@@ -299,6 +347,17 @@ def test_solve_phi_domain_errors():
         solve_phi(2.0, 2.0, 1)
     with pytest.raises(ValueError):
         solve_phi(3.0, 2.0, 1)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: solve_phi("0.5", 2.0, 3), "x"),
+    (lambda: solve_phi(0.5, "2.0", 3), "a"),
+    (lambda: solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3), "1.5"), "s"),
+])
+def test_a_string_argument_is_refused_by_name(call, named):
+    # each ended in a bare TypeError from a comparison
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        call()
 
 
 def test_g_mean_frozen_values():

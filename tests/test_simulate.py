@@ -392,7 +392,7 @@ def test_audit_checks_every_event():
 @pytest.mark.parametrize("w, y, z, pickups, message", [
     ((0, 0, 0), (-1, 2, 2), (0, 0, 0), [], "negative count"),
     ((0, 0, 0), (3, 0, 0), (0, 0, 0), [], "station over capacity"),
-    ((0, 1, 0), (0, 1, 1), (1, 0, 0), [(-1, 1)], "no negative elements"),
+    ((0, 1, 0), (0, 1, 1), (1, 0, 0), [(-1, 1)], "pickups holds an entry"),
 ])
 def test_run_refuses_an_inconsistent_initial_state_before_any_draw(w, y, z, pickups,
                                                                    message):
@@ -631,6 +631,23 @@ def test_deep_audit_reconciles_lists():
                    np.array([0, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64),
                    pickups=[(0, 1)], driving=[])
     st2.check_invariants(K=2, M=2, deep=True)
+
+
+@pytest.mark.parametrize("pickups, driving, named", [
+    ([(-1, 1)], [0], "pickups"),
+    ([(0, 2)], [0], "pickups"),
+    ([(0.5, 1)], [0], "pickups"),
+    ([(0, 1, 1)], [0], "pickups"),
+    ([(0, 1)], [-1], "driving"),
+    ([(0, 1)], [2], "driving"),
+    ([(0, 1)], [1.0], "driving"),
+])
+def test_deep_audit_names_a_list_entry_that_is_not_a_station(pickups, driving, named):
+    # a negative station ended in numpy's unnamed ValueError from bincount
+    st = SimState(np.array([0, 1]), np.array([1, 0]), np.array([0, 0]), np.array([1, 0]),
+                  pickups=pickups, driving=driving)
+    with pytest.raises(SimInvariantError, match=f"^{named} holds an entry that is not"):
+        st.check_invariants(K=2, M=2, deep=True)
 
 
 # ------------------------------------------------------------

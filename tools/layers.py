@@ -364,6 +364,11 @@ CONTRACT = (
     ("verify.check_step2_identity", (), {"seed": -1}, "seed"),
     ("verify.check_product_form_stationarity", (), {"K_list": [0]}, "K_list"),
     ("verify.check_fixed_point", (), {"closed_form_tol": NAN}, "closed_form_tol"),
+    ("solve_equilibrium", (_P3, "1.5"), {}, "s"),
+    ("solve_phi", ("0.5", 2.0, 3), {}, "x"),
+    ("solve_phi", (0.5, "2.0", 3), {}, "a"),
+    ("verify.check_fixed_point", (), {"K_list": [0]}, "K_list"),
+    ("verify.check_fixed_point_large_K", (), {"K_list": [0]}, "K_list"),
     ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),
@@ -375,7 +380,7 @@ CONTRACT_OUTCOMES = ("answer", "named_value_error", "other")
 def contract_id(row) -> str:
     """``entry(args, key=value)``, an object argument shown by its type."""
     entry, args, kwargs, _ = row
-    shown = [repr(a) if isinstance(a, (int, float, tuple, list)) else type(a).__name__
+    shown = [repr(a) if isinstance(a, (int, float, str, tuple, list)) else type(a).__name__
              for a in args]
     return f"{entry}({', '.join(shown + [f'{k}={v!r}' for k, v in kwargs.items()])})"
 

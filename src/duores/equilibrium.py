@@ -30,9 +30,11 @@ rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
 * the car density along the curve is a weighted mean that must equal
   ``s``, which an outer bisection on ``t`` enforces.
 
-Each curve point is solved once: the bisection reads its fill and the
-solver ``rho2`` from that one ``solve_phi``, as ``monotonicity_scan``
-reads its phi rows and the fill rows of every reservation speed.
+Each curve point is one call of the kernel ``_curve_point``, which
+returns ``phi(t)`` and the pass's sums there: the bisection reads its
+fill and the solver ``rho2`` from that one call, as
+``monotonicity_scan`` reads its phi rows and the fill rows of every
+reservation speed.
 
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
@@ -47,11 +49,11 @@ all scaled by one power of two so that no step overflows.  From them:
   and the fill at ``c = _car_weight(mu/nu)``);
 * ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
 
-The pass has two factors, ``Z = sum_n E_n(x) y^(K-n)``.  ``solve_phi``
-holds ``x`` fixed, so it builds the partial exponentials ``E_n`` once
-per call and runs only the Horner stage in ``y`` at each step
-(``_staged_sums``), which gives the pass's own doubles; at a ``y`` where
-the pass would rescale, the full pass runs.
+The pass has two factors, ``Z = sum_n E_n(x) y^(K-n)``.  A curve point
+holds ``x`` fixed, so ``_curve_point`` builds the partial exponentials
+``E_n`` once and runs only the Horner stage in ``y`` at each step, which
+gives the pass's own doubles; at a ``y`` where the pass would rescale,
+the full pass runs.
 
 The residuals are not read from the reduced family: ``_state_sums``
 takes them from O(K^2) convolutions of the four one-coordinate weight
@@ -255,30 +257,6 @@ def _partial_exponentials(x: float, K: int) -> list[float]:
     return Es
 
 
-def _staged_sums(Es: list[float], x: float, y: float,
-                 K: int) -> tuple[float, float, float, float, int]:
-    """``_reduced_sums(x, y, K)`` for ``K >= 1``, given
-    ``Es = _partial_exponentials(x, K)``: only the Horner stage in ``y``
-    runs.
-
-    The computed ``Z_n`` are nondecreasing in ``n``: the ``E_n`` are,
-    ``Z_1 >= Z_0 = 1``, and rounding is monotone.  So the pass rescales
-    somewhere exactly when the last ``Z`` is above its threshold (or NaN,
-    after an overflow); only then does the scaled pass run, and
-    otherwise every sum is the same double as the pass's, with
-    ``e = 0``."""
-    Z = 1.0
-    dZ = 0.0
-    Z1 = 0.0
-    for En in Es:
-        dZ = Z + y * dZ
-        Z1 = Z
-        Z = En + y * Z
-    if not Z <= 1e300 / max(1.0, x, y):
-        return _reduced_sums(x, y, K)
-    return Z, dZ, Es[-1], Z1, 0
-
-
 def _unscale(v: float, e: int) -> float:
     """``v * 2^e``, infinite where that overflows a double."""
     try:
@@ -318,6 +296,77 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
 _PHI_MAX_ITER = 400  # Newton and bisection steps of solve_phi
 
 
+def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float, float]]:
+    """``y = solve_phi(x, a, K)`` and the pass's sums ``(Z, dZ/dy, Z_{K-1})``
+    at that ``y``, as :func:`_reduced_sums` returns them: one curve point.
+
+    The partial exponentials ``E_1..E_K`` are built once, and every
+    evaluation (bracket, Newton steps, returned ``y``) runs only the
+    Horner stage in ``y``.  The computed ``Z_n`` are nondecreasing in
+    ``n`` (the ``E_n`` are, ``Z_1 >= Z_0 = 1``, and rounding is
+    monotone), so the pass rescales exactly where the last ``Z`` is above
+    its threshold or NaN; only there does the scaled pass run, and
+    elsewhere every sum is the pass's own double.  Where the returned
+    ``y`` is not the last point evaluated (a Newton step within 2 ulp,
+    or the bracket end with the smaller ``|h|``), it is evaluated once
+    more.
+    """
+    try:  # once per curve point; a string falls through to the named refusal
+        checked = 0.0 < x < a < math.inf and type(K) is int and K >= 1
+    except TypeError:
+        checked = False
+    if not checked:
+        K = _count("K", K, 1)
+        if not (isinstance(x, numbers.Real) and 0.0 < x < _real("a", a, 0, strict=True)):
+            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
+    b = a - x
+    Es = _partial_exponentials(x, K)
+    top = max(1.0, x)
+    lo, h_lo = 0.0, math.log(b / a)
+    hi = h_hi = math.inf  # hi stays infinite until the root is bracketed
+    y = 1.0
+    steps = 0
+    final = False  # y is the answer; only its sums are wanted
+    while True:
+        Z, dZ, Z1 = 1.0, 0.0, 0.0
+        for En in Es:
+            dZ = Z + y * dZ
+            Z1 = Z
+            Z = En + y * Z
+        E = Es[-1]
+        if not Z <= 1e300 / max(top, y):
+            Z, dZ, E, Z1, _ = _reduced_sums(x, y, K)
+        if final:
+            return y, (Z, dZ, Z1)
+        h = math.log(b * Z / (a * E)) if E else math.inf
+        slope = y * dZ / Z
+        if h < 0.0:
+            lo, h_lo = y, h
+            if hi == math.inf:  # bracketing by doubling
+                y *= 2.0
+                if y == math.inf:
+                    raise RuntimeError("failed to bracket the root")
+                continue
+        else:
+            hi, h_hi = y, h
+        if steps == _PHI_MAX_ITER:
+            raise RuntimeError(f"no convergence after {_PHI_MAX_ITER} steps at x={x}")
+        steps += 1
+        if h == 0.0:
+            return y, (Z, dZ, Z1)
+        cand = y * math.exp(-h / slope) if math.isfinite(slope) else math.nan
+        if lo <= cand <= hi and abs(cand - y) <= 2.0 * math.ulp(y):
+            final = True
+        elif not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+            if cand == lo or cand == hi:
+                cand = lo if abs(h_lo) < abs(h_hi) else hi
+                final = True
+        if final and cand == y:
+            return y, (Z, dZ, Z1)
+        y = cand
+
+
 def solve_phi(x: float, a: float, K: int) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
@@ -332,12 +381,12 @@ def solve_phi(x: float, a: float, K: int) -> float:
     or when the bracket ends are adjacent doubles, and then returns the
     end with the smaller ``|h|``.
 
-    ``x`` is fixed for the whole solve, so the partial exponentials
-    ``E_1..E_K`` are built once per call, and each step runs only the
-    Horner stage in ``y`` (:func:`_staged_sums`), with the same bits as
-    the full pass.  Where the scaled pass's ``E`` underflows to 0
-    (``E/Z`` below the smallest double, at large ``K``), ``h`` is taken
-    as ``+inf``: ``h >= 744 + log(b/a) > 0`` there.
+    The solve is :func:`_curve_point`'s, which builds the partial
+    exponentials ``E_1..E_K`` once per call and runs only the Horner
+    stage in ``y`` at each step, with the same bits as the full pass.
+    Where the scaled pass's ``E`` underflows to 0 (``E/Z`` below the
+    smallest double, at large ``K``), ``h`` is taken as ``+inf``:
+    ``h >= 744 + log(b/a) > 0`` there.
 
     Raises
     ------
@@ -345,56 +394,22 @@ def solve_phi(x: float, a: float, K: int) -> float:
         If the root cannot be bracketed in double precision, or the
         stop is not reached within ``_PHI_MAX_ITER`` steps.
     """
-    try:  # once per fill evaluation; a string falls through to the named refusal
-        checked = 0.0 < x < a < math.inf and type(K) is int and K >= 1
-    except TypeError:
-        checked = False
-    if not checked:
-        K = _count("K", K, 1)
-        if not (isinstance(x, numbers.Real) and 0.0 < x < _real("a", a, 0, strict=True)):
-            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
-    b = a - x
-    Es = _partial_exponentials(x, K)
+    return _curve_point(x, a, K)[0]
 
-    def h_and_slope(y: float) -> tuple[float, float]:
-        Z, dZ, E, _, _ = _staged_sums(Es, x, y, K)
-        return (math.log(b * Z / (a * E)) if E else math.inf), y * dZ / Z
 
-    lo, h_lo = 0.0, math.log(b / a)
-    hi = 1.0
-    h_hi, slope = h_and_slope(hi)
-    while h_hi < 0.0:
-        lo, h_lo = hi, h_hi
-        hi *= 2.0
-        if hi == math.inf:
-            raise RuntimeError("failed to bracket the root")
-        h_hi, slope = h_and_slope(hi)
-    y, h = hi, h_hi
-    for _ in range(_PHI_MAX_ITER):
-        if h == 0.0:
-            return y
-        cand = y * math.exp(-h / slope) if math.isfinite(slope) else math.nan
-        if lo <= cand <= hi and abs(cand - y) <= 2.0 * math.ulp(y):
-            return cand
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-            if cand == lo or cand == hi:
-                return lo if abs(h_lo) < abs(h_hi) else hi
-        y = cand
-        h, slope = h_and_slope(y)
-        if h < 0.0:
-            lo, h_lo = y, h
-        else:
-            hi, h_hi = y, h
-    raise RuntimeError(f"no convergence after {_PHI_MAX_ITER} steps at x={x}")
+def _sums_mean(x: float, y: float, sums: tuple[float, float, float], ci: float) -> float:
+    """Weighted mean ``E[ci * i + j]`` under the reduced family from the
+    pass's ``sums = (Z, dZ/dy, Z_{K-1})`` at ``(x, y)``,
+    ``(ci x Z_{K-1} + y dZ/dy) / Z``: ``x Z_{K-1}`` sums ``i`` times the
+    weights and ``y dZ/dy`` sums ``j`` times them."""
+    Z, dZ, Z1 = sums
+    return (ci * x * Z1 + y * dZ) / Z
 
 
 def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
-    """Weighted mean ``E[ci * i + j]`` under the reduced family,
-    ``(ci x Z_{K-1} + y dZ/dy) / Z``: ``x Z_{K-1}`` sums ``i`` times the
-    weights and ``y dZ/dy`` sums ``j`` times them."""
+    """:func:`_sums_mean` from one full pass at ``(x, y)``."""
     Z, dZ, _, Z1, _ = _reduced_sums(x, y, K)
-    return (ci * x * Z1 + y * dZ) / Z
+    return _sums_mean(x, y, (Z, dZ, Z1), ci)
 
 
 def g_mean(x: float, y: float, K: int) -> float:
@@ -574,8 +589,8 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     c = _car_weight(r)
 
     def curve(t: float) -> tuple[float, float]:
-        y = solve_phi(t, a, p.K)
-        return y, _simple_mean(t, y, p.K, c)
+        y, sums = _curve_point(t, a, p.K)
+        return y, _sums_mean(t, y, sums, c)
 
     t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, fill_tol, p.nu / p.mu)
     rho1 = t_star / (1.0 + 2.0 * r)

@@ -35,11 +35,11 @@ from .core import (
 from .equilibrium import (
     _car_weight,
     _check_solvable,
-    _simple_mean,
+    _curve_point,
+    _sums_mean,
     g_mean,
     product_form,
     solve_equilibrium,
-    solve_phi,
 )
 from .meanfield import _check_step, _grid_plan, _stream, integrate_at
 from .simulate import SimConfig, _rank_counts, empirical_measure, init_uniform, run
@@ -455,14 +455,15 @@ def monotonicity_scan(
         rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
                      "min_diff_y": dy_min, "ok": ok})
 
-    # phi: strict increase along interior grids, one solve per curve point.
+    # phi: strict increase along interior grids, one solve per curve point,
+    # which also gives the sums every fill row reads there.
     curves = []
     for K in K_list:
         for a in a_list:
             ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
-            ys = [solve_phi(t, a, K) for t in ts]
-            curves.append((K, a, ts, ys))
-            diffs = np.diff(ys)
+            points = [_curve_point(t, a, K) for t in ts]
+            curves.append((K, a, ts, points))
+            diffs = np.diff([y for y, _ in points])
             ok = bool(diffs.min() > 0.0)
             passed = passed and ok
             rows.append({"check": "phi", "K": K, "a": a,
@@ -473,8 +474,8 @@ def monotonicity_scan(
         (float(q), False) for q in probe_nu_over_mu
     ]:
         c = _car_weight(1.0 / ratio)  # r = mu / nu
-        for K, a, ts, ys in curves:
-            diffs = np.diff([_simple_mean(t, y, K, c) for t, y in zip(ts, ys)])
+        for K, a, ts, points in curves:
+            diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
             ok = bool(diffs.min() > 0.0)
             rows.append({
                 "check": "fill_curve", "K": K, "a": a,

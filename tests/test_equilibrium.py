@@ -218,22 +218,47 @@ def test_reduced_pass_at_intensities_beyond_the_plain_sums():
     assert np.fliplr(simple_form(1e80, 1e80, 4)).trace() == 1.0
 
 
-@pytest.mark.parametrize("K", [1, 3, 10, 40, 1000])
-def test_staged_sums_are_the_scaled_pass_bit_for_bit(monkeypatch, K):
-    # solve_phi builds the partial exponentials once and runs only the
-    # Horner stage per y; the full pass runs where it would rescale
+def _spy_full_passes(monkeypatch):
+    """Route ``_reduced_sums`` through a spy; the list records, per call,
+    whether its scaled ``E`` underflowed to 0."""
     full = equilibrium._reduced_sums
-    fallbacks = []
-    monkeypatch.setattr(equilibrium, "_reduced_sums",
-                        lambda *a: fallbacks.append(a) or full(*a))
-    rng = np.random.default_rng(2100 + K)
-    cells = [(x, y) for x in _EXTREMES if x > 0 for y in _EXTREMES]
-    cells += zip(10.0 ** rng.uniform(-12, 12, 400), 10.0 ** rng.uniform(-12, 12, 400))
-    for x, y in cells:
-        x, y = float(x), float(y)
-        staged = equilibrium._staged_sums(equilibrium._partial_exponentials(x, K), x, y, K)
-        assert repr(staged) == repr(full(x, y, K)), (x, y)
-    assert 0 < len(fallbacks) < len(cells)
+    underflows = []
+
+    def spy(*args):
+        sums = full(*args)
+        underflows.append(sums[2] == 0.0)
+        return sums
+
+    monkeypatch.setattr(equilibrium, "_reduced_sums", spy)
+    return underflows
+
+
+@pytest.mark.parametrize("K", [1, 3, 10, 40, 1000, 2000])
+def test_curve_point_sums_are_the_scaled_pass_bit_for_bit(monkeypatch, K):
+    # A curve point runs only the Horner stage in y at each step and
+    # returns the sums at its own y; the full pass runs where it rescales.
+    full = equilibrium._reduced_sums
+    underflows = _spy_full_passes(monkeypatch)
+    if K == 2000:  # a curve point whose scaled E underflows to 0
+        cells = [(2.99853515625, 3.0)]
+    else:
+        rng = np.random.default_rng(2200 + K)
+        # the pass rescales at small K only for x near 1e100; at K = 1000, E
+        # overflows from x near 700, and each step above 1e12 costs a full pass
+        xs = 10.0 ** rng.uniform(-12, 200 if K < 1000 else 12, 60)
+        cells = list(zip(xs, xs * (1.0 + 10.0 ** rng.uniform(-12, 12, 60))))
+    branches = set()
+    for x, a in cells:
+        x, a = float(x), float(a)
+        underflows.clear()
+        y, sums = equilibrium._curve_point(x, a, K)
+        Z, dZ, _, Z1, _ = full(x, y, K)
+        assert repr(sums) == repr((Z, dZ, Z1)), (x, a)
+        assert solve_phi(x, a, K) == y
+        branches.add(bool(underflows))
+        if K == 2000:
+            assert any(underflows)
+    assert branches == ({True} if K == 2000 else {False, True})
 
 
 def test_f_simple_capacity_one_closed_form():
@@ -318,15 +343,7 @@ def test_solve_phi_builds_the_partial_exponentials_once_per_call(monkeypatch):
 def test_solve_phi_steps_over_an_underflowed_partial_exponential(monkeypatch):
     # At K = 2000 the scaled pass's E underflows to 0 at the larger y of
     # the bracket; log(b Z / (a E)) then divided by zero.
-    full = equilibrium._reduced_sums
-    underflows = []
-
-    def spy(*args):
-        sums = full(*args)
-        underflows.append(sums[2] == 0.0)
-        return sums
-
-    monkeypatch.setattr(equilibrium, "_reduced_sums", spy)
+    underflows = _spy_full_passes(monkeypatch)
     x, a, K = 2.99853515625, 3.0, 2000
     y = solve_phi(x, a, K)
     assert any(underflows)
@@ -547,12 +564,21 @@ def test_solve_report_stores_one_iteration_counter():
 @pytest.mark.parametrize("K", [3, 10, 40])
 def test_a_solve_solves_phi_once_per_fill_evaluation(monkeypatch, K):
     # rho2 was solved again at t* after the bisection had solved it there
-    calls = []
-    solve = equilibrium.solve_phi
-    monkeypatch.setattr(equilibrium, "solve_phi", lambda *a: calls.append(a) or solve(*a))
+    points = []
+    point = equilibrium._curve_point
+    monkeypatch.setattr(equilibrium, "_curve_point",
+                        lambda *a: points.append(point(*a)) or points[-1])
     rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
-    assert len(calls) == rep.fill_evaluations
-    assert rep.rho.rho2 == solve(*calls[-1])
+    assert len(points) == rep.fill_evaluations
+    assert rep.rho.rho2 == points[-1][0]
+
+
+def test_an_ordinary_solve_runs_no_full_pass(monkeypatch):
+    # the fill of each curve point ran one full pass after solve_phi
+    passes = _spy_full_passes(monkeypatch)
+    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=10), 5.0)
+    assert rep.fill_evaluations > 0
+    assert passes == []
 
 
 # ------------------------------------------------------------
@@ -712,3 +738,27 @@ def test_solve_residuals_match_their_golden_values(K, s_over_K, nu_over_mu):
     for name, value in zip(("eta1", "rho1", "rho2", "eta2", "fill"), golden):
         assert abs(residuals[name] - value) <= 1e-13, name
         assert abs(residuals[name]) <= 1e-10, name
+
+
+# Per cell (K, s, nu/mu), lam = mu = 1: the sha-256 of ``json.dumps(to_dict(),
+# sort_keys=True)``, residuals included, taken at commit eaffeda; and whether
+# the solve meets a full pass whose scaled E underflows to 0.  The cells
+# above have K <= 20 and never leave the Horner stage; here the K = 1000
+# solve takes the scaled pass where it rescales, and the K = 2000 one also
+# steps over an underflowed E.
+_GOLDEN_FULL_PASS_SOLVES = {
+    (1000, 500.0, 1.0): ("7ca490461855a05d7ea1538f126b2266b1827774987d24187a0a89beb3c47c59",
+                         False),
+    (2000, 1220.0, 0.01): ("c40b2bded6b43c834a2cda1d463028981cc9a8108845729305156cb878ac7821",
+                           True),
+}
+
+
+@pytest.mark.parametrize("K, s, nu_over_mu", sorted(_GOLDEN_FULL_PASS_SOLVES))
+def test_solves_through_the_scaled_pass_match_their_golden_digests(monkeypatch, K, s,
+                                                                   nu_over_mu):
+    underflows = _spy_full_passes(monkeypatch)
+    doc = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s).to_dict()
+    digest, underflowed = _GOLDEN_FULL_PASS_SOLVES[K, s, nu_over_mu]
+    assert underflows and any(underflows) == underflowed
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest

@@ -209,9 +209,9 @@ def test_monotonicity_scan_solves_each_curve_point_once(monkeypatch):
     # The fill rows re-solved every phi once per nu/mu regime: 24000
     # solve_phi calls at the defaults, where the 4800 curve points suffice.
     calls = []
-    solve = equilibrium.solve_phi
+    point = equilibrium._curve_point
     for module in (equilibrium, experiments):
-        monkeypatch.setattr(module, "solve_phi", lambda *a: calls.append(a) or solve(*a))
+        monkeypatch.setattr(module, "_curve_point", lambda *a: calls.append(a) or point(*a))
     rep = monotonicity_scan()
     K_list, a_list, n_curve = (rep.config[k] for k in ("K_list", "a_list", "n_curve"))
     assert len(calls) == len(set(calls)) == len(K_list) * len(a_list) * n_curve == 4800

@@ -9,6 +9,10 @@ Four subcommands, each driven by a JSON config file::
 
 Flags override individual file keys.  Every config section is read against
 one schema table, which rejects unknown keys and values of the wrong kind.
+``verify`` reads every item of ``verify.ITEMS`` it names (suites under
+``checks`` and ``overrides``, experiments under ``experiments``) and calls
+each item's ``.refuse`` before any item runs; then it runs them in one loop
+and prints one line per item.
 
 One exit policy, in :func:`main`, holds for all four: 0 on success; 2 and a
 ``config error: <message>`` line on stderr when the config is unusable (a
@@ -17,7 +21,7 @@ and a ``FAIL: <message>`` line when a run fails (any ``RuntimeError``: a
 failed solve, ``MultipleEquilibriaError``, an unstable step, an audit's
 ``SimInvariantError``) or a check or threshold fails.  Output directories
 are created only after the work they hold succeeds.  ``verify`` alone
-catches a ``RuntimeError`` per experiment, so the other items are still
+catches a ``RuntimeError`` per item, so the other items are still
 reported.  Each command writes one JSON run record (``manifest.json``,
 ``summary.json``, ``solve_report.json`` or ``verify_report.json``) whose
 keys start ``command``, ``config``, ``config_sha256``.
@@ -36,12 +40,6 @@ from pathlib import Path
 from .core import (Measure, ModelParams, _budgeted_states, _count, mean_fill,
                    prob_no_available, prob_saturated)
 from .equilibrium import product_form, solve_equilibrium
-from .experiments import (
-    attraction_experiment,
-    chaos_experiment,
-    convergence_experiment,
-    monotonicity_scan,
-)
 from .io import (
     measure_from_csv,
     measure_to_csv,
@@ -51,7 +49,7 @@ from .io import (
 )
 from .meanfield import _grid_plan, _stream, stationarity_residual
 from .simulate import SimConfig, empirical_measure, run
-from .verify import CHECKS, run_checks
+from .verify import ITEMS
 
 __all__ = ["main"]
 
@@ -121,8 +119,7 @@ _SCHEMA = {
              "probe_nu_over_mu": "nums"}),
 }
 
-_EXPERIMENTS = {"convergence": convergence_experiment, "chaos": chaos_experiment,
-                "attraction": attraction_experiment, "monotonicity": monotonicity_scan}
+_SUITES = [name for name in ITEMS if f"experiments.{name}" not in _SCHEMA]  # what "checks" names
 
 
 def _kind_of(default) -> str:
@@ -134,8 +131,8 @@ def _kind_of(default) -> str:
 # A check's overrides are its parameters, of the kinds of their defaults.
 _SCHEMA.update({
     f"overrides.{name}": ({}, {k: _kind_of(prm.default)
-                               for k, prm in inspect.signature(fn).parameters.items()})
-    for name, fn in CHECKS.items()
+                               for k, prm in inspect.signature(ITEMS[name]).parameters.items()})
+    for name in _SUITES
 })
 
 
@@ -316,56 +313,48 @@ def _cmd_equilibrium(cfg: dict, conf: dict, args) -> int:
 # verify
 # ------------------------------------------------------------
 
+def _numbers(d: dict) -> str:
+    return ", ".join(f"{k}={v:.4g}" for k, v in d.items()
+                     if isinstance(v, (int, float)) and not isinstance(v, bool))
+
+
 def _cmd_verify(cfg: dict, conf: dict, args) -> int:
     checks = conf.get("checks", [])
     if checks == "all":
-        checks = list(CHECKS)
+        checks = _SUITES
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("'checks' must be a list of suite names or \"all\"")
     for name in checks:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    overrides = {}
-    for name, kw in conf.get("overrides", {}).items():
-        if name not in CHECKS:
-            raise ConfigError(f"override for unknown check {name!r}")
-        if not isinstance(kw, dict):
-            raise ConfigError(f"override for {name!r} must be an object")
-        overrides[name] = _read(kw, f"overrides.{name}")
-        CHECKS[name].refuse(**overrides[name])  # nothing left to check: refused before any run
-    experiments = []
-    for name, sec in conf.get("experiments", {}).items():
-        if name not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {name!r}; "
-                              f"known: {sorted(_EXPERIMENTS)}")
-        if not isinstance(sec, dict):
-            raise ConfigError(f"experiment {name!r} config must be an object")
-        kw = _read(sec, f"experiments.{name}")
-        lead = (_model_params(kw.pop("model")),) if "model" in kw else ()
-        experiments.append((name, lead, kw))
-    reports = []  # experiments first, so their refusals come before any suite runs
-    for name, lead, kw in experiments:
+        if name not in _SUITES:
+            raise ConfigError(f"unknown check {name!r}; known: {sorted(_SUITES)}")
+    read = {"overrides": {}, "experiments": {}}  # every item's config, refused before any runs
+    for group, kwargs in read.items():
+        for name, sec in conf.get(group, {}).items():
+            if f"{group}.{name}" not in _SCHEMA:
+                raise ConfigError(f"'{group}' names no item {name!r}; known: "
+                                  f"{sorted(n for n in ITEMS if f'{group}.{n}' in _SCHEMA)}")
+            kw = kwargs[name] = _read(sec, f"{group}.{name}")
+            if "model" in kw:
+                kw["p"] = _model_params(kw.pop("model"))
+            ITEMS[name].refuse(**kw)
+    items = [*((name, read["overrides"].get(name, {})) for name in checks),
+             *read["experiments"].items()]
+
+    records = []
+    for name, kw in items:
         try:
-            reports.append(_EXPERIMENTS[name](*lead, **kw).to_dict())
+            rec = ITEMS[name](**kw).to_dict()
         except RuntimeError as e:  # a failed solve: reported, and the other items still are
             print(f"FAIL: {e}", file=sys.stderr)
-            reports.append({"name": name, "passed": False, "error": str(e)})
-    results = run_checks(checks, overrides)
-
-    all_ok = all(r.passed for r in results) and all(r["passed"] for r in reports)
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name} (worst={res.worst:.3g}, tol={res.tol:.3g})")
-    for rep in reports:
-        status = "PASS" if rep["passed"] else "FAIL"
-        keys = ", ".join(f"{k}={v:.4g}" for k, v in rep.get("metrics", {}).items()
-                         if isinstance(v, (int, float)) and not isinstance(v, bool))
-        print(f"{status} experiment:{rep['name']}" + (f" ({keys})" if "metrics" in rep else ""))
+            rec = {"name": name, "passed": False, "error": str(e)}
+        shown = "; ".join(filter(None, (_numbers(rec.get("metrics", {})),
+                                        _numbers(rec.get("thresholds", {})))))
+        print(f"{'PASS' if rec['passed'] else 'FAIL'} {name}" + (f" ({shown})" if shown else ""))
+        records.append(rec)
+    passed = all(rec["passed"] for rec in records)
     if args.output_dir is not None or "output_dir" in cfg:
-        _write_record(cfg, args, "verify_report.json",
-                      {"checks": [r.to_dict() for r in results], "experiments": reports,
-                       "passed": all_ok})
-    return 0 if all_ok else 1
+        _write_record(cfg, args, "verify_report.json", {"items": records, "passed": passed})
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------

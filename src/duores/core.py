@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -99,6 +99,21 @@ def _times(name: str, times, T=None) -> tuple:
     if T is not None and ts and ts[-1] > T:
         raise ValueError(f"{name} must lie within [0, T] = [0, {T}], got {ts[-1]!r}")
     return ts
+
+
+def _staged(stage):
+    """Entry decorator for a ``stage`` that checks its arguments and returns
+    its work as a zero-argument callable.  The entry runs both, and
+    ``entry.refuse(*args, **kwargs)`` runs the checks alone (returning the
+    work unrun), so that a caller holding several entries can refuse every
+    bad argument before any of them works.  Arguments pass through as
+    given: no signature is bound per call."""
+    @wraps(stage)
+    def entry(*args, **kwargs):
+        return stage(*args, **kwargs)()
+
+    entry.refuse = stage
+    return entry
 
 
 # ============================================================

@@ -4,7 +4,10 @@ Each experiment returns an :class:`ExperimentReport` carrying its full
 configuration, per-condition rows, aggregate metrics, the thresholds it
 was judged against, and the verdict.  Reports are plain data and
 serialize to JSON unchanged, so reruns with the same seed root are
-byte-identical.
+byte-identical.  Each experiment checks every argument before any run
+and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs
+those checks alone; ``duores verify`` calls it on every item's config
+before any item runs.
 
 Seeds derive from a root by position: condition ``N`` and replica ``r``
 use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
@@ -26,6 +29,7 @@ from .core import (
     ModelParams,
     _count,
     _real,
+    _staged,
     _times,
     count_arrays,
     mean_fill,
@@ -36,8 +40,8 @@ from .equilibrium import (
     _car_weight,
     _check_solvable,
     _curve_point,
+    _simple_mean,
     _sums_mean,
-    g_mean,
     product_form,
     solve_equilibrium,
 )
@@ -69,15 +73,7 @@ class ExperimentReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": dict(self.config),
-            "rows": [dict(r) for r in self.rows],
-            "metrics": dict(self.metrics),
-            "thresholds": dict(self.thresholds),
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def derive_seed(seed0: int, condition: int, replica: int) -> tuple:
@@ -198,6 +194,7 @@ def _averaged_pairs(hists, N, n):
         yield acc, worst
 
 
+@_staged
 def convergence_experiment(
     p: ModelParams,
     N_list,
@@ -219,34 +216,41 @@ def convergence_experiment(
     empirical measure, so the distance at time zero is exactly zero.
     Passing requires the distance at the final sample time to decrease
     strictly in ``N`` with a log-log slope inside ``slope_range``, so
-    ``N_list`` must hold at least two sizes.
+    ``N_list`` must hold at least two sizes and ``slope_range`` two finite
+    numbers ``lo <= hi``.
     """
     if len(N_list) < 2:
         raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
+    lo_hi = slope_range if isinstance(slope_range, (tuple, list)) else ()
+    if len(lo_hi) != 2 or _real("slope_range[0]", lo_hi[0]) > _real("slope_range[1]", lo_hi[1]):
+        raise ValueError(f"slope_range must be two finite numbers lo <= hi, got {slope_range!r}")
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=False)
-    rows = []
-    for row, avg, _, flow in study:
-        tv_series = [tv_distance(a, f) for a, f in zip(avg, flow)]
-        row["tv"] = [[t, v] for t, v in zip(config["sample_times"], tv_series)]
-        row["tv_final"] = tv_series[-1]
-        rows.append(row)
-    finals = [row["tv_final"] for row in rows]
-    logs = np.log(np.asarray(finals))
-    slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), logs, 1)[0])
-    decreasing = all(b < a for a, b in zip(finals, finals[1:]))
-    passed = decreasing and slope_range[0] <= slope <= slope_range[1]
-    return ExperimentReport(
-        name="convergence",
-        config=config,
-        rows=rows,
-        metrics={"tv_final": finals, "slope": slope,
-                 "strictly_decreasing": decreasing},
-        thresholds={"strictly_decreasing": True, "slope_range": list(slope_range)},
-        passed=passed,
-    )
+
+    def work() -> ExperimentReport:
+        rows = []
+        for row, avg, _, flow in study:
+            tv_series = [tv_distance(a, f) for a, f in zip(avg, flow)]
+            row["tv"] = [[t, v] for t, v in zip(config["sample_times"], tv_series)]
+            row["tv_final"] = tv_series[-1]
+            rows.append(row)
+        finals = [row["tv_final"] for row in rows]
+        logs = np.log(np.asarray(finals))
+        slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), logs, 1)[0])
+        decreasing = all(b < a for a, b in zip(finals, finals[1:]))
+        return ExperimentReport(
+            name="convergence",
+            config=config,
+            rows=rows,
+            metrics={"tv_final": finals, "slope": slope,
+                     "strictly_decreasing": decreasing},
+            thresholds={"strictly_decreasing": True, "slope_range": list(slope_range)},
+            passed=decreasing and slope_range[0] <= slope <= slope_range[1],
+        )
+    return work
 
 
+@_staged
 def chaos_experiment(
     p: ModelParams,
     N_list,
@@ -272,29 +276,31 @@ def chaos_experiment(
     _real("marginal_tol", marginal_tol, 0)
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=True)
-    rows = []
-    for row, _, pairs, flow in study:
-        tv2, marg = [], 0.0
-        for (avg_pair, err), f in zip(pairs, flow):
-            tv2.append(0.5 * float(np.abs(avg_pair - np.outer(f.probs, f.probs)).sum()))
-            marg = max(marg, err)
-        row["pair_tv"] = [[t, v] for t, v in zip(config["sample_times"], tv2)]
-        row["pair_tv_final"] = tv2[-1]
-        row["marginal_err"] = marg
-        rows.append(row)
-    finals = [row["pair_tv_final"] for row in rows]
-    worst_marginal = max((row["marginal_err"] for row in rows), default=0.0)
-    decreasing = all(b < a for a, b in zip(finals, finals[1:]))
-    passed = decreasing and worst_marginal <= marginal_tol
-    return ExperimentReport(
-        name="chaos",
-        config=config,
-        rows=rows,
-        metrics={"pair_tv_final": finals, "strictly_decreasing": decreasing,
-                 "marginal_err_max": worst_marginal},
-        thresholds={"strictly_decreasing": True, "marginal_tol": marginal_tol},
-        passed=passed,
-    )
+
+    def work() -> ExperimentReport:
+        rows = []
+        for row, _, pairs, flow in study:
+            tv2, marg = [], 0.0
+            for (avg_pair, err), f in zip(pairs, flow):
+                tv2.append(0.5 * float(np.abs(avg_pair - np.outer(f.probs, f.probs)).sum()))
+                marg = max(marg, err)
+            row["pair_tv"] = [[t, v] for t, v in zip(config["sample_times"], tv2)]
+            row["pair_tv_final"] = tv2[-1]
+            row["marginal_err"] = marg
+            rows.append(row)
+        finals = [row["pair_tv_final"] for row in rows]
+        worst_marginal = max((row["marginal_err"] for row in rows), default=0.0)
+        decreasing = all(b < a for a, b in zip(finals, finals[1:]))
+        return ExperimentReport(
+            name="chaos",
+            config=config,
+            rows=rows,
+            metrics={"pair_tv_final": finals, "strictly_decreasing": decreasing,
+                     "marginal_err_max": worst_marginal},
+            thresholds={"strictly_decreasing": True, "marginal_tol": marginal_tol},
+            passed=decreasing and worst_marginal <= marginal_tol,
+        )
+    return work
 
 
 # ============================================================
@@ -342,6 +348,7 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
 _REPORT_POINTS = 200  # rows an attraction report thins its trajectory to
 
 
+@_staged
 def attraction_experiment(
     p: ModelParams,
     perturbation_size: float,
@@ -366,45 +373,48 @@ def attraction_experiment(
     _check_solvable(p, s)
     _real("final_tv_tol", final_tv_tol, 0)
     _real("fill_drift_tol", fill_drift_tol, 0)
-    report = solve_equilibrium(p, s)
-    pi = product_form(report.rho, p.K)
-    start = fill_preserving_perturbation(pi, perturbation_size)
-    actual_size = tv_distance(start, pi)
-    stride = max(1, (n + 1) // _REPORT_POINTS)
-    fill0, fill_drift, final_tv = mean_fill(start), 0.0, actual_size
-    rows = [{"t": 0.0, "tv": final_tv, "fill": fill0}]
-    for k, (t, m) in enumerate(_stream(start, p, plan, n), 1):
-        fill = mean_fill(m)
-        fill_drift = max(fill_drift, abs(fill - fill0))
-        if k % stride == 0 or k == n:
-            final_tv = tv_distance(m, pi)
-            rows.append({"t": t, "tv": final_tv, "fill": fill})
-    passed = final_tv < final_tv_tol and fill_drift <= fill_drift_tol
-    return ExperimentReport(
-        name="attraction",
-        config={
-            "params": asdict(p),
-            "s": s, "perturbation_size": perturbation_size, "T": T, "dt": dt,
-        },
-        rows=rows,
-        metrics={
-            "initial_tv": actual_size,
-            "final_tv": final_tv,
-            "fill_drift": fill_drift,
-            "solver_max_residual": report.max_residual,
-        },
-        thresholds={"final_tv": final_tv_tol, "fill_drift": fill_drift_tol},
-        passed=passed,
-        notes=(() if actual_size >= perturbation_size - 1e-12 else
-               (f"requested displacement {perturbation_size} unreachable; "
-                f"used {actual_size}",)),
-    )
+
+    def work() -> ExperimentReport:
+        report = solve_equilibrium(p, s)
+        pi = product_form(report.rho, p.K)
+        start = fill_preserving_perturbation(pi, perturbation_size)
+        actual_size = tv_distance(start, pi)
+        stride = max(1, (n + 1) // _REPORT_POINTS)
+        fill0, fill_drift, final_tv = mean_fill(start), 0.0, actual_size
+        rows = [{"t": 0.0, "tv": final_tv, "fill": fill0}]
+        for k, (t, m) in enumerate(_stream(start, p, plan, n), 1):
+            fill = mean_fill(m)
+            fill_drift = max(fill_drift, abs(fill - fill0))
+            if k % stride == 0 or k == n:
+                final_tv = tv_distance(m, pi)
+                rows.append({"t": t, "tv": final_tv, "fill": fill})
+        return ExperimentReport(
+            name="attraction",
+            config={
+                "params": asdict(p),
+                "s": s, "perturbation_size": perturbation_size, "T": T, "dt": dt,
+            },
+            rows=rows,
+            metrics={
+                "initial_tv": actual_size,
+                "final_tv": final_tv,
+                "fill_drift": fill_drift,
+                "solver_max_residual": report.max_residual,
+            },
+            thresholds={"final_tv": final_tv_tol, "fill_drift": fill_drift_tol},
+            passed=final_tv < final_tv_tol and fill_drift <= fill_drift_tol,
+            notes=(() if actual_size >= perturbation_size - 1e-12 else
+                   (f"requested displacement {perturbation_size} unreachable; "
+                    f"used {actual_size}",)),
+        )
+    return work
 
 
 # ============================================================
 # Monotonicity scans
 # ============================================================
 
+@_staged
 def monotonicity_scan(
     a_list=(0.5, 1.0, 2.0, 5.0),
     K_list=(1, 2, 3, 4, 5, 6),
@@ -441,67 +451,72 @@ def monotonicity_scan(
     if len(grid) < 2:
         raise ValueError(f"grid_step={grid_step} leaves {len(grid)} grid point(s) up to "
                          f"xy_max={xy_max}; need at least two")
-    rows = []
-    passed = True
-    notes = []
 
-    # g_mean: forward differences in both arguments on the square grid.
-    for K in K_list:
-        g = np.array([[g_mean(float(xx), float(yy), K) for yy in grid] for xx in grid])
-        dx_min = float((g[1:, :] - g[:-1, :]).min())
-        dy_min = float((g[:, 1:] - g[:, :-1]).min())
-        ok = dx_min > 0.0 and dy_min > 0.0
-        passed = passed and ok
-        rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
-                     "min_diff_y": dy_min, "ok": ok})
+    def work() -> ExperimentReport:
+        rows = []
+        passed = True
+        notes = []
 
-    # phi: strict increase along interior grids, one solve per curve point,
-    # which also gives the sums every fill row reads there.
-    curves = []
-    for K in K_list:
-        for a in a_list:
-            ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
-            points = [_curve_point(t, a, K) for t in ts]
-            curves.append((K, a, ts, points))
-            diffs = np.diff([y for y, _ in points])
-            ok = bool(diffs.min() > 0.0)
+        # g_mean: forward differences in both arguments on the square grid, read
+        # through its unchecked pass, since every input is checked above.
+        for K in K_list:
+            g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
+                          for xx in grid])
+            dx_min = float((g[1:, :] - g[:-1, :]).min())
+            dy_min = float((g[:, 1:] - g[:, :-1]).min())
+            ok = dx_min > 0.0 and dy_min > 0.0
             passed = passed and ok
-            rows.append({"check": "phi", "K": K, "a": a,
-                         "min_diff": float(diffs.min()), "ok": ok})
+            rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
+                         "min_diff_y": dy_min, "ok": ok})
 
-    # Fill along the same curves, per reservation-speed regime.
-    for ratio, enforced in [(float(q), True) for q in enforce_nu_over_mu] + [
-        (float(q), False) for q in probe_nu_over_mu
-    ]:
-        c = _car_weight(1.0 / ratio)  # r = mu / nu
-        for K, a, ts, points in curves:
-            diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
-            ok = bool(diffs.min() > 0.0)
-            rows.append({
-                "check": "fill_curve", "K": K, "a": a,
-                "nu_over_mu": ratio, "enforced": enforced,
-                "min_diff": float(diffs.min()), "ok": ok,
-            })
-            if enforced:
+        # phi: strict increase along interior grids, one solve per curve point,
+        # which also gives the sums every fill row reads there.
+        curves = []
+        for K in K_list:
+            for a in a_list:
+                ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
+                points = [_curve_point(t, a, K) for t in ts]
+                curves.append((K, a, ts, points))
+                diffs = np.diff([y for y, _ in points])
+                ok = bool(diffs.min() > 0.0)
                 passed = passed and ok
-            elif not ok:
-                notes.append(
-                    f"fill curve not monotone at nu/mu={ratio}, K={K}, "
-                    f"a={a} (reported, not enforced)"
-                )
-    return ExperimentReport(
-        name="monotonicity",
-        config={
-            "a_list": list(a_list), "K_list": list(K_list),
-            "grid_step": grid_step, "xy_max": xy_max, "n_curve": n_curve,
-            "enforce_nu_over_mu": list(enforce_nu_over_mu),
-            "probe_nu_over_mu": list(probe_nu_over_mu),
-        },
-        rows=rows,
-        metrics={"n_checks": len(rows),
-                 "n_failed_enforced": sum(1 for r_ in rows
-                                          if not r_["ok"] and r_.get("enforced", True))},
-        thresholds={"all_enforced_strictly_increasing": True},
-        passed=passed,
-        notes=tuple(notes),
-    )
+                rows.append({"check": "phi", "K": K, "a": a,
+                             "min_diff": float(diffs.min()), "ok": ok})
+
+        # Fill along the same curves, per reservation-speed regime.
+        for ratio, enforced in [(float(q), True) for q in enforce_nu_over_mu] + [
+            (float(q), False) for q in probe_nu_over_mu
+        ]:
+            c = _car_weight(1.0 / ratio)  # r = mu / nu
+            for K, a, ts, points in curves:
+                diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
+                ok = bool(diffs.min() > 0.0)
+                rows.append({
+                    "check": "fill_curve", "K": K, "a": a,
+                    "nu_over_mu": ratio, "enforced": enforced,
+                    "min_diff": float(diffs.min()), "ok": ok,
+                })
+                if enforced:
+                    passed = passed and ok
+                elif not ok:
+                    notes.append(
+                        f"fill curve not monotone at nu/mu={ratio}, K={K}, "
+                        f"a={a} (reported, not enforced)"
+                    )
+        return ExperimentReport(
+            name="monotonicity",
+            config={
+                "a_list": list(a_list), "K_list": list(K_list),
+                "grid_step": grid_step, "xy_max": xy_max, "n_curve": n_curve,
+                "enforce_nu_over_mu": list(enforce_nu_over_mu),
+                "probe_nu_over_mu": list(probe_nu_over_mu),
+            },
+            rows=rows,
+            metrics={"n_checks": len(rows),
+                     "n_failed_enforced": sum(1 for r_ in rows
+                                              if not r_["ok"] and r_.get("enforced", True))},
+            thresholds={"all_enforced_strictly_increasing": True},
+            passed=passed,
+            notes=tuple(notes),
+        )
+    return work

@@ -1,13 +1,21 @@
-"""Self-contained verification suites.
+"""Self-contained verification suites, and the one registry of what
+``duores verify`` runs.
 
-Each check pits two independent computation paths against each other
+Each suite pits two independent computation paths against each other
 (closed form vs. explicit generator, four-coordinate vs. reduced
-family, solver output vs. residual evaluation) and reports the worst
-discrepancy against a tolerance.  Each suite refuses its arguments
-before any work: a count below one, an empty grid list, a tolerance
-that is not finite and positive, a seed numpy does not take.  The CLI
-``verify`` command runs the suites named in its config; the test suite
-pins them at fixed tolerances.
+family, solver output vs. residual evaluation).  It returns an
+:class:`~duores.experiments.ExperimentReport`: its arguments as
+``config``, its worst discrepancy as ``metrics["worst"]`` next to any
+other number it computes, and its tolerances as ``thresholds``.  Each
+suite refuses its arguments before any work: a count below one, an
+empty grid list, a tolerance that is not finite and positive, a seed
+numpy does not take, and in the fixed-point suites a grid cell the
+solver would refuse.
+
+:data:`ITEMS` holds the seven suites and the four experiments of
+:mod:`duores.experiments`.  Each item has ``.refuse(**kwargs)``, its
+checks alone, so the CLI refuses every item's config before any item
+runs; the test suite pins the suites at fixed tolerances.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .core import (
     _count,
     _real,
     _seed,
+    _staged,
     count_arrays,
     enumerate_states,
     index_of,
@@ -40,9 +48,15 @@ from .equilibrium import (
     simple_form,
     solve_equilibrium,
 )
+from .experiments import (
+    ExperimentReport,
+    attraction_experiment,
+    chaos_experiment,
+    convergence_experiment,
+    monotonicity_scan,
+)
 
 __all__ = [
-    "CheckResult",
     "tandem_generator",
     "check_enumeration",
     "check_product_form_stationarity",
@@ -53,43 +67,24 @@ __all__ = [
     "check_fixed_point_large_K",
     "OUTCOMES",
     "solve_grid",
-    "CHECKS",
-    "run_checks",
+    "ITEMS",
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One suite's verdict: worst observed discrepancy vs. tolerance."""
-
-    name: str
-    passed: bool
-    worst: float
-    tol: float
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "tol": self.tol,
-            "details": dict(self.details),
-        }
-
-
 def _sized(*lists, **least):
-    """Suite decorator: before the suite runs, refuse an empty argument named
-    in ``lists``, a count below its ``least`` (``core._count``, which
-    converts an integral float; for a name also in ``lists``, each entry),
-    a tolerance (``tol`` or ``*_tol``) that is not finite and ``> 0``, or a
-    ``seed`` that ``np.random.SeedSequence`` does not take, given or
-    default, so that no suite passes with nothing checked;
-    ``suite.refuse(**kwargs)`` checks alone."""
+    """Suite decorator: before the suite's own checks, refuse an empty
+    argument named in ``lists``, a count below its ``least``
+    (``core._count``, which converts an integral float; for a name also in
+    ``lists``, each entry), a tolerance (``tol`` or ``*_tol``) that is not
+    finite and ``> 0``, or a ``seed`` that ``np.random.SeedSequence`` does
+    not take, given or default, so that no suite passes with nothing
+    checked.  The suite returns its work, as a ``core._staged`` stage
+    does, so ``suite.refuse(**kwargs)`` runs every check alone."""
     def wrap(suite):
         sig = inspect.signature(suite)
 
-        def refuse(*args, **kwargs) -> inspect.BoundArguments:
+        @functools.wraps(suite)
+        def checked(*args, **kwargs):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             for k in lists:
@@ -104,14 +99,9 @@ def _sized(*lists, **least):
                     _real(k, v, 0, strict=True)
                 elif k == "seed":
                     _seed(v)
-            return bound
-
-        def checked(*args, **kwargs):
-            bound = refuse(*args, **kwargs)
             return suite(*bound.args, **bound.kwargs)
 
-        checked.refuse = refuse
-        return functools.wraps(suite)(checked)
+        return _staged(checked)
     return wrap
 
 
@@ -161,45 +151,44 @@ def _draws(rng: np.random.Generator, n: int) -> list[float]:
     return out
 
 
-def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float,
-                     **details) -> CheckResult:
-    """Worst ``trial(rng, i)`` over ``i < trials`` on one generator seeded
-    with ``seed``; passes below ``tol``."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
-        worst = max(worst, float(trial(rng, i)))
-    return CheckResult(name=name, passed=worst < tol, worst=worst, tol=tol,
-                       details={"trials": trials, **details, "seed": seed})
+def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float, **config):
+    """The work of a suite of seeded trials: the worst ``trial(rng, i)`` over
+    ``i < trials`` on one generator seeded with ``seed``; passes below ``tol``."""
+    def work() -> ExperimentReport:
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for i in range(trials):
+            worst = max(worst, float(trial(rng, i)))
+        return ExperimentReport(name, {"trials": trials, **config, "seed": seed}, [],
+                                {"worst": worst}, {"tol": tol}, worst < tol)
+    return work
 
 
 @_sized(K_max=0, roundtrip_K_max=0)
-def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> CheckResult:
+def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> ExperimentReport:
     """Closed-form state counts, the count arrays against their defining
     nested loop over ``(w, x, y, z)`` in lexicographic order, and the
-    rank/state bijection."""
-    mismatches = 0
-    for K in range(max(K_max, roundtrip_K_max) + 1):
-        states = [(w, x, y, z) for w in range(K + 1) for x in range(K + 1 - w)
-                  for y in range(K + 1 - w - x) for z in range(K + 1 - w - x - y)]
-        if not num_states(K) == math.comb(K + 4, 4) == len(states):
-            mismatches += 1
-        arrays = np.stack(count_arrays(K), axis=1)
-        if arrays.shape != (len(states), 4):
-            mismatches += 1
-        else:
-            mismatches += int((arrays != np.array(states)).any(axis=1).sum())
-        if K <= roundtrip_K_max:
-            for rank, st in enumerate(states):
-                if index_of(st, K) != rank or state_of(rank, K) != st:
-                    mismatches += 1
-    return CheckResult(
-        name="enumeration",
-        passed=mismatches == 0,
-        worst=float(mismatches),
-        tol=0.0,
-        details={"K_max": K_max, "roundtrip_K_max": roundtrip_K_max},
-    )
+    rank/state bijection; ``worst`` counts the mismatches."""
+    def work() -> ExperimentReport:
+        mismatches = 0
+        for K in range(max(K_max, roundtrip_K_max) + 1):
+            states = [(w, x, y, z) for w in range(K + 1) for x in range(K + 1 - w)
+                      for y in range(K + 1 - w - x) for z in range(K + 1 - w - x - y)]
+            if not num_states(K) == math.comb(K + 4, 4) == len(states):
+                mismatches += 1
+            arrays = np.stack(count_arrays(K), axis=1)
+            if arrays.shape != (len(states), 4):
+                mismatches += 1
+            else:
+                mismatches += int((arrays != np.array(states)).any(axis=1).sum())
+            if K <= roundtrip_K_max:
+                for rank, st in enumerate(states):
+                    if index_of(st, K) != rank or state_of(rank, K) != st:
+                        mismatches += 1
+        config = {"K_max": K_max, "roundtrip_K_max": roundtrip_K_max}
+        return ExperimentReport("enumeration", config, [], {"worst": float(mismatches)},
+                                {"tol": 0.0}, mismatches == 0)
+    return work
 
 
 @_sized("K_list", trials=1, K_list=1)
@@ -208,7 +197,7 @@ def check_product_form_stationarity(
     K_list=(1, 2, 3, 4, 5),
     seed: int = 20260817,
     tol: float = 1e-10,
-) -> CheckResult:
+) -> ExperimentReport:
     """Product form against the independent dense tandem generator."""
     def trial(rng, i):
         K = K_list[i % len(K_list)]
@@ -224,7 +213,7 @@ def check_product_form_stationarity(
 def check_step2_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260818,
     tol: float = 1e-13,
-) -> CheckResult:
+) -> ExperimentReport:
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
     ``(x, rho2)``, both masses read from the reference array
@@ -242,7 +231,7 @@ def check_step2_identity(
 def check_aggregation_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260819,
     tol: float = 1e-13,
-) -> CheckResult:
+) -> ExperimentReport:
     """Pushing the four-coordinate product form through
     ``(w, x, y, z) -> (w + x + z, y)`` lands exactly on the reduced
     family at aggregated intensity ``eta1 + rho1 + eta2``."""
@@ -261,7 +250,7 @@ def check_aggregation_identity(
 def check_fill_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260820,
     tol: float = 1e-13,
-) -> CheckResult:
+) -> ExperimentReport:
     """Car density agrees between the four-coordinate form and the
     weighted mean of the reduced family, with the aggregated coordinate
     weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``; the
@@ -298,6 +287,19 @@ def _outcome(p: ModelParams, s: float, tol: float) -> tuple[str, float]:
     return ("solved" if rep.max_residual <= tol else "solved_above_tol"), rep.max_residual
 
 
+def _checked_cells(cells) -> list:
+    """``cells`` as a list, each ``(p, frac)`` refused as the solver's own
+    domain check refuses ``solve_equilibrium(p, frac * p.K)``."""
+    cells = list(cells)
+    for i, (p, frac) in enumerate(cells):
+        try:
+            _check_solvable(p, frac * p.K)
+        except ValueError as e:
+            raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1) "
+                             f"and lam > 0; {e}") from None
+    return cells
+
+
 def solve_grid(cells, tol: float) -> tuple[float, dict]:
     """Solve ``solve_equilibrium(p, frac * p.K)`` on each ``(p, frac)``
     cell: the one judge of a fixed-point grid.
@@ -308,16 +310,9 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
     solver's own domain check refuses (a fraction outside ``(0, 1)`` or
     ``lam <= 0``) raises ``ValueError`` before any solve.
     """
-    cells = list(cells)
-    for i, (p, frac) in enumerate(cells):
-        try:
-            _check_solvable(p, frac * p.K)
-        except ValueError as e:
-            raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1) "
-                             f"and lam > 0; {e}") from None
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)
-    for p, frac in cells:
+    for p, frac in _checked_cells(cells):
         outcome, residual = _outcome(p, frac * p.K, tol)
         counts[outcome] += 1
         worst = max(worst, residual)
@@ -333,26 +328,29 @@ def check_fixed_point(
     s_fracs=(0.2, 0.5, 0.8),
     tol: float = 1e-10,
     closed_form_tol: float = 1e-6,
-) -> CheckResult:
+) -> ExperimentReport:
     """Fixed-point residuals across a parameter grid (:func:`solve_grid`),
     plus the capacity-one closed form in the fast-reservation limit.
 
     At ``K = 1``, ``lam = 2``, ``mu = 1`` the aggregate ratio is 2 and
     the fill 3/4 is attained exactly at intensities ``(1, 2)``.
     """
-    cells = [(ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac)
-             for lam in lam_list for nu in nu_list for K in K_list for frac in s_fracs]
-    worst, counts = solve_grid(cells, tol)
-    rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
-    closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
-    return CheckResult(
-        name="fixed_point",
-        passed=worst < tol and closed_err < closed_form_tol,
-        worst=worst,
-        tol=tol,
-        details={"n_solves": len(cells), "closed_form_err": closed_err,
-                 "closed_form_tol": closed_form_tol, "outcomes": counts},
-    )
+    cells = _checked_cells((ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac) for lam in lam_list
+                           for nu in nu_list for K in K_list for frac in s_fracs)
+
+    def work() -> ExperimentReport:
+        worst, counts = solve_grid(cells, tol)
+        rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
+        closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
+        return ExperimentReport(
+            "fixed_point",
+            {"lam_list": list(lam_list), "mu": mu, "nu_list": list(nu_list),
+             "K_list": list(K_list), "s_fracs": list(s_fracs)}, [],
+            {"worst": worst, "n_solves": len(cells), "closed_form_err": closed_err,
+             "outcomes": counts},
+            {"tol": tol, "closed_form_tol": closed_form_tol},
+            worst < tol and closed_err < closed_form_tol)
+    return work
 
 
 @_sized("K_list", "s_fracs", "nu_over_mu", K_list=1)
@@ -361,25 +359,25 @@ def check_fixed_point_large_K(
     s_fracs=(0.2, 0.5, 0.8),
     nu_over_mu=(0.1, 1.0, 10.0, 1e8),
     tol: float = 1e-10,
-) -> CheckResult:
+) -> ExperimentReport:
     """Fixed-point residuals (:func:`solve_grid`) up to capacity 200 at
     ``lam = mu = 1``, slow to near-instant reservations.  This covers the
     steep-fill regime of large ``K`` that :func:`check_fixed_point` does
     not reach."""
-    cells = [(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
-             for K in K_list for frac in s_fracs for nu in nu_over_mu]
-    worst, counts = solve_grid(cells, tol)
-    return CheckResult(
-        name="fixed_point_large_K",
-        passed=worst < tol,
-        worst=worst,
-        tol=tol,
-        details={"n_solves": len(cells), "n_multiple_equilibria": counts["multiple_equilibria"],
-                 "outcomes": counts},
-    )
+    cells = _checked_cells((ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
+                           for K in K_list for frac in s_fracs for nu in nu_over_mu)
+
+    def work() -> ExperimentReport:
+        worst, counts = solve_grid(cells, tol)
+        return ExperimentReport(
+            "fixed_point_large_K",
+            {"K_list": list(K_list), "s_fracs": list(s_fracs), "nu_over_mu": list(nu_over_mu)},
+            [], {"worst": worst, "n_solves": len(cells), "outcomes": counts}, {"tol": tol},
+            worst < tol)
+    return work
 
 
-CHECKS = {
+ITEMS = {
     "enumeration": check_enumeration,
     "product_form_stationarity": check_product_form_stationarity,
     "step2_identity": check_step2_identity,
@@ -387,17 +385,12 @@ CHECKS = {
     "fill_identity": check_fill_identity,
     "fixed_point": check_fixed_point,
     "fixed_point_large_K": check_fixed_point_large_K,
+    "convergence": convergence_experiment,
+    "chaos": chaos_experiment,
+    "attraction": attraction_experiment,
+    "monotonicity": monotonicity_scan,
 }
-
-
-def run_checks(names, overrides: dict | None = None) -> list[CheckResult]:
-    """Run the named suites in order with optional keyword overrides
-    per suite (e.g. ``{"step2_identity": {"tol": 1e-15}}``)."""
-    overrides = overrides or {}
-    results = []
-    for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        kwargs = overrides.get(name, {})
-        results.append(CHECKS[name](**kwargs))
-    return results
+"""Every item ``duores verify`` runs, by name: the seven suites, whose
+arguments all have defaults, then the four experiments.  Each returns an
+:class:`ExperimentReport` and has ``.refuse(**kwargs)``, which runs the
+item's checks alone."""

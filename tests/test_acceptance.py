@@ -46,7 +46,7 @@ def test_criterion_01_state_space_enumeration(capsys):
         res = check_enumeration()
         elapsed = time.monotonic() - t0
         ok = res.passed and elapsed < 1.0
-        detail = f"mismatches={int(res.worst)}, {elapsed:.2f}s of 1s"
+        detail = f"mismatches={int(res.metrics['worst'])}, {elapsed:.2f}s of 1s"
     finally:
         _report(capsys, 1, "state enumeration and ranking", ok, detail)
     assert ok, detail
@@ -78,7 +78,7 @@ def test_criterion_02_product_form_stationarity(capsys):
         elapsed = time.monotonic() - t0
         ok = (res.passed and literal_resid < 1e-12 and literal_gap < 1e-15
               and elapsed < 30.0)
-        detail = (f"worst={res.worst:.2e} tol={res.tol:.0e}, "
+        detail = (f"worst={res.metrics['worst']:.2e} tol={res.thresholds['tol']:.0e}, "
                   f"literal={literal_resid:.1e}, {elapsed:.2f}s of 30s")
     finally:
         _report(capsys, 2, "product form is stationary", ok, detail)
@@ -95,7 +95,7 @@ def test_criterion_03_reduction_identities(capsys):
             check_fill_identity(),
         ]
         elapsed = time.monotonic() - t0
-        worst = max(r.worst for r in results)
+        worst = max(r.metrics["worst"] for r in results)
         ok = all(r.passed for r in results) and elapsed < 10.0
         detail = f"worst={worst:.2e} tol=1e-13, {elapsed:.2f}s of 10s"
     finally:
@@ -110,9 +110,9 @@ def test_criterion_04_fixed_point_solver(capsys):
         res = check_fixed_point()
         elapsed = time.monotonic() - t0
         ok = res.passed and elapsed < 60.0
-        detail = (f"worst={res.worst:.2e} tol={res.tol:.0e}, "
-                  f"closed_form_err={res.details['closed_form_err']:.1e}, "
-                  f"{res.details['n_solves']} solves, {elapsed:.1f}s of 60s")
+        detail = (f"worst={res.metrics['worst']:.2e} tol={res.thresholds['tol']:.0e}, "
+                  f"closed_form_err={res.metrics['closed_form_err']:.1e}, "
+                  f"{res.metrics['n_solves']} solves, {elapsed:.1f}s of 60s")
     finally:
         _report(capsys, 4, "fixed-point residuals on a parameter grid", ok, detail)
     assert ok, detail

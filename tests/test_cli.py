@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duores import cli
+from duores import cli, equilibrium, experiments, meanfield, simulate, verify
 from duores.cli import main
 from duores.core import Measure, ModelParams, num_states
 from duores.equilibrium import MultipleEquilibriaError
@@ -234,7 +234,7 @@ def test_verify_passing_checks(tmp_path, capsys):
     assert lines[1].startswith("PASS step2_identity")
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["passed"] is True
-    assert len(report["checks"]) == 2
+    assert [item["name"] for item in report["items"]] == ["enumeration", "step2_identity"]
 
 
 def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
@@ -256,7 +256,7 @@ def test_verify_runs_experiments(tmp_path, capsys):
     }
     rc = main(["verify", _write_cfg(tmp_path, "v.json", cfg)])
     assert rc == 0
-    assert "PASS experiment:attraction" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("PASS attraction (initial_tv=")
 
 
 def test_verify_empty_config_passes(tmp_path):
@@ -523,7 +523,7 @@ _COMMANDS = {
     "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "_stream"),
     "equilibrium": ({"model": _MODEL, "equilibrium": {"s": 1.0}}, "solve_equilibrium"),
     "verify": ({"checks": ["enumeration"], "experiments": {"attraction": _ATTRACTION}},
-               "attraction"),
+               "solve_equilibrium"),
 }
 
 
@@ -539,10 +539,7 @@ def test_every_command_maps_library_errors_to_one_exit_policy(
     def raises(*args, **kwargs):
         raise error
 
-    if command == "verify":
-        monkeypatch.setitem(cli._EXPERIMENTS, call, raises)
-    else:
-        monkeypatch.setattr(cli, call, raises)
+    monkeypatch.setattr(experiments if command == "verify" else cli, call, raises)
     out = tmp_path / "out"
     assert main([command, _write_cfg(tmp_path, "c.json", cfg), "--output-dir", str(out)]) == code
     err = capsys.readouterr().err
@@ -578,10 +575,10 @@ def test_verify_reports_every_item_when_an_experiment_raises(tmp_path, capsys):
     message = captured.err.splitlines()[0].removeprefix("FAIL: ")
     assert message.startswith("fill bisection at K=20")
     lines = captured.out.splitlines()
-    assert lines[0].startswith("PASS enumeration (") and lines[1] == "FAIL experiment:attraction"
+    assert lines[0].startswith("PASS enumeration (") and lines[1] == "FAIL attraction"
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-    assert [c["name"] for c in report["checks"]] == ["enumeration"]
-    assert report["experiments"] == [{"name": "attraction", "passed": False, "error": message}]
+    assert [item["name"] for item in report["items"]] == ["enumeration", "attraction"]
+    assert report["items"][1] == {"name": "attraction", "passed": False, "error": message}
     assert report["passed"] is False
 
 
@@ -605,6 +602,20 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def _items_run(monkeypatch) -> list:
+    """The names of the verify items that run, in order; each keeps its
+    ``.refuse``."""
+    ran = []
+    for name, item in verify.ITEMS.items():
+        def spy(*args, _name=name, _item=item, **kwargs):
+            ran.append(_name)
+            return _item(*args, **kwargs)
+
+        spy.refuse = item.refuse
+        monkeypatch.setitem(verify.ITEMS, name, spy)
+    return ran
+
+
 @pytest.mark.parametrize("override, message", [
     ({"product_form_stationarity": {"K_list": []}}, "K_list must hold at least one value, got ()"),
     ({"step2_identity": {"K_max": 0}}, "K_max must be >= 1, got 0"),
@@ -622,25 +633,133 @@ def test_verify_refuses_a_suite_override_with_nothing_to_check_before_any_work(
         tmp_path, capsys, monkeypatch, override, message):
     # K_list=[] and K_max=0 ended in a ZeroDivisionError traceback after
     # the experiments had run; the others passed with nothing checked
-    calls = []
-    monkeypatch.setitem(cli._EXPERIMENTS, "monotonicity", lambda **kw: calls.append(kw))
-    monkeypatch.setattr(cli, "run_checks", lambda *args: calls.append(args))
+    ran = _items_run(monkeypatch)
     cfg = {"checks": ["enumeration"], "overrides": override,
            "experiments": {"monotonicity": {}}, "output_dir": str(tmp_path / "out")}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert calls == []
+    assert ran == []
     assert not (tmp_path / "out").exists()
 
 
 def test_verify_refuses_a_degenerate_experiment_before_any_suite_runs(tmp_path, capsys,
                                                                        monkeypatch):
     # Every suite ran, and its result was dropped, before the refusal.
-    calls = []
-    monkeypatch.setattr(cli, "run_checks", lambda *args: calls.append(args))
+    ran = _items_run(monkeypatch)
     cfg = {"checks": "all", "experiments": {"convergence": {**_STUDY_OK, "replicas": 0}},
            "output_dir": str(tmp_path / "out")}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     assert capsys.readouterr().err == "config error: replicas must be >= 1, got 0\n"
-    assert calls == []
+    assert ran == []
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------
+# verify: every item refused before any item runs
+# ------------------------------------------------------------
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Calls of the entries every item's work goes through, counted at each
+    module that binds them."""
+    calls = dict.fromkeys(("solve_equilibrium", "run", "_stream", "_curve_point"), 0)
+    for mod in (equilibrium, simulate, meanfield, experiments, verify, cli):
+        for name in calls:
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+_GOOD = {"fixed_point_large_K": {"K_list": [3], "s_fracs": [0.5], "nu_over_mu": [1.0]},
+         "fixed_point": {"lam_list": [1.0], "nu_list": [1.0], "K_list": [2], "s_fracs": [0.5]},
+         "attraction": _ATTRACTION,
+         "monotonicity": {"a_list": [1.0], "K_list": [1], "n_curve": 2, "xy_max": 0.2}}
+
+
+def _after_good_items(name, sec):
+    """A verify config that runs a good suite and a good experiment before
+    the item ``name`` read from ``sec``."""
+    suite = "fixed_point" if name == "fixed_point_large_K" else "fixed_point_large_K"
+    experiment = "monotonicity" if name == "attraction" else "attraction"
+    items = {suite: _GOOD[suite], experiment: _GOOD[experiment], name: sec}
+    experiments = ("convergence", "chaos", "attraction", "monotonicity")
+    return {"checks": [n for n in items if n not in experiments],
+            "overrides": {n: s for n, s in items.items() if n not in experiments},
+            "experiments": {n: s for n, s in items.items() if n in experiments}}
+
+
+@pytest.mark.parametrize("name, sec, message", [
+    ("enumeration", {"roundtrip_K_max": -1}, "roundtrip_K_max must be >= 0, got -1"),
+    ("product_form_stationarity", {"K_list": [0]}, "every entry of K_list must be >= 1, got 0"),
+    ("step2_identity", {"seed": -1},
+     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
+    ("aggregation_identity", {"trials": 0}, "trials must be >= 1, got 0"),
+    ("fill_identity", {"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+    ("fixed_point", {"closed_form_tol": -1.0}, "closed_form_tol must be finite and > 0, got -1.0"),
+    ("fixed_point", {"s_fracs": [0.5, 1.5]},
+     "cells[1]: a fixed-point grid needs fill fractions in (0, 1) and lam > 0; "
+     "s must lie in (0, K) = (0, 2), got 3.0"),
+    ("fixed_point_large_K", {"K_list": [3, 0]}, "every entry of K_list must be >= 1, got 0"),
+    ("convergence", {**_STUDY, "slope_range": [0.5, -0.5]},
+     "slope_range must be two finite numbers lo <= hi, got (0.5, -0.5)"),
+    ("chaos", {**_STUDY, "marginal_tol": -1.0}, "marginal_tol must be finite and >= 0, got -1.0"),
+    ("attraction", {**_ATTRACTION, "fill_drift_tol": -1.0},
+     "fill_drift_tol must be finite and >= 0, got -1.0"),
+    ("monotonicity", {"n_curve": 1}, "n_curve must be >= 2, got 1"),
+])
+def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
+        tmp_path, capsys, work_calls, name, sec, message):
+    # At the parent a suite's grid cells and every experiment's arguments
+    # were refused only as that item ran, after the items before it.
+    cfg = {**_after_good_items(name, sec), "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert work_calls == {"solve_equilibrium": 0, "run": 0, "_stream": 0, "_curve_point": 0}
+    assert not (tmp_path / "out").exists()
+    # the item's own .refuse, on the arguments as the library takes them
+    kw = {k: tuple(v) if isinstance(v, list) else v for k, v in sec.items()}
+    if "model" in kw:
+        kw["p"] = ModelParams(**kw.pop("model"))
+    with pytest.raises(ValueError) as refused:
+        verify.ITEMS[name].refuse(**kw)
+    assert str(refused.value) == message
+
+
+def test_verify_refuses_a_second_experiment_before_the_first_runs(tmp_path, capsys, work_calls):
+    # The monotonicity scan ran in full before convergence's empty N_list
+    # was refused.
+    cfg = {"experiments": {"monotonicity": _GOOD["monotonicity"],
+                           "convergence": {**_STUDY, "N_list": []}}}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    assert capsys.readouterr().err == ("config error: N_list must hold at least two sizes "
+                                       "to fit a slope, got 0\n")
+    assert work_calls["_curve_point"] == 0
+
+
+def test_verify_reports_a_raising_suite_and_runs_every_other_item(tmp_path, capsys,
+                                                                  monkeypatch):
+    # A suite's RuntimeError ended the command: no item was printed or recorded.
+    def raises(K):
+        raise RuntimeError("count arrays failed")
+
+    monkeypatch.setattr(verify, "count_arrays", raises)
+    cfg = {"checks": ["enumeration", "step2_identity"],
+           "experiments": {"attraction": _ATTRACTION}, "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL: count arrays failed\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "FAIL enumeration"
+    assert lines[1].startswith("PASS step2_identity (worst=") and lines[1].endswith("; tol=1e-13)")
+    assert lines[2].startswith("PASS attraction (initial_tv=")
+    assert len(lines) == 3
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["items"][0] == {"name": "enumeration", "passed": False,
+                                  "error": "count arrays failed"}
+    assert [(item["name"], item["passed"]) for item in report["items"][1:]] == [
+        ("step2_identity", True), ("attraction", True)]
+    assert report["passed"] is False

@@ -380,10 +380,10 @@ _NAN = float("nan")
     (dict(n_curve=2.5), "n_curve must be an integer, got 2.5"),  # a range() TypeError
 ])
 def test_monotonicity_scan_refuses_degenerate_values_by_name(monkeypatch, kw, named):
-    # refused up front: no g_mean evaluation runs
+    # refused up front: no g_mean evaluation runs, checked or not
     def no_check(*args):
         raise AssertionError("a check ran before the inputs were refused")
 
-    monkeypatch.setattr(experiments, "g_mean", no_check)
+    monkeypatch.setattr(experiments, "_simple_mean", no_check)
     with pytest.raises(ValueError, match=named):
         monotonicity_scan(**kw)

@@ -44,10 +44,10 @@ MODULE_PUBLIC = {
         "empirical_measure",
     ],
     "verify": [
-        "CheckResult", "tandem_generator", "check_enumeration",
+        "tandem_generator", "check_enumeration",
         "check_product_form_stationarity", "check_step2_identity",
         "check_aggregation_identity", "check_fill_identity", "check_fixed_point",
-        "check_fixed_point_large_K", "OUTCOMES", "solve_grid", "CHECKS", "run_checks",
+        "check_fixed_point_large_K", "OUTCOMES", "solve_grid", "ITEMS",
     ],
 }
 

@@ -1,5 +1,5 @@
 """The verification suites themselves: generator structure and the
-check registry."""
+item registry."""
 
 import json
 import math
@@ -10,13 +10,13 @@ import pytest
 import duores.verify as verify
 from duores.core import ModelParams, count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
+from duores.experiments import ExperimentReport
 from duores.verify import (
-    CHECKS,
+    ITEMS,
     OUTCOMES,
     check_enumeration,
     check_fixed_point_large_K,
     check_step2_identity,
-    run_checks,
     solve_grid,
     tandem_generator,
 )
@@ -51,25 +51,23 @@ def test_product_form_is_in_the_generator_null_space():
     assert np.max(np.abs(pi @ Q)) < 1e-12
 
 
-def test_check_registry_and_overrides():
-    assert set(CHECKS) == {
+def test_item_registry_and_overrides():
+    assert list(ITEMS) == [
         "enumeration", "product_form_stationarity", "step2_identity",
         "aggregation_identity", "fill_identity", "fixed_point",
-        "fixed_point_large_K",
-    }
-    res = run_checks(["step2_identity"], {"step2_identity": {"trials": 10}})
-    assert len(res) == 1
-    assert res[0].passed
-    assert res[0].details["trials"] == 10
-    with pytest.raises(KeyError):
-        run_checks(["nope"])
+        "fixed_point_large_K", "convergence", "chaos", "attraction", "monotonicity",
+    ]
+    assert all(callable(item.refuse) for item in ITEMS.values())
+    res = ITEMS["step2_identity"](trials=10)
+    assert isinstance(res, ExperimentReport)
+    assert res.passed and res.config["trials"] == 10
 
 
 def test_checks_report_worst_below_tolerance():
     res = check_enumeration()
-    assert res.passed and res.worst == 0.0
+    assert res.passed and res.metrics["worst"] == 0.0
     res = check_step2_identity(trials=20)
-    assert res.passed and res.worst < res.tol
+    assert res.passed and res.metrics["worst"] < res.thresholds["tol"]
 
 
 def test_enumeration_check_catches_count_arrays_out_of_order(monkeypatch):
@@ -82,46 +80,60 @@ def test_enumeration_check_catches_count_arrays_out_of_order(monkeypatch):
 
     monkeypatch.setattr(verify, "count_arrays", swapped)
     res = check_enumeration()
-    assert not res.passed and res.worst == 2.0
+    assert not res.passed and res.metrics["worst"] == 2.0
 
 
 def test_fixed_point_large_K_meets_tolerance_on_every_solve():
     res = check_fixed_point_large_K()
-    assert res.details["n_solves"] == 96
-    assert res.details["outcomes"] == {**dict.fromkeys(OUTCOMES, 0), "solved": 96}
-    assert res.passed and res.worst < res.tol
+    assert res.metrics["n_solves"] == 96
+    assert res.metrics["outcomes"] == {**dict.fromkeys(OUTCOMES, 0), "solved": 96}
+    assert res.passed and res.metrics["worst"] < res.thresholds["tol"]
 
 
 # Every suite at its defaults, as computed before the suites shared the
 # seeded trials loop and the solve-grid loop.  The fixed-point suites
-# have since added their outcome counts at the end of ``details``, and
-# step2_identity reads its two masses from ``simple_form``, not the
-# O(K) pass (its worst was 3.3306690738754696e-16).
+# have since added their outcome counts, and step2_identity reads its
+# two masses from ``simple_form``, not the O(K) pass (its worst was
+# 3.3306690738754696e-16).  Each suite now reports as an
+# ``ExperimentReport``: its arguments as ``config``, its tolerances as
+# ``thresholds`` and what it computes as ``metrics``, where
+# ``n_multiple_equilibria`` is gone as ``outcomes["multiple_equilibria"]``.
 _PINNED = [
-    {"name": "enumeration", "passed": True, "worst": 0.0, "tol": 0.0,
-     "details": {"K_max": 10, "roundtrip_K_max": 6}},
-    {"name": "product_form_stationarity", "passed": True, "worst": 2.7755575615628914e-17,
-     "tol": 1e-10, "details": {"trials": 50, "K_list": [1, 2, 3, 4, 5], "seed": 20260817}},
-    {"name": "step2_identity", "passed": True, "worst": 4.440892098500626e-16,
-     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260818}},
-    {"name": "aggregation_identity", "passed": True, "worst": 2.7755575615628914e-16,
-     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260819}},
-    {"name": "fill_identity", "passed": True, "worst": 1.7763568394002505e-15,
-     "tol": 1e-13, "details": {"trials": 100, "K_max": 6, "seed": 20260820}},
-    {"name": "fixed_point", "passed": True, "worst": 9.697798120100742e-12, "tol": 1e-10,
-     "details": {"n_solves": 81, "closed_form_err": 1.999999987845058e-08,
-                 "closed_form_tol": 1e-06}},
-    {"name": "fixed_point_large_K", "passed": True, "worst": 9.825917857142485e-12,
-     "tol": 1e-10, "details": {"n_solves": 96, "n_multiple_equilibria": 0}},
+    {"name": "enumeration", "config": {"K_max": 10, "roundtrip_K_max": 6}, "rows": [],
+     "metrics": {"worst": 0.0}, "thresholds": {"tol": 0.0}, "passed": True, "notes": []},
+    {"name": "product_form_stationarity",
+     "config": {"trials": 50, "K_list": [1, 2, 3, 4, 5], "seed": 20260817}, "rows": [],
+     "metrics": {"worst": 2.7755575615628914e-17}, "thresholds": {"tol": 1e-10},
+     "passed": True, "notes": []},
+    {"name": "step2_identity", "config": {"trials": 100, "K_max": 6, "seed": 20260818},
+     "rows": [], "metrics": {"worst": 4.440892098500626e-16}, "thresholds": {"tol": 1e-13},
+     "passed": True, "notes": []},
+    {"name": "aggregation_identity", "config": {"trials": 100, "K_max": 6, "seed": 20260819},
+     "rows": [], "metrics": {"worst": 2.7755575615628914e-16}, "thresholds": {"tol": 1e-13},
+     "passed": True, "notes": []},
+    {"name": "fill_identity", "config": {"trials": 100, "K_max": 6, "seed": 20260820},
+     "rows": [], "metrics": {"worst": 1.7763568394002505e-15}, "thresholds": {"tol": 1e-13},
+     "passed": True, "notes": []},
+    {"name": "fixed_point",
+     "config": {"lam_list": [0.5, 1.0, 2.0], "mu": 1.0, "nu_list": [1.0, 10.0, 100.0],
+                "K_list": [2, 3, 5], "s_fracs": [0.2, 0.5, 0.8]}, "rows": [],
+     "metrics": {"worst": 9.697798120100742e-12, "n_solves": 81,
+                 "closed_form_err": 1.999999987845058e-08},
+     "thresholds": {"tol": 1e-10, "closed_form_tol": 1e-06}, "passed": True, "notes": []},
+    {"name": "fixed_point_large_K",
+     "config": {"K_list": [3, 5, 10, 20, 30, 40, 80, 200], "s_fracs": [0.2, 0.5, 0.8],
+                "nu_over_mu": [0.1, 1.0, 10.0, 1e8]}, "rows": [],
+     "metrics": {"worst": 9.825917857142485e-12, "n_solves": 96},
+     "thresholds": {"tol": 1e-10}, "passed": True, "notes": []},
 ]
 
 
 @pytest.mark.parametrize("pinned", _PINNED, ids=[p["name"] for p in _PINNED])
 def test_suites_at_their_defaults_are_pinned(pinned):
-    got = CHECKS[pinned["name"]]().to_dict()
+    got = ITEMS[pinned["name"]]().to_dict()
     if pinned["name"].startswith("fixed_point"):
-        outcomes = got["details"].pop("outcomes")
-        assert outcomes == {**dict.fromkeys(OUTCOMES, 0), "solved": got["details"]["n_solves"]}
+        outcomes = got["metrics"].pop("outcomes")
+        assert outcomes == {**dict.fromkeys(OUTCOMES, 0), "solved": got["metrics"]["n_solves"]}
     assert json.dumps(got) == json.dumps(pinned)  # key order too
 
 
@@ -139,8 +151,8 @@ def test_a_failed_solve_scores_an_infinite_residual(cell, outcome):
     assert counts == {**dict.fromkeys(OUTCOMES, 0), outcome: 1}
     K, s_over_K, nu = cell
     res = check_fixed_point_large_K(K_list=(K,), s_fracs=(s_over_K,), nu_over_mu=(nu,))
-    assert not res.passed and res.worst == math.inf
-    assert res.details["outcomes"][outcome] == 1
+    assert not res.passed and res.metrics["worst"] == math.inf
+    assert res.metrics["outcomes"][outcome] == 1
 
 
 def test_a_refused_fixed_point_is_counted_but_does_not_fail(monkeypatch):
@@ -159,7 +171,7 @@ def test_solved_label_and_verdict_keep_their_comparisons():
     assert worst == residual and counts["solved"] == 1
     res = check_fixed_point_large_K(K_list=(3,), s_fracs=(0.5,), nu_over_mu=(1.0,),
                                     tol=residual)  # the verdict is worst < tol
-    assert not res.passed and res.details["outcomes"]["solved"] == 1
+    assert not res.passed and res.metrics["outcomes"]["solved"] == 1
 
 
 @pytest.mark.parametrize("s_over_K", [0.0, 1.0, -0.5, 1.5])
@@ -182,24 +194,27 @@ def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_o
      "seed must be None, an integer >= 0 or a sequence of them, got -1"),
     ("product_form_stationarity", dict(K_list=[0]), "every entry of K_list must be >= 1, got 0"),
     ("fixed_point", dict(closed_form_tol=math.nan), "closed_form_tol must be finite and > 0"),
+    ("fixed_point", dict(s_fracs=[0.5, 1.5]), r"cells\[1\]: a fixed-point grid needs fill"),
+    ("fixed_point_large_K", dict(s_fracs=[1.0]), r"cells\[0\]: a fixed-point grid needs fill"),
 ])
 def test_suites_with_nothing_to_check_are_refused_before_any_work(monkeypatch, name, kw,
                                                                    named):
     # K_list=[] and K_max=0 were a ZeroDivisionError, seed=-1 numpy's
     # unnamed ValueError; the others passed with nothing checked, or
-    # failed on a NaN tolerance
+    # failed on a NaN tolerance.  A grid cell outside the solver's domain
+    # was refused by solve_grid as the suite ran, not by .refuse.
     def no_work(*args, **kwargs):
         raise AssertionError("a suite worked before its arguments were refused")
 
     for work in ("product_form", "simple_form", "solve_grid", "count_arrays"):
         monkeypatch.setattr(verify, work, no_work)
     with pytest.raises(ValueError, match=named):
-        CHECKS[name](**kw)
+        ITEMS[name](**kw)
     with pytest.raises(ValueError, match=named):
-        CHECKS[name].refuse(**kw)
+        ITEMS[name].refuse(**kw)
 
 
 def test_suite_counts_given_as_integral_floats_are_converted():
     res = check_step2_identity(trials=4.0, K_max=2.0)
-    assert res.details["trials"] == 4 and type(res.details["K_max"]) is int
+    assert res.config["trials"] == 4 and type(res.config["K_max"]) is int
     assert res.to_dict() == check_step2_identity(trials=4, K_max=2).to_dict()

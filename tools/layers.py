@@ -369,6 +369,8 @@ CONTRACT = (
     ("solve_phi", (0.5, "2.0", 3), {}, "a"),
     ("verify.check_fixed_point", (), {"K_list": [0]}, "K_list"),
     ("verify.check_fixed_point_large_K", (), {"K_list": [0]}, "K_list"),
+    ("convergence_experiment", _STUDY, {"s": 1.0, "slope_range": (-0.7,)}, "slope_range"),
+    ("convergence_experiment", _STUDY, {"s": 1.0, "slope_range": (0.5, -0.5)}, "slope_range"),
     ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),

@@ -30,8 +30,9 @@ def main() -> None:
     print(f"simulating N={N} stations, M={M} cars, K={p.K}, T={cfg.T}")
     print(f"rates: reservation {p.lam}, pickup {p.nu}, trip completion {p.mu}")
 
-    # audit: after each event, the touched stations and the running
-    # totals; at each snapshot, the whole state, lists against counts
+    # audit: the whole state at the end of each block of events and at
+    # each snapshot, lists against counts there; a failed block is
+    # replayed event by event to name the event that broke it
     traj = run(p, cfg, audit=True)
     m0 = empirical_measure(traj[0][1], p.K)
 
@@ -44,7 +45,8 @@ def main() -> None:
     final = traj[-1][1]
     print(f"\ncars at the end: {final[:, 1:].sum()} (placed {M})")
     print(f"fullest station occupancy: {final.sum(axis=1).max()} of {p.K}")
-    print("audit mode checked every event and every snapshot; no invariant violations")
+    print("audit mode checked every block of events and every snapshot; "
+          "no invariant violations")
 
 
 if __name__ == "__main__":

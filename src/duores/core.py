@@ -91,9 +91,18 @@ def _seed(seed):
     return seed
 
 
+def _listed(name: str, values, what: str) -> list:
+    """``values`` as a list; a ValueError naming it if it is not a sequence."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {what}, got {values!r}") from None
+
+
 def _times(name: str, times, T=None) -> tuple:
     """``times`` as floats, each finite and ``>= 0``, nondecreasing, and at most ``T`` if given."""
-    ts = tuple(float(_real(f"{name}[{k}]", t, 0)) for k, t in enumerate(times))
+    ts = tuple(float(_real(f"{name}[{k}]", t, 0))
+               for k, t in enumerate(_listed(name, times, "times")))
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"{name} must be nondecreasing")
     if T is not None and ts and ts[-1] > T:

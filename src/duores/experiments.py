@@ -28,6 +28,7 @@ from .core import (
     Measure,
     ModelParams,
     _count,
+    _listed,
     _real,
     _staged,
     _times,
@@ -106,7 +107,8 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     below two with pairs), numbers outside their domains and pair tables
     above the state budget are refused here, before any run."""
     least = 2 if with_pairs else 1  # pair statistics divide by N (N - 1)
-    N_list = [_count("every N in N_list", N, least) for N in N_list]
+    N_list = [_count("every N in N_list", N, least)
+              for N in _listed("N_list", N_list, "network sizes")]
     if not N_list:
         raise ValueError("N_list must hold at least one network size")
     replicas = _count("replicas", replicas, 1)
@@ -219,6 +221,7 @@ def convergence_experiment(
     ``N_list`` must hold at least two sizes and ``slope_range`` two finite
     numbers ``lo <= hi``.
     """
+    N_list = _listed("N_list", N_list, "network sizes")
     if len(N_list) < 2:
         raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
     lo_hi = slope_range if isinstance(slope_range, (tuple, list)) else ()
@@ -361,6 +364,9 @@ def attraction_experiment(
 ) -> ExperimentReport:
     """Integrate from a fill-preserving perturbation of the fixed point,
     solved once every number is checked, and watch the flow return.
+    The solve belongs to the checks: ``.refuse`` makes it too, and so
+    refuses a fill out of reach (a ``ValueError``); any other failure
+    of the solve (a ``RuntimeError``) is raised by the work.
 
     Passing requires the final distance to the fixed point below
     ``final_tv_tol`` and the mean fill constant along the whole
@@ -373,9 +379,14 @@ def attraction_experiment(
     _check_solvable(p, s)
     _real("final_tv_tol", final_tv_tol, 0)
     _real("fill_drift_tol", fill_drift_tol, 0)
+    try:
+        report, failed = solve_equilibrium(p, s), None
+    except RuntimeError as e:
+        report, failed = None, e
 
     def work() -> ExperimentReport:
-        report = solve_equilibrium(p, s)
+        if failed is not None:
+            raise failed
         pi = product_form(report.rho, p.K)
         start = fill_preserving_perturbation(pi, perturbation_size)
         actual_size = tv_distance(start, pi)

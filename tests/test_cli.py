@@ -582,6 +582,44 @@ def test_verify_reports_every_item_when_an_experiment_raises(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_verify_refuses_a_fill_out_of_reach_before_any_item_runs(tmp_path, capsys):
+    # PASS enumeration was printed, then the config error, and no report
+    # was written: the refusal came from the attraction item's work
+    cfg = {"checks": ["enumeration"],
+           "experiments": {"attraction": {"model": {"lam": 1, "mu": 1, "nu": 0.1, "K": 40},
+                                          "s": 38.0, "perturbation_size": 0.1, "T": 0.01}},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: fill s=38.0 at K=40 is out of reach")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_reports_a_failed_start_solve_and_runs_every_other_item(tmp_path, capsys,
+                                                                       monkeypatch):
+    def fails(*args, **kwargs):
+        raise RuntimeError("start solve failed")
+
+    monkeypatch.setattr(experiments, "solve_equilibrium", fails)
+    cfg = {"checks": ["enumeration", "step2_identity"],
+           "experiments": {"attraction": _ATTRACTION,
+                           "monotonicity": {"a_list": [1.0], "K_list": [1], "n_curve": 2,
+                                            "xy_max": 0.2}},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL: start solve failed\n"
+    assert [line.split(" (")[0] for line in captured.out.splitlines()] == [
+        "PASS enumeration", "PASS step2_identity", "FAIL attraction", "PASS monotonicity"]
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["items"][2] == {"name": "attraction", "passed": False,
+                                  "error": "start solve failed"}
+    assert [(item["name"], item["passed"]) for item in report["items"]] == [
+        ("enumeration", True), ("step2_identity", True), ("attraction", False),
+        ("monotonicity", True)]
+
+
 _STUDY_OK = {**_STUDY, "N_list": [2, 3]}
 
 
@@ -718,7 +756,12 @@ def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
     cfg = {**_after_good_items(name, sec), "output_dir": str(tmp_path / "out")}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert work_calls == {"solve_equilibrium": 0, "run": 0, "_stream": 0, "_curve_point": 0}
+    # no item's work ran; a good attraction item read before a bad experiment
+    # has made its start solve, which is part of its own refusal
+    solves = int(name in cfg["experiments"] and name != "attraction")
+    assert work_calls["run"] == work_calls["_stream"] == 0
+    assert work_calls["solve_equilibrium"] == solves
+    assert bool(work_calls["_curve_point"]) == bool(solves)
     assert not (tmp_path / "out").exists()
     # the item's own .refuse, on the arguments as the library takes them
     kw = {k: tuple(v) if isinstance(v, list) else v for k, v in sec.items()}

@@ -338,11 +338,16 @@ _STUDY_KW = dict(N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,), seed0=5,
     (convergence_experiment, dict(N_list=[0, 4]), "every N in N_list must be >= 1, got 0"),
     (chaos_experiment, dict(N_list=[1, 4]), "every N in N_list must be >= 2, got 1"),
     (chaos_experiment, dict(sample_times=()), "sample_times must hold at least one time"),
+    (convergence_experiment, dict(N_list=5), "N_list must be a sequence of network sizes, got 5"),
+    (chaos_experiment, dict(N_list=5), "N_list must be a sequence of network sizes, got 5"),
+    (convergence_experiment, dict(sample_times=0.5), "sample_times must be a sequence of times"),
+    (chaos_experiment, dict(sample_times=0.5), "sample_times must be a sequence of times"),
 ])
 def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw, named):
     # replicas=0 read "non-finite mass nan"; an empty N_list was a polyfit
     # TypeError; one N fit a slope to one point; chaos at N=1 divided by
-    # N(N-1) = 0 and reported marginal_err_max = 0.0.
+    # N(N-1) = 0 and reported marginal_err_max = 0.0; a number for N_list
+    # or sample_times ended in an unnamed TypeError.
     def no_run(*args, **kwargs):
         raise AssertionError("the simulator ran before the inputs were checked")
 

@@ -5,6 +5,7 @@ stationary law."""
 import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -342,22 +343,18 @@ def test_large_run_trajectory_is_pinned_byte_for_byte(audit):
         "5bc84a8b8d426d4ca4008ba6f51c2c4c46fd595cf2ae879adf6054d53410552c")
 
 
-def _events_ending_a_block(n_events):
-    """Whether ``run``'s last event is the last one of a draw block."""
+def _block_end(n):
+    """Number of the last event in ``run``'s draw block holding event ``n``."""
     block, end = _FIRST_BLOCK, _FIRST_BLOCK
-    while end < n_events:
+    while end < n:
         block = min(2 * block, _MAX_BLOCK)
         end += block
-    return end == n_events
+    return end
 
 
-def test_run_equals_a_step_loop_on_the_same_stream():
-    p = ModelParams(lam=1.0, mu=1.5, nu=2.0, K=2)
-    times = (0.0, 0.0, 1.0, 4.2, 12.7)
-    cfg = SimConfig(N=150, M=200, T=12.7, sample_times=times, seed=606)
-    # the generator places the cars first, then drives the events
-    rng = np.random.default_rng(cfg.seed)
-    st = _init_with_rng(cfg.N, cfg.M, p.K, rng)
+def _step_snapshots(p, times, st, rng):
+    """Snapshots at ``times`` of a ``step`` loop from ``st`` on ``rng``, and
+    the number of events it fired, the first past the last time included."""
     expected, n_events = [], 0
     while len(expected) < len(times):
         before = st.counts()
@@ -367,12 +364,56 @@ def test_run_equals_a_step_loop_on_the_same_stream():
         # state it left
         while len(expected) < len(times) and times[len(expected)] < st.t:
             expected.append((times[len(expected)], before))
+    return expected, n_events
+
+
+def test_run_equals_a_step_loop_on_the_same_stream():
+    p = ModelParams(lam=1.0, mu=1.5, nu=2.0, K=2)
+    times = (0.0, 0.0, 1.0, 4.2, 12.7)
+    cfg = SimConfig(N=150, M=200, T=12.7, sample_times=times, seed=606)
+    # the generator places the cars first, then drives the events
+    rng = np.random.default_rng(cfg.seed)
+    expected, n_events = _step_snapshots(p, times, _init_with_rng(cfg.N, cfg.M, p.K, rng), rng)
     # run draws for the first event past T too, and that draw ends
     # inside a block, after several full-size ones
-    assert n_events > 2 * _MAX_BLOCK and not _events_ending_a_block(n_events)
+    assert n_events > 2 * _MAX_BLOCK and _block_end(n_events) != n_events
     out = run(p, cfg)
     assert [t for t, _ in out] == list(times)
     assert _snapshot_digest(out) == _snapshot_digest(expected)
+
+
+def _full_station_start():
+    """Two stations of capacity 256, the first holding 256 available cars:
+    a count no byte holds."""
+    z = np.zeros(2, dtype=np.int64)
+    return SimState(z.copy(), z.copy(), np.array([256, 100], dtype=np.int64), z.copy())
+
+
+def test_counts_beyond_a_byte_give_the_step_loop_snapshots():
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=256)
+    times = (0.0, 0.5, 1.0, 2.0, 3.0)
+    cfg = SimConfig(N=2, M=356, T=3.0, sample_times=times, seed=12)
+    rng = np.random.default_rng(cfg.seed)
+    expected, _ = _step_snapshots(p, times, _full_station_start(), rng)
+    # the start converts element by element, later states through bytes
+    assert expected[0][1].max() == 256 and expected[-1][1].max() < 256
+    plain = run(p, cfg, initial=_full_station_start())
+    audited = run(p, cfg, initial=_full_station_start(), audit=True)
+    assert _snapshot_digest(plain) == _snapshot_digest(audited) == _snapshot_digest(expected)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize("K", [3, 256])
+def test_every_snapshot_is_a_c_contiguous_int64_array(K, audit):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    if K == 3:
+        initial, cfg = None, SimConfig(N=7, M=10, T=2.0, sample_times=(0.0, 1.0, 2.0), seed=4)
+    else:
+        initial, cfg = _full_station_start(), SimConfig(N=2, M=356, T=2.0,
+                                                        sample_times=(0.0, 1.0, 2.0), seed=4)
+    for _, counts in run(p, cfg, initial=initial, audit=audit):
+        assert counts.shape == (cfg.N, 4)
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous
 
 
 def test_audit_checks_every_event():
@@ -406,36 +447,33 @@ def test_run_refuses_an_inconsistent_initial_state_before_any_draw(w, y, z, pick
         run(p, cfg, initial=st)
 
 
-def test_kernel_writes_only_the_stations_it_reports(monkeypatch):
-    # the per-event audit looks only at the stations each event reports,
-    # so it is as strong as a whole-state check only while this holds;
-    # the audit hook sees the counts after each event and before its check
+def test_each_event_writes_only_the_stations_of_its_reservation():
+    # an event writes the stations of one list entry and no other: the
+    # origin and destination an arrival appends to the pickup list or a
+    # pickup removes from it, or the destination a return removes from
+    # the driving list
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
     rng = np.random.default_rng(4242)
-    tags, before = set(), []
-    event = simulate._Audit.event
-
-    def compare(audit, t, tag, i, j):
-        counts = audit.counts
-        changed = {s for s in range(len(counts[0]))
-                   if any(a[s] != b[s] for a, b in zip(counts, before[-1]))}
-        assert changed == (set() if tag == "blocked" else {i, j}), (tag, i, j)
-        tags.add(tag)
-        before.append([list(c) for c in counts])
-        event(audit, t, tag, i, j)
-
-    monkeypatch.setattr(simulate._Audit, "event", compare)
-    n_events = 0
+    tags, n_events = set(), 0
     for _ in range(60):
         N = int(rng.integers(1, 7))
         st = _init_with_rng(N, int(rng.integers(0, N * p.K + 1)), p.K, rng)
-        for _ in range(int(rng.integers(0, 25))):
-            step(st, p, rng)
-        before[:] = [[a.tolist() for a in (st.w, st.x, st.y, st.z)]]
-        cfg = SimConfig(N=N, M=st.car_total, T=3.0, sample_times=(3.0,),
-                        seed=int(rng.integers(2**31)))
-        run(p, cfg, initial=st, audit=True)
-        n_events += len(before) - 1
+        for _ in range(int(rng.integers(0, 40))):
+            before, pickups, driving = st.counts(), list(st.pickups), list(st.driving)
+            _, _, tag = step(st, p, rng)
+            changed = set(np.flatnonzero((st.counts() != before).any(axis=1)).tolist())
+            if tag == "arrival":
+                named = set(st.pickups[-1])
+            elif tag == "pickup":
+                (pair,) = Counter(pickups) - Counter(st.pickups)
+                named = set(pair)
+            elif tag == "return":
+                named = set(Counter(driving) - Counter(st.driving))
+            else:
+                named = set()
+            assert changed == named, (tag, pickups, driving)
+            tags.add(tag)
+            n_events += 1
     assert n_events > 600
     assert tags == {"arrival", "blocked", "pickup", "return"}
 
@@ -469,22 +507,49 @@ def _add_car(counts, s, K):
     return True
 
 
-def _corrupting_audit(after, pick, corrupt, K):
-    """``_Audit.event`` that first applies ``corrupt`` once, to the
-    station ``pick`` chooses, at the first event from number ``after`` on
-    where it can: after the event has changed the counts and before its
-    audit.  ``calls`` records that event's number."""
-    calls = {"n": 0, "at": None}
-    event = simulate._Audit.event
+def _touched(tag, changed, N):
+    """A station the event wrote, or ``None`` for a blocked arrival."""
+    return changed[-1] if changed else None
 
-    def audited(audit, t, tag, i, j):
-        calls["n"] += 1
-        if calls["at"] is None and calls["n"] >= after:
-            s = pick((tag, i, j), len(audit.counts[0]))
-            if s is not None and corrupt(audit.counts, s, K):
-                calls["at"] = calls["n"]
-        event(audit, t, tag, i, j)
-    return audited, calls
+
+def _untouched(tag, changed, N):
+    return next(s for s in range(N) if s not in changed)
+
+
+def _corrupting_advance(after, pick, corrupt, K, every_pass=True):
+    """``_advance`` that fires its rows one event at a time and applies
+    ``corrupt`` to the station ``pick`` chooses, from the event's tag and
+    the stations it wrote, after the first event from number ``after`` on
+    where it can.  That event is then known by its time: with
+    ``every_pass`` the same corruption follows it each time it fires
+    again, as it does in a replay of its block.  ``calls`` records its
+    number ``at``, its time ``t`` and the passes ``applied``."""
+    real = simulate._advance
+    calls = {"n": 0, "at": None, "t": None, "station": None, "applied": 0}
+
+    def advance(w, x, y, z, pickups, driving, K_, lam_N, nu, mu, t, rows, t_next=math.inf,
+                take=None):
+        counts = (w, x, y, z)
+        result = (t, t_next, None, None)
+        for row in rows:
+            before = [list(c) for c in counts]
+            result = real(w, x, y, z, pickups, driving, K_, lam_N, nu, mu, t, (row,), t_next,
+                          take)
+            t, t_next, tag, _ = result
+            if t_next is None:  # the last snapshot is taken, the row not fired
+                return result
+            if calls["t"] is None:
+                calls["n"] += 1
+                changed = [s for s in range(len(w))
+                           if any(c[s] != b[s] for c, b in zip(counts, before))]
+                s = pick(tag, changed, len(w)) if calls["n"] >= after else None
+                if s is not None and corrupt(counts, s, K):
+                    calls.update(at=calls["n"], t=t, station=s, applied=1)
+            elif every_pass and t == calls["t"]:
+                assert corrupt(counts, calls["station"], K)
+                calls["applied"] += 1
+        return result
+    return advance, calls
 
 
 def _event_time(p, cfg, initial, n):
@@ -512,29 +577,23 @@ def test_audit_raises_at_the_event_that_corrupts_a_touched_station(
         monkeypatch, corrupt, message):
     p, cfg = _AUDIT_P, _AUDIT_CFG
     init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
-    # corrupt the destination, which every non-blocked event writes
-    audited, calls = _corrupting_audit(
-        30, lambda ev, N: ev[2] if ev[0] != "blocked" else None, corrupt, p.K)
-    monkeypatch.setattr(simulate._Audit, "event", audited)
+    advance, calls = _corrupting_advance(30, _touched, corrupt, p.K)
+    monkeypatch.setattr(simulate, "_advance", advance)
     with pytest.raises(SimInvariantError) as err:
         run(p, cfg, initial=init, audit=True)
     monkeypatch.undo()
     assert calls["at"] is not None
+    assert calls["applied"] == 2  # seen at the block's end, named by its replay
     t = _event_time(p, cfg, init, calls["at"])
-    assert t < cfg.sample_times[0]  # raised by the per-event audit
+    assert t < cfg.sample_times[0]  # raised before the first snapshot
     assert str(err.value) == f"{message} at t={t}"
 
 
 def test_audit_catches_an_untouched_station_by_the_next_snapshot(monkeypatch):
     p, cfg = _AUDIT_P, _AUDIT_CFG
     init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
-
-    def untouched(event, N):
-        _, i, j = event
-        return next(s for s in range(N) if s not in (i, j))
-
-    audited, calls = _corrupting_audit(30, untouched, _shift(2, 1), p.K)
-    monkeypatch.setattr(simulate._Audit, "event", audited)
+    advance, calls = _corrupting_advance(30, _untouched, _shift(2, 1), p.K)
+    monkeypatch.setattr(simulate, "_advance", advance)
     with pytest.raises(SimInvariantError, match="driving count mismatch") as err:
         run(p, cfg, initial=init, audit=True)
     monkeypatch.undo()
@@ -542,26 +601,83 @@ def test_audit_catches_an_untouched_station_by_the_next_snapshot(monkeypatch):
     t = _event_time(p, cfg, init, calls["at"])
     next_sample = min(tau for tau in cfg.sample_times if tau >= t)
     assert t <= raised_at <= next_sample
+    assert raised_at == t  # the replay names the event itself
 
 
-def test_audited_run_checks_the_whole_state_once_plus_per_snapshot(monkeypatch):
+def test_audit_names_a_corruption_after_a_snapshot_in_the_same_block(monkeypatch):
+    # the replay restores the snapshots taken and the next sample time
+    # of the block's start, takes the snapshot again and fails after it
     p, cfg = _AUDIT_P, _AUDIT_CFG
-    whole, events = [], []
+    init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
+    rng, st, n = np.random.default_rng(cfg.seed), init.copy(), 0
+    while st.t <= cfg.sample_times[0]:
+        step(st, p, rng)
+        n += 1
+    # event n is the first after the snapshot; corrupt from event n + 2 on
+    advance, calls = _corrupting_advance(n + 2, _touched, _add_car, p.K)
+    monkeypatch.setattr(simulate, "_advance", advance)
+    with pytest.raises(SimInvariantError) as err:
+        run(p, cfg, initial=init, audit=True)
+    monkeypatch.undo()
+    assert _block_end(n) == _block_end(calls["at"])  # snapshot and corruption share a block
+    t = _event_time(p, cfg, init, calls["at"])
+    assert cfg.sample_times[0] < t < cfg.sample_times[1]
+    assert str(err.value) == f"car total 61 != 60 at t={t}"
+
+
+def test_audit_raises_the_block_end_error_when_the_replay_does_not_fail(monkeypatch):
+    # a corruption made once, in the first pass only: the replay from
+    # the block's start runs clean, and the block's end check stands
+    p, cfg = _AUDIT_P, _AUDIT_CFG
+    init = init_uniform(cfg.N, cfg.M, p.K, seed=5)
+    advance, calls = _corrupting_advance(30, _touched, _shift(2, 1), p.K, every_pass=False)
+    monkeypatch.setattr(simulate, "_advance", advance)
+    with pytest.raises(SimInvariantError) as err:
+        run(p, cfg, initial=init, audit=True)
+    monkeypatch.undo()
+    assert calls["applied"] == 1
+    end = _event_time(p, cfg, init, _block_end(calls["at"]))
+    assert end < cfg.sample_times[0]
+    assert str(err.value) == f"driving count mismatch at t={end}"
+
+
+def test_audited_run_checks_the_whole_state_at_each_block_end_and_snapshot(monkeypatch):
+    p, cfg = _AUDIT_P, _AUDIT_CFG
+    whole, blocks = [], []  # deep flag of each check; checks made before and in each block
     check = SimState.check_invariants
     monkeypatch.setattr(SimState, "check_invariants",
                         lambda st, K, M, deep=False: whole.append(deep) or check(st, K, M, deep))
-    event = simulate._Audit.event
-    monkeypatch.setattr(simulate._Audit, "event",
-                        lambda audit, *a: events.append(1) or event(audit, *a))
-    out = run(p, cfg, audit=True)
-    assert len(out) == len(cfg.sample_times)
-    assert len(events) > 100
-    # a drawn start holds the invariants by construction: one deep check per snapshot
-    assert whole == [True] * len(cfg.sample_times)
-    # a given start gets one deep check before any draw
+    advance = simulate._advance
+
+    def counted(*args):
+        start = len(whole)
+        result = advance(*args)
+        blocks.append((start, len(whole)))
+        return result
+
+    monkeypatch.setattr(simulate, "_advance", counted)
+    for initial in (None, init_uniform(cfg.N, cfg.M, p.K, seed=5)):
+        whole.clear()
+        blocks.clear()
+        out = run(p, cfg, initial=initial, audit=True)
+        assert len(out) == len(cfg.sample_times)
+        assert len(blocks) > 3
+        # a given start gets one deep check before any draw, a drawn one
+        # holds the invariants by construction
+        assert whole[:blocks[0][0]] == [True] * (initial is not None)
+        # each block: a deep check per snapshot taken in it, then one
+        # check of the whole state at its end, except after the last
+        # snapshot, which ends the run
+        for k, (start, end) in enumerate(blocks):
+            assert whole[start:end] == [True] * (end - start)
+            if k + 1 < len(blocks):
+                assert whole[end] is False and blocks[k + 1][0] == end + 1
+        assert blocks[-1][1] == len(whole)
+        assert whole.count(True) == len(cfg.sample_times) + (initial is not None)
+    # a plain run checks a given start only
     whole.clear()
-    run(p, cfg, initial=init_uniform(cfg.N, cfg.M, p.K, seed=5), audit=True)
-    assert whole == [True] + [True] * len(cfg.sample_times)
+    run(p, cfg, initial=init_uniform(cfg.N, cfg.M, p.K, seed=5))
+    assert whole == [True]
 
 
 def _stepped_state(N, M, K, seed):

@@ -375,6 +375,12 @@ CONTRACT = (
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),
     ("fill_preserving_perturbation", (core.Measure.uniform(2), INF), {}, None),
+    ("convergence_experiment", (_P2, 5, *_STUDY[2:]), {"s": 1.0}, "N_list"),
+    ("chaos_experiment", (_P2, 5, *_STUDY[2:]), {"s": 1.0}, "N_list"),
+    ("convergence_experiment", (*_STUDY[:4], 0.5, 5), {"s": 1.0}, "sample_times"),
+    ("chaos_experiment", (*_STUDY[:4], 0.5, 5), {"s": 1.0}, "sample_times"),
+    ("SimConfig", (2, 1, 1.0, 0.5, 0), {}, "sample_times"),
+    ("integrate_at", (core.Measure.uniform(2), _P2, 0.5, 0.01), {}, "times"),
 )
 CONTRACT_OUTCOMES = ("answer", "named_value_error", "other")
 

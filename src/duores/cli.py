@@ -10,9 +10,10 @@ Four subcommands, each driven by a JSON config file::
 Flags override individual file keys.  Every config section is read against
 one schema table, which rejects unknown keys and values of the wrong kind.
 ``verify`` reads every item of ``verify.ITEMS`` it names (suites under
-``checks`` and ``overrides``, experiments under ``experiments``) and calls
-each item's ``.refuse`` before any item runs; then it runs them in one loop
-and prints one line per item.
+``checks`` and ``overrides``, experiments under ``experiments``), each
+section read from the item's signature and declaration, and calls each
+item's ``.refuse`` before any item runs; then it runs the work each
+refusal returned in one loop and prints one line per item.
 
 One exit policy, in :func:`main`, holds for all four: 0 on success; 2 and a
 ``config error: <message>`` line on stderr when the config is unusable (a
@@ -49,7 +50,7 @@ from .io import (
 )
 from .meanfield import _grid_plan, _stream, stationarity_residual
 from .simulate import SimConfig, empirical_measure, run
-from .verify import ITEMS
+from .verify import _SUITES, ITEMS
 
 __all__ = ["main"]
 
@@ -86,10 +87,8 @@ _WHAT = {"num": "a number", "int": "an integer", "bool": "true or false",
 # its value kind or to the section it is read as; section keys come
 # first.  A "duores ..." section is a command's whole config.  K, N and
 # M are "any": ModelParams and SimConfig check them; so are "checks" and
-# "initial", which _cmd_verify and _initial_measure check.  _STUDY holds
-# the required keys of both replica studies.
-_STUDY = {"model": "model", "s": "num", "N_list": "ints", "replicas": "int",
-          "T": "num", "sample_times": "nums", "seed0": "int"}
+# "initial", which _cmd_verify and _initial_measure check.  The verify
+# items' sections are read from their signatures below.
 _SCHEMA = {
     "duores simulate": ({"model": "model", "sim": "sim"}, {"output_dir": "str"}),
     "duores meanfield": ({"model": "model", "meanfield": "meanfield"},
@@ -106,20 +105,7 @@ _SCHEMA = {
                                "equilibrium": "meanfield.initial.equilibrium"}),
     "meanfield.initial.equilibrium": ({"s": "num"}, {}),
     "equilibrium": ({"s": "num"}, {"fill_tol": "num"}),
-    "experiments.convergence": (_STUDY, {"audit": "bool", "dt_max": "num",
-                                         "slope_range": "nums"}),
-    "experiments.chaos": (_STUDY, {"audit": "bool", "dt_max": "num",
-                                   "marginal_tol": "num"}),
-    "experiments.attraction": (
-        {"model": "model", "s": "num", "perturbation_size": "num", "T": "num"},
-        {"dt": "num", "final_tv_tol": "num", "fill_drift_tol": "num"}),
-    "experiments.monotonicity": (
-        {}, {"a_list": "nums", "K_list": "ints", "grid_step": "num", "xy_max": "num",
-             "n_curve": "int", "enforce_nu_over_mu": "nums",
-             "probe_nu_over_mu": "nums"}),
 }
-
-_SUITES = [name for name in ITEMS if f"experiments.{name}" not in _SCHEMA]  # what "checks" names
 
 
 def _kind_of(default) -> str:
@@ -128,12 +114,23 @@ def _kind_of(default) -> str:
     return {bool: "bool", int: "int", float: "num"}[type(default)]
 
 
-# A check's overrides are its parameters, of the kinds of their defaults.
-_SCHEMA.update({
-    f"overrides.{name}": ({}, {k: _kind_of(prm.default)
-                               for k, prm in inspect.signature(ITEMS[name]).parameters.items()})
-    for name in _SUITES
-})
+def _section(item) -> tuple[dict, dict]:
+    """A verify item's section, read from its signature and declaration:
+    ``p`` is the ``model`` section, a declared rule gives its kind, else the
+    default does; a parameter with no default is required."""
+    required, optional = {}, {}
+    for k, prm in inspect.signature(item).parameters.items():
+        rule = item.__domain__.get(k)
+        into = required if prm.default is prm.empty else optional
+        if k == "p":
+            into["model"] = "model"
+        else:
+            into[k] = rule.kind if rule is not None and rule.kind else _kind_of(prm.default)
+    return required, optional
+
+
+_SCHEMA.update({f"{'overrides' if name in _SUITES else 'experiments'}.{name}": _section(item)
+                for name, item in ITEMS.items()})
 
 
 def _convert(v, kind: str):
@@ -214,7 +211,7 @@ def _cmd_simulate(cfg: dict, conf: dict, args) -> int:
     sec = conf["sim"]
     if args.seed is not None:
         sec["seed"] = args.seed
-    replicas = _count("replicas", sec.pop("replicas", 1), 1)
+    replicas = _count(1).check("replicas", sec.pop("replicas", 1))
     audit = sec.pop("audit", False)
     try:
         base = SimConfig(**sec)
@@ -269,7 +266,7 @@ def _initial_measure(init, p: ModelParams) -> Measure:
 def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
     p = _model_params(conf["model"])
     sec = conf["meanfield"]
-    every = _count("output_every", sec.get("output_every", 1), 1)
+    every = _count(1).check("output_every", sec.get("output_every", 1))
     m0 = _initial_measure(sec.get("initial", "uniform"), p)
     kept = [(0.0, m0), *_stream(m0, p, *_grid_plan(p, sec["T"], sec["dt"]), every)]
     out = _out_dir(cfg, args)
@@ -321,29 +318,29 @@ def _numbers(d: dict) -> str:
 def _cmd_verify(cfg: dict, conf: dict, args) -> int:
     checks = conf.get("checks", [])
     if checks == "all":
-        checks = _SUITES
+        checks = list(_SUITES)
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("'checks' must be a list of suite names or \"all\"")
     for name in checks:
         if name not in _SUITES:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(_SUITES)}")
-    read = {"overrides": {}, "experiments": {}}  # every item's config, refused before any runs
-    for group, kwargs in read.items():
+    read = {"overrides": {}, "experiments": {}}  # every item's work, refused before any runs
+    for group, works in read.items():
         for name, sec in conf.get(group, {}).items():
             if f"{group}.{name}" not in _SCHEMA:
                 raise ConfigError(f"'{group}' names no item {name!r}; known: "
                                   f"{sorted(n for n in ITEMS if f'{group}.{n}' in _SCHEMA)}")
-            kw = kwargs[name] = _read(sec, f"{group}.{name}")
+            kw = _read(sec, f"{group}.{name}")
             if "model" in kw:
                 kw["p"] = _model_params(kw.pop("model"))
-            ITEMS[name].refuse(**kw)
-    items = [*((name, read["overrides"].get(name, {})) for name in checks),
+            works[name] = ITEMS[name].refuse(**kw)
+    items = [*((name, read["overrides"].get(name) or ITEMS[name].refuse()) for name in checks),
              *read["experiments"].items()]
 
     records = []
-    for name, kw in items:
+    for name, work in items:
         try:
-            rec = ITEMS[name](**kw).to_dict()
+            rec = work().to_dict()
         except RuntimeError as e:  # a failed solve: reported, and the other items still are
             print(f"FAIL: {e}", file=sys.stderr)
             rec = {"name": name, "passed": False, "error": str(e)}

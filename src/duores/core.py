@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+import inspect
 from functools import lru_cache, wraps
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,28 +61,54 @@ class StationState(NamedTuple):
 
 
 # ============================================================
-# Input domains: each public entry checks its numbers with these first
+# Input domains: the rules of each public entry's one declaration
 # ============================================================
 
-def _real(name: str, value, lo=None, strict: bool = False, finite: bool = True):
-    """``value`` if it is a real, finite unless ``finite`` is false, and ``>= lo``
-    (``> lo`` if ``strict``) unless ``lo`` is ``None``; else a ValueError naming it."""
-    if not (isinstance(value, numbers.Real) and (math.isfinite(value) or not finite)
-            and (lo is None or (value > lo if strict else value >= lo))):
-        need = ["finite"] * finite + [f"{'>' if strict else '>='} {lo}"] * (lo is not None)
-        raise ValueError(f"{name} must be {' and '.join(need)}, got {value!r}")
-    return value
+class _Rule(NamedTuple):
+    """The domain of one argument.  ``check(name, value)`` returns the
+    value as the entry takes it (an integral float as its int, a sequence
+    as a list) or raises a ``ValueError`` naming ``name``.  ``text`` is its
+    wording in README's table and ``kind`` its value kind in the CLI's
+    config (``None``: the default's)."""
+
+    check: Callable
+    text: str
+    kind: str | None = None
 
 
-def _count(name: str, value, lo: int) -> int:
-    """``value`` as an ``int >= lo``; an integral float (``3.0``) counts."""
-    if not (isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
-            and math.isfinite(value) and value == int(value)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return _real(name, int(value), lo, finite=False)
+def _real(lo=None, strict=False, finite=True, none=False, hi=None) -> _Rule:
+    """A real, finite unless ``finite`` is false, ``>= lo`` (``> lo`` if
+    ``strict``) unless ``lo`` is ``None``, ``< hi`` unless ``hi`` is
+    ``None``; ``None`` too if ``none``."""
+    bound = [f"{'>' if strict else '>='} {lo}"] * (lo is not None) + [f"< {hi}"] * (hi is not None)
+
+    def check(name, value):
+        if not (none and value is None or isinstance(value, numbers.Real)
+                and (math.isfinite(value) or not finite)
+                and (lo is None or (value > lo if strict else value >= lo))
+                and (hi is None or value < hi)):
+            raise ValueError(f"{name} must be {' and '.join(['finite'] * finite + bound)}, "
+                             f"got {value!r}")
+        return value
+
+    text = " ".join(["finite"] * finite + [" and ".join(f"`{b}`" for b in bound)] * bool(bound))
+    return _Rule(check, text + " or `None`" * none, "num")
 
 
-def _seed(seed):
+def _count(lo: int) -> _Rule:
+    """An integer ``>= lo``; an integral float (``3.0``) counts as its int."""
+    at_least = _real(lo, finite=False).check
+
+    def check(name, value):
+        if not (isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+                and math.isfinite(value) and value == int(value)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return at_least(name, int(value))
+
+    return _Rule(check, f"integer `>= {lo}`", "int")
+
+
+def _seed(name, seed):
     """``seed`` if ``np.random.SeedSequence`` takes it; else a ValueError naming it."""
     try:
         np.random.SeedSequence(seed)
@@ -89,6 +116,11 @@ def _seed(seed):
         raise ValueError("seed must be None, an integer >= 0 or a sequence of them, "
                          f"got {seed!r}") from None
     return seed
+
+
+_SEED = _Rule(_seed, "what `np.random.SeedSequence` takes")
+_POSITIVE, _NONNEG = _real(0, strict=True), _real(0)
+_SIZE0, _SIZE1 = _count(0), _count(1)
 
 
 def _listed(name: str, values, what: str) -> list:
@@ -99,15 +131,102 @@ def _listed(name: str, values, what: str) -> list:
         raise ValueError(f"{name} must be a sequence of {what}, got {values!r}") from None
 
 
-def _times(name: str, times, T=None) -> tuple:
-    """``times`` as floats, each finite and ``>= 0``, nondecreasing, and at most ``T`` if given."""
-    ts = tuple(float(_real(f"{name}[{k}]", t, 0))
-               for k, t in enumerate(_listed(name, times, "times")))
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"{name} must be nondecreasing")
-    if T is not None and ts and ts[-1] > T:
-        raise ValueError(f"{name} must lie within [0, T] = [0, {T}], got {ts[-1]!r}")
-    return ts
+def _least(name: str, values, got, least: int, what: str):
+    """``values``, refused when it holds fewer than ``least`` (0 or 1) entries."""
+    if len(values) < least:
+        raise ValueError(f"{name} must hold at least one {what}, got {got!r}")
+    return values
+
+
+def _each(rule: _Rule, entry="every entry of {}", least=0, what="value") -> _Rule:
+    """A sequence of at least ``least`` entries, each meeting ``rule`` under
+    the name ``entry.format(name)``."""
+    def check(name, values):
+        vs = _least(name, _listed(name, values, what + "s"), values, least, what)
+        return [rule.check(entry.format(name), v) for v in vs]
+
+    text = f"a {'non-empty ' * least}sequence, each entry {rule.text}"
+    return _Rule(check, text, {"int": "ints", "num": "nums"}[rule.kind])
+
+
+def _times(least=0) -> _Rule:
+    """At least ``least`` times, as floats, each finite and ``>= 0``,
+    nondecreasing."""
+    def check(name, times):
+        ts = tuple(float(_NONNEG.check(f"{name}[{k}]", t))
+                   for k, t in enumerate(_listed(name, times, "times")))
+        if any(b < a for a, b in zip(ts, ts[1:])):
+            raise ValueError(f"{name} must be nondecreasing")
+        return _least(name, ts, times, least, "time")
+
+    return _Rule(check, f"a {'non-empty ' * least}sequence of times, each finite `>= 0`, "
+                 "nondecreasing", "nums")
+
+
+def _within(sample_times: tuple, T: float) -> None:
+    """The rule across ``sample_times`` and a horizon ``T``: none beyond it."""
+    if sample_times and sample_times[-1] > T:
+        raise ValueError(f"sample_times must lie within [0, T] = [0, {T}], "
+                         f"got {sample_times[-1]!r}")
+
+
+def _chain(*rules: _Rule) -> _Rule:
+    """Every rule of ``rules`` in turn, the first refusal its message."""
+    def check(name, value):
+        for rule in rules:
+            value = rule.check(name, value)
+        return value
+
+    words = dict.fromkeys(w for r in rules for w in r.text.split())
+    return _Rule(check, " ".join(sorted(words, key=lambda w: w != "finite")), rules[-1].kind)
+
+
+def _domain(**rules: _Rule):
+    """Entry decorator: the one declaration of an entry's input domain.
+
+    Every argument named in ``rules``, given or default, is checked by
+    its rule, in declaration order, before the entry runs, and passed on
+    as the rule returns it.  On a dataclass (write ``@dataclass`` over
+    ``@_domain``) the fields are checked after ``__init__``, ahead of its
+    own ``__post_init__``.  The rules stay on the entry as ``__domain__``;
+    under ``@_staged`` they make ``.refuse`` check them too."""
+    def declare(fn):
+        if isinstance(fn, type):
+            post = getattr(fn, "__post_init__", None)
+
+            def __post_init__(self):
+                for name, rule in rules.items():
+                    object.__setattr__(self, name, rule.check(name, getattr(self, name)))
+                if post is not None:
+                    post(self)
+
+            fn.__post_init__, fn.__domain__ = __post_init__, rules
+            return fn
+        # each rule's argument: its position (past any, if keyword-only) and
+        # default; no signature is bound per call
+        params = inspect.signature(fn).parameters
+        at = {k: i for i, (k, p) in enumerate(params.items()) if p.kind is p.POSITIONAL_OR_KEYWORD}
+        slots = [(name, at.get(name, len(params)), params[name].default, rule)
+                 for name, rule in rules.items()]
+
+        @wraps(fn)
+        def entry(*args, **kwargs):
+            args = list(args)
+            for name, i, default, rule in slots:
+                if i < len(args):
+                    args[i] = rule.check(name, args[i])
+                elif name in kwargs:
+                    kwargs[name] = rule.check(name, kwargs[name])
+                elif default is not inspect.Parameter.empty:  # else fn raises TypeError
+                    kwargs[name] = rule.check(name, default)
+            return fn(*args, **kwargs)
+
+        entry.__domain__ = rules
+        for cache in ("cache_info", "cache_clear"):  # of an lru_cache below
+            if hasattr(fn, cache):
+                setattr(entry, cache, getattr(fn, cache))
+        return entry
+    return declare
 
 
 def _staged(stage):
@@ -115,8 +234,7 @@ def _staged(stage):
     its work as a zero-argument callable.  The entry runs both, and
     ``entry.refuse(*args, **kwargs)`` runs the checks alone (returning the
     work unrun), so that a caller holding several entries can refuse every
-    bad argument before any of them works.  Arguments pass through as
-    given: no signature is bound per call."""
+    bad argument before any of them works."""
     @wraps(stage)
     def entry(*args, **kwargs):
         return stage(*args, **kwargs)()
@@ -136,8 +254,14 @@ def num_states(K: int) -> int:
     i.e. ``C(K + 4, 4)``.
     """
     if type(K) is not int or K < 0:  # every Measure calls this: an int costs a sign test
-        K = _count("K", K, 0)
+        K = _SIZE0.check("K", K)
     return math.comb(K + 4, 4)
+
+
+# Entries that run once per state or per measure keep hand-written guards,
+# which refuse what their declarations, attached as data, state; a sweep
+# of the domains checks that they do.
+num_states.__domain__ = dict(K=_SIZE0)
 
 
 MAX_STATES = 2_000_000
@@ -168,6 +292,7 @@ recently used capacity is dropped, so a process that touches many
 capacities does not hold all their tables until it exits."""
 
 
+@_domain(K=_SIZE0)
 def enumerate_states(K: int) -> list[StationState]:
     """All admissible states for capacity ``K`` in lexicographic order.
 
@@ -200,42 +325,63 @@ def _rank(w, x, y, z, K: int):
             + _simplex(r1, 2) - _simplex(r2, 2) + z)
 
 
+def _state(name: str, state) -> tuple:
+    """``state`` as four entries ``(w, x, y, z)``; a ValueError naming it if
+    it is not a sequence of four."""
+    try:
+        w, x, y, z = state
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be four counts (w, x, y, z), got {state!r}") from None
+    return w, x, y, z
+
+
+_STATE = _Rule(_state, "four counts `(w, x, y, z)`")
+
+
+@_domain(state=_STATE, K=_SIZE0)
 def index_of(state: Iterable[int], K: int) -> int:
     """Rank of ``state`` in the lexicographic enumeration for ``K``; an
     integral float entry counts as its int."""
     w, x, y, z = state
-    K = _count("K", K, 0)
     if not type(w) is type(x) is type(y) is type(z) is int:  # numpy or float entries
         return int(ranks_of(w, x, y, z, K))
     if min(w, x, y, z) < 0 or w + x + y + z > K:
-        raise ValueError(f"({w},{x},{y},{z}) is not an admissible state for capacity {K}")
+        raise ValueError(f"({w},{x},{y},{z}) is not an admissible state for capacity K={K}")
     return _rank(w, x, y, z, K)
 
 
+@_domain(rank=_count(0), K=_SIZE0)
 def state_of(rank: int, K: int) -> StationState:
     """Inverse of :func:`index_of`."""
-    rank, n = _count("rank", rank, 0), num_states(K)
-    if not 0 <= rank < n:
-        raise ValueError(f"rank {rank} out of range [0, {n}) for capacity {K}")
+    n = num_states(K)
+    if not rank < n:
+        raise ValueError(f"rank {rank} out of range [0, {n}) for capacity K={K}")
     return StationState(*(int(c[rank]) for c in count_arrays(K)))
 
 
+@_domain(K=_SIZE0)
 def ranks_of(
     w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, K: int
 ) -> np.ndarray:
-    """Vectorized :func:`index_of` over parallel count arrays."""
-    K = _count("K", K, 0)
-    c = np.stack([np.asarray(v) for v in (w, x, y, z)])
+    """Vectorized :func:`index_of` over parallel count arrays of one shape."""
+    arrays = [np.asarray(v) for v in (w, x, y, z)]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError("w, x, y and z must be count arrays of one shape, got shapes "
+                         f"{[a.shape for a in arrays]}")
+    c = np.stack(arrays)
     flat = c.reshape(4, -1)
-    ok = (flat >= 0).all(axis=0) & (flat.sum(axis=0) <= K)
-    if c.dtype.kind not in "iu":  # an integral float counts as its int
+    ok = np.zeros(flat.shape[1], dtype=bool)  # a string or object entry is no count
+    if c.dtype.kind in "biuf":
+        ok = (flat >= 0).all(axis=0) & (flat.sum(axis=0) <= K)
+    if c.dtype.kind == "f":  # an integral float counts as its int
         ok &= (np.isfinite(flat) & (flat == np.trunc(flat))).all(axis=0)
     if not ok.all():
         state = tuple(flat[:, np.argmin(ok)].tolist())
-        raise ValueError(f"{state!r} is not an admissible state for capacity {K}")
+        raise ValueError(f"{state!r} is not an admissible state for capacity K={K}")
     return _rank(*c.astype(np.int64, copy=False), K)
 
 
+@_domain(K=_SIZE0)
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only arrays ``(w, x, y, z)`` over ranks, each of length
@@ -257,6 +403,7 @@ def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return tuple(cols)
 
 
+@_domain(K=_SIZE0)
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def fill_vector(K: int) -> np.ndarray:
     """Cars attributed to the station per rank: ``x + y + z``.
@@ -274,6 +421,7 @@ def fill_vector(K: int) -> np.ndarray:
     return v
 
 
+@_domain(K=_SIZE0)
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def no_available_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with no available car (y = 0)."""
@@ -283,6 +431,7 @@ def no_available_mask(K: int) -> np.ndarray:
     return m
 
 
+@_domain(K=_SIZE0)
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def saturated_mask(K: int) -> np.ndarray:
     """Boolean mask over ranks of states with every space taken."""
@@ -292,11 +441,16 @@ def saturated_mask(K: int) -> np.ndarray:
     return m
 
 
+
 # ============================================================
 # Model parameters
 # ============================================================
 
+_RATE = _chain(_real(), _real(0, strict=True, finite=False))
+
+
 @dataclass(frozen=True)
+@_domain(lam=_chain(_real(), _real(0, finite=False)), mu=_RATE, nu=_RATE, K=_SIZE1)
 class ModelParams:
     """Rates and capacity of the symmetric network.
 
@@ -320,14 +474,6 @@ class ModelParams:
     nu: float
     K: int
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "mu", "nu"):
-            _real(name, getattr(self, name))
-        _real("lam", self.lam, 0, finite=False)
-        if self.mu <= 0 or self.nu <= 0:
-            raise ValueError("mu and nu must be > 0")
-        object.__setattr__(self, "K", _count("K", self.K, 1))
-
     @property
     def rate_bound(self) -> float:
         """Upper bound on total per-station outflow rate, used by the
@@ -340,6 +486,33 @@ class ModelParams:
 # ============================================================
 
 _SUM_TOL = 1e-12
+
+
+def _masses(name: str, probs, K=None) -> np.ndarray:
+    """``probs`` as a new read-only float64 vector of masses, each finite and
+    ``>= 0``, summing to 1 within 1e-12, and ``num_states(K)`` of them if
+    ``K`` is given; else a ValueError naming it.  It fails loudly instead of
+    renormalizing."""
+    try:
+        p = np.array(probs, dtype=np.float64, copy=True)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a vector of masses, got {probs!r}") from None
+    if p.ndim != 1 or not p.size or K is not None and p.size != num_states(K):
+        need = "one or more masses" if K is None else f"{num_states(K)} masses for capacity K={K}"
+        raise ValueError(f"{name} must hold {need}, got shape {p.shape}")
+    # NaN fails both comparisons; the offending rank is looked for
+    # only on the way out, so a valid measure costs one min and one sum.
+    low, total = p.min(), float(p.sum())
+    if not (low >= 0.0 and abs(total - 1.0) <= _SUM_TOL):
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            r = int(bad[0])
+            raise ValueError(f"{name} holds non-finite mass {float(p[r])!r} at rank {r}")
+        if low < 0.0:
+            raise ValueError(f"{name} holds negative mass {float(low)!r} at rank {int(p.argmin())}")
+        raise ValueError(f"{name} sums to {total!r}, not 1 within {_SUM_TOL}")
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True)
@@ -356,36 +529,20 @@ class Measure:
     K: int
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=np.float64, copy=True)
-        if p.ndim != 1 or p.shape[0] != num_states(self.K):
-            raise ValueError(
-                f"expected {num_states(self.K)} entries for capacity {self.K}, "
-                f"got shape {p.shape}"
-            )
-        # NaN fails both comparisons; the offending rank is looked for
-        # only on the way out, so a valid measure costs one min and one sum.
-        low, total = p.min(), float(p.sum())
-        if not (low >= 0.0 and abs(total - 1.0) <= _SUM_TOL):
-            bad = np.flatnonzero(~np.isfinite(p))
-            if bad.size:
-                r = int(bad[0])
-                raise ValueError(f"non-finite mass {float(p[r])!r} at rank {r}")
-            if low < 0.0:
-                raise ValueError(f"negative mass {float(low)!r} at rank {int(p.argmin())}")
-            raise ValueError(f"mass sums to {total!r}, not 1 within {_SUM_TOL}")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _masses("probs", self.probs, self.K))
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
+    @_domain(state=_STATE, K=_SIZE0)
     def point(state: Iterable[int], K: int) -> "Measure":
         """Point mass at ``state``."""
         p = np.zeros(_budgeted_states(K))
-        p[index_of(tuple(state), K)] = 1.0
+        p[index_of(state, K)] = 1.0
         return Measure(p, K)
 
     @staticmethod
+    @_domain(K=_SIZE0)
     def uniform(K: int) -> "Measure":
         """Uniform measure over all admissible states."""
         n = _budgeted_states(K)
@@ -395,6 +552,10 @@ class Measure:
 
     def __getitem__(self, state: Iterable[int]) -> float:
         return float(self.probs[index_of(tuple(state), self.K)])
+
+
+Measure.__domain__ = dict(probs=_Rule(_masses, "finite masses `>= 0` summing to 1 within 1e-12"),
+                          K=_SIZE0)
 
 
 def _check_same_space(m1: Measure, m2: Measure) -> None:

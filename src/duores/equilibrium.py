@@ -74,7 +74,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _CACHED_CAPACITIES, Measure, ModelParams, _count, _real, count_arrays
+from .core import (_CACHED_CAPACITIES, _NONNEG, _POSITIVE, _SIZE0, _SIZE1, Measure, ModelParams,
+                   _domain, count_arrays)
 
 __all__ = [
     "RateRatios",
@@ -94,6 +95,7 @@ __all__ = [
 # ============================================================
 
 @dataclass(frozen=True)
+@_domain(eta1=_NONNEG, rho1=_NONNEG, rho2=_NONNEG, eta2=_NONNEG)
 class RateRatios:
     """Traffic intensities ``(eta1, rho1, rho2, eta2)`` of the four
     station roles, ordered to match ``StationState`` as
@@ -103,10 +105,6 @@ class RateRatios:
     rho1: float
     rho2: float
     eta2: float
-
-    def __post_init__(self) -> None:
-        for name in ("eta1", "rho1", "rho2", "eta2"):
-            _real(name, getattr(self, name), 0)
 
     @property
     def rho1_tilde(self) -> float:
@@ -145,6 +143,7 @@ def _normalized_weights(rho: RateRatios, K: int) -> np.ndarray:
     return e / e.sum()
 
 
+@_domain(K=_SIZE0)
 def product_form(rho: RateRatios, K: int) -> Measure:
     """Truncated product-form measure with intensities ``rho``."""
     return Measure(_normalized_weights(rho, K), K)
@@ -195,13 +194,6 @@ def _state_sums(rho: RateRatios, K: int) -> tuple[float, float, float]:
 # ============================================================
 # Two-variable reduction (aggregated infinite-server roles)
 # ============================================================
-
-def _check_reduced(x: float, y: float, K: int) -> int:
-    """``K`` as an ``int >= 0``, with finite ``x, y >= 0``."""
-    _real("x", x, 0)
-    _real("y", y, 0)
-    return _count("K", K, 0)
-
 
 def _reduced_sums(x: float, y: float, K: int) -> tuple[float, float, float, float, int]:
     """One O(K) pass over the reduced family, returning
@@ -265,13 +257,16 @@ def _unscale(v: float, e: int) -> float:
         return math.copysign(math.inf, v)
 
 
+_REDUCED = dict(x=_NONNEG, y=_NONNEG, K=_SIZE0)  # a point of the reduced family
+
+
+@_domain(**_REDUCED)
 def simple_form(x: float, y: float, K: int) -> np.ndarray:
     """Normalized reduced measure as a (K+1, K+1) array over
     ``(i, j) = (aggregated reservations, available cars)``, built in log
     space.  The solver reads the reduced family through the O(K) pass;
     this array is the reference that checks the pass and the
     aggregation of the four-coordinate form."""
-    K = _check_reduced(x, y, K)
     i = np.arange(K + 1)
     lw = (_xlogr(i, x) - _log_factorials(K))[:, None] + _xlogr(i, y)[None, :]
     lw[i[:, None] + i[None, :] > K] = -np.inf
@@ -279,6 +274,7 @@ def simple_form(x: float, y: float, K: int) -> np.ndarray:
     return p / p.sum()
 
 
+@_domain(x=_NONNEG, y=_NONNEG, a=_POSITIVE, K=_SIZE0)
 def f_simple(x: float, y: float, a: float, K: int) -> float:
     """Fixed-point function of the reduced family.
 
@@ -287,8 +283,6 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     increasing in ``y`` and crosses zero exactly once; the zero ties the
     aggregated intensity ``x`` to the acceptance probability.
     """
-    K = _check_reduced(x, y, K)
-    _real("a", a, 0, strict=True)
     Z, _, E, _, e = _reduced_sums(x, y, K)
     return _unscale((a - x) * Z - a * E, e)
 
@@ -316,8 +310,8 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
     except TypeError:
         checked = False
     if not checked:
-        K = _count("K", K, 1)
-        if not (isinstance(x, numbers.Real) and 0.0 < x < _real("a", a, 0, strict=True)):
+        K = _SIZE1.check("K", K)
+        if not _POSITIVE.check("x", x) < _POSITIVE.check("a", a):
             raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
     b = a - x
     Es = _partial_exponentials(x, K)
@@ -367,6 +361,10 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
         y = cand
 
 
+_curve_point.__domain__ = _CURVE = dict(x=_POSITIVE, a=_POSITIVE, K=_SIZE1)  # then x < a
+
+
+@_domain(**_CURVE)
 def solve_phi(x: float, a: float, K: int) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
@@ -412,13 +410,13 @@ def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
     return _sums_mean(x, y, (Z, dZ, Z1), ci)
 
 
+@_domain(**_REDUCED)
 def g_mean(x: float, y: float, K: int) -> float:
     """Mean total count ``E[i + j]`` under the reduced family.
 
     This is the car density of the instantaneous-reservation variant;
     it increases strictly in both intensities and tends to ``K`` as
     ``y`` grows."""
-    K = _check_reduced(x, y, K)
     return _simple_mean(x, y, K, 1.0)
 
 
@@ -551,12 +549,14 @@ def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
 
 
 def _check_solvable(p: ModelParams, s: float) -> None:
-    """The fixed point's domain: ``lam > 0`` and a fill ``s`` in ``(0, K)``."""
-    _real("lam", p.lam, 0, strict=True)
+    """The fixed point's domain across arguments: ``lam > 0`` and a fill
+    ``s`` in ``(0, K)``."""
+    _POSITIVE.check("lam", p.lam)
     if not (isinstance(s, numbers.Real) and 0.0 < s < p.K):
         raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")
 
 
+@_domain(s=_POSITIVE, fill_tol=_POSITIVE)
 def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
     """Solve the full fixed point at car density ``s``.
 
@@ -583,7 +583,6 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         message names K, s, nu/mu and the first decreasing pair.
     """
     _check_solvable(p, s)
-    _real("fill_tol", fill_tol, 0, strict=True)
     r = p.mu / p.nu
     a = (p.lam / p.mu) * (1.0 + 2.0 * r)
     c = _car_weight(r)

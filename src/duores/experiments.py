@@ -24,14 +24,21 @@ import numpy as np
 
 from .core import (
     _CACHED_CAPACITIES,
+    _NONNEG,
+    _POSITIVE,
+    _SIZE1,
     MAX_STATES,
     Measure,
     ModelParams,
+    _chain,
     _count,
-    _listed,
+    _domain,
+    _each,
     _real,
+    _Rule,
     _staged,
     _times,
+    _within,
     count_arrays,
     mean_fill,
     num_states,
@@ -77,14 +84,18 @@ class ExperimentReport:
         return asdict(self)
 
 
+_SEED0 = _count(0)
+_SIZE2 = _count(2)  # pair statistics divide by N (N - 1); a curve's two points
+
+
+@_domain(seed0=_SEED0, condition=_SEED0, replica=_SEED0)
 def derive_seed(seed0: int, condition: int, replica: int) -> tuple:
     """Seed-sequence entropy for one replica of one condition.
 
     Replica 0 is reserved for the shared initial placement of the
     condition; dynamics replicas count from 1.
     """
-    return (_count("seed0", seed0, 0), _count("condition", condition, 0),
-            _count("replica", replica, 0))
+    return seed0, condition, replica
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -102,20 +113,11 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     the report's ``config`` and an iterator that yields, one ``N`` at a
     time, the row head ``{N, M, seeds}``, the replica-averaged measures,
     the pair averages of :func:`_averaged_pairs` (``None`` without
-    ``with_pairs``) and the flow at the sample times.  Degenerate inputs
-    (no size, no sample time, no replica, a size below one station, or
-    below two with pairs), numbers outside their domains and pair tables
-    above the state budget are refused here, before any run."""
-    least = 2 if with_pairs else 1  # pair statistics divide by N (N - 1)
-    N_list = [_count("every N in N_list", N, least)
-              for N in _listed("N_list", N_list, "network sizes")]
-    if not N_list:
-        raise ValueError("N_list must hold at least one network size")
-    replicas = _count("replicas", replicas, 1)
-    sample_times = _times("sample_times", sample_times, _real("T", T, 0))
-    if not sample_times:
-        raise ValueError("sample_times must hold at least one time")
-    _real("s", s, 0)
+    ``with_pairs``) and the flow at the sample times.  Its arguments come
+    declared (:data:`_STUDY`); the rules across them (sample times within
+    ``T``, the step guard, pair tables within the state budget) are
+    refused here, before any run."""
+    _within(sample_times, T)
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     _check_step(p, dt_max, "dt_max")
     if with_pairs:
@@ -196,7 +198,23 @@ def _averaged_pairs(hists, N, n):
         yield acc, worst
 
 
+_STUDY = dict(replicas=_SIZE1, T=_NONNEG, sample_times=_times(1),
+              seed0=_SEED0, s=_NONNEG, dt_max=_real(0, strict=True, none=True))
+"""The rules of the replica studies' shared arguments, after ``N_list``."""
+
+
+def _lo_hi(name: str, value):
+    """``value`` if it is two finite numbers ``lo <= hi``; else a ValueError naming it."""
+    lo_hi = value if isinstance(value, (tuple, list)) else ()
+    finite = _real().check
+    if len(lo_hi) != 2 or finite(f"{name}[0]", lo_hi[0]) > finite(f"{name}[1]", lo_hi[1]):
+        raise ValueError(f"{name} must be two finite numbers lo <= hi, got {value!r}")
+    return value
+
+
 @_staged
+@_domain(N_list=_each(_SIZE1, "every N in {}", what="network size"), **_STUDY,
+         slope_range=_Rule(_lo_hi, "two finite numbers `lo <= hi`", "nums"))
 def convergence_experiment(
     p: ModelParams,
     N_list,
@@ -221,12 +239,8 @@ def convergence_experiment(
     ``N_list`` must hold at least two sizes and ``slope_range`` two finite
     numbers ``lo <= hi``.
     """
-    N_list = _listed("N_list", N_list, "network sizes")
     if len(N_list) < 2:
         raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
-    lo_hi = slope_range if isinstance(slope_range, (tuple, list)) else ()
-    if len(lo_hi) != 2 or _real("slope_range[0]", lo_hi[0]) > _real("slope_range[1]", lo_hi[1]):
-        raise ValueError(f"slope_range must be two finite numbers lo <= hi, got {slope_range!r}")
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=False)
 
@@ -254,6 +268,8 @@ def convergence_experiment(
 
 
 @_staged
+@_domain(N_list=_each(_SIZE2, "every N in {}", 1, "network size"),
+         **_STUDY, marginal_tol=_NONNEG)
 def chaos_experiment(
     p: ModelParams,
     N_list,
@@ -276,7 +292,6 @@ def chaos_experiment(
     empirical within ``marginal_tol``.  A pair table above the state
     budget is refused before any run.
     """
-    _real("marginal_tol", marginal_tol, 0)
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
                                    audit, dt_max, with_pairs=True)
 
@@ -329,6 +344,7 @@ def _shift_permutation(K: int) -> np.ndarray:
     return perm
 
 
+@_domain(size=_real(0, finite=False))
 def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     """Displace ``m`` by total-variation ``size`` without changing the
     mean fill or either reservation mean.
@@ -339,7 +355,6 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
     rotation, if the requested distance is out of reach).  A ``size``
     that is not ``>= 0``, NaN included, is refused.
     """
-    _real("size", size, 0, finite=False)
     shifted = m.probs[_shift_permutation(m.K)]
     full = 0.5 * float(np.abs(shifted - m.probs).sum())
     if full == 0.0 or size == 0.0:
@@ -352,6 +367,8 @@ _REPORT_POINTS = 200  # rows an attraction report thins its trajectory to
 
 
 @_staged
+@_domain(perturbation_size=_real(0, finite=False), T=_NONNEG, s=_POSITIVE,
+         dt=_real(0, strict=True, none=True), final_tv_tol=_NONNEG, fill_drift_tol=_NONNEG)
 def attraction_experiment(
     p: ModelParams,
     perturbation_size: float,
@@ -373,12 +390,9 @@ def attraction_experiment(
     trajectory within ``fill_drift_tol``.  The fill drift is taken over
     every step, but only the strided rows and the last one are kept.
     """
-    _real("perturbation_size", perturbation_size, 0, finite=False)
     dt = dt if dt is not None else _default_dt(p)
     plan, n = _grid_plan(p, T, dt)
     _check_solvable(p, s)
-    _real("final_tv_tol", final_tv_tol, 0)
-    _real("fill_drift_tol", fill_drift_tol, 0)
     try:
         report, failed = solve_equilibrium(p, s), None
     except RuntimeError as e:
@@ -425,7 +439,14 @@ def attraction_experiment(
 # Monotonicity scans
 # ============================================================
 
+_RATIOS = _each(_POSITIVE, "{}")
+_MAX_GRID = 1000  # grid points per axis: len(grid)**2 g_mean evaluations per K
+
+
 @_staged
+@_domain(a_list=_RATIOS, K_list=_each(_SIZE1, "every K in {}"),
+         grid_step=_chain(_real(0, strict=True, finite=False), _POSITIVE), xy_max=_POSITIVE,
+         n_curve=_SIZE2, enforce_nu_over_mu=_RATIOS, probe_nu_over_mu=_RATIOS)
 def monotonicity_scan(
     a_list=(0.5, 1.0, 2.0, 5.0),
     K_list=(1, 2, 3, 4, 5, 6),
@@ -448,16 +469,11 @@ def monotonicity_scan(
     than two grid or curve points) and numbers outside their domains are
     refused before any check runs.
     """
-    if not (len(a_list) and len(K_list)):
+    if not (len(a_list) and len(K_list)):  # one message for the pair
         raise ValueError("a_list and K_list must each hold at least one value")
-    _real("grid_step", grid_step, 0, strict=True, finite=False)
-    for name, vs in (("a_list", a_list), ("grid_step", (grid_step,)), ("xy_max", (xy_max,)),
-                     ("enforce_nu_over_mu", enforce_nu_over_mu),
-                     ("probe_nu_over_mu", probe_nu_over_mu)):
-        for v in vs:
-            _real(name, v, 0, strict=True)
-    K_list = [_count("every K in K_list", K, 1) for K in K_list]
-    n_curve = _count("n_curve", n_curve, 2)
+    if not xy_max / grid_step <= _MAX_GRID:  # counted before the grid is built
+        raise ValueError(f"grid_step={grid_step} and xy_max={xy_max} ask for "
+                         f"{xy_max / grid_step:.3g} grid points, above {_MAX_GRID}")
     grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)
     if len(grid) < 2:
         raise ValueError(f"grid_step={grid_step} leaves {len(grid)} grid point(s) up to "

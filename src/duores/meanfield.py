@@ -57,9 +57,11 @@ import numpy as np
 
 from .core import (
     _CACHED_CAPACITIES,
+    _NONNEG,
+    _POSITIVE,
     Measure,
     ModelParams,
-    _real,
+    _domain,
     _times,
     count_arrays,
     no_available_mask,
@@ -179,7 +181,7 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 
 
 def _check_step(p: ModelParams, dt: float, name: str) -> None:
-    _real(name, dt, 0, strict=True)
+    """The step guard, across arguments: ``dt (lam + nu K + mu K) <= 0.5``."""
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
@@ -227,10 +229,11 @@ def _rk4(
         yield t, v
 
 
+@_domain(T=_NONNEG, dt=_POSITIVE)  # then the step guard
 def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     """:func:`integrate`'s lazy plan and step count: a step of ``dt`` to each
-    ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid."""
-    _real("T", T, 0)
+    ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid.
+    Its declaration is :func:`integrate`'s, checked here for every caller."""
     _check_step(p, dt, "dt")
     n_full = int(np.floor(T / dt + 1e-9))
     t = n_full * dt
@@ -268,6 +271,10 @@ def integrate(
     return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt))]
 
 
+integrate.__domain__ = _grid_plan.__domain__  # which _grid_plan checks
+
+
+@_domain(times=_times(), dt_max=_POSITIVE)
 def integrate_at(
     m0: Measure, p: ModelParams, times: Sequence[float], dt_max: float
 ) -> list[Measure]:
@@ -280,7 +287,7 @@ def integrate_at(
     """
     _check_step(p, dt_max, "dt_max")
     plan, prev = [], 0.0
-    for t in _times("times", times):
+    for t in times:
         span = t - prev
         n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
         plan.append((t, n, span / n if n else 0.0))

@@ -61,8 +61,8 @@ from math import inf, log1p
 
 import numpy as np
 
-from .core import (Measure, ModelParams, _budgeted_states, _count, _real, _seed, _times,
-                   ranks_of)
+from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_states,
+                   _domain, _Rule, _times, _within, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -80,6 +80,7 @@ class SimInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
+@_domain(N=_SIZE1, M=_SIZE0, T=_NONNEG, sample_times=_times(), seed=_SEED)
 class SimConfig:
     """Run shape: network size, car count, horizon, snapshot times.
 
@@ -94,11 +95,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _count("N", self.N, 1))
-        object.__setattr__(self, "M", _count("M", self.M, 0))
-        _real("T", self.T, 0)
-        object.__setattr__(self, "sample_times", _times("sample_times", self.sample_times, self.T))
-        _seed(self.seed)
+        _within(self.sample_times, self.T)
 
 
 @dataclass
@@ -207,11 +204,11 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
     return SimState(zeros.copy(), zeros.copy(), y, zeros.copy())
 
 
+@_domain(N=_SIZE1, M=_SIZE0, K=_SIZE1, seed=_SEED)
 def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     """Place ``M`` available cars one at a time, uniformly among the
     stations still below capacity.  No reservations are pending."""
-    return _init_with_rng(_count("N", N, 1), _count("M", M, 0), _count("K", K, 1),
-                          np.random.default_rng(_seed(seed)))
+    return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
 def _stations(u: np.ndarray, N: int) -> np.ndarray:
@@ -451,9 +448,19 @@ def _rank_counts(counts: np.ndarray, K: int, n: int) -> np.ndarray:
     return np.bincount(ranks, minlength=n)
 
 
+def _snapshot(name: str, counts) -> np.ndarray:
+    """``counts`` as an array of shape ``(N, 4)`` with ``N >= 1``; else a
+    ValueError naming it."""
+    try:
+        counts = np.asarray(counts)
+    except ValueError:  # ragged rows
+        counts = np.empty(0)
+    if counts.ndim != 2 or counts.shape[1] != 4 or not counts.shape[0]:
+        raise ValueError(f"{name} must have shape (N, 4) with N >= 1, got {counts.shape}")
+    return counts
+
+
+@_domain(counts=_Rule(_snapshot, "an array of shape `(N, 4)`, `N >= 1`"), K=_SIZE0)
 def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     """Empirical station-state distribution of a snapshot."""
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[1] != 4 or not counts.shape[0]:
-        raise ValueError(f"counts must have shape (N, 4) with N >= 1, got {counts.shape}")
     return Measure(_rank_counts(counts, K, _budgeted_states(K)) / counts.shape[0], K)

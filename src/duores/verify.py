@@ -7,10 +7,11 @@ family, solver output vs. residual evaluation).  It returns an
 :class:`~duores.experiments.ExperimentReport`: its arguments as
 ``config``, its worst discrepancy as ``metrics["worst"]`` next to any
 other number it computes, and its tolerances as ``thresholds``.  Each
-suite refuses its arguments before any work: a count below one, an
-empty grid list, a tolerance that is not finite and positive, a seed
-numpy does not take, and in the fixed-point suites a grid cell the
-solver would refuse.
+suite declares its arguments (``core._domain``) and refuses a bad one
+before any work, so that no suite passes with nothing checked: a count
+below one, an empty grid list, a tolerance that is not finite and
+positive, a seed numpy does not take, and in the fixed-point suites a
+grid cell the solver would refuse.
 
 :data:`ITEMS` holds the seven suites and the four experiments of
 :mod:`duores.experiments`.  Each item has ``.refuse(**kwargs)``, its
@@ -21,16 +22,21 @@ runs; the test suite pins the suites at fixed tolerances.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 
 import numpy as np
 
 from .core import (
+    _POSITIVE,
+    _SEED,
+    _SIZE0,
+    _SIZE1,
     ModelParams,
-    _count,
+    _domain,
+    _each,
+    _listed,
     _real,
-    _seed,
+    _Rule,
     _staged,
     count_arrays,
     enumerate_states,
@@ -71,40 +77,12 @@ __all__ = [
 ]
 
 
-def _sized(*lists, **least):
-    """Suite decorator: before the suite's own checks, refuse an empty
-    argument named in ``lists``, a count below its ``least``
-    (``core._count``, which converts an integral float; for a name also in
-    ``lists``, each entry), a tolerance (``tol`` or ``*_tol``) that is not
-    finite and ``> 0``, or a ``seed`` that ``np.random.SeedSequence`` does
-    not take, given or default, so that no suite passes with nothing
-    checked.  The suite returns its work, as a ``core._staged`` stage
-    does, so ``suite.refuse(**kwargs)`` runs every check alone."""
-    def wrap(suite):
-        sig = inspect.signature(suite)
-
-        @functools.wraps(suite)
-        def checked(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            for k in lists:
-                if not len(v := bound.arguments[k]):
-                    raise ValueError(f"{k} must hold at least one value, got {v!r}")
-            for k, lo in least.items():
-                v = bound.arguments[k]
-                bound.arguments[k] = ([_count(f"every entry of {k}", e, lo) for e in v]
-                                      if k in lists else _count(k, v, lo))
-            for k, v in bound.arguments.items():
-                if k == "tol" or k.endswith("_tol"):
-                    _real(k, v, 0, strict=True)
-                elif k == "seed":
-                    _seed(v)
-            return suite(*bound.args, **bound.kwargs)
-
-        return _staged(checked)
-    return wrap
+_K_LIST = _each(_SIZE1, least=1)
+_NONEMPTY = _each(_POSITIVE, least=1)
+_FRACTIONS = _each(_real(0, strict=True, hi=1), least=1)  # fill fractions s / K
 
 
+@_domain(eta1=_POSITIVE, rho1=_POSITIVE, rho2=_POSITIVE, eta2=_POSITIVE, K=_SIZE0)
 def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
                      K: int) -> np.ndarray:
     """Dense generator of the four-queue cycle with the given traffic
@@ -164,7 +142,8 @@ def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float, **con
     return work
 
 
-@_sized(K_max=0, roundtrip_K_max=0)
+@_staged
+@_domain(K_max=_SIZE0, roundtrip_K_max=_SIZE0)
 def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> ExperimentReport:
     """Closed-form state counts, the count arrays against their defining
     nested loop over ``(w, x, y, z)`` in lexicographic order, and the
@@ -191,7 +170,8 @@ def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> ExperimentRe
     return work
 
 
-@_sized("K_list", trials=1, K_list=1)
+@_staged
+@_domain(trials=_SIZE1, K_list=_K_LIST, seed=_SEED, tol=_POSITIVE)
 def check_product_form_stationarity(
     trials: int = 50,
     K_list=(1, 2, 3, 4, 5),
@@ -209,7 +189,8 @@ def check_product_form_stationarity(
                             K_list=list(K_list))
 
 
-@_sized(trials=1, K_max=1)
+@_staged
+@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
 def check_step2_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260818,
     tol: float = 1e-13,
@@ -227,7 +208,8 @@ def check_step2_identity(
     return _worst_of_trials("step2_identity", trial, trials, seed, tol, K_max=K_max)
 
 
-@_sized(trials=1, K_max=1)
+@_staged
+@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
 def check_aggregation_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260819,
     tol: float = 1e-13,
@@ -246,7 +228,8 @@ def check_aggregation_identity(
     return _worst_of_trials("aggregation_identity", trial, trials, seed, tol, K_max=K_max)
 
 
-@_sized(trials=1, K_max=1)
+@_staged
+@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
 def check_fill_identity(
     trials: int = 100, K_max: int = 6, seed: int = 20260820,
     tol: float = 1e-13,
@@ -287,19 +270,22 @@ def _outcome(p: ModelParams, s: float, tol: float) -> tuple[str, float]:
     return ("solved" if rep.max_residual <= tol else "solved_above_tol"), rep.max_residual
 
 
-def _checked_cells(cells) -> list:
+def _checked_cells(name: str, cells) -> list:
     """``cells`` as a list, each ``(p, frac)`` refused as the solver's own
-    domain check refuses ``solve_equilibrium(p, frac * p.K)``."""
-    cells = list(cells)
-    for i, (p, frac) in enumerate(cells):
+    domain check refuses ``solve_equilibrium(p, frac * p.K)``: a rule
+    across each cell's model and fraction."""
+    cells = _listed(name, cells, "(p, frac) cells")
+    for i, cell in enumerate(cells):
         try:
+            p, frac = cell
             _check_solvable(p, frac * p.K)
-        except ValueError as e:
+        except (TypeError, ValueError, AttributeError) as e:  # not a (p, frac) pair, or off
             raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1) "
                              f"and lam > 0; {e}") from None
     return cells
 
 
+@_domain(cells=_Rule(_checked_cells, "a sequence of `(p, frac)` pairs"), tol=_POSITIVE)
 def solve_grid(cells, tol: float) -> tuple[float, dict]:
     """Solve ``solve_equilibrium(p, frac * p.K)`` on each ``(p, frac)``
     cell: the one judge of a fixed-point grid.
@@ -310,16 +296,23 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
     solver's own domain check refuses (a fraction outside ``(0, 1)`` or
     ``lam <= 0``) raises ``ValueError`` before any solve.
     """
+    return _solve_checked(cells, tol)
+
+
+def _solve_checked(cells: list, tol: float) -> tuple[float, dict]:
+    """:func:`solve_grid` on cells already checked."""
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)
-    for p, frac in _checked_cells(cells):
+    for p, frac in cells:
         outcome, residual = _outcome(p, frac * p.K, tol)
         counts[outcome] += 1
         worst = max(worst, residual)
     return worst, counts
 
 
-@_sized("lam_list", "nu_list", "K_list", "s_fracs", K_list=1)
+@_staged
+@_domain(lam_list=_NONEMPTY, mu=_POSITIVE, nu_list=_NONEMPTY, K_list=_K_LIST, s_fracs=_FRACTIONS,
+         tol=_POSITIVE, closed_form_tol=_POSITIVE)
 def check_fixed_point(
     lam_list=(0.5, 1.0, 2.0),
     mu: float = 1.0,
@@ -335,11 +328,12 @@ def check_fixed_point(
     At ``K = 1``, ``lam = 2``, ``mu = 1`` the aggregate ratio is 2 and
     the fill 3/4 is attained exactly at intensities ``(1, 2)``.
     """
-    cells = _checked_cells((ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac) for lam in lam_list
-                           for nu in nu_list for K in K_list for frac in s_fracs)
+    cells = _checked_cells("cells", ((ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac)
+                                     for lam in lam_list for nu in nu_list for K in K_list
+                                     for frac in s_fracs))
 
     def work() -> ExperimentReport:
-        worst, counts = solve_grid(cells, tol)
+        worst, counts = _solve_checked(cells, tol)
         rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
         closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
         return ExperimentReport(
@@ -353,7 +347,8 @@ def check_fixed_point(
     return work
 
 
-@_sized("K_list", "s_fracs", "nu_over_mu", K_list=1)
+@_staged
+@_domain(K_list=_K_LIST, s_fracs=_FRACTIONS, nu_over_mu=_NONEMPTY, tol=_POSITIVE)
 def check_fixed_point_large_K(
     K_list=(3, 5, 10, 20, 30, 40, 80, 200),
     s_fracs=(0.2, 0.5, 0.8),
@@ -364,11 +359,11 @@ def check_fixed_point_large_K(
     ``lam = mu = 1``, slow to near-instant reservations.  This covers the
     steep-fill regime of large ``K`` that :func:`check_fixed_point` does
     not reach."""
-    cells = _checked_cells((ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
-                           for K in K_list for frac in s_fracs for nu in nu_over_mu)
+    cells = _checked_cells("cells", ((ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
+                                     for K in K_list for frac in s_fracs for nu in nu_over_mu))
 
     def work() -> ExperimentReport:
-        worst, counts = solve_grid(cells, tol)
+        worst, counts = _solve_checked(cells, tol)
         return ExperimentReport(
             "fixed_point_large_K",
             {"K_list": list(K_list), "s_fracs": list(s_fracs), "nu_over_mu": list(nu_over_mu)},
@@ -377,7 +372,7 @@ def check_fixed_point_large_K(
     return work
 
 
-ITEMS = {
+_SUITES = {
     "enumeration": check_enumeration,
     "product_form_stationarity": check_product_form_stationarity,
     "step2_identity": check_step2_identity,
@@ -385,12 +380,18 @@ ITEMS = {
     "fill_identity": check_fill_identity,
     "fixed_point": check_fixed_point,
     "fixed_point_large_K": check_fixed_point_large_K,
+}
+"""The items that are suites, whose arguments all have defaults: what the
+CLI's ``checks`` names and ``overrides`` configures."""
+
+ITEMS = {
+    **_SUITES,
     "convergence": convergence_experiment,
     "chaos": chaos_experiment,
     "attraction": attraction_experiment,
     "monotonicity": monotonicity_scan,
 }
-"""Every item ``duores verify`` runs, by name: the seven suites, whose
-arguments all have defaults, then the four experiments.  Each returns an
-:class:`ExperimentReport` and has ``.refuse(**kwargs)``, which runs the
-item's checks alone."""
+"""Every item ``duores verify`` runs, by name: the seven suites, then the
+four experiments.  Each returns an :class:`ExperimentReport` and has
+``.refuse(**kwargs)``, which runs the item's checks alone and returns its
+work unrun."""

@@ -739,8 +739,7 @@ def _after_good_items(name, sec):
     ("fill_identity", {"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
     ("fixed_point", {"closed_form_tol": -1.0}, "closed_form_tol must be finite and > 0, got -1.0"),
     ("fixed_point", {"s_fracs": [0.5, 1.5]},
-     "cells[1]: a fixed-point grid needs fill fractions in (0, 1) and lam > 0; "
-     "s must lie in (0, K) = (0, 2), got 3.0"),
+     "every entry of s_fracs must be finite and > 0 and < 1, got 1.5"),
     ("fixed_point_large_K", {"K_list": [3, 0]}, "every entry of K_list must be >= 1, got 0"),
     ("convergence", {**_STUDY, "slope_range": [0.5, -0.5]},
      "slope_range must be two finite numbers lo <= hi, got (0.5, -0.5)"),
@@ -781,6 +780,24 @@ def test_verify_refuses_a_second_experiment_before_the_first_runs(tmp_path, caps
     assert capsys.readouterr().err == ("config error: N_list must hold at least two sizes "
                                        "to fit a slope, got 0\n")
     assert work_calls["_curve_point"] == 0
+
+
+def test_verify_makes_each_attraction_start_solve_once(tmp_path, capsys, monkeypatch):
+    # .refuse made the start solve, and the item's run made it again
+    solves = []
+
+    def counted(*args, _solve=experiments.solve_equilibrium, **kwargs):
+        solves.append(args)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_equilibrium", counted)
+    cfg = {"checks": "all", "experiments": {"convergence": _STUDY_OK, "chaos": _STUDY_OK,
+                                            "attraction": _ATTRACTION,
+                                            "monotonicity": _GOOD["monotonicity"]}}
+    main(["verify", _write_cfg(tmp_path, "v.json", cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0].split()[1] for line in lines] == list(verify.ITEMS)
+    assert len(solves) == 1
 
 
 def test_verify_reports_a_raising_suite_and_runs_every_other_item(tmp_path, capsys,

@@ -127,6 +127,15 @@ def test_fractional_state_entries_are_refused_by_state(state):
         ranks_of(*([c] for c in state), 2)
 
 
+@pytest.mark.parametrize("w, named", [(["a"], r"\('a', '0', '0', '0'\) is not an admissible state"),
+                                      ([0, 0], r"w, x, y and z must be count arrays of one shape")])
+def test_ranks_of_refuses_a_string_entry_or_unequal_shapes_by_name(w, named):
+    # a string entry was numpy's unnamed UFuncNoLoopError; unequal shapes
+    # were np.stack's "all input arrays must have the same shape"
+    with pytest.raises(ValueError, match=named):
+        ranks_of(w, [0], [0], [0], 2)
+
+
 def test_integral_float_state_entries_rank_as_ints():
     for st in enumerate_states(3):
         rank = index_of(st, 3)
@@ -326,6 +335,9 @@ def test_model_params_convert_integral_capacity(K):
 def test_model_params_keep_their_sign_messages():
     with pytest.raises(ValueError, match=r"^lam must be >= 0, got -1\.0$"):
         ModelParams(lam=-1.0, mu=1.0, nu=1.0, K=1)
-    for mu, nu in ((0.0, 1.0), (1.0, -2.0)):
-        with pytest.raises(ValueError, match="^mu and nu must be > 0$"):
+    # "mu and nu must be > 0" named neither rate alone
+    for mu, nu, named in ((0.0, 1.0, r"^mu must be > 0, got 0\.0$"),
+                          (1.0, -2.0, r"^nu must be > 0, got -2\.0$"),
+                          (1.0, 0.0, r"^nu must be > 0, got 0\.0$")):
+        with pytest.raises(ValueError, match=named):
             ModelParams(lam=1.0, mu=mu, nu=nu, K=1)

@@ -383,6 +383,10 @@ _NAN = float("nan")
     (dict(xy_max=_NAN), "xy_max must be finite and > 0, got nan"),  # an arange error
     (dict(grid_step=_INF), "grid_step must be finite and > 0, got inf"),
     (dict(n_curve=2.5), "n_curve must be an integer, got 2.5"),  # a range() TypeError
+    # numpy's unnamed "Maximum allowed size exceeded" from the grid's arange
+    (dict(grid_step=1e-300), r"grid_step=1e-300 and xy_max=5\.0 ask for 5e\+300 grid points"),
+    (dict(xy_max=1e300), r"grid_step=0\.1 and xy_max=1e\+300 ask for 1e\+301 grid points"),
+    (dict(grid_step=0.004), r"ask for 1\.25e\+03 grid points, above 1000"),
 ])
 def test_monotonicity_scan_refuses_degenerate_values_by_name(monkeypatch, kw, named):
     # refused up front: no g_mean evaluation runs, checked or not

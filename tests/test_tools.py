@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from duores import verify
+import duores
+from duores import experiments, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
@@ -55,18 +56,134 @@ def test_first_solve_prints_the_solve_time_alone(layers, capsys):
     assert float(capsys.readouterr().out) >= 0.0
 
 
+def test_a_timed_record_scales_each_median_by_the_reference_kernel(layers, tmp_path):
+    # each checkout was recorded in its own process at raw CPU times, which
+    # a shared machine's drift moved by up to 2x between the records
+    out = tmp_path / "flow.json"
+    assert layers.main(["flow", "--label", "x", "--repeats", "2", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["x"]
+    k = record["reference_s"]
+    assert k > 0
+    for layer in record["layers"].values():
+        assert layer["median_ms_at_ref"] == round(layer["median_ms"] * layers.reference.REF_S / k, 3)
+
+
 @pytest.mark.parametrize("row", LAYERS.CONTRACT, ids=LAYERS.contract_id)
 def test_every_contract_row_ends_in_an_answer_or_a_refusal_naming_its_argument(row):
-    # one row per input that was accepted silently or failed with an
-    # internal error, and per refusal no other test pins
+    # the inputs no declaration states: rules across arguments, start
+    # states, JSON read-back and domain edges that must answer
     outcome, message = LAYERS.contract_outcome(*row)
     assert outcome == ("answer" if row[3] is None else "named_value_error"), message
 
 
-def test_contract_counts_every_row_under_its_entry(layers, tmp_path):
+@pytest.fixture(scope="module")
+def sweep():
+    return LAYERS.sweep()
+
+
+@pytest.mark.parametrize("entry", LAYERS.BASE)
+def test_every_draw_of_a_declared_argument_ends_in_an_answer_or_a_named_refusal(sweep, entry):
+    # a draw the declaration refuses ends in a ValueError naming the drawn
+    # argument, for an entry with a hand-written guard too, and such a guard
+    # refuses no other draw as out of the argument's own domain; any other
+    # draw ends in an answer, such a refusal or a named RuntimeError subclass
+    rows = [row for row in sweep if row[0] == entry]
+    assert {row[1] for row in rows} == set(LAYERS._entry(entry).__domain__)
+    assert [row for row in rows if LAYERS.sweep_unexpected(row)] == []
+
+
+def test_the_sweep_covers_every_declared_entry_and_its_known_draws_still_end_otherwise(sweep):
+    public = {f"{m}.{n}" for m in ("core", "equilibrium", "meanfield", "simulate", "experiments",
+                                   "verify")
+              for n in getattr(duores, m).__all__
+              if hasattr(getattr(getattr(duores, m), n), "__domain__")}
+    swept = {f"{LAYERS._entry(e).__module__.split('.')[-1]}.{LAYERS._entry(e).__qualname__}"
+             for e in LAYERS.BASE}
+    assert public <= swept
+    for known in LAYERS.KNOWN_OTHER:  # the list holds no draw that has come to end as due
+        assert any(row[:3] == known and row[4] == "other" for row in sweep), known
+
+
+# (entry, argument, draw) of each CONTRACT row the sweep replaced
+REMOVED = [
+    ("g_mean", "x", "nan"), ("g_mean", "y", "inf"), ("g_mean", "K", "negative"),
+    ("g_mean", "K", "fraction"), ("f_simple", "x", "nan"), ("f_simple", "x", "negative"),
+    ("equilibrium.simple_form", "x", "nan"), ("equilibrium.simple_form", "y", "nan"),
+    ("solve_phi", "K", "fraction"), ("solve_phi", "K", "zero"), ("solve_phi", "a", "inf"),
+    ("product_form", "K", "fraction"), ("RateRatios", "eta1", "nan"),
+    ("num_states", "K", "fraction"), ("num_states", "K", "negative"),
+    ("Measure.uniform", "K", "fraction"), ("index_of", "K", "fraction"),
+    ("state_of", "rank", "fraction"), ("solve_equilibrium", "fill_tol", "nan"),
+    ("solve_equilibrium", "fill_tol", "zero"), ("solve_equilibrium", "fill_tol", "negative"),
+    ("init_uniform", "N", "zero"), ("init_uniform", "M", "negative"),
+    ("empirical_measure", "counts", "empty"), ("chaos_experiment", "N_list", "entry integer"),
+    ("integrate", "T", "negative"), ("convergence_experiment", "s", "nan"),
+    ("convergence_experiment", "replicas", "fraction"),
+    ("convergence_experiment", "dt_max", "nan"), ("chaos_experiment", "marginal_tol", "nan"),
+    ("chaos_experiment", "T", "nan"), ("experiments.derive_seed", "seed0", "fraction"),
+    ("attraction_experiment", "perturbation_size", "nan"), ("attraction_experiment", "dt", "nan"),
+    ("index_of", "state", "entry fraction"), ("SimConfig", "seed", "fraction"),
+    ("SimConfig", "seed", "negative"), ("init_uniform", "seed", "fraction"),
+    ("init_uniform", "seed", "negative"), ("verify.check_enumeration", "K_max", "negative"),
+    ("verify.check_product_form_stationarity", "K_list", "empty"),
+    ("verify.check_step2_identity", "K_max", "zero"),
+    ("verify.check_aggregation_identity", "trials", "zero"),
+    ("verify.check_fixed_point", "lam_list", "empty"),
+    ("verify.check_fixed_point_large_K", "K_list", "empty"),
+    ("verify.check_step2_identity", "tol", "nan"), ("verify.check_step2_identity", "seed", "negative"),
+    ("verify.check_product_form_stationarity", "K_list", "entry zero"),
+    ("verify.check_fixed_point", "closed_form_tol", "nan"), ("solve_equilibrium", "s", "string"),
+    ("solve_phi", "x", "string"), ("solve_phi", "a", "string"),
+    ("verify.check_fixed_point", "K_list", "entry zero"),
+    ("verify.check_fixed_point_large_K", "K_list", "entry zero"),
+    ("convergence_experiment", "slope_range", "edge (-0.7,)"),
+    ("convergence_experiment", "slope_range", "edge (0.5, -0.5)"),
+    ("convergence_experiment", "N_list", "non-sequence"),
+    ("chaos_experiment", "N_list", "non-sequence"),
+    ("convergence_experiment", "sample_times", "non-sequence"),
+    ("chaos_experiment", "sample_times", "non-sequence"), ("SimConfig", "sample_times", "non-sequence"),
+    ("integrate_at", "times", "non-sequence"),
+]
+
+
+@pytest.mark.parametrize("entry, arg, label", REMOVED, ids=[" ".join(r) for r in REMOVED])
+def test_each_removed_contract_row_is_reproduced_by_a_sweep_draw(sweep, entry, arg, label):
+    assert any(row[:3] == (entry, arg, label) and row[4] == "named_value_error" for row in sweep)
+
+
+def test_staged_items_refuse_every_draw_before_any_run_stream_or_solve(monkeypatch):
+    # the attraction item's start solve is part of its refusal
+    calls, outcome = [], LAYERS.sweep_outcome
+    for mod in (experiments, verify):
+        for name in ("run", "_stream", "solve_equilibrium", "integrate_at"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+
+    def watched(entry, arg, value):
+        calls.clear()
+        ended = outcome(entry, arg, value)
+        if hasattr(LAYERS._entry(entry), "refuse"):
+            allowed = ["solve_equilibrium"] if entry == "attraction_experiment" else []
+            assert calls in ([], allowed), (entry, arg, value)
+        return ended
+
+    monkeypatch.setattr(LAYERS, "sweep_outcome", watched)
+    assert LAYERS.sweep()
+
+
+def test_contract_records_the_sweep_and_the_kept_rows(layers, tmp_path):
     out = tmp_path / "contract.json"
     assert layers.main(["contract", "--label", "x", "--out", str(out)]) == 0
     record = json.loads(out.read_text())["x"]
     assert record["rows"] == len(layers.CONTRACT) == sum(record["totals"].values())
     assert sum(sum(c.values()) for c in record["entries"].values()) == record["rows"]
     assert record["unexpected"] == []
+    swept = record["sweep"]
+    assert swept["unexpected"] == []
+    assert swept["draws"] == sum(swept["totals"].values()) == sum(
+        sum(c.values()) for c in swept["entries"].values())
+    assert swept["totals"]["other"] == len(layers.KNOWN_OTHER)
+    assert swept["not_drawn_large"]["ModelParams"] == {"K": 1e300}
+    assert swept["not_drawn_large"]["integrate"] == {"T": 1e300, "dt": 1e-300}
+    assert "monotonicity_scan" in swept["entries"]
+    assert swept["not_drawn_large"]["monotonicity_scan"] == {"K_list": 1e300, "n_curve": 1e300}

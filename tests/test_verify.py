@@ -174,6 +174,14 @@ def test_solved_label_and_verdict_keep_their_comparisons():
     assert not res.passed and res.metrics["outcomes"]["solved"] == 1
 
 
+def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
+    # the work's solve_grid checked every cell the stage had checked, a second time
+    checked = []
+    monkeypatch.setattr(verify, "_check_solvable", lambda p, s: checked.append((p.K, s)))
+    check_fixed_point_large_K(K_list=(3, 5), s_fracs=(0.5,), nu_over_mu=(1.0,))
+    assert checked == [(3, 1.5), (5, 2.5)]
+
+
 @pytest.mark.parametrize("s_over_K", [0.0, 1.0, -0.5, 1.5])
 def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
     with pytest.raises(ValueError, match="fill fractions in"):
@@ -194,8 +202,8 @@ def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_o
      "seed must be None, an integer >= 0 or a sequence of them, got -1"),
     ("product_form_stationarity", dict(K_list=[0]), "every entry of K_list must be >= 1, got 0"),
     ("fixed_point", dict(closed_form_tol=math.nan), "closed_form_tol must be finite and > 0"),
-    ("fixed_point", dict(s_fracs=[0.5, 1.5]), r"cells\[1\]: a fixed-point grid needs fill"),
-    ("fixed_point_large_K", dict(s_fracs=[1.0]), r"cells\[0\]: a fixed-point grid needs fill"),
+    ("fixed_point", dict(s_fracs=[0.5, 1.5]), r"every entry of s_fracs must be .* < 1, got 1\.5"),
+    ("fixed_point_large_K", dict(s_fracs=[1.0]), r"every entry of s_fracs must be .* < 1, got 1\.0"),
 ])
 def test_suites_with_nothing_to_check_are_refused_before_any_work(monkeypatch, name, kw,
                                                                    named):

@@ -42,29 +42,37 @@ subjects, each with its default ``FILE`` at the repository root:
   3328 solves, each counted under one of ``verify.OUTCOMES`` with the
   residual bound 1e-10.  The counts per ``(K, nu/mu)`` cell and in total
   are deterministic; the CPU time of the whole grid is recorded too.
-* ``contract`` (``BENCH_contract.json``, no repeats): each row of
-  ``CONTRACT``, a public entry called on one input, ends in an answer, in
-  a ``ValueError`` whose message names the row's argument, or otherwise
-  (any other exception, or a ``ValueError`` that names something else).
-  ``json_read_back`` stands for ``io.write_json`` followed by a strict
-  JSON read of the file it wrote.
-  The counts per entry and in total are deterministic.  A row is due a
-  refusal that names its argument, or an answer where it names none (a
-  domain edge); the rows that end otherwise are listed.
+* ``contract`` (``BENCH_contract.json``, no repeats): a seeded sweep of
+  every declared argument of every entry of ``BASE`` (README, "Input
+  domains"), and each row of ``CONTRACT``, an input no declaration
+  states, called once.  Each call ends in an answer, a ``ValueError``
+  whose message names the drawn (the row's) argument, a named
+  ``RuntimeError`` subclass, or otherwise.  ``json_read_back`` stands for
+  ``io.write_json`` followed by a strict JSON read of the file it wrote.
+  The counts per entry and in total are deterministic; the draws and
+  rows that end otherwise than due are listed.
 
 Each time is taken ``R`` times on ``time.process_time``, after one
 untimed warm-up call unless the layer clears the caches before each
-sample; medians and quartiles are over the ``R`` samples.  The record,
-with the Python, numpy and duores versions and the core count, is merged
-into ``FILE`` under ``NAME``, so two checkouts can record into one file.
-Times are raw CPU times, not scaled to a reference speed, so compare
-only runs taken back to back on one machine.
+sample; medians and quartiles are over the ``R`` samples.  The fixed
+kernel of ``bench/reference.py`` runs ahead of each sample, and the
+record keeps its median CPU time as ``reference_s``; next to each raw
+median it gives ``median_ms_at_ref`` (``t * REF_S / reference_s``) or
+``median_per_s_at_ref`` (a rate scaled the other way), the figure on a
+CPU that runs the kernel in ``REF_S``, as ``bench/run.py`` scales its
+times.  A shared virtual machine's speed can drift by up to 2x between
+processes minutes apart, so compare checkouts recorded in separate
+processes by the scaled medians.  The record, with the Python, numpy and duores versions
+and the core count, is merged into ``FILE`` under ``NAME``, so two
+checkouts can record into one file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -76,6 +84,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 if __name__ == "__main__":  # one BLAS thread, set before numpy loads
@@ -91,14 +100,21 @@ import duores  # noqa: E402
 from duores import core, equilibrium, experiments, meanfield, simulate, verify  # noqa: E402
 from duores import io as dio  # noqa: E402
 
+_SPEC = importlib.util.spec_from_file_location("reference", ROOT / "bench" / "reference.py")
+reference = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reference)
+_KERNEL_S: list = []  # CPU seconds of the reference kernel, one run ahead of each sample
+
 
 def _cpu_s(fn, repeats: int, before=None) -> list:
     """CPU seconds of ``repeats`` calls of ``fn``; ``before`` runs untimed
-    ahead of each call, and without it one warm-up call comes first."""
+    ahead of each call, and without it one warm-up call comes first.  The
+    reference kernel runs ahead of each sample."""
     if before is None:
         fn()
     samples = []
     for _ in range(repeats):
+        _KERNEL_S.append(reference.kernel())
         if before is not None:
             before()
         t0 = time.process_time()
@@ -212,8 +228,12 @@ def _clear_core_caches() -> None:
 
 def _first_solve_ms(K: int, repeats: int) -> dict:
     cmd = [sys.executable, __file__, "state_space", "--first-solve", str(K)]
-    return _summary([float(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
-                     for _ in range(repeats)], "ms", 3)
+    samples = []
+    for _ in range(repeats):
+        _KERNEL_S.append(reference.kernel())
+        samples.append(float(subprocess.run(cmd, check=True, capture_output=True,
+                                            text=True).stdout))
+    return _summary(samples, "ms", 3)
 
 
 def _peak_kib(K: int) -> int:
@@ -272,8 +292,150 @@ def solver_outcomes(repeats: int) -> dict:
 NAN, INF = math.nan, math.inf
 _P2 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
 _P3 = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
-_STUDY = (_P2, [4, 8], 1, 1.0, (1.0,), 5)  # p, N_list, replicas, T, sample_times, seed0
-_RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding M = 3 cars
+_STUDY = dict(p=_P2, N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,), seed0=5, s=1.0)
+_ONES = dict(eta1=1.0, rho1=1.0, rho2=1.0, eta2=1.0)
+
+BASE = {  # declared entry: keyword arguments of one cheap valid call, the defaults aside
+    "ModelParams": dict(lam=1.0, mu=1.0, nu=2.0, K=3), "Measure": dict(probs=[0.2] * 5, K=1),
+    "Measure.point": dict(state=(0, 0, 0, 1), K=1), "Measure.uniform": dict(K=1),
+    **dict.fromkeys(["num_states", "enumerate_states", "core.count_arrays", "core.fill_vector",
+                     "core.no_available_mask", "core.saturated_mask"], dict(K=2)),
+    "index_of": dict(state=(0, 0, 1, 0), K=2), "state_of": dict(rank=3, K=2),
+    "core.ranks_of": dict(w=[0], x=[0], y=[1], z=[0], K=2), "RateRatios": _ONES,
+    "product_form": dict(rho=equilibrium.RateRatios(**_ONES), K=2),
+    **dict.fromkeys(["equilibrium.simple_form", "g_mean"], dict(x=1.0, y=1.0, K=3)),
+    "f_simple": dict(x=1.0, y=1.0, a=2.0, K=3),
+    **dict.fromkeys(["solve_phi", "equilibrium._curve_point"], dict(x=0.5, a=1.0, K=3)),
+    "solve_equilibrium": dict(p=_P3, s=1.5),
+    "integrate": dict(m0=core.Measure.uniform(2), p=_P2, T=0.1, dt=0.01),
+    "integrate_at": dict(m0=core.Measure.uniform(2), p=_P2, times=[0.05, 0.1], dt_max=0.01),
+    "SimConfig": dict(N=3, M=3, T=1.0, sample_times=(0.5, 1.0), seed=1),
+    "init_uniform": dict(N=3, M=3, K=2, seed=1),
+    "empirical_measure": dict(counts=[[0, 0, 1, 0], [0, 1, 0, 0]], K=2),
+    "experiments.derive_seed": dict(seed0=5, condition=4, replica=1),
+    "fill_preserving_perturbation": dict(m=core.Measure.point((0, 0, 2, 0), 2), size=0.1),
+    "convergence_experiment": _STUDY, "chaos_experiment": _STUDY,
+    "attraction_experiment": dict(p=_P2, perturbation_size=0.1, T=1.0, s=1.0),
+    "verify.tandem_generator": dict(**_ONES, K=1),
+    "verify.solve_grid": dict(cells=[(_P3, 0.5)], tol=1e-10), "monotonicity_scan": {},
+    **{f"verify.{fn.__name__}": {} for fn in verify._SUITES.values()},
+}
+THEN = {"ModelParams": lambda p: equilibrium.solve_equilibrium(p, p.K / 2)}  # on the answer
+KNOWN_OTHER = {
+    # (entry, argument, draw): accepted inputs that end in the generic fill
+    # RuntimeError (ROADMAP item 3)
+    ("ModelParams", "lam", "huge"), ("ModelParams", "mu", "tiny"),
+}
+HAND_GUARDED = {"num_states", "Measure", "equilibrium._curve_point"}  # data-declared
+SWEEP_SEED = 20261019
+OUTCOMES = ("answer", "named_value_error", "named_runtime_error", "other")
+# at and just outside each bound in use: counts >= 0, 1 or 2, reals >= 0 or
+# > 0, fractions < 1; then the magnitudes, and sequences a rule refuses as a
+# whole (decreasing times, one number or a reversed pair for a range)
+EDGES = (-1, math.nextafter(0.0, -1.0), 0.5, 1, 1.5, 2, 2.5, 0, NAN, INF, -INF, 1e-300, 1e300)
+SEQUENCES = ((1.0, 0.5), (-0.7,), (0.5, -0.5))
+# The arguments that set the amount of work, by name in every entry or by
+# (entry, argument), and the magnitude at which it is large, not drawn
+SIZES = ("K", "N", "M", "N_list", "K_list", "replicas", "trials", "K_max", "roundtrip_K_max",
+         "n_curve")
+NOT_DRAWN_LARGE = {
+    **dict.fromkeys(SIZES, 1e300), ("integrate", "dt"): 1e-300, ("integrate_at", "dt_max"): 1e-300,
+    **{(e, a): 1e300 for e, a in (("integrate", "T"), ("integrate_at", "times"),
+                                  ("convergence_experiment", "T"), ("chaos_experiment", "T"),
+                                  ("attraction_experiment", "T"))},
+}
+
+
+def not_drawn_large(entry: str, arg: str):
+    """The magnitude at which ``arg`` sets the work of ``entry``, or ``None``."""
+    return NOT_DRAWN_LARGE.get((entry, arg), NOT_DRAWN_LARGE.get(arg))
+
+
+def value_class(v) -> str:
+    """The class of one drawn number, or ``string``."""
+    if isinstance(v, str):
+        return "string"
+    for name, hit in (("nan", math.isnan(v)), ("inf", v == INF), ("-inf", v == -INF),
+                      ("zero", v == 0), ("negative", v < 0), ("huge", v >= 1e300),
+                      ("tiny", v <= 1e-300), ("integer", float(v).is_integer())):
+        if hit:
+            return name
+    return "fraction"
+
+
+def _draws(base, large, rng) -> list:
+    """``(label, value)`` draws of one argument whose valid value is
+    ``base``: ``EDGES`` (less ``large``, the magnitude at which it sets
+    the work), two seeded numpy draws, a string, and for a sequence
+    ``SEQUENCES``, a non-sequence and an empty sequence.  For a sequence
+    argument each number replaces its first entry."""
+    numbers = [v for v in EDGES if v != large] + [float(rng.uniform(-4.0, 4.0)),
+                                                 int(rng.integers(-2, 4))]
+    if not isinstance(base, (list, tuple)):
+        return [(value_class(v), v) for v in numbers] + [("string", "1.5"), ("empty", [])]
+    return ([(f"entry {value_class(v)}", [v, *base[1:]]) for v in numbers]
+            + [(f"edge {e!r}", e) for e in SEQUENCES]
+            + [("string", "1.5"), ("non-sequence", 2), ("empty", [])])
+
+
+def _entry(name: str):
+    return functools.reduce(getattr, name.split("."), duores)
+
+
+def _ending(call, named) -> tuple[str, str]:
+    """How ``call()`` ends, one of ``OUTCOMES`` (a ``ValueError`` is named
+    when its message names ``named``), and its error message."""
+    try:
+        call()
+    except ValueError as e:
+        names = named is not None and re.search(rf"(?<!\w){re.escape(named)}(?!\w)", str(e))
+        return ("named_value_error" if names else "other"), f"ValueError: {e}"
+    except Exception as e:  # any other ending is counted, not raised
+        subclass = isinstance(e, RuntimeError) and type(e) is not RuntimeError
+        return ("named_runtime_error" if subclass else "other"), f"{type(e).__name__}: {e}"
+    return "answer", ""
+
+
+def sweep_outcome(entry: str, arg: str, value) -> tuple[str, str]:
+    """How the base call of ``entry`` (a staged one through ``.refuse``)
+    ends with ``arg`` drawn as ``value``."""
+    fn = _entry(entry)
+    call = getattr(fn, "refuse", fn)
+    then = THEN.get(entry, lambda out: out)
+    return _ending(lambda: then(call(**{**BASE[entry], arg: value})), arg)
+
+
+def sweep() -> list:
+    """Every draw of every declared argument of every entry of ``BASE``:
+    ``(entry, argument, label, refused by the declaration, outcome,
+    message)``."""
+    rows = []
+    for entry, base in BASE.items():
+        fn = _entry(entry)
+        full = {k: p.default for k, p in inspect.signature(fn).parameters.items()} | base
+        for arg, rule in fn.__domain__.items():
+            rng = np.random.default_rng((SWEEP_SEED, zlib.crc32(f"{entry} {arg}".encode())))
+            for label, value in _draws(full[arg], not_drawn_large(entry, arg), rng):
+                try:
+                    rule.check(arg, value)
+                    refused = False
+                except ValueError:
+                    refused = True
+                rows.append((entry, arg, label, refused, *sweep_outcome(entry, arg, value)))
+    return rows
+
+
+def sweep_unexpected(row) -> bool:
+    """A draw the declaration refuses that does not end in a refusal naming
+    it; a draw it accepts that a hand-written guard refuses as out of the
+    argument's own domain (``<arg> must be ...``); or any draw that ends
+    otherwise, less ``KNOWN_OTHER``."""
+    entry, arg, label, refused, outcome, message = row
+    if refused:
+        return outcome != "named_value_error"
+    if entry in HAND_GUARDED and message.startswith(f"ValueError: {arg} must be"):
+        return True
+    return outcome == "other" and (entry, arg, label) not in KNOWN_OTHER
 
 
 def _start(w=(0, 0, 0), y=(0, 0, 0), z=(0, 0, 0)) -> simulate.SimState:
@@ -296,93 +458,36 @@ def _json_read_back(value):
 
 
 _LOCAL = {"json_read_back": _json_read_back}  # contract entries not in duores
+_RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding M = 3 cars
+_U2 = core.Measure.uniform(2)
 
 CONTRACT = (
-    # (entry in duores or _LOCAL, args, kwargs, the argument its refusal
-    # names, or None where the input lies in the domain or on its edge and
-    # has an answer)
-    ("g_mean", (NAN, 1.0, 3), {}, "x"),
-    ("g_mean", (1.0, INF, 3), {}, "y"),
-    ("g_mean", (1.0, 1.0, -1), {}, "K"),
-    ("g_mean", (1.0, 1.0, 2.5), {}, "K"),
-    ("f_simple", (NAN, 1.0, 2.0, 3), {}, "x"),
-    ("f_simple", (-1.0, 1.0, 2.0, 3), {}, "x"),
-    ("equilibrium.simple_form", (NAN, 1.0, 3), {}, "x"),
-    ("equilibrium.simple_form", (1.0, NAN, 3), {}, "y"),
-    ("solve_phi", (0.5, 1.0, 2.5), {}, "K"),
-    ("solve_phi", (0.5, 1.0, 0), {}, "K"),
-    ("solve_phi", (0.5, INF, 3), {}, "a"),
-    ("product_form", (equilibrium.RateRatios(1.0, 1.0, 1.0, 1.0), 2.5), {}, "K"),
-    ("RateRatios", (NAN, 1.0, 1.0, 1.0), {}, "eta1"),
-    ("num_states", (2.5,), {}, "K"),
-    ("num_states", (-1,), {}, "K"),
-    ("Measure.uniform", (2.5,), {}, "K"),
-    ("index_of", ((0, 0, 0, 0), 2.5), {}, "K"),
-    ("state_of", (2.5, 2), {}, "rank"),
-    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": NAN}, "fill_tol"),
-    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": 0.0}, "fill_tol"),
-    ("solve_equilibrium", (_P3, 1.5), {"fill_tol": -1.0}, "fill_tol"),
+    # The inputs no declaration states: (entry in duores or _LOCAL, args,
+    # kwargs, the argument its refusal names, or None where the input lies
+    # in the domain or on its edge and has an answer).  Rules across
+    # arguments:
     ("solve_equilibrium", (_P3, 3.0), {}, "s"),
     ("verify.solve_grid", ([(_P3, NAN)], 1e-10), {}, "cells"),
-    ("init_uniform", (0, 0, 3, 1), {}, "N"),
-    ("init_uniform", (3, -1, 3, 1), {}, "M"),
     ("init_uniform", (3, 10, 3, 1), {}, "M"),
     ("SimConfig", (2, 1, 1.0, (2.0,), 0), {}, "sample_times"),
-    ("empirical_measure", (np.zeros((0, 4), dtype=np.int64), 2), {}, "counts"),
-    ("chaos_experiment", (_P2, [1, 8], *_STUDY[2:]), {"s": 1.0}, "N_list"),
-    ("integrate", (core.Measure.uniform(2), _P2, -1.0, 0.1), {}, "T"),
-    ("integrate", (core.Measure.uniform(2), _P2, 1.0, 1.0), {}, "dt"),
-    ("integrate_at", (core.Measure.uniform(2), _P2, [0.5], 1.0), {}, "dt_max"),
-    ("convergence_experiment", _STUDY, {"s": NAN}, "s"),
-    ("convergence_experiment", (*_STUDY[:2], 1.5, *_STUDY[3:]), {"s": 1.0}, "replicas"),
-    ("convergence_experiment", _STUDY, {"s": 1.0, "dt_max": NAN}, "dt_max"),
-    ("convergence_experiment", (*_STUDY[:4], (2.0,), 5), {"s": 1.0}, "sample_times"),
-    ("chaos_experiment", _STUDY, {"s": 1.0, "marginal_tol": NAN}, "marginal_tol"),
-    ("chaos_experiment", (*_STUDY[:3], NAN, *_STUDY[4:]), {"s": 1.0}, "T"),
-    ("experiments.derive_seed", (2.5, 4, 1), {}, "seed0"),
-    ("attraction_experiment", (_P2, NAN, 1.0), {"s": 1.0}, "perturbation_size"),
-    ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 1.0, "dt": NAN}, "dt"),
+    ("integrate", (_U2, _P2, 1.0, 1.0), {}, "dt"),
+    ("integrate_at", (_U2, _P2, [0.5], 1.0), {}, "dt_max"),
+    ("convergence_experiment", (_P2, [4, 8], 1, 1.0, (2.0,), 5), {"s": 1.0}, "sample_times"),
     ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 2.0}, "s"),
-    ("index_of", ((0.5, 0, 0, 0), 2), {}, "state"),
     ("core.ranks_of", ([0.5], [0], [0], [0], 2), {}, "state"),
-    ("SimConfig", (2, 1, 1.0, (0.5,), 2.5), {}, "seed"),
-    ("SimConfig", (2, 1, 1.0, (0.5,), -1), {}, "seed"),
-    ("init_uniform", (2, 1, 2, 2.5), {}, "seed"),
-    ("init_uniform", (2, 1, 2, -1), {}, "seed"),
-    ("verify.check_enumeration", (-3, -3), {}, "K_max"),
-    ("verify.check_product_form_stationarity", (), {"K_list": []}, "K_list"),
-    ("verify.check_step2_identity", (), {"K_max": 0}, "K_max"),
-    ("verify.check_aggregation_identity", (), {"trials": 0}, "trials"),
-    ("verify.check_fixed_point", (), {"lam_list": []}, "lam_list"),
-    ("verify.check_fixed_point_large_K", (), {"K_list": []}, "K_list"),
+    # a start state that does not fit the run
     ("run", _RUN, {"initial": _start(y=(-1, 2, 2))}, "initial"),
     ("run", _RUN, {"initial": _start(y=(3, 0, 0))}, "initial"),
     ("run", _RUN, {"initial": _start(w=(0, 1, 0), y=(0, 1, 1), z=(1, 0, 0))}, "initial"),
+    # what a report holds must read back as JSON
     ("json_read_back", (np.float64(INF),), {}, None),
     ("json_read_back", (np.bool_(True),), {}, None),
-    ("verify.check_step2_identity", (), {"tol": NAN}, "tol"),
-    ("verify.check_step2_identity", (), {"seed": -1}, "seed"),
-    ("verify.check_product_form_stationarity", (), {"K_list": [0]}, "K_list"),
-    ("verify.check_fixed_point", (), {"closed_form_tol": NAN}, "closed_form_tol"),
-    ("solve_equilibrium", (_P3, "1.5"), {}, "s"),
-    ("solve_phi", ("0.5", 2.0, 3), {}, "x"),
-    ("solve_phi", (0.5, "2.0", 3), {}, "a"),
-    ("verify.check_fixed_point", (), {"K_list": [0]}, "K_list"),
-    ("verify.check_fixed_point_large_K", (), {"K_list": [0]}, "K_list"),
-    ("convergence_experiment", _STUDY, {"s": 1.0, "slope_range": (-0.7,)}, "slope_range"),
-    ("convergence_experiment", _STUDY, {"s": 1.0, "slope_range": (0.5, -0.5)}, "slope_range"),
+    # domain edges that must answer
     ("ModelParams", (0.0, 1.0, 1.0, 1), {}, None),
     ("num_states", (0,), {}, None),
     ("init_uniform", (1, 0, 1, 0), {}, None),
-    ("fill_preserving_perturbation", (core.Measure.uniform(2), INF), {}, None),
-    ("convergence_experiment", (_P2, 5, *_STUDY[2:]), {"s": 1.0}, "N_list"),
-    ("chaos_experiment", (_P2, 5, *_STUDY[2:]), {"s": 1.0}, "N_list"),
-    ("convergence_experiment", (*_STUDY[:4], 0.5, 5), {"s": 1.0}, "sample_times"),
-    ("chaos_experiment", (*_STUDY[:4], 0.5, 5), {"s": 1.0}, "sample_times"),
-    ("SimConfig", (2, 1, 1.0, 0.5, 0), {}, "sample_times"),
-    ("integrate_at", (core.Measure.uniform(2), _P2, 0.5, 0.01), {}, "times"),
+    ("fill_preserving_perturbation", (_U2, INF), {}, None),
 )
-CONTRACT_OUTCOMES = ("answer", "named_value_error", "other")
 
 
 def contract_id(row) -> str:
@@ -394,29 +499,39 @@ def contract_id(row) -> str:
 
 
 def contract_outcome(entry, args, kwargs, named) -> tuple[str, str]:
-    """How the call of ``entry`` ends, one of ``CONTRACT_OUTCOMES``, and its
-    error message (empty for an answer)."""
-    fn = _LOCAL.get(entry) or functools.reduce(getattr, entry.split("."), duores)
-    try:
-        fn(*args, **kwargs)
-    except ValueError as e:
-        names = named is not None and re.search(rf"(?<!\w){re.escape(named)}(?!\w)", str(e))
-        return ("named_value_error" if names else "other"), f"ValueError: {e}"
-    except Exception as e:  # any other ending is counted, not raised
-        return "other", f"{type(e).__name__}: {e}"
-    return "answer", ""
+    """How the call of ``entry`` ends, one of ``OUTCOMES``, and its error
+    message (empty for an answer)."""
+    fn = _LOCAL.get(entry) or _entry(entry)
+    return _ending(lambda: fn(*args, **kwargs), named)
+
+
+def _counts(keys, outcomes) -> tuple[dict, dict]:
+    """Outcome counts per key and in total."""
+    per, totals = {}, dict.fromkeys(OUTCOMES, 0)
+    for key, outcome in zip(keys, outcomes):
+        per.setdefault(key, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+        totals[outcome] += 1
+    return per, totals
 
 
 def contract(repeats: int) -> dict:
-    entries, totals, unexpected = {}, dict.fromkeys(CONTRACT_OUTCOMES, 0), []
-    for row in CONTRACT:
-        outcome, _ = contract_outcome(*row)
-        entries.setdefault(row[0], dict.fromkeys(CONTRACT_OUTCOMES, 0))[outcome] += 1
-        totals[outcome] += 1
-        if outcome != ("answer" if row[3] is None else "named_value_error"):
-            unexpected.append(contract_id(row))
-    return {"rows": len(CONTRACT), "totals": totals, "entries": entries,
-            "unexpected": unexpected}
+    rows = sweep()
+    entries, totals = _counts([r[0] for r in rows], [r[4] for r in rows])
+    kept = [contract_outcome(*row)[0] for row in CONTRACT]
+    kept_entries, kept_totals = _counts([r[0] for r in CONTRACT], kept)
+    large = {e: {a: not_drawn_large(e, a) for a in _entry(e).__domain__
+                 if not_drawn_large(e, a)} for e in BASE}
+    return {
+        "sweep": {"draws": len(rows), "seed": SWEEP_SEED, "totals": totals, "entries": entries,
+                  "not_drawn_large": {e: a for e, a in large.items() if a},
+                  "known_other": [" ".join(k) for k in sorted(KNOWN_OTHER)],
+                  "unexpected": [f"{r[0]} {r[1]}={r[2]}: {r[5]}" for r in rows
+                                 if sweep_unexpected(r)]},
+        "rows": len(CONTRACT), "kept": [contract_id(row) for row in CONTRACT],
+        "totals": kept_totals, "entries": kept_entries,
+        "unexpected": [contract_id(row) for row, outcome in zip(CONTRACT, kept)
+                       if outcome != ("answer" if row[3] is None else "named_value_error")],
+    }
 
 
 # ------------------------------------------------------------
@@ -428,6 +543,18 @@ SUBJECTS = {  # name: (measure, default repeats, default --out)
     "solver_outcomes": (solver_outcomes, None, "BENCH_solver_outcomes.json"),
     "contract": (contract, None, "BENCH_contract.json"),
 }
+
+
+def _at_reference(row, k: float) -> None:
+    """Next to each median in ``row``, the median on a CPU that runs the
+    reference kernel in ``REF_S``: a time scaled by ``REF_S / k``, a rate
+    by ``k / REF_S``."""
+    if isinstance(row, dict):
+        for key in list(row):
+            _at_reference(row[key], k)
+        for unit, scale in (("ms", reference.REF_S / k), ("per_s", k / reference.REF_S)):
+            if f"median_{unit}" in row:
+                row[f"median_{unit}_at_ref"] = round(row[f"median_{unit}"] * scale, 3)
 
 
 def _show(prefix: str, row) -> None:
@@ -447,6 +574,7 @@ def main(argv=None) -> int:
     ap.add_argument("--first-solve", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     measure, repeats, out = SUBJECTS[args.subject]
+    _KERNEL_S.clear()
     if args.first_solve is not None:  # one state_space solve in this fresh interpreter
         t0 = time.process_time()
         _solve(args.first_solve)
@@ -464,6 +592,9 @@ def main(argv=None) -> int:
 
     record = {"python": platform.python_version(), "numpy": np.__version__,
               "duores": duores.__version__, "nproc": os.cpu_count(), **measure(repeats)}
+    if _KERNEL_S:
+        record["reference_s"] = round(statistics.median(_KERNEL_S), 5)
+        _at_reference(record.get("layers"), record["reference_s"])
     data = json.loads(out.read_text()) if out.is_file() else {}
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")

@@ -285,6 +285,18 @@ def _budgeted_states(K: int) -> int:
     return n
 
 
+def _budgeted_pairs(K: int, what: str) -> int:
+    """:func:`num_states` ``n``, refused when ``what``, a table over state
+    pairs, would hold ``n^2`` entries above :data:`MAX_STATES`."""
+    n = num_states(K)
+    if n * n > MAX_STATES:
+        raise ValueError(
+            f"{what} at capacity K={K} need n^2={n * n} entries, above "
+            f"the state budget MAX_STATES={MAX_STATES}"
+        )
+    return n
+
+
 _CACHED_CAPACITIES = 8
 """Number of capacities that each per-capacity table cache (here, in
 ``equilibrium``, ``meanfield`` and ``experiments``) keeps.  Beyond it the least
@@ -488,13 +500,14 @@ class ModelParams:
 _SUM_TOL = 1e-12
 
 
-def _masses(name: str, probs, K=None) -> np.ndarray:
+def _masses(name: str, probs, K=None, *, adopt: bool = False) -> np.ndarray:
     """``probs`` as a new read-only float64 vector of masses, each finite and
     ``>= 0``, summing to 1 within 1e-12, and ``num_states(K)`` of them if
     ``K`` is given; else a ValueError naming it.  It fails loudly instead of
-    renormalizing."""
+    renormalizing.  With ``adopt``, ``probs`` is a float64 vector its caller
+    hands over and never writes again: it is checked and frozen, not copied."""
     try:
-        p = np.array(probs, dtype=np.float64, copy=True)
+        p = probs if adopt else np.array(probs, dtype=np.float64, copy=True)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a vector of masses, got {probs!r}") from None
     if p.ndim != 1 or not p.size or K is not None and p.size != num_states(K):
@@ -528,8 +541,19 @@ class Measure:
     probs: np.ndarray
     K: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _masses("probs", self.probs, self.K))
+    def __post_init__(self, adopt: bool = False) -> None:
+        object.__setattr__(self, "probs", _masses("probs", self.probs, self.K, adopt=adopt))
+
+    @classmethod
+    def _adopt(cls, probs: np.ndarray, K: int) -> "Measure":
+        """The measure whose masses are the float64 vector ``probs`` itself,
+        after the checks every measure gets; ``probs`` is made read-only, and
+        the caller must not keep a writable view of it."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "probs", probs)
+        object.__setattr__(m, "K", K)
+        m.__post_init__(adopt=True)
+        return m
 
     # ---- constructors -------------------------------------------------
 

@@ -27,9 +27,9 @@ from .core import (
     _NONNEG,
     _POSITIVE,
     _SIZE1,
-    MAX_STATES,
     Measure,
     ModelParams,
+    _budgeted_pairs,
     _chain,
     _count,
     _domain,
@@ -41,7 +41,6 @@ from .core import (
     _within,
     count_arrays,
     mean_fill,
-    num_states,
     tv_distance,
 )
 from .equilibrium import (
@@ -121,7 +120,7 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     _check_step(p, dt_max, "dt_max")
     if with_pairs:
-        n = _budgeted_pairs(p.K)
+        n = _budgeted_pairs(p.K, "pair statistics")
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
@@ -152,18 +151,6 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
             yield {"N": N, "M": M, "seeds": seeds}, avg, pairs, flow
 
     return config, conditions()
-
-
-def _budgeted_pairs(K: int) -> int:
-    """:func:`~duores.core.num_states` ``n``, refused when a pair table's
-    ``n^2`` entries are above :data:`~duores.core.MAX_STATES`."""
-    n = num_states(K)
-    if n * n > MAX_STATES:
-        raise ValueError(
-            f"pair statistics at capacity K={K} need n^2={n * n} entries, above "
-            f"the state budget MAX_STATES={MAX_STATES}"
-        )
-    return n
 
 
 def _pair_table(c: np.ndarray, N: int) -> np.ndarray:

@@ -32,14 +32,23 @@ A drift evaluation allocates no n-vector.  The caller owns the
 workspace and the output vector: the workspace holds the ``(5, n)``
 buffer, a writable copy of the gather indices, the rate vector ``c``
 (only ``c[0]`` and ``c[3]`` change per call) and the outflow vector, and
-``take`` writes into the buffer with ``mode="clip"``.  ``np.take``
-copies a read-only index array, and in its default mode it buffers its
-output, so either would add a hidden ``(5, n)`` temporary per call.  At
-K = 15 such an array is 155 KB, above glibc's mmap threshold: allocating
-one per call maps and faults in fresh pages every time, which costs more
-than the arithmetic it holds.  The integrator allocates one workspace,
-the four stage derivatives and one stage vector per call and reuses
-them for every step, so a step allocates only its new state.
+``take`` writes into the buffer with ``mode="clip"``.  ``take`` copies a
+read-only index array, and in its default mode it buffers its output, so
+either would add a hidden ``(5, n)`` temporary per call.  At K = 15 such
+an array is 155 KB, above glibc's mmap threshold: allocating one per call
+maps and faults in fresh pages every time, which costs more than the
+arithmetic it holds.  The integrator allocates one workspace, the four
+stage derivatives and one stage vector per call and reuses them for
+every step, so a step allocates only its new state.
+
+Every array a step reads or writes in bulk, the stencil tables, the
+workspace and the stage vectors, starts on a 64-byte boundary.  Where the
+heap happens to put them otherwise decides whether numpy's vector loops
+split cache lines, and that alone moved the step time by about 6%
+between runs of the same code.  An emitted state is not copied: no state
+is written after it is made, so the :class:`Measure` adopts it as its
+read-only masses.  Only a state with a mass at or below 0 is clamped into
+a new vector first, which keeps the clamp's bits, -0.0 to 0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
 ``dt * (lam + nu K + mu K) <= 0.5``.  One loop checks every state but
@@ -97,6 +106,21 @@ class _Stencils:
 # (dw, dx, dy, dz) of each family, in the order of ``c``
 _MOVES = ((+1, 0, 0, 0), (-1, +1, 0, 0), (0, -1, +1, 0), (0, 0, -1, +1), (0, 0, 0, -1))
 
+_ALIGN = 64  # bytes: one cache line, and one AVX-512 vector
+
+
+def _aligned(shape, dtype=np.float64, fill=None) -> np.ndarray:
+    """A C-contiguous array of ``shape`` whose data starts on a 64-byte
+    boundary, holding ``fill`` (broadcast) if given, uninitialised if not."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    a = raw[start:start + size].view(dtype).reshape(shape)
+    if fill is not None:
+        a[...] = fill
+    return a
+
 
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def _stencils(K: int) -> _Stencils:
@@ -104,9 +128,12 @@ def _stencils(K: int) -> _Stencils:
     n = num_states(K)
     notfull = ~saturated_mask(K)
     avail = ~no_available_mask(K)
-    w_out = np.stack([notfull, w, x, avail, z]).astype(np.float64)
-    gather = np.zeros((5, n), dtype=np.intp)
-    w_in = np.zeros((5, n))
+    # w_out's rows are padded to whole cache lines, so that each row, and
+    # with it the pV and pF vectors, starts on one without a second copy
+    w_out = _aligned((5, n - n % -(_ALIGN // 8)))[:, :n]
+    w_out[...] = np.stack([notfull, w, x, avail, z])
+    gather = _aligned((5, n), np.intp, fill=0)
+    w_in = _aligned((5, n), fill=0.0)
     for f, (dw, dx, dy, dz) in enumerate(_MOVES):
         src = np.flatnonzero(w_out[f])
         dst = ranks_of(w[src] + dw, x[src] + dx, y[src] + dy, z[src] + dz, K)
@@ -130,12 +157,12 @@ class _Workspace(NamedTuple):
 
 
 def _workspace(st: _Stencils, p: ModelParams) -> _Workspace:
-    """Workspace for drift evaluations at rates ``p``.  The gather
-    indices are copied once here because ``np.take`` would copy the
+    """Workspace for drift evaluations at rates ``p``, its arrays aligned.
+    The gather indices are copied once here because ``take`` would copy the
     read-only cached ones on every call."""
     return _Workspace(lam=p.lam, c=np.array((0.0, p.nu, p.mu, 0.0, p.nu)),
-                      buf=np.empty((5, st.n)), gather=st.gather.copy(),
-                      loss=np.empty(st.n))
+                      buf=_aligned((5, st.n)), gather=_aligned((5, st.n), np.intp, fill=st.gather),
+                      loss=_aligned(st.n))
 
 
 def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
@@ -147,7 +174,7 @@ def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
     lam, c, buf, gather, loss = ws
     c[0] = lam * float(v @ st.avail_f)
     c[3] = lam * float(v @ st.notfull_f)
-    np.take(v, gather, out=buf, mode="clip")
+    v.take(gather, out=buf, mode="clip")
     buf *= st.w_in
     np.matmul(c, buf, out=out)
     np.matmul(c, st.w_out, out=loss)
@@ -198,15 +225,16 @@ def _rk4(
     Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
 
     The drift workspace, the four stage derivatives and the stage
-    vector of the whole run are allocated here; a step allocates only
-    its new state.  The in-place updates evaluate the textbook
-    expressions ``v + 0.5 h k1`` and ``v + h/6 (k1 + 2 k2 + 2 k3 + k4)``
-    operation by operation in the same order, so the states are
-    bit-identical to that form.  ``v`` is never written in place, so the
-    caller's vector may be passed, and every yielded state stays valid.
+    vector of the whole run are allocated here, 64-byte aligned; a step
+    allocates only its new state.  The in-place updates evaluate the
+    textbook expressions ``v + 0.5 h k1`` and ``v + h/6 (k1 + 2 k2 + 2 k3
+    + k4)`` operation by operation in the same order, so the states are
+    bit-identical to that form.  No state is written in place after it
+    is made: the caller's vector may be passed, and a yielded state is
+    the caller's to keep, shared with nothing the run writes.
     """
     ws = _workspace(st, p)
-    k1, k2, k3, k4, stage = (np.empty(st.n) for _ in range(5))
+    k1, k2, k3, k4, stage = (_aligned(st.n) for _ in range(5))
     for t, steps, h in plan:
         for _ in range(steps):
             _drift_raw(v, st, ws, k1)
@@ -244,8 +272,12 @@ def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
 def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
             every: int = 1) -> Iterator[tuple[float, Measure]]:
     """Run the ``n`` entries of ``plan`` from ``m0``, checking every state (a
-    mass below -1e-12 aborts the run), and yield ``(t, Measure)``, clamped to
-    ``>= 0`` without renormalizing, at every ``every``-th entry and the last."""
+    mass below -1e-12 aborts the run), and yield ``(t, Measure)`` at every
+    ``every``-th entry and the last.  A state whose masses are all positive
+    becomes the measure's read-only masses itself.  Any other is clamped to
+    ``>= 0`` (a -0.0 to 0.0 too), without renormalizing, into a new vector
+    that the measure adopts; the run reads the unclamped state for its next
+    step."""
     if m0.K != p.K:
         raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
     for i, (t, v) in enumerate(_rk4(m0.probs, p, _stencils(p.K), plan), 1):
@@ -255,7 +287,7 @@ def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
                 f"integration produced mass {lo!r} at t={t}; the step is unstable"
             )
         if i % every == 0 or i == n:
-            yield t, Measure(np.clip(v, 0.0, None), p.K)
+            yield t, Measure._adopt(v if lo > 0.0 else np.clip(v, 0.0, None), p.K)
 
 
 def integrate(
@@ -266,7 +298,9 @@ def integrate(
     Classical fixed-step fourth-order Runge-Kutta on the grid
     ``{0, dt, 2 dt, ..., T}``; if ``T`` is not an integer multiple of
     ``dt`` the final step is shortened to land exactly on ``T``.  Every
-    output is validated as a probability measure.
+    output is validated as a probability measure and holds its own step's
+    state: a mass in ``[-1e-12, 0)`` reads 0, and a state whose masses are
+    all positive is the measure's masses itself, not a copy.
     """
     return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt))]
 

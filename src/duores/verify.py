@@ -32,6 +32,7 @@ from .core import (
     _SIZE0,
     _SIZE1,
     ModelParams,
+    _budgeted_pairs,
     _domain,
     _each,
     _listed,
@@ -93,10 +94,13 @@ def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
     available-car queue, unit arrival rate, service rates equal to the
     arrival rate over each intensity).  Scaled by its largest diagonal
     so the stationarity residual is scale-free.  This path shares no
-    code with the product form it is used to validate.
+    code with the product form it is used to validate.  Its ``n^2``
+    entries must fit the state budget, :data:`~duores.core.MAX_STATES`
+    (``K <= 11``); above it a ``ValueError`` is raised before any table
+    is built.
     """
+    n = _budgeted_pairs(K, "dense tandem generators")
     states = enumerate_states(K)
-    n = len(states)
     Q = np.zeros((n, n))
 
     def add(r, st, rate):
@@ -178,7 +182,12 @@ def check_product_form_stationarity(
     seed: int = 20260817,
     tol: float = 1e-10,
 ) -> ExperimentReport:
-    """Product form against the independent dense tandem generator."""
+    """Product form against the independent dense tandem generator, each
+    ``K`` of ``K_list`` refused before any trial if that generator is above
+    the state budget."""
+    for K in K_list:
+        _budgeted_pairs(K, "dense tandem generators")
+
     def trial(rng, i):
         K = K_list[i % len(K_list)]
         eta, rho1, rho2 = _draws(rng, 3)

@@ -13,6 +13,7 @@ from duores.core import (
     MAX_STATES,
     Measure,
     ModelParams,
+    _budgeted_pairs,
     enumerate_states,
     fill_vector,
     index_of,
@@ -231,7 +232,7 @@ def test_monotonicity_scan_matches_its_golden_digest():
 
 def _pair_table(counts, K):
     """The chaos study's pair table of one snapshot ``counts``."""
-    n = experiments._budgeted_pairs(K)
+    n = _budgeted_pairs(K, "pair statistics")
     return experiments._pair_table(_rank_counts(counts, K, n), len(counts))
 
 

@@ -230,8 +230,7 @@ def test_integrate_at_is_bit_equal_to_the_textbook_form(K):
 
 def test_an_integrator_step_allocates_only_its_state_and_measure():
     # the stages live in the run's workspace; a step allocates the new
-    # state, and emitting it as a Measure copies it twice (the clamp and
-    # Measure's own read-only copy)
+    # state, and the emitted Measure adopts that vector instead of copying it
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     st = meanfield._stencils(p.K)
     dt = 0.25 / p.rate_bound
@@ -244,8 +243,76 @@ def test_an_integrator_step_allocates_only_its_state_and_measure():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # three n-vectors plus the small objects around them, below a fourth
-    assert peak <= 3 * st.n * 8 + 4096
+    # one n-vector plus the small objects around it, below a second
+    assert peak <= st.n * 8 + 4096
+
+
+def test_a_state_just_below_zero_is_clamped_in_a_new_vector_and_stepped_unclamped(monkeypatch):
+    # the 2nd state gets one mass at -1e-13, inside the tolerance: its Measure
+    # reads 0 there, and the 3rd state is the textbook step from the unclamped one
+    rk4 = meanfield._rk4
+    seen = []
+
+    def nudged(v, *args):
+        def states():
+            for i, (t, u) in enumerate(rk4(v, *args), 1):
+                if i == 2:  # before any Measure holds it; the sum stays 1
+                    u[0] += u[7] + 1e-13
+                    u[7] = -1e-13
+                seen.append(u)
+                yield t, u
+        return states()
+
+    monkeypatch.setattr(meanfield, "_rk4", nudged)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    dt = 0.25 / p.rate_bound
+    m0 = _random_measure(p.K, 1400)
+    plan, n = meanfield._grid_plan(p, 3 * dt, dt)
+    traj = list(meanfield._stream(m0, p, plan, n))
+    assert seen[1][7] == -1e-13  # the run's own state stays unclamped
+    assert traj[1][1].probs[7] == 0.0
+    assert not np.shares_memory(traj[1][1].probs, seen[1])
+    assert np.array_equal(np.delete(traj[1][1].probs, 7), np.delete(seen[1], 7))
+    (_, after), = _textbook_rk4(seen[1], p, [(3 * dt, 1, dt)])
+    assert np.array_equal(traj[2][1].probs, after)
+
+
+def _recording_aligned(monkeypatch) -> list:
+    """Every array ``meanfield._aligned`` makes from here on, in order."""
+    arrays, aligned = [], meanfield._aligned
+
+    def recorded(*args, **kwargs):
+        arrays.append(aligned(*args, **kwargs))
+        return arrays[-1]
+
+    monkeypatch.setattr(meanfield, "_aligned", recorded)
+    return arrays
+
+
+def test_emitted_states_are_read_only_and_share_no_memory(monkeypatch):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    dt = 0.25 / p.rate_bound
+    meanfield._stencils(p.K)  # cached before recording
+    arrays = _recording_aligned(monkeypatch)
+    traj = integrate(_random_measure(p.K, 1500), p, T=12 * dt, dt=dt)
+    # the workspace's buf, gather and loss, then k1 to k4 and stage
+    assert [a.shape for a in arrays] == [(5, num_states(p.K))] * 2 + [(num_states(p.K),)] * 6
+    for i, (_, m) in enumerate(traj):
+        assert not m.probs.flags.writeable
+        assert not any(np.shares_memory(m.probs, a) for a in arrays)
+        assert not any(np.shares_memory(m.probs, other.probs) for _, other in traj[:i])
+
+
+@pytest.mark.parametrize("K", [1, 3, 15])
+def test_every_array_of_a_step_starts_on_a_cache_line(K, monkeypatch):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    st = meanfield._stencils(K)
+    ws = meanfield._workspace(st, p)
+    arrays = _recording_aligned(monkeypatch)
+    next(meanfield._rk4(Measure.uniform(K).probs, p, st, [(0.0, 0, 0.0)]))
+    assert len(arrays) == 3 + 5  # the run's workspace, then k1 to k4 and stage
+    tables = [st.w_out, st.gather, st.w_in, st.avail_f, st.notfull_f, ws.buf, ws.gather, ws.loss]
+    assert all(a.ctypes.data % 64 == 0 for a in tables + arrays)
 
 
 def test_a_negative_state_aborts_the_run_even_when_it_is_not_emitted(monkeypatch):

@@ -64,8 +64,11 @@ def test_a_timed_record_scales_each_median_by_the_reference_kernel(layers, tmp_p
     record = json.loads(out.read_text())["x"]
     k = record["reference_s"]
     assert k > 0
+    assert {"integrate", "drift_K15"} <= set(record["layers"])
     for layer in record["layers"].values():
-        assert layer["median_ms_at_ref"] == round(layer["median_ms"] * layers.reference.REF_S / k, 3)
+        unit = "us" if "median_us" in layer else "ms"  # a drift evaluation in microseconds
+        assert layer[f"median_{unit}_at_ref"] == round(
+            layer[f"median_{unit}"] * layers.reference.REF_S / k, 3)
 
 
 @pytest.mark.parametrize("row", LAYERS.CONTRACT, ids=LAYERS.contract_id)

@@ -1,14 +1,16 @@
 """The verification suites themselves: generator structure and the
 item registry."""
 
+import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import duores.verify as verify
-from duores.core import ModelParams, count_arrays, enumerate_states, num_states
+from duores.core import MAX_STATES, ModelParams, count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
 from duores.experiments import ExperimentReport
 from duores.verify import (
@@ -16,6 +18,7 @@ from duores.verify import (
     OUTCOMES,
     check_enumeration,
     check_fixed_point_large_K,
+    check_product_form_stationarity,
     check_step2_identity,
     solve_grid,
     tandem_generator,
@@ -41,6 +44,28 @@ def test_tandem_generator_blocks_arrivals_at_saturation():
             for r2, s2 in enumerate(states):
                 if s2.w == s.w + 1 and (s2.x, s2.y, s2.z) == (s.x, s.y, s.z):
                     assert Q[r, r2] == 0.0
+
+
+def test_tandem_generator_above_the_state_budget_is_refused_before_allocation():
+    # K = 20 has 10626 states; the dense generator would take 0.9 GB
+    n = num_states(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"K=20 need n\^2={n * n} entries, above "
+                                             rf"the state budget MAX_STATES={MAX_STATES}"):
+            tandem_generator(1.0, 1.0, 1.0, 1.0, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_product_form_stationarity_refuses_a_capacity_above_the_budget_before_any_trial():
+    # the default capacities fit: K <= 11 is the largest with n^2 within the budget
+    assert num_states(11) ** 2 <= MAX_STATES < num_states(12) ** 2
+    assert max(inspect.signature(check_product_form_stationarity).parameters["K_list"].default) <= 11
+    with pytest.raises(ValueError, match=r"K=12 need n\^2="):
+        check_product_form_stationarity.refuse(K_list=[1, 12])
 
 
 def test_product_form_is_in_the_generator_null_space():

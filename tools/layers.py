@@ -14,7 +14,11 @@ subjects, each with its default ``FILE`` at the repository root:
   (``io.write_timed_measure_csv`` of the thinned trajectory),
   ``perturb`` (``experiments.fill_preserving_perturbation`` of the fixed
   point) and ``integrate`` (``meanfield.integrate`` from the perturbed
-  start).
+  start, with its 920 steps as ``steps_per_s`` at the median).  The
+  ``drift_K{K}`` layers, at K in {3, 6, 10, 15, 20} and the same rates,
+  are CPU microseconds per drift evaluation: one sample is
+  ``DRIFT_EVALS`` calls of ``meanfield._drift_raw`` on the uniform
+  measure, in one workspace, as the integrator calls it.
 * ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events per CPU
   second.  ``run_N{N}`` and ``run_N{N}_audit`` are ``simulate.run`` on
   the benchmark's ``network`` study, K = 3, lam = mu = 1, nu = 2, fill
@@ -135,6 +139,21 @@ def _ms(samples: list) -> dict:
 
 # ------------------------------------------------------------ flow
 
+DRIFT_K = (3, 6, 10, 15, 20)
+DRIFT_EVALS = 1000
+
+
+def _drift_us(p, repeats: int) -> dict:
+    st = meanfield._stencils(p.K)
+    ws, v, out = meanfield._workspace(st, p), core.Measure.uniform(p.K).probs, np.empty(st.n)
+
+    def evals():
+        for _ in range(DRIFT_EVALS):
+            meanfield._drift_raw(v, st, ws, out)
+
+    return _summary([1e6 * t / DRIFT_EVALS for t in _cpu_s(evals, repeats)], "us", 3)
+
+
 def flow(repeats: int) -> dict:
     p = core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     dt = 0.25 / p.rate_bound
@@ -148,13 +167,18 @@ def flow(repeats: int) -> dict:
     times, measures = [t for t, _ in kept], [m for _, m in kept]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "trajectory.csv"
-        return {"layers": {
+        layers = {
             "write": _ms(_cpu_s(lambda: dio.write_timed_measure_csv(times, measures, out),
                                 repeats)),
             "perturb": _ms(_cpu_s(lambda: experiments.fill_preserving_perturbation(pi, 0.1),
                                   repeats)),
             "integrate": _ms(_cpu_s(lambda: meanfield.integrate(start, p, 5.0, dt), repeats)),
-        }}
+        }
+    integrate = layers["integrate"]
+    integrate["steps_per_s"] = round(1e3 * (len(traj) - 1) / integrate["median_ms"], 1)
+    for K in DRIFT_K:
+        layers[f"drift_K{K}"] = _drift_us(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), repeats)
+    return {"layers": layers}
 
 
 # ------------------------------------------------------------ simulate
@@ -552,7 +576,8 @@ def _at_reference(row, k: float) -> None:
     if isinstance(row, dict):
         for key in list(row):
             _at_reference(row[key], k)
-        for unit, scale in (("ms", reference.REF_S / k), ("per_s", k / reference.REF_S)):
+        for unit, scale in (("ms", reference.REF_S / k), ("us", reference.REF_S / k),
+                            ("per_s", k / reference.REF_S)):
             if f"median_{unit}" in row:
                 row[f"median_{unit}_at_ref"] = round(row[f"median_{unit}"] * scale, 3)
 

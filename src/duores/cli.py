@@ -9,11 +9,11 @@ Four subcommands, each driven by a JSON config file::
 
 Flags override individual file keys.  Every config section is read against
 one schema table, which rejects unknown keys and values of the wrong kind.
-``verify`` reads every item of ``verify.ITEMS`` it names (suites under
-``checks`` and ``overrides``, experiments under ``experiments``), each
-section read from the item's signature and declaration, and calls each
-item's ``.refuse`` before any item runs; then it runs the work each
-refusal returned in one loop and prints one line per item.
+``verify`` runs the items of ``verify.ITEMS`` it names: under ``checks``
+the eight that take no arguments, by name alone, and under
+``experiments`` the three studies, each section read from the study's
+signature and declaration.  It calls each study's ``.refuse`` before any
+item runs, then runs every item in one loop and prints one line per item.
 
 One exit policy, in :func:`main`, holds for all four: 0 on success; 2 and a
 ``config error: <message>`` line on stderr when the config is unusable (a
@@ -50,7 +50,7 @@ from .io import (
 )
 from .meanfield import _grid_plan, _stream, stationarity_residual
 from .simulate import SimConfig, empirical_measure, run
-from .verify import _SUITES, ITEMS
+from .verify import _FIXED, ITEMS
 
 __all__ = ["main"]
 
@@ -67,8 +67,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 
@@ -88,15 +86,14 @@ _WHAT = {"num": "a number", "int": "an integer", "bool": "true or false",
 # first.  A "duores ..." section is a command's whole config.  K, N and
 # M are "any": ModelParams and SimConfig check them; so are "checks" and
 # "initial", which _cmd_verify and _initial_measure check.  The verify
-# items' sections are read from their signatures below.
+# studies' sections are read from their signatures below.
 _SCHEMA = {
     "duores simulate": ({"model": "model", "sim": "sim"}, {"output_dir": "str"}),
     "duores meanfield": ({"model": "model", "meanfield": "meanfield"},
                          {"output_dir": "str"}),
     "duores equilibrium": ({"model": "model", "equilibrium": "equilibrium"},
                            {"output_dir": "str"}),
-    "duores verify": ({}, {"checks": "any", "overrides": "obj", "experiments": "obj",
-                           "output_dir": "str"}),
+    "duores verify": ({}, {"checks": "any", "experiments": "obj", "output_dir": "str"}),
     "model": ({"lam": "num", "mu": "num", "nu": "num", "K": "any"}, {}),
     "sim": ({"N": "any", "M": "any", "T": "num", "sample_times": "nums", "seed": "int"},
             {"replicas": "int", "audit": "bool"}),
@@ -109,13 +106,11 @@ _SCHEMA = {
 
 
 def _kind_of(default) -> str:
-    if isinstance(default, tuple):
-        return "ints" if all(type(v) is int for v in default) else "nums"
     return {bool: "bool", int: "int", float: "num"}[type(default)]
 
 
 def _section(item) -> tuple[dict, dict]:
-    """A verify item's section, read from its signature and declaration:
+    """A verify study's section, read from its signature and declaration:
     ``p`` is the ``model`` section, a declared rule gives its kind, else the
     default does; a parameter with no default is required."""
     required, optional = {}, {}
@@ -125,12 +120,12 @@ def _section(item) -> tuple[dict, dict]:
         if k == "p":
             into["model"] = "model"
         else:
-            into[k] = rule.kind if rule is not None and rule.kind else _kind_of(prm.default)
+            into[k] = rule.kind if rule is not None else _kind_of(prm.default)
     return required, optional
 
 
-_SCHEMA.update({f"{'overrides' if name in _SUITES else 'experiments'}.{name}": _section(item)
-                for name, item in ITEMS.items()})
+_SCHEMA.update({f"experiments.{name}": _section(item)
+                for name, item in ITEMS.items() if name not in _FIXED})
 
 
 def _convert(v, kind: str):
@@ -318,24 +313,20 @@ def _numbers(d: dict) -> str:
 def _cmd_verify(cfg: dict, conf: dict, args) -> int:
     checks = conf.get("checks", [])
     if checks == "all":
-        checks = list(_SUITES)
+        checks = list(_FIXED)
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ConfigError("'checks' must be a list of suite names or \"all\"")
+        raise ConfigError("'checks' must be a list of check names or \"all\"")
     for name in checks:
-        if name not in _SUITES:
-            raise ConfigError(f"unknown check {name!r}; known: {sorted(_SUITES)}")
-    read = {"overrides": {}, "experiments": {}}  # every item's work, refused before any runs
-    for group, works in read.items():
-        for name, sec in conf.get(group, {}).items():
-            if f"{group}.{name}" not in _SCHEMA:
-                raise ConfigError(f"'{group}' names no item {name!r}; known: "
-                                  f"{sorted(n for n in ITEMS if f'{group}.{n}' in _SCHEMA)}")
-            kw = _read(sec, f"{group}.{name}")
-            if "model" in kw:
-                kw["p"] = _model_params(kw.pop("model"))
-            works[name] = ITEMS[name].refuse(**kw)
-    items = [*((name, read["overrides"].get(name) or ITEMS[name].refuse()) for name in checks),
-             *read["experiments"].items()]
+        if name not in _FIXED:
+            raise ConfigError(f"unknown check {name!r}; known: {sorted(_FIXED)}")
+    items = [(name, ITEMS[name]) for name in checks]
+    for name, sec in conf.get("experiments", {}).items():  # each refused before any item runs
+        if f"experiments.{name}" not in _SCHEMA:
+            raise ConfigError(f"'experiments' names no item {name!r}; known: "
+                              f"{sorted(n for n in ITEMS if n not in _FIXED)}")
+        kw = _read(sec, f"experiments.{name}")
+        kw["p"] = _model_params(kw.pop("model"))
+        items.append((name, ITEMS[name].refuse(**kw)))
 
     records = []
     for name, work in items:

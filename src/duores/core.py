@@ -76,22 +76,20 @@ class _Rule(NamedTuple):
     kind: str | None = None
 
 
-def _real(lo=None, strict=False, finite=True, none=False, hi=None) -> _Rule:
+def _real(lo=None, strict=False, finite=True, none=False) -> _Rule:
     """A real, finite unless ``finite`` is false, ``>= lo`` (``> lo`` if
-    ``strict``) unless ``lo`` is ``None``, ``< hi`` unless ``hi`` is
-    ``None``; ``None`` too if ``none``."""
-    bound = [f"{'>' if strict else '>='} {lo}"] * (lo is not None) + [f"< {hi}"] * (hi is not None)
+    ``strict``) unless ``lo`` is ``None``; ``None`` too if ``none``."""
+    bound = [f"{'>' if strict else '>='} {lo}"] * (lo is not None)
 
     def check(name, value):
         if not (none and value is None or isinstance(value, numbers.Real)
                 and (math.isfinite(value) or not finite)
-                and (lo is None or (value > lo if strict else value >= lo))
-                and (hi is None or value < hi)):
+                and (lo is None or (value > lo if strict else value >= lo))):
             raise ValueError(f"{name} must be {' and '.join(['finite'] * finite + bound)}, "
                              f"got {value!r}")
         return value
 
-    text = " ".join(["finite"] * finite + [" and ".join(f"`{b}`" for b in bound)] * bool(bound))
+    text = " ".join(["finite"] * finite + [f"`{b}`" for b in bound])
     return _Rule(check, text + " or `None`" * none, "num")
 
 

@@ -4,9 +4,12 @@ Each experiment returns an :class:`ExperimentReport` carrying its full
 configuration, per-condition rows, aggregate metrics, the thresholds it
 was judged against, and the verdict.  Reports are plain data and
 serialize to JSON unchanged, so reruns with the same seed root are
-byte-identical.  Each experiment checks every argument before any run
-and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs
-those checks alone; ``duores verify`` calls it on every item's config
+byte-identical.  The three studies (convergence, chaos, attraction) take
+a model and a run shape; the bounds they are judged against are module
+constants, as are the grids and bounds of :func:`monotonicity_scan`,
+which takes no arguments.  Each study checks every argument before any
+run and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs
+those checks alone; ``duores verify`` calls it on every study's config
 before any item runs.
 
 Seeds derive from a root by position: condition ``N`` and replica ``r``
@@ -30,12 +33,10 @@ from .core import (
     Measure,
     ModelParams,
     _budgeted_pairs,
-    _chain,
     _count,
     _domain,
     _each,
     _real,
-    _Rule,
     _staged,
     _times,
     _within,
@@ -84,7 +85,7 @@ class ExperimentReport:
 
 
 _SEED0 = _count(0)
-_SIZE2 = _count(2)  # pair statistics divide by N (N - 1); a curve's two points
+_SIZE2 = _count(2)  # pair statistics divide by N (N - 1)
 
 
 @_domain(seed0=_SEED0, condition=_SEED0, replica=_SEED0)
@@ -114,9 +115,14 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     the pair averages of :func:`_averaged_pairs` (``None`` without
     ``with_pairs``) and the flow at the sample times.  Its arguments come
     declared (:data:`_STUDY`); the rules across them (sample times within
-    ``T``, the step guard, pair tables within the state budget) are
+    ``T``, ``round(N s)`` cars that ``N`` stations of capacity ``K`` can
+    hold, the step guard, pair tables within the state budget) are
     refused here, before any run."""
     _within(sample_times, T)
+    for N in N_list:
+        if N * s > N * p.K + 1 or round(N * s) > N * p.K:  # the first test also takes N s = inf
+            raise ValueError(f"s={s} puts round(N s) cars on N={N} stations of capacity "
+                             f"K={p.K}, more than N K = {N * p.K}")
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     _check_step(p, dt_max, "dt_max")
     if with_pairs:
@@ -190,18 +196,11 @@ _STUDY = dict(replicas=_SIZE1, T=_NONNEG, sample_times=_times(1),
 """The rules of the replica studies' shared arguments, after ``N_list``."""
 
 
-def _lo_hi(name: str, value):
-    """``value`` if it is two finite numbers ``lo <= hi``; else a ValueError naming it."""
-    lo_hi = value if isinstance(value, (tuple, list)) else ()
-    finite = _real().check
-    if len(lo_hi) != 2 or finite(f"{name}[0]", lo_hi[0]) > finite(f"{name}[1]", lo_hi[1]):
-        raise ValueError(f"{name} must be two finite numbers lo <= hi, got {value!r}")
-    return value
+_SLOPE_RANGE = (-0.7, -0.3)  # the log-log slope of N^-1/2 convergence, with room for noise
 
 
 @_staged
-@_domain(N_list=_each(_SIZE1, "every N in {}", what="network size"), **_STUDY,
-         slope_range=_Rule(_lo_hi, "two finite numbers `lo <= hi`", "nums"))
+@_domain(N_list=_each(_SIZE1, "every N in {}", what="network size"), **_STUDY)
 def convergence_experiment(
     p: ModelParams,
     N_list,
@@ -213,7 +212,6 @@ def convergence_experiment(
     s: float,
     audit: bool = False,
     dt_max: float | None = None,
-    slope_range: tuple = (-0.7, -0.3),
 ) -> ExperimentReport:
     """Distance between replica-averaged empirical measures and the
     integrated flow, across network sizes.
@@ -222,9 +220,8 @@ def convergence_experiment(
     initial state); the flow is integrated from that state's own
     empirical measure, so the distance at time zero is exactly zero.
     Passing requires the distance at the final sample time to decrease
-    strictly in ``N`` with a log-log slope inside ``slope_range``, so
-    ``N_list`` must hold at least two sizes and ``slope_range`` two finite
-    numbers ``lo <= hi``.
+    strictly in ``N`` with a log-log slope in ``[-0.7, -0.3]``, so
+    ``N_list`` must hold at least two sizes.
     """
     if len(N_list) < 2:
         raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
@@ -248,15 +245,17 @@ def convergence_experiment(
             rows=rows,
             metrics={"tv_final": finals, "slope": slope,
                      "strictly_decreasing": decreasing},
-            thresholds={"strictly_decreasing": True, "slope_range": list(slope_range)},
-            passed=decreasing and slope_range[0] <= slope <= slope_range[1],
+            thresholds={"strictly_decreasing": True, "slope_range": list(_SLOPE_RANGE)},
+            passed=decreasing and _SLOPE_RANGE[0] <= slope <= _SLOPE_RANGE[1],
         )
     return work
 
 
+_MARGINAL_TOL = 1e-12  # pair marginals against the one-station measure: equal up to rounding
+
+
 @_staged
-@_domain(N_list=_each(_SIZE2, "every N in {}", 1, "network size"),
-         **_STUDY, marginal_tol=_NONNEG)
+@_domain(N_list=_each(_SIZE2, "every N in {}", 1, "network size"), **_STUDY)
 def chaos_experiment(
     p: ModelParams,
     N_list,
@@ -268,7 +267,6 @@ def chaos_experiment(
     s: float,
     audit: bool = False,
     dt_max: float | None = None,
-    marginal_tol: float = 1e-12,
 ) -> ExperimentReport:
     """Decay of pairwise dependence: distance between the averaged
     two-station joint law and the product of the flow with itself.
@@ -276,7 +274,7 @@ def chaos_experiment(
     Same replica layout as :func:`convergence_experiment`.  Passing
     requires the final-time pair distance to decrease strictly in ``N``
     and every pair measure's marginals to match the one-station
-    empirical within ``marginal_tol``.  A pair table above the state
+    empirical within 1e-12.  A pair table above the state
     budget is refused before any run.
     """
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
@@ -302,8 +300,8 @@ def chaos_experiment(
             rows=rows,
             metrics={"pair_tv_final": finals, "strictly_decreasing": decreasing,
                      "marginal_err_max": worst_marginal},
-            thresholds={"strictly_decreasing": True, "marginal_tol": marginal_tol},
-            passed=decreasing and worst_marginal <= marginal_tol,
+            thresholds={"strictly_decreasing": True, "marginal_tol": _MARGINAL_TOL},
+            passed=decreasing and worst_marginal <= _MARGINAL_TOL,
         )
     return work
 
@@ -351,11 +349,13 @@ def fill_preserving_perturbation(m: Measure, size: float) -> Measure:
 
 
 _REPORT_POINTS = 200  # rows an attraction report thins its trajectory to
+_FINAL_TV_TOL = 1e-4  # distance to the fixed point at T
+_FILL_DRIFT_TOL = 1e-9  # the flow conserves the mean fill: a drift is rounding
 
 
 @_staged
 @_domain(perturbation_size=_real(0, finite=False), T=_NONNEG, s=_POSITIVE,
-         dt=_real(0, strict=True, none=True), final_tv_tol=_NONNEG, fill_drift_tol=_NONNEG)
+         dt=_real(0, strict=True, none=True))
 def attraction_experiment(
     p: ModelParams,
     perturbation_size: float,
@@ -363,8 +363,6 @@ def attraction_experiment(
     *,
     s: float,
     dt: float | None = None,
-    final_tv_tol: float = 1e-4,
-    fill_drift_tol: float = 1e-9,
 ) -> ExperimentReport:
     """Integrate from a fill-preserving perturbation of the fixed point,
     solved once every number is checked, and watch the flow return.
@@ -372,9 +370,8 @@ def attraction_experiment(
     refuses a fill out of reach (a ``ValueError``); any other failure
     of the solve (a ``RuntimeError``) is raised by the work.
 
-    Passing requires the final distance to the fixed point below
-    ``final_tv_tol`` and the mean fill constant along the whole
-    trajectory within ``fill_drift_tol``.  The fill drift is taken over
+    Passing requires the final distance to the fixed point below 1e-4
+    and the mean fill constant along the whole trajectory within 1e-9.  The fill drift is taken over
     every step, but only the strided rows and the last one are kept.
     """
     dt = dt if dt is not None else _default_dt(p)
@@ -413,8 +410,8 @@ def attraction_experiment(
                 "fill_drift": fill_drift,
                 "solver_max_residual": report.max_residual,
             },
-            thresholds={"final_tv": final_tv_tol, "fill_drift": fill_drift_tol},
-            passed=final_tv < final_tv_tol and fill_drift <= fill_drift_tol,
+            thresholds={"final_tv": _FINAL_TV_TOL, "fill_drift": _FILL_DRIFT_TOL},
+            passed=final_tv < _FINAL_TV_TOL and fill_drift <= _FILL_DRIFT_TOL,
             notes=(() if actual_size >= perturbation_size - 1e-12 else
                    (f"requested displacement {perturbation_size} unreachable; "
                     f"used {actual_size}",)),
@@ -426,24 +423,15 @@ def attraction_experiment(
 # Monotonicity scans
 # ============================================================
 
-_RATIOS = _each(_POSITIVE, "{}")
-_MAX_GRID = 1000  # grid points per axis: len(grid)**2 g_mean evaluations per K
+_SCAN_A = (0.5, 1.0, 2.0, 5.0)  # the aggregate ratios a of the phi curves
+_SCAN_K = (1, 2, 3, 4, 5, 6)
+_GRID_STEP, _XY_MAX = 0.1, 5.0  # the g_mean grid: 50 points a side
+_N_CURVE = 200  # interior points of each phi curve
+_ENFORCED_NU_OVER_MU = (10.0, 1e8)  # fast reservations: each fill curve must increase
+_PROBED_NU_OVER_MU = (1.0, 0.1)  # slow reservations: only reported
 
 
-@_staged
-@_domain(a_list=_RATIOS, K_list=_each(_SIZE1, "every K in {}"),
-         grid_step=_chain(_real(0, strict=True, finite=False), _POSITIVE), xy_max=_POSITIVE,
-         n_curve=_SIZE2, enforce_nu_over_mu=_RATIOS, probe_nu_over_mu=_RATIOS)
-def monotonicity_scan(
-    a_list=(0.5, 1.0, 2.0, 5.0),
-    K_list=(1, 2, 3, 4, 5, 6),
-    grid_step: float = 0.1,
-    *,
-    xy_max: float = 5.0,
-    n_curve: int = 200,
-    enforce_nu_over_mu=(10.0, 1e8),
-    probe_nu_over_mu=(1.0, 0.1),
-) -> ExperimentReport:
+def monotonicity_scan() -> ExperimentReport:
     """Grid checks of the monotone structure the solver relies on.
 
     Enforced (failures fail the report): the reduced mean fill
@@ -452,85 +440,71 @@ def monotonicity_scan(
     the curve increases when reservations are fast (``nu >= 10 mu``).
     Slow-reservation fill curves are scanned too but only reported:
     whether they can lose monotonicity is an open question, not a
-    defect.  Inputs that leave nothing to compare (an empty list, fewer
-    than two grid or curve points) and numbers outside their domains are
-    refused before any check runs.
+    defect.
     """
-    if not (len(a_list) and len(K_list)):  # one message for the pair
-        raise ValueError("a_list and K_list must each hold at least one value")
-    if not xy_max / grid_step <= _MAX_GRID:  # counted before the grid is built
-        raise ValueError(f"grid_step={grid_step} and xy_max={xy_max} ask for "
-                         f"{xy_max / grid_step:.3g} grid points, above {_MAX_GRID}")
-    grid = np.arange(grid_step, xy_max + grid_step / 2, grid_step)
-    if len(grid) < 2:
-        raise ValueError(f"grid_step={grid_step} leaves {len(grid)} grid point(s) up to "
-                         f"xy_max={xy_max}; need at least two")
+    grid = np.arange(_GRID_STEP, _XY_MAX + _GRID_STEP / 2, _GRID_STEP)
+    rows = []
+    passed = True
+    notes = []
 
-    def work() -> ExperimentReport:
-        rows = []
-        passed = True
-        notes = []
+    # g_mean: forward differences in both arguments on the square grid, read
+    # through its unchecked pass, since every grid point is finite and positive.
+    for K in _SCAN_K:
+        g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
+                      for xx in grid])
+        dx_min = float((g[1:, :] - g[:-1, :]).min())
+        dy_min = float((g[:, 1:] - g[:, :-1]).min())
+        ok = dx_min > 0.0 and dy_min > 0.0
+        passed = passed and ok
+        rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
+                     "min_diff_y": dy_min, "ok": ok})
 
-        # g_mean: forward differences in both arguments on the square grid, read
-        # through its unchecked pass, since every input is checked above.
-        for K in K_list:
-            g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
-                          for xx in grid])
-            dx_min = float((g[1:, :] - g[:-1, :]).min())
-            dy_min = float((g[:, 1:] - g[:, :-1]).min())
-            ok = dx_min > 0.0 and dy_min > 0.0
+    # phi: strict increase along interior grids, one solve per curve point,
+    # which also gives the sums every fill row reads there.
+    curves = []
+    for K in _SCAN_K:
+        for a in _SCAN_A:
+            ts = [a * k / (_N_CURVE + 1) for k in range(1, _N_CURVE + 1)]
+            points = [_curve_point(t, a, K) for t in ts]
+            curves.append((K, a, ts, points))
+            diffs = np.diff([y for y, _ in points])
+            ok = bool(diffs.min() > 0.0)
             passed = passed and ok
-            rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
-                         "min_diff_y": dy_min, "ok": ok})
+            rows.append({"check": "phi", "K": K, "a": a,
+                         "min_diff": float(diffs.min()), "ok": ok})
 
-        # phi: strict increase along interior grids, one solve per curve point,
-        # which also gives the sums every fill row reads there.
-        curves = []
-        for K in K_list:
-            for a in a_list:
-                ts = [a * k / (n_curve + 1) for k in range(1, n_curve + 1)]
-                points = [_curve_point(t, a, K) for t in ts]
-                curves.append((K, a, ts, points))
-                diffs = np.diff([y for y, _ in points])
-                ok = bool(diffs.min() > 0.0)
+    # Fill along the same curves, per reservation-speed regime.
+    for ratio, enforced in ([(q, True) for q in _ENFORCED_NU_OVER_MU]
+                            + [(q, False) for q in _PROBED_NU_OVER_MU]):
+        c = _car_weight(1.0 / ratio)  # r = mu / nu
+        for K, a, ts, points in curves:
+            diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
+            ok = bool(diffs.min() > 0.0)
+            rows.append({
+                "check": "fill_curve", "K": K, "a": a,
+                "nu_over_mu": ratio, "enforced": enforced,
+                "min_diff": float(diffs.min()), "ok": ok,
+            })
+            if enforced:
                 passed = passed and ok
-                rows.append({"check": "phi", "K": K, "a": a,
-                             "min_diff": float(diffs.min()), "ok": ok})
-
-        # Fill along the same curves, per reservation-speed regime.
-        for ratio, enforced in [(float(q), True) for q in enforce_nu_over_mu] + [
-            (float(q), False) for q in probe_nu_over_mu
-        ]:
-            c = _car_weight(1.0 / ratio)  # r = mu / nu
-            for K, a, ts, points in curves:
-                diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
-                ok = bool(diffs.min() > 0.0)
-                rows.append({
-                    "check": "fill_curve", "K": K, "a": a,
-                    "nu_over_mu": ratio, "enforced": enforced,
-                    "min_diff": float(diffs.min()), "ok": ok,
-                })
-                if enforced:
-                    passed = passed and ok
-                elif not ok:
-                    notes.append(
-                        f"fill curve not monotone at nu/mu={ratio}, K={K}, "
-                        f"a={a} (reported, not enforced)"
-                    )
-        return ExperimentReport(
-            name="monotonicity",
-            config={
-                "a_list": list(a_list), "K_list": list(K_list),
-                "grid_step": grid_step, "xy_max": xy_max, "n_curve": n_curve,
-                "enforce_nu_over_mu": list(enforce_nu_over_mu),
-                "probe_nu_over_mu": list(probe_nu_over_mu),
-            },
-            rows=rows,
-            metrics={"n_checks": len(rows),
-                     "n_failed_enforced": sum(1 for r_ in rows
-                                              if not r_["ok"] and r_.get("enforced", True))},
-            thresholds={"all_enforced_strictly_increasing": True},
-            passed=passed,
-            notes=tuple(notes),
-        )
-    return work
+            elif not ok:
+                notes.append(
+                    f"fill curve not monotone at nu/mu={ratio}, K={K}, "
+                    f"a={a} (reported, not enforced)"
+                )
+    return ExperimentReport(
+        name="monotonicity",
+        config={
+            "a_list": list(_SCAN_A), "K_list": list(_SCAN_K),
+            "grid_step": _GRID_STEP, "xy_max": _XY_MAX, "n_curve": _N_CURVE,
+            "enforce_nu_over_mu": list(_ENFORCED_NU_OVER_MU),
+            "probe_nu_over_mu": list(_PROBED_NU_OVER_MU),
+        },
+        rows=rows,
+        metrics={"n_checks": len(rows),
+                 "n_failed_enforced": sum(1 for r_ in rows
+                                          if not r_["ok"] and r_.get("enforced", True))},
+        thresholds={"all_enforced_strictly_increasing": True},
+        passed=passed,
+        notes=tuple(notes),
+    )

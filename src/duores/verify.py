@@ -3,42 +3,34 @@
 
 Each suite pits two independent computation paths against each other
 (closed form vs. explicit generator, four-coordinate vs. reduced
-family, solver output vs. residual evaluation).  It returns an
-:class:`~duores.experiments.ExperimentReport`: its arguments as
-``config``, its worst discrepancy as ``metrics["worst"]`` next to any
-other number it computes, and its tolerances as ``thresholds``.  Each
-suite declares its arguments (``core._domain``) and refuses a bad one
-before any work, so that no suite passes with nothing checked: a count
-below one, an empty grid list, a tolerance that is not finite and
-positive, a seed numpy does not take, and in the fixed-point suites a
-grid cell the solver would refuse.
+family, solver output vs. residual evaluation).  A suite takes no
+arguments: its grid, trial count, seed and tolerances are module
+constants beside it, so a verdict is always reached against the same
+bounds, and any change to one is a change to the check.  It returns an
+:class:`~duores.experiments.ExperimentReport`: those constants as
+``config`` and ``thresholds``, and its worst discrepancy as
+``metrics["worst"]`` next to any other number it computes.
 
-:data:`ITEMS` holds the seven suites and the four experiments of
-:mod:`duores.experiments`.  Each item has ``.refuse(**kwargs)``, its
-checks alone, so the CLI refuses every item's config before any item
-runs; the test suite pins the suites at fixed tolerances.
+:data:`ITEMS` holds the seven suites, the monotonicity scan and the three
+studies of :mod:`duores.experiments`.  Only the studies take arguments (a
+model and a run shape); each has ``.refuse(*args, **kwargs)``, its checks
+alone, so the CLI refuses every study's config before any item runs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .core import (
     _POSITIVE,
-    _SEED,
     _SIZE0,
-    _SIZE1,
     ModelParams,
     _budgeted_pairs,
     _domain,
-    _each,
     _listed,
-    _real,
     _Rule,
-    _staged,
     count_arrays,
     enumerate_states,
     index_of,
@@ -76,11 +68,6 @@ __all__ = [
     "solve_grid",
     "ITEMS",
 ]
-
-
-_K_LIST = _each(_SIZE1, least=1)
-_NONEMPTY = _each(_POSITIVE, least=1)
-_FRACTIONS = _each(_real(0, strict=True, hi=1), least=1)  # fill fractions s / K
 
 
 @_domain(eta1=_POSITIVE, rho1=_POSITIVE, rho2=_POSITIVE, eta2=_POSITIVE, K=_SIZE0)
@@ -133,128 +120,117 @@ def _draws(rng: np.random.Generator, n: int) -> list[float]:
     return out
 
 
-def _worst_of_trials(name: str, trial, trials: int, seed: int, tol: float, **config):
-    """The work of a suite of seeded trials: the worst ``trial(rng, i)`` over
-    ``i < trials`` on one generator seeded with ``seed``; passes below ``tol``."""
-    def work() -> ExperimentReport:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for i in range(trials):
-            worst = max(worst, float(trial(rng, i)))
-        return ExperimentReport(name, {"trials": trials, **config, "seed": seed}, [],
-                                {"worst": worst}, {"tol": tol}, worst < tol)
-    return work
+_TRIALS = {  # each suite of seeded trials: (trials, seed, tol)
+    "product_form_stationarity": (50, 20260817, 1e-10),
+    "step2_identity": (100, 20260818, 1e-13),
+    "aggregation_identity": (100, 20260819, 1e-13),
+    "fill_identity": (100, 20260820, 1e-13),
+}
 
 
-@_staged
-@_domain(K_max=_SIZE0, roundtrip_K_max=_SIZE0)
-def check_enumeration(K_max: int = 10, roundtrip_K_max: int = 6) -> ExperimentReport:
+def _worst_of_trials(name: str, trial, **config) -> ExperimentReport:
+    """The report of the suite ``name`` of seeded trials: the worst
+    ``trial(rng, i)`` over ``i < trials`` on one generator seeded with
+    ``seed``, where ``_TRIALS[name]`` is ``(trials, seed, tol)``; it passes
+    below ``tol``."""
+    trials, seed, tol = _TRIALS[name]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(trials):
+        worst = max(worst, float(trial(rng, i)))
+    return ExperimentReport(name, {"trials": trials, **config, "seed": seed}, [],
+                            {"worst": worst}, {"tol": tol}, worst < tol)
+
+
+_ENUMERATION_K_MAX, _ROUNDTRIP_K_MAX = 10, 6  # the round trip at the smaller capacities
+
+
+def check_enumeration() -> ExperimentReport:
     """Closed-form state counts, the count arrays against their defining
-    nested loop over ``(w, x, y, z)`` in lexicographic order, and the
-    rank/state bijection; ``worst`` counts the mismatches."""
-    def work() -> ExperimentReport:
-        mismatches = 0
-        for K in range(max(K_max, roundtrip_K_max) + 1):
-            states = [(w, x, y, z) for w in range(K + 1) for x in range(K + 1 - w)
-                      for y in range(K + 1 - w - x) for z in range(K + 1 - w - x - y)]
-            if not num_states(K) == math.comb(K + 4, 4) == len(states):
-                mismatches += 1
-            arrays = np.stack(count_arrays(K), axis=1)
-            if arrays.shape != (len(states), 4):
-                mismatches += 1
-            else:
-                mismatches += int((arrays != np.array(states)).any(axis=1).sum())
-            if K <= roundtrip_K_max:
-                for rank, st in enumerate(states):
-                    if index_of(st, K) != rank or state_of(rank, K) != st:
-                        mismatches += 1
-        config = {"K_max": K_max, "roundtrip_K_max": roundtrip_K_max}
-        return ExperimentReport("enumeration", config, [], {"worst": float(mismatches)},
-                                {"tol": 0.0}, mismatches == 0)
-    return work
+    nested loop over ``(w, x, y, z)`` in lexicographic order, for every
+    ``K <= 10``, and the rank/state bijection for ``K <= 6``; ``worst``
+    counts the mismatches."""
+    mismatches = 0
+    for K in range(_ENUMERATION_K_MAX + 1):
+        states = [(w, x, y, z) for w in range(K + 1) for x in range(K + 1 - w)
+                  for y in range(K + 1 - w - x) for z in range(K + 1 - w - x - y)]
+        if not num_states(K) == math.comb(K + 4, 4) == len(states):
+            mismatches += 1
+        arrays = np.stack(count_arrays(K), axis=1)
+        if arrays.shape != (len(states), 4):
+            mismatches += 1
+        else:
+            mismatches += int((arrays != np.array(states)).any(axis=1).sum())
+        if K <= _ROUNDTRIP_K_MAX:
+            for rank, st in enumerate(states):
+                if index_of(st, K) != rank or state_of(rank, K) != st:
+                    mismatches += 1
+    config = {"K_max": _ENUMERATION_K_MAX, "roundtrip_K_max": _ROUNDTRIP_K_MAX}
+    return ExperimentReport("enumeration", config, [], {"worst": float(mismatches)},
+                            {"tol": 0.0}, mismatches == 0)
 
 
-@_staged
-@_domain(trials=_SIZE1, K_list=_K_LIST, seed=_SEED, tol=_POSITIVE)
-def check_product_form_stationarity(
-    trials: int = 50,
-    K_list=(1, 2, 3, 4, 5),
-    seed: int = 20260817,
-    tol: float = 1e-10,
-) -> ExperimentReport:
-    """Product form against the independent dense tandem generator, each
-    ``K`` of ``K_list`` refused before any trial if that generator is above
-    the state budget."""
-    for K in K_list:
-        _budgeted_pairs(K, "dense tandem generators")
+_STATIONARITY_K_LIST = (1, 2, 3, 4, 5)  # each with n^2 within the state budget (K <= 11)
 
+
+def check_product_form_stationarity() -> ExperimentReport:
+    """Product form against the independent dense tandem generator, ``K``
+    cycling through 1 to 5."""
     def trial(rng, i):
-        K = K_list[i % len(K_list)]
+        K = _STATIONARITY_K_LIST[i % len(_STATIONARITY_K_LIST)]
         eta, rho1, rho2 = _draws(rng, 3)
         pi = product_form(RateRatios(eta, rho1, rho2, eta), K).probs
         return np.abs(pi @ tandem_generator(eta, rho1, rho2, eta, K)).max()
 
-    return _worst_of_trials("product_form_stationarity", trial, trials, seed, tol,
-                            K_list=list(K_list))
+    return _worst_of_trials("product_form_stationarity", trial,
+                            K_list=list(_STATIONARITY_K_LIST))
 
 
-@_staged
-@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
-def check_step2_identity(
-    trials: int = 100, K_max: int = 6, seed: int = 20260818,
-    tol: float = 1e-13,
-) -> ExperimentReport:
+_IDENTITY_K_MAX = 6  # the identity suites cycle K through 1..6
+
+
+def check_step2_identity() -> ExperimentReport:
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
     ``(x, rho2)``, both masses read from the reference array
     ``simple_form``; the solver asserts this instead of solving it."""
     def trial(rng, i):
-        K = 1 + i % K_max
+        K = 1 + i % _IDENTITY_K_MAX
         x, y = _draws(rng, 2)
         p = simple_form(x, y, K)
         return abs(y * (1.0 - np.fliplr(p).trace()) - (1.0 - p[:, 0].sum()))
 
-    return _worst_of_trials("step2_identity", trial, trials, seed, tol, K_max=K_max)
+    return _worst_of_trials("step2_identity", trial, K_max=_IDENTITY_K_MAX)
 
 
-@_staged
-@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
-def check_aggregation_identity(
-    trials: int = 100, K_max: int = 6, seed: int = 20260819,
-    tol: float = 1e-13,
-) -> ExperimentReport:
+def check_aggregation_identity() -> ExperimentReport:
     """Pushing the four-coordinate product form through
     ``(w, x, y, z) -> (w + x + z, y)`` lands exactly on the reduced
     family at aggregated intensity ``eta1 + rho1 + eta2``."""
     def trial(rng, i):
-        K = 1 + i % K_max
+        K = 1 + i % _IDENTITY_K_MAX
         rho = RateRatios(*_draws(rng, 4))
         w, x, y, z = count_arrays(K)
         pushed = np.zeros((K + 1, K + 1))
         np.add.at(pushed, (w + x + z, y), product_form(rho, K).probs)
         return np.abs(pushed - simple_form(rho.rho1_tilde, rho.rho2, K)).max()
 
-    return _worst_of_trials("aggregation_identity", trial, trials, seed, tol, K_max=K_max)
+    return _worst_of_trials("aggregation_identity", trial, K_max=_IDENTITY_K_MAX)
 
 
-@_staged
-@_domain(trials=_SIZE1, K_max=_SIZE1, seed=_SEED, tol=_POSITIVE)
-def check_fill_identity(
-    trials: int = 100, K_max: int = 6, seed: int = 20260820,
-    tol: float = 1e-13,
-) -> ExperimentReport:
+def check_fill_identity() -> ExperimentReport:
     """Car density agrees between the four-coordinate form and the
     weighted mean of the reduced family, with the aggregated coordinate
     weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``; the
     reduced mean is the one the solver's O(K) pass gives."""
     def trial(rng, i):
-        K = 1 + i % K_max
+        K = 1 + i % _IDENTITY_K_MAX
         eta, rho1, rho2 = _draws(rng, 3)
         rho = RateRatios(eta, rho1, rho2, eta)
         c = (rho1 + eta) / (rho1 + 2.0 * eta)
         return abs(mean_fill(product_form(rho, K)) - _simple_mean(rho.rho1_tilde, rho2, K, c))
 
-    return _worst_of_trials("fill_identity", trial, trials, seed, tol, K_max=K_max)
+    return _worst_of_trials("fill_identity", trial, K_max=_IDENTITY_K_MAX)
 
 
 OUTCOMES = ("solved", "solved_above_tol", "value_error", "runtime_error",
@@ -305,11 +281,6 @@ def solve_grid(cells, tol: float) -> tuple[float, dict]:
     solver's own domain check refuses (a fraction outside ``(0, 1)`` or
     ``lam <= 0``) raises ``ValueError`` before any solve.
     """
-    return _solve_checked(cells, tol)
-
-
-def _solve_checked(cells: list, tol: float) -> tuple[float, dict]:
-    """:func:`solve_grid` on cells already checked."""
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)
     for p, frac in cells:
@@ -319,69 +290,59 @@ def _solve_checked(cells: list, tol: float) -> tuple[float, dict]:
     return worst, counts
 
 
-@_staged
-@_domain(lam_list=_NONEMPTY, mu=_POSITIVE, nu_list=_NONEMPTY, K_list=_K_LIST, s_fracs=_FRACTIONS,
-         tol=_POSITIVE, closed_form_tol=_POSITIVE)
-def check_fixed_point(
-    lam_list=(0.5, 1.0, 2.0),
-    mu: float = 1.0,
-    nu_list=(1.0, 10.0, 100.0),
-    K_list=(2, 3, 5),
-    s_fracs=(0.2, 0.5, 0.8),
-    tol: float = 1e-10,
-    closed_form_tol: float = 1e-6,
-) -> ExperimentReport:
+_RESIDUAL_TOL = 1e-10  # the fixed-point suites' bound on a grid's worst residual
+_FIXED_POINT_LAMS, _FIXED_POINT_MU = (0.5, 1.0, 2.0), 1.0
+_FIXED_POINT_NUS, _FIXED_POINT_KS = (1.0, 10.0, 100.0), (2, 3, 5)
+_FIXED_POINT_FRACS = (0.2, 0.5, 0.8)
+_CLOSED_FORM_TOL = 1e-6
+
+
+def check_fixed_point() -> ExperimentReport:
     """Fixed-point residuals across a parameter grid (:func:`solve_grid`),
     plus the capacity-one closed form in the fast-reservation limit.
 
     At ``K = 1``, ``lam = 2``, ``mu = 1`` the aggregate ratio is 2 and
     the fill 3/4 is attained exactly at intensities ``(1, 2)``.
     """
-    cells = _checked_cells("cells", ((ModelParams(lam=lam, mu=mu, nu=nu, K=K), frac)
-                                     for lam in lam_list for nu in nu_list for K in K_list
-                                     for frac in s_fracs))
-
-    def work() -> ExperimentReport:
-        worst, counts = _solve_checked(cells, tol)
-        rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
-        closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
-        return ExperimentReport(
-            "fixed_point",
-            {"lam_list": list(lam_list), "mu": mu, "nu_list": list(nu_list),
-             "K_list": list(K_list), "s_fracs": list(s_fracs)}, [],
-            {"worst": worst, "n_solves": len(cells), "closed_form_err": closed_err,
-             "outcomes": counts},
-            {"tol": tol, "closed_form_tol": closed_form_tol},
-            worst < tol and closed_err < closed_form_tol)
-    return work
+    cells = [(ModelParams(lam=lam, mu=_FIXED_POINT_MU, nu=nu, K=K), frac)
+             for lam in _FIXED_POINT_LAMS for nu in _FIXED_POINT_NUS
+             for K in _FIXED_POINT_KS for frac in _FIXED_POINT_FRACS]
+    worst, counts = solve_grid(cells, _RESIDUAL_TOL)
+    rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
+    closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
+    return ExperimentReport(
+        "fixed_point",
+        {"lam_list": list(_FIXED_POINT_LAMS), "mu": _FIXED_POINT_MU,
+         "nu_list": list(_FIXED_POINT_NUS), "K_list": list(_FIXED_POINT_KS),
+         "s_fracs": list(_FIXED_POINT_FRACS)}, [],
+        {"worst": worst, "n_solves": len(cells), "closed_form_err": closed_err,
+         "outcomes": counts},
+        {"tol": _RESIDUAL_TOL, "closed_form_tol": _CLOSED_FORM_TOL},
+        worst < _RESIDUAL_TOL and closed_err < _CLOSED_FORM_TOL)
 
 
-@_staged
-@_domain(K_list=_K_LIST, s_fracs=_FRACTIONS, nu_over_mu=_NONEMPTY, tol=_POSITIVE)
-def check_fixed_point_large_K(
-    K_list=(3, 5, 10, 20, 30, 40, 80, 200),
-    s_fracs=(0.2, 0.5, 0.8),
-    nu_over_mu=(0.1, 1.0, 10.0, 1e8),
-    tol: float = 1e-10,
-) -> ExperimentReport:
+_LARGE_KS = (3, 5, 10, 20, 30, 40, 80, 200)
+_LARGE_K_FRACS = (0.2, 0.5, 0.8)
+_LARGE_K_NU_OVER_MU = (0.1, 1.0, 10.0, 1e8)
+
+
+def check_fixed_point_large_K() -> ExperimentReport:
     """Fixed-point residuals (:func:`solve_grid`) up to capacity 200 at
     ``lam = mu = 1``, slow to near-instant reservations.  This covers the
     steep-fill regime of large ``K`` that :func:`check_fixed_point` does
     not reach."""
-    cells = _checked_cells("cells", ((ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
-                                     for K in K_list for frac in s_fracs for nu in nu_over_mu))
-
-    def work() -> ExperimentReport:
-        worst, counts = _solve_checked(cells, tol)
-        return ExperimentReport(
-            "fixed_point_large_K",
-            {"K_list": list(K_list), "s_fracs": list(s_fracs), "nu_over_mu": list(nu_over_mu)},
-            [], {"worst": worst, "n_solves": len(cells), "outcomes": counts}, {"tol": tol},
-            worst < tol)
-    return work
+    cells = [(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
+             for K in _LARGE_KS for frac in _LARGE_K_FRACS for nu in _LARGE_K_NU_OVER_MU]
+    worst, counts = solve_grid(cells, _RESIDUAL_TOL)
+    return ExperimentReport(
+        "fixed_point_large_K",
+        {"K_list": list(_LARGE_KS), "s_fracs": list(_LARGE_K_FRACS),
+         "nu_over_mu": list(_LARGE_K_NU_OVER_MU)},
+        [], {"worst": worst, "n_solves": len(cells), "outcomes": counts},
+        {"tol": _RESIDUAL_TOL}, worst < _RESIDUAL_TOL)
 
 
-_SUITES = {
+_FIXED = {
     "enumeration": check_enumeration,
     "product_form_stationarity": check_product_form_stationarity,
     "step2_identity": check_step2_identity,
@@ -389,18 +350,18 @@ _SUITES = {
     "fill_identity": check_fill_identity,
     "fixed_point": check_fixed_point,
     "fixed_point_large_K": check_fixed_point_large_K,
+    "monotonicity": monotonicity_scan,
 }
-"""The items that are suites, whose arguments all have defaults: what the
-CLI's ``checks`` names and ``overrides`` configures."""
+"""The items that take no arguments, the seven suites and the monotonicity
+scan: what the CLI's ``checks`` names."""
 
 ITEMS = {
-    **_SUITES,
+    **_FIXED,
     "convergence": convergence_experiment,
     "chaos": chaos_experiment,
     "attraction": attraction_experiment,
-    "monotonicity": monotonicity_scan,
 }
-"""Every item ``duores verify`` runs, by name: the seven suites, then the
-four experiments.  Each returns an :class:`ExperimentReport` and has
-``.refuse(**kwargs)``, which runs the item's checks alone and returns its
-work unrun."""
+"""Every item ``duores verify`` runs, by name: the eight of :data:`_FIXED`,
+then the three studies.  Each returns an :class:`ExperimentReport`; a study
+has ``.refuse(*args, **kwargs)``, which runs its checks alone and returns
+its work unrun."""

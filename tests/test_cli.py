@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from duores import cli, equilibrium, experiments, meanfield, simulate, verify
 from duores.cli import main
 from duores.core import Measure, ModelParams, num_states
 from duores.equilibrium import MultipleEquilibriaError
-from duores.io import measure_from_csv, write_timed_measure_csv
+from duores.io import measure_from_csv, measure_to_csv, write_timed_measure_csv
 from duores.meanfield import integrate
 from duores.simulate import SimInvariantError
 
@@ -237,11 +239,9 @@ def test_verify_passing_checks(tmp_path, capsys):
     assert [item["name"] for item in report["items"]] == ["enumeration", "step2_identity"]
 
 
-def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
-    cfg = {
-        "checks": ["step2_identity"],
-        "overrides": {"step2_identity": {"tol": 1e-300}},
-    }
+def test_verify_fails_on_impossible_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(verify._TRIALS, "step2_identity", (100, 20260818, 1e-300))
+    cfg = {"checks": ["step2_identity"]}
     rc = main(["verify", _write_cfg(tmp_path, "v.json", cfg)])
     assert rc == 1
     assert capsys.readouterr().out.startswith("FAIL step2_identity")
@@ -263,42 +263,41 @@ def test_verify_empty_config_passes(tmp_path):
     assert main(["verify", _write_cfg(tmp_path, "v.json", {})]) == 0
 
 
-def _large_K_grid(K_list, s_fracs, nu_over_mu):
-    return {"checks": ["fixed_point_large_K"],
-            "overrides": {"fixed_point_large_K": {"K_list": K_list, "s_fracs": s_fracs,
-                                                  "nu_over_mu": nu_over_mu}}}
+_LARGE_K = {"checks": ["fixed_point_large_K"]}
 
 
-@pytest.mark.parametrize("cfg, failed", [
+@pytest.mark.parametrize("grid, cfg, failed", [
     # the named refusal of a fill out of reach: was a config error
-    (_large_K_grid([40], [0.95], [0.1]), "FAIL fixed_point_large_K (worst=inf"),
+    (((40,), (0.95,), (0.1,)), _LARGE_K, "FAIL fixed_point_large_K (worst=inf"),
     # the generic fill bisection failure: was a traceback
-    (_large_K_grid([20, 40], [0.8, 0.9], [0.01, 1.0]), "FAIL fixed_point_large_K (worst=inf"),
+    (((20, 40), (0.8, 0.9), (0.01, 1.0)), _LARGE_K, "FAIL fixed_point_large_K (worst=inf"),
     # the experiment's start solve meets the same failure: was a traceback
-    ({"experiments": {"attraction": {"model": {"lam": 1.0, "mu": 1.0, "nu": 0.01, "K": 20},
-                                     "s": 18.0, "perturbation_size": 0.1, "T": 1.0}}},
+    (None, {"experiments": {"attraction": {"model": {"lam": 1.0, "mu": 1.0, "nu": 0.01, "K": 20},
+                                           "s": 18.0, "perturbation_size": 0.1, "T": 1.0}}},
      "FAIL: fill bisection at K=20"),
 ])
-def test_verify_reports_a_failed_solve_as_a_failure(tmp_path, capsys, cfg, failed):
+def test_verify_reports_a_failed_solve_as_a_failure(tmp_path, capsys, monkeypatch, grid, cfg,
+                                                    failed):
+    if grid is not None:  # the grid of fixed_point_large_K
+        for name, value in zip(("_LARGE_KS", "_LARGE_K_FRACS", "_LARGE_K_NU_OVER_MU"), grid):
+            monkeypatch.setattr(verify, name, value)
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
     captured = capsys.readouterr()
     assert failed in captured.out + captured.err
     assert "Traceback" not in captured.err and "config error" not in captured.err
 
 
-@pytest.mark.parametrize("cfg", [
-    _large_K_grid([10], [1.0], [1.0]),
-    {"checks": ["fixed_point"], "overrides": {"fixed_point": {"s_fracs": [0.5, -0.2]}}},
-    {"checks": ["fixed_point"], "overrides": {"fixed_point": {"lam_list": [-1.0]}}},
-])
-def test_verify_grids_a_suite_rejects_before_solving_are_config_errors(tmp_path, capsys, cfg):
-    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-
-
 # ------------------------------------------------------------
 # config errors -> exit code 2
 # ------------------------------------------------------------
+
+def test_a_config_root_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["verify", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: config must be an object\n"
+    assert not (tmp_path / "out").exists()
+
 
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.json")])
@@ -348,7 +347,7 @@ def test_verify_rejects_unknown_check_and_experiment(tmp_path):
     assert main(["verify", _write_cfg(tmp_path, "v1.json", cfg)]) == 2
     cfg = {"experiments": {"does_not_exist": {}}}
     assert main(["verify", _write_cfg(tmp_path, "v2.json", cfg)]) == 2
-    cfg = {"overrides": {"step2_identity": 5}}
+    cfg = {"experiments": {"attraction": 5}}
     assert main(["verify", _write_cfg(tmp_path, "v3.json", cfg)]) == 2
 
 
@@ -364,6 +363,8 @@ def test_meanfield_rejects_unstable_step(tmp_path):
 _SIM = {"N": 2, "M": 2, "T": 0.0, "sample_times": [0.0], "seed": 1}
 _STUDY = {"model": _MODEL, "s": 1.0, "N_list": [5, 10], "replicas": 1, "T": 0.5,
           "sample_times": [0.5], "seed0": 1}
+_ATTRACTION = {"model": {**_MODEL, "nu": 10.0}, "s": 1.0, "perturbation_size": 0.05,
+               "T": 20.0}
 
 
 @pytest.mark.parametrize("command, cfg, named", [
@@ -371,14 +372,14 @@ _STUDY = {"model": _MODEL, "s": 1.0, "N_list": [5, 10], "replicas": 1, "T": 0.5,
      "'sim.replicas' must be an integer"),
     ("equilibrium", {"model": _MODEL, "equilibrium": {"s": 1.0, "fill_tol": "x"}},
      "'equilibrium.fill_tol' must be a number"),
-    ("verify", {"experiments": {"monotonicity": {"K_list": 3}}},
-     "'experiments.monotonicity.K_list' must be a list of integers"),
-    ("verify", {"experiments": {"convergence": {**_STUDY, "slope_range": 5}}},
-     "'experiments.convergence.slope_range' must be a list of numbers"),
-    ("verify", {"checks": ["enumeration"], "overrides": {"enumeration": {"bogus": 1}}},
-     "unknown key(s) ['bogus'] in 'overrides.enumeration'"),
-    ("verify", {"checks": ["enumeration"], "overrides": {"enumeration": {"K_max": "x"}}},
-     "'overrides.enumeration.K_max' must be an integer"),
+    ("verify", {"experiments": {"convergence": {**_STUDY, "N_list": 3}}},
+     "'experiments.convergence.N_list' must be a list of integers"),
+    ("verify", {"experiments": {"chaos": {**_STUDY, "sample_times": 0.5}}},
+     "'experiments.chaos.sample_times' must be a list of numbers"),
+    ("verify", {"experiments": {"attraction": {**_ATTRACTION, "bogus": 1}}},
+     "unknown key(s) ['bogus'] in 'experiments.attraction'"),
+    ("verify", {"experiments": {"attraction": {**_ATTRACTION, "T": "x"}}},
+     "'experiments.attraction.T' must be a number"),
     ("meanfield", {"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05, "output_every": 2.5}},
      "'meanfield.output_every' must be an integer"),  # was run as 2
     ("simulate", {"model": _MODEL, "sim": {**_SIM, "audit": "no"}},
@@ -391,6 +392,32 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, command, cfg, name
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert "Traceback" not in err
+
+
+_INITIAL = {"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("simulate", {"sim": _SIM}, "missing 'model' section"),
+    ("meanfield", {**_INITIAL, "meanfield": {**_INITIAL["meanfield"], "initial": "bogus"}},
+     "unrecognized 'meanfield.initial': 'bogus'"),
+    ("meanfield", {**_INITIAL, "meanfield": {**_INITIAL["meanfield"], "initial": {
+        "point": [0, 0, 0, 1], "equilibrium": {"s": 1.0}}}},
+     "'meanfield.initial' must pick exactly one form"),
+    ("meanfield", {**_INITIAL, "meanfield": {**_INITIAL["meanfield"],
+                                             "initial": {"point": [0, 0, 0, 3]}}},
+     "bad initial point: (0,0,0,3) is not an admissible state for capacity K=2"),
+    ("meanfield", {**_INITIAL, "meanfield": {**_INITIAL["meanfield"],
+                                             "initial": {"csv": "K1.csv"}}},
+     "initial measure capacity 1 != model capacity 2"),
+])
+def test_unusable_sections_are_named_config_errors_that_write_nothing(
+        tmp_path, capsys, monkeypatch, command, cfg, named):
+    monkeypatch.chdir(tmp_path)
+    measure_to_csv(Measure.uniform(1), "K1.csv")
+    assert main([command, _write_cfg(tmp_path, "c.json", cfg), "--output-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -408,7 +435,7 @@ def test_capacities_above_the_state_budget_are_config_errors(tmp_path, capsys, c
 
 @pytest.mark.parametrize("command, cfg, named", [
     ("verify", {"checks": "all", "output_dir": 5}, "'output_dir' must be a string"),
-    ("verify", {"checks": [["enumeration"]]}, "'checks' must be a list of suite names"),
+    ("verify", {"checks": [["enumeration"]]}, "'checks' must be a list of check names"),
     ("meanfield", {"model": _MODEL, "meanfield": {"initial": {"csv": 5}, "T": 0.1,
                                                   "dt": 0.05}},
      "'meanfield.initial.csv' must be a string"),  # was opened as file descriptor 5
@@ -513,9 +540,6 @@ def test_equilibrium_checks_the_state_budget_before_the_solve(tmp_path, capsys, 
 # one exit policy and one run record for the four commands
 # ------------------------------------------------------------
 
-_ATTRACTION = {"model": {**_MODEL, "nu": 10.0}, "s": 1.0, "perturbation_size": 0.05,
-               "T": 20.0}
-
 # Each command's config and the module-level name of its library call.
 _COMMANDS = {
     "simulate": ({"model": _MODEL, "sim": {"N": 3, "M": 3, "T": 0.5, "sample_times": [0.5],
@@ -602,22 +626,19 @@ def test_verify_reports_a_failed_start_solve_and_runs_every_other_item(tmp_path,
         raise RuntimeError("start solve failed")
 
     monkeypatch.setattr(experiments, "solve_equilibrium", fails)
-    cfg = {"checks": ["enumeration", "step2_identity"],
-           "experiments": {"attraction": _ATTRACTION,
-                           "monotonicity": {"a_list": [1.0], "K_list": [1], "n_curve": 2,
-                                            "xy_max": 0.2}},
-           "output_dir": str(tmp_path / "out")}
+    cfg = {"checks": ["enumeration", "step2_identity", "monotonicity"],
+           "experiments": {"attraction": _ATTRACTION}, "output_dir": str(tmp_path / "out")}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "FAIL: start solve failed\n"
     assert [line.split(" (")[0] for line in captured.out.splitlines()] == [
-        "PASS enumeration", "PASS step2_identity", "FAIL attraction", "PASS monotonicity"]
+        "PASS enumeration", "PASS step2_identity", "PASS monotonicity", "FAIL attraction"]
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-    assert report["items"][2] == {"name": "attraction", "passed": False,
+    assert report["items"][3] == {"name": "attraction", "passed": False,
                                   "error": "start solve failed"}
     assert [(item["name"], item["passed"]) for item in report["items"]] == [
-        ("enumeration", True), ("step2_identity", True), ("attraction", False),
-        ("monotonicity", True)]
+        ("enumeration", True), ("step2_identity", True), ("monotonicity", True),
+        ("attraction", False)]
 
 
 _STUDY_OK = {**_STUDY, "N_list": [2, 3]}
@@ -628,8 +649,6 @@ _STUDY_OK = {**_STUDY, "N_list": [2, 3]}
     ("convergence", {**_STUDY_OK, "replicas": 0}, "replicas must be >= 1, got 0"),
     # reported marginal_err_max = 0.0 from a division by N(N-1) = 0
     ("chaos", {**_STUDY_OK, "N_list": [1, 4]}, "every N in N_list must be >= 2, got 1"),
-    # a ZeroDivisionError traceback
-    ("monotonicity", {"grid_step": 0}, "grid_step must be > 0, got 0.0"),
 ])
 def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, name, sec,
                                                                named):
@@ -640,44 +659,50 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg, named", [
+    # an override of a suite not in checks was dropped: exit 0, and nothing ran
+    ({"overrides": {"step2_identity": {"trials": 500}}}, "unknown key(s) ['overrides'] in config"),
+    ({"checks": ["step2_identity"], "overrides": {"step2_identity": {"tol": 1e-300}}},
+     "unknown key(s) ['overrides'] in config"),
+    ({"experiments": {"monotonicity": {}}}, "'experiments' names no item 'monotonicity'"),
+    # PASS attraction at a final TV of 0.0993, judged against 1e300
+    ({"experiments": {"attraction": {"model": {"lam": 1, "mu": 1, "nu": 10, "K": 3}, "s": 1.5,
+                                     "perturbation_size": 0.1, "T": 0.01,
+                                     "final_tv_tol": 1e300}}},
+     "unknown key(s) ['final_tv_tol'] in 'experiments.attraction'"),
+    ({"experiments": {"convergence": {**_STUDY, "slope_range": [-9, 9]}}},
+     "unknown key(s) ['slope_range'] in 'experiments.convergence'"),
+    ({"experiments": {"chaos": {**_STUDY, "marginal_tol": 1.0}}},
+     "unknown key(s) ['marginal_tol'] in 'experiments.chaos'"),
+    ({"experiments": {"attraction": {**_ATTRACTION, "fill_drift_tol": 1.0}}},
+     "unknown key(s) ['fill_drift_tol'] in 'experiments.attraction'"),
+    ({"checks": ["monotonicity"], "experiments": {"monotonicity": {"n_curve": 2}}},
+     "'experiments' names no item 'monotonicity'"),
+])
+def test_verify_refuses_a_removed_setting_by_name(tmp_path, capsys, cfg, named):
+    # checks ask fixed questions against fixed bounds: a setting that moved a
+    # bound or a grid, or ran the scan as an experiment, is refused, not ignored
+    out = tmp_path / "out"
+    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg), "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {named}")
+    assert not out.exists()
+
+
 def _items_run(monkeypatch) -> list:
-    """The names of the verify items that run, in order; each keeps its
-    ``.refuse``."""
+    """The names of the verify items that run, in order; each study keeps
+    its ``.refuse``."""
     ran = []
     for name, item in verify.ITEMS.items():
         def spy(*args, _name=name, _item=item, **kwargs):
             ran.append(_name)
             return _item(*args, **kwargs)
 
-        spy.refuse = item.refuse
+        if hasattr(item, "refuse"):
+            spy.refuse = item.refuse
         monkeypatch.setitem(verify.ITEMS, name, spy)
     return ran
-
-
-@pytest.mark.parametrize("override, message", [
-    ({"product_form_stationarity": {"K_list": []}}, "K_list must hold at least one value, got ()"),
-    ({"step2_identity": {"K_max": 0}}, "K_max must be >= 1, got 0"),
-    ({"fill_identity": {"trials": 0}}, "trials must be >= 1, got 0"),
-    ({"enumeration": {"K_max": -3, "roundtrip_K_max": -3}}, "K_max must be >= 0, got -3"),
-    ({"product_form_stationarity": {"K_list": [0]}}, "every entry of K_list must be >= 1, got 0"),
-    ({"step2_identity": {"seed": -1}},
-     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
-    ({"fixed_point": {"closed_form_tol": float("nan")}},
-     "closed_form_tol must be finite and > 0, got nan"),
-    ({"fixed_point": {"K_list": [0]}}, "every entry of K_list must be >= 1, got 0"),
-    ({"fixed_point_large_K": {"K_list": [3, 0]}}, "every entry of K_list must be >= 1, got 0"),
-])
-def test_verify_refuses_a_suite_override_with_nothing_to_check_before_any_work(
-        tmp_path, capsys, monkeypatch, override, message):
-    # K_list=[] and K_max=0 ended in a ZeroDivisionError traceback after
-    # the experiments had run; the others passed with nothing checked
-    ran = _items_run(monkeypatch)
-    cfg = {"checks": ["enumeration"], "overrides": override,
-           "experiments": {"monotonicity": {}}, "output_dir": str(tmp_path / "out")}
-    assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert ran == []
-    assert not (tmp_path / "out").exists()
 
 
 def test_verify_refuses_a_degenerate_experiment_before_any_suite_runs(tmp_path, capsys,
@@ -712,41 +737,52 @@ def work_calls(monkeypatch):
     return calls
 
 
-_GOOD = {"fixed_point_large_K": {"K_list": [3], "s_fracs": [0.5], "nu_over_mu": [1.0]},
-         "fixed_point": {"lam_list": [1.0], "nu_list": [1.0], "K_list": [2], "s_fracs": [0.5]},
-         "attraction": _ATTRACTION,
-         "monotonicity": {"a_list": [1.0], "K_list": [1], "n_curve": 2, "xy_max": 0.2}}
+_GOOD = {"attraction": _ATTRACTION, "convergence": _STUDY_OK}
 
 
 def _after_good_items(name, sec):
-    """A verify config that runs a good suite and a good experiment before
-    the item ``name`` read from ``sec``."""
-    suite = "fixed_point" if name == "fixed_point_large_K" else "fixed_point_large_K"
-    experiment = "monotonicity" if name == "attraction" else "attraction"
-    items = {suite: _GOOD[suite], experiment: _GOOD[experiment], name: sec}
-    experiments = ("convergence", "chaos", "attraction", "monotonicity")
-    return {"checks": [n for n in items if n not in experiments],
-            "overrides": {n: s for n, s in items.items() if n not in experiments},
-            "experiments": {n: s for n, s in items.items() if n in experiments}}
+    """A verify config that names two fixed checks and a good study before
+    the study ``name`` read from ``sec``."""
+    study = "convergence" if name == "attraction" else "attraction"
+    return {"checks": ["fixed_point_large_K", "monotonicity"],
+            "experiments": {study: _GOOD[study], name: sec}}
 
 
 @pytest.mark.parametrize("name, sec, message", [
-    ("enumeration", {"roundtrip_K_max": -1}, "roundtrip_K_max must be >= 0, got -1"),
-    ("product_form_stationarity", {"K_list": [0]}, "every entry of K_list must be >= 1, got 0"),
-    ("step2_identity", {"seed": -1},
-     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
-    ("aggregation_identity", {"trials": 0}, "trials must be >= 1, got 0"),
-    ("fill_identity", {"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
-    ("fixed_point", {"closed_form_tol": -1.0}, "closed_form_tol must be finite and > 0, got -1.0"),
-    ("fixed_point", {"s_fracs": [0.5, 1.5]},
-     "every entry of s_fracs must be finite and > 0 and < 1, got 1.5"),
-    ("fixed_point_large_K", {"K_list": [3, 0]}, "every entry of K_list must be >= 1, got 0"),
-    ("convergence", {**_STUDY, "slope_range": [0.5, -0.5]},
-     "slope_range must be two finite numbers lo <= hi, got (0.5, -0.5)"),
-    ("chaos", {**_STUDY, "marginal_tol": -1.0}, "marginal_tol must be finite and >= 0, got -1.0"),
-    ("attraction", {**_ATTRACTION, "fill_drift_tol": -1.0},
-     "fill_drift_tol must be finite and >= 0, got -1.0"),
-    ("monotonicity", {"n_curve": 1}, "n_curve must be >= 2, got 1"),
+    ("convergence", {**_STUDY, "N_list": [5]},
+     "N_list must hold at least two sizes to fit a slope, got 1"),
+    # PASS lines, then init_uniform's refusal as a config error, and no report
+    ("convergence", {**_STUDY, "s": 3.0},
+     "s=3.0 puts round(N s) cars on N=5 stations of capacity K=2, more than N K = 10"),
+    ("chaos", {**_STUDY, "sample_times": [0.75]},
+     "sample_times must lie within [0, T] = [0, 0.5], got 0.75"),
+    ("attraction", {**_ATTRACTION, "s": 2.0}, "s must lie in (0, K) = (0, 2), got 2.0"),
+    # each other argument of the three studies
+    ("convergence", {**_STUDY, "N_list": [0, 4]}, "every N in N_list must be >= 1, got 0"),
+    ("convergence", {**_STUDY, "sample_times": [-0.1]},
+     "sample_times[0] must be finite and >= 0, got -0.1"),
+    ("convergence", {**_STUDY, "sample_times": [0.75]},
+     "sample_times must lie within [0, T] = [0, 0.5], got 0.75"),
+    ("convergence", {**_STUDY, "T": -1.0}, "T must be finite and >= 0, got -1.0"),
+    ("convergence", {**_STUDY, "sample_times": []},
+     "sample_times must hold at least one time, got ()"),
+    ("convergence", {**_STUDY, "sample_times": [0.5, 0.25]},
+     "sample_times must be nondecreasing"),
+    ("convergence", {**_STUDY, "seed0": -1}, "seed0 must be >= 0, got -1"),
+    ("convergence", {**_STUDY, "s": -1.0}, "s must be finite and >= 0, got -1.0"),
+    ("convergence", {**_STUDY, "dt_max": 0.0}, "dt_max must be finite and > 0, got 0.0"),
+    ("chaos", {**_STUDY, "N_list": []}, "N_list must hold at least one network size, got ()"),
+    ("chaos", {**_STUDY, "N_list": [0, 4]}, "every N in N_list must be >= 2, got 0"),
+    ("chaos", {**_STUDY, "replicas": 0}, "replicas must be >= 1, got 0"),
+    ("chaos", {**_STUDY, "s": -1.0}, "s must be finite and >= 0, got -1.0"),
+    ("chaos", {**_STUDY, "s": 3.0},
+     "s=3.0 puts round(N s) cars on N=5 stations of capacity K=2, more than N K = 10"),
+    ("chaos", {**_STUDY, "dt_max": -1.0}, "dt_max must be finite and > 0, got -1.0"),
+    ("attraction", {**_ATTRACTION, "perturbation_size": -0.1},
+     "perturbation_size must be >= 0, got -0.1"),
+    ("attraction", {**_ATTRACTION, "T": -1.0}, "T must be finite and >= 0, got -1.0"),
+    ("attraction", {**_ATTRACTION, "s": 0.0}, "s must be finite and > 0, got 0.0"),
+    ("attraction", {**_ATTRACTION, "dt": 0.0}, "dt must be finite and > 0, got 0.0"),
 ])
 def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
         tmp_path, capsys, work_calls, name, sec, message):
@@ -754,32 +790,31 @@ def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
     # were refused only as that item ran, after the items before it.
     cfg = {**_after_good_items(name, sec), "output_dir": str(tmp_path / "out")}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    # no item's work ran; a good attraction item read before a bad experiment
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {message}\n"
+    # no item's work ran; a good attraction item read before a bad study
     # has made its start solve, which is part of its own refusal
-    solves = int(name in cfg["experiments"] and name != "attraction")
+    solves = int(name != "attraction")
     assert work_calls["run"] == work_calls["_stream"] == 0
     assert work_calls["solve_equilibrium"] == solves
     assert bool(work_calls["_curve_point"]) == bool(solves)
     assert not (tmp_path / "out").exists()
     # the item's own .refuse, on the arguments as the library takes them
     kw = {k: tuple(v) if isinstance(v, list) else v for k, v in sec.items()}
-    if "model" in kw:
-        kw["p"] = ModelParams(**kw.pop("model"))
+    kw["p"] = ModelParams(**kw.pop("model"))
     with pytest.raises(ValueError) as refused:
         verify.ITEMS[name].refuse(**kw)
     assert str(refused.value) == message
 
 
 def test_verify_refuses_a_second_experiment_before_the_first_runs(tmp_path, capsys, work_calls):
-    # The monotonicity scan ran in full before convergence's empty N_list
-    # was refused.
-    cfg = {"experiments": {"monotonicity": _GOOD["monotonicity"],
-                           "convergence": {**_STUDY, "N_list": []}}}
+    # The first experiment ran in full before the second's empty N_list was
+    # refused.
+    cfg = {"experiments": {"chaos": _STUDY_OK, "convergence": {**_STUDY, "N_list": []}}}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     assert capsys.readouterr().err == ("config error: N_list must hold at least two sizes "
                                        "to fit a slope, got 0\n")
-    assert work_calls["_curve_point"] == 0
+    assert work_calls["run"] == 0
 
 
 def test_verify_makes_each_attraction_start_solve_once(tmp_path, capsys, monkeypatch):
@@ -792,8 +827,7 @@ def test_verify_makes_each_attraction_start_solve_once(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(experiments, "solve_equilibrium", counted)
     cfg = {"checks": "all", "experiments": {"convergence": _STUDY_OK, "chaos": _STUDY_OK,
-                                            "attraction": _ATTRACTION,
-                                            "monotonicity": _GOOD["monotonicity"]}}
+                                            "attraction": _ATTRACTION}}
     main(["verify", _write_cfg(tmp_path, "v.json", cfg)])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" (")[0].split()[1] for line in lines] == list(verify.ITEMS)
@@ -823,3 +857,16 @@ def test_verify_reports_a_raising_suite_and_runs_every_other_item(tmp_path, caps
     assert [(item["name"], item["passed"]) for item in report["items"][1:]] == [
         ("step2_identity", True), ("attraction", True)]
     assert report["passed"] is False
+
+
+def test_readme_command_line_configs_run(tmp_path):
+    # the first JSON block under each command's heading of README's "Command line"
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## File formats")]
+    configs = re.findall(r"^### (\w+)\n.*?^```json\n(.*?)^```", section, re.S | re.M)
+    assert [command for command, _ in configs] == ["simulate", "meanfield", "equilibrium",
+                                                   "verify"]
+    for command, block in configs:
+        path = tmp_path / f"{command}.json"
+        path.write_text(block)
+        assert main([command, str(path), "--output-dir", str(tmp_path / command)]) == 0, command

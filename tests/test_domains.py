@@ -31,6 +31,11 @@ TAKES_NONE = {
     "simulate.step": "a state, a model and a generator",
     "simulate.run": "a model and a config, checked when built, and a start state",
     "experiments.ExperimentReport": "a record an experiment fills",
+    "experiments.monotonicity_scan": "no arguments: its grids are fixed",
+    **{f"verify.{name}": "no arguments: its grid, trials, seed and tolerances are fixed"
+       for name in ("check_enumeration", "check_product_form_stationarity",
+                    "check_step2_identity", "check_aggregation_identity", "check_fill_identity",
+                    "check_fixed_point", "check_fixed_point_large_K")},
     "io.measure_to_csv": "a measure and a path",
     "io.measure_from_csv": "a path",
     "io.write_timed_measure_csv": "a writer: the times and measures of a trajectory",

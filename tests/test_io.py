@@ -96,6 +96,13 @@ def test_csv_names_the_first_malformed_row(tmp_path, row, message):
         measure_from_csv(path)
 
 
+def test_timed_measure_csv_refuses_times_and_measures_of_unequal_lengths(tmp_path):
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match="^times and measures differ in length$"):
+        write_timed_measure_csv([0.0, 1.0], [Measure.uniform(1)], path)
+    assert not path.exists()
+
+
 def test_timed_measure_csv_layout(tmp_path):
     m0 = Measure.point((0, 0, 1, 0), 1)
     m1 = Measure.uniform(1)

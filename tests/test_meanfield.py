@@ -483,6 +483,14 @@ def test_integrate_at_agrees_with_integrate():
         assert np.max(np.abs(m.probs - grid_m.probs)) < 1e-12
 
 
+def test_integrators_refuse_a_measure_of_another_capacity():
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
+    for call in (lambda m: integrate(m, p, T=0.1, dt=0.01),
+                 lambda m: integrate_at(m, p, [0.1], dt_max=0.01)):
+        with pytest.raises(ValueError, match=r"^measure capacity 1 != model capacity 2$"):
+            call(Measure.uniform(1))
+
+
 def test_integrate_at_validates_order():
     p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=1)
     with pytest.raises(ValueError):

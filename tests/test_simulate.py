@@ -292,6 +292,12 @@ def test_run_at_time_zero_returns_the_initial_state():
     assert np.array_equal(out[0][1], init.counts())
 
 
+@pytest.mark.parametrize("audit", [False, True])
+def test_run_with_no_sample_times_returns_no_snapshot(audit):
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
+    assert run(p, SimConfig(N=5, M=6, T=1.0, sample_times=(), seed=3), audit=audit) == []
+
+
 def test_run_with_zero_rate_freezes():
     p = ModelParams(lam=0.0, mu=1.0, nu=1.0, K=1)
     cfg = SimConfig(N=4, M=3, T=10.0, sample_times=(0.0, 5.0, 10.0), seed=11)

@@ -122,25 +122,12 @@ REMOVED = [
     ("empirical_measure", "counts", "empty"), ("chaos_experiment", "N_list", "entry integer"),
     ("integrate", "T", "negative"), ("convergence_experiment", "s", "nan"),
     ("convergence_experiment", "replicas", "fraction"),
-    ("convergence_experiment", "dt_max", "nan"), ("chaos_experiment", "marginal_tol", "nan"),
-    ("chaos_experiment", "T", "nan"), ("experiments.derive_seed", "seed0", "fraction"),
+    ("convergence_experiment", "dt_max", "nan"), ("chaos_experiment", "T", "nan"), ("experiments.derive_seed", "seed0", "fraction"),
     ("attraction_experiment", "perturbation_size", "nan"), ("attraction_experiment", "dt", "nan"),
     ("index_of", "state", "entry fraction"), ("SimConfig", "seed", "fraction"),
     ("SimConfig", "seed", "negative"), ("init_uniform", "seed", "fraction"),
-    ("init_uniform", "seed", "negative"), ("verify.check_enumeration", "K_max", "negative"),
-    ("verify.check_product_form_stationarity", "K_list", "empty"),
-    ("verify.check_step2_identity", "K_max", "zero"),
-    ("verify.check_aggregation_identity", "trials", "zero"),
-    ("verify.check_fixed_point", "lam_list", "empty"),
-    ("verify.check_fixed_point_large_K", "K_list", "empty"),
-    ("verify.check_step2_identity", "tol", "nan"), ("verify.check_step2_identity", "seed", "negative"),
-    ("verify.check_product_form_stationarity", "K_list", "entry zero"),
-    ("verify.check_fixed_point", "closed_form_tol", "nan"), ("solve_equilibrium", "s", "string"),
+    ("init_uniform", "seed", "negative"), ("solve_equilibrium", "s", "string"),
     ("solve_phi", "x", "string"), ("solve_phi", "a", "string"),
-    ("verify.check_fixed_point", "K_list", "entry zero"),
-    ("verify.check_fixed_point_large_K", "K_list", "entry zero"),
-    ("convergence_experiment", "slope_range", "edge (-0.7,)"),
-    ("convergence_experiment", "slope_range", "edge (0.5, -0.5)"),
     ("convergence_experiment", "N_list", "non-sequence"),
     ("chaos_experiment", "N_list", "non-sequence"),
     ("convergence_experiment", "sample_times", "non-sequence"),
@@ -152,6 +139,13 @@ REMOVED = [
 @pytest.mark.parametrize("entry, arg, label", REMOVED, ids=[" ".join(r) for r in REMOVED])
 def test_each_removed_contract_row_is_reproduced_by_a_sweep_draw(sweep, entry, arg, label):
     assert any(row[:3] == (entry, arg, label) and row[4] == "named_value_error" for row in sweep)
+
+
+@pytest.mark.parametrize("entry", ["convergence_experiment", "chaos_experiment"])
+def test_a_study_refuses_a_fill_its_networks_cannot_hold_by_name(sweep, entry):
+    # s = 1e300 at K = 2 was answered by .refuse, and the run failed in init_uniform
+    (row,) = [row for row in sweep if row[:3] == (entry, "s", "huge")]
+    assert row[4] == "named_value_error" and row[5].startswith("ValueError: s=1e+300 puts")
 
 
 def test_staged_items_refuse_every_draw_before_any_run_stream_or_solve(monkeypatch):
@@ -188,5 +182,5 @@ def test_contract_records_the_sweep_and_the_kept_rows(layers, tmp_path):
     assert swept["totals"]["other"] == len(layers.KNOWN_OTHER)
     assert swept["not_drawn_large"]["ModelParams"] == {"K": 1e300}
     assert swept["not_drawn_large"]["integrate"] == {"T": 1e300, "dt": 1e-300}
-    assert "monotonicity_scan" in swept["entries"]
-    assert swept["not_drawn_large"]["monotonicity_scan"] == {"K_list": 1e300, "n_curve": 1e300}
+    assert swept["not_drawn_large"]["convergence_experiment"] == {
+        "N_list": 1e300, "replicas": 1e300, "T": 1e300}

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import duores.experiments as experiments
 import duores.verify as verify
 from duores.core import MAX_STATES, ModelParams, count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
@@ -60,12 +61,14 @@ def test_tandem_generator_above_the_state_budget_is_refused_before_allocation():
     assert peak < 1 << 20
 
 
-def test_product_form_stationarity_refuses_a_capacity_above_the_budget_before_any_trial():
-    # the default capacities fit: K <= 11 is the largest with n^2 within the budget
+def test_product_form_stationarity_meets_a_capacity_above_the_budget_with_a_named_refusal(
+        monkeypatch):
+    # the fixed capacities fit: K <= 11 is the largest with n^2 within the budget
     assert num_states(11) ** 2 <= MAX_STATES < num_states(12) ** 2
-    assert max(inspect.signature(check_product_form_stationarity).parameters["K_list"].default) <= 11
+    assert max(verify._STATIONARITY_K_LIST) <= 11
+    monkeypatch.setattr(verify, "_STATIONARITY_K_LIST", (1, 12))
     with pytest.raises(ValueError, match=r"K=12 need n\^2="):
-        check_product_form_stationarity.refuse(K_list=[1, 12])
+        check_product_form_stationarity()
 
 
 def test_product_form_is_in_the_generator_null_space():
@@ -76,22 +79,25 @@ def test_product_form_is_in_the_generator_null_space():
     assert np.max(np.abs(pi @ Q)) < 1e-12
 
 
-def test_item_registry_and_overrides():
+def test_item_registry():
     assert list(ITEMS) == [
         "enumeration", "product_form_stationarity", "step2_identity",
         "aggregation_identity", "fill_identity", "fixed_point",
-        "fixed_point_large_K", "convergence", "chaos", "attraction", "monotonicity",
+        "fixed_point_large_K", "monotonicity", "convergence", "chaos", "attraction",
     ]
-    assert all(callable(item.refuse) for item in ITEMS.values())
-    res = ITEMS["step2_identity"](trials=10)
+    assert list(verify._FIXED) == list(ITEMS)[:8]
+    for name, item in ITEMS.items():  # the fixed items ask fixed questions: no arguments
+        assert hasattr(item, "refuse") == (name not in verify._FIXED), name
+        assert (not inspect.signature(item).parameters) == (name in verify._FIXED), name
+    res = ITEMS["step2_identity"]()
     assert isinstance(res, ExperimentReport)
-    assert res.passed and res.config["trials"] == 10
+    assert res.passed and res.config["trials"] == 100
 
 
 def test_checks_report_worst_below_tolerance():
     res = check_enumeration()
     assert res.passed and res.metrics["worst"] == 0.0
-    res = check_step2_identity(trials=20)
+    res = check_step2_identity()
     assert res.passed and res.metrics["worst"] < res.thresholds["tol"]
 
 
@@ -162,20 +168,97 @@ def test_suites_at_their_defaults_are_pinned(pinned):
     assert json.dumps(got) == json.dumps(pinned)  # key order too
 
 
+# Each argument a fixed item once took, with its old default.  The value is
+# now a module constant, which the report lists as config or thresholds.
+_FIXED_SETTINGS = [
+    ("enumeration", "K_max", 10), ("enumeration", "roundtrip_K_max", 6),
+    ("product_form_stationarity", "trials", 50),
+    ("product_form_stationarity", "K_list", [1, 2, 3, 4, 5]),
+    ("product_form_stationarity", "seed", 20260817),
+    ("product_form_stationarity", "tol", 1e-10),
+    ("step2_identity", "trials", 100), ("step2_identity", "K_max", 6),
+    ("step2_identity", "seed", 20260818), ("step2_identity", "tol", 1e-13),
+    ("aggregation_identity", "trials", 100), ("aggregation_identity", "K_max", 6),
+    ("aggregation_identity", "seed", 20260819), ("aggregation_identity", "tol", 1e-13),
+    ("fill_identity", "trials", 100), ("fill_identity", "K_max", 6),
+    ("fill_identity", "seed", 20260820), ("fill_identity", "tol", 1e-13),
+    ("fixed_point", "lam_list", [0.5, 1.0, 2.0]), ("fixed_point", "mu", 1.0),
+    ("fixed_point", "nu_list", [1.0, 10.0, 100.0]), ("fixed_point", "K_list", [2, 3, 5]),
+    ("fixed_point", "s_fracs", [0.2, 0.5, 0.8]), ("fixed_point", "tol", 1e-10),
+    ("fixed_point", "closed_form_tol", 1e-6),
+    ("fixed_point_large_K", "K_list", [3, 5, 10, 20, 30, 40, 80, 200]),
+    ("fixed_point_large_K", "s_fracs", [0.2, 0.5, 0.8]),
+    ("fixed_point_large_K", "nu_over_mu", [0.1, 1.0, 10.0, 1e8]),
+    ("fixed_point_large_K", "tol", 1e-10),
+    ("monotonicity", "a_list", [0.5, 1.0, 2.0, 5.0]),
+    ("monotonicity", "K_list", [1, 2, 3, 4, 5, 6]), ("monotonicity", "grid_step", 0.1),
+    ("monotonicity", "xy_max", 5.0), ("monotonicity", "n_curve", 200),
+    ("monotonicity", "enforce_nu_over_mu", [10.0, 1e8]),
+    ("monotonicity", "probe_nu_over_mu", [1.0, 0.1]),
+]
+
+
+@pytest.fixture(scope="module")
+def fixed_reports():
+    """Each fixed item's report, config and thresholds in one dict."""
+    return {name: {**rep.config, **rep.thresholds}
+            for name, rep in ((n, ITEMS[n]()) for n in verify._FIXED)}
+
+
+@pytest.mark.parametrize("name, key, old", _FIXED_SETTINGS)
+def test_a_removed_argument_is_refused_by_name_and_reported_at_its_old_default(
+        fixed_reports, name, key, old):
+    with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
+        ITEMS[name](**{key: old})
+    assert fixed_reports[name][key] == old
+
+
+_STUDY_P = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+_STUDY_ARGS = {
+    "convergence": dict(p=_STUDY_P, N_list=(4, 8), replicas=1, T=0.5, sample_times=(0.5,),
+                        seed0=1, s=1.0),
+    "attraction": dict(p=_STUDY_P, perturbation_size=0.1, T=1.0, s=1.0),
+}
+_STUDY_ARGS["chaos"] = _STUDY_ARGS["convergence"]
+
+
+@pytest.mark.parametrize("name, key, constant, old", [
+    ("convergence", "slope_range", "_SLOPE_RANGE", (-0.7, -0.3)),
+    ("chaos", "marginal_tol", "_MARGINAL_TOL", 1e-12),
+    ("attraction", "final_tv_tol", "_FINAL_TV_TOL", 1e-4),
+    ("attraction", "fill_drift_tol", "_FILL_DRIFT_TOL", 1e-9),
+])
+def test_a_removed_pass_bound_of_a_study_is_refused_by_name(name, key, constant, old):
+    # the study and its checks alone refuse the bound; it stays at its old default
+    kwargs = {**_STUDY_ARGS[name], key: old}
+    for entry in (ITEMS[name], ITEMS[name].refuse):
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
+            entry(**kwargs)
+    assert getattr(experiments, constant) == old
+
+
 def _one_cell(K, s_over_K, nu_over_mu):
     return [(ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K), s_over_K)]
+
+
+def _large_K_grid(monkeypatch, K_list, s_fracs, nu_over_mu):
+    """Set the grid of ``check_fixed_point_large_K``."""
+    for name, value in (("_LARGE_KS", K_list), ("_LARGE_K_FRACS", s_fracs),
+                        ("_LARGE_K_NU_OVER_MU", nu_over_mu)):
+        monkeypatch.setattr(verify, name, value)
 
 
 @pytest.mark.parametrize("cell, outcome", [
     ((40, 0.95, 0.1), "value_error"),  # the named refusal of a fill out of reach
     ((20, 0.9, 0.01), "runtime_error"),  # the generic fill bisection failure
 ])
-def test_a_failed_solve_scores_an_infinite_residual(cell, outcome):
+def test_a_failed_solve_scores_an_infinite_residual(monkeypatch, cell, outcome):
     worst, counts = solve_grid(_one_cell(*cell), 1e-10)
     assert worst == math.inf
     assert counts == {**dict.fromkeys(OUTCOMES, 0), outcome: 1}
     K, s_over_K, nu = cell
-    res = check_fixed_point_large_K(K_list=(K,), s_fracs=(s_over_K,), nu_over_mu=(nu,))
+    _large_K_grid(monkeypatch, (K,), (s_over_K,), (nu,))
+    res = check_fixed_point_large_K()
     assert not res.passed and res.metrics["worst"] == math.inf
     assert res.metrics["outcomes"][outcome] == 1
 
@@ -189,13 +272,14 @@ def test_a_refused_fixed_point_is_counted_but_does_not_fail(monkeypatch):
     assert worst == 0.0 and counts["multiple_equilibria"] == 1
 
 
-def test_solved_label_and_verdict_keep_their_comparisons():
+def test_solved_label_and_verdict_keep_their_comparisons(monkeypatch):
     cells = _one_cell(3, 0.5, 1.0)
     residual, _ = solve_grid(cells, 1e-10)
     worst, counts = solve_grid(cells, residual)  # the label is <= tol
     assert worst == residual and counts["solved"] == 1
-    res = check_fixed_point_large_K(K_list=(3,), s_fracs=(0.5,), nu_over_mu=(1.0,),
-                                    tol=residual)  # the verdict is worst < tol
+    _large_K_grid(monkeypatch, (3,), (0.5,), (1.0,))
+    monkeypatch.setattr(verify, "_RESIDUAL_TOL", residual)
+    res = check_fixed_point_large_K()  # the verdict is worst < tol
     assert not res.passed and res.metrics["outcomes"]["solved"] == 1
 
 
@@ -203,7 +287,8 @@ def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
     # the work's solve_grid checked every cell the stage had checked, a second time
     checked = []
     monkeypatch.setattr(verify, "_check_solvable", lambda p, s: checked.append((p.K, s)))
-    check_fixed_point_large_K(K_list=(3, 5), s_fracs=(0.5,), nu_over_mu=(1.0,))
+    _large_K_grid(monkeypatch, (3, 5), (0.5,), (1.0,))
+    check_fixed_point_large_K()
     assert checked == [(3, 1.5), (5, 2.5)]
 
 
@@ -211,43 +296,3 @@ def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
 def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
     with pytest.raises(ValueError, match="fill fractions in"):
         solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0), 1e-10)
-
-
-@pytest.mark.parametrize("name, kw, named", [
-    ("product_form_stationarity", dict(K_list=[]),
-     r"K_list must hold at least one value, got \[\]"),
-    ("step2_identity", dict(K_max=0), "K_max must be >= 1, got 0"),
-    ("aggregation_identity", dict(trials=0), "trials must be >= 1, got 0"),
-    ("fill_identity", dict(trials=2.5), "trials must be an integer, got 2.5"),
-    ("fixed_point", dict(lam_list=[]), "lam_list must hold at least one value"),
-    ("fixed_point_large_K", dict(K_list=[]), r"K_list must hold at least one value, got \[\]"),
-    ("enumeration", dict(K_max=-3, roundtrip_K_max=-3), "K_max must be >= 0, got -3"),
-    ("step2_identity", dict(tol=math.nan), "tol must be finite and > 0, got nan"),
-    ("step2_identity", dict(seed=-1),
-     "seed must be None, an integer >= 0 or a sequence of them, got -1"),
-    ("product_form_stationarity", dict(K_list=[0]), "every entry of K_list must be >= 1, got 0"),
-    ("fixed_point", dict(closed_form_tol=math.nan), "closed_form_tol must be finite and > 0"),
-    ("fixed_point", dict(s_fracs=[0.5, 1.5]), r"every entry of s_fracs must be .* < 1, got 1\.5"),
-    ("fixed_point_large_K", dict(s_fracs=[1.0]), r"every entry of s_fracs must be .* < 1, got 1\.0"),
-])
-def test_suites_with_nothing_to_check_are_refused_before_any_work(monkeypatch, name, kw,
-                                                                   named):
-    # K_list=[] and K_max=0 were a ZeroDivisionError, seed=-1 numpy's
-    # unnamed ValueError; the others passed with nothing checked, or
-    # failed on a NaN tolerance.  A grid cell outside the solver's domain
-    # was refused by solve_grid as the suite ran, not by .refuse.
-    def no_work(*args, **kwargs):
-        raise AssertionError("a suite worked before its arguments were refused")
-
-    for work in ("product_form", "simple_form", "solve_grid", "count_arrays"):
-        monkeypatch.setattr(verify, work, no_work)
-    with pytest.raises(ValueError, match=named):
-        ITEMS[name](**kw)
-    with pytest.raises(ValueError, match=named):
-        ITEMS[name].refuse(**kw)
-
-
-def test_suite_counts_given_as_integral_floats_are_converted():
-    res = check_step2_identity(trials=4.0, K_max=2.0)
-    assert res.config["trials"] == 4 and type(res.config["K_max"]) is int
-    assert res.to_dict() == check_step2_identity(trials=4, K_max=2).to_dict()

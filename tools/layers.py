@@ -341,8 +341,7 @@ BASE = {  # declared entry: keyword arguments of one cheap valid call, the defau
     "convergence_experiment": _STUDY, "chaos_experiment": _STUDY,
     "attraction_experiment": dict(p=_P2, perturbation_size=0.1, T=1.0, s=1.0),
     "verify.tandem_generator": dict(**_ONES, K=1),
-    "verify.solve_grid": dict(cells=[(_P3, 0.5)], tol=1e-10), "monotonicity_scan": {},
-    **{f"verify.{fn.__name__}": {} for fn in verify._SUITES.values()},
+    "verify.solve_grid": dict(cells=[(_P3, 0.5)], tol=1e-10),
 }
 THEN = {"ModelParams": lambda p: equilibrium.solve_equilibrium(p, p.K / 2)}  # on the answer
 KNOWN_OTHER = {
@@ -354,14 +353,13 @@ HAND_GUARDED = {"num_states", "Measure", "equilibrium._curve_point"}  # data-dec
 SWEEP_SEED = 20261019
 OUTCOMES = ("answer", "named_value_error", "named_runtime_error", "other")
 # at and just outside each bound in use: counts >= 0, 1 or 2, reals >= 0 or
-# > 0, fractions < 1; then the magnitudes, and sequences a rule refuses as a
-# whole (decreasing times, one number or a reversed pair for a range)
+# > 0; then the magnitudes, and sequences a rule may refuse as a whole
+# (decreasing times, a lone number, a pair with a negative entry)
 EDGES = (-1, math.nextafter(0.0, -1.0), 0.5, 1, 1.5, 2, 2.5, 0, NAN, INF, -INF, 1e-300, 1e300)
 SEQUENCES = ((1.0, 0.5), (-0.7,), (0.5, -0.5))
 # The arguments that set the amount of work, by name in every entry or by
 # (entry, argument), and the magnitude at which it is large, not drawn
-SIZES = ("K", "N", "M", "N_list", "K_list", "replicas", "trials", "K_max", "roundtrip_K_max",
-         "n_curve")
+SIZES = ("K", "N", "M", "N_list", "replicas")
 NOT_DRAWN_LARGE = {
     **dict.fromkeys(SIZES, 1e300), ("integrate", "dt"): 1e-300, ("integrate_at", "dt_max"): 1e-300,
     **{(e, a): 1e300 for e, a in (("integrate", "T"), ("integrate_at", "times"),

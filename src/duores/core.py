@@ -498,12 +498,13 @@ class ModelParams:
 _SUM_TOL = 1e-12
 
 
-def _masses(name: str, probs, K=None, *, adopt: bool = False) -> np.ndarray:
+def _masses(name: str, probs, K=None, *, adopt: bool = False, low=None) -> np.ndarray:
     """``probs`` as a new read-only float64 vector of masses, each finite and
     ``>= 0``, summing to 1 within 1e-12, and ``num_states(K)`` of them if
     ``K`` is given; else a ValueError naming it.  It fails loudly instead of
     renormalizing.  With ``adopt``, ``probs`` is a float64 vector its caller
-    hands over and never writes again: it is checked and frozen, not copied."""
+    hands over and never writes again: it is checked and frozen, not copied.
+    A given ``low`` is the caller's own ``probs.min()``, not taken again."""
     try:
         p = probs if adopt else np.array(probs, dtype=np.float64, copy=True)
     except (TypeError, ValueError):
@@ -513,7 +514,7 @@ def _masses(name: str, probs, K=None, *, adopt: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must hold {need}, got shape {p.shape}")
     # NaN fails both comparisons; the offending rank is looked for
     # only on the way out, so a valid measure costs one min and one sum.
-    low, total = p.min(), float(p.sum())
+    low, total = p.min() if low is None else low, float(p.sum())
     if not (low >= 0.0 and abs(total - 1.0) <= _SUM_TOL):
         bad = np.flatnonzero(~np.isfinite(p))
         if bad.size:
@@ -539,18 +540,20 @@ class Measure:
     probs: np.ndarray
     K: int
 
-    def __post_init__(self, adopt: bool = False) -> None:
-        object.__setattr__(self, "probs", _masses("probs", self.probs, self.K, adopt=adopt))
+    def __post_init__(self, adopt: bool = False, low=None) -> None:
+        object.__setattr__(self, "probs",
+                           _masses("probs", self.probs, self.K, adopt=adopt, low=low))
 
     @classmethod
-    def _adopt(cls, probs: np.ndarray, K: int) -> "Measure":
+    def _adopt(cls, probs: np.ndarray, K: int, low=None) -> "Measure":
         """The measure whose masses are the float64 vector ``probs`` itself,
         after the checks every measure gets; ``probs`` is made read-only, and
-        the caller must not keep a writable view of it."""
+        the caller must not keep a writable view of it.  A given ``low`` is
+        the caller's own ``probs.min()``."""
         m = object.__new__(cls)
         object.__setattr__(m, "probs", probs)
         object.__setattr__(m, "K", K)
-        m.__post_init__(adopt=True)
+        m.__post_init__(adopt=True, low=low)
         return m
 
     # ---- constructors -------------------------------------------------

@@ -116,13 +116,20 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     ``with_pairs``) and the flow at the sample times.  Its arguments come
     declared (:data:`_STUDY`); the rules across them (sample times within
     ``T``, ``round(N s)`` cars that ``N`` stations of capacity ``K`` can
-    hold, the step guard, pair tables within the state budget) are
-    refused here, before any run."""
+    hold, some but not all of ``N K``, the step guard, pair tables within
+    the state budget) are refused here, before any run.  With no car, or
+    with every space taken, no trip can start: the network never moves,
+    and the study would fit its slope to distances of 0."""
     _within(sample_times, T)
     for N in N_list:
         if N * s > N * p.K + 1 or round(N * s) > N * p.K:  # the first test also takes N s = inf
             raise ValueError(f"s={s} puts round(N s) cars on N={N} stations of capacity "
                              f"K={p.K}, more than N K = {N * p.K}")
+    for N in N_list:
+        if round(N * s) in (0, N * p.K):
+            raise ValueError(f"s={s} puts round(N s) = {round(N * s)} cars on N={N} stations "
+                             f"of capacity K={p.K}; with no car or no free space nothing "
+                             f"moves, so the study has nothing to converge")
     dt_max = dt_max if dt_max is not None else _default_dt(p)
     _check_step(p, dt_max, "dt_max")
     if with_pairs:

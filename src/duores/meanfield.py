@@ -23,32 +23,48 @@ The flow is nonlinear only through the scalars ``pV`` and ``pF``.  With
 a count factor of the state.  Each family moves a state to at most one
 destination and no two states to the same one, so the inflow into every
 state is a gather: one source rank per family and destination (rank 0,
-with weight 0, where there is none).  One drift evaluation is then two
-dot products for ``pV`` and ``pF``, one ``take`` into a ``(5, n)``
-workspace, one in-place product with the inflow weights and two
-length-5 contractions, for the inflow and the total outflow rate.
+with weight 0, where there is none).  Family 5 (``z -> z - 1``) always
+moves a state into the rank just before it, so its inflow is the slice
+``v[1:]`` times its weights, and no state moves into the last rank by
+it.  One drift evaluation is then two dot products for ``pV`` and
+``pF``, one ``take`` of the other four families into a ``(4, n)`` block
+of a ``(5, n)`` workspace, two in-place products with the inflow
+weights (the block, and the slice into the last row) and two length-5
+contractions, for the inflow and the total outflow rate.
 
 A drift evaluation allocates no n-vector.  The caller owns the
 workspace and the output vector: the workspace holds the ``(5, n)``
-buffer, a writable copy of the gather indices, the rate vector ``c``
-(only ``c[0]`` and ``c[3]`` change per call) and the outflow vector, and
-``take`` writes into the buffer with ``mode="clip"``.  ``take`` copies a
-read-only index array, and in its default mode it buffers its output, so
-either would add a hidden ``(5, n)`` temporary per call.  At K = 15 such
-an array is 155 KB, above glibc's mmap threshold: allocating one per call
-maps and faults in fresh pages every time, which costs more than the
-arithmetic it holds.  The integrator allocates one workspace, the four
-stage derivatives and one stage vector per call and reuses them for
-every step, so a step allocates only its new state.
+buffer, a writable copy of the four families' gather indices, the rate
+vector ``c`` (only ``c[0]`` and ``c[3]`` change per call), the outflow
+vector and the views of the buffer and the weights that each call
+reads, and ``take`` writes into the buffer with ``mode="clip"``.
+``take`` copies a read-only index array, and in its default mode it
+buffers its output, so either would add a hidden temporary per call.
+At K = 15 a ``(5, n)`` array is 155 KB, above glibc's mmap threshold:
+allocating one per call maps and faults in fresh pages every time,
+which costs more than the arithmetic it holds.
+
+A step allocates nothing either.  The integrator allocates one
+workspace, the four stage derivatives, one stage vector and two
+inner-state vectors per call and reuses them for every step: inside a
+plan entry of several steps the states alternate between the two inner
+vectors.  :func:`integrate` and :func:`integrate_at` keep every state
+they emit, so each run writes its emitted states into the rows of one
+block allocated up front, rows padded to whole cache lines, and makes
+the block read-only when it ends.  A run that streams its states and
+drops them (the CLI, the attraction study) writes each into a new
+vector instead, so its memory is bounded by what its caller keeps.
 
 Every array a step reads or writes in bulk, the stencil tables, the
-workspace and the stage vectors, starts on a 64-byte boundary.  Where the
-heap happens to put them otherwise decides whether numpy's vector loops
-split cache lines, and that alone moved the step time by about 6%
-between runs of the same code.  An emitted state is not copied: no state
-is written after it is made, so the :class:`Measure` adopts it as its
-read-only masses.  Only a state with a mass at or below 0 is clamped into
-a new vector first, which keeps the clamp's bits, -0.0 to 0.0 included.
+workspace, the stage vectors and the rows of the block, starts on a
+64-byte boundary.  Where the heap happens to put them otherwise decides
+whether numpy's vector loops split cache lines, and that alone moved
+the step time by about 6% between runs of the same code.  An emitted
+state is not copied: no state is written after it is made, so the
+:class:`Measure` adopts it as its read-only masses, checked against the
+minimum the run takes anyway.  Only a state with a mass at or below 0
+is clamped into a new vector first, which keeps the clamp's bits, -0.0
+to 0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
 ``dt * (lam + nu K + mu K) <= 0.5``.  One loop checks every state but
@@ -122,15 +138,21 @@ def _aligned(shape, dtype=np.float64, fill=None) -> np.ndarray:
     return a
 
 
+def _aligned_rows(rows: int, n: int) -> np.ndarray:
+    """An uninitialised ``(rows, n)`` float64 array whose rows are padded to
+    whole cache lines, so that each row starts on a 64-byte boundary."""
+    return _aligned((rows, n - n % -(_ALIGN // 8)))[:, :n]
+
+
 @lru_cache(maxsize=_CACHED_CAPACITIES)
 def _stencils(K: int) -> _Stencils:
     w, x, y, z = count_arrays(K)
     n = num_states(K)
     notfull = ~saturated_mask(K)
     avail = ~no_available_mask(K)
-    # w_out's rows are padded to whole cache lines, so that each row, and
-    # with it the pV and pF vectors, starts on one without a second copy
-    w_out = _aligned((5, n - n % -(_ALIGN // 8)))[:, :n]
+    # each row of w_out, and with it the pV and pF vectors, starts on a
+    # cache line without a second copy
+    w_out = _aligned_rows(5, n)
     w_out[...] = np.stack([notfull, w, x, avail, z])
     gather = _aligned((5, n), np.intp, fill=0)
     w_in = _aligned((5, n), fill=0.0)
@@ -147,22 +169,30 @@ def _stencils(K: int) -> _Stencils:
 
 class _Workspace(NamedTuple):
     """Working state of :func:`_drift_raw` at one capacity and one set
-    of rates; every call overwrites it."""
+    of rates; every call overwrites it.  The views are built once here."""
 
     lam: float
     c: np.ndarray       # (5,) family rates; c[1], c[2], c[4] are fixed
-    buf: np.ndarray     # (5, n) gathered inflow
-    gather: np.ndarray  # private writable copy of the stencil's gather
+    buf: np.ndarray     # (5, n) inflow per family
+    gather: np.ndarray  # (4, n) private writable copy of families 0-3's gather
     loss: np.ndarray    # (n,) outflow
+    head: np.ndarray    # buf[:4], the gathered families
+    w_head: np.ndarray  # w_in[:4], their weights
+    tail: np.ndarray    # buf[4, :-1], the inflow of z -> z - 1, from the next rank
+    w_tail: np.ndarray  # w_in[4, :-1], its weights
 
 
 def _workspace(st: _Stencils, p: ModelParams) -> _Workspace:
     """Workspace for drift evaluations at rates ``p``, its arrays aligned.
     The gather indices are copied once here because ``take`` would copy the
-    read-only cached ones on every call."""
-    return _Workspace(lam=p.lam, c=np.array((0.0, p.nu, p.mu, 0.0, p.nu)),
-                      buf=_aligned((5, st.n)), gather=_aligned((5, st.n), np.intp, fill=st.gather),
-                      loss=_aligned(st.n))
+    read-only cached ones on every call.  No state moves into the last rank
+    by ``z -> z - 1``, so ``buf[4, -1]`` is set to 0 once."""
+    buf = _aligned((5, st.n))
+    buf[4, -1] = 0.0
+    return _Workspace(lam=p.lam, c=np.array((0.0, p.nu, p.mu, 0.0, p.nu)), buf=buf,
+                      gather=_aligned((4, st.n), np.intp, fill=st.gather[:4]),
+                      loss=_aligned(st.n), head=buf[:4], w_head=st.w_in[:4],
+                      tail=buf[4, :-1], w_tail=st.w_in[4, :-1])
 
 
 def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
@@ -171,11 +201,12 @@ def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
     accepts the slightly off-simplex vectors that appear inside
     Runge-Kutta stages.  ``out`` must not share memory with ``v``.
     """
-    lam, c, buf, gather, loss = ws
+    lam, c, buf, gather, loss, head, w_head, tail, w_tail = ws
     c[0] = lam * float(v @ st.avail_f)
     c[3] = lam * float(v @ st.notfull_f)
-    v.take(gather, out=buf, mode="clip")
-    buf *= st.w_in
+    v.take(gather, out=head, mode="clip")
+    head *= w_head
+    np.multiply(v[1:], w_tail, out=tail)
     np.matmul(c, buf, out=out)
     np.matmul(c, st.w_out, out=loss)
     loss *= v
@@ -219,24 +250,28 @@ def _check_step(p: ModelParams, dt: float, name: str) -> None:
 
 def _rk4(
     v: np.ndarray, p: ModelParams, st: _Stencils,
-    plan: Iterable[tuple[float, int, float]],
+    plan: Iterable[tuple[float, int, float]], rows: np.ndarray | None,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Run ``plan``: for each ``(t, steps, h)`` take ``steps`` classical
     Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
 
-    The drift workspace, the four stage derivatives and the stage
-    vector of the whole run are allocated here, 64-byte aligned; a step
-    allocates only its new state.  The in-place updates evaluate the
-    textbook expressions ``v + 0.5 h k1`` and ``v + h/6 (k1 + 2 k2 + 2 k3
-    + k4)`` operation by operation in the same order, so the states are
-    bit-identical to that form.  No state is written in place after it
-    is made: the caller's vector may be passed, and a yielded state is
-    the caller's to keep, shared with nothing the run writes.
+    The drift workspace, the four stage derivatives, the stage vector
+    and two inner-state vectors of the whole run are allocated here,
+    64-byte aligned.  Inside a plan entry the states alternate between
+    the two inner vectors; each entry's last state goes into its row of
+    ``rows`` if given (a zero-step entry copies its state there), else
+    into a new vector, so a step allocates at most that vector.  The
+    in-place updates evaluate the textbook expressions ``v + 0.5 h k1``
+    and ``v + h/6 (k1 + 2 k2 + 2 k3 + k4)`` operation by operation in
+    the same order, so the states are bit-identical to that form.  No
+    yielded state is written after it is made: the caller's vector may
+    be passed, and a yielded state is shared with nothing the run writes.
     """
     ws = _workspace(st, p)
-    k1, k2, k3, k4, stage = (_aligned(st.n) for _ in range(5))
-    for t, steps, h in plan:
-        for _ in range(steps):
+    k1, k2, k3, k4, stage, inner, other = (_aligned(st.n) for _ in range(7))
+    for i, (t, steps, h) in enumerate(plan):
+        row = None if rows is None else rows[i]
+        for j in range(steps):
             _drift_raw(v, st, ws, k1)
             np.multiply(0.5 * h, k1, out=stage)
             stage += v
@@ -253,7 +288,14 @@ def _rk4(
             k2 += k3
             k2 += k4
             k2 *= h / 6.0
-            v = v + k2
+            if j < steps - 1:
+                inner, other = other, inner
+                v = np.add(v, k2, out=inner)
+            else:
+                v = np.add(v, k2, out=row)
+        if not steps and row is not None:
+            row[...] = v
+            v = row
         yield t, v
 
 
@@ -269,25 +311,41 @@ def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     return chain((((k + 1) * dt, 1, dt) for k in range(n_full)), tail), n_full + len(tail)
 
 
+def _frozen(a: np.ndarray) -> None:
+    """Make ``a`` and every array it views read-only, down to its owner."""
+    while a is not None:
+        a.setflags(write=False)
+        a = a.base
+
+
 def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
-            every: int = 1) -> Iterator[tuple[float, Measure]]:
+            every: int = 1, keep: bool = False) -> Iterator[tuple[float, Measure]]:
     """Run the ``n`` entries of ``plan`` from ``m0``, checking every state (a
     mass below -1e-12 aborts the run), and yield ``(t, Measure)`` at every
     ``every``-th entry and the last.  A state whose masses are all positive
     becomes the measure's read-only masses itself.  Any other is clamped to
     ``>= 0`` (a -0.0 to 0.0 too), without renormalizing, into a new vector
     that the measure adopts; the run reads the unclamped state for its next
-    step."""
+    step.
+
+    With ``keep`` (and ``every`` 1), for a caller that keeps every measure,
+    the states are the rows of one block of :func:`_aligned_rows`, made
+    read-only once the run ends."""
     if m0.K != p.K:
         raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    for i, (t, v) in enumerate(_rk4(m0.probs, p, _stencils(p.K), plan), 1):
+    st = _stencils(p.K)
+    rows = _aligned_rows(n, st.n) if keep else None
+    for i, (t, v) in enumerate(_rk4(m0.probs, p, st, plan, rows), 1):
         lo = float(v.min())
         if lo < -1e-12:
             raise RuntimeError(
                 f"integration produced mass {lo!r} at t={t}; the step is unstable"
             )
         if i % every == 0 or i == n:
-            yield t, Measure._adopt(v if lo > 0.0 else np.clip(v, 0.0, None), p.K)
+            yield t, (Measure._adopt(v, p.K, lo) if lo > 0.0 else
+                      Measure._adopt(np.clip(v, 0.0, None), p.K))
+    if keep:
+        _frozen(rows)
 
 
 def integrate(
@@ -299,10 +357,11 @@ def integrate(
     ``{0, dt, 2 dt, ..., T}``; if ``T`` is not an integer multiple of
     ``dt`` the final step is shortened to land exactly on ``T``.  Every
     output is validated as a probability measure and holds its own step's
-    state: a mass in ``[-1e-12, 0)`` reads 0, and a state whose masses are
-    all positive is the measure's masses itself, not a copy.
+    state: a mass in ``[-1e-12, 0)`` reads 0.  The returned measures after
+    ``m0`` hold rows of one read-only block (all but a clamped state, which
+    has its own vector), so keeping one of them keeps the whole block.
     """
-    return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt))]
+    return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt), keep=True)]
 
 
 integrate.__domain__ = _grid_plan.__domain__  # which _grid_plan checks
@@ -317,7 +376,8 @@ def integrate_at(
 
     Each segment between consecutive output times is covered by equal
     steps no longer than ``dt_max``, so outputs land exactly on the
-    requested instants.  Every time must be finite and ``>= 0``.
+    requested instants.  Every time must be finite and ``>= 0``.  As in
+    :func:`integrate`, the measures hold rows of one read-only block.
     """
     _check_step(p, dt_max, "dt_max")
     plan, prev = [], 0.0
@@ -326,4 +386,4 @@ def integrate_at(
         n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
         plan.append((t, n, span / n if n else 0.0))
         prev = t
-    return [m for _, m in _stream(m0, p, plan, len(plan))]
+    return [m for _, m in _stream(m0, p, plan, len(plan), keep=True)]

@@ -748,6 +748,11 @@ def _after_good_items(name, sec):
             "experiments": {study: _GOOD[study], name: sec}}
 
 
+_NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capacity K=2; "
+                  "with no car or no free space nothing moves, so the study has nothing "
+                  "to converge")
+
+
 @pytest.mark.parametrize("name, sec, message", [
     ("convergence", {**_STUDY, "N_list": [5]},
      "N_list must hold at least two sizes to fit a slope, got 1"),
@@ -778,6 +783,11 @@ def _after_good_items(name, sec):
     ("chaos", {**_STUDY, "s": 3.0},
      "s=3.0 puts round(N s) cars on N=5 stations of capacity K=2, more than N K = 10"),
     ("chaos", {**_STUDY, "dt_max": -1.0}, "dt_max must be finite and > 0, got -1.0"),
+    # a fill with nothing to converge: no car, every space taken, and a
+    # small s that puts no car on N = 5 (0.05 N = 0.25)
+    ("convergence", {**_STUDY, "s": 0.0}, _NOTHING_MOVES.format(s=0.0, cars=0)),
+    ("chaos", {**_STUDY, "s": 2.0}, _NOTHING_MOVES.format(s=2.0, cars=10)),
+    ("convergence", {**_STUDY, "s": 0.05}, _NOTHING_MOVES.format(s=0.05, cars=0)),
     ("attraction", {**_ATTRACTION, "perturbation_size": -0.1},
      "perturbation_size must be >= 0, got -0.1"),
     ("attraction", {**_ATTRACTION, "T": -1.0}, "T must be finite and >= 0, got -1.0"),

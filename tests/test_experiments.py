@@ -331,6 +331,9 @@ def test_study_reports_match_their_golden_digests(study, sample_times, digest):
 
 
 _STUDY_KW = dict(N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,), seed0=5, s=1.0)
+_NOTHING_MOVES = (r"^s={s} puts round\(N s\) = {cars} cars on N=4 stations of capacity K=2; "
+                  r"with no car or no free space nothing moves, so the study has nothing "
+                  r"to converge$")
 
 
 @pytest.mark.parametrize("study, kw, named", [
@@ -351,6 +354,12 @@ _STUDY_KW = dict(N_list=[4, 8], replicas=1, T=1.0, sample_times=(1.0,), seed0=5,
     (chaos_experiment, dict(s=2.1),  # 8 cars fit N = 4, 17 do not fit N = 8
      r"^s=2\.1 puts round\(N s\) cars on N=8 stations of capacity K=2, more than N K = 16$"),
     (convergence_experiment, dict(s=1e308), r"^s=1e\+308 puts round\(N s\) cars on N=4"),  # N s = inf
+    # no car, every space taken, and 0.1 that puts no car on N = 4: nothing
+    # moves, convergence printed a divide-by-zero warning and reported slope
+    # nan, and chaos failed the same way
+    *((study, dict(s=s), _NOTHING_MOVES.format(s=s, cars=cars))
+      for study in (convergence_experiment, chaos_experiment)
+      for s, cars in ((0.0, 0), (2.0, 8), (0.1, 0))),
 ])
 def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw, named):
     # replicas=0 read "non-finite mass nan"; an empty N_list was a polyfit

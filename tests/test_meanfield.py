@@ -3,7 +3,8 @@
 Two drift oracles share nothing with the gather kernel: a from-scratch
 dictionary walk over the five transition families, and the per-family
 ``bincount`` scatter that the kernel replaced, kept here as the
-reference at large capacity.
+reference at large capacity.  A third, the kernel that gathered all five
+families, is the reference for the kernel's bits.
 """
 
 import importlib
@@ -159,6 +160,57 @@ def test_drift_matches_bincount_oracle_at_large_capacity(K):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _five_row_drift(v: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The drift kernel that gathers all five families, family 4 included,
+    into one aligned ``(5, n)`` buffer: the form the slice replaced, kept
+    as the oracle of its bits."""
+    st = meanfield._stencils(p.K)
+    buf = meanfield._aligned((5, st.n))
+    gather = meanfield._aligned((5, st.n), np.intp, fill=st.gather)
+    loss, out = meanfield._aligned(st.n), meanfield._aligned(st.n)
+    c = np.array((p.lam * float(v @ st.avail_f), p.nu, p.mu,
+                  p.lam * float(v @ st.notfull_f), p.nu))
+    v.take(gather, out=buf, mode="clip")
+    buf *= st.w_in
+    np.matmul(c, buf, out=out)
+    np.matmul(c, st.w_out, out=loss)
+    loss *= v
+    out -= loss
+    return out
+
+
+@pytest.mark.parametrize("K,nu,mu", _rate_cases([1, 2, 3, 6, 15, 20]))
+def test_drift_is_bit_equal_to_the_five_row_gather(K, nu, mu):
+    # family 4 read by slice gives the same products in the same sum
+    p = ModelParams(lam=1.3, mu=mu, nu=nu, K=K)
+    st = meanfield._stencils(K)
+    ws, out = meanfield._workspace(st, p), meanfield._aligned(st.n)
+    rng = np.random.default_rng(1700 + K)
+    for seed in range(3):
+        v = _random_measure(K, 1710 + 10 * K + seed).probs
+        off = v.copy()  # off the simplex, as inside Runge-Kutta stages
+        off[rng.choice(len(v), size=max(1, len(v) // 4), replace=False)] = -1e-13
+        off *= 1.0 + 1e-12
+        for u in (v, off):
+            assert np.array_equal(meanfield._drift_raw(u, st, ws, out), _five_row_drift(u, p))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6, 15, 20])
+def test_family_4_moves_each_state_into_the_rank_before_it(K):
+    # z -> z - 1 always lands on the previous rank, so the drift reads its
+    # inflow as v[1:]; the last rank has no family-4 source
+    w, x, y, z = count_arrays(K)
+    src = np.flatnonzero(z > 0)
+    dst = ranks_of(w[src], x[src], y[src], z[src] - 1, K)
+    assert np.array_equal(dst, src - 1)
+    st = meanfield._stencils(K)
+    assert np.array_equal(st.gather[4, dst], dst + 1)
+    has_source = np.zeros(st.n, dtype=bool)
+    has_source[dst] = True
+    assert not has_source[-1]
+    assert not st.w_in[4, ~has_source].any()
+
+
 def test_trajectory_matches_bincount_oracle_at_K15():
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     dt = 0.25 / p.rate_bound
@@ -228,25 +280,6 @@ def test_integrate_at_is_bit_equal_to_the_textbook_form(K):
         assert np.array_equal(m.probs, ref)
 
 
-def test_an_integrator_step_allocates_only_its_state_and_measure():
-    # the stages live in the run's workspace; a step allocates the new
-    # state, and the emitted Measure adopts that vector instead of copying it
-    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
-    st = meanfield._stencils(p.K)
-    dt = 0.25 / p.rate_bound
-    steps = meanfield._stream(_random_measure(p.K, 1200), p,
-                              [(dt, 1, dt), (2 * dt, 1, dt)], 2)
-    next(steps)  # allocates the run's workspace
-    tracemalloc.start()
-    try:
-        next(steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one n-vector plus the small objects around it, below a second
-    assert peak <= st.n * 8 + 4096
-
-
 def test_a_state_just_below_zero_is_clamped_in_a_new_vector_and_stepped_unclamped(monkeypatch):
     # the 2nd state gets one mass at -1e-13, inside the tolerance: its Measure
     # reads 0 there, and the 3rd state is the textbook step from the unclamped one
@@ -289,17 +322,30 @@ def _recording_aligned(monkeypatch) -> list:
     return arrays
 
 
+def _bases(a: np.ndarray) -> list:
+    """``a`` and every array it views, down to the one that owns the memory."""
+    chain = [a]
+    while chain[-1].base is not None:
+        chain.append(chain[-1].base)
+    return chain
+
+
 def test_emitted_states_are_read_only_and_share_no_memory(monkeypatch):
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    n = num_states(p.K)
     dt = 0.25 / p.rate_bound
     meanfield._stencils(p.K)  # cached before recording
     arrays = _recording_aligned(monkeypatch)
     traj = integrate(_random_measure(p.K, 1500), p, T=12 * dt, dt=dt)
-    # the workspace's buf, gather and loss, then k1 to k4 and stage
-    assert [a.shape for a in arrays] == [(5, num_states(p.K))] * 2 + [(num_states(p.K),)] * 6
+    # the block of 12 kept states, rows padded to 40 masses (5 cache lines);
+    # the workspace's buf, gather and loss; then k1 to k4, stage and the two
+    # inner-state vectors
+    assert [a.shape for a in arrays] == [(12, 40), (5, n), (4, n)] + [(n,)] * 8
+    block, run = arrays[0], arrays[1:]
     for i, (_, m) in enumerate(traj):
         assert not m.probs.flags.writeable
-        assert not any(np.shares_memory(m.probs, a) for a in arrays)
+        assert i == 0 or np.shares_memory(m.probs, block)
+        assert not any(np.shares_memory(m.probs, a) for a in run)
         assert not any(np.shares_memory(m.probs, other.probs) for _, other in traj[:i])
 
 
@@ -309,10 +355,85 @@ def test_every_array_of_a_step_starts_on_a_cache_line(K, monkeypatch):
     st = meanfield._stencils(K)
     ws = meanfield._workspace(st, p)
     arrays = _recording_aligned(monkeypatch)
-    next(meanfield._rk4(Measure.uniform(K).probs, p, st, [(0.0, 0, 0.0)]))
-    assert len(arrays) == 3 + 5  # the run's workspace, then k1 to k4 and stage
-    tables = [st.w_out, st.gather, st.w_in, st.avail_f, st.notfull_f, ws.buf, ws.gather, ws.loss]
+    next(meanfield._rk4(Measure.uniform(K).probs, p, st, [(0.0, 0, 0.0)], None))
+    # the run's workspace, then k1 to k4, stage and the two inner-state vectors
+    assert len(arrays) == 3 + 7
+    tables = [st.w_out, st.gather, st.w_in, st.avail_f, st.notfull_f, ws.buf, ws.gather,
+              ws.loss, ws.head, ws.w_head]
     assert all(a.ctypes.data % 64 == 0 for a in tables + arrays)
+
+
+@pytest.mark.parametrize("K", [1, 3, 15])
+def test_kept_states_are_cache_aligned_rows_of_one_block_read_only_to_its_owner(K):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    dt = 0.25 / p.rate_bound
+    m0 = _random_measure(K, 1550 + K)
+    for outs in ([m for _, m in integrate(m0, p, T=9.5 * dt, dt=dt)[1:]],
+                 integrate_at(m0, p, [0.0, 3 * dt, 3 * dt, 10 * dt], dt_max=dt)):
+        owner = _bases(outs[0].probs)[-1]
+        for i, m in enumerate(outs):
+            assert m.probs.ctypes.data % 64 == 0
+            assert not m.probs.flags.writeable
+            chain = _bases(m.probs)
+            assert chain[-1] is owner
+            assert not any(a.flags.writeable for a in chain)
+            assert not any(np.shares_memory(m.probs, other.probs) for other in outs[:i])
+            with pytest.raises(ValueError):  # a view of a read-only owner stays read-only
+                m.probs.setflags(write=True)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("steps", [1, 200], ids=["integrate step", "integrate_at segment"])
+def test_a_kept_run_allocates_nothing_once_its_block_exists(steps):
+    # an entry's last state goes into its row of the block, and the inner
+    # states of a segment alternate between two workspace vectors
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    dt = 0.25 / p.rate_bound
+    plan = [(dt, 1, dt), ((steps + 1) * dt, steps, dt)]
+    run = meanfield._stream(_random_measure(p.K, 1210), p, plan, len(plan), keep=True)
+    next(run)  # allocates the block and the run's workspace
+    assert _traced_peak(lambda: next(run)) <= 4096
+
+
+def test_a_streamed_run_keeps_no_block_and_its_memory_does_not_grow(monkeypatch):
+    # the attraction study's kind of run: 2000 single steps, each measure
+    # dropped as the next arrives
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=6)
+    n = num_states(p.K)
+    dt = 0.25 / p.rate_bound
+    m0 = _random_measure(p.K, 1230)
+    meanfield._stencils(p.K)
+    arrays = _recording_aligned(monkeypatch)
+
+    def stream(steps):
+        for _ in meanfield._stream(m0, p, *meanfield._grid_plan(p, steps * dt, dt)):
+            pass
+
+    short, long = _traced_peak(lambda: stream(20)), _traced_peak(lambda: stream(2000))
+    assert all(a.shape in ((5, n), (4, n), (n,)) for a in arrays)  # no block
+    assert long <= short + 4096
+
+
+def test_an_integrator_step_allocates_only_its_state_and_measure():
+    # a streamed run: the stages live in the run's workspace; a step
+    # allocates the new state, and the emitted Measure adopts that vector
+    # instead of copying it
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
+    st = meanfield._stencils(p.K)
+    dt = 0.25 / p.rate_bound
+    steps = meanfield._stream(_random_measure(p.K, 1200), p,
+                              [(dt, 1, dt), (2 * dt, 1, dt)], 2)
+    next(steps)  # allocates the run's workspace
+    # one n-vector plus the small objects around it, below a second
+    assert _traced_peak(lambda: next(steps)) <= st.n * 8 + 4096
 
 
 def test_a_negative_state_aborts_the_run_even_when_it_is_not_emitted(monkeypatch):

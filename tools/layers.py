@@ -14,11 +14,14 @@ subjects, each with its default ``FILE`` at the repository root:
   (``io.write_timed_measure_csv`` of the thinned trajectory),
   ``perturb`` (``experiments.fill_preserving_perturbation`` of the fixed
   point) and ``integrate`` (``meanfield.integrate`` from the perturbed
-  start, with its 920 steps as ``steps_per_s`` at the median).  The
-  ``drift_K{K}`` layers, at K in {3, 6, 10, 15, 20} and the same rates,
-  are CPU microseconds per drift evaluation: one sample is
-  ``DRIFT_EVALS`` calls of ``meanfield._drift_raw`` on the uniform
-  measure, in one workspace, as the integrator calls it.
+  start, with its 920 steps as ``steps_per_s`` at the median, and as
+  ``minflt_per_call`` the median minor page faults of one call, read
+  from this process's own ``resource.getrusage`` over R calls after the
+  timed ones).  The ``drift_K{K}`` layers, at K in {3, 6, 10, 15, 20}
+  and the same rates, are CPU microseconds per drift evaluation: one
+  sample is ``DRIFT_EVALS`` calls of ``meanfield._drift_raw`` on the
+  uniform measure, in one workspace and into one aligned vector, as the
+  integrator calls it.
 * ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events per CPU
   second.  ``run_N{N}`` and ``run_N{N}_audit`` are ``simulate.run`` on
   the benchmark's ``network`` study, K = 3, lam = mu = 1, nu = 2, fill
@@ -82,6 +85,7 @@ import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -145,13 +149,25 @@ DRIFT_EVALS = 1000
 
 def _drift_us(p, repeats: int) -> dict:
     st = meanfield._stencils(p.K)
-    ws, v, out = meanfield._workspace(st, p), core.Measure.uniform(p.K).probs, np.empty(st.n)
+    ws, out = meanfield._workspace(st, p), meanfield._aligned(st.n)
+    v = core.Measure.uniform(p.K).probs
 
     def evals():
         for _ in range(DRIFT_EVALS):
             meanfield._drift_raw(v, st, ws, out)
 
     return _summary([1e6 * t / DRIFT_EVALS for t in _cpu_s(evals, repeats)], "us", 3)
+
+
+def _minflt(fn, repeats: int) -> float:
+    """Median minor page faults of one call of ``fn`` over ``repeats`` calls,
+    from this process's own ``resource.getrusage``."""
+    faults = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(faults)
 
 
 def flow(repeats: int) -> dict:
@@ -176,6 +192,7 @@ def flow(repeats: int) -> dict:
         }
     integrate = layers["integrate"]
     integrate["steps_per_s"] = round(1e3 * (len(traj) - 1) / integrate["median_ms"], 1)
+    integrate["minflt_per_call"] = _minflt(lambda: meanfield.integrate(start, p, 5.0, dt), repeats)
     for K in DRIFT_K:
         layers[f"drift_K{K}"] = _drift_us(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), repeats)
     return {"layers": layers}

@@ -101,7 +101,7 @@ _SCHEMA = {
     "meanfield.initial": ({}, {"point": "ints", "csv": "str",
                                "equilibrium": "meanfield.initial.equilibrium"}),
     "meanfield.initial.equilibrium": ({"s": "num"}, {}),
-    "equilibrium": ({"s": "num"}, {"fill_tol": "num"}),
+    "equilibrium": ({"s": "num"}, {}),
 }
 
 

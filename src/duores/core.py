@@ -76,21 +76,19 @@ class _Rule(NamedTuple):
     kind: str | None = None
 
 
-def _real(lo=None, strict=False, finite=True, none=False) -> _Rule:
+def _real(lo=None, strict=False, finite=True) -> _Rule:
     """A real, finite unless ``finite`` is false, ``>= lo`` (``> lo`` if
-    ``strict``) unless ``lo`` is ``None``; ``None`` too if ``none``."""
+    ``strict``) unless ``lo`` is ``None``."""
     bound = [f"{'>' if strict else '>='} {lo}"] * (lo is not None)
 
     def check(name, value):
-        if not (none and value is None or isinstance(value, numbers.Real)
-                and (math.isfinite(value) or not finite)
+        if not (isinstance(value, numbers.Real) and (math.isfinite(value) or not finite)
                 and (lo is None or (value > lo if strict else value >= lo))):
             raise ValueError(f"{name} must be {' and '.join(['finite'] * finite + bound)}, "
                              f"got {value!r}")
         return value
 
-    text = " ".join(["finite"] * finite + [f"`{b}`" for b in bound])
-    return _Rule(check, text + " or `None`" * none, "num")
+    return _Rule(check, " ".join(["finite"] * finite + [f"`{b}`" for b in bound]), "num")
 
 
 def _count(lo: int) -> _Rule:

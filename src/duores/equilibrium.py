@@ -28,7 +28,7 @@ rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
   with ``a = (lam/mu)(1 + 2 mu/nu)``;
 * ``solve_phi`` inverts it, giving the unique ``r = phi(t)`` per ``t``;
 * the car density along the curve is a weighted mean that must equal
-  ``s``, which an outer bisection on ``t`` enforces.
+  ``s``, which an outer bisection on ``t`` enforces within ``_FILL_TOL``.
 
 Each curve point is one call of the kernel ``_curve_point``, which
 returns ``phi(t)`` and the pass's sums there: the bisection reads its
@@ -430,7 +430,7 @@ def _car_weight(r: float) -> float:
 # Fixed-point solvers
 # ============================================================
 
-_MAX_OUTER = 200  # steps of the outer fill bisection
+_MAX_OUTER, _FILL_TOL = 200, 1e-11  # the outer fill bisection: its steps, its stop on |fill - s|
 
 
 class MultipleEquilibriaError(RuntimeError):
@@ -491,13 +491,13 @@ class SolveReport:
         }
 
 
-def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
+def _solve_fill(curve, a: float, K: int, s: float,
                 nu_over_mu: float) -> tuple[float, float, int]:
     """Root ``t`` of ``fill(t) = s`` along ``curve(t) = (y, fill)``, the
     ``y`` there and the number of fill evaluations.
 
     Bisects on (0, a), whose virtual end values are 0 and K; the ends
-    are never evaluated.  Stops at ``|fill - s| < fill_tol``, at adjacent
+    are never evaluated.  Stops at ``|fill - s| < _FILL_TOL``, at adjacent
     doubles or after ``_MAX_OUTER`` steps.  A root is returned only if
     the evaluations, in ``t`` order, never decrease by more than
     ``1e-12 max(1, K)``.
@@ -510,7 +510,7 @@ def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
     RuntimeError
         If the bisection stops anywhere else.
     MultipleEquilibriaError
-        If the bisection met ``fill_tol`` but its evaluations decrease
+        If the bisection met ``_FILL_TOL`` but its evaluations decrease
         somewhere; no other root is searched for.
     """
     lo, hi = 0.0, a
@@ -521,7 +521,7 @@ def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
             break
         y, fill = curve(t)
         evals.append((t, fill))
-        if abs(fill - s) < fill_tol:
+        if abs(fill - s) < _FILL_TOL:
             ordered = sorted(evals)
             slack = 1e-12 * max(1.0, float(K))
             for (t0, f0), (t1, f1) in zip(ordered, ordered[1:]):
@@ -544,7 +544,7 @@ def _solve_fill(curve, a: float, K: int, s: float, fill_tol: float,
         f"fill bisection at K={K}, s={s!r} stopped after {len(evals)} "
         f"evaluations on the bracket [{lo!r}, {hi!r}] with fills "
         f"[{fill_lo!r}, {fill_hi!r}]: gap {fill_hi - fill_lo:.3g}, "
-        f"fill_tol {fill_tol:.3g}"
+        f"fill tolerance {_FILL_TOL:.3g}"
     )
 
 
@@ -556,8 +556,8 @@ def _check_solvable(p: ModelParams, s: float) -> None:
         raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")
 
 
-@_domain(s=_POSITIVE, fill_tol=_POSITIVE)
-def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> SolveReport:
+@_domain(s=_POSITIVE)
+def solve_equilibrium(p: ModelParams, s: float) -> SolveReport:
     """Solve the full fixed point at car density ``s``.
 
     Bisects the fill equation along the one-parameter curve of
@@ -571,12 +571,12 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
     Raises
     ------
     ValueError
-        If ``s`` is outside ``(0, K)``, ``lam`` is zero or ``fill_tol``
-        is not finite and ``> 0``; or if ``s`` is above the largest fill
-        doubles reach, when the message names K, s, nu/mu and that fill.
+        If ``s`` is outside ``(0, K)`` or ``lam`` is zero; or if ``s`` is
+        above the largest fill doubles reach, when the message names K,
+        s, nu/mu and that fill.
     RuntimeError
         If the fill bisection stops before the fill is within
-        ``fill_tol`` of ``s``.
+        ``_FILL_TOL`` (1e-11) of ``s``.
     MultipleEquilibriaError
         If the bisection's fill evaluations are not increasing in ``t``:
         uniqueness is not established there, and no root is picked.  The
@@ -591,7 +591,7 @@ def solve_equilibrium(p: ModelParams, s: float, fill_tol: float = 1e-11) -> Solv
         y, sums = _curve_point(t, a, p.K)
         return y, _sums_mean(t, y, sums, c)
 
-    t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, fill_tol, p.nu / p.mu)
+    t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, p.nu / p.mu)
     rho1 = t_star / (1.0 + 2.0 * r)
     eta = r * rho1
     rho = RateRatios(eta, rho1, rho2, eta)

@@ -7,10 +7,12 @@ serialize to JSON unchanged, so reruns with the same seed root are
 byte-identical.  The three studies (convergence, chaos, attraction) take
 a model and a run shape; the bounds they are judged against are module
 constants, as are the grids and bounds of :func:`monotonicity_scan`,
-which takes no arguments.  Each study checks every argument before any
-run and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs
-those checks alone; ``duores verify`` calls it on every study's config
-before any item runs.
+which takes no arguments.  The studies integrate at one step,
+``meanfield._default_dt``, kept as ``config["dt_max"]`` or
+``config["dt"]``.  Each study checks every argument before any run and
+has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those
+checks alone; ``duores verify`` calls it on every study's config before
+any item runs.
 
 Seeds derive from a root by position: condition ``N`` and replica ``r``
 use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
@@ -53,7 +55,7 @@ from .equilibrium import (
     product_form,
     solve_equilibrium,
 )
-from .meanfield import _check_step, _grid_plan, _stream, integrate_at
+from .meanfield import _default_dt, _grid_plan, _stream, integrate_at
 from .simulate import SimConfig, _rank_counts, empirical_measure, init_uniform, run
 
 __all__ = [
@@ -98,17 +100,11 @@ def derive_seed(seed0: int, condition: int, replica: int) -> tuple:
     return seed0, condition, replica
 
 
-def _default_dt(p: ModelParams) -> float:
-    # Half the stability-guard step: comfortably inside the bound.
-    return 0.25 / p.rate_bound
-
-
 # ============================================================
 # Convergence of empirical measures to the flow
 # ============================================================
 
-def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max,
-                   with_pairs):
+def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_pairs):
     """The replica study behind the convergence and chaos experiments:
     the report's ``config`` and an iterator that yields, one ``N`` at a
     time, the row head ``{N, M, seeds}``, the replica-averaged measures,
@@ -116,7 +112,7 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
     ``with_pairs``) and the flow at the sample times.  Its arguments come
     declared (:data:`_STUDY`); the rules across them (sample times within
     ``T``, ``round(N s)`` cars that ``N`` stations of capacity ``K`` can
-    hold, some but not all of ``N K``, the step guard, pair tables within
+    hold, some but not all of ``N K``, a nonzero step, pair tables within
     the state budget) are refused here, before any run.  With no car, or
     with every space taken, no trip can start: the network never moves,
     and the study would fit its slope to distances of 0."""
@@ -130,15 +126,13 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
             raise ValueError(f"s={s} puts round(N s) = {round(N * s)} cars on N={N} stations "
                              f"of capacity K={p.K}; with no car or no free space nothing "
                              f"moves, so the study has nothing to converge")
-    dt_max = dt_max if dt_max is not None else _default_dt(p)
-    _check_step(p, dt_max, "dt_max")
     if with_pairs:
         n = _budgeted_pairs(p.K, "pair statistics")
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
         "sample_times": list(sample_times), "seed0": seed0,
-        "dt_max": dt_max, "audit": audit,
+        "dt_max": _default_dt(p), "audit": audit,
     }
 
     def conditions():
@@ -160,7 +154,7 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, dt_max
                         hists[k].append(_rank_counts(counts, p.K, n))
             avg = [Measure(a / replicas, p.K) for a in acc]
             pairs = _averaged_pairs(hists, N, n) if with_pairs else None
-            flow = integrate_at(init_measure, p, sample_times, dt_max)
+            flow = integrate_at(init_measure, p, sample_times, config["dt_max"])
             yield {"N": N, "M": M, "seeds": seeds}, avg, pairs, flow
 
     return config, conditions()
@@ -198,8 +192,7 @@ def _averaged_pairs(hists, N, n):
         yield acc, worst
 
 
-_STUDY = dict(replicas=_SIZE1, T=_NONNEG, sample_times=_times(1),
-              seed0=_SEED0, s=_NONNEG, dt_max=_real(0, strict=True, none=True))
+_STUDY = dict(replicas=_SIZE1, T=_NONNEG, sample_times=_times(1), seed0=_SEED0, s=_NONNEG)
 """The rules of the replica studies' shared arguments, after ``N_list``."""
 
 
@@ -218,7 +211,6 @@ def convergence_experiment(
     *,
     s: float,
     audit: bool = False,
-    dt_max: float | None = None,
 ) -> ExperimentReport:
     """Distance between replica-averaged empirical measures and the
     integrated flow, across network sizes.
@@ -233,7 +225,7 @@ def convergence_experiment(
     if len(N_list) < 2:
         raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
-                                   audit, dt_max, with_pairs=False)
+                                   audit, with_pairs=False)
 
     def work() -> ExperimentReport:
         rows = []
@@ -273,7 +265,6 @@ def chaos_experiment(
     *,
     s: float,
     audit: bool = False,
-    dt_max: float | None = None,
 ) -> ExperimentReport:
     """Decay of pairwise dependence: distance between the averaged
     two-station joint law and the product of the flow with itself.
@@ -285,7 +276,7 @@ def chaos_experiment(
     budget is refused before any run.
     """
     config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
-                                   audit, dt_max, with_pairs=True)
+                                   audit, with_pairs=True)
 
     def work() -> ExperimentReport:
         rows = []
@@ -361,15 +352,13 @@ _FILL_DRIFT_TOL = 1e-9  # the flow conserves the mean fill: a drift is rounding
 
 
 @_staged
-@_domain(perturbation_size=_real(0, finite=False), T=_NONNEG, s=_POSITIVE,
-         dt=_real(0, strict=True, none=True))
+@_domain(perturbation_size=_real(0, finite=False), T=_NONNEG, s=_POSITIVE)
 def attraction_experiment(
     p: ModelParams,
     perturbation_size: float,
     T: float,
     *,
     s: float,
-    dt: float | None = None,
 ) -> ExperimentReport:
     """Integrate from a fill-preserving perturbation of the fixed point,
     solved once every number is checked, and watch the flow return.
@@ -381,8 +370,7 @@ def attraction_experiment(
     and the mean fill constant along the whole trajectory within 1e-9.  The fill drift is taken over
     every step, but only the strided rows and the last one are kept.
     """
-    dt = dt if dt is not None else _default_dt(p)
-    plan, n = _grid_plan(p, T, dt)
+    plan, n = _grid_plan(p, T, _default_dt(p))
     _check_solvable(p, s)
     try:
         report, failed = solve_equilibrium(p, s), None
@@ -408,7 +396,7 @@ def attraction_experiment(
             name="attraction",
             config={
                 "params": asdict(p),
-                "s": s, "perturbation_size": perturbation_size, "T": T, "dt": dt,
+                "s": s, "perturbation_size": perturbation_size, "T": T, "dt": _default_dt(p),
             },
             rows=rows,
             metrics={

@@ -248,6 +248,14 @@ def _check_step(p: ModelParams, dt: float, name: str) -> None:
         )
 
 
+def _default_dt(p: ModelParams) -> float:
+    """The studies' step ``0.25 / (lam + nu K + mu K)``, half the guard's bound."""
+    if not np.isfinite(p.rate_bound):
+        raise ValueError(f"the rate bound lam + nu K + mu K at lam={p.lam!r}, nu={p.nu!r}, "
+                         f"mu={p.mu!r}, K={p.K} is not finite, and the step would be 0")
+    return 0.25 / p.rate_bound
+
+
 def _rk4(
     v: np.ndarray, p: ModelParams, st: _Stencils,
     plan: Iterable[tuple[float, int, float]], rows: np.ndarray | None,

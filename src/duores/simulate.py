@@ -57,7 +57,7 @@ before any draw, audited or not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, log1p
+from math import inf, isfinite, log1p
 
 import numpy as np
 
@@ -303,14 +303,15 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
 
     Returns ``(state, holding_time, tag)`` with ``tag`` one of
     ``"arrival"``, ``"blocked"``, ``"pickup"``, ``"return"``.  Blocked
-    arrivals consume time and draws but change nothing.  Requires at
-    least one active transition (``total_rate > 0``).
+    arrivals consume time and draws but change nothing.  Requires a
+    total rate that is finite and positive (some transition active).
     """
     N = len(state.w)
-    lam_N = p.lam * N
-    # the rates are validated nonnegative, mu and nu positive
-    if not (lam_N > 0.0 or state.pickups or state.driving):
-        raise ValueError("no active transitions: total rate is zero")
+    rate = state.total_rate(p)  # mu and nu are positive, lam nonnegative
+    if not 0.0 < rate < inf:
+        raise ValueError(f"the total rate lam N + nu P + mu D must be finite and > 0, got "
+                         f"{rate!r} at lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, "
+                         f"P={len(state.pickups)}, D={len(state.driving)}")
     u0, u1, u2, u3 = rng.random(4).tolist()
     # the scalar form of _stations: one row does not pay numpy's overhead
     i = int(u2 * N)
@@ -320,7 +321,7 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
     if j >= N:
         j = N - 1
     state.t, _, tag, dt = _advance(state.w, state.x, state.y, state.z, state.pickups,
-                                   state.driving, p.K, lam_N, p.nu, p.mu, state.t,
+                                   state.driving, p.K, p.lam * N, p.nu, p.mu, state.t,
                                    ((u0, u1, i, j, u3),))
     return state, dt, tag
 
@@ -354,9 +355,9 @@ def run(
     generator is seeded from ``config.seed`` and used first for initial
     placement (skipped when ``initial`` is given), then for events.  A
     given ``initial`` must have ``N`` stations and pass
-    ``check_invariants(deep=True)`` for ``K`` and ``M``; it is checked
-    before any draw, audited or not, and refused with a ``ValueError``
-    naming it.
+    ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
+    the total rate, ``lam N + max(nu, mu) M``, must be finite; each is
+    checked before any draw, audited or not: a ``ValueError`` names it.
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
@@ -371,6 +372,9 @@ def run(
     next check is not seen.  Audited and plain runs give byte-identical
     snapshots.
     """
+    if not isfinite(p.lam * config.N + max(p.nu, p.mu) * config.M):
+        raise ValueError(f"the rate bound lam N + max(nu, mu) M at lam={p.lam!r}, nu={p.nu!r}, "
+                         f"mu={p.mu!r}, N={config.N}, M={config.M} is not finite")
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)

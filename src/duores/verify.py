@@ -2,14 +2,14 @@
 ``duores verify`` runs.
 
 Each suite pits two independent computation paths against each other
-(closed form vs. explicit generator, four-coordinate vs. reduced
-family, solver output vs. residual evaluation).  A suite takes no
-arguments: its grid, trial count, seed and tolerances are module
-constants beside it, so a verdict is always reached against the same
-bounds, and any change to one is a change to the check.  It returns an
-:class:`~duores.experiments.ExperimentReport`: those constants as
-``config`` and ``thresholds``, and its worst discrepancy as
-``metrics["worst"]`` next to any other number it computes.
+(closed form vs. explicit generator, four-coordinate vs. reduced family,
+solver output vs. residual evaluation).  A suite takes no arguments: its
+grid, trial count, seed and tolerances are module constants beside it, as
+is the bound :func:`solve_grid` labels each solve against, so a verdict is
+always reached against the same bounds, and any change to one is a change
+to the check.  It returns an :class:`~duores.experiments.ExperimentReport`:
+those constants as ``config`` and ``thresholds``, and its worst discrepancy
+as ``metrics["worst"]`` next to any other number it computes.
 
 :data:`ITEMS` holds the seven suites, the monotonicity scan and the three
 studies of :mod:`duores.experiments`.  Only the studies take arguments (a
@@ -235,15 +235,15 @@ def check_fill_identity() -> ExperimentReport:
 
 OUTCOMES = ("solved", "solved_above_tol", "value_error", "runtime_error",
             "multiple_equilibria", "assertion_error")
-"""How a fixed-point solve ends: a report with ``max_residual <= tol``
-or above it; the named ``ValueError`` of a fill out of reach; the
+"""How a fixed-point solve ends: a report within ``_RESIDUAL_TOL`` or
+above it; the named ``ValueError`` of a fill out of reach; the
 generic ``RuntimeError`` of a fill bisection that stopped short;
 :class:`MultipleEquilibriaError`; the ``rho2`` identity assertion."""
 
 
-def _outcome(p: ModelParams, s: float, tol: float) -> tuple[str, float]:
+def _outcome(p: ModelParams, s: float) -> tuple[str, float]:
     try:
-        rep = solve_equilibrium(p, s)
+        residual = solve_equilibrium(p, s).max_residual
     except MultipleEquilibriaError:  # a RuntimeError; tested first
         return "multiple_equilibria", 0.0
     except ValueError:
@@ -252,7 +252,7 @@ def _outcome(p: ModelParams, s: float, tol: float) -> tuple[str, float]:
         return "runtime_error", math.inf
     except AssertionError:
         return "assertion_error", math.inf
-    return ("solved" if rep.max_residual <= tol else "solved_above_tol"), rep.max_residual
+    return ("solved" if residual <= _RESIDUAL_TOL else "solved_above_tol"), residual
 
 
 def _checked_cells(name: str, cells) -> list:
@@ -270,27 +270,28 @@ def _checked_cells(name: str, cells) -> list:
     return cells
 
 
-@_domain(cells=_Rule(_checked_cells, "a sequence of `(p, frac)` pairs"), tol=_POSITIVE)
-def solve_grid(cells, tol: float) -> tuple[float, dict]:
+@_domain(cells=_Rule(_checked_cells, "a sequence of `(p, frac)` pairs"))
+def solve_grid(cells) -> tuple[float, dict]:
     """Solve ``solve_equilibrium(p, frac * p.K)`` on each ``(p, frac)``
     cell: the one judge of a fixed-point grid.
 
-    Returns the worst residual and the count of each of :data:`OUTCOMES`.
-    A solve that raises scores an infinite residual, except the refusal
-    :class:`MultipleEquilibriaError`, which is only counted.  A cell the
-    solver's own domain check refuses (a fraction outside ``(0, 1)`` or
-    ``lam <= 0``) raises ``ValueError`` before any solve.
+    Returns the worst residual and the count of each of :data:`OUTCOMES`
+    at ``_RESIDUAL_TOL``.  A solve that raises scores an infinite
+    residual, except the refusal :class:`MultipleEquilibriaError`, which
+    is only counted.  A cell the solver's own domain check refuses (a
+    fraction outside ``(0, 1)`` or ``lam <= 0``) raises ``ValueError``
+    before any solve.
     """
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)
     for p, frac in cells:
-        outcome, residual = _outcome(p, frac * p.K, tol)
+        outcome, residual = _outcome(p, frac * p.K)
         counts[outcome] += 1
         worst = max(worst, residual)
     return worst, counts
 
 
-_RESIDUAL_TOL = 1e-10  # the fixed-point suites' bound on a grid's worst residual
+_RESIDUAL_TOL = 1e-10  # a grid's bound on each solve's residual, and on its worst
 _FIXED_POINT_LAMS, _FIXED_POINT_MU = (0.5, 1.0, 2.0), 1.0
 _FIXED_POINT_NUS, _FIXED_POINT_KS = (1.0, 10.0, 100.0), (2, 3, 5)
 _FIXED_POINT_FRACS = (0.2, 0.5, 0.8)
@@ -307,7 +308,7 @@ def check_fixed_point() -> ExperimentReport:
     cells = [(ModelParams(lam=lam, mu=_FIXED_POINT_MU, nu=nu, K=K), frac)
              for lam in _FIXED_POINT_LAMS for nu in _FIXED_POINT_NUS
              for K in _FIXED_POINT_KS for frac in _FIXED_POINT_FRACS]
-    worst, counts = solve_grid(cells, _RESIDUAL_TOL)
+    worst, counts = solve_grid(cells)
     rep1 = solve_equilibrium(ModelParams(lam=2.0, mu=1.0, nu=1e8, K=1), 0.75)
     closed_err = max(abs(rep1.rho.rho1 - 1.0), abs(rep1.rho.rho2 - 2.0))
     return ExperimentReport(
@@ -333,7 +334,7 @@ def check_fixed_point_large_K() -> ExperimentReport:
     not reach."""
     cells = [(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
              for K in _LARGE_KS for frac in _LARGE_K_FRACS for nu in _LARGE_K_NU_OVER_MU]
-    worst, counts = solve_grid(cells, _RESIDUAL_TOL)
+    worst, counts = solve_grid(cells)
     return ExperimentReport(
         "fixed_point_large_K",
         {"K_list": list(_LARGE_KS), "s_fracs": list(_LARGE_K_FRACS),

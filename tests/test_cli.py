@@ -220,6 +220,19 @@ def test_equilibrium_rejects_unreachable_fill(tmp_path):
     assert main(["equilibrium", _write_cfg(tmp_path, "eq.json", cfg)]) == 2
 
 
+@pytest.mark.parametrize("fill_tol", [1e-6, "x"])
+def test_equilibrium_refuses_a_fill_tolerance_by_name(tmp_path, capsys, fill_tol):
+    # the bisection's tolerance is the solver's constant, not a setting
+    cfg = {"model": _MODEL, "equilibrium": {"s": 1.0, "fill_tol": fill_tol},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["equilibrium", _write_cfg(tmp_path, "eq.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: unknown key(s) ['fill_tol'] in 'equilibrium'; "
+                            "allowed: ['s']\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------
 # verify
 # ------------------------------------------------------------
@@ -370,8 +383,8 @@ _ATTRACTION = {"model": {**_MODEL, "nu": 10.0}, "s": 1.0, "perturbation_size": 0
 @pytest.mark.parametrize("command, cfg, named", [
     ("simulate", {"model": _MODEL, "sim": {**_SIM, "replicas": "two"}},
      "'sim.replicas' must be an integer"),
-    ("equilibrium", {"model": _MODEL, "equilibrium": {"s": 1.0, "fill_tol": "x"}},
-     "'equilibrium.fill_tol' must be a number"),
+    ("equilibrium", {"model": _MODEL, "equilibrium": {"s": "1.0"}},
+     "'equilibrium.s' must be a number"),
     ("verify", {"experiments": {"convergence": {**_STUDY, "N_list": 3}}},
      "'experiments.convergence.N_list' must be a list of integers"),
     ("verify", {"experiments": {"chaos": {**_STUDY, "sample_times": 0.5}}},
@@ -678,6 +691,13 @@ def test_degenerate_experiment_inputs_are_named_config_errors(tmp_path, capsys, 
      "unknown key(s) ['fill_drift_tol'] in 'experiments.attraction'"),
     ({"checks": ["monotonicity"], "experiments": {"monotonicity": {"n_curve": 2}}},
      "'experiments' names no item 'monotonicity'"),
+    # the studies integrate at the one default step
+    ({"experiments": {"convergence": {**_STUDY, "dt_max": 0.01}}},
+     "unknown key(s) ['dt_max'] in 'experiments.convergence'"),
+    ({"experiments": {"chaos": {**_STUDY, "dt_max": 0.01}}},
+     "unknown key(s) ['dt_max'] in 'experiments.chaos'"),
+    ({"experiments": {"attraction": {**_ATTRACTION, "dt": 0.01}}},
+     "unknown key(s) ['dt'] in 'experiments.attraction'"),
 ])
 def test_verify_refuses_a_removed_setting_by_name(tmp_path, capsys, cfg, named):
     # checks ask fixed questions against fixed bounds: a setting that moved a
@@ -748,6 +768,9 @@ def _after_good_items(name, sec):
             "experiments": {study: _GOOD[study], name: sec}}
 
 
+_OVERFLOW = {"lam": 1e308, "mu": 1e308, "nu": 1e308, "K": 3}
+_NO_STEP = ("the rate bound lam + nu K + mu K at lam=1e+308, nu=1e+308, mu=1e+308, K=3 is "
+            "not finite, and the step would be 0")
 _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capacity K=2; "
                   "with no car or no free space nothing moves, so the study has nothing "
                   "to converge")
@@ -775,14 +798,15 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
      "sample_times must be nondecreasing"),
     ("convergence", {**_STUDY, "seed0": -1}, "seed0 must be >= 0, got -1"),
     ("convergence", {**_STUDY, "s": -1.0}, "s must be finite and >= 0, got -1.0"),
-    ("convergence", {**_STUDY, "dt_max": 0.0}, "dt_max must be finite and > 0, got 0.0"),
+    # a rate bound that overflows: the default step 0.25 / inf would be 0
+    ("convergence", {**_STUDY, "model": _OVERFLOW}, _NO_STEP),
     ("chaos", {**_STUDY, "N_list": []}, "N_list must hold at least one network size, got ()"),
     ("chaos", {**_STUDY, "N_list": [0, 4]}, "every N in N_list must be >= 2, got 0"),
     ("chaos", {**_STUDY, "replicas": 0}, "replicas must be >= 1, got 0"),
     ("chaos", {**_STUDY, "s": -1.0}, "s must be finite and >= 0, got -1.0"),
     ("chaos", {**_STUDY, "s": 3.0},
      "s=3.0 puts round(N s) cars on N=5 stations of capacity K=2, more than N K = 10"),
-    ("chaos", {**_STUDY, "dt_max": -1.0}, "dt_max must be finite and > 0, got -1.0"),
+    ("chaos", {**_STUDY, "model": _OVERFLOW}, _NO_STEP),
     # a fill with nothing to converge: no car, every space taken, and a
     # small s that puts no car on N = 5 (0.05 N = 0.25)
     ("convergence", {**_STUDY, "s": 0.0}, _NOTHING_MOVES.format(s=0.0, cars=0)),
@@ -792,7 +816,7 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
      "perturbation_size must be >= 0, got -0.1"),
     ("attraction", {**_ATTRACTION, "T": -1.0}, "T must be finite and >= 0, got -1.0"),
     ("attraction", {**_ATTRACTION, "s": 0.0}, "s must be finite and > 0, got 0.0"),
-    ("attraction", {**_ATTRACTION, "dt": 0.0}, "dt must be finite and > 0, got 0.0"),
+    ("attraction", {**_ATTRACTION, "model": _OVERFLOW}, _NO_STEP),
 ])
 def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
         tmp_path, capsys, work_calls, name, sec, message):

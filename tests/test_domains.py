@@ -28,8 +28,9 @@ TAKES_NONE = {
     "meanfield.stationarity_residual": "a measure and a model",
     "simulate.SimState": "a state that check_invariants and run check",
     "simulate.SimInvariantError": "an exception",
-    "simulate.step": "a state, a model and a generator",
-    "simulate.run": "a model and a config, checked when built, and a start state",
+    "simulate.step": "a state, a model and a generator; their total rate must be finite",
+    "simulate.run": "a model and a config, checked when built, and a start state; the rate "
+                    "bound across the model and the config must be finite",
     "experiments.ExperimentReport": "a record an experiment fills",
     "experiments.monotonicity_scan": "no arguments: its grids are fixed",
     **{f"verify.{name}": "no arguments: its grid, trials, seed and tolerances are fixed"

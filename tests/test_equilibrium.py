@@ -422,20 +422,31 @@ def test_solver_residuals_across_parameters():
 ])
 def test_solver_converges_where_the_fill_is_steep(K, s):
     # Large K makes fill(t) steep near the root; an inexact inner solve
-    # puts more noise on the fill than fill_tol allows.
+    # puts more noise on the fill than the fill tolerance allows.
     rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), s)
     assert rep.max_residual <= 1e-10
 
 
-def test_fill_bisection_stops_on_an_exhausted_bracket():
+def test_fill_bisection_stops_on_an_exhausted_bracket(monkeypatch):
     # No double meets a 1e-16 fill tolerance at K = 40: the bisection
     # must stop once the bracket ends are adjacent doubles, well before
     # its step limit, and say where it stopped.
-    with pytest.raises(RuntimeError, match=r"K=40, s=20\.0 .*bracket \[.*gap") as err:
-        solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=40), 20.0,
-                          fill_tol=1e-16)
+    monkeypatch.setattr(equilibrium, "_FILL_TOL", 1e-16)
+    with pytest.raises(RuntimeError, match=r"K=40, s=20\.0 .*bracket \[.*gap.*1e-16") as err:
+        solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=40), 20.0)
     n_evals = int(re.search(r"after (\d+) evaluations", str(err.value)).group(1))
     assert n_evals <= 60
+
+
+def test_the_fill_tolerance_is_the_solvers_constant():
+    # it was the argument fill_tol, which no caller outside the tests set
+    assert equilibrium._FILL_TOL == 1e-11
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'fill_tol'"):
+        solve_equilibrium(p, 1.5, fill_tol=1e-11)
+    with pytest.raises(TypeError, match="positional argument"):
+        solve_equilibrium(p, 1.5, 1e-11)
+    assert abs(solve_equilibrium(p, 1.5).residuals["fill"]) < equilibrium._FILL_TOL
 
 
 @pytest.mark.parametrize("K, nu, s, largest", [
@@ -605,7 +616,7 @@ def test_a_decreasing_trace_with_one_root_is_refused():
     # search for roots.
     curve, calls = _piecewise_fill([(0.0, 0.0), (0.3, 1.2), (0.5, 0.9), (1.0, 2.0)])
     with pytest.raises(MultipleEquilibriaError, match=r"K=2, s=0\.6, nu/mu=1\.5 decreases") as err:
-        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1e-11, 1.5)
+        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1.5)
     (t0, f0), (t1, f1) = err.value.pair
     assert t0 < t1 and f1 < f0
     assert t0 < 0.5 and t1 > 0.3  # the fill falls only on (0.3, 0.5)
@@ -617,7 +628,7 @@ def test_several_roots_are_refused_without_a_scan():
     curve, calls = _piecewise_fill([(0.0, 0.0), (0.2, 1.5), (0.35, 0.3), (0.6, 1.0),
                                     (1.0, 2.0)])
     with pytest.raises(MultipleEquilibriaError) as err:
-        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1e-11, 1.5)
+        equilibrium._solve_fill(curve, 1.0, 2, 0.6, 1.5)
     assert err.value.s == 0.6
     (t0, f0), (t1, f1) = err.value.pair
     assert t0 < 0.35 and t1 > 0.2 and f1 < f0  # the fill falls only on (0.2, 0.35)

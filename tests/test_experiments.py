@@ -171,7 +171,7 @@ def test_attraction_memory_does_not_grow_with_the_horizon():
     def peak(T):
         tracemalloc.start()
         try:
-            attraction_experiment(p, 0.1, T, s=3.0, dt=0.01)
+            attraction_experiment(p, 0.1, T, s=3.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,8 +182,8 @@ def test_attraction_memory_does_not_grow_with_the_horizon():
 
 @pytest.mark.parametrize("kw, named", [
     (dict(T=float("nan")), "^T must be finite and >= 0, got nan$"),
-    (dict(dt=float("nan")), "^dt must be finite and > 0, got nan$"),
-    (dict(dt=1.0), r"^dt \* \(lam \+ nu K \+ mu K\) = 7 exceeds the stability bound"),
+    (dict(T=float("inf")), "^T must be finite and >= 0, got inf$"),
+    (dict(s=float("nan")), "^s must be finite and > 0, got nan$"),
     (dict(perturbation_size=float("nan")), "^perturbation_size must be >= 0, got nan$"),
     (dict(s=5.0), r"^s must lie in \(0, K\) = \(0, 2\), got 5\.0$"),
 ])
@@ -196,6 +196,39 @@ def test_attraction_checks_its_numbers_before_solving(monkeypatch, kw, named):
     with pytest.raises(ValueError, match=named):
         attraction_experiment(_P, args.pop("perturbation_size"), args.pop("T"), **args)
     assert solves == []
+
+
+# each study, a cheap valid call of it, and the report key of its step
+_STUDIES = {
+    "convergence": (convergence_experiment, (_P, [4, 8], 1, 1.0, (1.0,), 5), "dt_max"),
+    "chaos": (chaos_experiment, (_P, [4, 8], 1, 1.0, (1.0,), 5), "dt_max"),
+    "attraction": (attraction_experiment, (_P, 0.1, 1.0), "dt"),
+}
+
+
+@pytest.mark.parametrize("name", _STUDIES)
+def test_a_removed_step_is_refused_by_name_and_reported_at_the_default_step(name):
+    study, args, key = _STUDIES[name]
+    for entry in (study, study.refuse):
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
+            entry(*args, s=1.0, **{key: 0.01})
+    assert study(*args, s=1.0).config[key] == 0.25 / _P.rate_bound == 0.25 / 7
+
+
+@pytest.mark.parametrize("name", _STUDIES)
+def test_a_rate_bound_that_overflows_is_refused_by_name_before_any_run_or_solve(
+        monkeypatch, name):
+    # the step 0.25 / inf was 0: the replica studies accepted it and their
+    # runs ended in an IndexError, and attraction refused a dt never given
+    calls = []
+    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_stream"):
+        monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
+    study, args, _ = _STUDIES[name]
+    overflow = ModelParams(lam=1e308, mu=1e308, nu=1e308, K=3)
+    with pytest.raises(ValueError, match=r"^the rate bound lam \+ nu K \+ mu K at "
+                       r"lam=1e\+308, nu=1e\+308, mu=1e\+308, K=3 is not finite"):
+        study.refuse(overflow, *args[1:], s=1.0)
+    assert calls == []
 
 
 def test_monotonicity_toy_scan_passes(monkeypatch):

@@ -179,8 +179,47 @@ def test_step_requires_active_transitions():
     p = ModelParams(lam=0.0, mu=1.0, nu=1.0, K=1)
     z = np.zeros(1, dtype=np.int64)
     st = SimState(z.copy(), z.copy(), np.array([1], dtype=np.int64), z.copy())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the total rate .* must be finite and > 0, got 0\.0 "):
         step(st, p, FakeRng([[0.5, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("lam, nu, mu, N, M", [
+    (1e308, 1.0, 1.0, 2, 1),  # lam N overflows
+    (1.0, 1e308, 1.0, 1, 3),  # three pending pickups could: max(nu, mu) M
+    (1.0, 1.0, 1e308, 1, 3),  # three driving cars could
+])
+def test_run_refuses_a_rate_bound_that_overflows_before_any_draw(monkeypatch, lam, nu, mu,
+                                                                  N, M):
+    # lam = 1e308 ended in an IndexError at driving[k]: u1 * inf failed
+    # both rate tests, and the return branch drew from an empty list
+    def no_generator(seed):
+        raise AssertionError("a generator was made before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    p = ModelParams(lam=lam, mu=mu, nu=nu, K=3)
+    cfg = SimConfig(N=N, M=M, T=1.0, sample_times=(1.0,), seed=0)
+    message = (f"the rate bound lam N + max(nu, mu) M at lam={lam!r}, nu={nu!r}, mu={mu!r}, "
+               f"N={N}, M={M} is not finite")
+    for audit in (False, True):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(p, cfg, audit=audit)
+
+
+def test_step_refuses_a_total_rate_that_overflows_before_any_draw():
+    p = ModelParams(lam=1e308, mu=1.0, nu=1.0, K=3)
+    st = init_uniform(2, 1, 3, 0)
+    rng = FakeRng([])  # any draw fails
+    message = ("the total rate lam N + nu P + mu D must be finite and > 0, got inf at "
+               "lam=1e+308, nu=1.0, mu=1.0, N=2, P=0, D=0")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        step(st, p, rng)
+    assert rng.used == 0 and st.t == 0.0 and st.car_total == 1
+    # a finite rate with a pending pickup at nu = 1e308 steps
+    z = np.zeros(2, dtype=np.int64)
+    st = SimState(np.array([0, 1]), z.copy(), z.copy(), np.array([1, 0]), pickups=[(0, 1)])
+    _, _, tag = step(st, ModelParams(lam=1.0, mu=1.0, nu=1e308, K=3),
+                     FakeRng([[0.5, 0.9, 0.0, 0.0]]))
+    assert tag == "pickup" and st.driving == [1]
 
 
 # ------------------------------------------------------------

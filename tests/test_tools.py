@@ -32,8 +32,8 @@ def test_every_subject_writes_a_committed_bench_file_by_default(layers):
 
 def test_solver_outcomes_takes_its_outcome_names_from_verify(layers, monkeypatch, tmp_path):
     monkeypatch.setattr(verify, "OUTCOMES", ("first", "second"))
-    monkeypatch.setattr(verify, "solve_grid", lambda cells, tol: (0.0, {"first": len(cells),
-                                                                         "second": 0}))
+    monkeypatch.setattr(verify, "solve_grid", lambda cells: (0.0, {"first": len(cells),
+                                                                    "second": 0}))
     out = tmp_path / "outcomes.json"
     kept = {"python": "3", "totals": {"solved": 1}}
     out.write_text(json.dumps({"earlier": kept}))
@@ -116,14 +116,12 @@ REMOVED = [
     ("product_form", "K", "fraction"), ("RateRatios", "eta1", "nan"),
     ("num_states", "K", "fraction"), ("num_states", "K", "negative"),
     ("Measure.uniform", "K", "fraction"), ("index_of", "K", "fraction"),
-    ("state_of", "rank", "fraction"), ("solve_equilibrium", "fill_tol", "nan"),
-    ("solve_equilibrium", "fill_tol", "zero"), ("solve_equilibrium", "fill_tol", "negative"),
-    ("init_uniform", "N", "zero"), ("init_uniform", "M", "negative"),
-    ("empirical_measure", "counts", "empty"), ("chaos_experiment", "N_list", "entry integer"),
+    ("state_of", "rank", "fraction"), ("init_uniform", "N", "zero"),
+    ("init_uniform", "M", "negative"), ("empirical_measure", "counts", "empty"), ("chaos_experiment", "N_list", "entry integer"),
     ("integrate", "T", "negative"), ("convergence_experiment", "s", "nan"),
     ("convergence_experiment", "replicas", "fraction"),
-    ("convergence_experiment", "dt_max", "nan"), ("chaos_experiment", "T", "nan"), ("experiments.derive_seed", "seed0", "fraction"),
-    ("attraction_experiment", "perturbation_size", "nan"), ("attraction_experiment", "dt", "nan"),
+    ("chaos_experiment", "T", "nan"), ("experiments.derive_seed", "seed0", "fraction"),
+    ("attraction_experiment", "perturbation_size", "nan"),
     ("index_of", "state", "entry fraction"), ("SimConfig", "seed", "fraction"),
     ("SimConfig", "seed", "negative"), ("init_uniform", "seed", "fraction"),
     ("init_uniform", "seed", "negative"), ("solve_equilibrium", "s", "string"),

@@ -253,7 +253,7 @@ def _large_K_grid(monkeypatch, K_list, s_fracs, nu_over_mu):
     ((20, 0.9, 0.01), "runtime_error"),  # the generic fill bisection failure
 ])
 def test_a_failed_solve_scores_an_infinite_residual(monkeypatch, cell, outcome):
-    worst, counts = solve_grid(_one_cell(*cell), 1e-10)
+    worst, counts = solve_grid(_one_cell(*cell))
     assert worst == math.inf
     assert counts == {**dict.fromkeys(OUTCOMES, 0), outcome: 1}
     K, s_over_K, nu = cell
@@ -268,19 +268,31 @@ def test_a_refused_fixed_point_is_counted_but_does_not_fail(monkeypatch):
         raise verify.MultipleEquilibriaError(p.K, s, p.nu / p.mu, ((1.0, 2.0), (1.5, 1.9)))
 
     monkeypatch.setattr(verify, "solve_equilibrium", refuse)
-    worst, counts = solve_grid(_one_cell(3, 0.5, 1.0), 1e-10)
+    worst, counts = solve_grid(_one_cell(3, 0.5, 1.0))
     assert worst == 0.0 and counts["multiple_equilibria"] == 1
 
 
 def test_solved_label_and_verdict_keep_their_comparisons(monkeypatch):
     cells = _one_cell(3, 0.5, 1.0)
-    residual, _ = solve_grid(cells, 1e-10)
-    worst, counts = solve_grid(cells, residual)  # the label is <= tol
-    assert worst == residual and counts["solved"] == 1
-    _large_K_grid(monkeypatch, (3,), (0.5,), (1.0,))
+    residual, _ = solve_grid(cells)
     monkeypatch.setattr(verify, "_RESIDUAL_TOL", residual)
+    worst, counts = solve_grid(cells)  # the label is <= tol
+    assert worst == residual and counts["solved"] == 1
+    monkeypatch.setattr(verify, "_RESIDUAL_TOL", math.nextafter(residual, 0.0))
+    assert solve_grid(cells)[1]["solved_above_tol"] == 1
+    monkeypatch.setattr(verify, "_RESIDUAL_TOL", residual)
+    _large_K_grid(monkeypatch, (3,), (0.5,), (1.0,))
     res = check_fixed_point_large_K()  # the verdict is worst < tol
     assert not res.passed and res.metrics["outcomes"]["solved"] == 1
+
+
+def test_a_grid_is_judged_at_the_constant_residual_bound():
+    # solve_grid took the bound as tol, which every caller set to 1e-10
+    assert verify._RESIDUAL_TOL == 1e-10
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        solve_grid(_one_cell(3, 0.5, 1.0), tol=1e-10)
+    with pytest.raises(TypeError, match="positional argument"):
+        solve_grid(_one_cell(3, 0.5, 1.0), 1e-10)
 
 
 def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
@@ -295,4 +307,4 @@ def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
 @pytest.mark.parametrize("s_over_K", [0.0, 1.0, -0.5, 1.5])
 def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
     with pytest.raises(ValueError, match="fill fractions in"):
-        solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0), 1e-10)
+        solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0))

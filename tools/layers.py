@@ -306,7 +306,6 @@ def state_space(repeats: int) -> dict:
 K_VALUES = (1, 2, 3, 5, 10, 20, 40, 80)
 NU_OVER_MU = tuple(10.0 ** k for k in range(-4, 4))
 FILLS = tuple(np.linspace(0.01, 0.99, 50).tolist()) + (0.995, 0.999)
-RESIDUAL_TOL = 1e-10
 
 
 def solver_outcomes(repeats: int) -> dict:
@@ -315,13 +314,13 @@ def solver_outcomes(repeats: int) -> dict:
     for K in K_VALUES:
         for nu in NU_OVER_MU:
             p = core.ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
-            _, counts = verify.solve_grid([(p, f) for f in FILLS], RESIDUAL_TOL)
+            _, counts = verify.solve_grid([(p, f) for f in FILLS])
             cells[f"K={K} nu/mu={nu!r}"] = counts
             for name, n in counts.items():
                 totals[name] += n
     return {
         "grid": {"K": list(K_VALUES), "nu_over_mu": list(NU_OVER_MU),
-                 "s_over_K": list(FILLS), "residual_tol": RESIDUAL_TOL},
+                 "s_over_K": list(FILLS), "residual_tol": verify._RESIDUAL_TOL},
         "cpu_s": round(time.process_time() - t0, 3),
         "totals": totals,
         "cells": cells,
@@ -358,7 +357,7 @@ BASE = {  # declared entry: keyword arguments of one cheap valid call, the defau
     "convergence_experiment": _STUDY, "chaos_experiment": _STUDY,
     "attraction_experiment": dict(p=_P2, perturbation_size=0.1, T=1.0, s=1.0),
     "verify.tandem_generator": dict(**_ONES, K=1),
-    "verify.solve_grid": dict(cells=[(_P3, 0.5)], tol=1e-10),
+    "verify.solve_grid": dict(cells=[(_P3, 0.5)]),
 }
 THEN = {"ModelParams": lambda p: equilibrium.solve_equilibrium(p, p.K / 2)}  # on the answer
 KNOWN_OTHER = {
@@ -499,6 +498,7 @@ def _json_read_back(value):
 _LOCAL = {"json_read_back": _json_read_back}  # contract entries not in duores
 _RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding M = 3 cars
 _U2 = core.Measure.uniform(2)
+_HUGE, _OVER = core.ModelParams(1e308, 1.0, 1.0, 3), core.ModelParams(1e308, 1e308, 1e308, 3)
 
 CONTRACT = (
     # The inputs no declaration states: (entry in duores or _LOCAL, args,
@@ -506,7 +506,7 @@ CONTRACT = (
     # in the domain or on its edge and has an answer).  Rules across
     # arguments:
     ("solve_equilibrium", (_P3, 3.0), {}, "s"),
-    ("verify.solve_grid", ([(_P3, NAN)], 1e-10), {}, "cells"),
+    ("verify.solve_grid", ([(_P3, NAN)],), {}, "cells"),
     ("init_uniform", (3, 10, 3, 1), {}, "M"),
     ("SimConfig", (2, 1, 1.0, (2.0,), 0), {}, "sample_times"),
     ("integrate", (_U2, _P2, 1.0, 1.0), {}, "dt"),
@@ -514,6 +514,11 @@ CONTRACT = (
     ("convergence_experiment", (_P2, [4, 8], 1, 1.0, (2.0,), 5), {"s": 1.0}, "sample_times"),
     ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 2.0}, "s"),
     ("core.ranks_of", ([0.5], [0], [0], [0], 2), {}, "state"),
+    ("run", (_HUGE, simulate.SimConfig(2, 1, 1.0, (1.0,), 0)), {}, "lam"),
+    ("step", (simulate.init_uniform(2, 1, 3, 0), _HUGE, np.random.default_rng(0)), {}, "lam"),
+    ("convergence_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
+    ("chaos_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
+    ("attraction_experiment", (_OVER, 0.1, 1.0), {"s": 1.5}, "lam"),
     # a start state that does not fit the run
     ("run", _RUN, {"initial": _start(y=(-1, 2, 2))}, "initial"),
     ("run", _RUN, {"initial": _start(y=(3, 0, 0))}, "initial"),

@@ -30,6 +30,8 @@ rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
 * the car density along the curve is a weighted mean that must equal
   ``s``, which an outer bisection on ``t`` enforces within ``_FILL_TOL``.
 
+Every step is O(K), and the solve takes ``K`` up to :data:`MAX_SOLVE_K`.
+
 Each curve point is one call of the kernel ``_curve_point``, which
 returns ``phi(t)`` and the pass's sums there: the bisection reads its
 fill and the solver ``rho2`` from that one call, as
@@ -303,16 +305,9 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
     elsewhere every sum is the pass's own double.  Where the returned
     ``y`` is not the last point evaluated (a Newton step within 2 ulp,
     or the bracket end with the smaller ``|h|``), it is evaluated once
-    more.
+    more.  Nothing is checked here: every caller passes ``0 < x < a < inf``
+    and an integer ``K >= 1``.
     """
-    try:  # once per curve point; a string falls through to the named refusal
-        checked = 0.0 < x < a < math.inf and type(K) is int and K >= 1
-    except TypeError:
-        checked = False
-    if not checked:
-        K = _SIZE1.check("K", K)
-        if not _POSITIVE.check("x", x) < _POSITIVE.check("a", a):
-            raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
     b = a - x
     Es = _partial_exponentials(x, K)
     top = max(1.0, x)
@@ -361,10 +356,7 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
         y = cand
 
 
-_curve_point.__domain__ = _CURVE = dict(x=_POSITIVE, a=_POSITIVE, K=_SIZE1)  # then x < a
-
-
-@_domain(**_CURVE)
+@_domain(x=_POSITIVE, a=_POSITIVE, K=_SIZE1)  # then x < a
 def solve_phi(x: float, a: float, K: int) -> float:
     """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
 
@@ -392,6 +384,8 @@ def solve_phi(x: float, a: float, K: int) -> float:
         If the root cannot be bracketed in double precision, or the
         stop is not reached within ``_PHI_MAX_ITER`` steps.
     """
+    if not x < a:
+        raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
     return _curve_point(x, a, K)[0]
 
 
@@ -548,9 +542,18 @@ def _solve_fill(curve, a: float, K: int, s: float,
     )
 
 
+MAX_SOLVE_K = 10_000
+"""Largest capacity the fixed-point solve takes: each fill evaluation is
+O(K), and ``K = 10**300`` never finished.  A solve at the ceiling ends
+within about 0.4 s of CPU."""
+
+
 def _check_solvable(p: ModelParams, s: float) -> None:
-    """The fixed point's domain across arguments: ``lam > 0`` and a fill
-    ``s`` in ``(0, K)``."""
+    """The fixed point's domain across arguments: ``K`` at most
+    :data:`MAX_SOLVE_K`, ``lam > 0`` and a fill ``s`` in ``(0, K)``."""
+    if p.K > MAX_SOLVE_K:
+        raise ValueError(f"K={p.K} is above the solver's capacity ceiling "
+                         f"MAX_SOLVE_K={MAX_SOLVE_K}")
     _POSITIVE.check("lam", p.lam)
     if not (isinstance(s, numbers.Real) and 0.0 < s < p.K):
         raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")
@@ -566,14 +569,15 @@ def solve_equilibrium(p: ModelParams, s: float) -> SolveReport:
     the truncated four-coordinate product form, through the O(K^2)
     convolutions of ``_state_sums``.  Memory is O(K): no per-state
     table is built, so :data:`~duores.core.MAX_STATES` does not bound
-    ``K`` here.
+    ``K`` here; :data:`MAX_SOLVE_K` (10 000) does.
 
     Raises
     ------
     ValueError
-        If ``s`` is outside ``(0, K)`` or ``lam`` is zero; or if ``s`` is
-        above the largest fill doubles reach, when the message names K,
-        s, nu/mu and that fill.
+        If ``K`` is above :data:`MAX_SOLVE_K`, when the message names K
+        and the ceiling; if ``s`` is outside ``(0, K)`` or ``lam`` is
+        zero; or if ``s`` is above the largest fill doubles reach, when
+        the message names K, s, nu/mu and that fill.
     RuntimeError
         If the fill bisection stops before the fill is within
         ``_FILL_TOL`` (1e-11) of ``s``.

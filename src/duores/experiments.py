@@ -9,8 +9,10 @@ a model and a run shape; the bounds they are judged against are module
 constants, as are the grids and bounds of :func:`monotonicity_scan`,
 which takes no arguments.  The studies integrate at one step,
 ``meanfield._default_dt``, kept as ``config["dt_max"]`` or
-``config["dt"]``.  Each study checks every argument before any run and
-has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those
+``config["dt"]``.  Each study checks every argument before any run, its
+flow against the step budget ``meanfield.MAX_STEPS`` and each replica
+study's runs against the event budget ``simulate.MAX_EVENTS`` included,
+and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those
 checks alone; ``duores verify`` calls it on every study's config before
 any item runs.
 
@@ -55,8 +57,9 @@ from .equilibrium import (
     product_form,
     solve_equilibrium,
 )
-from .meanfield import _default_dt, _grid_plan, _stream, integrate_at
-from .simulate import SimConfig, _rank_counts, empirical_measure, init_uniform, run
+from .meanfield import _check_step, _default_dt, _grid_plan, _stream, integrate_at
+from .simulate import (SimConfig, _check_events, _rank_counts, empirical_measure, init_uniform,
+                       run)
 
 __all__ = [
     "ExperimentReport",
@@ -112,10 +115,11 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
     ``with_pairs``) and the flow at the sample times.  Its arguments come
     declared (:data:`_STUDY`); the rules across them (sample times within
     ``T``, ``round(N s)`` cars that ``N`` stations of capacity ``K`` can
-    hold, some but not all of ``N K``, a nonzero step, pair tables within
-    the state budget) are refused here, before any run.  With no car, or
-    with every space taken, no trip can start: the network never moves,
-    and the study would fit its slope to distances of 0."""
+    hold, some but not all of ``N K``, pair tables within the state
+    budget, a nonzero step, a flow within the step budget and every run
+    within the event budget) are refused here, before any run.  With no
+    car, or with every space taken, no trip can start: the network never
+    moves, and the study would fit its slope to distances of 0."""
     _within(sample_times, T)
     for N in N_list:
         if N * s > N * p.K + 1 or round(N * s) > N * p.K:  # the first test also takes N s = inf
@@ -127,12 +131,16 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
                              f"of capacity K={p.K}; with no car or no free space nothing "
                              f"moves, so the study has nothing to converge")
     if with_pairs:
-        n = _budgeted_pairs(p.K, "pair statistics")
+        _budgeted_pairs(p.K, "pair statistics")
+    dt = _default_dt(p)
+    _check_step(p, sample_times[-1], dt, ("sample_times", "dt_max"))
+    for N in N_list:
+        _check_events(p, N, round(N * s), sample_times[-1])
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
         "sample_times": list(sample_times), "seed0": seed0,
-        "dt_max": _default_dt(p), "audit": audit,
+        "dt_max": dt, "audit": audit,
     }
 
     def conditions():
@@ -140,7 +148,8 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
             M = round(N * s)
             init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
             init_measure = empirical_measure(init.counts(), p.K)
-            acc = [np.zeros_like(init_measure.probs) for _ in sample_times]
+            n = init_measure.probs.size
+            acc = [np.zeros(n) for _ in sample_times]
             hists = [[] for _ in sample_times]  # rank counts per time, in replica order
             seeds = []
             for rep in range(1, replicas + 1):
@@ -149,12 +158,13 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
                 cfg = SimConfig(N=N, M=M, T=T, sample_times=sample_times, seed=seed)
                 traj = run(p, cfg, initial=init, audit=audit)
                 for k, (_, counts) in enumerate(traj):
-                    acc[k] += empirical_measure(counts, p.K).probs
+                    c = _rank_counts(counts, p.K, n)  # c / N: empirical_measure's masses
+                    acc[k] += c / N
                     if with_pairs:
-                        hists[k].append(_rank_counts(counts, p.K, n))
+                        hists[k].append(c)
             avg = [Measure(a / replicas, p.K) for a in acc]
             pairs = _averaged_pairs(hists, N, n) if with_pairs else None
-            flow = integrate_at(init_measure, p, sample_times, config["dt_max"])
+            flow = integrate_at(init_measure, p, sample_times, dt)
             yield {"N": N, "M": M, "seeds": seeds}, avg, pairs, flow
 
     return config, conditions()

@@ -67,8 +67,9 @@ is clamped into a new vector first, which keeps the clamp's bits, -0.0
 to 0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
-``dt * (lam + nu K + mu K) <= 0.5``.  One loop checks every state but
-builds a :class:`Measure` only of those its caller keeps.
+``dt * (lam + nu K + mu K) <= 0.5``, and the horizon over the step at
+most :data:`MAX_STEPS`.  One loop checks every state but builds a
+:class:`Measure` only of those its caller keeps.
 """
 
 from __future__ import annotations
@@ -238,14 +239,26 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
     return float(np.abs(drift(m, p)).max())
 
 
-def _check_step(p: ModelParams, dt: float, name: str) -> None:
-    """The step guard, across arguments: ``dt (lam + nu K + mu K) <= 0.5``."""
+MAX_STEPS = 1_000_000
+"""Largest step count of one integration: a plan whose horizon over its step
+(``T / dt``, ``times[-1] / dt_max``) is above it, or not finite, is refused
+by name before any step.  A step at K = 3 takes about 26 us of CPU."""
+
+
+def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str]) -> None:
+    """The step rules of a plan over ``span`` in steps of ``dt``, across
+    arguments: the guard ``dt (lam + nu K + mu K) <= 0.5`` and the budget
+    ``span / dt <= MAX_STEPS``.  ``names`` are those of ``span`` and ``dt``."""
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
-            f"{name} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
-            f"bound 0.5; shrink {name}"
+            f"{names[1]} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
+            f"bound 0.5; shrink {names[1]}"
         )
+    steps = span / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"{names[0]} / {names[1]} = {span!r} / {dt!r} asks for {steps:.3g} "
+                         f"steps, above the step budget MAX_STEPS={MAX_STEPS}")
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -311,8 +324,9 @@ def _rk4(
 def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     """:func:`integrate`'s lazy plan and step count: a step of ``dt`` to each
     ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid.
-    Its declaration is :func:`integrate`'s, checked here for every caller."""
-    _check_step(p, dt, "dt")
+    Its declaration is :func:`integrate`'s, checked here for every caller,
+    and so are the step rules."""
+    _check_step(p, T, dt, ("T", "dt"))
     n_full = int(np.floor(T / dt + 1e-9))
     t = n_full * dt
     tail = [(T, 1, T - t)] if T - t > 1e-9 * max(1.0, T) else []
@@ -387,7 +401,7 @@ def integrate_at(
     requested instants.  Every time must be finite and ``>= 0``.  As in
     :func:`integrate`, the measures hold rows of one read-only block.
     """
-    _check_step(p, dt_max, "dt_max")
+    _check_step(p, times[-1] if times else 0.0, dt_max, ("times", "dt_max"))
     plan, prev = [], 0.0
     for t in times:
         span = t - prev

@@ -51,7 +51,8 @@ block's start and replays the block one event at a time with the check
 after each, so the error names the first event that breaks an
 invariant and its time.  A violation undone within one block, between
 two checks, is not seen.  A given ``initial`` gets the deep check
-before any draw, audited or not.
+before any draw, audited or not, and so does the work a run asks for:
+at most :data:`MAX_EVENTS` expected events.
 """
 
 from __future__ import annotations
@@ -341,6 +342,27 @@ def _count_array(counts: list, N: int) -> np.ndarray:
         return np.array(counts)
 
 
+MAX_EVENTS = 100_000_000
+"""Largest event count a run may ask for: the rate bound
+``lam N + max(nu, mu) M`` times the last sample time, where the run ends,
+bounds its expected event count, and :func:`run` refuses a larger one by
+name before any draw.  A plain run fires about 1e6 events per CPU second."""
+
+
+def _check_events(p: ModelParams, N: int, M: int, horizon: float) -> None:
+    """The run's rules across the model and its shape: a finite rate bound
+    ``lam N + max(nu, mu) M``, and that bound times ``horizon``, the last
+    sample time, at most :data:`MAX_EVENTS`."""
+    bound = p.lam * N + max(p.nu, p.mu) * M
+    at = f"lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, M={M}"
+    if not isfinite(bound):
+        raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} is not finite")
+    if bound * horizon > MAX_EVENTS:
+        raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} allows "
+                         f"{bound * horizon:.3g} events by the last sample time {horizon!r}, "
+                         f"above the event budget MAX_EVENTS={MAX_EVENTS}")
+
+
 def run(
     p: ModelParams,
     config: SimConfig,
@@ -356,8 +378,10 @@ def run(
     placement (skipped when ``initial`` is given), then for events.  A
     given ``initial`` must have ``N`` stations and pass
     ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
-    the total rate, ``lam N + max(nu, mu) M``, must be finite; each is
-    checked before any draw, audited or not: a ``ValueError`` names it.
+    the total rate, ``lam N + max(nu, mu) M``, must be finite, and times
+    the last sample time, where the run ends, at most :data:`MAX_EVENTS`;
+    each is checked before any draw, audited or not: a ``ValueError``
+    names it.
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
@@ -372,9 +396,7 @@ def run(
     next check is not seen.  Audited and plain runs give byte-identical
     snapshots.
     """
-    if not isfinite(p.lam * config.N + max(p.nu, p.mu) * config.M):
-        raise ValueError(f"the rate bound lam N + max(nu, mu) M at lam={p.lam!r}, nu={p.nu!r}, "
-                         f"mu={p.mu!r}, N={config.N}, M={config.M} is not finite")
+    _check_events(p, config.N, config.M, config.sample_times[-1] if config.sample_times else 0.0)
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)

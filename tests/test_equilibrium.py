@@ -773,3 +773,13 @@ def test_solves_through_the_scaled_pass_match_their_golden_digests(monkeypatch, 
     digest, underflowed = _GOLDEN_FULL_PASS_SOLVES[K, s, nu_over_mu]
     assert underflows and any(underflows) == underflowed
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_a_capacity_above_the_solver_ceiling_is_refused_by_name():
+    # K = 10**300 ran its O(K) pass without end; K = 2000 (the golden solve) stays
+    assert equilibrium.MAX_SOLVE_K == 10_000
+    for K in (equilibrium.MAX_SOLVE_K + 1, 10**300):
+        message = f"K={K} is above the solver's capacity ceiling MAX_SOLVE_K=10000"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), 1.5)
+    equilibrium._check_solvable(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=10_000), 5000.0)

@@ -405,3 +405,53 @@ def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw,
     monkeypatch.setattr(experiments, "run", no_run)
     with pytest.raises(ValueError, match=named):
         study(_P, **{**_STUDY_KW, **kw})
+
+
+_NEAR = ModelParams(lam=1e307, mu=1e307, nu=1e307, K=3)  # rate bound 7e307: a subnormal step
+
+
+@pytest.mark.parametrize("name", _STUDIES)
+def test_a_flow_above_the_step_budget_is_refused_by_name_before_any_run_or_solve(
+        monkeypatch, name):
+    # the default step 0.25 / 7e307 is subnormal: attraction's .refuse ended
+    # in an OverflowError, and the replica studies passed .refuse and ran
+    calls = []
+    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_stream"):
+        monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
+    study, args, _ = _STUDIES[name]
+    span = "T / dt" if name == "attraction" else "sample_times / dt_max"
+    dt = 0.25 / _NEAR.rate_bound
+    with pytest.raises(ValueError, match=rf"^{span} = 1\.0 / {dt!r} asks for inf steps, "
+                       r"above the step budget MAX_STEPS=1000000$"):
+        study.refuse(_NEAR, *args[1:], s=1.5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["convergence", "chaos"])
+def test_a_replica_study_refuses_a_run_above_the_event_budget_before_any_run(monkeypatch, name):
+    # each N is checked: N = 1000 asks for (1000 lam + 1500) 200, about 2e8 events
+    calls = []
+    for fn in ("run", "init_uniform", "integrate_at"):
+        monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
+    study = _STUDIES[name][0]
+    p = ModelParams(lam=1000.0, mu=1.0, nu=1.0, K=3)
+    with pytest.raises(ValueError, match=r"^the rate bound lam N \+ max\(nu, mu\) M at "
+                       r"lam=1000\.0, nu=1\.0, mu=1\.0, N=1000, M=1500 allows 2e\+08 events "
+                       r"by the last sample time 200\.0, above the event budget "
+                       r"MAX_EVENTS=100000000$"):
+        study.refuse(p, [4, 1000], 1, 200.0, (200.0,), 5, s=1.5)
+    assert calls == []
+
+
+def test_a_replica_study_ranks_each_snapshot_once(monkeypatch):
+    # each snapshot went through empirical_measure and, with pairs, through
+    # _rank_counts again; the initial placement keeps its empirical_measure
+    ranked, measured = [], []
+    rank, measure = experiments._rank_counts, experiments.empirical_measure
+    monkeypatch.setattr(experiments, "_rank_counts",
+                        lambda *a: ranked.append(a[0].shape) or rank(*a))
+    monkeypatch.setattr(experiments, "empirical_measure",
+                        lambda *a: measured.append(a[0].shape) or measure(*a))
+    chaos_experiment(_P, [4, 8], 2, 1.0, (0.5, 1.0), 5, s=1.0)
+    assert measured == [(4, 4), (8, 4)]
+    assert ranked == [(4, 4)] * 4 + [(8, 4)] * 4

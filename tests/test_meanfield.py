@@ -681,3 +681,31 @@ def test_step_rules_match_the_benchmark_step_counts(monkeypatch):
         assert workloads.rk4_steps_at(times, 0.05) == steps
         assert calls[0] == 4 * steps
         assert len(outs) == len(times)
+
+
+_NEAR = ModelParams(lam=1e307, mu=1e307, nu=1e307, K=3)  # rate bound 7e307: a subnormal step
+
+
+def test_a_plan_above_the_step_budget_is_refused_by_name_before_any_step(monkeypatch):
+    # T / dt = 1e302 and 1 / 3.6e-309 = inf ended in an OverflowError when
+    # the step count was cast to an int
+    monkeypatch.setattr(meanfield, "_rk4", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=r"^T / dt = 1e\+300 / 0\.01 asks for 1e\+302 steps, "
+                       r"above the step budget MAX_STEPS=1000000$"):
+        integrate(Measure.uniform(2), ModelParams(1.0, 1.0, 2.0, K=2), T=1e300, dt=0.01)
+    dt_max = 0.25 / _NEAR.rate_bound
+    assert 0.0 < dt_max < 2.3e-308
+    with pytest.raises(ValueError, match=rf"^times / dt_max = 1\.0 / {dt_max!r} asks for inf "
+                       r"steps, above the step budget MAX_STEPS=1000000$"):
+        integrate_at(Measure.uniform(3), _NEAR, [1.0], dt_max)
+
+
+def test_the_step_budget_counts_the_horizon_over_the_step(monkeypatch):
+    monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
+    p, m0 = ModelParams(1.0, 1.0, 1.0, K=1), Measure.uniform(1)
+    assert len(integrate(m0, p, T=0.1, dt=0.01)) == 11
+    assert len(integrate_at(m0, p, [0.05, 0.1], dt_max=0.01)) == 2
+    with pytest.raises(ValueError, match=r"^T / dt = 0\.11 / 0\.01 asks for 11 steps"):
+        integrate(m0, p, T=0.11, dt=0.01)
+    with pytest.raises(ValueError, match=r"^times / dt_max = 0\.11 / 0\.01 asks for 11 steps"):
+        integrate_at(m0, p, [0.05, 0.11], dt_max=0.01)

@@ -882,3 +882,30 @@ def test_time_average_matches_product_form_on_tiny_network():
     norm = sum(raw.values())
     worst = max(abs(occupation[k] / total - raw[k] / norm) for k in raw)
     assert worst < 1e-2
+
+
+def test_run_refuses_a_run_above_the_event_budget_before_any_draw(monkeypatch):
+    # [0, 1] at lam = 1e300 holds about 2e300 events: the run never ended
+    def no_generator(seed):
+        raise AssertionError("a generator was made before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    p = ModelParams(lam=1e300, mu=1.0, nu=1.0, K=3)
+    cfg = SimConfig(N=2, M=1, T=1.0, sample_times=(1.0,), seed=0)
+    message = ("the rate bound lam N + max(nu, mu) M at lam=1e+300, nu=1.0, mu=1.0, N=2, M=1 "
+               "allows 2e+300 events by the last sample time 1.0, above the event budget "
+               "MAX_EVENTS=100000000")
+    for audit in (False, True):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(p, cfg, audit=audit)
+
+
+def test_the_event_budget_counts_the_rate_bound_to_the_last_sample_time(monkeypatch):
+    # the run ends at its last sample time, so a longer horizon T adds no work
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 100)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)  # N = 10, M = 15: rate bound 40
+    assert len(run(p, SimConfig(N=10, M=15, T=1e300, sample_times=(2.5,), seed=0))) == 1
+    assert run(p, SimConfig(N=10, M=15, T=1e300, sample_times=(), seed=0)) == []
+    with pytest.raises(ValueError, match=r"allows 120 events by the last sample time 3\.0, "
+                       r"above the event budget MAX_EVENTS=100$"):
+        run(p, SimConfig(N=10, M=15, T=3.0, sample_times=(1.0, 3.0), seed=0))

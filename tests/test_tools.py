@@ -178,7 +178,10 @@ def test_contract_records_the_sweep_and_the_kept_rows(layers, tmp_path):
     assert swept["draws"] == sum(swept["totals"].values()) == sum(
         sum(c.values()) for c in swept["entries"].values())
     assert swept["totals"]["other"] == len(layers.KNOWN_OTHER)
+    # only sizes are kept from their large magnitude: the step and event
+    # budgets refuse a large time or a tiny step by name
+    assert layers.NOT_DRAWN_LARGE == dict.fromkeys(layers.SIZES, 1e300)
     assert swept["not_drawn_large"]["ModelParams"] == {"K": 1e300}
-    assert swept["not_drawn_large"]["integrate"] == {"T": 1e300, "dt": 1e-300}
+    assert "integrate" not in swept["not_drawn_large"]
     assert swept["not_drawn_large"]["convergence_experiment"] == {
-        "N_list": 1e300, "replicas": 1e300, "T": 1e300}
+        "N_list": 1e300, "replicas": 1e300}

@@ -308,3 +308,20 @@ def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
 def test_fill_fractions_outside_the_unit_interval_are_refused_before_solving(s_over_K):
     with pytest.raises(ValueError, match="fill fractions in"):
         solve_grid(_one_cell(3, 0.5, 1.0) + _one_cell(3, s_over_K, 1.0))
+
+
+def test_a_cell_above_the_solver_ceiling_is_refused_before_solving():
+    cells = _one_cell(3, 0.5, 1.0) + [(ModelParams(lam=1.0, mu=1.0, nu=1.0, K=10**5), 0.5)]
+    with pytest.raises(ValueError, match=r"^cells\[1\]: .* K <= MAX_SOLVE_K; K=100000 is above "
+                       r"the solver's capacity ceiling MAX_SOLVE_K=10000$"):
+        solve_grid(cells)
+
+
+def test_the_trial_draws_are_one_vector_draw_with_no_zero():
+    # _draws redrew a zero one scalar at a time; numpy draws a vector as the
+    # same successive scalars, and no suite's seed draws a zero
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    assert verify._draws(a, 1000) == [float(b.uniform(0.0, 3.0)) for _ in range(1000)]
+    assert a.random() == b.random()
+    for trials, seed, _ in verify._TRIALS.values():  # at most four draws a trial
+        assert min(verify._draws(np.random.default_rng(seed), 4 * trials)) > 0.0

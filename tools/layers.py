@@ -345,7 +345,7 @@ BASE = {  # declared entry: keyword arguments of one cheap valid call, the defau
     "product_form": dict(rho=equilibrium.RateRatios(**_ONES), K=2),
     **dict.fromkeys(["equilibrium.simple_form", "g_mean"], dict(x=1.0, y=1.0, K=3)),
     "f_simple": dict(x=1.0, y=1.0, a=2.0, K=3),
-    **dict.fromkeys(["solve_phi", "equilibrium._curve_point"], dict(x=0.5, a=1.0, K=3)),
+    "solve_phi": dict(x=0.5, a=1.0, K=3),
     "solve_equilibrium": dict(p=_P3, s=1.5),
     "integrate": dict(m0=core.Measure.uniform(2), p=_P2, T=0.1, dt=0.01),
     "integrate_at": dict(m0=core.Measure.uniform(2), p=_P2, times=[0.05, 0.1], dt_max=0.01),
@@ -365,7 +365,7 @@ KNOWN_OTHER = {
     # RuntimeError (ROADMAP item 3)
     ("ModelParams", "lam", "huge"), ("ModelParams", "mu", "tiny"),
 }
-HAND_GUARDED = {"num_states", "Measure", "equilibrium._curve_point"}  # data-declared
+HAND_GUARDED = {"num_states", "Measure"}  # data-declared
 SWEEP_SEED = 20261019
 OUTCOMES = ("answer", "named_value_error", "named_runtime_error", "other")
 # at and just outside each bound in use: counts >= 0, 1 or 2, reals >= 0 or
@@ -373,20 +373,12 @@ OUTCOMES = ("answer", "named_value_error", "named_runtime_error", "other")
 # (decreasing times, a lone number, a pair with a negative entry)
 EDGES = (-1, math.nextafter(0.0, -1.0), 0.5, 1, 1.5, 2, 2.5, 0, NAN, INF, -INF, 1e-300, 1e300)
 SEQUENCES = ((1.0, 0.5), (-0.7,), (0.5, -0.5))
-# The arguments that set the amount of work, by name in every entry or by
-# (entry, argument), and the magnitude at which it is large, not drawn
+# The sizes, by name in every entry, and the magnitude at which each is
+# large, not drawn: a size makes tables or runs that large.  Times and steps
+# are drawn at every magnitude, since the step and event budgets refuse the
+# large ones by name.
 SIZES = ("K", "N", "M", "N_list", "replicas")
-NOT_DRAWN_LARGE = {
-    **dict.fromkeys(SIZES, 1e300), ("integrate", "dt"): 1e-300, ("integrate_at", "dt_max"): 1e-300,
-    **{(e, a): 1e300 for e, a in (("integrate", "T"), ("integrate_at", "times"),
-                                  ("convergence_experiment", "T"), ("chaos_experiment", "T"),
-                                  ("attraction_experiment", "T"))},
-}
-
-
-def not_drawn_large(entry: str, arg: str):
-    """The magnitude at which ``arg`` sets the work of ``entry``, or ``None``."""
-    return NOT_DRAWN_LARGE.get((entry, arg), NOT_DRAWN_LARGE.get(arg))
+NOT_DRAWN_LARGE = dict.fromkeys(SIZES, 1e300)
 
 
 def value_class(v) -> str:
@@ -453,7 +445,7 @@ def sweep() -> list:
         full = {k: p.default for k, p in inspect.signature(fn).parameters.items()} | base
         for arg, rule in fn.__domain__.items():
             rng = np.random.default_rng((SWEEP_SEED, zlib.crc32(f"{entry} {arg}".encode())))
-            for label, value in _draws(full[arg], not_drawn_large(entry, arg), rng):
+            for label, value in _draws(full[arg], NOT_DRAWN_LARGE.get(arg), rng):
                 try:
                     rule.check(arg, value)
                     refused = False
@@ -499,6 +491,7 @@ _LOCAL = {"json_read_back": _json_read_back}  # contract entries not in duores
 _RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding M = 3 cars
 _U2 = core.Measure.uniform(2)
 _HUGE, _OVER = core.ModelParams(1e308, 1.0, 1.0, 3), core.ModelParams(1e308, 1e308, 1e308, 3)
+_NEAR = core.ModelParams(1e307, 1e307, 1e307, 3)  # a finite rate bound, a subnormal step
 
 CONTRACT = (
     # The inputs no declaration states: (entry in duores or _LOCAL, args,
@@ -519,6 +512,13 @@ CONTRACT = (
     ("convergence_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
     ("chaos_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
     ("attraction_experiment", (_OVER, 0.1, 1.0), {"s": 1.5}, "lam"),
+    # the budgets of steps, events and the solver's capacity
+    ("attraction_experiment", (), dict(p=_NEAR, perturbation_size=0.1, T=1.0, s=1.5), "T"),
+    ("integrate_at", (core.Measure.uniform(3), _NEAR, [1.0], 0.25 / _NEAR.rate_bound), {},
+     "dt_max"),
+    ("run", (core.ModelParams(1e300, 1.0, 1.0, 3),),
+     {"config": simulate.SimConfig(2, 1, 1.0, (1.0,), 0)}, "lam"),
+    ("solve_equilibrium", (core.ModelParams(1.0, 1.0, 2.0, 10**300), 1.5), {}, "K"),
     # a start state that does not fit the run
     ("run", _RUN, {"initial": _start(y=(-1, 2, 2))}, "initial"),
     ("run", _RUN, {"initial": _start(y=(3, 0, 0))}, "initial"),
@@ -563,8 +563,8 @@ def contract(repeats: int) -> dict:
     entries, totals = _counts([r[0] for r in rows], [r[4] for r in rows])
     kept = [contract_outcome(*row)[0] for row in CONTRACT]
     kept_entries, kept_totals = _counts([r[0] for r in CONTRACT], kept)
-    large = {e: {a: not_drawn_large(e, a) for a in _entry(e).__domain__
-                 if not_drawn_large(e, a)} for e in BASE}
+    large = {e: {a: NOT_DRAWN_LARGE[a] for a in _entry(e).__domain__ if a in NOT_DRAWN_LARGE}
+             for e in BASE}
     return {
         "sweep": {"draws": len(rows), "seed": SWEEP_SEED, "totals": totals, "entries": entries,
                   "not_drawn_large": {e: a for e, a in large.items() if a},

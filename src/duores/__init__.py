@@ -31,11 +31,8 @@ from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
     SolveReport,
-    f_simple,
-    g_mean,
     product_form,
     solve_equilibrium,
-    solve_phi,
 )
 from .experiments import (
     ExperimentReport,
@@ -73,9 +70,6 @@ __all__ = [
     "SolveReport",
     "MultipleEquilibriaError",
     "product_form",
-    "f_simple",
-    "solve_phi",
-    "g_mean",
     "solve_equilibrium",
     "drift",
     "integrate",

@@ -22,47 +22,41 @@ fill ``s``.
 Solving goes through a two-variable reduction.  Aggregating the three
 infinite-server roles (valid exactly when ``eta1 = eta2 = (mu/nu)
 rho1``) collapses the state to ``(i, j) = (w + x + z, y)`` with weights
-``t^i / i! * r^j`` where ``t = (1 + 2 mu/nu) rho1``.  On that family:
+``t^i / i! * r^j`` where ``t = (1 + 2 mu/nu) rho1``.  On that family,
+with ``a = (lam/mu)(1 + 2 mu/nu)``, the first fixed-point equation
+``(a - t) Z(t, r) = a sum_{i<=K} t^i/i!`` has a unique root ``r = phi(t)``
+per ``t`` in ``(0, a)``, and the car density along that curve is a
+weighted mean that must equal ``s``, which an outer bisection on ``t``
+enforces within ``_FILL_TOL``.  Every step is O(K), and the solve takes
+``K`` up to :data:`MAX_SOLVE_K`.  The family is private: its kernels
+serve the solver, ``monotonicity_scan`` and the balance-identity suite.
 
-* ``f_simple(t, r, a, K) = 0`` encodes the first fixed-point equation,
-  with ``a = (lam/mu)(1 + 2 mu/nu)``;
-* ``solve_phi`` inverts it, giving the unique ``r = phi(t)`` per ``t``;
-* the car density along the curve is a weighted mean that must equal
-  ``s``, which an outer bisection on ``t`` enforces within ``_FILL_TOL``.
-
-Every step is O(K), and the solve takes ``K`` up to :data:`MAX_SOLVE_K`.
+Every reduced-family quantity comes from one O(K) pass,
+``_reduced_sums(x, y, K)``, which returns the normalizing constant
+``Z``, its derivative ``dZ/dy``, the partial exponential ``E`` (the
+weight of ``j = 0``) and ``Z_{K-1}`` (the constant one capacity lower),
+all scaled by one power of two so that no step overflows.  The weighted
+mean ``E[c i + j] = (c x Z_{K-1} + y dZ/dy) / Z`` is ``_sums_mean``: the
+car density at ``c = 1`` and the fill at ``c = _car_weight(mu/nu)``.
 
 Each curve point is one call of the kernel ``_curve_point``, which
 returns ``phi(t)`` and the pass's sums there: the bisection reads its
 fill and the solver ``rho2`` from that one call, as
 ``monotonicity_scan`` reads its phi rows and the fill rows of every
-reservation speed.
-
+reservation speed.  The pass has two factors,
+``Z = sum_n E_n(x) y^(K-n)``; a curve point holds ``x`` fixed, so
+``_curve_point`` builds the partial exponentials ``E_n`` once and runs
+only the Horner stage in ``y`` at each step, which gives the pass's own
+doubles; at a ``y`` where the pass would rescale, the full pass runs.
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
-
-Every reduced-family quantity the solver uses comes from one O(K) pass,
-``_reduced_sums(x, y, K)``, which returns the normalizing constant
-``Z``, its derivative ``dZ/dy``, the partial exponential ``E`` (the
-weight of ``j = 0``) and ``Z_{K-1}`` (the constant one capacity lower),
-all scaled by one power of two so that no step overflows.  From them:
-
-* ``E[c i + j] = (c x Z_{K-1} + y dZ/dy) / Z`` (``g_mean`` at ``c = 1``,
-  and the fill at ``c = _car_weight(mu/nu)``);
-* ``f_simple`` and ``solve_phi`` read ``Z``, ``dZ/dy`` and ``E``.
-
-The pass has two factors, ``Z = sum_n E_n(x) y^(K-n)``.  A curve point
-holds ``x`` fixed, so ``_curve_point`` builds the partial exponentials
-``E_n`` once and runs only the Horner stage in ``y`` at each step, which
-gives the pass's own doubles; at a ``y`` where the pass would rescale,
-the full pass runs.
 
 The residuals are not read from the reduced family: ``_state_sums``
 takes them from O(K^2) convolutions of the four one-coordinate weight
 vectors, a path that shares no code with the pass, so the residuals
 cross-check it.  A solve builds nothing with one entry per station
 state.  ``product_form`` builds the four-coordinate measure in log
-space for callers that need it, and ``simple_form`` is the (K+1, K+1)
+space for callers that need it, and ``_simple_form`` is the (K+1, K+1)
 reference array of the reduced family, from which the balance-identity
 suite reads its saturated and no-car masses.
 """
@@ -76,18 +70,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (_CACHED_CAPACITIES, _NONNEG, _POSITIVE, _SIZE0, _SIZE1, Measure, ModelParams,
-                   _domain, count_arrays)
+from .core import (_CACHED_CAPACITIES, _NONNEG, _POSITIVE, _SIZE0, Measure, ModelParams, _domain,
+                   count_arrays)
 
 __all__ = [
     "RateRatios",
     "SolveReport",
     "MultipleEquilibriaError",
     "product_form",
-    "simple_form",
-    "f_simple",
-    "solve_phi",
-    "g_mean",
     "solve_equilibrium",
 ]
 
@@ -259,11 +249,7 @@ def _unscale(v: float, e: int) -> float:
         return math.copysign(math.inf, v)
 
 
-_REDUCED = dict(x=_NONNEG, y=_NONNEG, K=_SIZE0)  # a point of the reduced family
-
-
-@_domain(**_REDUCED)
-def simple_form(x: float, y: float, K: int) -> np.ndarray:
+def _simple_form(x: float, y: float, K: int) -> np.ndarray:
     """Normalized reduced measure as a (K+1, K+1) array over
     ``(i, j) = (aggregated reservations, available cars)``, built in log
     space.  The solver reads the reduced family through the O(K) pass;
@@ -276,7 +262,7 @@ def simple_form(x: float, y: float, K: int) -> np.ndarray:
     return p / p.sum()
 
 
-@_domain(x=_NONNEG, y=_NONNEG, a=_POSITIVE, K=_SIZE0)
+# Unexported: bench/workloads.py counts calls of f_simple and solve_phi by name.
 def f_simple(x: float, y: float, a: float, K: int) -> float:
     """Fixed-point function of the reduced family.
 
@@ -289,12 +275,22 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
     return _unscale((a - x) * Z - a * E, e)
 
 
-_PHI_MAX_ITER = 400  # Newton and bisection steps of solve_phi
+_PHI_MAX_ITER = 400  # Newton and bisection steps of one curve point
 
 
 def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float, float]]:
-    """``y = solve_phi(x, a, K)`` and the pass's sums ``(Z, dZ/dy, Z_{K-1})``
-    at that ``y``, as :func:`_reduced_sums` returns them: one curve point.
+    """``y = phi(x)``, the zero in ``y`` of ``f(x, y) = (a - x) Z - a E``,
+    and the pass's sums ``(Z, dZ/dy, Z_{K-1})`` at that ``y``, as
+    :func:`_reduced_sums` returns them: one curve point.
+
+    Brackets the root by doubling (``f(x, 0) < 0`` and ``f`` grows like
+    ``y^K``), then runs Newton's method on ``h(u) = log((a - x) Z / (a E))``
+    with ``u = log y``, which has the sign of ``f`` and is convex and
+    increasing, so its steps close in from above; a step that would
+    leave the sign bracket is replaced by a bisection.  It stops when a
+    Newton step moves ``y`` by at most 2 ulp, or at adjacent bracket
+    ends, returning the end with the smaller ``|h|``.  Where the scaled
+    ``E`` underflows to 0 (at large ``K``), ``h`` is taken as ``+inf``.
 
     The partial exponentials ``E_1..E_K`` are built once, and every
     evaluation (bracket, Newton steps, returned ``y``) runs only the
@@ -306,7 +302,9 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
     ``y`` is not the last point evaluated (a Newton step within 2 ulp,
     or the bracket end with the smaller ``|h|``), it is evaluated once
     more.  Nothing is checked here: every caller passes ``0 < x < a < inf``
-    and an integer ``K >= 1``.
+    and an integer ``K >= 1``.  A ``RuntimeError`` ends a root that
+    cannot be bracketed in doubles or a stop not reached in
+    ``_PHI_MAX_ITER`` steps.
     """
     b = a - x
     Es = _partial_exponentials(x, K)
@@ -356,36 +354,8 @@ def _curve_point(x: float, a: float, K: int) -> tuple[float, tuple[float, float,
         y = cand
 
 
-@_domain(x=_POSITIVE, a=_POSITIVE, K=_SIZE1)  # then x < a
 def solve_phi(x: float, a: float, K: int) -> float:
-    """Solve ``f_simple(x, y, a, K) = 0`` for ``y`` at fixed ``x``.
-
-    Requires ``0 < x < a < inf`` and an integer ``K >= 1``.  Brackets
-    the root by doubling (``f(x, 0) < 0`` and ``f`` grows like ``y^K``),
-    then runs Newton's method on ``h(u) = log((a - x) Z / (a E))`` with
-    ``u = log y``, which has the sign of ``f``.  ``h`` is convex and
-    increasing in ``u``, so Newton steps from the upper end of the
-    bracket close in from above; a step that would leave the sign
-    bracket is replaced by a bisection.  The solve runs to machine
-    precision: it stops when a Newton step moves ``y`` by at most 2 ulp,
-    or when the bracket ends are adjacent doubles, and then returns the
-    end with the smaller ``|h|``.
-
-    The solve is :func:`_curve_point`'s, which builds the partial
-    exponentials ``E_1..E_K`` once per call and runs only the Horner
-    stage in ``y`` at each step, with the same bits as the full pass.
-    Where the scaled pass's ``E`` underflows to 0 (``E/Z`` below the
-    smallest double, at large ``K``), ``h`` is taken as ``+inf``:
-    ``h >= 744 + log(b/a) > 0`` there.
-
-    Raises
-    ------
-    RuntimeError
-        If the root cannot be bracketed in double precision, or the
-        stop is not reached within ``_PHI_MAX_ITER`` steps.
-    """
-    if not x < a:
-        raise ValueError(f"x must lie in (0, a) = (0, {a}), got {x!r}")
+    """``y = phi(x)``, the zero of :func:`f_simple` in ``y``, as :func:`_curve_point` finds it."""
     return _curve_point(x, a, K)[0]
 
 
@@ -402,16 +372,6 @@ def _simple_mean(x: float, y: float, K: int, ci: float) -> float:
     """:func:`_sums_mean` from one full pass at ``(x, y)``."""
     Z, dZ, _, Z1, _ = _reduced_sums(x, y, K)
     return _sums_mean(x, y, (Z, dZ, Z1), ci)
-
-
-@_domain(**_REDUCED)
-def g_mean(x: float, y: float, K: int) -> float:
-    """Mean total count ``E[i + j]`` under the reduced family.
-
-    This is the car density of the instantaneous-reservation variant;
-    it increases strictly in both intensities and tends to ``K`` as
-    ``y`` grows."""
-    return _simple_mean(x, y, K, 1.0)
 
 
 def _car_weight(r: float) -> float:

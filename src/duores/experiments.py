@@ -113,14 +113,18 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
     time, the row head ``{N, M, seeds}``, the replica-averaged measures,
     the pair averages of :func:`_averaged_pairs` (``None`` without
     ``with_pairs``) and the flow at the sample times.  Its arguments come
-    declared (:data:`_STUDY`); the rules across them (sample times within
-    ``T``, ``round(N s)`` cars that ``N`` stations of capacity ``K`` can
-    hold, some but not all of ``N K``, pair tables within the state
-    budget, a nonzero step, a flow within the step budget and every run
-    within the event budget) are refused here, before any run.  With no
-    car, or with every space taken, no trip can start: the network never
-    moves, and the study would fit its slope to distances of 0."""
+    declared (:data:`_STUDY`); the rules across them (sizes strictly
+    increasing, since a report judges its rows in ``N_list`` order;
+    sample times within ``T``, ``round(N s)`` cars that ``N`` stations
+    of capacity ``K`` can hold, some but not all of ``N K``, pair tables
+    within the state budget, a nonzero step, a flow within the step
+    budget and every run within the event budget) are refused here,
+    before any run.  With no car, or with every space taken, no trip can
+    start: the network never moves, and the study would fit its slope to
+    distances of 0."""
     _within(sample_times, T)
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"N_list must be strictly increasing, got {N_list!r}")
     for N in N_list:
         if N * s > N * p.K + 1 or round(N * s) > N * p.K:  # the first test also takes N s = inf
             raise ValueError(f"s={s} puts round(N s) cars on N={N} stations of capacity "
@@ -430,7 +434,7 @@ def attraction_experiment(
 
 _SCAN_A = (0.5, 1.0, 2.0, 5.0)  # the aggregate ratios a of the phi curves
 _SCAN_K = (1, 2, 3, 4, 5, 6)
-_GRID_STEP, _XY_MAX = 0.1, 5.0  # the g_mean grid: 50 points a side
+_GRID_STEP, _XY_MAX = 0.1, 5.0  # the car-density grid: 50 points a side
 _N_CURVE = 200  # interior points of each phi curve
 _ENFORCED_NU_OVER_MU = (10.0, 1e8)  # fast reservations: each fill curve must increase
 _PROBED_NU_OVER_MU = (1.0, 0.1)  # slow reservations: only reported
@@ -439,21 +443,21 @@ _PROBED_NU_OVER_MU = (1.0, 0.1)  # slow reservations: only reported
 def monotonicity_scan() -> ExperimentReport:
     """Grid checks of the monotone structure the solver relies on.
 
-    Enforced (failures fail the report): the reduced mean fill
-    ``g_mean`` increases in both intensities on a square grid; the
-    acceptance curve ``phi`` increases along its domain; the fill along
-    the curve increases when reservations are fast (``nu >= 10 mu``).
-    Slow-reservation fill curves are scanned too but only reported:
-    whether they can lose monotonicity is an open question, not a
-    defect.
+    Enforced (failures fail the report): the reduced car density
+    ``E[i + j]`` (rows ``"g_mean"``) increases in both intensities on a
+    square grid; the acceptance curve ``phi`` increases along its
+    domain; the fill along the curve increases when reservations are
+    fast (``nu >= 10 mu``).  Slow-reservation fill curves are scanned
+    too but only reported: whether they can lose monotonicity is an open
+    question, not a defect.
     """
     grid = np.arange(_GRID_STEP, _XY_MAX + _GRID_STEP / 2, _GRID_STEP)
     rows = []
     passed = True
     notes = []
 
-    # g_mean: forward differences in both arguments on the square grid, read
-    # through its unchecked pass, since every grid point is finite and positive.
+    # E[i + j]: forward differences in both arguments on the square grid, one
+    # pass per point.
     for K in _SCAN_K:
         g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
                       for xx in grid])

@@ -42,9 +42,9 @@ from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
     _check_solvable,
+    _simple_form,
     _simple_mean,
     product_form,
-    simple_form,
     solve_equilibrium,
 )
 from .experiments import (
@@ -188,11 +188,11 @@ def check_step2_identity() -> ExperimentReport:
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
     ``(x, rho2)``, both masses read from the reference array
-    ``simple_form``; the solver asserts this instead of solving it."""
+    ``_simple_form``; the solver asserts this instead of solving it."""
     def trial(rng, i):
         K = 1 + i % _IDENTITY_K_MAX
         x, y = _draws(rng, 2)
-        p = simple_form(x, y, K)
+        p = _simple_form(x, y, K)
         return abs(y * (1.0 - np.fliplr(p).trace()) - (1.0 - p[:, 0].sum()))
 
     return _worst_of_trials("step2_identity", trial, K_max=_IDENTITY_K_MAX)
@@ -208,7 +208,7 @@ def check_aggregation_identity() -> ExperimentReport:
         w, x, y, z = count_arrays(K)
         pushed = np.zeros((K + 1, K + 1))
         np.add.at(pushed, (w + x + z, y), product_form(rho, K).probs)
-        return np.abs(pushed - simple_form(rho.rho1_tilde, rho.rho2, K)).max()
+        return np.abs(pushed - _simple_form(rho.rho1_tilde, rho.rho2, K)).max()
 
     return _worst_of_trials("aggregation_identity", trial, K_max=_IDENTITY_K_MAX)
 

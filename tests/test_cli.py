@@ -817,6 +817,10 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
     ("attraction", {**_ATTRACTION, "T": -1.0}, "T must be finite and >= 0, got -1.0"),
     ("attraction", {**_ATTRACTION, "s": 0.0}, "s must be finite and > 0, got 0.0"),
     ("attraction", {**_ATTRACTION, "model": _OVERFLOW}, _NO_STEP),
+    # sizes out of order, whose verdict read the rows in the order given
+    ("convergence", {**_STUDY, "N_list": [10, 5]},
+     "N_list must be strictly increasing, got [10, 5]"),
+    ("chaos", {**_STUDY, "N_list": [5, 5]}, "N_list must be strictly increasing, got [5, 5]"),
 ])
 def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
         tmp_path, capsys, work_calls, name, sec, message):

@@ -393,6 +393,12 @@ _NOTHING_MOVES = (r"^s={s} puts round\(N s\) = {cars} cars on N=4 stations of ca
     *((study, dict(s=s), _NOTHING_MOVES.format(s=s, cars=cars))
       for study in (convergence_experiment, chaos_experiment)
       for s, cars in ((0.0, 0), (2.0, 8), (0.1, 0))),
+    # sizes out of order: [40, 10] failed the decrease check that [10, 40]
+    # passed on the same runs, and [10, 10] fit a slope to one size twice
+    # under numpy's RankWarning
+    *((study, dict(N_list=N_list), rf"^N_list must be strictly increasing, got \[{shown}\]$")
+      for study in (convergence_experiment, chaos_experiment)
+      for N_list, shown in (([40, 10], "40, 10"), ([10, 10], "10, 10"), ([4, 8, 6], "4, 8, 6"))),
 ])
 def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw, named):
     # replicas=0 read "non-finite mass nan"; an empty N_list was a polyfit

@@ -10,8 +10,7 @@ PUBLIC = [
     "Measure", "ModelParams", "StationState", "enumerate_states", "index_of",
     "state_of", "num_states", "tv_distance", "mean_fill", "prob_no_available",
     "prob_saturated",
-    "RateRatios", "SolveReport", "MultipleEquilibriaError", "product_form",
-    "f_simple", "solve_phi", "g_mean", "solve_equilibrium",
+    "RateRatios", "SolveReport", "MultipleEquilibriaError", "product_form", "solve_equilibrium",
     "drift", "integrate", "integrate_at", "stationarity_residual",
     "SimConfig", "SimState", "init_uniform", "step", "run", "empirical_measure",
     "ExperimentReport", "convergence_experiment", "chaos_experiment",
@@ -27,10 +26,8 @@ MODULE_PUBLIC = {
         "no_available_mask", "saturated_mask", "tv_distance", "mean_fill",
         "prob_no_available", "prob_saturated",
     ],
-    "equilibrium": [
-        "RateRatios", "SolveReport", "MultipleEquilibriaError", "product_form",
-        "simple_form", "f_simple", "solve_phi", "g_mean", "solve_equilibrium",
-    ],
+    "equilibrium": ["RateRatios", "SolveReport", "MultipleEquilibriaError", "product_form",
+                    "solve_equilibrium"],
     "experiments": [
         "ExperimentReport", "derive_seed", "fill_preserving_perturbation",
         "convergence_experiment", "chaos_experiment", "attraction_experiment",
@@ -56,7 +53,7 @@ MODULE_PUBLIC = {
 
 def test_public_names_are_pinned_and_resolve():
     # A change to the public API must show up as a change to these lists.
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 33
     assert duores.__all__ == PUBLIC
     for name in duores.__all__:
         assert hasattr(duores, name), name
@@ -89,9 +86,6 @@ PARAMETERS = {
     "equilibrium.SolveReport": ["params", "s_target", "rho", "residuals", "fill_evaluations"],
     "equilibrium.MultipleEquilibriaError": ["K", "s", "nu_over_mu", "pair"],
     "equilibrium.product_form": ["rho", "K"],
-    **dict.fromkeys(["equilibrium.simple_form", "equilibrium.g_mean"], ["x", "y", "K"]),
-    "equilibrium.f_simple": ["x", "y", "a", "K"],
-    "equilibrium.solve_phi": ["x", "a", "K"],
     "equilibrium.solve_equilibrium": ["p", "s"],
     **dict.fromkeys(["meanfield.drift", "meanfield.stationarity_residual"], ["m", "p"]),
     "meanfield.integrate": ["m0", "p", "T", "dt"],
@@ -139,7 +133,8 @@ def test_each_public_callables_parameters_are_pinned():
            for name in mod.__all__ if callable(getattr(mod, name))}
     assert got == PARAMETERS
     library = [names for key, names in PARAMETERS.items() if names and key != "cli.main"]
-    assert sum(map(len, library)) == 145  # 150 while the numerical policy was arguments
+    # 145 while the reduced family was exported, 150 while the numerical policy was arguments
+    assert sum(map(len, library)) == 132
     for name in ("convergence", "chaos", "attraction"):  # a study's checks alone, too
         item = importlib.import_module("duores.verify").ITEMS[name]
         assert _parameters(item.refuse) == _parameters(item)

@@ -109,10 +109,6 @@ def test_the_sweep_covers_every_declared_entry_and_its_known_draws_still_end_oth
 
 # (entry, argument, draw) of each CONTRACT row the sweep replaced
 REMOVED = [
-    ("g_mean", "x", "nan"), ("g_mean", "y", "inf"), ("g_mean", "K", "negative"),
-    ("g_mean", "K", "fraction"), ("f_simple", "x", "nan"), ("f_simple", "x", "negative"),
-    ("equilibrium.simple_form", "x", "nan"), ("equilibrium.simple_form", "y", "nan"),
-    ("solve_phi", "K", "fraction"), ("solve_phi", "K", "zero"), ("solve_phi", "a", "inf"),
     ("product_form", "K", "fraction"), ("RateRatios", "eta1", "nan"),
     ("num_states", "K", "fraction"), ("num_states", "K", "negative"),
     ("Measure.uniform", "K", "fraction"), ("index_of", "K", "fraction"),
@@ -125,7 +121,6 @@ REMOVED = [
     ("index_of", "state", "entry fraction"), ("SimConfig", "seed", "fraction"),
     ("SimConfig", "seed", "negative"), ("init_uniform", "seed", "fraction"),
     ("init_uniform", "seed", "negative"), ("solve_equilibrium", "s", "string"),
-    ("solve_phi", "x", "string"), ("solve_phi", "a", "string"),
     ("convergence_experiment", "N_list", "non-sequence"),
     ("chaos_experiment", "N_list", "non-sequence"),
     ("convergence_experiment", "sample_times", "non-sequence"),

@@ -124,7 +124,7 @@ def test_fixed_point_large_K_meets_tolerance_on_every_solve():
 # Every suite at its defaults, as computed before the suites shared the
 # seeded trials loop and the solve-grid loop.  The fixed-point suites
 # have since added their outcome counts, and step2_identity reads its
-# two masses from ``simple_form``, not the O(K) pass (its worst was
+# two masses from ``_simple_form``, not the O(K) pass (its worst was
 # 3.3306690738754696e-16).  Each suite now reports as an
 # ``ExperimentReport``: its arguments as ``config``, its tolerances as
 # ``thresholds`` and what it computes as ``metrics``, where

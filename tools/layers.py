@@ -343,9 +343,6 @@ BASE = {  # declared entry: keyword arguments of one cheap valid call, the defau
     "index_of": dict(state=(0, 0, 1, 0), K=2), "state_of": dict(rank=3, K=2),
     "core.ranks_of": dict(w=[0], x=[0], y=[1], z=[0], K=2), "RateRatios": _ONES,
     "product_form": dict(rho=equilibrium.RateRatios(**_ONES), K=2),
-    **dict.fromkeys(["equilibrium.simple_form", "g_mean"], dict(x=1.0, y=1.0, K=3)),
-    "f_simple": dict(x=1.0, y=1.0, a=2.0, K=3),
-    "solve_phi": dict(x=0.5, a=1.0, K=3),
     "solve_equilibrium": dict(p=_P3, s=1.5),
     "integrate": dict(m0=core.Measure.uniform(2), p=_P2, T=0.1, dt=0.01),
     "integrate_at": dict(m0=core.Measure.uniform(2), p=_P2, times=[0.05, 0.1], dt_max=0.01),
@@ -505,6 +502,7 @@ CONTRACT = (
     ("integrate", (_U2, _P2, 1.0, 1.0), {}, "dt"),
     ("integrate_at", (_U2, _P2, [0.5], 1.0), {}, "dt_max"),
     ("convergence_experiment", (_P2, [4, 8], 1, 1.0, (2.0,), 5), {"s": 1.0}, "sample_times"),
+    ("chaos_experiment", (_P2, [8, 4], 1, 1.0, (1.0,), 5), {"s": 1.0}, "N_list"),
     ("attraction_experiment", (_P2, 0.1, 1.0), {"s": 2.0}, "s"),
     ("core.ranks_of", ([0.5], [0], [0], [0], 2), {}, "state"),
     ("run", (_HUGE, simulate.SimConfig(2, 1, 1.0, (1.0,), 0)), {}, "lam"),

@@ -10,11 +10,11 @@ constants, as are the grids and bounds of :func:`monotonicity_scan`,
 which takes no arguments.  The studies integrate at one step,
 ``meanfield._default_dt``, kept as ``config["dt_max"]`` or
 ``config["dt"]``.  Each study checks every argument before any run, its
-flow against the step budget ``meanfield.MAX_STEPS`` and each replica
-study's runs against the event budget ``simulate.MAX_EVENTS`` included,
-and has ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those
-checks alone; ``duores verify`` calls it on every study's config before
-any item runs.
+flow against the step and kept-state budgets of ``meanfield`` and each
+replica study's runs against the event budget ``simulate.MAX_EVENTS``
+included, and has ``.refuse(*args, **kwargs)`` (``core._staged``), which
+runs those checks alone; ``duores verify`` calls it on every study's
+config before any item runs.
 
 Seeds derive from a root by position: condition ``N`` and replica ``r``
 use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
@@ -57,7 +57,7 @@ from .equilibrium import (
     product_form,
     solve_equilibrium,
 )
-from .meanfield import _check_step, _default_dt, _grid_plan, _stream, integrate_at
+from .meanfield import _default_dt, _grid_plan, _stream, _times_plan, integrate_at
 from .simulate import (SimConfig, _check_events, _rank_counts, empirical_measure, init_uniform,
                        run)
 
@@ -107,21 +107,34 @@ def derive_seed(seed0: int, condition: int, replica: int) -> tuple:
 # Convergence of empirical measures to the flow
 # ============================================================
 
-def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_pairs):
-    """The replica study behind the convergence and chaos experiments:
-    the report's ``config`` and an iterator that yields, one ``N`` at a
-    time, the row head ``{N, M, seeds}``, the replica-averaged measures,
-    the pair averages of :func:`_averaged_pairs` (``None`` without
-    ``with_pairs``) and the flow at the sample times.  Its arguments come
-    declared (:data:`_STUDY`); the rules across them (sizes strictly
-    increasing, since a report judges its rows in ``N_list`` order;
-    sample times within ``T``, ``round(N s)`` cars that ``N`` stations
-    of capacity ``K`` can hold, some but not all of ``N K``, pair tables
-    within the state budget, a nonzero step, a flow within the step
-    budget and every run within the event budget) are refused here,
-    before any run.  With no car, or with every space taken, no trip can
-    start: the network never moves, and the study would fit its slope to
-    distances of 0."""
+def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_times, seed0,
+                   s, audit, with_pairs):
+    """The one judge of the convergence and chaos experiments: it checks
+    their arguments, then returns the work of the report ``name``.
+
+    The arguments come declared (:data:`_STUDY`).  The rules across them
+    are refused here, before any run: two sizes at least, strictly
+    increasing, since the verdict is a strict decrease over the rows in
+    ``N_list`` order; sample times within ``T``; ``round(N s)`` cars that
+    ``N`` stations of capacity ``K`` can hold; something that moves
+    (``lam > 0``, a last sample time above 0 and, for every ``N``, some
+    but not all of the ``N K`` spaces holding a car), else the verdict
+    would judge the placement alone, or distances of 0; pair tables
+    within the state budget (``with_pairs``); a nonzero step; the flow's
+    plan within the step and kept-state budgets, as :func:`integrate_at`
+    counts them; and every run within the event budget.
+
+    ``series(avg, pairs, flow)`` maps one ``N``'s replica-averaged
+    measures, pair averages (:func:`_averaged_pairs`, or ``None``) and
+    flow at the sample times to its distance at each time and any further
+    row fields.  A row holds ``{N, M, seeds}``, the series as ``key``
+    (``[t, value]`` pairs), its last value as ``key_final``, then those
+    fields.  ``criterion(finals, rows, verdict)`` returns the study's
+    metrics with the verdict ``{"strictly_decreasing": ...}`` placed among
+    them, its thresholds, and whether its second criterion holds."""
+    if len(N_list) < 2:
+        raise ValueError(f"N_list must hold at least two sizes to judge a decrease in N, "
+                         f"got {len(N_list)}")
     _within(sample_times, T)
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"N_list must be strictly increasing, got {N_list!r}")
@@ -129,15 +142,18 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
         if N * s > N * p.K + 1 or round(N * s) > N * p.K:  # the first test also takes N s = inf
             raise ValueError(f"s={s} puts round(N s) cars on N={N} stations of capacity "
                              f"K={p.K}, more than N K = {N * p.K}")
-    for N in N_list:
-        if round(N * s) in (0, N * p.K):
-            raise ValueError(f"s={s} puts round(N s) = {round(N * s)} cars on N={N} stations "
-                             f"of capacity K={p.K}; with no car or no free space nothing "
-                             f"moves, so the study has nothing to converge")
+    for N in N_list:  # nothing moves: the verdict would judge the placement, or zeros
+        cars = round(N * s)
+        still = (f"lam={p.lam} requests no trip:" if p.lam == 0 else
+                 "sample_times end at 0, before any event:" if sample_times[-1] == 0 else
+                 f"s={s} puts round(N s) = {cars} cars on N={N} stations of capacity "
+                 f"K={p.K}; with no car or no free space" if cars in (0, N * p.K) else None)
+        if still:
+            raise ValueError(f"{still} nothing moves, so the study has nothing to converge")
     if with_pairs:
         _budgeted_pairs(p.K, "pair statistics")
     dt = _default_dt(p)
-    _check_step(p, sample_times[-1], dt, ("sample_times", "dt_max"))
+    _times_plan(p, sample_times, dt, ("sample_times", "dt_max"))
     for N in N_list:
         _check_events(p, N, round(N * s), sample_times[-1])
     config = {
@@ -147,7 +163,8 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
         "dt_max": dt, "audit": audit,
     }
 
-    def conditions():
+    def work() -> ExperimentReport:
+        rows = []
         for N in N_list:
             M = round(N * s)
             init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
@@ -168,10 +185,18 @@ def _replica_study(p, N_list, replicas, T, sample_times, seed0, s, audit, with_p
                         hists[k].append(c)
             avg = [Measure(a / replicas, p.K) for a in acc]
             pairs = _averaged_pairs(hists, N, n) if with_pairs else None
-            flow = integrate_at(init_measure, p, sample_times, dt)
-            yield {"N": N, "M": M, "seeds": seeds}, avg, pairs, flow
-
-    return config, conditions()
+            values, fields = series(avg, pairs, integrate_at(init_measure, p, sample_times, dt))
+            rows.append({"N": N, "M": M, "seeds": seeds,
+                         key: [[t, v] for t, v in zip(config["sample_times"], values)],
+                         f"{key}_final": values[-1], **fields})
+        finals = [row[f"{key}_final"] for row in rows]
+        verdict = {"strictly_decreasing": all(b < a for a, b in zip(finals, finals[1:]))}
+        metrics, thresholds, holds = criterion(finals, rows, verdict)
+        return ExperimentReport(name=name, config=config, rows=rows,
+                                metrics={f"{key}_final": finals, **metrics},
+                                thresholds={"strictly_decreasing": True, **thresholds},
+                                passed=verdict["strictly_decreasing"] and holds)
+    return work
 
 
 def _pair_table(c: np.ndarray, N: int) -> np.ndarray:
@@ -233,35 +258,21 @@ def convergence_experiment(
     initial state); the flow is integrated from that state's own
     empirical measure, so the distance at time zero is exactly zero.
     Passing requires the distance at the final sample time to decrease
-    strictly in ``N`` with a log-log slope in ``[-0.7, -0.3]``, so
-    ``N_list`` must hold at least two sizes.
+    strictly in ``N`` with a log-log slope in ``[-0.7, -0.3]``.  The
+    inputs a verdict would be vacuous on, one size or nothing that
+    moves, are refused before any run (:func:`_replica_study`).
     """
-    if len(N_list) < 2:
-        raise ValueError(f"N_list must hold at least two sizes to fit a slope, got {len(N_list)}")
-    config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
-                                   audit, with_pairs=False)
+    def tv(avg, pairs, flow):
+        return [tv_distance(a, f) for a, f in zip(avg, flow)], {}
 
-    def work() -> ExperimentReport:
-        rows = []
-        for row, avg, _, flow in study:
-            tv_series = [tv_distance(a, f) for a, f in zip(avg, flow)]
-            row["tv"] = [[t, v] for t, v in zip(config["sample_times"], tv_series)]
-            row["tv_final"] = tv_series[-1]
-            rows.append(row)
-        finals = [row["tv_final"] for row in rows]
-        logs = np.log(np.asarray(finals))
-        slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), logs, 1)[0])
-        decreasing = all(b < a for a, b in zip(finals, finals[1:]))
-        return ExperimentReport(
-            name="convergence",
-            config=config,
-            rows=rows,
-            metrics={"tv_final": finals, "slope": slope,
-                     "strictly_decreasing": decreasing},
-            thresholds={"strictly_decreasing": True, "slope_range": list(_SLOPE_RANGE)},
-            passed=decreasing and _SLOPE_RANGE[0] <= slope <= _SLOPE_RANGE[1],
-        )
-    return work
+    def slope(finals, rows, verdict):
+        fit = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)),
+                               np.log(np.asarray(finals)), 1)[0])
+        return ({"slope": fit, **verdict}, {"slope_range": list(_SLOPE_RANGE)},
+                _SLOPE_RANGE[0] <= fit <= _SLOPE_RANGE[1])
+
+    return _replica_study("convergence", "tv", tv, slope, p, N_list, replicas, T,
+                          sample_times, seed0, s, audit, with_pairs=False)
 
 
 _MARGINAL_TOL = 1e-12  # pair marginals against the one-station measure: equal up to rounding
@@ -283,39 +294,26 @@ def chaos_experiment(
     """Decay of pairwise dependence: distance between the averaged
     two-station joint law and the product of the flow with itself.
 
-    Same replica layout as :func:`convergence_experiment`.  Passing
-    requires the final-time pair distance to decrease strictly in ``N``
-    and every pair measure's marginals to match the one-station
-    empirical within 1e-12.  A pair table above the state
-    budget is refused before any run.
+    Same replica layout and refusals as :func:`convergence_experiment`,
+    two sizes at least included.  Passing requires the final-time pair
+    distance to decrease strictly in ``N`` and every pair measure's
+    marginals to match the one-station empirical within 1e-12.  A pair
+    table above the state budget is refused before any run.
     """
-    config, study = _replica_study(p, N_list, replicas, T, sample_times, seed0, s,
-                                   audit, with_pairs=True)
+    def pair_tv(avg, pairs, flow):
+        tv2, marg = [], 0.0
+        for (avg_pair, err), f in zip(pairs, flow):
+            tv2.append(0.5 * float(np.abs(avg_pair - np.outer(f.probs, f.probs)).sum()))
+            marg = max(marg, err)
+        return tv2, {"marginal_err": marg}
 
-    def work() -> ExperimentReport:
-        rows = []
-        for row, _, pairs, flow in study:
-            tv2, marg = [], 0.0
-            for (avg_pair, err), f in zip(pairs, flow):
-                tv2.append(0.5 * float(np.abs(avg_pair - np.outer(f.probs, f.probs)).sum()))
-                marg = max(marg, err)
-            row["pair_tv"] = [[t, v] for t, v in zip(config["sample_times"], tv2)]
-            row["pair_tv_final"] = tv2[-1]
-            row["marginal_err"] = marg
-            rows.append(row)
-        finals = [row["pair_tv_final"] for row in rows]
-        worst_marginal = max((row["marginal_err"] for row in rows), default=0.0)
-        decreasing = all(b < a for a, b in zip(finals, finals[1:]))
-        return ExperimentReport(
-            name="chaos",
-            config=config,
-            rows=rows,
-            metrics={"pair_tv_final": finals, "strictly_decreasing": decreasing,
-                     "marginal_err_max": worst_marginal},
-            thresholds={"strictly_decreasing": True, "marginal_tol": _MARGINAL_TOL},
-            passed=decreasing and worst_marginal <= _MARGINAL_TOL,
-        )
-    return work
+    def marginals(finals, rows, verdict):
+        worst = max(row["marginal_err"] for row in rows)
+        return ({**verdict, "marginal_err_max": worst}, {"marginal_tol": _MARGINAL_TOL},
+                worst <= _MARGINAL_TOL)
+
+    return _replica_study("chaos", "pair_tv", pair_tv, marginals, p, N_list, replicas, T,
+                          sample_times, seed0, s, audit, with_pairs=True)
 
 
 # ============================================================

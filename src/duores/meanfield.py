@@ -67,9 +67,10 @@ is clamped into a new vector first, which keeps the clamp's bits, -0.0
 to 0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
-``dt * (lam + nu K + mu K) <= 0.5``, and the horizon over the step at
-most :data:`MAX_STEPS`.  One loop checks every state but builds a
-:class:`Measure` only of those its caller keeps.
+``dt * (lam + nu K + mu K) <= 0.5``, the step count at most
+:data:`MAX_STEPS` and a kept block at most :data:`MAX_KEPT_BYTES`.  One
+loop checks every state but builds a :class:`Measure` only of those its
+caller keeps.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from .core import (
     _POSITIVE,
     Measure,
     ModelParams,
+    _budgeted_states,
     _domain,
     _times,
     count_arrays,
@@ -240,25 +242,48 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 
 
 MAX_STEPS = 1_000_000
-"""Largest step count of one integration: a plan whose horizon over its step
-(``T / dt``, ``times[-1] / dt_max``) is above it, or not finite, is refused
-by name before any step.  A step at K = 3 takes about 26 us of CPU."""
+"""Largest step count of one integration: a plan whose step count (``T /
+dt``, and for :func:`integrate_at` the steps its segments take) is above
+it, or not finite, is refused by name before any step.  A step at K = 3
+takes about 26 us of CPU."""
+
+MAX_KEPT_BYTES = 1 << 30
+"""Largest block of states one :func:`integrate` or :func:`integrate_at`
+call keeps, in bytes, each row padded to whole cache lines: a plan that
+keeps more is refused by name before the block is allocated.  The largest
+block in the tests, demos, README configs and benchmark is 28.6 MB (920
+states at K = 15); the budget holds 34 592 states at K = 15 and 12 623 at
+K = 20."""
 
 
-def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str]) -> None:
-    """The step rules of a plan over ``span`` in steps of ``dt``, across
-    arguments: the guard ``dt (lam + nu K + mu K) <= 0.5`` and the budget
-    ``span / dt <= MAX_STEPS``.  ``names`` are those of ``span`` and ``dt``."""
+def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str],
+                steps: float) -> None:
+    """The step rules of a plan of ``steps`` steps of at most ``dt`` over
+    ``span``, across arguments: the guard ``dt (lam + nu K + mu K) <= 0.5``
+    and the budget ``steps <= MAX_STEPS``.  ``names`` are those of ``span``
+    and ``dt``."""
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
             f"{names[1]} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
             f"bound 0.5; shrink {names[1]}"
         )
-    steps = span / dt
     if not steps <= MAX_STEPS:
         raise ValueError(f"{names[0]} / {names[1]} = {span!r} / {dt!r} asks for {steps:.3g} "
                          f"steps, above the step budget MAX_STEPS={MAX_STEPS}")
+
+
+def _budgeted_block(p: ModelParams, rows: int, span: float, dt: float,
+                    names: tuple[str, str]) -> None:
+    """The kept block of ``rows`` states at capacity ``p.K`` (a capacity
+    above the state budget refused first), refused above
+    :data:`MAX_KEPT_BYTES`.  ``names`` are those of ``span`` and ``dt``."""
+    n = _budgeted_states(p.K)
+    size = rows * 8 * (n - n % -(_ALIGN // 8))
+    if size > MAX_KEPT_BYTES:
+        raise ValueError(f"{names[0]} / {names[1]} = {span!r} / {dt!r} keeps {rows} states of "
+                         f"{n} masses, {size} bytes, above the kept-state budget "
+                         f"MAX_KEPT_BYTES={MAX_KEPT_BYTES}")
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -326,7 +351,7 @@ def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid.
     Its declaration is :func:`integrate`'s, checked here for every caller,
     and so are the step rules."""
-    _check_step(p, T, dt, ("T", "dt"))
+    _check_step(p, T, dt, ("T", "dt"), T / dt)
     n_full = int(np.floor(T / dt + 1e-9))
     t = n_full * dt
     tail = [(T, 1, T - t)] if T - t > 1e-9 * max(1.0, T) else []
@@ -381,12 +406,31 @@ def integrate(
     output is validated as a probability measure and holds its own step's
     state: a mass in ``[-1e-12, 0)`` reads 0.  The returned measures after
     ``m0`` hold rows of one read-only block (all but a clamped state, which
-    has its own vector), so keeping one of them keeps the whole block.
+    has its own vector), so keeping one of them keeps the whole block; a
+    block above :data:`MAX_KEPT_BYTES` is refused before any step.
     """
-    return [(0.0, m0), *_stream(m0, p, *_grid_plan(p, T, dt), keep=True)]
+    plan, n = _grid_plan(p, T, dt)
+    _budgeted_block(p, n, T, dt, ("T", "dt"))
+    return [(0.0, m0), *_stream(m0, p, plan, n, keep=True)]
 
 
 integrate.__domain__ = _grid_plan.__domain__  # which _grid_plan checks
+
+
+def _times_plan(p: ModelParams, times: tuple, dt_max: float,
+                names: tuple[str, str] = ("times", "dt_max")) -> list:
+    """:func:`integrate_at`'s plan: each segment between consecutive times
+    in ``max(1, ceil(span / dt_max))`` equal steps, none for an empty one.
+    The step rules count the plan's own steps, and its kept block, a row
+    per time, is budgeted; ``names`` are those of ``times`` and ``dt_max``."""
+    spans = np.diff(times, prepend=0.0)
+    with np.errstate(over="ignore"):  # a subnormal step asks for inf steps, refused next
+        steps = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / dt_max - 1e-12)), 0.0)
+    span = times[-1] if times else 0.0
+    _check_step(p, span, dt_max, names, float(steps.sum()))
+    _budgeted_block(p, len(times), span, dt_max, names)
+    return list(zip(times, steps.astype(np.int64).tolist(),
+                    (spans / np.maximum(steps, 1.0)).tolist()))
 
 
 @_domain(times=_times(), dt_max=_POSITIVE)
@@ -399,13 +443,9 @@ def integrate_at(
     Each segment between consecutive output times is covered by equal
     steps no longer than ``dt_max``, so outputs land exactly on the
     requested instants.  Every time must be finite and ``>= 0``.  As in
-    :func:`integrate`, the measures hold rows of one read-only block.
+    :func:`integrate`, the measures hold rows of one read-only block, and
+    a plan of more than :data:`MAX_STEPS` steps or a block above
+    :data:`MAX_KEPT_BYTES` is refused before any step.
     """
-    _check_step(p, times[-1] if times else 0.0, dt_max, ("times", "dt_max"))
-    plan, prev = [], 0.0
-    for t in times:
-        span = t - prev
-        n = max(1, int(np.ceil(span / dt_max - 1e-12))) if span > 0 else 0
-        plan.append((t, n, span / n if n else 0.0))
-        prev = t
+    plan = _times_plan(p, times, dt_max)
     return [m for _, m in _stream(m0, p, plan, len(plan), keep=True)]

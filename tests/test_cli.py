@@ -778,7 +778,7 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
 
 @pytest.mark.parametrize("name, sec, message", [
     ("convergence", {**_STUDY, "N_list": [5]},
-     "N_list must hold at least two sizes to fit a slope, got 1"),
+     "N_list must hold at least two sizes to judge a decrease in N, got 1"),
     # PASS lines, then init_uniform's refusal as a config error, and no report
     ("convergence", {**_STUDY, "s": 3.0},
      "s=3.0 puts round(N s) cars on N=5 stations of capacity K=2, more than N K = 10"),
@@ -821,6 +821,16 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
     ("convergence", {**_STUDY, "N_list": [10, 5]},
      "N_list must be strictly increasing, got [10, 5]"),
     ("chaos", {**_STUDY, "N_list": [5, 5]}, "N_list must be strictly increasing, got [5, 5]"),
+    # verdicts over nothing: chaos passed with one size, and at lam = 0 on
+    # the placement alone; convergence fit its slope to distances of 0
+    ("chaos", {**_STUDY, "N_list": [5]},
+     "N_list must hold at least two sizes to judge a decrease in N, got 1"),
+    *((name, {**_STUDY, "model": {**_MODEL, "lam": 0.0}},
+       "lam=0.0 requests no trip: nothing moves, so the study has nothing to converge")
+      for name in ("convergence", "chaos")),
+    *((name, {**_STUDY, "sample_times": [0.0]},
+       "sample_times end at 0, before any event: nothing moves, so the study has nothing "
+       "to converge") for name in ("convergence", "chaos")),
 ])
 def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
         tmp_path, capsys, work_calls, name, sec, message):
@@ -851,7 +861,7 @@ def test_verify_refuses_a_second_experiment_before_the_first_runs(tmp_path, caps
     cfg = {"experiments": {"chaos": _STUDY_OK, "convergence": {**_STUDY, "N_list": []}}}
     assert main(["verify", _write_cfg(tmp_path, "v.json", cfg)]) == 2
     assert capsys.readouterr().err == ("config error: N_list must hold at least two sizes "
-                                       "to fit a slope, got 0\n")
+                                       "to judge a decrease in N, got 0\n")
     assert work_calls["run"] == 0
 
 

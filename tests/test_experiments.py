@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duores import equilibrium, experiments
+from duores import equilibrium, experiments, meanfield
 from duores.core import (
     MAX_STATES,
     Measure,
@@ -338,7 +338,7 @@ def test_chaos_memory_does_not_grow_with_the_sample_times():
         times = tuple(0.25 * (k + 1) for k in range(n_times))
         tracemalloc.start()
         try:
-            chaos_experiment(p, N_list=[20], replicas=1, T=times[-1], sample_times=times,
+            chaos_experiment(p, N_list=[10, 20], replicas=1, T=times[-1], sample_times=times,
                              seed0=5, s=4.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -399,6 +399,19 @@ _NOTHING_MOVES = (r"^s={s} puts round\(N s\) = {cars} cars on N=4 stations of ca
     *((study, dict(N_list=N_list), rf"^N_list must be strictly increasing, got \[{shown}\]$")
       for study in (convergence_experiment, chaos_experiment)
       for N_list, shown in (([40, 10], "40, 10"), ([10, 10], "10, 10"), ([4, 8, 6], "4, 8, 6"))),
+    # chaos with one size reported strictly_decreasing: True over one value
+    (chaos_experiment, dict(N_list=[4]),
+     r"^N_list must hold at least two sizes to judge a decrease in N, got 1$"),
+    # nothing moves before the last sample time: at lam = 0 chaos passed on
+    # the initial placement alone, and convergence, there and at a last
+    # sample time of 0, fit its slope to distances of 0 and reported nan
+    *((study, kw, named) for study in (convergence_experiment, chaos_experiment)
+      for kw, named in (
+          (dict(p=ModelParams(lam=0.0, mu=1.0, nu=2.0, K=2)),
+           r"^lam=0\.0 requests no trip: nothing moves, so the study has nothing to converge$"),
+          (dict(sample_times=(0.0,)), r"^sample_times end at 0, before any event: nothing "
+           r"moves, so the study has nothing to converge$"),
+          (dict(sample_times=(0.0, 0.0)), r"^sample_times end at 0, before any event"))),
 ])
 def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw, named):
     # replicas=0 read "non-finite mass nan"; an empty N_list was a polyfit
@@ -406,11 +419,32 @@ def test_studies_refuse_degenerate_inputs_before_any_run(monkeypatch, study, kw,
     # N(N-1) = 0 and reported marginal_err_max = 0.0; a number for N_list
     # or sample_times ended in an unnamed TypeError.
     def no_run(*args, **kwargs):
-        raise AssertionError("the simulator ran before the inputs were checked")
+        raise AssertionError("the simulator or the flow ran before the inputs were checked")
 
     monkeypatch.setattr(experiments, "run", no_run)
+    monkeypatch.setattr(meanfield, "_rk4", no_run)
+    monkeypatch.setattr(meanfield, "_aligned_rows", no_run)
     with pytest.raises(ValueError, match=named):
-        study(_P, **{**_STUDY_KW, **kw})
+        study(**{"p": _P, **_STUDY_KW, **kw})
+
+
+@pytest.mark.parametrize("name", ["convergence", "chaos"])
+def test_a_replica_study_counts_its_flow_as_integrate_at_does_before_any_run(monkeypatch,
+                                                                              name):
+    # the budget read sample_times[-1] / dt_max: 11 one-step segments
+    # passed as 0.3 steps, and 3 kept rows were not counted at all
+    for fn in (experiments, "run"), (meanfield, "_rk4"), (meanfield, "_aligned_rows"):
+        monkeypatch.setattr(*fn, lambda *a, **k: pytest.fail("a run or a step started"))
+    study = _STUDIES[name][0]
+    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 256)  # 128 bytes a row at K = 2
+    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 1\.0 / 0\.0357\d* keeps "
+                       r"3 states of 15 masses, 384 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=256$"):
+        study.refuse(_P, [4, 8], 1, 1.0, (0.5, 0.75, 1.0), 5, s=1.0)
+    monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
+    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 0\.011 / 0\.0357\d* asks "
+                       r"for 11 steps, above the step budget MAX_STEPS=10$"):
+        study.refuse(_P, [4, 8], 1, 1.0, tuple(0.001 * k for k in range(1, 12)), 5, s=1.0)
 
 
 _NEAR = ModelParams(lam=1e307, mu=1e307, nu=1e307, K=3)  # rate bound 7e307: a subnormal step

@@ -709,3 +709,48 @@ def test_the_step_budget_counts_the_horizon_over_the_step(monkeypatch):
         integrate(m0, p, T=0.11, dt=0.01)
     with pytest.raises(ValueError, match=r"^times / dt_max = 0\.11 / 0\.01 asks for 11 steps"):
         integrate_at(m0, p, [0.05, 0.11], dt_max=0.01)
+
+
+def test_a_kept_block_above_the_budget_is_refused_by_name_before_any_allocation(monkeypatch):
+    # 625 000 steps are within MAX_STEPS, and integrate asked for its whole
+    # 49.5 GiB block up front: an unnamed MemoryError.  100 000 times passed
+    # integrate_at's budget as 125 steps, then asked for 7.9 GiB.
+    for name in ("_rk4", "_aligned_rows"):
+        monkeypatch.setattr(meanfield, name, lambda *a: pytest.fail("a step or a block came first"))
+    p, m0 = ModelParams(1.0, 1.0, 2.0, K=20), Measure.uniform(20)
+    with pytest.raises(ValueError, match=r"^T / dt = 5000 / 0\.008 keeps 625000 states of 10626 "
+                       r"masses, 53160000000 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=1073741824$"):
+        integrate(m0, p, T=5000, dt=0.008)
+    with pytest.raises(ValueError, match=r"^times / dt_max = 1\.0 / 0\.008 keeps 100000 states of "
+                       r"10626 masses, 8505600000 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=1073741824$"):
+        integrate_at(m0, p, [k / 100_000 for k in range(1, 100_001)], dt_max=0.008)
+
+
+def test_the_kept_budget_counts_rows_padded_to_cache_lines(monkeypatch):
+    # K = 1 has 5 states, a row of 8 masses: 10 kept states take 640 bytes
+    p, m0 = ModelParams(1.0, 1.0, 1.0, K=1), Measure.uniform(1)
+    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 640)
+    assert len(integrate(m0, p, T=0.1, dt=0.01)) == 11
+    assert len(integrate_at(m0, p, [0.01 * k for k in range(1, 11)], dt_max=0.01)) == 10
+    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 639)
+    with pytest.raises(ValueError, match=r"^T / dt = 0\.1 / 0\.01 keeps 10 states of 5 masses, "
+                       r"640 bytes, above the kept-state budget MAX_KEPT_BYTES=639$"):
+        integrate(m0, p, T=0.1, dt=0.01)
+    with pytest.raises(ValueError, match=r"^times / dt_max = 0\.1 / 0\.01 keeps 10 states"):
+        integrate_at(m0, p, [0.01 * k for k in range(1, 11)], dt_max=0.01)
+
+
+def test_integrate_at_counts_the_steps_its_segments_take(monkeypatch):
+    # the budget read times[-1] / dt_max: 11 one-step segments passed as 1.1 steps
+    monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
+    monkeypatch.setattr(meanfield, "_rk4", lambda *a: pytest.fail("a step ran"))
+    p, m0 = ModelParams(1.0, 1.0, 1.0, K=1), Measure.uniform(1)
+    times = [0.001 * k for k in range(1, 12)]
+    with pytest.raises(ValueError, match=r"^times / dt_max = 0\.011 / 0\.01 asks for 11 steps, "
+                       r"above the step budget MAX_STEPS=10$"):
+        integrate_at(m0, p, times, dt_max=0.01)
+    monkeypatch.undo()
+    monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
+    assert len(integrate_at(m0, p, times[:10], dt_max=0.01)) == 10

@@ -489,6 +489,7 @@ _RUN = (_P2, simulate.SimConfig(3, 3, 1.0, (1.0,), 1))  # N = 3 stations holding
 _U2 = core.Measure.uniform(2)
 _HUGE, _OVER = core.ModelParams(1e308, 1.0, 1.0, 3), core.ModelParams(1e308, 1e308, 1e308, 3)
 _NEAR = core.ModelParams(1e307, 1e307, 1e307, 3)  # a finite rate bound, a subnormal step
+_STILL, _P20 = core.ModelParams(0.0, 1.0, 2.0, 2), core.ModelParams(1.0, 1.0, 2.0, 20)
 
 CONTRACT = (
     # The inputs no declaration states: (entry in duores or _LOCAL, args,
@@ -510,7 +511,16 @@ CONTRACT = (
     ("convergence_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
     ("chaos_experiment", (_OVER, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.5}, "lam"),
     ("attraction_experiment", (_OVER, 0.1, 1.0), {"s": 1.5}, "lam"),
-    # the budgets of steps, events and the solver's capacity
+    # replica-study verdicts over nothing: one size, or nothing that moves
+    ("chaos_experiment", (_P2, [4], 1, 1.0, (1.0,), 5), {"s": 1.0}, "N_list"),
+    ("convergence_experiment", (_STILL, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.0}, "lam"),
+    ("chaos_experiment", (_STILL, [4, 8], 1, 1.0, (1.0,), 5), {"s": 1.0}, "lam"),
+    ("convergence_experiment", (_P2, [4, 8], 1, 1.0, (0.0,), 5), {"s": 1.0}, "sample_times"),
+    # the budgets of steps, kept states, events and the solver's capacity; the
+    # two kept blocks (53 GB and 11 GB) are more than an 8 GB machine maps
+    ("integrate", (core.Measure.uniform(20), _P20, 5000.0, 0.008), {}, "T"),
+    ("integrate_at", (core.Measure.uniform(40), core.ModelParams(1.0, 1.0, 2.0, 40),
+                      np.linspace(1e-4, 1.0, 10_000), 0.004), {}, "times"),
     ("attraction_experiment", (), dict(p=_NEAR, perturbation_size=0.1, T=1.0, s=1.5), "T"),
     ("integrate_at", (core.Measure.uniform(3), _NEAR, [1.0], 0.25 / _NEAR.rate_bound), {},
      "dt_max"),

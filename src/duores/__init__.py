@@ -40,7 +40,6 @@ from .experiments import (
     chaos_experiment,
     convergence_experiment,
     fill_preserving_perturbation,
-    monotonicity_scan,
 )
 from .meanfield import drift, integrate, integrate_at, stationarity_residual
 from .simulate import (
@@ -85,7 +84,6 @@ __all__ = [
     "convergence_experiment",
     "chaos_experiment",
     "attraction_experiment",
-    "monotonicity_scan",
     "fill_preserving_perturbation",
     "__version__",
 ]

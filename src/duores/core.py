@@ -36,9 +36,6 @@ __all__ = [
     "state_of",
     "ranks_of",
     "count_arrays",
-    "fill_vector",
-    "no_available_mask",
-    "saturated_mask",
     "tv_distance",
     "mean_fill",
     "prob_no_available",
@@ -270,6 +267,26 @@ before anything of that size is allocated.  The fixed-point solver
 builds no per-state table and is not bound by it."""
 
 
+MAX_KEPT_BYTES = 1 << 30
+"""Largest block one call keeps at once, in bytes, refused by name before
+it is allocated and before any step or draw: the states an integration
+keeps (``meanfield``), each row padded to whole cache lines; the four
+int64 counts of every station that a run or a placement holds, in its
+state and in each snapshot (``simulate``); the rank counts the chaos study
+keeps of every replica at every sample time.  The largest blocks in the
+tests, demos, README configs and benchmark are 28.6 MB of states (920 at
+K = 15), 1.5 MB of station counts (the benchmark's N = 4000 with 11
+snapshots) and 53.8 kB of chaos rank counts; the budget holds 34 592
+states at K = 15 and 12 623 at K = 20."""
+
+
+def _budgeted_bytes(size: int, what: str) -> None:
+    """``what``, a block of ``size`` bytes, refused above :data:`MAX_KEPT_BYTES`."""
+    if size > MAX_KEPT_BYTES:
+        raise ValueError(f"{what}, {size} bytes, above the kept-state budget "
+                         f"MAX_KEPT_BYTES={MAX_KEPT_BYTES}")
+
+
 def _budgeted_states(K: int) -> int:
     """:func:`num_states`, refused above :data:`MAX_STATES`."""
     n = num_states(K)
@@ -371,7 +388,13 @@ def state_of(rank: int, K: int) -> StationState:
 def ranks_of(
     w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, K: int
 ) -> np.ndarray:
-    """Vectorized :func:`index_of` over parallel count arrays of one shape."""
+    """Vectorized :func:`index_of` over parallel count arrays of one shape.
+    The ranks are int64, whose arithmetic reaches ``4 C(K + 4, 4)``: a
+    ``K`` where that passes ``2**63 - 1`` (``K >= 86 248``) is refused
+    before any of it; :func:`index_of` ranks int counts at any ``K``."""
+    if 4 * math.comb(K + 4, 4) >= 1 << 63:
+        raise ValueError(f"capacity K={K} has ranks whose int64 arithmetic overflows: "
+                         "4 C(K + 4, 4) is above 2**63 - 1")
     arrays = [np.asarray(v) for v in (w, x, y, z)]
     if len({a.shape for a in arrays}) > 1:
         raise ValueError("w, x, y and z must be count arrays of one shape, got shapes "
@@ -411,43 +434,18 @@ def count_arrays(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return tuple(cols)
 
 
-@_domain(K=_SIZE0)
 @lru_cache(maxsize=_CACHED_CAPACITIES)
-def fill_vector(K: int) -> np.ndarray:
-    """Cars attributed to the station per rank: ``x + y + z``.
-
-    Counts cars driving toward the station plus cars parked there
-    (available or reserved).  Summed over stations this is the constant
-    car total, so its mean is the conserved quantity.  Read-only
-    float64, exact for these small integers, so that
-    :func:`mean_fill`'s product takes the float dot kernel instead of a
-    mixed-type loop.
-    """
-    _, x, y, z = count_arrays(K)
-    v = (x + y + z).astype(np.float64)
-    v.setflags(write=False)
-    return v
-
-
-@_domain(K=_SIZE0)
-@lru_cache(maxsize=_CACHED_CAPACITIES)
-def no_available_mask(K: int) -> np.ndarray:
-    """Boolean mask over ranks of states with no available car (y = 0)."""
-    _, _, y, _ = count_arrays(K)
-    m = y == 0
-    m.setflags(write=False)
-    return m
-
-
-@_domain(K=_SIZE0)
-@lru_cache(maxsize=_CACHED_CAPACITIES)
-def saturated_mask(K: int) -> np.ndarray:
-    """Boolean mask over ranks of states with every space taken."""
+def _per_rank(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables over ranks: the cars attributed to the station,
+    ``x + y + z`` (cars driving toward it plus cars parked there), as
+    float64, exact for these small integers, so that :func:`mean_fill`'s
+    product takes the float dot kernel; the mask of states with no
+    available car (``y = 0``); the mask of states with every space taken."""
     w, x, y, z = count_arrays(K)
-    m = w + x + y + z == K
-    m.setflags(write=False)
-    return m
-
+    tables = ((x + y + z).astype(np.float64), y == 0, w + x + y + z == K)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 # ============================================================
@@ -599,14 +597,14 @@ def mean_fill(m: Measure) -> float:
     This is the conserved car density; a closed network with ``M`` cars
     on ``N`` stations keeps its empirical version at exactly ``M / N``.
     """
-    return float(m.probs @ fill_vector(m.K))
+    return float(m.probs @ _per_rank(m.K)[0])
 
 
 def prob_no_available(m: Measure) -> float:
     """Mass of states with no available car (y = 0)."""
-    return float(m.probs[no_available_mask(m.K)].sum())
+    return float(m.probs[_per_rank(m.K)[1]].sum())
 
 
 def prob_saturated(m: Measure) -> float:
     """Mass of states with all ``K`` spaces occupied or reserved."""
-    return float(m.probs[saturated_mask(m.K)].sum())
+    return float(m.probs[_per_rank(m.K)[2]].sum())

@@ -29,7 +29,8 @@ per ``t`` in ``(0, a)``, and the car density along that curve is a
 weighted mean that must equal ``s``, which an outer bisection on ``t``
 enforces within ``_FILL_TOL``.  Every step is O(K), and the solve takes
 ``K`` up to :data:`MAX_SOLVE_K`.  The family is private: its kernels
-serve the solver, ``monotonicity_scan`` and the balance-identity suite.
+serve the solver and two checks of :mod:`duores.verify`, the
+monotonicity scan and the balance-identity suite.
 
 Every reduced-family quantity comes from one O(K) pass,
 ``_reduced_sums(x, y, K)``, which returns the normalizing constant
@@ -41,10 +42,10 @@ car density at ``c = 1`` and the fill at ``c = _car_weight(mu/nu)``.
 
 Each curve point is one call of the kernel ``_curve_point``, which
 returns ``phi(t)`` and the pass's sums there: the bisection reads its
-fill and the solver ``rho2`` from that one call, as
-``monotonicity_scan`` reads its phi rows and the fill rows of every
-reservation speed.  The pass has two factors,
-``Z = sum_n E_n(x) y^(K-n)``; a curve point holds ``x`` fixed, so
+fill and the solver ``rho2`` from that one call, as the monotonicity
+scan reads its phi rows and the fill rows of every reservation speed.
+The pass has two factors, ``Z = sum_n E_n(x) y^(K-n)``; a curve point
+holds ``x`` fixed, so
 ``_curve_point`` builds the partial exponentials ``E_n`` once and runs
 only the Horner stage in ``y`` at each step, which gives the pass's own
 doubles; at a ``y`` where the pass would rescale, the full pass runs.
@@ -402,7 +403,7 @@ class MultipleEquilibriaError(RuntimeError):
             f"fill at K={K}, s={s!r}, nu/mu={nu_over_mu!r} decreases along the "
             f"fixed-point curve, from {f0!r} at t={t0!r} to {f1!r} at t={t1!r}: "
             "uniqueness of the equilibrium is not established here, so no root "
-            "is picked (see experiments.monotonicity_scan)"
+            "is picked (see the monotonicity check of duores verify)"
         )
 
 

@@ -6,15 +6,16 @@ was judged against, and the verdict.  Reports are plain data and
 serialize to JSON unchanged, so reruns with the same seed root are
 byte-identical.  The three studies (convergence, chaos, attraction) take
 a model and a run shape; the bounds they are judged against are module
-constants, as are the grids and bounds of :func:`monotonicity_scan`,
-which takes no arguments.  The studies integrate at one step,
-``meanfield._default_dt``, kept as ``config["dt_max"]`` or
+constants.  The checks that take no arguments, the monotonicity scan
+among them, live in :mod:`duores.verify`.  The studies integrate at one
+step, ``meanfield._default_dt``, kept as ``config["dt_max"]`` or
 ``config["dt"]``.  Each study checks every argument before any run, its
 flow against the step and kept-state budgets of ``meanfield`` and each
 replica study's runs against the event budget ``simulate.MAX_EVENTS``
-included, and has ``.refuse(*args, **kwargs)`` (``core._staged``), which
-runs those checks alone; ``duores verify`` calls it on every study's
-config before any item runs.
+and the kept-state budget ``core.MAX_KEPT_BYTES`` included, and has
+``.refuse(*args, **kwargs)`` (``core._staged``), which runs those checks
+alone; ``duores verify`` calls it on every study's config before any
+item runs.
 
 Seeds derive from a root by position: condition ``N`` and replica ``r``
 use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
@@ -36,6 +37,7 @@ from .core import (
     _SIZE1,
     Measure,
     ModelParams,
+    _budgeted_bytes,
     _budgeted_pairs,
     _count,
     _domain,
@@ -48,18 +50,9 @@ from .core import (
     mean_fill,
     tv_distance,
 )
-from .equilibrium import (
-    _car_weight,
-    _check_solvable,
-    _curve_point,
-    _simple_mean,
-    _sums_mean,
-    product_form,
-    solve_equilibrium,
-)
+from .equilibrium import _check_solvable, product_form, solve_equilibrium
 from .meanfield import _default_dt, _grid_plan, _stream, _times_plan, integrate_at
-from .simulate import (SimConfig, _check_events, _rank_counts, empirical_measure, init_uniform,
-                       run)
+from .simulate import SimConfig, _check_run, _rank_counts, empirical_measure, init_uniform, run
 
 __all__ = [
     "ExperimentReport",
@@ -68,7 +61,6 @@ __all__ = [
     "convergence_experiment",
     "chaos_experiment",
     "attraction_experiment",
-    "monotonicity_scan",
 ]
 
 
@@ -119,10 +111,12 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     ``N`` stations of capacity ``K`` can hold; something that moves
     (``lam > 0``, a last sample time above 0 and, for every ``N``, some
     but not all of the ``N K`` spaces holding a car), else the verdict
-    would judge the placement alone, or distances of 0; pair tables
-    within the state budget (``with_pairs``); a nonzero step; the flow's
-    plan within the step and kept-state budgets, as :func:`integrate_at`
-    counts them; and every run within the event budget.
+    would judge the placement alone, or distances of 0; a nonzero step;
+    the flow's plan within the step and kept-state budgets, as
+    :func:`integrate_at` counts them; pair tables within the state budget,
+    and every replica's rank counts at every sample time within the
+    kept-state budget (``with_pairs``); and every run within the event and
+    kept-state budgets, as :func:`run` counts them.
 
     ``series(avg, pairs, flow)`` maps one ``N``'s replica-averaged
     measures, pair averages (:func:`_averaged_pairs`, or ``None``) and
@@ -150,12 +144,15 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
                  f"K={p.K}; with no car or no free space" if cars in (0, N * p.K) else None)
         if still:
             raise ValueError(f"{still} nothing moves, so the study has nothing to converge")
-    if with_pairs:
-        _budgeted_pairs(p.K, "pair statistics")
     dt = _default_dt(p)
     _times_plan(p, sample_times, dt, ("sample_times", "dt_max"))
+    if with_pairs:
+        n = _budgeted_pairs(p.K, "pair statistics")
+        _budgeted_bytes(8 * replicas * len(sample_times) * n,
+                        f"replicas={replicas} and {len(sample_times)} sample_times keep rank "
+                        f"counts over {n} states at K={p.K}")
     for N in N_list:
-        _check_events(p, N, round(N * s), sample_times[-1])
+        _check_run(p, N, round(N * s), sample_times)
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
@@ -298,7 +295,8 @@ def chaos_experiment(
     two sizes at least included.  Passing requires the final-time pair
     distance to decrease strictly in ``N`` and every pair measure's
     marginals to match the one-station empirical within 1e-12.  A pair
-    table above the state budget is refused before any run.
+    table above the state budget, or rank counts of every replica at every
+    sample time above the kept-state budget, is refused before any run.
     """
     def pair_tv(avg, pairs, flow):
         tv2, marg = [], 0.0
@@ -424,94 +422,3 @@ def attraction_experiment(
                     f"used {actual_size}",)),
         )
     return work
-
-
-# ============================================================
-# Monotonicity scans
-# ============================================================
-
-_SCAN_A = (0.5, 1.0, 2.0, 5.0)  # the aggregate ratios a of the phi curves
-_SCAN_K = (1, 2, 3, 4, 5, 6)
-_GRID_STEP, _XY_MAX = 0.1, 5.0  # the car-density grid: 50 points a side
-_N_CURVE = 200  # interior points of each phi curve
-_ENFORCED_NU_OVER_MU = (10.0, 1e8)  # fast reservations: each fill curve must increase
-_PROBED_NU_OVER_MU = (1.0, 0.1)  # slow reservations: only reported
-
-
-def monotonicity_scan() -> ExperimentReport:
-    """Grid checks of the monotone structure the solver relies on.
-
-    Enforced (failures fail the report): the reduced car density
-    ``E[i + j]`` (rows ``"g_mean"``) increases in both intensities on a
-    square grid; the acceptance curve ``phi`` increases along its
-    domain; the fill along the curve increases when reservations are
-    fast (``nu >= 10 mu``).  Slow-reservation fill curves are scanned
-    too but only reported: whether they can lose monotonicity is an open
-    question, not a defect.
-    """
-    grid = np.arange(_GRID_STEP, _XY_MAX + _GRID_STEP / 2, _GRID_STEP)
-    rows = []
-    passed = True
-    notes = []
-
-    # E[i + j]: forward differences in both arguments on the square grid, one
-    # pass per point.
-    for K in _SCAN_K:
-        g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
-                      for xx in grid])
-        dx_min = float((g[1:, :] - g[:-1, :]).min())
-        dy_min = float((g[:, 1:] - g[:, :-1]).min())
-        ok = dx_min > 0.0 and dy_min > 0.0
-        passed = passed and ok
-        rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
-                     "min_diff_y": dy_min, "ok": ok})
-
-    # phi: strict increase along interior grids, one solve per curve point,
-    # which also gives the sums every fill row reads there.
-    curves = []
-    for K in _SCAN_K:
-        for a in _SCAN_A:
-            ts = [a * k / (_N_CURVE + 1) for k in range(1, _N_CURVE + 1)]
-            points = [_curve_point(t, a, K) for t in ts]
-            curves.append((K, a, ts, points))
-            diffs = np.diff([y for y, _ in points])
-            ok = bool(diffs.min() > 0.0)
-            passed = passed and ok
-            rows.append({"check": "phi", "K": K, "a": a,
-                         "min_diff": float(diffs.min()), "ok": ok})
-
-    # Fill along the same curves, per reservation-speed regime.
-    for ratio, enforced in ([(q, True) for q in _ENFORCED_NU_OVER_MU]
-                            + [(q, False) for q in _PROBED_NU_OVER_MU]):
-        c = _car_weight(1.0 / ratio)  # r = mu / nu
-        for K, a, ts, points in curves:
-            diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
-            ok = bool(diffs.min() > 0.0)
-            rows.append({
-                "check": "fill_curve", "K": K, "a": a,
-                "nu_over_mu": ratio, "enforced": enforced,
-                "min_diff": float(diffs.min()), "ok": ok,
-            })
-            if enforced:
-                passed = passed and ok
-            elif not ok:
-                notes.append(
-                    f"fill curve not monotone at nu/mu={ratio}, K={K}, "
-                    f"a={a} (reported, not enforced)"
-                )
-    return ExperimentReport(
-        name="monotonicity",
-        config={
-            "a_list": list(_SCAN_A), "K_list": list(_SCAN_K),
-            "grid_step": _GRID_STEP, "xy_max": _XY_MAX, "n_curve": _N_CURVE,
-            "enforce_nu_over_mu": list(_ENFORCED_NU_OVER_MU),
-            "probe_nu_over_mu": list(_PROBED_NU_OVER_MU),
-        },
-        rows=rows,
-        metrics={"n_checks": len(rows),
-                 "n_failed_enforced": sum(1 for r_ in rows
-                                          if not r_["ok"] and r_.get("enforced", True))},
-        thresholds={"all_enforced_strictly_increasing": True},
-        passed=passed,
-        notes=tuple(notes),
-    )

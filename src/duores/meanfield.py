@@ -83,19 +83,20 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    MAX_KEPT_BYTES,
     _CACHED_CAPACITIES,
     _NONNEG,
     _POSITIVE,
     Measure,
     ModelParams,
+    _budgeted_bytes,
     _budgeted_states,
     _domain,
+    _per_rank,
     _times,
     count_arrays,
-    no_available_mask,
     num_states,
     ranks_of,
-    saturated_mask,
 )
 
 __all__ = ["drift", "integrate", "integrate_at", "stationarity_residual"]
@@ -151,8 +152,8 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
 def _stencils(K: int) -> _Stencils:
     w, x, y, z = count_arrays(K)
     n = num_states(K)
-    notfull = ~saturated_mask(K)
-    avail = ~no_available_mask(K)
+    _, empty, full = _per_rank(K)
+    notfull, avail = ~full, ~empty
     # each row of w_out, and with it the pV and pF vectors, starts on a
     # cache line without a second copy
     w_out = _aligned_rows(5, n)
@@ -247,15 +248,6 @@ dt``, and for :func:`integrate_at` the steps its segments take) is above
 it, or not finite, is refused by name before any step.  A step at K = 3
 takes about 26 us of CPU."""
 
-MAX_KEPT_BYTES = 1 << 30
-"""Largest block of states one :func:`integrate` or :func:`integrate_at`
-call keeps, in bytes, each row padded to whole cache lines: a plan that
-keeps more is refused by name before the block is allocated.  The largest
-block in the tests, demos, README configs and benchmark is 28.6 MB (920
-states at K = 15); the budget holds 34 592 states at K = 15 and 12 623 at
-K = 20."""
-
-
 def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str],
                 steps: float) -> None:
     """The step rules of a plan of ``steps`` steps of at most ``dt`` over
@@ -279,11 +271,8 @@ def _budgeted_block(p: ModelParams, rows: int, span: float, dt: float,
     above the state budget refused first), refused above
     :data:`MAX_KEPT_BYTES`.  ``names`` are those of ``span`` and ``dt``."""
     n = _budgeted_states(p.K)
-    size = rows * 8 * (n - n % -(_ALIGN // 8))
-    if size > MAX_KEPT_BYTES:
-        raise ValueError(f"{names[0]} / {names[1]} = {span!r} / {dt!r} keeps {rows} states of "
-                         f"{n} masses, {size} bytes, above the kept-state budget "
-                         f"MAX_KEPT_BYTES={MAX_KEPT_BYTES}")
+    _budgeted_bytes(rows * 8 * (n - n % -(_ALIGN // 8)), f"{names[0]} / {names[1]} = "
+                    f"{span!r} / {dt!r} keeps {rows} states of {n} masses")
 
 
 def _default_dt(p: ModelParams) -> float:

@@ -52,7 +52,8 @@ after each, so the error names the first event that breaks an
 invariant and its time.  A violation undone within one block, between
 two checks, is not seen.  A given ``initial`` gets the deep check
 before any draw, audited or not, and so does the work a run asks for:
-at most :data:`MAX_EVENTS` expected events.
+at most :data:`MAX_EVENTS` expected events, and counts within the
+kept-state budget of ``core``.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from math import inf, isfinite, log1p
 
 import numpy as np
 
-from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_states,
-                   _domain, _Rule, _times, _within, ranks_of)
+from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_bytes,
+                   _budgeted_states, _domain, _Rule, _times, _within, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -205,10 +206,21 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
     return SimState(zeros.copy(), zeros.copy(), y, zeros.copy())
 
 
+def _budgeted_counts(N: int, times: int = 0) -> None:
+    """The four int64 counts of ``N`` stations, held in the state and in a
+    snapshot at each of ``times`` sample times, refused above
+    :data:`~duores.core.MAX_KEPT_BYTES`."""
+    at = f" and {times} sample_times" if times else ""
+    _budgeted_bytes(32 * N * (1 + times), f"N={N} stations{at} keep their counts")
+
+
 @_domain(N=_SIZE1, M=_SIZE0, K=_SIZE1, seed=_SEED)
 def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     """Place ``M`` available cars one at a time, uniformly among the
-    stations still below capacity.  No reservations are pending."""
+    stations still below capacity.  No reservations are pending.  The
+    counts of ``N`` stations above the kept-state budget are refused
+    before any draw or allocation."""
+    _budgeted_counts(N)
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
@@ -349,10 +361,12 @@ bounds its expected event count, and :func:`run` refuses a larger one by
 name before any draw.  A plain run fires about 1e6 events per CPU second."""
 
 
-def _check_events(p: ModelParams, N: int, M: int, horizon: float) -> None:
+def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple) -> None:
     """The run's rules across the model and its shape: a finite rate bound
-    ``lam N + max(nu, mu) M``, and that bound times ``horizon``, the last
-    sample time, at most :data:`MAX_EVENTS`."""
+    ``lam N + max(nu, mu) M``, and that bound times the last sample time at
+    most :data:`MAX_EVENTS`; the counts of ``N`` stations in the state and
+    each snapshot within :data:`~duores.core.MAX_KEPT_BYTES`."""
+    horizon = sample_times[-1] if sample_times else 0.0
     bound = p.lam * N + max(p.nu, p.mu) * M
     at = f"lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, M={M}"
     if not isfinite(bound):
@@ -361,6 +375,7 @@ def _check_events(p: ModelParams, N: int, M: int, horizon: float) -> None:
         raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} allows "
                          f"{bound * horizon:.3g} events by the last sample time {horizon!r}, "
                          f"above the event budget MAX_EVENTS={MAX_EVENTS}")
+    _budgeted_counts(N, len(sample_times))
 
 
 def run(
@@ -380,8 +395,10 @@ def run(
     ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
     the total rate, ``lam N + max(nu, mu) M``, must be finite, and times
     the last sample time, where the run ends, at most :data:`MAX_EVENTS`;
-    each is checked before any draw, audited or not: a ``ValueError``
-    names it.
+    the four int64 counts of every station, in the state and in each
+    snapshot, must fit :data:`~duores.core.MAX_KEPT_BYTES`.  Each is
+    checked before any draw or allocation, audited or not: a
+    ``ValueError`` names it.
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
@@ -396,7 +413,7 @@ def run(
     next check is not seen.  Audited and plain runs give byte-identical
     snapshots.
     """
-    _check_events(p, config.N, config.M, config.sample_times[-1] if config.sample_times else 0.0)
+    _check_run(p, config.N, config.M, config.sample_times)
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)

@@ -9,12 +9,14 @@ is the bound :func:`solve_grid` labels each solve against, so a verdict is
 always reached against the same bounds, and any change to one is a change
 to the check.  It returns an :class:`~duores.experiments.ExperimentReport`:
 those constants as ``config`` and ``thresholds``, and its worst discrepancy
-as ``metrics["worst"]`` next to any other number it computes.
+as ``metrics["worst"]`` next to any other number it computes.  The
+monotonicity scan is one more such check, with its grids beside it.
 
-:data:`ITEMS` holds the seven suites, the monotonicity scan and the three
-studies of :mod:`duores.experiments`.  Only the studies take arguments (a
-model and a run shape); each has ``.refuse(*args, **kwargs)``, its checks
-alone, so the CLI refuses every study's config before any item runs.
+The checks are private: :data:`ITEMS` is the one way to reach them.  It
+holds the seven suites, the monotonicity scan and the three studies of
+:mod:`duores.experiments`.  Only the studies take arguments (a model and a
+run shape); each has ``.refuse(*args, **kwargs)``, its checks alone, so
+the CLI refuses every study's config before any item runs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import math
 import numpy as np
 
 from .core import (
-    _POSITIVE,
-    _SIZE0,
     ModelParams,
     _budgeted_pairs,
     _domain,
@@ -41,9 +41,12 @@ from .core import (
 from .equilibrium import (
     MultipleEquilibriaError,
     RateRatios,
+    _car_weight,
     _check_solvable,
+    _curve_point,
     _simple_form,
     _simple_mean,
+    _sums_mean,
     product_form,
     solve_equilibrium,
 )
@@ -52,27 +55,13 @@ from .experiments import (
     attraction_experiment,
     chaos_experiment,
     convergence_experiment,
-    monotonicity_scan,
 )
 
-__all__ = [
-    "tandem_generator",
-    "check_enumeration",
-    "check_product_form_stationarity",
-    "check_step2_identity",
-    "check_aggregation_identity",
-    "check_fill_identity",
-    "check_fixed_point",
-    "check_fixed_point_large_K",
-    "OUTCOMES",
-    "solve_grid",
-    "ITEMS",
-]
+__all__ = ["OUTCOMES", "solve_grid", "ITEMS"]
 
 
-@_domain(eta1=_POSITIVE, rho1=_POSITIVE, rho2=_POSITIVE, eta2=_POSITIVE, K=_SIZE0)
-def tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
-                     K: int) -> np.ndarray:
+def _tandem_generator(eta1: float, rho1: float, rho2: float, eta2: float,
+                      K: int) -> np.ndarray:
     """Dense generator of the four-queue cycle with the given traffic
     intensities, truncated at total occupancy ``K``.
 
@@ -140,7 +129,7 @@ def _worst_of_trials(name: str, trial, **config) -> ExperimentReport:
 _ENUMERATION_K_MAX, _ROUNDTRIP_K_MAX = 10, 6  # the round trip at the smaller capacities
 
 
-def check_enumeration() -> ExperimentReport:
+def _check_enumeration() -> ExperimentReport:
     """Closed-form state counts, the count arrays against their defining
     nested loop over ``(w, x, y, z)`` in lexicographic order, for every
     ``K <= 10``, and the rank/state bijection for ``K <= 6``; ``worst``
@@ -168,14 +157,14 @@ def check_enumeration() -> ExperimentReport:
 _STATIONARITY_K_LIST = (1, 2, 3, 4, 5)  # each with n^2 within the state budget (K <= 11)
 
 
-def check_product_form_stationarity() -> ExperimentReport:
+def _check_product_form_stationarity() -> ExperimentReport:
     """Product form against the independent dense tandem generator, ``K``
     cycling through 1 to 5."""
     def trial(rng, i):
         K = _STATIONARITY_K_LIST[i % len(_STATIONARITY_K_LIST)]
         eta, rho1, rho2 = _draws(rng, 3)
         pi = product_form(RateRatios(eta, rho1, rho2, eta), K).probs
-        return np.abs(pi @ tandem_generator(eta, rho1, rho2, eta, K)).max()
+        return np.abs(pi @ _tandem_generator(eta, rho1, rho2, eta, K)).max()
 
     return _worst_of_trials("product_form_stationarity", trial,
                             K_list=list(_STATIONARITY_K_LIST))
@@ -184,7 +173,7 @@ def check_product_form_stationarity() -> ExperimentReport:
 _IDENTITY_K_MAX = 6  # the identity suites cycle K through 1..6
 
 
-def check_step2_identity() -> ExperimentReport:
+def _check_step2_identity() -> ExperimentReport:
     """Balance identity of the reduced family:
     ``rho2 (1 - P[saturated]) = 1 - P[no available car]`` for every
     ``(x, rho2)``, both masses read from the reference array
@@ -198,7 +187,7 @@ def check_step2_identity() -> ExperimentReport:
     return _worst_of_trials("step2_identity", trial, K_max=_IDENTITY_K_MAX)
 
 
-def check_aggregation_identity() -> ExperimentReport:
+def _check_aggregation_identity() -> ExperimentReport:
     """Pushing the four-coordinate product form through
     ``(w, x, y, z) -> (w + x + z, y)`` lands exactly on the reduced
     family at aggregated intensity ``eta1 + rho1 + eta2``."""
@@ -213,7 +202,7 @@ def check_aggregation_identity() -> ExperimentReport:
     return _worst_of_trials("aggregation_identity", trial, K_max=_IDENTITY_K_MAX)
 
 
-def check_fill_identity() -> ExperimentReport:
+def _check_fill_identity() -> ExperimentReport:
     """Car density agrees between the four-coordinate form and the
     weighted mean of the reduced family, with the aggregated coordinate
     weighted by the car fraction ``(rho1 + eta) / (rho1 + 2 eta)``; the
@@ -294,7 +283,7 @@ _FIXED_POINT_FRACS = (0.2, 0.5, 0.8)
 _CLOSED_FORM_TOL = 1e-6
 
 
-def check_fixed_point() -> ExperimentReport:
+def _check_fixed_point() -> ExperimentReport:
     """Fixed-point residuals across a parameter grid (:func:`solve_grid`),
     plus the capacity-one closed form in the fast-reservation limit.
 
@@ -323,10 +312,10 @@ _LARGE_K_FRACS = (0.2, 0.5, 0.8)
 _LARGE_K_NU_OVER_MU = (0.1, 1.0, 10.0, 1e8)
 
 
-def check_fixed_point_large_K() -> ExperimentReport:
+def _check_fixed_point_large_K() -> ExperimentReport:
     """Fixed-point residuals (:func:`solve_grid`) up to capacity 200 at
     ``lam = mu = 1``, slow to near-instant reservations.  This covers the
-    steep-fill regime of large ``K`` that :func:`check_fixed_point` does
+    steep-fill regime of large ``K`` that :func:`_check_fixed_point` does
     not reach."""
     cells = [(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), frac)
              for K in _LARGE_KS for frac in _LARGE_K_FRACS for nu in _LARGE_K_NU_OVER_MU]
@@ -339,15 +328,102 @@ def check_fixed_point_large_K() -> ExperimentReport:
         {"tol": _RESIDUAL_TOL}, worst < _RESIDUAL_TOL)
 
 
+_SCAN_A = (0.5, 1.0, 2.0, 5.0)  # the aggregate ratios a of the phi curves
+_SCAN_K = (1, 2, 3, 4, 5, 6)
+_GRID_STEP, _XY_MAX = 0.1, 5.0  # the car-density grid: 50 points a side
+_N_CURVE = 200  # interior points of each phi curve
+_ENFORCED_NU_OVER_MU = (10.0, 1e8)  # fast reservations: each fill curve must increase
+_PROBED_NU_OVER_MU = (1.0, 0.1)  # slow reservations: only reported
+
+
+def _check_monotonicity() -> ExperimentReport:
+    """Grid checks of the monotone structure the solver relies on.
+
+    Enforced (failures fail the report): the reduced car density
+    ``E[i + j]`` (rows ``"g_mean"``) increases in both intensities on a
+    square grid; the acceptance curve ``phi`` increases along its
+    domain; the fill along the curve increases when reservations are
+    fast (``nu >= 10 mu``).  Slow-reservation fill curves are scanned
+    too but only reported: whether they can lose monotonicity is an open
+    question, not a defect.
+    """
+    grid = np.arange(_GRID_STEP, _XY_MAX + _GRID_STEP / 2, _GRID_STEP)
+    rows = []
+    passed = True
+    notes = []
+
+    # E[i + j]: forward differences in both arguments on the square grid, one
+    # pass per point.
+    for K in _SCAN_K:
+        g = np.array([[_simple_mean(float(xx), float(yy), K, 1.0) for yy in grid]
+                      for xx in grid])
+        dx_min = float((g[1:, :] - g[:-1, :]).min())
+        dy_min = float((g[:, 1:] - g[:, :-1]).min())
+        ok = dx_min > 0.0 and dy_min > 0.0
+        passed = passed and ok
+        rows.append({"check": "g_mean", "K": K, "min_diff_x": dx_min,
+                     "min_diff_y": dy_min, "ok": ok})
+
+    # phi: strict increase along interior grids, one solve per curve point,
+    # which also gives the sums every fill row reads there.
+    curves = []
+    for K in _SCAN_K:
+        for a in _SCAN_A:
+            ts = [a * k / (_N_CURVE + 1) for k in range(1, _N_CURVE + 1)]
+            points = [_curve_point(t, a, K) for t in ts]
+            curves.append((K, a, ts, points))
+            diffs = np.diff([y for y, _ in points])
+            ok = bool(diffs.min() > 0.0)
+            passed = passed and ok
+            rows.append({"check": "phi", "K": K, "a": a,
+                         "min_diff": float(diffs.min()), "ok": ok})
+
+    # Fill along the same curves, per reservation-speed regime.
+    for ratio, enforced in ([(q, True) for q in _ENFORCED_NU_OVER_MU]
+                            + [(q, False) for q in _PROBED_NU_OVER_MU]):
+        c = _car_weight(1.0 / ratio)  # r = mu / nu
+        for K, a, ts, points in curves:
+            diffs = np.diff([_sums_mean(t, y, sums, c) for t, (y, sums) in zip(ts, points)])
+            ok = bool(diffs.min() > 0.0)
+            rows.append({
+                "check": "fill_curve", "K": K, "a": a,
+                "nu_over_mu": ratio, "enforced": enforced,
+                "min_diff": float(diffs.min()), "ok": ok,
+            })
+            if enforced:
+                passed = passed and ok
+            elif not ok:
+                notes.append(
+                    f"fill curve not monotone at nu/mu={ratio}, K={K}, "
+                    f"a={a} (reported, not enforced)"
+                )
+    return ExperimentReport(
+        name="monotonicity",
+        config={
+            "a_list": list(_SCAN_A), "K_list": list(_SCAN_K),
+            "grid_step": _GRID_STEP, "xy_max": _XY_MAX, "n_curve": _N_CURVE,
+            "enforce_nu_over_mu": list(_ENFORCED_NU_OVER_MU),
+            "probe_nu_over_mu": list(_PROBED_NU_OVER_MU),
+        },
+        rows=rows,
+        metrics={"n_checks": len(rows),
+                 "n_failed_enforced": sum(1 for r_ in rows
+                                          if not r_["ok"] and r_.get("enforced", True))},
+        thresholds={"all_enforced_strictly_increasing": True},
+        passed=passed,
+        notes=tuple(notes),
+    )
+
+
 _FIXED = {
-    "enumeration": check_enumeration,
-    "product_form_stationarity": check_product_form_stationarity,
-    "step2_identity": check_step2_identity,
-    "aggregation_identity": check_aggregation_identity,
-    "fill_identity": check_fill_identity,
-    "fixed_point": check_fixed_point,
-    "fixed_point_large_K": check_fixed_point_large_K,
-    "monotonicity": monotonicity_scan,
+    "enumeration": _check_enumeration,
+    "product_form_stationarity": _check_product_form_stationarity,
+    "step2_identity": _check_step2_identity,
+    "aggregation_identity": _check_aggregation_identity,
+    "fill_identity": _check_fill_identity,
+    "fixed_point": _check_fixed_point,
+    "fixed_point_large_K": _check_fixed_point_large_K,
+    "monotonicity": _check_monotonicity,
 }
 """The items that take no arguments, the seven suites and the monotonicity
 scan: what the CLI's ``checks`` names."""

@@ -11,22 +11,10 @@ import numpy as np
 
 from duores.core import Measure, ModelParams, tv_distance
 from duores.equilibrium import RateRatios, product_form, solve_equilibrium
-from duores.experiments import (
-    attraction_experiment,
-    chaos_experiment,
-    convergence_experiment,
-    monotonicity_scan,
-)
+from duores.experiments import attraction_experiment, chaos_experiment, convergence_experiment
 from duores.meanfield import integrate
 from duores.simulate import SimConfig, run
-from duores.verify import (
-    check_aggregation_identity,
-    check_enumeration,
-    check_fill_identity,
-    check_fixed_point,
-    check_product_form_stationarity,
-    check_step2_identity,
-)
+from duores.verify import ITEMS
 
 # Shared reference parameters: moderate load, occupancy 1.5 of 3.
 _P_REF = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
@@ -43,7 +31,7 @@ def test_criterion_01_state_space_enumeration(capsys):
     ok, detail = False, "crashed"
     t0 = time.monotonic()
     try:
-        res = check_enumeration()
+        res = ITEMS["enumeration"]()
         elapsed = time.monotonic() - t0
         ok = res.passed and elapsed < 1.0
         detail = f"mismatches={int(res.metrics['worst'])}, {elapsed:.2f}s of 1s"
@@ -56,7 +44,7 @@ def test_criterion_02_product_form_stationarity(capsys):
     ok, detail = False, "crashed"
     t0 = time.monotonic()
     try:
-        res = check_product_form_stationarity()
+        res = ITEMS["product_form_stationarity"]()
 
         # Independent literal check: the capacity-one chain is a plain
         # five-state cycle whose generator fits on screen.
@@ -90,9 +78,9 @@ def test_criterion_03_reduction_identities(capsys):
     t0 = time.monotonic()
     try:
         results = [
-            check_step2_identity(),
-            check_aggregation_identity(),
-            check_fill_identity(),
+            ITEMS["step2_identity"](),
+            ITEMS["aggregation_identity"](),
+            ITEMS["fill_identity"](),
         ]
         elapsed = time.monotonic() - t0
         worst = max(r.metrics["worst"] for r in results)
@@ -107,7 +95,7 @@ def test_criterion_04_fixed_point_solver(capsys):
     ok, detail = False, "crashed"
     t0 = time.monotonic()
     try:
-        res = check_fixed_point()
+        res = ITEMS["fixed_point"]()
         elapsed = time.monotonic() - t0
         ok = res.passed and elapsed < 60.0
         detail = (f"worst={res.metrics['worst']:.2e} tol={res.thresholds['tol']:.0e}, "
@@ -210,7 +198,7 @@ def test_criterion_09_monotone_structure(capsys):
     ok, detail = False, "crashed"
     t0 = time.monotonic()
     try:
-        rep = monotonicity_scan()
+        rep = ITEMS["monotonicity"]()
         elapsed = time.monotonic() - t0
         ok = rep.passed and elapsed < 60.0
         detail = (f"{rep.metrics['n_checks']} checks, "

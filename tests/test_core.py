@@ -14,7 +14,6 @@ from duores.core import (
     StationState,
     count_arrays,
     enumerate_states,
-    fill_vector,
     index_of,
     mean_fill,
     num_states,
@@ -84,8 +83,7 @@ def _touch_capacity(K):
 
 
 def test_per_capacity_caches_drop_a_large_capacity():
-    caches = [core.count_arrays, core.fill_vector,
-              core.no_available_mask, core.saturated_mask, meanfield._stencils,
+    caches = [core.count_arrays, core._per_rank, meanfield._stencils,
               experiments._shift_permutation, equilibrium._log_factorials]
     assert {c.cache_info().maxsize for c in caches} == {core._CACHED_CAPACITIES}
     small = range(1, core._CACHED_CAPACITIES + 1)
@@ -136,6 +134,26 @@ def test_ranks_of_refuses_a_string_entry_or_unequal_shapes_by_name(w, named):
         ranks_of(w, [0], [0], [0], 2)
 
 
+@pytest.mark.parametrize("K", [80_000, 86_247, 86_248, 90_000, 130_000])
+def test_ranks_of_answers_the_int_rank_or_refuses_K_by_name(K):
+    # int64 ranks overflowed with a RuntimeWarning from K = 86 248:
+    # ranks_of([0], [0], [1], [0], 90_000) was 4611686018427477905, and
+    # K = 130 000 ended in an unnamed OverflowError
+    assert index_of((0, 0, 1, 0), K) == K + 1  # after the K + 1 states (0, 0, 0, z)
+    states = [(0, 0, 1, 0), (0, 0, 0, K), (1, 2, 3, K - 6)]
+    calls = [lambda st: int(ranks_of(*([c] for c in st), K)[0]),
+             lambda st: index_of(tuple(map(float, st)), K),
+             lambda st: index_of(np.array(st), K)]
+    for call in calls:
+        for st in states:
+            if K < 86_248:
+                assert call(st) == index_of(st, K)
+            else:
+                with pytest.raises(ValueError, match=rf"^capacity K={K} has ranks whose int64 "
+                                   r"arithmetic overflows: 4 C\(K \+ 4, 4\) is above "):
+                    call(st)
+
+
 def test_integral_float_state_entries_rank_as_ints():
     for st in enumerate_states(3):
         rank = index_of(st, 3)
@@ -162,9 +180,10 @@ def test_count_vectors():
     # fill counts cars (x + y + z); occupancy counts every taken space.
     K = 3
     r = index_of((1, 1, 1, 0), K)
-    assert fill_vector(K)[r] == 2
+    fill, no_available, saturated = core._per_rank(K)
+    assert fill[r] == 2
     assert sum(int(c[r]) for c in count_arrays(K)) == 3
-    assert core.saturated_mask(K)[r]
+    assert saturated[r] and not no_available[r]
 
 
 # ------------------------------------------------------------
@@ -262,12 +281,15 @@ def test_mean_fill_frozen_values():
 
 def test_mean_fill_reads_a_read_only_float_fill_vector():
     # float64 changes the product's loop, not its value
-    w = fill_vector(4)
-    assert w is fill_vector(4) and w.dtype == np.float64
-    _, x, y, z = count_arrays(4)
-    assert np.array_equal(w, x + y + z)
-    with pytest.raises(ValueError):
-        w[0] = 1.0
+    tables = core._per_rank(4)
+    fill, no_available, saturated = tables
+    assert tables is core._per_rank(4) and fill.dtype == np.float64
+    w, x, y, z = count_arrays(4)
+    assert np.array_equal(fill, x + y + z)
+    assert np.array_equal(no_available, y == 0) and np.array_equal(saturated, w + x + y + z == 4)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
     rng = np.random.default_rng(31)
     for K in (1, 3, 15, 20):
         _, x, y, z = count_arrays(K)

@@ -566,7 +566,8 @@ def test_multiple_equilibria_error_names_the_decreasing_pair():
     assert str(err) == (
         "fill at K=4, s=1.0, nu/mu=0.5 decreases along the fixed-point curve, "
         "from 1.5 at t=0.25 to 0.75 at t=0.375: uniqueness of the equilibrium is "
-        "not established here, so no root is picked (see experiments.monotonicity_scan)"
+        "not established here, so no root is picked (see the monotonicity check of "
+        "duores verify)"
     )
 
 

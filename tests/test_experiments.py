@@ -8,14 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duores import equilibrium, experiments, meanfield
+from duores import core, experiments, meanfield
 from duores.core import (
     MAX_STATES,
     Measure,
     ModelParams,
     _budgeted_pairs,
+    count_arrays,
     enumerate_states,
-    fill_vector,
     index_of,
     mean_fill,
     num_states,
@@ -28,7 +28,6 @@ from duores.experiments import (
     convergence_experiment,
     derive_seed,
     fill_preserving_perturbation,
-    monotonicity_scan,
 )
 from duores.simulate import SimConfig, _rank_counts, empirical_measure, run
 
@@ -51,7 +50,8 @@ def _random_measure(K, seed):
 
 
 def _fill_histogram(m: Measure) -> np.ndarray:
-    fills = fill_vector(m.K).astype(np.int64)
+    _, x, y, z = count_arrays(m.K)
+    fills = x + y + z
     return np.bincount(fills, weights=m.probs, minlength=m.K + 1)
 
 
@@ -231,36 +231,6 @@ def test_a_rate_bound_that_overflows_is_refused_by_name_before_any_run_or_solve(
     assert calls == []
 
 
-def test_monotonicity_toy_scan_passes(monkeypatch):
-    for name, value in (("_SCAN_A", (1.0, 2.0)), ("_SCAN_K", (1, 2)), ("_GRID_STEP", 0.5),
-                        ("_XY_MAX", 2.0), ("_N_CURVE", 25)):
-        monkeypatch.setattr(experiments, name, value)
-    rep = monotonicity_scan()
-    assert rep.passed and rep.config["n_curve"] == 25
-    assert rep.metrics["n_checks"] > 0
-    json.dumps(rep.to_dict())
-
-
-def test_monotonicity_scan_solves_each_curve_point_once(monkeypatch):
-    # The fill rows re-solved every phi once per nu/mu regime: 24000
-    # solve_phi calls at the defaults, where the 4800 curve points suffice.
-    calls = []
-    point = equilibrium._curve_point
-    for module in (equilibrium, experiments):
-        monkeypatch.setattr(module, "_curve_point", lambda *a: calls.append(a) or point(*a))
-    rep = monotonicity_scan()
-    K_list, a_list, n_curve = (rep.config[k] for k in ("K_list", "a_list", "n_curve"))
-    assert len(calls) == len(set(calls)) == len(K_list) * len(a_list) * n_curve == 4800
-
-
-def test_monotonicity_scan_matches_its_golden_digest():
-    # sha-256 of ``json.dumps(to_dict(), sort_keys=True)`` at the defaults,
-    # taken at commit cc8a089, before the scan walked each curve once.
-    blob = json.dumps(monotonicity_scan().to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "c3a8867117c5dc41068218b87d582365e91cb9e558c154b3a9c2ea086bf09bbd")
-
-
 # ------------------------------------------------------------
 # Pair tables of the chaos study
 # ------------------------------------------------------------
@@ -436,7 +406,7 @@ def test_a_replica_study_counts_its_flow_as_integrate_at_does_before_any_run(mon
     for fn in (experiments, "run"), (meanfield, "_rk4"), (meanfield, "_aligned_rows"):
         monkeypatch.setattr(*fn, lambda *a, **k: pytest.fail("a run or a step started"))
     study = _STUDIES[name][0]
-    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 256)  # 128 bytes a row at K = 2
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 256)  # 128 bytes a row at K = 2
     with pytest.raises(ValueError, match=r"^sample_times / dt_max = 1\.0 / 0\.0357\d* keeps "
                        r"3 states of 15 masses, 384 bytes, above the kept-state budget "
                        r"MAX_KEPT_BYTES=256$"):
@@ -481,6 +451,32 @@ def test_a_replica_study_refuses_a_run_above_the_event_budget_before_any_run(mon
                        r"MAX_EVENTS=100000000$"):
         study.refuse(p, [4, 1000], 1, 200.0, (200.0,), 5, s=1.5)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["convergence", "chaos"])
+def test_a_replica_study_refuses_a_run_above_the_kept_budget_before_any_run(monkeypatch, name):
+    # each N is checked as run checks it: N = 8 with 2 snapshots keeps 768 bytes
+    for fn in ("run", "init_uniform", "integrate_at"):
+        monkeypatch.setattr(experiments, fn, lambda *a, **k: pytest.fail("a run came first"))
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 767)
+    with pytest.raises(ValueError, match=r"^N=8 stations and 2 sample_times keep their counts, "
+                       r"768 bytes, above the kept-state budget MAX_KEPT_BYTES=767$"):
+        _STUDIES[name][0].refuse(_P, [4, 8], 1, 1.0, (0.5, 1.0), 5, s=1.0)
+
+
+def test_chaos_refuses_rank_counts_above_the_kept_budget_before_any_run(monkeypatch):
+    # every replica's counts at every sample time were kept unbudgeted: at
+    # K = 11, 1000 replicas and 1000 sample times hold 10.9 GB
+    for fn in (experiments, "run"), (experiments, "init_uniform"), (meanfield, "_rk4"):
+        monkeypatch.setattr(*fn, lambda *a, **k: pytest.fail("a run or a step came first"))
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=11)
+    with pytest.raises(ValueError, match=r"^replicas=1000 and 1000 sample_times keep rank counts "
+                       r"over 1365 states at K=11, 10920000000 bytes, above the kept-state "
+                       r"budget MAX_KEPT_BYTES=1073741824$"):
+        chaos_experiment(p, [10, 20], 1000, 1.0, np.linspace(1e-3, 1.0, 1000), 5, s=5.0)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 8 * 2 * 3 * 15 - 1)  # K = 2: 15 states
+    with pytest.raises(ValueError, match=r"^replicas=2 and 3 sample_times keep rank counts"):
+        chaos_experiment.refuse(_P, [4, 8], 2, 1.0, (0.25, 0.5, 1.0), 5, s=1.0)
 
 
 def test_a_replica_study_ranks_each_snapshot_once(monkeypatch):

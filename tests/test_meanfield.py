@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duores import meanfield
+from duores import core, meanfield
 from duores.core import (
     Measure,
     ModelParams,
     count_arrays,
     enumerate_states,
-    fill_vector,
     index_of,
     mean_fill,
     num_states,
@@ -508,9 +507,10 @@ def test_fill_rate_is_reservation_flux_difference():
     p = ModelParams(lam=1.0, mu=2.0, nu=3.0, K=3)
     w_counts = np.array([s.w for s in enumerate_states(3)], dtype=float)
     z_counts = np.array([s.z for s in enumerate_states(3)], dtype=float)
+    _, x, y, z = count_arrays(3)
     for seed in range(5):
         m = _random_measure(3, 700 + seed)
-        lhs = float(fill_vector(3) @ drift(m, p))
+        lhs = float((x + y + z) @ drift(m, p))
         rhs = p.nu * float((w_counts - z_counts) @ m.probs)
         assert abs(lhs - rhs) < 1e-12
 
@@ -731,10 +731,10 @@ def test_a_kept_block_above_the_budget_is_refused_by_name_before_any_allocation(
 def test_the_kept_budget_counts_rows_padded_to_cache_lines(monkeypatch):
     # K = 1 has 5 states, a row of 8 masses: 10 kept states take 640 bytes
     p, m0 = ModelParams(1.0, 1.0, 1.0, K=1), Measure.uniform(1)
-    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 640)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 640)
     assert len(integrate(m0, p, T=0.1, dt=0.01)) == 11
     assert len(integrate_at(m0, p, [0.01 * k for k in range(1, 11)], dt_max=0.01)) == 10
-    monkeypatch.setattr(meanfield, "MAX_KEPT_BYTES", 639)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 639)
     with pytest.raises(ValueError, match=r"^T / dt = 0\.1 / 0\.01 keeps 10 states of 5 masses, "
                        r"640 bytes, above the kept-state budget MAX_KEPT_BYTES=639$"):
         integrate(m0, p, T=0.1, dt=0.01)

@@ -14,7 +14,7 @@ PUBLIC = [
     "drift", "integrate", "integrate_at", "stationarity_residual",
     "SimConfig", "SimState", "init_uniform", "step", "run", "empirical_measure",
     "ExperimentReport", "convergence_experiment", "chaos_experiment",
-    "attraction_experiment", "monotonicity_scan", "fill_preserving_perturbation",
+    "attraction_experiment", "fill_preserving_perturbation",
     "__version__",
 ]
 
@@ -22,8 +22,7 @@ MODULE_PUBLIC = {
     "cli": ["main"],
     "core": [
         "StationState", "ModelParams", "Measure", "num_states", "enumerate_states",
-        "index_of", "state_of", "ranks_of", "count_arrays", "fill_vector",
-        "no_available_mask", "saturated_mask", "tv_distance", "mean_fill",
+        "index_of", "state_of", "ranks_of", "count_arrays", "tv_distance", "mean_fill",
         "prob_no_available", "prob_saturated",
     ],
     "equilibrium": ["RateRatios", "SolveReport", "MultipleEquilibriaError", "product_form",
@@ -31,7 +30,6 @@ MODULE_PUBLIC = {
     "experiments": [
         "ExperimentReport", "derive_seed", "fill_preserving_perturbation",
         "convergence_experiment", "chaos_experiment", "attraction_experiment",
-        "monotonicity_scan",
     ],
     "io": [
         "measure_to_csv", "measure_from_csv", "write_timed_measure_csv",
@@ -42,18 +40,15 @@ MODULE_PUBLIC = {
         "SimConfig", "SimState", "SimInvariantError", "init_uniform", "step", "run",
         "empirical_measure",
     ],
-    "verify": [
-        "tandem_generator", "check_enumeration",
-        "check_product_form_stationarity", "check_step2_identity",
-        "check_aggregation_identity", "check_fill_identity", "check_fixed_point",
-        "check_fixed_point_large_K", "OUTCOMES", "solve_grid", "ITEMS",
-    ],
+    "verify": ["OUTCOMES", "solve_grid", "ITEMS"],
 }
 
 
 def test_public_names_are_pinned_and_resolve():
     # A change to the public API must show up as a change to these lists.
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
+    # 56 while the checks, the dense generator and the per-rank tables were exported
+    assert sum(map(len, MODULE_PUBLIC.values())) == 44
     assert duores.__all__ == PUBLIC
     for name in duores.__all__:
         assert hasattr(duores, name), name
@@ -73,9 +68,7 @@ PARAMETERS = {
     "core.StationState": ["w", "x", "y", "z"],
     "core.ModelParams": ["lam", "mu", "nu", "K"],
     "core.Measure": ["probs", "K"],
-    **dict.fromkeys(["core.num_states", "core.enumerate_states", "core.count_arrays",
-                     "core.fill_vector", "core.no_available_mask", "core.saturated_mask"],
-                    ["K"]),
+    **dict.fromkeys(["core.num_states", "core.enumerate_states", "core.count_arrays"], ["K"]),
     "core.index_of": ["state", "K"],
     "core.state_of": ["rank", "K"],
     "core.ranks_of": ["w", "x", "y", "z", "K"],
@@ -104,11 +97,6 @@ PARAMETERS = {
     **dict.fromkeys(["experiments.convergence_experiment", "experiments.chaos_experiment"],
                     ["p", "N_list", "replicas", "T", "sample_times", "seed0", "s", "audit"]),
     "experiments.attraction_experiment": ["p", "perturbation_size", "T", "s"],
-    **dict.fromkeys(["experiments.monotonicity_scan", "verify.check_enumeration",
-                     "verify.check_product_form_stationarity", "verify.check_step2_identity",
-                     "verify.check_aggregation_identity", "verify.check_fill_identity",
-                     "verify.check_fixed_point", "verify.check_fixed_point_large_K"], []),
-    "verify.tandem_generator": ["eta1", "rho1", "rho2", "eta2", "K"],
     "verify.solve_grid": ["cells"],
     "io.measure_to_csv": ["m", "path"],
     "io.measure_from_csv": ["path"],
@@ -133,8 +121,9 @@ def test_each_public_callables_parameters_are_pinned():
            for name in mod.__all__ if callable(getattr(mod, name))}
     assert got == PARAMETERS
     library = [names for key, names in PARAMETERS.items() if names and key != "cli.main"]
-    # 145 while the reduced family was exported, 150 while the numerical policy was arguments
-    assert sum(map(len, library)) == 132
+    # 132 while the dense generator and the per-rank tables were exported, 145 while the
+    # reduced family was, 150 while the numerical policy was arguments
+    assert sum(map(len, library)) == 124
     for name in ("convergence", "chaos", "attraction"):  # a study's checks alone, too
         item = importlib.import_module("duores.verify").ITEMS[name]
         assert _parameters(item.refuse) == _parameters(item)

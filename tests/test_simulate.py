@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from duores import simulate
+from duores import core, simulate
 from duores.core import ModelParams
 from duores.simulate import (
     _FIRST_BLOCK,
@@ -909,3 +909,36 @@ def test_the_event_budget_counts_the_rate_bound_to_the_last_sample_time(monkeypa
     with pytest.raises(ValueError, match=r"allows 120 events by the last sample time 3\.0, "
                        r"above the event budget MAX_EVENTS=100$"):
         run(p, SimConfig(N=10, M=15, T=3.0, sample_times=(1.0, 3.0), seed=0))
+
+
+def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(monkeypatch):
+    # 100 000 snapshots of 4000 stations expect 0.016 events, within
+    # MAX_EVENTS, and kept 12.8 GB of counts; a placement of 10**8
+    # stations asked for 3.2 GB: each ended in an unnamed MemoryError
+    for name in ("_advance", "_init_with_rng"):
+        monkeypatch.setattr(simulate, name, lambda *a, **k: pytest.fail("a draw came first"))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a generator came first"))
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    cfg = SimConfig(N=4000, M=6000, T=1.0, sample_times=np.linspace(0.0, 1e-6, 100_000), seed=0)
+    for audit in (False, True):
+        with pytest.raises(ValueError, match=r"^N=4000 stations and 100000 sample_times keep "
+                           r"their counts, 12800128000 bytes, above the kept-state budget "
+                           r"MAX_KEPT_BYTES=1073741824$"):
+            run(p, cfg, audit=audit)
+    with pytest.raises(ValueError, match=r"^N=100000000 stations keep their counts, 3200000000 "
+                       r"bytes, above the kept-state budget MAX_KEPT_BYTES=1073741824$"):
+        init_uniform(10**8, 0, 1, 0)
+
+
+def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
+    # 32 bytes a station: 10 stations and 2 snapshots keep 960 bytes
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 960)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    assert len(run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))) == 2
+    assert init_uniform(30, 15, 3, 0).N == 30
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 959)
+    with pytest.raises(ValueError, match=r"^N=10 stations and 2 sample_times keep their counts, "
+                       r"960 bytes, above the kept-state budget MAX_KEPT_BYTES=959$"):
+        run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))
+    with pytest.raises(ValueError, match=r"^N=30 stations keep their counts, 960 bytes"):
+        init_uniform(30, 15, 3, 0)

@@ -1,6 +1,7 @@
-"""The verification suites themselves: generator structure and the
-item registry."""
+"""The verification suites themselves: generator structure, the item
+registry and the monotonicity scan."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -9,25 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import duores.equilibrium as equilibrium
 import duores.experiments as experiments
 import duores.verify as verify
 from duores.core import MAX_STATES, ModelParams, count_arrays, enumerate_states, num_states
 from duores.equilibrium import RateRatios, product_form
 from duores.experiments import ExperimentReport
-from duores.verify import (
-    ITEMS,
-    OUTCOMES,
-    check_enumeration,
-    check_fixed_point_large_K,
-    check_product_form_stationarity,
-    check_step2_identity,
-    solve_grid,
-    tandem_generator,
-)
+from duores.verify import ITEMS, OUTCOMES, solve_grid
 
 
 def test_tandem_generator_is_a_generator_matrix():
-    Q = tandem_generator(0.7, 1.2, 0.9, 0.7, 3)
+    Q = verify._tandem_generator(0.7, 1.2, 0.9, 0.7, 3)
     n = num_states(3)
     assert Q.shape == (n, n)
     off = Q - np.diag(np.diag(Q))
@@ -38,7 +31,7 @@ def test_tandem_generator_is_a_generator_matrix():
 
 def test_tandem_generator_blocks_arrivals_at_saturation():
     K = 2
-    Q = tandem_generator(1.0, 1.0, 1.0, 1.0, K)
+    Q = verify._tandem_generator(1.0, 1.0, 1.0, 1.0, K)
     states = enumerate_states(K)
     for r, s in enumerate(states):
         if s.total == K:
@@ -54,7 +47,7 @@ def test_tandem_generator_above_the_state_budget_is_refused_before_allocation():
     try:
         with pytest.raises(ValueError, match=rf"K=20 need n\^2={n * n} entries, above "
                                              rf"the state budget MAX_STATES={MAX_STATES}"):
-            tandem_generator(1.0, 1.0, 1.0, 1.0, 20)
+            verify._tandem_generator(1.0, 1.0, 1.0, 1.0, 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -68,13 +61,13 @@ def test_product_form_stationarity_meets_a_capacity_above_the_budget_with_a_name
     assert max(verify._STATIONARITY_K_LIST) <= 11
     monkeypatch.setattr(verify, "_STATIONARITY_K_LIST", (1, 12))
     with pytest.raises(ValueError, match=r"K=12 need n\^2="):
-        check_product_form_stationarity()
+        ITEMS["product_form_stationarity"]()
 
 
 def test_product_form_is_in_the_generator_null_space():
     rho = RateRatios(0.5, 1.5, 0.8, 0.5)
     K = 3
-    Q = tandem_generator(rho.eta1, rho.rho1, rho.rho2, rho.eta2, K)
+    Q = verify._tandem_generator(rho.eta1, rho.rho1, rho.rho2, rho.eta2, K)
     pi = product_form(rho, K).probs
     assert np.max(np.abs(pi @ Q)) < 1e-12
 
@@ -95,9 +88,9 @@ def test_item_registry():
 
 
 def test_checks_report_worst_below_tolerance():
-    res = check_enumeration()
+    res = ITEMS["enumeration"]()
     assert res.passed and res.metrics["worst"] == 0.0
-    res = check_step2_identity()
+    res = ITEMS["step2_identity"]()
     assert res.passed and res.metrics["worst"] < res.thresholds["tol"]
 
 
@@ -110,12 +103,12 @@ def test_enumeration_check_catches_count_arrays_out_of_order(monkeypatch):
         return tuple(cols)
 
     monkeypatch.setattr(verify, "count_arrays", swapped)
-    res = check_enumeration()
+    res = ITEMS["enumeration"]()
     assert not res.passed and res.metrics["worst"] == 2.0
 
 
 def test_fixed_point_large_K_meets_tolerance_on_every_solve():
-    res = check_fixed_point_large_K()
+    res = ITEMS["fixed_point_large_K"]()
     assert res.metrics["n_solves"] == 96
     assert res.metrics["outcomes"] == {**dict.fromkeys(OUTCOMES, 0), "solved": 96}
     assert res.passed and res.metrics["worst"] < res.thresholds["tol"]
@@ -242,7 +235,7 @@ def _one_cell(K, s_over_K, nu_over_mu):
 
 
 def _large_K_grid(monkeypatch, K_list, s_fracs, nu_over_mu):
-    """Set the grid of ``check_fixed_point_large_K``."""
+    """Set the grid of the ``fixed_point_large_K`` check."""
     for name, value in (("_LARGE_KS", K_list), ("_LARGE_K_FRACS", s_fracs),
                         ("_LARGE_K_NU_OVER_MU", nu_over_mu)):
         monkeypatch.setattr(verify, name, value)
@@ -258,7 +251,7 @@ def test_a_failed_solve_scores_an_infinite_residual(monkeypatch, cell, outcome):
     assert counts == {**dict.fromkeys(OUTCOMES, 0), outcome: 1}
     K, s_over_K, nu = cell
     _large_K_grid(monkeypatch, (K,), (s_over_K,), (nu,))
-    res = check_fixed_point_large_K()
+    res = ITEMS["fixed_point_large_K"]()
     assert not res.passed and res.metrics["worst"] == math.inf
     assert res.metrics["outcomes"][outcome] == 1
 
@@ -282,7 +275,7 @@ def test_solved_label_and_verdict_keep_their_comparisons(monkeypatch):
     assert solve_grid(cells)[1]["solved_above_tol"] == 1
     monkeypatch.setattr(verify, "_RESIDUAL_TOL", residual)
     _large_K_grid(monkeypatch, (3,), (0.5,), (1.0,))
-    res = check_fixed_point_large_K()  # the verdict is worst < tol
+    res = ITEMS["fixed_point_large_K"]()  # the verdict is worst < tol
     assert not res.passed and res.metrics["outcomes"]["solved"] == 1
 
 
@@ -300,7 +293,7 @@ def test_a_fixed_point_suite_checks_each_cell_once(monkeypatch):
     checked = []
     monkeypatch.setattr(verify, "_check_solvable", lambda p, s: checked.append((p.K, s)))
     _large_K_grid(monkeypatch, (3, 5), (0.5,), (1.0,))
-    check_fixed_point_large_K()
+    ITEMS["fixed_point_large_K"]()
     assert checked == [(3, 1.5), (5, 2.5)]
 
 
@@ -325,3 +318,33 @@ def test_the_trial_draws_are_one_vector_draw_with_no_zero():
     assert a.random() == b.random()
     for trials, seed, _ in verify._TRIALS.values():  # at most four draws a trial
         assert min(verify._draws(np.random.default_rng(seed), 4 * trials)) > 0.0
+
+
+def test_monotonicity_toy_scan_passes(monkeypatch):
+    for name, value in (("_SCAN_A", (1.0, 2.0)), ("_SCAN_K", (1, 2)), ("_GRID_STEP", 0.5),
+                        ("_XY_MAX", 2.0), ("_N_CURVE", 25)):
+        monkeypatch.setattr(verify, name, value)
+    rep = ITEMS["monotonicity"]()
+    assert rep.passed and rep.config["n_curve"] == 25
+    assert rep.metrics["n_checks"] > 0
+    json.dumps(rep.to_dict())
+
+
+def test_monotonicity_scan_solves_each_curve_point_once(monkeypatch):
+    # The fill rows re-solved every phi once per nu/mu regime: 24000
+    # solve_phi calls at the defaults, where the 4800 curve points suffice.
+    calls = []
+    point = equilibrium._curve_point
+    for module in (equilibrium, verify):
+        monkeypatch.setattr(module, "_curve_point", lambda *a: calls.append(a) or point(*a))
+    rep = ITEMS["monotonicity"]()
+    K_list, a_list, n_curve = (rep.config[k] for k in ("K_list", "a_list", "n_curve"))
+    assert len(calls) == len(set(calls)) == len(K_list) * len(a_list) * n_curve == 4800
+
+
+def test_monotonicity_scan_matches_its_golden_digest():
+    # sha-256 of ``json.dumps(to_dict(), sort_keys=True)`` at the defaults,
+    # taken at commit cc8a089, before the scan walked each curve once.
+    blob = json.dumps(ITEMS["monotonicity"]().to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c3a8867117c5dc41068218b87d582365e91cb9e558c154b3a9c2ea086bf09bbd")

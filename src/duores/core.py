@@ -142,14 +142,32 @@ def _each(rule: _Rule, entry="every entry of {}", least=0, what="value") -> _Rul
     return _Rule(check, text, {"int": "ints", "num": "nums"}[rule.kind])
 
 
+def _plain_times(vs: list) -> tuple | None:
+    """``vs`` as floats when every entry is a Python int or float (or a
+    float64), finite, ``>= 0`` and nondecreasing, checked as one array;
+    else ``None``, and the per-entry rule decides."""
+    if not set(map(type, vs)) <= {int, float, np.float64}:
+        return None
+    try:
+        ts = tuple(map(float, vs))
+    except OverflowError:  # an int beyond the doubles
+        return None
+    a = np.array(ts)
+    ok = np.isfinite(a).all() and (a >= 0.0).all() and not (a[1:] < a[:-1]).any()
+    return ts if ok else None
+
+
 def _times(least=0) -> _Rule:
     """At least ``least`` times, as floats, each finite and ``>= 0``,
-    nondecreasing."""
+    nondecreasing.  Plain times are checked whole (:func:`_plain_times`);
+    the per-entry rule runs for any other entry and names a refusal."""
     def check(name, times):
-        ts = tuple(float(_NONNEG.check(f"{name}[{k}]", t))
-                   for k, t in enumerate(_listed(name, times, "times")))
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"{name} must be nondecreasing")
+        vs = _listed(name, times, "times")
+        ts = _plain_times(vs)
+        if ts is None:
+            ts = tuple(float(_NONNEG.check(f"{name}[{k}]", t)) for k, t in enumerate(vs))
+            if any(b < a for a, b in zip(ts, ts[1:])):
+                raise ValueError(f"{name} must be nondecreasing")
         return _least(name, ts, times, least, "time")
 
     return _Rule(check, f"a {'non-empty ' * least}sequence of times, each finite `>= 0`, "
@@ -270,14 +288,14 @@ builds no per-state table and is not bound by it."""
 MAX_KEPT_BYTES = 1 << 30
 """Largest block one call keeps at once, in bytes, refused by name before
 it is allocated and before any step or draw: the states an integration
-keeps (``meanfield``), each row padded to whole cache lines; the four
-int64 counts of every station that a run or a placement holds, in its
-state and in each snapshot (``simulate``); the rank counts the chaos study
-keeps of every replica at every sample time.  The largest blocks in the
-tests, demos, README configs and benchmark are 28.6 MB of states (920 at
-K = 15), 1.5 MB of station counts (the benchmark's N = 4000 with 11
-snapshots) and 53.8 kB of chaos rank counts; the budget holds 34 592
-states at K = 15 and 12 623 at K = 20."""
+keeps (``meanfield``), each row padded to whole cache lines; the stations
+as a placement holds them, with a chunk of its raw draws, and the four
+int64 counts of every station in each snapshot of a run (``simulate``);
+the rank counts the chaos study keeps of every replica at every sample
+time.  The largest blocks in the tests, demos, README configs and
+benchmark are 28.6 MB of states (920 at K = 15), 1.9 MB of stations (the
+benchmark's N = 4000 with 11 snapshots) and 53.8 kB of chaos rank
+counts; the budget holds 34 592 states at K = 15 and 12 623 at K = 20."""
 
 
 def _budgeted_bytes(size: int, what: str) -> None:
@@ -446,6 +464,20 @@ def _per_rank(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for t in tables:
         t.setflags(write=False)
     return tables
+
+
+@lru_cache(maxsize=_CACHED_CAPACITIES)
+def _first_ranks(K: int) -> np.ndarray:
+    """Read-only int64 table over the prefixes ``(w, x, y)``, flattened by
+    ``np.ravel_multi_index`` over ``(K + 1,) * 3``: the rank of ``(w, x,
+    y, 0)``, the first state with that prefix, so that the rank of ``(w,
+    x, y, z)`` is its entry plus ``z``.  Prefixes above ``K`` hold 0."""
+    w, x, y, z = count_arrays(K)
+    first = np.flatnonzero(z == 0)
+    table = np.zeros((K + 1) ** 3, dtype=np.int64)
+    table[np.ravel_multi_index((w[first], x[first], y[first]), (K + 1,) * 3)] = first
+    table.setflags(write=False)
+    return table
 
 
 # ============================================================

@@ -26,6 +26,13 @@ and the per-event draw order unchanged (``k`` calls of
 ``rng.random(4)`` yield exactly ``rng.random(4 * k)``): for a fixed seed
 its trajectories are byte-identical to those of a ``step`` loop.
 
+The initial placement draws before any event: each car takes one raw
+32-bit word of the stream, accepted as ``Generator.integers`` accepts it
+(a rejected word takes one more), and no word is drawn while one station
+is eligible.  The words are drawn in chunks and the rule applied to each
+in Python, which leaves the placement and the generator's state as one
+``rng.integers(n)`` call per car among the ``n`` eligible stations would.
+
 One loop, ``_advance``, holds the transition rules for both ``step``
 and ``run``: it fires a block of draw rows, with no Python call per
 event on a plain run.  ``run`` feeds it each block it draws, and
@@ -64,7 +71,7 @@ from math import inf, isfinite, log1p
 import numpy as np
 
 from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_bytes,
-                   _budgeted_states, _domain, _Rule, _times, _within, ranks_of)
+                   _budgeted_states, _domain, _first_ranks, _Rule, _times, _within, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -190,36 +197,91 @@ class SimState:
 _FIRST_BLOCK, _MAX_BLOCK = 16, 1024
 
 
+# Raw 32-bit words drawn per generator call in a placement.
+_CHUNK = 1024
+
+_STATION_BYTES = 112
+"""Bytes a station takes while it is placed: its entries in the list of
+eligible stations and in the list of counts, each a pointer and an int
+object (8 + 32 bytes), and its four int64 counts (32 bytes)."""
+
+_CHUNK_BYTES = 48 * _CHUNK
+"""Bytes a chunk of raw words takes: each word as a uint32 and as an int
+in a list (4 + 8 + 32 bytes), rounded up to cover the two headers."""
+
+
+def _place(y, eligible, M: int, K: int, rng: np.random.Generator) -> None:
+    """Add ``M`` cars to the counts ``y``, which hold 0 at every station
+    of ``eligible``, each car at a station drawn uniformly from those
+    still below ``K``; a station that reaches ``K`` leaves ``eligible``.
+    Both are changed in place.
+
+    Each car draws as ``rng.integers(n)`` draws among ``n < 2**32``
+    eligible stations: a raw 32-bit word ``u`` gives ``m = u n``, which is
+    rejected while ``m mod 2**32 < (2**32 - n) mod n``, and the slot is
+    ``m >> 32`` (Lemire's multiply-shift).  No word is drawn while one
+    station is eligible.  The words come in chunks of at most
+    :data:`_CHUNK`, and a chunk holds no more words than the cars still
+    certainly use: every car placed while two or more stations are
+    eligible uses one at least, and the last eligible station can take at
+    most ``K``, so ``min(left, free - K)`` cars use one, with ``left``
+    cars still to place and ``free`` spaces free.  Every word of a chunk
+    is thus used, and none is drawn that ``rng.integers`` would not draw."""
+    n, left = len(eligible), M
+    spare = n * K - M  # spaces still free once every car is placed
+    while left:
+        if n == 1:
+            y[eligible[0]] += left
+            return
+        size = max(1, min(left, spare + left - K, _CHUNK))
+        reject = (1 << 32) % n  # (2**32 - n) mod n
+        for word in rng.integers(0, 1 << 32, size=size, dtype=np.uint32).tolist():
+            m = word * n
+            if m & 0xFFFFFFFF < reject:
+                continue
+            slot = m >> 32
+            i = eligible[slot]
+            c = y[i] + 1
+            y[i] = c
+            left -= 1
+            if c == K:
+                eligible[slot] = eligible[-1]
+                eligible.pop()
+                n -= 1
+                reject = (1 << 32) % n
+
+
 def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState:
     if M > N * K:
         raise ValueError(f"cannot place M={M} cars on N={N} stations of capacity K={K}")
-    y = np.zeros(N, dtype=np.int64)
-    eligible = list(range(N))
-    for _ in range(M):
-        slot = int(rng.integers(len(eligible)))
-        i = eligible[slot]
-        y[i] += 1
-        if y[i] == K:
-            eligible[slot] = eligible[-1]
-            eligible.pop()
+    y = [0] * N
+    _place(y, list(range(N)), M, K, rng)
     zeros = np.zeros(N, dtype=np.int64)
-    return SimState(zeros.copy(), zeros.copy(), y, zeros.copy())
+    return SimState(zeros.copy(), zeros.copy(), np.array(y, dtype=np.int64), zeros)
 
 
 def _budgeted_counts(N: int, times: int = 0) -> None:
-    """The four int64 counts of ``N`` stations, held in the state and in a
+    """The bytes of ``N`` stations as a placement holds them and a chunk
+    of its raw words, and the four int64 counts of each station in a
     snapshot at each of ``times`` sample times, refused above
     :data:`~duores.core.MAX_KEPT_BYTES`."""
     at = f" and {times} sample_times" if times else ""
-    _budgeted_bytes(32 * N * (1 + times), f"N={N} stations{at} keep their counts")
+    _budgeted_bytes(_STATION_BYTES * N + _CHUNK_BYTES + 32 * N * times,
+                    f"N={N} stations{at} keep their counts")
 
 
 @_domain(N=_SIZE1, M=_SIZE0, K=_SIZE1, seed=_SEED)
 def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     """Place ``M`` available cars one at a time, uniformly among the
-    stations still below capacity.  No reservations are pending.  The
-    counts of ``N`` stations above the kept-state budget are refused
-    before any draw or allocation."""
+    stations still below capacity.  No reservations are pending.
+
+    Each car takes one raw 32-bit word of the generator's stream,
+    accepted as ``Generator.integers`` accepts it (a rare rejected word
+    takes one more), and none while one station is eligible, as one
+    ``rng.integers(n)`` call per car among the ``n`` eligible stations.
+    A placement holds 112 bytes a station and 48 kB of raw words; above
+    the kept-state budget it is refused before any draw or
+    allocation."""
     _budgeted_counts(N)
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
@@ -364,8 +426,8 @@ name before any draw.  A plain run fires about 1e6 events per CPU second."""
 def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple) -> None:
     """The run's rules across the model and its shape: a finite rate bound
     ``lam N + max(nu, mu) M``, and that bound times the last sample time at
-    most :data:`MAX_EVENTS`; the counts of ``N`` stations in the state and
-    each snapshot within :data:`~duores.core.MAX_KEPT_BYTES`."""
+    most :data:`MAX_EVENTS`; ``N`` stations as a placement holds them and
+    their counts in each snapshot within :data:`~duores.core.MAX_KEPT_BYTES`."""
     horizon = sample_times[-1] if sample_times else 0.0
     bound = p.lam * N + max(p.nu, p.mu) * M
     at = f"lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, M={M}"
@@ -395,8 +457,9 @@ def run(
     ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
     the total rate, ``lam N + max(nu, mu) M``, must be finite, and times
     the last sample time, where the run ends, at most :data:`MAX_EVENTS`;
-    the four int64 counts of every station, in the state and in each
-    snapshot, must fit :data:`~duores.core.MAX_KEPT_BYTES`.  Each is
+    the stations as a placement holds them (:func:`init_uniform`) and
+    the four int64 counts of every station in each snapshot must fit
+    :data:`~duores.core.MAX_KEPT_BYTES`.  Each is
     checked before any draw or allocation, audited or not: a
     ``ValueError`` names it.
 
@@ -468,7 +531,7 @@ def run(
         # rows of four draws in stream order: one block equals that many
         # successive rng.random(4) calls
         u = rng.random((block, 4))
-        u0, u1, _, u3 = u.T.tolist()
+        u0, u1, u3 = u.T[[0, 1, 3]].tolist()
         i, j = _stations(u[:, 2:], N).T.tolist()
         if not audit:
             t, t_next = advance(t, zip(u0, u1, i, j, u3), t_next)
@@ -486,9 +549,14 @@ def run(
 
 
 def _rank_counts(counts: np.ndarray, K: int, n: int) -> np.ndarray:
-    """Number of stations of a snapshot in each of the ``n`` state ranks."""
-    ranks = ranks_of(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3], K)
-    return np.bincount(ranks, minlength=n)
+    """Number of stations of a snapshot that :func:`run` took in each of
+    the ``n`` state ranks: the rank of ``(w, x, y, z)`` is the first rank
+    of its prefix ``(w, x, y)`` plus ``z``.  Its states are admissible by
+    construction and not checked again; :func:`empirical_measure` checks
+    any other snapshot."""
+    w, x, y, z = counts.T
+    return np.bincount(_first_ranks(K)[np.ravel_multi_index((w, x, y), (K + 1,) * 3)] + z,
+                       minlength=n)
 
 
 def _snapshot(name: str, counts) -> np.ndarray:
@@ -506,4 +574,5 @@ def _snapshot(name: str, counts) -> np.ndarray:
 @_domain(counts=_Rule(_snapshot, "an array of shape `(N, 4)`, `N >= 1`"), K=_SIZE0)
 def empirical_measure(counts: np.ndarray, K: int) -> Measure:
     """Empirical station-state distribution of a snapshot."""
-    return Measure(_rank_counts(counts, K, _budgeted_states(K)) / counts.shape[0], K)
+    n = _budgeted_states(K)
+    return Measure(np.bincount(ranks_of(*counts.T, K), minlength=n) / counts.shape[0], K)

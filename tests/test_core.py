@@ -363,3 +363,52 @@ def test_model_params_keep_their_sign_messages():
                           (1.0, 0.0, r"^nu must be > 0, got 0\.0$")):
         with pytest.raises(ValueError, match=named):
             ModelParams(lam=1.0, mu=mu, nu=nu, K=1)
+
+
+def _per_entry_times(name, times, least):
+    """The rule for a sequence of times as one check per entry: the
+    reference that the whole-array check must answer as."""
+    ts = tuple(float(core._NONNEG.check(f"{name}[{k}]", t))
+               for k, t in enumerate(core._listed(name, times, "times")))
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"{name} must be nondecreasing")
+    return core._least(name, ts, times, least, "time")
+
+
+def _ending(check, *args):
+    try:
+        out = check(*args)
+    except Exception as e:  # the refusal's type and text are compared
+        return type(e), str(e)
+    return type(out), repr(out)
+
+
+_ODD_TIMES = [0, 1, 2.5, -0.0, -1, -1e-300, math.nan, math.inf, -math.inf, True, False,
+              np.float64(1.5), np.float64(math.nan), np.float64(-2.0), np.float32(2.0),
+              np.int64(3), np.int64(-3), "1.0", "x", None, 1j, 10**400, -10**400, 2**60 + 1,
+              1e308, [1.0]]
+
+
+def test_times_are_accepted_and_refused_as_by_the_per_entry_rule():
+    rng = np.random.default_rng(3)
+    cases = [[], (), 5, None, "abc", np.array([]), np.linspace(0.0, 1.0, 7),
+             np.array([2.0, 1.0]), np.arange(4), {1.0: 0}]
+    cases += [[v] for v in _ODD_TIMES] + [(0, v) for v in _ODD_TIMES]
+    cases += [[v, 3.0] for v in _ODD_TIMES]
+    cases += [[_ODD_TIMES[k] for k in rng.integers(len(_ODD_TIMES), size=rng.integers(5))]
+              for _ in range(400)]
+    cases += [sorted(rng.uniform(0.0, 10.0, size=rng.integers(6)).tolist()) for _ in range(50)]
+    for least in (0, 1):
+        check = core._times(least).check
+        for times in cases:
+            assert _ending(check, "times", times) == _ending(_per_entry_times, "times", times,
+                                                             least), (least, times)
+
+
+def test_plain_times_are_checked_as_one_array(monkeypatch):
+    # the per-entry rule took about 0.6 us a time: 60 ms for 100 000 times
+    times = [0.001 * k for k in range(100_000)]
+    expected = core._times().check("times", times)
+    monkeypatch.setattr(core, "_NONNEG", core._Rule(lambda *a: pytest.fail("per entry"), ""))
+    assert core._times().check("times", times) == expected
+    assert core._times().check("times", np.array(times)) == expected

@@ -5,7 +5,8 @@ stationary law."""
 import hashlib
 import math
 import re
-from collections import Counter
+import tracemalloc
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -812,6 +813,54 @@ def test_deep_audit_names_a_list_entry_that_is_not_a_station(pickups, driving, n
 
 
 # ------------------------------------------------------------
+# Initial placement
+# ------------------------------------------------------------
+
+def _scalar_placement(N, M, K, rng):
+    """The placement as one ``rng.integers`` call per car among the
+    stations still below ``K``: the reference the chunked draws replay."""
+    y = np.zeros(N, dtype=np.int64)
+    eligible = list(range(N))
+    for _ in range(M):
+        slot = int(rng.integers(len(eligible)))
+        i = eligible[slot]
+        y[i] += 1
+        if y[i] == K:
+            eligible[slot] = eligible[-1]
+            eligible.pop()
+    return y
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7])
+@pytest.mark.parametrize("N", [1, 2, 5, 37, 400])
+def test_placement_equals_one_integers_call_per_car(N, K):
+    # every M from none to every space taken, the full case ending with
+    # one eligible station that takes its cars without a draw
+    for M in sorted({0, 1, N * K // 2, N * K - 1, N * K}):
+        for seed in (0, 1):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = _scalar_placement(N, M, K, ref)
+            st = _init_with_rng(N, M, K, rng)
+            assert np.array_equal(st.y, expected), (N, M, K, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, (N, M, K, seed)
+            assert st.y.dtype == np.int64 and st.car_total == M
+            assert not (st.w.any() or st.x.any() or st.z.any() or st.pickups or st.driving)
+
+
+@pytest.mark.parametrize("n", [3, 2**31 - 1, 2**31 + 12_345, 2**32 - 5])
+def test_bounded_draws_equal_integers_where_rejections_are_frequent(n):
+    # at n = 2**31 + 12345 about half of all words are rejected, so the
+    # rejections span chunk boundaries; no station fills at this K
+    ref, rng = np.random.default_rng(n), np.random.default_rng(n)
+    cars = 3 * simulate._CHUNK
+    expected = Counter(int(ref.integers(n)) for _ in range(cars))
+    y = defaultdict(int)
+    simulate._place(y, range(n), cars, 10**9, rng)
+    assert y == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ------------------------------------------------------------
 # Empirical measures
 # ------------------------------------------------------------
 
@@ -820,6 +869,18 @@ def test_empirical_measure_small_case():
     m = empirical_measure(counts, 1)
     assert m[(0, 0, 1, 0)] == 0.5
     assert m[(0, 0, 0, 0)] == 0.5
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6, 15])
+def test_tabulated_rank_counts_equal_the_checked_ranks(K):
+    rng = np.random.default_rng(K)
+    n = core.num_states(K)
+    states = np.stack(core.count_arrays(K), axis=1).astype(np.int64)
+    snapshots = [states, states[::-1].copy()] + [states[rng.integers(n, size=N)]
+                                                 for N in (1, 7, 500)]
+    for counts in snapshots:
+        expected = np.bincount(core.ranks_of(*counts.T, K), minlength=n)
+        assert np.array_equal(simulate._rank_counts(counts, K, n), expected)
 
 
 # ------------------------------------------------------------
@@ -914,7 +975,7 @@ def test_the_event_budget_counts_the_rate_bound_to_the_last_sample_time(monkeypa
 def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(monkeypatch):
     # 100 000 snapshots of 4000 stations expect 0.016 events, within
     # MAX_EVENTS, and kept 12.8 GB of counts; a placement of 10**8
-    # stations asked for 3.2 GB: each ended in an unnamed MemoryError
+    # stations asked for 11.2 GB: each ended in an unnamed MemoryError
     for name in ("_advance", "_init_with_rng"):
         monkeypatch.setattr(simulate, name, lambda *a, **k: pytest.fail("a draw came first"))
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a generator came first"))
@@ -922,23 +983,38 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
     cfg = SimConfig(N=4000, M=6000, T=1.0, sample_times=np.linspace(0.0, 1e-6, 100_000), seed=0)
     for audit in (False, True):
         with pytest.raises(ValueError, match=r"^N=4000 stations and 100000 sample_times keep "
-                           r"their counts, 12800128000 bytes, above the kept-state budget "
+                           r"their counts, 12800497152 bytes, above the kept-state budget "
                            r"MAX_KEPT_BYTES=1073741824$"):
             run(p, cfg, audit=audit)
-    with pytest.raises(ValueError, match=r"^N=100000000 stations keep their counts, 3200000000 "
+    with pytest.raises(ValueError, match=r"^N=100000000 stations keep their counts, 11200049152 "
                        r"bytes, above the kept-state budget MAX_KEPT_BYTES=1073741824$"):
         init_uniform(10**8, 0, 1, 0)
 
 
 def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
-    # 32 bytes a station: 10 stations and 2 snapshots keep 960 bytes
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 960)
+    # 112 bytes a placed station and 49 152 of raw words, and 32 a station
+    # in each snapshot: 10 stations and 2 snapshots keep 50 912 bytes
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 50_912)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     assert len(run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))) == 2
-    assert init_uniform(30, 15, 3, 0).N == 30
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 959)
+    assert init_uniform(15, 15, 3, 0).N == 15
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 50_911)
     with pytest.raises(ValueError, match=r"^N=10 stations and 2 sample_times keep their counts, "
-                       r"960 bytes, above the kept-state budget MAX_KEPT_BYTES=959$"):
+                       r"50912 bytes, above the kept-state budget MAX_KEPT_BYTES=50911$"):
         run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))
-    with pytest.raises(ValueError, match=r"^N=30 stations keep their counts, 960 bytes"):
-        init_uniform(30, 15, 3, 0)
+    with pytest.raises(ValueError, match=r"^N=16 stations keep their counts, 50944 bytes"):
+        init_uniform(16, 15, 3, 0)
+
+
+@pytest.mark.parametrize("N, M, K", [(10**6, 0, 1), (100, 30_000, 300)])
+def test_a_placement_holds_no_more_than_the_budget_counts(N, M, K):
+    # the list of eligible stations went uncounted: init_uniform(10**6, 0,
+    # 1, 0) peaked at 80.8 MB against 32 MB counted; above K = 256 every
+    # count is an int object of its own
+    tracemalloc.start()
+    try:
+        init_uniform(N, M, K, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate._STATION_BYTES * N + simulate._CHUNK_BYTES

@@ -22,17 +22,23 @@ subjects, each with its default ``FILE`` at the repository root:
   sample is ``DRIFT_EVALS`` calls of ``meanfield._drift_raw`` on the
   uniform measure, in one workspace and into one aligned vector, as the
   integrator calls it.
-* ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events per CPU
-  second.  ``run_N{N}`` and ``run_N{N}_audit`` are ``simulate.run`` on
-  the benchmark's ``network`` study, K = 3, lam = mu = 1, nu = 2, fill
-  s = 1.5 (M = 1.5 N cars), T = 5 with snapshots every 0.5, at N in
-  {250, 1000, 4000}, plain and audited.  The initial placement is drawn
-  once per N and passed as ``initial``, so only the events and the
-  snapshots are timed; the events a run fires are counted by a ``step``
-  replay on the same stream, outside the timed part.  ``step_cycle`` is
-  the loop of the tiny-network test: one station of capacity 2 holding
-  one car, lam = 2, nu = 4, mu = 1, so the chain cycles through three
-  states; one sample is ``STEP_EVENTS`` calls of ``step``.
+* ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events, cars
+  or snapshots per CPU second.  ``run_N{N}`` and ``run_N{N}_audit`` are
+  ``simulate.run`` on the benchmark's ``network`` study, K = 3,
+  lam = mu = 1, nu = 2, fill s = 1.5 (M = 1.5 N cars), T = 5 with
+  snapshots every 0.5, at N in {250, 1000, 4000}, plain and audited.
+  The initial placement is drawn once per N and passed as ``initial``,
+  so only the events and the snapshots are timed; the events a run
+  fires are counted by a ``step`` replay on the same stream, outside the
+  timed part.  ``place_N{N}`` is ``simulate.init_uniform`` of the same
+  M = 1.5 N cars at the same N, in cars per CPU second, and
+  ``rank_counts_N{N}`` is ``simulate._rank_counts`` of the 11 snapshots
+  of the plain run, in snapshots per CPU second: one sample ranks them
+  ``RANK_ROUNDS`` times.
+  ``step_cycle`` is the loop of the tiny-network test: one station of
+  capacity 2 holding one car, lam = 2, nu = 4, mu = 1, so the chain
+  cycles through three states; one sample is ``STEP_EVENTS`` calls of
+  ``step``.
 * ``state_space`` (``BENCH_state_space.json``, R = 7): CPU milliseconds
   and memory of the state space and the solver, with solves of
   ``solve_equilibrium`` at lam = mu = 1, nu = 2 and fill K/2.  The layers
@@ -204,10 +210,11 @@ RUN_N = (250, 1000, 4000)
 S, T = 1.5, 5.0
 SAMPLE_TIMES = tuple(0.5 * k for k in range(11))
 STEP_EVENTS = 20_000
+RANK_ROUNDS = 20
 
 
-def _rates(fn, events: int, repeats: int) -> dict:
-    return _summary([events / t for t in _cpu_s(fn, repeats)], "per_s", None, events=events)
+def _rates(fn, count: int, repeats: int, what: str = "events") -> dict:
+    return _summary([count / t for t in _cpu_s(fn, repeats)], "per_s", None, **{what: count})
 
 
 def _events_by_T(p, cfg, initial) -> int:
@@ -236,6 +243,18 @@ def simulate_events(repeats: int) -> dict:
             name = f"run_N{N}" + ("_audit" if audit else "")
             layers[name] = _rates(lambda: simulate.run(p, cfg, initial=initial, audit=audit),
                                   events, repeats)
+        layers[f"place_N{N}"] = _rates(lambda: simulate.init_uniform(N, M, p.K, seed=N), M,
+                                       repeats, "cars")
+        snapshots = [counts for _, counts in simulate.run(p, cfg, initial=initial)]
+        n = core.num_states(p.K)
+
+        def rank_counts():
+            for _ in range(RANK_ROUNDS):
+                for counts in snapshots:
+                    simulate._rank_counts(counts, p.K, n)
+
+        layers[f"rank_counts_N{N}"] = _rates(rank_counts, RANK_ROUNDS * len(snapshots), repeats,
+                                             "snapshots")
 
     cycle = core.ModelParams(lam=2.0, mu=1.0, nu=4.0, K=2)
     zero = np.zeros(1, dtype=np.int64)

@@ -289,12 +289,13 @@ MAX_KEPT_BYTES = 1 << 30
 """Largest block one call keeps at once, in bytes, refused by name before
 it is allocated and before any step or draw: the states an integration
 keeps (``meanfield``), each row padded to whole cache lines; the stations
-as a placement holds them, with a chunk of its raw draws, and the four
-int64 counts of every station in each snapshot of a run (``simulate``);
-the rank counts the chaos study keeps of every replica at every sample
-time.  The largest blocks in the tests, demos, README configs and
-benchmark are 28.6 MB of states (920 at K = 15), 1.9 MB of stations (the
-benchmark's N = 4000 with 11 snapshots) and 53.8 kB of chaos rank
+as a placement holds them, with a chunk of its raw draws, a run's cars on
+the move and the four int64 counts of every station in each snapshot of
+a run (``simulate``); the rank counts the chaos study keeps of every
+replica at every sample time.  The largest blocks in the demos, README
+configs and benchmark are 28.6 MB of states (920 at K = 15), 2.7 MB of
+stations and cars (the benchmark's N = 4000, M = 6000 with 11 snapshots)
+and 53.8 kB of chaos rank
 counts; the budget holds 34 592 states at K = 15 and 12 623 at K = 20."""
 
 

@@ -209,6 +209,12 @@ _CHUNK_BYTES = 48 * _CHUNK
 """Bytes a chunk of raw words takes: each word as a uint32 and as an int
 in a list (4 + 8 + 32 bytes), rounded up to cover the two headers."""
 
+_CAR_BYTES = 128
+"""Bytes a car on the move takes in a run, at most: a pending reservation
+is a tuple of its two stations (56 bytes), the two ints (32 bytes each
+above the small-int cache) and a slot in the list of pickups (8 bytes);
+a driving car takes a slot and an int."""
+
 
 def _place(y, eligible, M: int, K: int, rng: np.random.Generator) -> None:
     """Add ``M`` cars to the counts ``y``, which hold 0 at every station
@@ -260,14 +266,15 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
     return SimState(zeros.copy(), zeros.copy(), np.array(y, dtype=np.int64), zeros)
 
 
-def _budgeted_counts(N: int, times: int = 0) -> None:
+def _budgeted_counts(N: int, times: int = 0, M: int = 0) -> None:
     """The bytes of ``N`` stations as a placement holds them and a chunk
-    of its raw words, and the four int64 counts of each station in a
-    snapshot at each of ``times`` sample times, refused above
-    :data:`~duores.core.MAX_KEPT_BYTES`."""
+    of its raw words, ``M`` cars on the move, and the four int64 counts of
+    each station in a snapshot at each of ``times`` sample times, refused
+    above :data:`~duores.core.MAX_KEPT_BYTES`."""
+    cars = f", M={M} cars" if M else ""
     at = f" and {times} sample_times" if times else ""
-    _budgeted_bytes(_STATION_BYTES * N + _CHUNK_BYTES + 32 * N * times,
-                    f"N={N} stations{at} keep their counts")
+    _budgeted_bytes(_STATION_BYTES * N + _CHUNK_BYTES + _CAR_BYTES * M + 32 * N * times,
+                    f"N={N} stations{cars}{at} keep their counts")
 
 
 @_domain(N=_SIZE1, M=_SIZE0, K=_SIZE1, seed=_SEED)
@@ -426,8 +433,9 @@ name before any draw.  A plain run fires about 1e6 events per CPU second."""
 def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple) -> None:
     """The run's rules across the model and its shape: a finite rate bound
     ``lam N + max(nu, mu) M``, and that bound times the last sample time at
-    most :data:`MAX_EVENTS`; ``N`` stations as a placement holds them and
-    their counts in each snapshot within :data:`~duores.core.MAX_KEPT_BYTES`."""
+    most :data:`MAX_EVENTS`; ``N`` stations as a placement holds them,
+    ``M`` cars on the move and the stations' counts in each snapshot within
+    :data:`~duores.core.MAX_KEPT_BYTES`."""
     horizon = sample_times[-1] if sample_times else 0.0
     bound = p.lam * N + max(p.nu, p.mu) * M
     at = f"lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, M={M}"
@@ -437,7 +445,7 @@ def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple) -> None:
         raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} allows "
                          f"{bound * horizon:.3g} events by the last sample time {horizon!r}, "
                          f"above the event budget MAX_EVENTS={MAX_EVENTS}")
-    _budgeted_counts(N, len(sample_times))
+    _budgeted_counts(N, len(sample_times), M)
 
 
 def run(
@@ -457,8 +465,10 @@ def run(
     ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
     the total rate, ``lam N + max(nu, mu) M``, must be finite, and times
     the last sample time, where the run ends, at most :data:`MAX_EVENTS`;
-    the stations as a placement holds them (:func:`init_uniform`) and
-    the four int64 counts of every station in each snapshot must fit
+    the stations as a placement holds them (:func:`init_uniform`), every
+    car as a pending reservation (128 bytes: the pair of stations and its
+    slot in the list of pickups) and the four int64 counts of every
+    station in each snapshot must fit
     :data:`~duores.core.MAX_KEPT_BYTES`.  Each is
     checked before any draw or allocation, audited or not: a
     ``ValueError`` names it.

@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -351,16 +352,50 @@ def test_solve_phi_is_machine_precise():
             assert _exact_f_sign(x, y - d, a, K) < 0 < _exact_f_sign(x, y + d, a, K)
 
 
-def test_solve_phi_builds_the_partial_exponentials_once_per_call(monkeypatch):
+def _spy_curve_points(monkeypatch):
+    """Route ``_curve_point`` through a spy; the list records, per call,
+    its arguments and what it returned."""
+    point = equilibrium._curve_point
+    calls = []
+
+    def spy(*args):
+        calls.append((args, point(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(equilibrium, "_curve_point", spy)
+    return calls
+
+
+def test_each_curve_point_builds_the_partial_exponentials_once(monkeypatch):
+    # a solve builds them once per curve point it solves, warm or cold
     build = equilibrium._partial_exponentials
     calls = []
     monkeypatch.setattr(equilibrium, "_partial_exponentials",
                         lambda x, K: calls.append((x, K)) or build(x, K))
+    points = _spy_curve_points(monkeypatch)
     rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=10), 5.0)
-    assert len(calls) == rep.fill_evaluations
+    assert calls == [(args[0], 10) for args, _ in points]
+    assert rep.fill_evaluations < len(points) <= 2 * rep.fill_evaluations
     calls.clear()
     solve_phi(1.5, 2.0, 10)
     assert calls == [(1.5, 10)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 1000])
+def test_a_curve_point_from_any_start_is_the_cold_point(K):
+    # From below the root the kernel doubles up to it; from the root, or
+    # from far above it (1e300, lowered to the bound (x E / b)^(1/K) on the
+    # root), Newton closes in from above.  Each ends within a few ulps of
+    # the cold point and meets the acceptance relation of the array.
+    cells = [(2.0, 0.5)] if K == 1000 else itertools.product((0.5, 2.0, 9.0), (0.1, 0.5, 0.9))
+    for a, frac in cells:
+        x = frac * a
+        y = solve_phi(x, a, K)
+        for y0 in (0.5 * y, y, 1e300):
+            got = equilibrium._curve_point(x, a, K, y0)[0]
+            assert abs(got - y) <= 16 * math.ulp(y), (a, x, y0)
+            no_car = _simple_form(x, got, K)[:, 0].sum()
+            assert math.isclose(a * (1.0 - no_car), x, rel_tol=1e-12), (a, x, y0)
 
 
 def test_solve_phi_steps_over_an_underflowed_partial_exponential(monkeypatch):
@@ -593,15 +628,66 @@ def test_solve_report_stores_one_iteration_counter():
 
 
 @pytest.mark.parametrize("K", [3, 10, 40])
-def test_a_solve_solves_phi_once_per_fill_evaluation(monkeypatch, K):
-    # rho2 was solved again at t* after the bisection had solved it there
-    points = []
+def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeypatch, K):
+    # Each fill evaluation is one curve point started from phi at the
+    # bracket's upper end (the cold start y = 1 until one is evaluated);
+    # where its fill is within the band of s, the point is solved again
+    # from the cold start, and that point decides.  rho2 is the last cold y.
+    points = _spy_curve_points(monkeypatch)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    s = K / 2
+    rep = solve_equilibrium(p, s)
+    r = p.mu / p.nu
+    a = (p.lam / p.mu) * (1.0 + 2.0 * r)
+    c = equilibrium._car_weight(r)
+    near = equilibrium._FILL_TOL + equilibrium._warm_band(K)
+    calls = iter(points)
+    y_hi, evaluations, cold = 1.0, 0, []
+    for args, (y, sums) in calls:
+        t = args[0]
+        assert args == (t, a, K, y_hi)
+        evaluations += 1
+        fill = equilibrium._sums_mean(t, y, sums, c)
+        if abs(fill - s) < near:
+            args, (y, sums) = next(calls)
+            assert args == (t, a, K)
+            cold.append(y)
+            fill = equilibrium._sums_mean(t, y, sums, c)
+        if fill >= s:
+            y_hi = y
+    assert evaluations == rep.fill_evaluations
+    assert max(Counter(args[0] for args, _ in points).values()) <= 2
+    assert cold and rep.rho.rho2 == cold[-1]
+
+
+def _ending(p, s):
+    """A solve's ``to_dict()`` as JSON, or the type of its error and its
+    message without the fills it quotes."""
+    try:
+        return json.dumps(solve_equilibrium(p, s).to_dict(), sort_keys=True)
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, re.sub(r"fills \[.*?\]|, is \S+", "", str(e))
+
+
+_WARM_CELLS = [(K, f, nu) for K in (1, 3, 10, 40, 80) for f in (0.2, 0.61, 0.9)
+               for nu in (0.01, 1.0, 100.0)] + [
+    (10, 0.95, 0.01), (20, 0.93, 0.1),  # errors whose quoted fills differ warm and cold
+    (1000, 0.5, 1.0), (1000, 0.8, 1.0), (2000, 0.61, 0.01), (5000, 0.2, 0.01),
+    (5000, 0.5, 1.0), (10_000, 0.01, 2.0)]
+
+
+@pytest.mark.parametrize("K, s_over_K, nu_over_mu", _WARM_CELLS)
+def test_a_warm_solve_ends_as_the_cold_solve_byte_for_byte(monkeypatch, K, s_over_K,
+                                                          nu_over_mu):
+    # The reference drives the fill bisection by a curve that solves every
+    # point from the cold start y = 1.  A warm fill and a cold one differ by
+    # up to about 2e-17 K^2, so where the warm one decides nothing, only the
+    # fills an error quotes may differ, in their last digits.
+    p = ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K)
+    warm = _ending(p, s_over_K * K)
     point = equilibrium._curve_point
-    monkeypatch.setattr(equilibrium, "_curve_point",
-                        lambda *a: points.append(point(*a)) or points[-1])
-    rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), K / 2)
-    assert len(points) == rep.fill_evaluations
-    assert rep.rho.rho2 == points[-1][0]
+    monkeypatch.setattr(equilibrium, "_curve_point", lambda x, a, K, y0=1.0: point(x, a, K))
+    assert _ending(p, s_over_K * K) == warm
 
 
 def test_an_ordinary_solve_runs_no_full_pass(monkeypatch):

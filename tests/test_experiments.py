@@ -455,12 +455,13 @@ def test_a_replica_study_refuses_a_run_above_the_event_budget_before_any_run(mon
 
 @pytest.mark.parametrize("name", ["convergence", "chaos"])
 def test_a_replica_study_refuses_a_run_above_the_kept_budget_before_any_run(monkeypatch, name):
-    # each N is checked as run checks it: N = 8 with 2 snapshots keeps 50 560 bytes
+    # each N is checked as run checks it: N = 8 with 8 cars and 2 snapshots
+    # keeps 51 584 bytes
     for fn in ("run", "init_uniform", "integrate_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, **k: pytest.fail("a run came first"))
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 50_559)
-    with pytest.raises(ValueError, match=r"^N=8 stations and 2 sample_times keep their counts, "
-                       r"50560 bytes, above the kept-state budget MAX_KEPT_BYTES=50559$"):
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 51_583)
+    with pytest.raises(ValueError, match=r"^N=8 stations, M=8 cars and 2 sample_times keep their "
+                       r"counts, 51584 bytes, above the kept-state budget MAX_KEPT_BYTES=51583$"):
         _STUDIES[name][0].refuse(_P, [4, 8], 1, 1.0, (0.5, 1.0), 5, s=1.0)
 
 

@@ -982,9 +982,9 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     cfg = SimConfig(N=4000, M=6000, T=1.0, sample_times=np.linspace(0.0, 1e-6, 100_000), seed=0)
     for audit in (False, True):
-        with pytest.raises(ValueError, match=r"^N=4000 stations and 100000 sample_times keep "
-                           r"their counts, 12800497152 bytes, above the kept-state budget "
-                           r"MAX_KEPT_BYTES=1073741824$"):
+        with pytest.raises(ValueError, match=r"^N=4000 stations, M=6000 cars and 100000 "
+                           r"sample_times keep their counts, 12801265152 bytes, above the "
+                           r"kept-state budget MAX_KEPT_BYTES=1073741824$"):
             run(p, cfg, audit=audit)
     with pytest.raises(ValueError, match=r"^N=100000000 stations keep their counts, 11200049152 "
                        r"bytes, above the kept-state budget MAX_KEPT_BYTES=1073741824$"):
@@ -992,18 +992,37 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
 
 
 def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
-    # 112 bytes a placed station and 49 152 of raw words, and 32 a station
-    # in each snapshot: 10 stations and 2 snapshots keep 50 912 bytes
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 50_912)
+    # 112 bytes a placed station and 49 152 of raw words, 128 a car on the
+    # move and 32 a station in each snapshot: 10 stations, 15 cars and 2
+    # snapshots keep 52 832 bytes
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 52_832)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     assert len(run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))) == 2
-    assert init_uniform(15, 15, 3, 0).N == 15
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 50_911)
-    with pytest.raises(ValueError, match=r"^N=10 stations and 2 sample_times keep their counts, "
-                       r"50912 bytes, above the kept-state budget MAX_KEPT_BYTES=50911$"):
+    assert init_uniform(32, 15, 3, 0).N == 32
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 52_831)
+    with pytest.raises(ValueError, match=r"^N=10 stations, M=15 cars and 2 sample_times keep "
+                       r"their counts, 52832 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=52831$"):
         run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))
-    with pytest.raises(ValueError, match=r"^N=16 stations keep their counts, 50944 bytes"):
-        init_uniform(16, 15, 3, 0)
+    with pytest.raises(ValueError, match=r"^N=33 stations keep their counts, 52848 bytes"):
+        init_uniform(33, 15, 3, 0)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_a_run_holds_no_more_than_the_budget_counts(audit):
+    # the pending pickups went uncounted: this run peaked at 4.33 MB
+    # against 2.93 MB counted, most of its 30 000 cars waiting as reserved
+    p = ModelParams(lam=1.0, mu=1.0, nu=0.1, K=3)
+    cfg = SimConfig(N=20_000, M=30_000, T=3.0, sample_times=(3.0,), seed=0)
+    counted = simulate._STATION_BYTES * cfg.N + simulate._CHUNK_BYTES + 32 * cfg.N
+    tracemalloc.start()
+    try:
+        counts = run(p, cfg, audit=audit)[-1][1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[:, 3].sum() > cfg.M / 2  # cars reserved, each a pending pickup
+    assert counted < peak <= counted + simulate._CAR_BYTES * cfg.M
 
 
 @pytest.mark.parametrize("N, M, K", [(10**6, 0, 1), (100, 30_000, 300)])

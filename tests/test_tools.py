@@ -46,6 +46,17 @@ def test_solver_outcomes_takes_its_outcome_names_from_verify(layers, monkeypatch
     assert all(cell == {"first": 52, "second": 0} for cell in record["cells"].values())
 
 
+def test_solver_outcomes_times_each_capacity_row(layers, monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "solve_grid", lambda cells: (0.0, {"solved": len(cells)}))
+    out = tmp_path / "outcomes.json"
+    assert layers.main(["solver_outcomes", "--label", "fake", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["fake"]
+    by_K = record["cpu_s_by_K"]
+    assert list(by_K) == [str(K) for K in layers.K_VALUES]
+    assert all(t >= 0.0 for t in by_K.values())
+    assert record["cpu_s"] == pytest.approx(sum(by_K.values()), abs=0.01)
+
+
 def test_solver_outcomes_takes_no_repeats(layers):
     with pytest.raises(SystemExit):
         layers.main(["solver_outcomes", "--label", "x", "--repeats", "3"])

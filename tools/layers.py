@@ -54,7 +54,8 @@ subjects, each with its default ``FILE`` at the repository root:
   at 50 evenly spaced points from 0.01 to 0.99, then 0.995 and 0.999:
   3328 solves, each counted under one of ``verify.OUTCOMES`` with the
   residual bound 1e-10.  The counts per ``(K, nu/mu)`` cell and in total
-  are deterministic; the CPU time of the whole grid is recorded too.
+  are deterministic; the CPU time of each K's row of cells
+  (``cpu_s_by_K``) and of the whole grid is recorded too.
 * ``contract`` (``BENCH_contract.json``, no repeats): a seeded sweep of
   every declared argument of every entry of ``BASE`` (README, "Input
   domains"), and each row of ``CONTRACT``, an input no declaration
@@ -328,19 +329,21 @@ FILLS = tuple(np.linspace(0.01, 0.99, 50).tolist()) + (0.995, 0.999)
 
 
 def solver_outcomes(repeats: int) -> dict:
-    cells, totals = {}, dict.fromkeys(verify.OUTCOMES, 0)
-    t0 = time.process_time()
+    cells, totals, cpu_by_K = {}, dict.fromkeys(verify.OUTCOMES, 0), {}
     for K in K_VALUES:
+        t0 = time.process_time()
         for nu in NU_OVER_MU:
             p = core.ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
             _, counts = verify.solve_grid([(p, f) for f in FILLS])
             cells[f"K={K} nu/mu={nu!r}"] = counts
             for name, n in counts.items():
                 totals[name] += n
+        cpu_by_K[K] = time.process_time() - t0
     return {
         "grid": {"K": list(K_VALUES), "nu_over_mu": list(NU_OVER_MU),
                  "s_over_K": list(FILLS), "residual_tol": verify._RESIDUAL_TOL},
-        "cpu_s": round(time.process_time() - t0, 3),
+        "cpu_s": round(sum(cpu_by_K.values()), 3),
+        "cpu_s_by_K": {K: round(t, 3) for K, t in cpu_by_K.items()},
         "totals": totals,
         "cells": cells,
     }
@@ -679,7 +682,8 @@ def main(argv=None) -> int:
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
     _show(args.label, record.get("layers")
-          or {k: record[k] for k in ("cpu_s", "totals", "unexpected") if k in record})
+          or {k: record[k] for k in ("cpu_s", "cpu_s_by_K", "totals", "unexpected")
+              if k in record})
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 import inspect
 from functools import lru_cache, wraps
@@ -276,56 +277,58 @@ num_states.__domain__ = dict(K=_SIZE0)
 
 
 MAX_STATES = 2_000_000
-"""Largest state count for which a per-state table is built: the count
-arrays and everything derived from them, the measures allocated here and
-in ``simulate``, the mean-field drift, the CSV writers and the measure
-file of the CLI's ``equilibrium`` command.  It admits capacities up to
-``K = 80`` (1 929 501 states).  Above it a ``ValueError`` is raised
-before anything of that size is allocated.  The fixed-point solver
-builds no per-state table and is not bound by it."""
+"""Largest station-state count of a per-state table, so ``K <= 80``
+(1 929 501 states), and entry count ``n^2`` of a table over state pairs,
+so ``K <= 11``.  The fixed-point solver builds no per-state table."""
 
 
 MAX_KEPT_BYTES = 1 << 30
-"""Largest block one call keeps at once, in bytes, refused by name before
-it is allocated and before any step or draw: the states an integration
-keeps (``meanfield``), each row padded to whole cache lines; the stations
-as a placement holds them, with a chunk of its raw draws, a run's cars on
-the move and the four int64 counts of every station in each snapshot of
-a run (``simulate``); the rank counts the chaos study keeps of every
-replica at every sample time.  The largest blocks in the demos, README
-configs and benchmark are 28.6 MB of states (920 at K = 15), 2.7 MB of
-stations and cars (the benchmark's N = 4000, M = 6000 with 11 snapshots)
-and 53.8 kB of chaos rank
-counts; the budget holds 34 592 states at K = 15 and 12 623 at K = 20."""
+"""Largest block one call keeps, in bytes: an integration's kept states,
+a placement, a run, or the chaos study's rank counts.  The largest in the
+demos, README configs and benchmark are 28.6 MB of states (920 at
+K = 15), 3.1 MB for a run (the benchmark's N = 4000, M = 6000 with 11
+snapshots) and 53.8 kB of chaos rank counts."""
 
 
-def _budgeted_bytes(size: int, what: str) -> None:
-    """``what``, a block of ``size`` bytes, refused above :data:`MAX_KEPT_BYTES`."""
-    if size > MAX_KEPT_BYTES:
-        raise ValueError(f"{what}, {size} bytes, above the kept-state budget "
-                         f"MAX_KEPT_BYTES={MAX_KEPT_BYTES}")
+_BUDGETS = {  # each budget: the module that keeps its bound, the words of a refusal
+    "MAX_STATES": ("core", ", above the state budget"),
+    "MAX_KEPT_BYTES": ("core", ", {} bytes, above the kept-state budget"),
+    "MAX_STEPS": ("meanfield", ", above the step budget"),
+    "MAX_EVENTS": ("simulate", ", above the event budget"),
+    "MAX_SOLVE_K": ("equilibrium", " is above the solver's capacity ceiling"),
+}
+
+
+def _gate(*uses: tuple[str, float, Callable[[], str]]) -> dict[str, float]:
+    """The one budget gate: each use ``(name, planned, what)`` in turn, its
+    bound read from its module now, refused by the first ``planned`` not
+    at most its bound with ``ValueError("<what()>, above the <budget>
+    NAME=bound")`` (kept bytes: ``"<what()>, <planned> bytes, above ..."``);
+    ``what`` is called only then.  Returns the plan."""
+    for name, planned, what in uses:
+        module, words = _BUDGETS[name]
+        bound = getattr(sys.modules[f"{__package__}.{module}"], name)
+        if not planned <= bound:
+            raise ValueError(f"{what()}{words.format(planned)} {name}={bound}")
+    return {name: planned for name, planned, _ in uses}
+
+
+def _states(K: int) -> tuple:
+    """The planned use of a per-state table at capacity ``K``: its states."""
+    n = num_states(K)
+    return "MAX_STATES", n, lambda: f"capacity K={K} has {n} station states"
 
 
 def _budgeted_states(K: int) -> int:
     """:func:`num_states`, refused above :data:`MAX_STATES`."""
-    n = num_states(K)
-    if n > MAX_STATES:
-        raise ValueError(
-            f"capacity K={K} has {n} station states, above the state budget "
-            f"MAX_STATES={MAX_STATES}"
-        )
-    return n
+    return _gate(_states(K))["MAX_STATES"]
 
 
 def _budgeted_pairs(K: int, what: str) -> int:
     """:func:`num_states` ``n``, refused when ``what``, a table over state
     pairs, would hold ``n^2`` entries above :data:`MAX_STATES`."""
     n = num_states(K)
-    if n * n > MAX_STATES:
-        raise ValueError(
-            f"{what} at capacity K={K} need n^2={n * n} entries, above "
-            f"the state budget MAX_STATES={MAX_STATES}"
-        )
+    _gate(("MAX_STATES", n * n, lambda: f"{what} at capacity K={K} need n^2={n * n} entries"))
     return n
 
 

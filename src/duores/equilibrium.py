@@ -84,7 +84,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (_CACHED_CAPACITIES, _NONNEG, _POSITIVE, _SIZE0, Measure, ModelParams, _domain,
-                   count_arrays)
+                   _gate, count_arrays)
 
 __all__ = [
     "RateRatios",
@@ -540,9 +540,7 @@ and nu/mu from 0.01 to 100, on a 2-core x86-64 VM under Python 3.11)."""
 def _check_solvable(p: ModelParams, s: float) -> None:
     """The fixed point's domain across arguments: ``K`` at most
     :data:`MAX_SOLVE_K`, ``lam > 0`` and a fill ``s`` in ``(0, K)``."""
-    if p.K > MAX_SOLVE_K:
-        raise ValueError(f"K={p.K} is above the solver's capacity ceiling "
-                         f"MAX_SOLVE_K={MAX_SOLVE_K}")
+    _gate(("MAX_SOLVE_K", p.K, lambda: f"K={p.K}"))
     _POSITIVE.check("lam", p.lam)
     if not (isinstance(s, numbers.Real) and 0.0 < s < p.K):
         raise ValueError(f"s must lie in (0, K) = (0, {p.K}), got {s!r}")

@@ -10,9 +10,7 @@ constants.  The checks that take no arguments, the monotonicity scan
 among them, live in :mod:`duores.verify`.  The studies integrate at one
 step, ``meanfield._default_dt``, kept as ``config["dt_max"]`` or
 ``config["dt"]``.  Each study checks every argument before any run, its
-flow against the step and kept-state budgets of ``meanfield`` and each
-replica study's runs against the event budget ``simulate.MAX_EVENTS``
-and the kept-state budget ``core.MAX_KEPT_BYTES`` included, and has
+plans against the budgets through ``core._gate`` included, and has
 ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those checks
 alone; ``duores verify`` calls it on every study's config before any
 item runs.
@@ -37,11 +35,11 @@ from .core import (
     _SIZE1,
     Measure,
     ModelParams,
-    _budgeted_bytes,
     _budgeted_pairs,
     _count,
     _domain,
     _each,
+    _gate,
     _real,
     _staged,
     _times,
@@ -112,11 +110,9 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     (``lam > 0``, a last sample time above 0 and, for every ``N``, some
     but not all of the ``N K`` spaces holding a car), else the verdict
     would judge the placement alone, or distances of 0; a nonzero step;
-    the flow's plan within the step and kept-state budgets, as
-    :func:`integrate_at` counts them; pair tables within the state budget,
-    and every replica's rank counts at every sample time within the
-    kept-state budget (``with_pairs``); and every run within the event and
-    kept-state budgets, as :func:`run` counts them.
+    and through the budget gate the plans of the flow, as
+    :func:`integrate_at` makes it, of the pair tables and every replica's
+    rank counts (``with_pairs``), and of every run, as :func:`run` makes it.
 
     ``series(avg, pairs, flow)`` maps one ``N``'s replica-averaged
     measures, pair averages (:func:`_averaged_pairs`, or ``None``) and
@@ -148,11 +144,11 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     _times_plan(p, sample_times, dt, ("sample_times", "dt_max"))
     if with_pairs:
         n = _budgeted_pairs(p.K, "pair statistics")
-        _budgeted_bytes(8 * replicas * len(sample_times) * n,
-                        f"replicas={replicas} and {len(sample_times)} sample_times keep rank "
-                        f"counts over {n} states at K={p.K}")
+        _gate(("MAX_KEPT_BYTES", 8 * replicas * len(sample_times) * n, lambda: (
+            f"replicas={replicas} and {len(sample_times)} sample_times keep rank counts over "
+            f"{n} states at K={p.K}")))
     for N in N_list:
-        _check_run(p, N, round(N * s), sample_times)
+        _check_run(p, N, round(N * s), sample_times, audit)
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
@@ -294,9 +290,8 @@ def chaos_experiment(
     Same replica layout and refusals as :func:`convergence_experiment`,
     two sizes at least included.  Passing requires the final-time pair
     distance to decrease strictly in ``N`` and every pair measure's
-    marginals to match the one-station empirical within 1e-12.  A pair
-    table above the state budget, or rank counts of every replica at every
-    sample time above the kept-state budget, is refused before any run.
+    marginals to match the one-station empirical within 1e-12.  Its pair
+    tables and rank counts are budgeted before any run too.
     """
     def pair_tv(avg, pairs, flow):
         tv2, marg = [], 0.0

@@ -67,10 +67,9 @@ is clamped into a new vector first, which keeps the clamp's bits, -0.0
 to 0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
-``dt * (lam + nu K + mu K) <= 0.5``, the step count at most
-:data:`MAX_STEPS` and a kept block at most :data:`MAX_KEPT_BYTES`.  One
-loop checks every state but builds a :class:`Measure` only of those its
-caller keeps.
+``dt * (lam + nu K + mu K) <= 0.5``, and the plan's steps and kept block
+pass the budget gate, ``core._gate``.  One loop checks every state but
+builds a :class:`Measure` only of those its caller keeps.
 """
 
 from __future__ import annotations
@@ -83,16 +82,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    MAX_KEPT_BYTES,
     _CACHED_CAPACITIES,
     _NONNEG,
     _POSITIVE,
     Measure,
     ModelParams,
-    _budgeted_bytes,
-    _budgeted_states,
     _domain,
+    _gate,
     _per_rank,
+    _states,
     _times,
     count_arrays,
     num_states,
@@ -243,36 +241,32 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 
 
 MAX_STEPS = 1_000_000
-"""Largest step count of one integration: a plan whose step count (``T /
-dt``, and for :func:`integrate_at` the steps its segments take) is above
-it, or not finite, is refused by name before any step.  A step at K = 3
-takes about 26 us of CPU."""
+"""Largest step count of one integration plan, ``T / dt`` or the steps of
+:func:`integrate_at`'s segments.  A step at K = 3 takes about 26 us of CPU."""
 
 def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str],
-                steps: float) -> None:
-    """The step rules of a plan of ``steps`` steps of at most ``dt`` over
-    ``span``, across arguments: the guard ``dt (lam + nu K + mu K) <= 0.5``
-    and the budget ``steps <= MAX_STEPS``.  ``names`` are those of ``span``
-    and ``dt``."""
+                steps: float) -> tuple:
+    """The guard ``dt (lam + nu K + mu K) <= 0.5`` of a plan of ``steps``
+    steps of at most ``dt`` over ``span``, checked here, then its use of
+    :data:`MAX_STEPS` for the gate; ``names`` are those of ``span`` and ``dt``."""
     guard = dt * p.rate_bound
     if guard > 0.5:
         raise ValueError(
             f"{names[1]} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
             f"bound 0.5; shrink {names[1]}"
         )
-    if not steps <= MAX_STEPS:
-        raise ValueError(f"{names[0]} / {names[1]} = {span!r} / {dt!r} asks for {steps:.3g} "
-                         f"steps, above the step budget MAX_STEPS={MAX_STEPS}")
+    return "MAX_STEPS", steps, lambda: (f"{names[0]} / {names[1]} = {span!r} / {dt!r} asks "
+                                        f"for {steps:.3g} steps")
 
 
 def _budgeted_block(p: ModelParams, rows: int, span: float, dt: float,
-                    names: tuple[str, str]) -> None:
-    """The kept block of ``rows`` states at capacity ``p.K`` (a capacity
-    above the state budget refused first), refused above
-    :data:`MAX_KEPT_BYTES`.  ``names`` are those of ``span`` and ``dt``."""
-    n = _budgeted_states(p.K)
-    _budgeted_bytes(rows * 8 * (n - n % -(_ALIGN // 8)), f"{names[0]} / {names[1]} = "
-                    f"{span!r} / {dt!r} keeps {rows} states of {n} masses")
+                    names: tuple[str, str]) -> tuple:
+    """The planned uses of a kept block of ``rows`` states at capacity
+    ``p.K``: its states, then its bytes, each row padded to whole cache
+    lines.  ``names`` are those of ``span`` and ``dt``."""
+    n = num_states(p.K)
+    return _states(p.K), ("MAX_KEPT_BYTES", rows * 8 * (n - n % -(_ALIGN // 8)), lambda: (
+        f"{names[0]} / {names[1]} = {span!r} / {dt!r} keeps {rows} states of {n} masses"))
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -340,7 +334,7 @@ def _grid_plan(p: ModelParams, T: float, dt: float) -> tuple[Iterator, int]:
     ``(k + 1) dt``, then a shortened one onto ``T`` if it is off that grid.
     Its declaration is :func:`integrate`'s, checked here for every caller,
     and so are the step rules."""
-    _check_step(p, T, dt, ("T", "dt"), T / dt)
+    _gate(_check_step(p, T, dt, ("T", "dt"), T / dt))
     n_full = int(np.floor(T / dt + 1e-9))
     t = n_full * dt
     tail = [(T, 1, T - t)] if T - t > 1e-9 * max(1.0, T) else []
@@ -396,10 +390,10 @@ def integrate(
     state: a mass in ``[-1e-12, 0)`` reads 0.  The returned measures after
     ``m0`` hold rows of one read-only block (all but a clamped state, which
     has its own vector), so keeping one of them keeps the whole block; a
-    block above :data:`MAX_KEPT_BYTES` is refused before any step.
+    block above :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step.
     """
     plan, n = _grid_plan(p, T, dt)
-    _budgeted_block(p, n, T, dt, ("T", "dt"))
+    _gate(*_budgeted_block(p, n, T, dt, ("T", "dt")))
     return [(0.0, m0), *_stream(m0, p, plan, n, keep=True)]
 
 
@@ -416,8 +410,8 @@ def _times_plan(p: ModelParams, times: tuple, dt_max: float,
     with np.errstate(over="ignore"):  # a subnormal step asks for inf steps, refused next
         steps = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / dt_max - 1e-12)), 0.0)
     span = times[-1] if times else 0.0
-    _check_step(p, span, dt_max, names, float(steps.sum()))
-    _budgeted_block(p, len(times), span, dt_max, names)
+    _gate(_check_step(p, span, dt_max, names, float(steps.sum())),
+          *_budgeted_block(p, len(times), span, dt_max, names))
     return list(zip(times, steps.astype(np.int64).tolist(),
                     (spans / np.maximum(steps, 1.0)).tolist()))
 
@@ -434,7 +428,7 @@ def integrate_at(
     requested instants.  Every time must be finite and ``>= 0``.  As in
     :func:`integrate`, the measures hold rows of one read-only block, and
     a plan of more than :data:`MAX_STEPS` steps or a block above
-    :data:`MAX_KEPT_BYTES` is refused before any step.
+    :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step.
     """
     plan = _times_plan(p, times, dt_max)
     return [m for _, m in _stream(m0, p, plan, len(plan), keep=True)]

@@ -58,9 +58,8 @@ block's start and replays the block one event at a time with the check
 after each, so the error names the first event that breaks an
 invariant and its time.  A violation undone within one block, between
 two checks, is not seen.  A given ``initial`` gets the deep check
-before any draw, audited or not, and so does the work a run asks for:
-at most :data:`MAX_EVENTS` expected events, and counts within the
-kept-state budget of ``core``.
+before any draw, audited or not, and so does the run's plan, through
+the budget gate ``core._gate``.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ from math import inf, isfinite, log1p
 
 import numpy as np
 
-from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_bytes,
-                   _budgeted_states, _domain, _first_ranks, _Rule, _times, _within, ranks_of)
+from .core import (_NONNEG, _SEED, _SIZE0, _SIZE1, Measure, ModelParams, _budgeted_states,
+                   _domain, _first_ranks, _gate, _Rule, _times, _within, ranks_of)
 
 __all__ = [
     "SimConfig",
@@ -209,11 +208,23 @@ _CHUNK_BYTES = 48 * _CHUNK
 """Bytes a chunk of raw words takes: each word as a uint32 and as an int
 in a list (4 + 8 + 32 bytes), rounded up to cover the two headers."""
 
-_CAR_BYTES = 128
-"""Bytes a car on the move takes in a run, at most: a pending reservation
-is a tuple of its two stations (56 bytes), the two ints (32 bytes each
-above the small-int cache) and a slot in the list of pickups (8 bytes);
-a driving car takes a slot and an int."""
+_CAR_BYTES, _BLOCK_BYTES, _SNAPSHOT_BYTES = 128, 2 * 208 * _MAX_BLOCK, 224
+"""Bytes a run keeps beyond its placement, at most.  A car on the move: a
+pending reservation is a tuple of its two stations (56), the two ints (32
+each above the small-int cache) and a slot in the list of pickups (8); a
+driving car takes a slot and an int.  The block of draws: per event its
+four float64 draws (32), three as floats in lists (3 x 32) and its two
+stations as ints in lists (2 x 40), twice, as a block is drawn while the
+last is still held.  A snapshot besides its counts: the tuple of its time
+and array (56), the time (24), the array's object with its shape and
+strides (128) and a slot in the list of snapshots (16, as it grows)."""
+
+_AUDIT_BYTES, _AUDIT_CAR_BYTES = 64, 56
+"""Bytes an audited run takes beyond a plain one, at most.  A station: the
+block-start copies of the four count lists (32) and the new int64 counts
+a whole-state check builds while the old ones are held (32).  A car: a
+slot in the copy of its list (8) and its entry in the array a deep check
+builds of the list (up to 48)."""
 
 
 def _place(y, eligible, M: int, K: int, rng: np.random.Generator) -> None:
@@ -266,15 +277,13 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
     return SimState(zeros.copy(), zeros.copy(), np.array(y, dtype=np.int64), zeros)
 
 
-def _budgeted_counts(N: int, times: int = 0, M: int = 0) -> None:
-    """The bytes of ``N`` stations as a placement holds them and a chunk
-    of its raw words, ``M`` cars on the move, and the four int64 counts of
-    each station in a snapshot at each of ``times`` sample times, refused
-    above :data:`~duores.core.MAX_KEPT_BYTES`."""
-    cars = f", M={M} cars" if M else ""
-    at = f" and {times} sample_times" if times else ""
-    _budgeted_bytes(_STATION_BYTES * N + _CHUNK_BYTES + _CAR_BYTES * M + 32 * N * times,
-                    f"N={N} stations{cars}{at} keep their counts")
+def _budgeted_counts(N: int, times: int = 0, M: int = 0, run: int = 0) -> tuple:
+    """The kept bytes of ``N`` stations as a placement holds them and a
+    chunk of its raw words, and ``run`` bytes more of a run of ``M`` cars
+    and ``times`` snapshots."""
+    return "MAX_KEPT_BYTES", _STATION_BYTES * N + _CHUNK_BYTES + run, lambda: (
+        f"N={N} stations{f', M={M} cars' if M else ''}"
+        f"{f' and {times} sample_times' if times else ''} keep their counts")
 
 
 @_domain(N=_SIZE1, M=_SIZE0, K=_SIZE1, seed=_SEED)
@@ -289,7 +298,7 @@ def init_uniform(N: int, M: int, K: int, seed: int) -> SimState:
     A placement holds 112 bytes a station and 48 kB of raw words; above
     the kept-state budget it is refused before any draw or
     allocation."""
-    _budgeted_counts(N)
+    _gate(_budgeted_counts(N))
     return _init_with_rng(N, M, K, np.random.default_rng(seed))
 
 
@@ -424,28 +433,29 @@ def _count_array(counts: list, N: int) -> np.ndarray:
 
 
 MAX_EVENTS = 100_000_000
-"""Largest event count a run may ask for: the rate bound
-``lam N + max(nu, mu) M`` times the last sample time, where the run ends,
-bounds its expected event count, and :func:`run` refuses a larger one by
-name before any draw.  A plain run fires about 1e6 events per CPU second."""
+"""Largest event count a run may ask for: the rate bound ``lam N + max(nu,
+mu) M`` times the last sample time, where the run ends.  A plain run
+fires about 1e6 events per CPU second."""
 
 
-def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple) -> None:
-    """The run's rules across the model and its shape: a finite rate bound
-    ``lam N + max(nu, mu) M``, and that bound times the last sample time at
-    most :data:`MAX_EVENTS`; ``N`` stations as a placement holds them,
-    ``M`` cars on the move and the stations' counts in each snapshot within
-    :data:`~duores.core.MAX_KEPT_BYTES`."""
-    horizon = sample_times[-1] if sample_times else 0.0
+def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple,
+               audit: bool = False) -> dict:
+    """The run's plan, through the gate once its rate bound ``lam N +
+    max(nu, mu) M`` is finite: the events that bound allows by the last
+    sample time, where the run ends, and the bytes the run keeps."""
+    horizon, times = (sample_times[-1] if sample_times else 0.0), len(sample_times)
     bound = p.lam * N + max(p.nu, p.mu) * M
-    at = f"lam={p.lam!r}, nu={p.nu!r}, mu={p.mu!r}, N={N}, M={M}"
+
+    def at() -> str:
+        return (f"the rate bound lam N + max(nu, mu) M at lam={p.lam!r}, nu={p.nu!r}, "
+                f"mu={p.mu!r}, N={N}, M={M}")
+
     if not isfinite(bound):
-        raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} is not finite")
-    if bound * horizon > MAX_EVENTS:
-        raise ValueError(f"the rate bound lam N + max(nu, mu) M at {at} allows "
-                         f"{bound * horizon:.3g} events by the last sample time {horizon!r}, "
-                         f"above the event budget MAX_EVENTS={MAX_EVENTS}")
-    _budgeted_counts(N, len(sample_times), M)
+        raise ValueError(f"{at()} is not finite")
+    run = (_BLOCK_BYTES + _CAR_BYTES * M + (32 * N + _SNAPSHOT_BYTES) * times
+           + (_AUDIT_BYTES * N + _AUDIT_CAR_BYTES * M if audit else 0))
+    return _gate(("MAX_EVENTS", bound * horizon, lambda: f"{at()} allows {bound * horizon:.3g} "
+                  f"events by the last sample time {horizon!r}"), _budgeted_counts(N, times, M, run))
 
 
 def run(
@@ -465,13 +475,9 @@ def run(
     ``check_invariants(deep=True)`` for ``K`` and ``M``, and the bound on
     the total rate, ``lam N + max(nu, mu) M``, must be finite, and times
     the last sample time, where the run ends, at most :data:`MAX_EVENTS`;
-    the stations as a placement holds them (:func:`init_uniform`), every
-    car as a pending reservation (128 bytes: the pair of stations and its
-    slot in the list of pickups) and the four int64 counts of every
-    station in each snapshot must fit
-    :data:`~duores.core.MAX_KEPT_BYTES`.  Each is
-    checked before any draw or allocation, audited or not: a
-    ``ValueError`` names it.
+    what the run keeps (:func:`_check_run`) must fit
+    :data:`~duores.core.MAX_KEPT_BYTES`.  Each is checked before any draw
+    or allocation: a ``ValueError`` names it.
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
@@ -486,7 +492,7 @@ def run(
     next check is not seen.  Audited and plain runs give byte-identical
     snapshots.
     """
-    _check_run(p, config.N, config.M, config.sample_times)
+    _check_run(p, config.N, config.M, config.sample_times, audit)
     rng = np.random.default_rng(config.seed)
     if initial is None:
         state = _init_with_rng(config.N, config.M, p.K, rng)

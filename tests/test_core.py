@@ -1,13 +1,15 @@
 """State enumeration, ranking, and measure functionals."""
 
+import ast
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duores import core, equilibrium, experiments, meanfield
+from duores import core, equilibrium, experiments, meanfield, simulate
 from duores.core import (
     Measure,
     ModelParams,
@@ -174,6 +176,56 @@ def test_state_tables_refuse_capacities_above_the_budget(K):
                   lambda K: Measure.point((0, 0, 0, 0), K)):
         with pytest.raises(ValueError, match=msg):
             build(K)
+
+
+def test_only_the_gate_compares_a_use_with_a_budget():
+    # ten helpers in four modules compared their uses with the MAX_* bounds
+    # and worded the refusals themselves; every bound is now one of the
+    # gate's budgets, read from the module that keeps it
+    src = Path(core.__file__).parent
+    bounds, strays = {}, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bounds.update({t.id: path.stem for node in tree.body if isinstance(node, ast.Assign)
+                       for t in node.targets if re.match("MAX_", getattr(t, "id", ""))})
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def owner(node):
+            while not isinstance(node, (ast.FunctionDef, ast.Assign, ast.Module)):
+                node = parents[node]
+            return getattr(node, "name", None) or ast.unparse(node).split(" =")[0]
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    re.match("MAX_", getattr(n, "id", getattr(n, "attr", "")))
+                    for n in ast.walk(node)):
+                strays.append((path.stem, owner(node), ast.unparse(node)))
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and not isinstance(parents[node], ast.Expr)  # a docstring
+                    and re.search(r"above the .*(budget|ceiling)", node.value)
+                    and (path.stem, owner(node)) != ("core", "_BUDGETS")):
+                strays.append((path.stem, owner(node), node.value))
+    assert strays == []
+    assert bounds == {name: module for name, (module, _) in core._BUDGETS.items()}
+
+
+def test_the_quoted_largest_uses_are_the_plans():
+    # README and the kept-state budget's docstring quote the benchmark's
+    # largest run and kept block; the plans that the gate checks give them
+    readme = " ".join((Path(core.__file__).parents[2] / "README.md").read_text().split())
+    after = Path(core.__file__).read_text().split("MAX_KEPT_BYTES = 1 << 30", 1)[1]
+    doc = " ".join(after.split('"""')[1].split())
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)  # the benchmark's network
+    run_plan = simulate._check_run(p, 4000, 6000, tuple(0.5 * k for k in range(11)))
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)  # and its flow: T = 5 at dt = 0.25 / 46
+    dt = 0.25 / p.rate_bound
+    steps = core._gate(meanfield._check_step(p, 5.0, dt, ("T", "dt"), 5.0 / dt))
+    block = core._gate(*meanfield._budgeted_block(p, 920, 5.0, dt, ("T", "dt")))
+    assert (run_plan["MAX_EVENTS"], round(steps["MAX_STEPS"])) == (80_000, 920)
+    assert "the benchmark's N = 4000 run asks for 80 000" in readme
+    for text in (readme, doc):
+        assert f"{run_plan['MAX_KEPT_BYTES'] / 1e6:.1f} MB for a run" in text
+        assert f"{block['MAX_KEPT_BYTES'] / 1e6:.1f} MB of states (920 at K = 15)" in text
 
 
 def test_count_vectors():

@@ -455,13 +455,13 @@ def test_a_replica_study_refuses_a_run_above_the_event_budget_before_any_run(mon
 
 @pytest.mark.parametrize("name", ["convergence", "chaos"])
 def test_a_replica_study_refuses_a_run_above_the_kept_budget_before_any_run(monkeypatch, name):
-    # each N is checked as run checks it: N = 8 with 8 cars and 2 snapshots
-    # keeps 51 584 bytes
+    # each N is checked as run checks it: N = 4 with 4 cars and 2 snapshots
+    # keeps 476 800 bytes, and N = 8 with 8 cars 478 016
     for fn in ("run", "init_uniform", "integrate_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, **k: pytest.fail("a run came first"))
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 51_583)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 478_015)
     with pytest.raises(ValueError, match=r"^N=8 stations, M=8 cars and 2 sample_times keep their "
-                       r"counts, 51584 bytes, above the kept-state budget MAX_KEPT_BYTES=51583$"):
+                       r"counts, 478016 bytes, above the kept-state budget MAX_KEPT_BYTES=478015$"):
         _STUDIES[name][0].refuse(_P, [4, 8], 1, 1.0, (0.5, 1.0), 5, s=1.0)
 
 

@@ -981,9 +981,9 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a generator came first"))
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     cfg = SimConfig(N=4000, M=6000, T=1.0, sample_times=np.linspace(0.0, 1e-6, 100_000), seed=0)
-    for audit in (False, True):
-        with pytest.raises(ValueError, match=r"^N=4000 stations, M=6000 cars and 100000 "
-                           r"sample_times keep their counts, 12801265152 bytes, above the "
+    for audit, size in ((False, 12824091136), (True, 12824683136)):
+        with pytest.raises(ValueError, match=rf"^N=4000 stations, M=6000 cars and 100000 "
+                           rf"sample_times keep their counts, {size} bytes, above the "
                            r"kept-state budget MAX_KEPT_BYTES=1073741824$"):
             run(p, cfg, audit=audit)
     with pytest.raises(ValueError, match=r"^N=100000000 stations keep their counts, 11200049152 "
@@ -992,37 +992,54 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
 
 
 def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
-    # 112 bytes a placed station and 49 152 of raw words, 128 a car on the
-    # move and 32 a station in each snapshot: 10 stations, 15 cars and 2
-    # snapshots keep 52 832 bytes
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 52_832)
+    # 112 bytes a placed station and 49 152 of raw words, 425 984 for the
+    # block of draws, 128 a car on the move, and 32 a station and 224 more
+    # in each snapshot: 10 stations, 15 cars and 2 snapshots keep 479 264
+    # bytes; an audit adds 64 a station and 56 a car
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 479_264)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
-    assert len(run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))) == 2
-    assert init_uniform(32, 15, 3, 0).N == 32
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 52_831)
+    cfg = SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0)
+    assert len(run(p, cfg)) == 2
+    assert init_uniform(3840, 15, 3, 0).N == 3840
     with pytest.raises(ValueError, match=r"^N=10 stations, M=15 cars and 2 sample_times keep "
-                       r"their counts, 52832 bytes, above the kept-state budget "
-                       r"MAX_KEPT_BYTES=52831$"):
-        run(p, SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0))
-    with pytest.raises(ValueError, match=r"^N=33 stations keep their counts, 52848 bytes"):
-        init_uniform(33, 15, 3, 0)
+                       r"their counts, 480744 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=479264$"):
+        run(p, cfg, audit=True)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 479_263)
+    with pytest.raises(ValueError, match=r"^N=10 stations, M=15 cars and 2 sample_times keep "
+                       r"their counts, 479264 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=479263$"):
+        run(p, cfg)
+    with pytest.raises(ValueError, match=r"^N=3841 stations keep their counts, 479344 bytes"):
+        init_uniform(3841, 15, 3, 0)
 
 
-@pytest.mark.parametrize("audit", [False, True])
-def test_a_run_holds_no_more_than_the_budget_counts(audit):
-    # the pending pickups went uncounted: this run peaked at 4.33 MB
-    # against 2.93 MB counted, most of its 30 000 cars waiting as reserved
-    p = ModelParams(lam=1.0, mu=1.0, nu=0.1, K=3)
-    cfg = SimConfig(N=20_000, M=30_000, T=3.0, sample_times=(3.0,), seed=0)
-    counted = simulate._STATION_BYTES * cfg.N + simulate._CHUNK_BYTES + 32 * cfg.N
+_RESERVING = ModelParams(lam=8.0, mu=1.0, nu=1e-3, K=12)  # pickups slow: cars wait reserved
+_RESERVED = SimConfig(N=3000, M=12_000, T=1.0, sample_times=(1.0,), seed=0)
+
+
+@pytest.mark.parametrize("p, cfg, audit", [
+    pytest.param(_RESERVING, _RESERVED, False, id="False"),
+    pytest.param(_RESERVING, _RESERVED, True, id="True"),
+    pytest.param(ModelParams(lam=20_000.0, mu=1.0, nu=1e-4, K=24_000),
+                 SimConfig(N=1, M=12_000, T=1.0, sample_times=np.linspace(0.0, 1.0, 7000), seed=0),
+                 False, id="snapshots"),
+])
+def test_a_run_holds_no_more_than_the_budget_counts(p, cfg, audit):
+    # uncounted, the pending pickups took a run at N = 20 000 to 4.33 MB
+    # against 2.93 MB counted, and the snapshots' tuples, times and array
+    # headers took the one at N = 1 to 2.58 MB against 1.81 MB; each case
+    # outgrows its plan without the cars, the snapshot case without the
+    # snapshots' headers, and the audited case without the audit's bytes
+    plan = simulate._check_run(p, cfg.N, cfg.M, cfg.sample_times, audit)["MAX_KEPT_BYTES"]
     tracemalloc.start()
     try:
         counts = run(p, cfg, audit=audit)[-1][1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts[:, 3].sum() > cfg.M / 2  # cars reserved, each a pending pickup
-    assert counted < peak <= counted + simulate._CAR_BYTES * cfg.M
+    assert counts[:, 3].sum() > 0.8 * cfg.M  # most cars wait reserved, each a pending pickup
+    assert peak <= plan
 
 
 @pytest.mark.parametrize("N, M, K", [(10**6, 0, 1), (100, 30_000, 300)])

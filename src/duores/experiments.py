@@ -375,7 +375,7 @@ def attraction_experiment(
     and the mean fill constant along the whole trajectory within 1e-9.  The fill drift is taken over
     every step, but only the strided rows and the last one are kept.
     """
-    plan, n = _grid_plan(p, T, _default_dt(p))
+    n = _grid_plan(p, T, _default_dt(p))[1]  # the plan is lazy: each work builds its own
     _check_solvable(p, s)
     try:
         report, failed = solve_equilibrium(p, s), None
@@ -385,6 +385,7 @@ def attraction_experiment(
     def work() -> ExperimentReport:
         if failed is not None:
             raise failed
+        plan, _ = _grid_plan(p, T, _default_dt(p))
         pi = product_form(report.rho, p.K)
         start = fill_preserving_perturbation(pi, perturbation_size)
         actual_size = tv_distance(start, pi)

@@ -47,12 +47,13 @@ numpy's ``log1p`` differs from it in the last bit on some inputs, which
 would change every trajectory.
 
 ``run`` keeps the counts in Python lists, where an event costs a few
-list operations.  Whatever reads the whole state copies the four lists
-into one ``(4, N)`` array first, in C where every count fits a byte:
-each snapshot, and on an audited run each whole-state check.  An
-audited run fires its events as a plain one does and runs the one
-whole-state check, ``check_invariants``, at the end of every block of
-draws (at most ``_MAX_BLOCK`` events) and, with the deep list
+list operations, and reads a given ``initial`` into them.  Whatever
+reads the whole state copies the four lists into one ``(4, N)`` array
+first, in C where every count fits a byte: each snapshot, and on an
+audited run the one whole-state check, ``_check_counts``, which
+``SimState.check_invariants`` runs too.  An audited run fires its
+events as a plain one does and runs the check at the end of every block
+of draws (at most ``_MAX_BLOCK`` events) and, with the deep list
 reconciliation, at every snapshot.  On a failure it restores the
 block's start and replays the block one event at a time with the check
 after each, so the error names the first event that breaks an
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, isfinite, log1p
+from operator import index
 
 import numpy as np
 
@@ -108,7 +110,7 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Mutable network state.
+    """Mutable network state; ``run`` reads one and leaves it as it was.
 
     Arrays hold per-station counts; ``pickups`` lists pending
     reservations as ``(origin, destination)`` pairs and ``driving``
@@ -146,48 +148,52 @@ class SimState:
         return p.lam * self.N + p.nu * len(self.pickups) + p.mu * len(self.driving)
 
     def check_invariants(self, K: int, M: int, deep: bool = False) -> None:
-        """Raise :class:`SimInvariantError` on any structural violation.
+        """:func:`_check_counts` of the four count arrays and the lists."""
+        _check_counts(np.stack((self.w, self.x, self.y, self.z)), self.pickups, self.driving,
+                      K, M, self.t, deep)
 
-        The cheap checks (nonnegativity, capacity, car conservation,
-        list lengths vs count sums) cover every station; an audited
-        ``run`` makes them at the end of every block of events.
-        ``deep=True`` additionally checks that every list entry is a
-        station in ``[0, N)`` and reconciles the lists against the
-        per-station counts.
-        """
-        arrs = (self.w, self.x, self.y, self.z)
-        if min(int(a.min()) for a in arrs) < 0:
-            raise SimInvariantError(f"negative count at t={self.t}")
-        occ = self.w + self.x + self.y + self.z
-        if int(occ.max()) > K:
-            raise SimInvariantError(f"station over capacity at t={self.t}")
-        if self.car_total != M:
-            raise SimInvariantError(
-                f"car total {self.car_total} != {M} at t={self.t}"
-            )
-        P = len(self.pickups)
-        if P != int(self.z.sum()) or P != int(self.w.sum()):
-            raise SimInvariantError(f"pending-pickup count mismatch at t={self.t}")
-        if len(self.driving) != int(self.x.sum()):
-            raise SimInvariantError(f"driving count mismatch at t={self.t}")
-        if deep:
-            N = self.N
-            columns = []
-            for name, entries, width, what in (("pickups", self.pickups, 2, "a pair of stations"),
-                                               ("driving", self.driving, 1, "a station")):
-                try:
-                    a = np.asarray(entries).reshape(len(entries), width)
-                    ok = not len(a) or (a.dtype.kind in "iu" and a.min() >= 0 and a.max() < N)
-                except ValueError:  # ragged, or not ``width`` stations an entry
-                    ok = False
-                if not ok:
-                    raise SimInvariantError(
-                        f"{name} holds an entry that is not {what} in [0, {N}) at t={self.t}")
-                columns.extend(a.astype(np.int64, copy=False).T)
-            orig, dest, drv = (np.bincount(c, minlength=N) for c in columns)
-            if not (np.array_equal(orig, self.z) and np.array_equal(dest, self.w)
-                    and np.array_equal(drv, self.x)):
-                raise SimInvariantError(f"list/count reconciliation failed at t={self.t}")
+
+def _check_counts(c, pickups, driving, K, M, t, deep=False) -> None:
+    """The one whole-state check of the counts ``w, x, y, z``, the rows of
+    the ``(4, N)`` integer array ``c``, and of the lists, at time ``t``: a
+    :class:`SimInvariantError` names the first violation.  The cheap
+    checks (nonnegativity, capacity, car conservation, list lengths vs
+    count sums) sum in int64, so a byte array needs no copy.  ``deep=True``
+    also reads each list's stations into int64 columns, refusing an entry
+    that is not an int (``operator.index``), a pickup that is not a pair
+    or a station outside ``[0, N)``, and reconciles the columns' counts
+    with ``c`` one at a time."""
+    if c.min(initial=0) < 0:
+        raise SimInvariantError(f"negative count at t={t}")
+    if c.sum(axis=0, dtype=np.int64).max(initial=0) > K:
+        raise SimInvariantError(f"station over capacity at t={t}")
+    w, x, y, z = c.sum(axis=1, dtype=np.int64).tolist()
+    if x + y + z != M:
+        raise SimInvariantError(f"car total {x + y + z} != {M} at t={t}")
+    P = len(pickups)
+    if P != z or P != w:
+        raise SimInvariantError(f"pending-pickup count mismatch at t={t}")
+    if len(driving) != x:
+        raise SimInvariantError(f"driving count mismatch at t={t}")
+    if deep:
+        N = c.shape[1]
+        columns = []
+        for name, what, n, entries in (
+                ("pickups", "a pair of stations", P, (i for i, _ in pickups)),
+                ("pickups", "a pair of stations", P, (j for _, j in pickups)),
+                ("driving", "a station", len(driving), driving)):
+            try:
+                a = np.fromiter(map(index, entries), np.int64, n)
+                ok = not n or (a.min() >= 0 and a.max() < N)
+            except (TypeError, ValueError, OverflowError):  # not an int64, or not a pair
+                ok = False
+            if not ok:
+                raise SimInvariantError(
+                    f"{name} holds an entry that is not {what} in [0, {N}) at t={t}")
+            columns.append(a)
+        if not all(np.array_equal(np.bincount(a, minlength=N), c[row])
+                   for a, row in zip(columns, (3, 0, 1))):
+            raise SimInvariantError(f"list/count reconciliation failed at t={t}")
 
 
 # Events drawn per generator call in ``run``: the first call draws for
@@ -219,12 +225,12 @@ last is still held.  A snapshot besides its counts: the tuple of its time
 and array (56), the time (24), the array's object with its shape and
 strides (128) and a slot in the list of snapshots (16, as it grows)."""
 
-_AUDIT_BYTES, _AUDIT_CAR_BYTES = 64, 56
+_AUDIT_BYTES, _AUDIT_CAR_BYTES = 44, 24
 """Bytes an audited run takes beyond a plain one, at most.  A station: the
-block-start copies of the four count lists (32) and the new int64 counts
-a whole-state check builds while the old ones are held (32).  A car: a
-slot in the copy of its list (8) and its entry in the array a deep check
-builds of the list (up to 48)."""
+block-start copies of its four counts (32), the bytes of its counts a check
+reads, which a plain run builds at snapshots only (4), and the int64
+occupancy or one int64 count of a list column (8).  A car: a slot in the
+copy of its list (8) and its stations in a deep check's int64 columns (16)."""
 
 
 def _place(y, eligible, M: int, K: int, rng: np.random.Generator) -> None:
@@ -481,10 +487,10 @@ def run(
 
     With ``audit=True`` the run checks the model's invariants: cars are
     conserved, no station holds more than ``K``, and the pending-pickup
-    and driving lists match the counts.  It runs ``check_invariants`` on
-    the whole state at the end of every block of at most ``_MAX_BLOCK``
-    events, and ``check_invariants(deep=True)``, which also reconciles
-    the lists against the per-station counts, at every snapshot.  When a
+    and driving lists match the counts.  It runs the check of
+    ``check_invariants`` at the end of every block of at most
+    ``_MAX_BLOCK`` events, and the deep one, which also reconciles the
+    lists against the per-station counts, at every snapshot.  When a
     check fails, the block is replayed from its start one event at a
     time with the check after each, and the error names the first event
     that fails and its time; if the replay does not fail, the first
@@ -494,35 +500,28 @@ def run(
     """
     _check_run(p, config.N, config.M, config.sample_times, audit)
     rng = np.random.default_rng(config.seed)
-    if initial is None:
-        state = _init_with_rng(config.N, config.M, p.K, rng)
-    else:
-        if initial.N != config.N:
-            raise ValueError(f"initial has {initial.N} stations, config N={config.N}")
-        state = initial.copy()
-        state.t = 0.0
+    N, K, M, lam_N = config.N, p.K, config.M, p.lam * config.N
+    if initial is not None and initial.N != N:
+        raise ValueError(f"initial has {initial.N} stations, config N={N}")
+    state = _init_with_rng(N, M, K, rng) if initial is None else initial
+    counts = [a.tolist() for a in (state.w, state.x, state.y, state.z)]
+    pickups, driving = list(state.pickups), list(state.driving)
+    if initial is not None:
         try:
-            state.check_invariants(p.K, config.M, deep=True)
+            if {len(c) for c in counts} != {N}:
+                raise SimInvariantError(f"its counts hold {[len(c) for c in counts]} stations")
+            _check_counts(_count_array(counts, N), pickups, driving, K, M, 0.0, deep=True)
         except SimInvariantError as e:
             raise ValueError(f"initial is not a consistent state: {e}") from None
-    out: list[tuple[float, np.ndarray]] = []
-    samples = config.sample_times
+    out, samples = [], config.sample_times
     if not samples:
         return out
-    N, K, M, lam_N = config.N, p.K, config.M, p.lam * config.N
-    counts = [a.tolist() for a in (state.w, state.x, state.y, state.z)]
-    pickups, driving = state.pickups, state.driving
-
-    def check(t: float, array: np.ndarray, deep: bool = False) -> None:
-        state.t = t
-        state.w, state.x, state.y, state.z = array.astype(np.int64)
-        state.check_invariants(K, M, deep=deep)
 
     def take(tau: float) -> float | None:
         array = _count_array(counts, N)
         out.append((tau, array.T.astype(np.int64, order="C")))
         if audit:
-            check(tau, array, deep=True)
+            _check_counts(array, pickups, driving, K, M, tau, deep=True)
         return samples[len(out)] if len(out) < len(samples) else None
 
     def advance(t: float, rows, t_next: float) -> tuple:
@@ -540,7 +539,7 @@ def run(
             t, t_next = advance(t, (row,), t_next)
             if t_next is None:
                 return
-            check(t, _count_array(counts, N))
+            _check_counts(_count_array(counts, N), pickups, driving, K, M, t)
 
     t, t_next, block = 0.0, samples[0], _FIRST_BLOCK
     while t_next is not None:
@@ -556,7 +555,7 @@ def run(
             try:
                 t, t_next = advance(t, zip(u0, u1, i, j, u3), t_next)
                 if t_next is not None:  # else the last snapshot has just been checked
-                    check(t, _count_array(counts, N))
+                    _check_counts(_count_array(counts, N), pickups, driving, K, M, t)
             except SimInvariantError:
                 replay(start, zip(u0, u1, i, j, u3))
                 raise

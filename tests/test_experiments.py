@@ -216,6 +216,17 @@ def test_a_removed_step_is_refused_by_name_and_reported_at_the_default_step(name
 
 
 @pytest.mark.parametrize("name", _STUDIES)
+def test_a_study_s_work_reports_the_same_each_time_it_runs(name):
+    # the attraction study built its lazy plan of steps once, in its
+    # checks: a second call of the work found it spent and reported one
+    # row, the start's distance and a failed verdict
+    study, args, _ = _STUDIES[name]
+    work = study.refuse(*args, s=1.0)
+    first = json.dumps(work().to_dict())
+    assert json.dumps(work().to_dict()) == first
+
+
+@pytest.mark.parametrize("name", _STUDIES)
 def test_a_rate_bound_that_overflows_is_refused_by_name_before_any_run_or_solve(
         monkeypatch, name):
     # the step 0.25 / inf was 0: the replica studies accepted it and their

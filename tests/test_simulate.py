@@ -480,6 +480,8 @@ def test_audit_checks_every_event():
     ((0, 0, 0), (-1, 2, 2), (0, 0, 0), [], "negative count"),
     ((0, 0, 0), (3, 0, 0), (0, 0, 0), [], "station over capacity"),
     ((0, 1, 0), (0, 1, 1), (1, 0, 0), [(-1, 1)], "pickups holds an entry"),
+    # 12 counts read as 3 stations of 4 would pass; the run would index y[2]
+    ((0, 0, 0), (1, 1), (1, 0, 0, 0), [], r"its counts hold \[3, 3, 2, 4\] stations"),
 ])
 def test_run_refuses_an_inconsistent_initial_state_before_any_draw(w, y, z, pickups,
                                                                    message):
@@ -690,9 +692,9 @@ def test_audit_raises_the_block_end_error_when_the_replay_does_not_fail(monkeypa
 def test_audited_run_checks_the_whole_state_at_each_block_end_and_snapshot(monkeypatch):
     p, cfg = _AUDIT_P, _AUDIT_CFG
     whole, blocks = [], []  # deep flag of each check; checks made before and in each block
-    check = SimState.check_invariants
-    monkeypatch.setattr(SimState, "check_invariants",
-                        lambda st, K, M, deep=False: whole.append(deep) or check(st, K, M, deep))
+    check = simulate._check_counts
+    monkeypatch.setattr(simulate, "_check_counts",
+                        lambda *args, deep=False: whole.append(deep) or check(*args, deep=deep))
     advance = simulate._advance
 
     def counted(*args):
@@ -803,6 +805,8 @@ def test_deep_audit_reconciles_lists():
     ([(0, 1)], [-1], "driving"),
     ([(0, 1)], [2], "driving"),
     ([(0, 1)], [1.0], "driving"),
+    ([(0, 10**20)], [0], "pickups"),
+    ([(0, 1)], [10**20], "driving"),
 ])
 def test_deep_audit_names_a_list_entry_that_is_not_a_station(pickups, driving, named):
     # a negative station ended in numpy's unnamed ValueError from bincount
@@ -981,7 +985,7 @@ def test_a_run_or_placement_above_the_kept_budget_is_refused_before_any_draw(mon
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a generator came first"))
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     cfg = SimConfig(N=4000, M=6000, T=1.0, sample_times=np.linspace(0.0, 1e-6, 100_000), seed=0)
-    for audit, size in ((False, 12824091136), (True, 12824683136)):
+    for audit, size in ((False, 12824091136), (True, 12824411136)):
         with pytest.raises(ValueError, match=rf"^N=4000 stations, M=6000 cars and 100000 "
                            rf"sample_times keep their counts, {size} bytes, above the "
                            r"kept-state budget MAX_KEPT_BYTES=1073741824$"):
@@ -995,14 +999,14 @@ def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
     # 112 bytes a placed station and 49 152 of raw words, 425 984 for the
     # block of draws, 128 a car on the move, and 32 a station and 224 more
     # in each snapshot: 10 stations, 15 cars and 2 snapshots keep 479 264
-    # bytes; an audit adds 64 a station and 56 a car
+    # bytes; an audit adds 44 a station and 24 a car
     monkeypatch.setattr(core, "MAX_KEPT_BYTES", 479_264)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
     cfg = SimConfig(N=10, M=15, T=1.0, sample_times=(0.5, 1.0), seed=0)
     assert len(run(p, cfg)) == 2
     assert init_uniform(3840, 15, 3, 0).N == 3840
     with pytest.raises(ValueError, match=r"^N=10 stations, M=15 cars and 2 sample_times keep "
-                       r"their counts, 480744 bytes, above the kept-state budget "
+                       r"their counts, 480064 bytes, above the kept-state budget "
                        r"MAX_KEPT_BYTES=479264$"):
         run(p, cfg, audit=True)
     monkeypatch.setattr(core, "MAX_KEPT_BYTES", 479_263)
@@ -1030,16 +1034,50 @@ def test_a_run_holds_no_more_than_the_budget_counts(p, cfg, audit):
     # against 2.93 MB counted, and the snapshots' tuples, times and array
     # headers took the one at N = 1 to 2.58 MB against 1.81 MB; each case
     # outgrows its plan without the cars, the snapshot case without the
-    # snapshots' headers, and the audited case without the audit's bytes
-    plan = simulate._check_run(p, cfg.N, cfg.M, cfg.sample_times, audit)["MAX_KEPT_BYTES"]
+    # snapshots' headers; the audit adds more to the plain run's peak
+    # than either of its two figures counts alone, so each is needed
+    def peak_of(audit):
+        tracemalloc.start()
+        try:
+            counts = run(p, cfg, audit=audit)[-1][1]
+            return counts, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def plan_of(audit):
+        return simulate._check_run(p, cfg.N, cfg.M, cfg.sample_times, audit)["MAX_KEPT_BYTES"]
+
+    counts, peak = peak_of(audit)
+    assert counts[:, 3].sum() > 0.8 * cfg.M  # most cars wait reserved, each a pending pickup
+    assert peak <= plan_of(audit)
+    if audit:
+        assert peak - peak_of(False)[1] <= plan_of(True) - plan_of(False)
+
+
+def test_a_long_run_of_a_small_network_holds_no_more_than_its_block_of_draws_counts():
+    # 10 stations and 15 cars over 4000 events: the block of draws, at
+    # _MAX_BLOCK events, outweighs the rest of the plan eightfold
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    cfg = SimConfig(N=10, M=15, T=250.0, sample_times=(250.0,), seed=0)
     tracemalloc.start()
     try:
-        counts = run(p, cfg, audit=audit)[-1][1]
+        run(p, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts[:, 3].sum() > 0.8 * cfg.M  # most cars wait reserved, each a pending pickup
-    assert peak <= plan
+    rng = np.random.default_rng(cfg.seed)
+    st, n_events = _init_with_rng(cfg.N, cfg.M, p.K, rng), 0
+    while st.t <= cfg.T:  # the same stream as the run's
+        step(st, p, rng)
+        n_events += 1
+    assert n_events > 3 * _MAX_BLOCK
+    assert peak <= simulate._check_run(p, cfg.N, cfg.M, cfg.sample_times)["MAX_KEPT_BYTES"]
+
+
+def test_a_state_without_stations_passes_its_check():
+    # zero stations ended in numpy's unnamed error from min() of nothing
+    z = np.zeros(0, dtype=np.int64)
+    SimState(z, z, z, z).check_invariants(K=1, M=0, deep=True)
 
 
 @pytest.mark.parametrize("N, M, K", [(10**6, 0, 1), (100, 30_000, 300)])

@@ -286,8 +286,8 @@ MAX_KEPT_BYTES = 1 << 30
 """Largest block one call keeps, in bytes: an integration's kept states,
 a placement, a run, or the chaos study's rank counts.  The largest in the
 demos, README configs and benchmark are 28.6 MB of states (920 at
-K = 15), 3.1 MB for a run (the benchmark's N = 4000, M = 6000 with 11
-snapshots) and 53.8 kB of chaos rank counts."""
+K = 15), 2.7 MB for a run (the benchmark's N = 4000, M = 6000 with 11
+snapshots, from its placement) and 53.8 kB of chaos rank counts."""
 
 
 _BUDGETS = {  # each budget: the module that keeps its bound, the words of a refusal

@@ -18,7 +18,13 @@ item runs.
 Seeds derive from a root by position: condition ``N`` and replica ``r``
 use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
 reserved for the shared initial placement.  Replicas are therefore
-independent of execution order.
+independent of execution order.  A replica study makes every size's
+placement first, then integrates the flows from all their empirical
+measures in one block run (``meanfield._flows_at``), then runs each
+size's replicas, so its checks count the placements and the block of
+flows it holds through the runs.  A size's flow can differ from
+:func:`integrate_at` of the same start in the last bit, since a block
+sums in another order.
 """
 
 from __future__ import annotations
@@ -46,11 +52,14 @@ from .core import (
     _within,
     count_arrays,
     mean_fill,
+    num_states,
     tv_distance,
 )
 from .equilibrium import _check_solvable, product_form, solve_equilibrium
-from .meanfield import _default_dt, _grid_plan, _stream, _times_plan, integrate_at
-from .simulate import SimConfig, _check_run, _rank_counts, empirical_measure, init_uniform, run
+from .meanfield import _default_dt, _flows_at, _grid_plan, _row_bytes, _stream, _times_plan
+from .meanfield import integrate_at  # noqa: F401  kept: the benchmark's traced pass wraps it
+from .simulate import (_COUNT_BYTES, SimConfig, _budgeted_counts, _check_run, _rank_counts,
+                       empirical_measure, init_uniform, run)
 
 __all__ = [
     "ExperimentReport",
@@ -110,9 +119,11 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     (``lam > 0``, a last sample time above 0 and, for every ``N``, some
     but not all of the ``N K`` spaces holding a car), else the verdict
     would judge the placement alone, or distances of 0; a nonzero step;
-    and through the budget gate the plans of the flow, as
+    and through the budget gate the plans of one flow, as
     :func:`integrate_at` makes it, of the pair tables and every replica's
-    rank counts (``with_pairs``), and of every run, as :func:`run` makes it.
+    rank counts (``with_pairs``), of the placements held with the block
+    of every size's flow, and of every placement and run, as
+    :func:`init_uniform` and :func:`run` from a given state make them.
 
     ``series(avg, pairs, flow)`` maps one ``N``'s replica-averaged
     measures, pair averages (:func:`_averaged_pairs`, or ``None``) and
@@ -141,14 +152,19 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
         if still:
             raise ValueError(f"{still} nothing moves, so the study has nothing to converge")
     dt = _default_dt(p)
-    _times_plan(p, sample_times, dt, ("sample_times", "dt_max"))
+    plan = _times_plan(p, sample_times, dt, ("sample_times", "dt_max"))
+    n, kept = num_states(p.K), len(N_list) * len(sample_times)
     if with_pairs:
-        n = _budgeted_pairs(p.K, "pair statistics")
+        _budgeted_pairs(p.K, "pair statistics")
         _gate(("MAX_KEPT_BYTES", 8 * replicas * len(sample_times) * n, lambda: (
             f"replicas={replicas} and {len(sample_times)} sample_times keep rank counts over "
             f"{n} states at K={p.K}")))
+    _gate(("MAX_KEPT_BYTES", kept * _row_bytes(n) + _COUNT_BYTES * sum(N_list), lambda: (
+        f"N_list={list(N_list)!r} holds its placements of {sum(N_list)} stations and its "
+        f"flows' {kept} states of {n} masses")))
     for N in N_list:
-        _check_run(p, N, round(N * s), sample_times, audit)
+        _gate(_budgeted_counts(N))
+        _check_run(p, N, round(N * s), sample_times, audit, places=False)
     config = {
         "params": asdict(p),
         "s": s, "N_list": list(N_list), "replicas": replicas, "T": T,
@@ -157,12 +173,12 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     }
 
     def work() -> ExperimentReport:
+        inits = [init_uniform(N, round(N * s), p.K, seed=derive_seed(seed0, N, 0))
+                 for N in N_list]
+        flows = _flows_at([empirical_measure(init.counts(), p.K) for init in inits], p, plan)
         rows = []
-        for N in N_list:
+        for N, init, flow in zip(N_list, inits, flows):
             M = round(N * s)
-            init = init_uniform(N, M, p.K, seed=derive_seed(seed0, N, 0))
-            init_measure = empirical_measure(init.counts(), p.K)
-            n = init_measure.probs.size
             acc = [np.zeros(n) for _ in sample_times]
             hists = [[] for _ in sample_times]  # rank counts per time, in replica order
             seeds = []
@@ -178,7 +194,7 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
                         hists[k].append(c)
             avg = [Measure(a / replicas, p.K) for a in acc]
             pairs = _averaged_pairs(hists, N, n) if with_pairs else None
-            values, fields = series(avg, pairs, integrate_at(init_measure, p, sample_times, dt))
+            values, fields = series(avg, pairs, flow)
             rows.append({"N": N, "M": M, "seeds": seeds,
                          key: [[t, v] for t, v in zip(config["sample_times"], values)],
                          f"{key}_final": values[-1], **fields})

@@ -55,6 +55,25 @@ the block read-only when it ends.  A run that streams its states and
 drops them (the CLI, the attraction study) writes each into a new
 vector instead, so its memory is bounded by what its caller keeps.
 
+A replica study integrates one flow from each of its sizes' placements,
+all to the same times, and runs them as one block (``_flows_at``), whose
+kept states are the rows of one block too.  The starts go in groups of
+``G = max(1, _GROUP_MASSES // n)`` rows: 351 at K = 3, 12 at K = 10, 3
+at K = 15 and one from K = 18.  A group of one row is a single run, stepped
+by ``_drift_raw``, bit for bit.  A larger group steps its ``(G, n)``
+block of states through the same loop with ``_drift_block``, which makes
+the products of ``_drift_raw`` in four calls for the whole group: one
+``(G, n) @ (n, 2)`` product for every row's ``pV`` and ``pF``; one
+``take`` along axis 1 that gathers all five families into a ``(G, 5,
+n)`` buffer (the fifth by its gather row, not by a slice), weighted in
+place; one batched ``(G, 1, 5) @ (G, 5, n)`` product that sums each
+row's five inflows; and one ``(G, 5) @ (5, n)`` product for the outflow
+rates, times the masses.  Only the order in which the products sum
+their terms differs from a single run, so a row of a group can differ
+from the single run of its start in the last bits.  Above
+``_GROUP_MASSES`` masses a group's buffers leave the cache, and one row
+at a time is faster.
+
 Every array a step reads or writes in bulk, the stencil tables, the
 workspace, the stage vectors and the rows of the block, starts on a
 64-byte boundary.  Where the heap happens to put them otherwise decides
@@ -197,6 +216,34 @@ def _workspace(st: _Stencils, p: ModelParams) -> _Workspace:
                       tail=buf[4, :-1], w_tail=st.w_in[4, :-1])
 
 
+class _BlockWorkspace(NamedTuple):
+    """Working state of :func:`_drift_block` at one capacity, one set of
+    rates and one group of ``G`` rows; every call overwrites it."""
+
+    lam: float
+    c: np.ndarray       # (G, 5) family rates per row; columns 1, 2, 4 are fixed
+    rates: np.ndarray   # c[:, ::3], the columns lam pV and lam pF
+    pq: np.ndarray      # (G, 2) pV and pF per row
+    cols: np.ndarray    # (n, 2) avail_f and notfull_f as columns
+    buf: np.ndarray     # (G, 5, n) inflow per row and family
+    gather: np.ndarray  # (5, n) private writable copy of every family's gather
+    loss: np.ndarray    # (G, n) outflow
+
+
+def _block_workspace(st: _Stencils, p: ModelParams, G: int) -> _BlockWorkspace:
+    """Workspace for drift evaluations of ``G`` rows at rates ``p``, its
+    arrays aligned.  The fifth family is gathered with the other four:
+    its index row moves each rank's inflow from the next rank, and the last
+    rank's weight is 0."""
+    c = _aligned((G, 5), fill=(0.0, p.nu, p.mu, 0.0, p.nu))
+    cols = _aligned((st.n, 2), fill=np.stack((st.avail_f, st.notfull_f), axis=1))
+    cols.setflags(write=False)
+    return _BlockWorkspace(lam=p.lam, c=c, rates=c[:, ::3], pq=_aligned((G, 2)), cols=cols,
+                           buf=_aligned((G, 5, st.n)),
+                           gather=_aligned((5, st.n), np.intp, fill=st.gather),
+                           loss=_aligned((G, st.n)))
+
+
 def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
                out: np.ndarray) -> np.ndarray:
     """Write the drift of a raw vector into ``out`` and return it; also
@@ -212,6 +259,23 @@ def _drift_raw(v: np.ndarray, st: _Stencils, ws: _Workspace,
     np.matmul(c, buf, out=out)
     np.matmul(c, st.w_out, out=loss)
     loss *= v
+    out -= loss
+    return out
+
+
+def _drift_block(V: np.ndarray, st: _Stencils, ws: _BlockWorkspace,
+                 out: np.ndarray) -> np.ndarray:
+    """:func:`_drift_raw` of each row of the ``(G, n)`` block ``V``, written
+    into the rows of ``out``, which must not share memory with ``V``: the
+    same products, contracted in the order the module docstring gives."""
+    lam, c, rates, pq, cols, buf, gather, loss = ws
+    np.matmul(V, cols, out=pq)
+    np.multiply(lam, pq, out=rates)
+    V.take(gather, axis=1, out=buf, mode="clip")
+    buf *= st.w_in
+    np.matmul(c[:, None, :], buf, out=out[:, None, :])
+    np.matmul(c, st.w_out, out=loss)
+    loss *= V
     out -= loss
     return out
 
@@ -242,7 +306,9 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 
 MAX_STEPS = 1_000_000
 """Largest step count of one integration plan, ``T / dt`` or the steps of
-:func:`integrate_at`'s segments.  A step at K = 3 takes about 26 us of CPU."""
+:func:`integrate_at`'s segments.  A step of :func:`integrate` at K = 3
+took about 41 us of CPU on a 2-core Xeon VM (Python 3.11, numpy 2.4, one
+BLAS thread), so the budget is about 40 s of steps there."""
 
 def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str],
                 steps: float) -> tuple:
@@ -265,8 +331,13 @@ def _budgeted_block(p: ModelParams, rows: int, span: float, dt: float,
     ``p.K``: its states, then its bytes, each row padded to whole cache
     lines.  ``names`` are those of ``span`` and ``dt``."""
     n = num_states(p.K)
-    return _states(p.K), ("MAX_KEPT_BYTES", rows * 8 * (n - n % -(_ALIGN // 8)), lambda: (
+    return _states(p.K), ("MAX_KEPT_BYTES", rows * _row_bytes(n), lambda: (
         f"{names[0]} / {names[1]} = {span!r} / {dt!r} keeps {rows} states of {n} masses"))
+
+
+def _row_bytes(n: int) -> int:
+    """Bytes of a kept state of ``n`` masses, padded to whole cache lines."""
+    return 8 * (n - n % -(_ALIGN // 8))
 
 
 def _default_dt(p: ModelParams) -> float:
@@ -283,34 +354,38 @@ def _rk4(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Run ``plan``: for each ``(t, steps, h)`` take ``steps`` classical
     Runge-Kutta steps of length ``h`` from ``v``, then yield ``(t, v)``.
+    ``v`` is one state, stepped by :func:`_drift_raw`, or a ``(G, n)``
+    group of states, stepped together by :func:`_drift_block`.
 
     The drift workspace, the four stage derivatives, the stage vector
     and two inner-state vectors of the whole run are allocated here,
-    64-byte aligned.  Inside a plan entry the states alternate between
-    the two inner vectors; each entry's last state goes into its row of
-    ``rows`` if given (a zero-step entry copies its state there), else
-    into a new vector, so a step allocates at most that vector.  The
+    64-byte aligned, each of ``v``'s shape.  Inside a plan entry the
+    states alternate between the two inner vectors; each entry's last
+    state goes into its row of ``rows`` if given (a zero-step entry
+    copies its state there), else into a new vector, so a step allocates
+    at most that vector.  The
     in-place updates evaluate the textbook expressions ``v + 0.5 h k1``
     and ``v + h/6 (k1 + 2 k2 + 2 k3 + k4)`` operation by operation in
     the same order, so the states are bit-identical to that form.  No
     yielded state is written after it is made: the caller's vector may
     be passed, and a yielded state is shared with nothing the run writes.
     """
-    ws = _workspace(st, p)
-    k1, k2, k3, k4, stage, inner, other = (_aligned(st.n) for _ in range(7))
+    kernel, ws = ((_drift_raw, _workspace(st, p)) if v.ndim == 1 else
+                  (_drift_block, _block_workspace(st, p, len(v))))
+    k1, k2, k3, k4, stage, inner, other = (_aligned(v.shape) for _ in range(7))
     for i, (t, steps, h) in enumerate(plan):
         row = None if rows is None else rows[i]
         for j in range(steps):
-            _drift_raw(v, st, ws, k1)
+            kernel(v, st, ws, k1)
             np.multiply(0.5 * h, k1, out=stage)
             stage += v
-            _drift_raw(stage, st, ws, k2)
+            kernel(stage, st, ws, k2)
             np.multiply(0.5 * h, k2, out=stage)
             stage += v
-            _drift_raw(stage, st, ws, k3)
+            kernel(stage, st, ws, k3)
             np.multiply(h, k3, out=stage)
             stage += v
-            _drift_raw(stage, st, ws, k4)
+            kernel(stage, st, ws, k4)
             k2 *= 2.0
             k2 += k1
             k3 *= 2.0
@@ -366,16 +441,66 @@ def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
     st = _stencils(p.K)
     rows = _aligned_rows(n, st.n) if keep else None
     for i, (t, v) in enumerate(_rk4(m0.probs, p, st, plan, rows), 1):
-        lo = float(v.min())
-        if lo < -1e-12:
-            raise RuntimeError(
-                f"integration produced mass {lo!r} at t={t}; the step is unstable"
-            )
+        lo = _checked(t, float(v.min()))
         if i % every == 0 or i == n:
-            yield t, (Measure._adopt(v, p.K, lo) if lo > 0.0 else
-                      Measure._adopt(np.clip(v, 0.0, None), p.K))
+            yield t, _measure(v, p.K, lo)
     if keep:
         _frozen(rows)
+
+
+def _checked(t: float, lo: float) -> float:
+    """``lo``, the least mass of the states at ``t``; a mass below -1e-12
+    aborts the run."""
+    if lo < -1e-12:
+        raise RuntimeError(f"integration produced mass {lo!r} at t={t}; the step is unstable")
+    return lo
+
+
+def _measure(v: np.ndarray, K: int, lo: float) -> Measure:
+    """The measure of the state ``v`` whose least mass is ``lo``: ``v`` itself
+    if every mass is positive, else ``v`` clamped to ``>= 0`` in a new vector."""
+    return Measure._adopt(v, K, lo) if lo > 0.0 else Measure._adopt(np.clip(v, 0.0, None), K)
+
+
+_GROUP_MASSES = 12_288
+"""Masses of one group of :func:`_flows_at`'s block run: ``max(1,
+_GROUP_MASSES // n)`` states of ``n`` masses step together.  Three flows
+stepped as one group took 0.44x the CPU of three single runs at K = 3,
+0.71x at K = 10 and 0.91x to 0.93x at K = 15 (11 628 masses), and 1.07x
+to 1.15x at K = 20 (31 878 masses), where a group's arrays, about 112
+bytes a mass, outgrow a core's 2 MB L2 cache (``tools/layers.py flow``,
+the ``study_flows_K{K}`` rows).  The bound keeps every group within the
+largest size measured to gain."""
+
+
+def _flows_at(starts: Sequence[Measure], p: ModelParams, plan: list) -> list[list[Measure]]:
+    """The measures of the flow from each of ``starts`` at the times of
+    ``plan``, :func:`_times_plan`'s, as :func:`integrate_at` gives them for
+    one start, in one block run.
+
+    The starts go in groups of ``max(1, _GROUP_MASSES // n)`` rows, each a
+    :func:`_rk4` run of its own, all advanced one plan entry at a time.  A
+    group of one row is a single run, bit for bit; a larger group
+    contracts its sums in another order, so its measures can differ from
+    :func:`integrate_at`'s in the last bit.  The states are the rows of one
+    read-only block of :func:`_aligned_rows`, a row per start and time, and
+    every entry's states are checked before the next entry is taken."""
+    st = _stencils(p.K)
+    B, G = len(starts), max(1, _GROUP_MASSES // st.n)
+    rows = _aligned_rows(len(plan) * B, st.n).reshape(len(plan), B, st.n)
+    runs = []
+    for g in range(0, B, G):
+        group = [m.probs for m in starts[g:g + G]]
+        runs.append(_rk4(group[0], p, st, plan, rows[:, g]) if len(group) == 1 else
+                    _rk4(np.stack(group), p, st, plan, rows[:, g:g + G]))
+    flows = [[] for _ in starts]
+    for block, entries in zip(rows, zip(*runs)):
+        lows = block.min(axis=1)
+        _checked(entries[0][0], float(lows.min()))
+        for flow, v, lo in zip(flows, block, lows.tolist()):
+            flow.append(_measure(v, p.K, lo))
+    _frozen(rows)
+    return flows
 
 
 def integrate(

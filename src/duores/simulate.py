@@ -36,11 +36,15 @@ in Python, which leaves the placement and the generator's state as one
 One loop, ``_advance``, holds the transition rules for both ``step``
 and ``run``: it fires a block of draw rows, with no Python call per
 event on a plain run.  ``run`` feeds it each block it draws, and
-``step`` feeds it a single row.  A block's arrival stations come from
-one numpy expression, ``min(int(u * N), N - 1)`` over the third and
-fourth columns; that is exact, since ``u * N`` is the same IEEE double
-product as Python's and the cast truncates toward zero as ``int()``
-does.  ``step`` takes its one row's stations by the same rule in
+``step`` feeds it a single row.  ``run`` draws a block of ``b`` events
+as a ``(b, 4)`` array and transposes it into one copy, so that each of
+the four draws is a contiguous row of ``b``: the first, second and
+fourth become lists by one ``tolist`` each, and the arrival stations
+come from one numpy expression, ``min(int(u * N), N - 1)`` over the
+third and fourth rows, clamped in place.  That is exact, since ``u *
+N`` is the same IEEE double product as Python's and the cast truncates
+toward zero as ``int()`` does, and the rows hold the same draws, bit
+for bit.  ``step`` takes its one row's stations by the same rule in
 scalars, where numpy's per-call cost would outweigh the work.  The
 holding time ``-log1p(-u0) / rate`` stays a per-event ``math.log1p``:
 numpy's ``log1p`` differs from it in the last bit on some inputs, which
@@ -156,13 +160,16 @@ class SimState:
 def _check_counts(c, pickups, driving, K, M, t, deep=False) -> None:
     """The one whole-state check of the counts ``w, x, y, z``, the rows of
     the ``(4, N)`` integer array ``c``, and of the lists, at time ``t``: a
-    :class:`SimInvariantError` names the first violation.  The cheap
-    checks (nonnegativity, capacity, car conservation, list lengths vs
-    count sums) sum in int64, so a byte array needs no copy.  ``deep=True``
+    :class:`SimInvariantError` names the first violation, counts that are
+    not integers (a float array, say) first.  The cheap checks
+    (nonnegativity, capacity, car conservation, list lengths vs count
+    sums) sum in int64, so a byte array needs no copy.  ``deep=True``
     also reads each list's stations into int64 columns, refusing an entry
     that is not an int (``operator.index``), a pickup that is not a pair
     or a station outside ``[0, N)``, and reconciles the columns' counts
     with ``c`` one at a time."""
+    if c.dtype.kind not in "biu":
+        raise SimInvariantError(f"counts of dtype {c.dtype} are not integers at t={t}")
     if c.min(initial=0) < 0:
         raise SimInvariantError(f"negative count at t={t}")
     if c.sum(axis=0, dtype=np.int64).max(initial=0) > K:
@@ -213,6 +220,11 @@ object (8 + 32 bytes), and its four int64 counts (32 bytes)."""
 _CHUNK_BYTES = 48 * _CHUNK
 """Bytes a chunk of raw words takes: each word as a uint32 and as an int
 in a list (4 + 8 + 32 bytes), rounded up to cover the two headers."""
+
+_COUNT_BYTES = 32
+"""Bytes of a station's four counts as int64s, in a snapshot or a held
+:class:`SimState`, or as slots in a run's four count lists (below ``K =
+257``, where every count is a cached small int)."""
 
 _CAR_BYTES, _BLOCK_BYTES, _SNAPSHOT_BYTES = 128, 2 * 208 * _MAX_BLOCK, 224
 """Bytes a run keeps beyond its placement, at most.  A car on the move: a
@@ -283,11 +295,13 @@ def _init_with_rng(N: int, M: int, K: int, rng: np.random.Generator) -> SimState
     return SimState(zeros.copy(), zeros.copy(), np.array(y, dtype=np.int64), zeros)
 
 
-def _budgeted_counts(N: int, times: int = 0, M: int = 0, run: int = 0) -> tuple:
+def _budgeted_counts(N: int, times: int = 0, M: int = 0, run: int = 0,
+                     places: bool = True) -> tuple:
     """The kept bytes of ``N`` stations as a placement holds them and a
-    chunk of its raw words, and ``run`` bytes more of a run of ``M`` cars
-    and ``times`` snapshots."""
-    return "MAX_KEPT_BYTES", _STATION_BYTES * N + _CHUNK_BYTES + run, lambda: (
+    chunk of its raw words (if it ``places`` them), and ``run`` bytes more
+    of a run of ``M`` cars and ``times`` snapshots."""
+    placed = _STATION_BYTES * N + _CHUNK_BYTES if places else 0
+    return "MAX_KEPT_BYTES", placed + run, lambda: (
         f"N={N} stations{f', M={M} cars' if M else ''}"
         f"{f' and {times} sample_times' if times else ''} keep their counts")
 
@@ -313,9 +327,11 @@ def _stations(u: np.ndarray, N: int) -> np.ndarray:
 
     Exactly the scalar rule: ``u * N`` is the same IEEE double product
     as Python's ``v * N``, and the cast truncates toward zero as
-    ``int()`` does.  The clamp guards a product that rounds up to ``N``.
+    ``int()`` does.  The clamp guards a product that rounds up to ``N``;
+    it is made in place, in the array of the cast.
     """
-    return np.minimum((u * N).astype(np.int64), N - 1)
+    s = (u * N).astype(np.int64)
+    return np.minimum(s, N - 1, out=s)
 
 
 def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf, take=None):
@@ -429,12 +445,13 @@ def _count_array(counts: list, N: int) -> np.ndarray:
     ``bytearray`` copies each list in C, one byte per count; on CPython
     3.11 it takes about 0.6 of the time ``bytes`` takes for lists of 4000
     counts.  It raises ``ValueError`` on a count outside 0..255, as at
-    ``K > 255`` or in a corrupt state, and the lists are then converted
-    element by element.
+    ``K > 255`` or in a corrupt state, and ``TypeError`` on one that is not
+    an int, as in a given state of float counts; the lists are then
+    converted element by element, for the check to name.
     """
     try:
         return np.frombuffer(b"".join(map(bytearray, counts)), np.uint8).reshape(4, N)
-    except ValueError:
+    except (ValueError, TypeError):
         return np.array(counts)
 
 
@@ -445,10 +462,15 @@ fires about 1e6 events per CPU second."""
 
 
 def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple,
-               audit: bool = False) -> dict:
+               audit: bool = False, places: bool = True) -> dict:
     """The run's plan, through the gate once its rate bound ``lam N +
     max(nu, mu) M`` is finite: the events that bound allows by the last
-    sample time, where the run ends, and the bytes the run keeps."""
+    sample time, where the run ends, and the bytes the run keeps.  A run
+    that ``places`` its cars counts the placement, which outweighs the
+    lists it then reads the counts into; a run from a given state counts
+    those lists alone, :data:`_COUNT_BYTES` a station, and five times
+    that above ``K = 256``, where each count may be an int object of its
+    own (32 bytes)."""
     horizon, times = (sample_times[-1] if sample_times else 0.0), len(sample_times)
     bound = p.lam * N + max(p.nu, p.mu) * M
 
@@ -458,10 +480,12 @@ def _check_run(p: ModelParams, N: int, M: int, sample_times: tuple,
 
     if not isfinite(bound):
         raise ValueError(f"{at()} is not finite")
-    run = (_BLOCK_BYTES + _CAR_BYTES * M + (32 * N + _SNAPSHOT_BYTES) * times
-           + (_AUDIT_BYTES * N + _AUDIT_CAR_BYTES * M if audit else 0))
+    run = (_BLOCK_BYTES + _CAR_BYTES * M + (_COUNT_BYTES * N + _SNAPSHOT_BYTES) * times
+           + (_AUDIT_BYTES * N + _AUDIT_CAR_BYTES * M if audit else 0)
+           + (0 if places else (1 if p.K <= 256 else 5) * _COUNT_BYTES * N))
     return _gate(("MAX_EVENTS", bound * horizon, lambda: f"{at()} allows {bound * horizon:.3g} "
-                  f"events by the last sample time {horizon!r}"), _budgeted_counts(N, times, M, run))
+                  f"events by the last sample time {horizon!r}"),
+                 _budgeted_counts(N, times, M, run, places))
 
 
 def run(
@@ -498,7 +522,7 @@ def run(
     next check is not seen.  Audited and plain runs give byte-identical
     snapshots.
     """
-    _check_run(p, config.N, config.M, config.sample_times, audit)
+    _check_run(p, config.N, config.M, config.sample_times, audit, initial is None)
     rng = np.random.default_rng(config.seed)
     N, K, M, lam_N = config.N, p.K, config.M, p.lam * config.N
     if initial is not None and initial.N != N:
@@ -544,10 +568,10 @@ def run(
     t, t_next, block = 0.0, samples[0], _FIRST_BLOCK
     while t_next is not None:
         # rows of four draws in stream order: one block equals that many
-        # successive rng.random(4) calls
-        u = rng.random((block, 4))
-        u0, u1, u3 = u.T[[0, 1, 3]].tolist()
-        i, j = _stations(u[:, 2:], N).T.tolist()
+        # successive rng.random(4) calls; one copy makes each draw a row
+        u = rng.random((block, 4)).T.copy()
+        u0, u1, u3 = u[0].tolist(), u[1].tolist(), u[3].tolist()
+        i, j = _stations(u[2:], N).tolist()
         if not audit:
             t, t_next = advance(t, zip(u0, u1, i, j, u3), t_next)
         else:

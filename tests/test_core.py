@@ -216,7 +216,8 @@ def test_the_quoted_largest_uses_are_the_plans():
     after = Path(core.__file__).read_text().split("MAX_KEPT_BYTES = 1 << 30", 1)[1]
     doc = " ".join(after.split('"""')[1].split())
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)  # the benchmark's network
-    run_plan = simulate._check_run(p, 4000, 6000, tuple(0.5 * k for k in range(11)))
+    run_plan = simulate._check_run(p, 4000, 6000, tuple(0.5 * k for k in range(11)),
+                                   places=False)  # the study gives each run its placement
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)  # and its flow: T = 5 at dt = 0.25 / 46
     dt = 0.25 / p.rate_bound
     steps = core._gate(meanfield._check_step(p, 5.0, dt, ("T", "dt"), 5.0 / dt))

@@ -466,14 +466,44 @@ def test_a_replica_study_refuses_a_run_above_the_event_budget_before_any_run(mon
 
 @pytest.mark.parametrize("name", ["convergence", "chaos"])
 def test_a_replica_study_refuses_a_run_above_the_kept_budget_before_any_run(monkeypatch, name):
-    # each N is checked as run checks it: N = 4 with 4 cars and 2 snapshots
-    # keeps 476 800 bytes, and N = 8 with 8 cars 478 016
+    # each N is checked as run checks it from the study's placement: N = 4
+    # with 4 cars and 2 snapshots keeps 427 328 bytes, and N = 8 with 8 cars
+    # 428 224
     for fn in ("run", "init_uniform", "integrate_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, **k: pytest.fail("a run came first"))
-    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 478_015)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 428_223)
     with pytest.raises(ValueError, match=r"^N=8 stations, M=8 cars and 2 sample_times keep their "
-                       r"counts, 478016 bytes, above the kept-state budget MAX_KEPT_BYTES=478015$"):
+                       r"counts, 428224 bytes, above the kept-state budget MAX_KEPT_BYTES=428223$"):
         _STUDIES[name][0].refuse(_P, [4, 8], 1, 1.0, (0.5, 1.0), 5, s=1.0)
+
+
+@pytest.mark.parametrize("name", ["convergence", "chaos"])
+def test_a_replica_study_refuses_its_flows_and_placements_above_the_kept_budget(monkeypatch,
+                                                                                name):
+    # every size is placed before any run, and each placement is held with
+    # the block of every size's flow through all the runs: at K = 2, two
+    # sizes at 3 sample_times keep 6 rows of 128 bytes, and 12 stations 32
+    # bytes each
+    for fn in (experiments, "run"), (experiments, "init_uniform"), (meanfield, "_rk4"):
+        monkeypatch.setattr(*fn, lambda *a, **k: pytest.fail("a run, placement or step came first"))
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 1151)
+    with pytest.raises(ValueError, match=r"^N_list=\[4, 8\] holds its placements of 12 stations "
+                       r"and its flows' 6 states of 15 masses, 1152 bytes, above the kept-state "
+                       r"budget MAX_KEPT_BYTES=1151$"):
+        _STUDIES[name][0].refuse(_P, [4, 8], 1, 1.0, (0.5, 0.75, 1.0), 5, s=1.0)
+
+
+def test_a_replica_study_places_every_size_then_runs_all_its_flows_as_one_block(monkeypatch):
+    # each size's flow was a run of its own, between its placement and its
+    # replicas; the placements draw from their own seeds, so the runs and
+    # the report keep their bits
+    calls = []
+    for name in ("init_uniform", "_flows_at", "run"):
+        fn = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    convergence_experiment(_P, [4, 8], 2, 1.0, (0.5, 1.0), 5, s=1.0)
+    assert calls == ["init_uniform"] * 2 + ["_flows_at"] + ["run"] * 4
 
 
 def test_chaos_refuses_rank_counts_above_the_kept_budget_before_any_run(monkeypatch):

@@ -754,3 +754,54 @@ def test_integrate_at_counts_the_steps_its_segments_take(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
     assert len(integrate_at(m0, p, times[:10], dt_max=0.01)) == 10
+
+
+# ------------------------------------------------------------
+# The block run of a replica study's flows
+# ------------------------------------------------------------
+
+def _block_flows(K, B, seed):
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
+    dt = 0.25 / p.rate_bound
+    times = (0.0, 3 * dt, 0.5, 1.0)
+    starts = [_random_measure(K, seed + b) for b in range(B)]
+    flows = meanfield._flows_at(starts, p, meanfield._times_plan(p, times, dt))
+    return flows, [integrate_at(m0, p, times, dt) for m0 in starts]
+
+
+@pytest.mark.parametrize("B", [2, 3])
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_each_flow_of_a_block_run_matches_integrate_at_of_its_start(K, B):
+    # one group steps every row: its sums are contracted in another order
+    # than a single run's, so a mass may differ in its last bits
+    assert meanfield._GROUP_MASSES // num_states(K) >= B
+    flows, singles = _block_flows(K, B, 1700 + 10 * K)
+    for i, (flow, ref) in enumerate(zip(flows, singles)):
+        assert len(flow) == len(ref) == 4
+        for m, r in zip(flow, ref):
+            assert np.abs(m.probs - r.probs).max() <= 1e-15
+            assert not m.probs.flags.writeable and m.probs.ctypes.data % 64 == 0
+            assert not any(np.shares_memory(m.probs, o.probs) for other in flows[:i]
+                           for o in other)
+
+
+@pytest.mark.parametrize("K, B, G", [(15, 2, 1), (10, 5, 4)],
+                         ids=["groups of one", "a last group of one"])
+def test_a_group_of_one_row_is_integrate_at_bit_for_bit(K, B, G, monkeypatch):
+    # with groups of G rows: at K = 15 each row steps alone; at K = 10 four
+    # rows step together and the fifth alone
+    monkeypatch.setattr(meanfield, "_GROUP_MASSES", G * num_states(K))
+    flows, singles = _block_flows(K, B, 1800 + K)
+    for b in range(B):
+        bits = [np.array_equal(m.probs, r.probs) for m, r in zip(flows[b], singles[b])]
+        assert all(bits) if G == 1 or b == B - 1 else not all(bits[1:])
+
+
+def test_an_unstable_row_of_a_block_aborts_the_run():
+    # a step past the stability guard, which _times_plan would refuse,
+    # taken from three starts in one group
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    starts = [_random_measure(p.K, 1900), Measure.point((0, 0, 3, 0), 3), Measure.uniform(3)]
+    with pytest.raises(RuntimeError, match=r"^integration produced mass -\d\S* at t=0\.4; "
+                       r"the step is unstable$"):
+        meanfield._flows_at(starts, p, [(0.4, 1, 0.4)])

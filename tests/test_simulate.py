@@ -1018,6 +1018,54 @@ def test_the_kept_budget_counts_the_state_and_each_snapshot(monkeypatch):
         init_uniform(3841, 15, 3, 0)
 
 
+def test_a_run_from_a_given_state_is_budgeted_for_its_own_lists(monkeypatch):
+    # it was budgeted for a placement it never makes, 112 bytes a station
+    # and 49 152 of raw words: 5 019 808 bytes here, against a 2.9 MB peak;
+    # its own four count lists take 32 bytes a station, 3 370 656 in all,
+    # and 160 above K = 256, where a count may be an int object of its own
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=3)
+    cfg = SimConfig(N=20_000, M=3000, T=1.0, sample_times=(0.1, 0.2, 0.3), seed=0)
+    initial = init_uniform(cfg.N, cfg.M, p.K, 1)
+
+    def plan(p, places):
+        return simulate._check_run(p, cfg.N, cfg.M, cfg.sample_times,
+                                   places=places)["MAX_KEPT_BYTES"]
+
+    assert (plan(p, True), plan(p, False)) == (5_019_808, 3_370_656)
+    assert plan(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=257), False) == 3_370_656 + 128 * cfg.N
+    tracemalloc.start()
+    try:
+        run(p, cfg, initial=initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan(p, False)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 3_370_656)
+    assert len(run(p, cfg, initial=initial)) == 3
+    with pytest.raises(ValueError, match=r"^N=20000 stations, M=3000 cars and 3 sample_times keep "
+                       r"their counts, 5019808 bytes, above the kept-state budget"):
+        run(p, cfg)
+    monkeypatch.setattr(core, "MAX_KEPT_BYTES", 3_370_655)
+    with pytest.raises(ValueError, match=r"^N=20000 stations, M=3000 cars and 3 sample_times keep "
+                       r"their counts, 3370656 bytes, above the kept-state budget "
+                       r"MAX_KEPT_BYTES=3370655$"):
+        run(p, cfg, initial=initial)
+
+
+def test_a_state_of_float_counts_is_refused_by_name():
+    # it passed check_invariants, and a run from it ended in bytearray's
+    # unnamed TypeError, "'float' object cannot be interpreted as an integer"
+    st = SimState(np.zeros(3), np.zeros(3), np.ones(3), np.zeros(3))
+    message = "counts of dtype float64 are not integers at t=0.0"
+    with pytest.raises(SimInvariantError, match=f"^{re.escape(message)}$"):
+        st.check_invariants(K=2, M=3, deep=True)
+    cfg = SimConfig(N=3, M=3, T=1.0, sample_times=(1.0,), seed=0)
+    for audit in (False, True):
+        with pytest.raises(ValueError, match=f"^initial is not a consistent state: "
+                           f"{re.escape(message)}$"):
+            run(ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2), cfg, initial=st, audit=audit)
+
+
 _RESERVING = ModelParams(lam=8.0, mu=1.0, nu=1e-3, K=12)  # pickups slow: cars wait reserved
 _RESERVED = SimConfig(N=3000, M=12_000, T=1.0, sample_times=(1.0,), seed=0)
 

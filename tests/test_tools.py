@@ -75,7 +75,8 @@ def test_a_timed_record_scales_each_median_by_the_reference_kernel(layers, tmp_p
     record = json.loads(out.read_text())["x"]
     k = record["reference_s"]
     assert k > 0
-    assert {"integrate", "drift_K15"} <= set(record["layers"])
+    assert {"integrate", "drift_K15", "study_flows_K15_single",
+            "study_flows_K15_block"} <= set(record["layers"])
     for layer in record["layers"].values():
         unit = "us" if "median_us" in layer else "ms"  # a drift evaluation in microseconds
         assert layer[f"median_{unit}_at_ref"] == round(

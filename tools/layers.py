@@ -21,8 +21,16 @@ subjects, each with its default ``FILE`` at the repository root:
   and the same rates, are CPU microseconds per drift evaluation: one
   sample is ``DRIFT_EVALS`` calls of ``meanfield._drift_raw`` on the
   uniform measure, in one workspace and into one aligned vector, as the
-  integrator calls it.
-* ``simulate`` (``BENCH_simulate_layers.json``, R = 9): events, cars
+  integrator calls it.  The ``study_flows_K{K}_single`` and
+  ``study_flows_K{K}_block`` layers, at the same K, are CPU milliseconds
+  of a replica study's flows: ``STUDY_STARTS`` seeded random starts
+  through ``STUDY_ENTRIES`` plan entries of ``STUDY_STEPS`` steps of
+  dt = 0.25 / (lam + nu K + mu K), each start by ``meanfield._rk4``
+  alone, then all as one ``(STUDY_STARTS, n)`` group, whatever
+  ``meanfield._GROUP_MASSES`` would choose; the two alternate, sample by
+  sample, and the block row gives its median over the single one as
+  ``vs_single``.
+* ``simulate`` (``BENCH_simulate_layers.json``, R = 31): events, cars
   or snapshots per CPU second.  ``run_N{N}`` and ``run_N{N}_audit`` are
   ``simulate.run`` on the benchmark's ``network`` study, K = 3,
   lam = mu = 1, nu = 2, fill s = 1.5 (M = 1.5 N cars), T = 5 with
@@ -166,6 +174,30 @@ def _drift_us(p, repeats: int) -> dict:
     return _summary([1e6 * t / DRIFT_EVALS for t in _cpu_s(evals, repeats)], "us", 3)
 
 
+STUDY_STARTS, STUDY_ENTRIES, STUDY_STEPS = 3, 4, 10
+
+
+def _study_flows(p, repeats: int) -> dict:
+    st = meanfield._stencils(p.K)
+    dt = 0.25 / p.rate_bound
+    plan = [((k + 1) * STUDY_STEPS * dt, STUDY_STEPS, dt) for k in range(STUDY_ENTRIES)]
+    block = np.random.default_rng(p.K).dirichlet(np.ones(st.n), STUDY_STARTS)
+    runs = {"single": lambda: [list(meanfield._rk4(v, p, st, plan, None)) for v in block],
+            "block": lambda: list(meanfield._rk4(block, p, st, plan, None))}
+    samples = {name: [] for name in runs}
+    for fn in runs.values():
+        fn()  # warm-up
+    for _ in range(repeats):
+        for name, fn in runs.items():
+            _KERNEL_S.append(reference.kernel())
+            t0 = time.process_time()
+            fn()
+            samples[name].append(time.process_time() - t0)
+    single, block = _ms(samples["single"]), _ms(samples["block"])
+    block["vs_single"] = round(block["median_ms"] / single["median_ms"], 3)
+    return {f"study_flows_K{p.K}_single": single, f"study_flows_K{p.K}_block": block}
+
+
 def _minflt(fn, repeats: int) -> float:
     """Median minor page faults of one call of ``fn`` over ``repeats`` calls,
     from this process's own ``resource.getrusage``."""
@@ -202,6 +234,8 @@ def flow(repeats: int) -> dict:
     integrate["minflt_per_call"] = _minflt(lambda: meanfield.integrate(start, p, 5.0, dt), repeats)
     for K in DRIFT_K:
         layers[f"drift_K{K}"] = _drift_us(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), repeats)
+    for K in DRIFT_K:
+        layers.update(_study_flows(core.ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K), repeats))
     return {"layers": layers}
 
 
@@ -620,7 +654,7 @@ def contract(repeats: int) -> dict:
 
 SUBJECTS = {  # name: (measure, default repeats, default --out)
     "flow": (flow, 15, "BENCH_flow_layers.json"),
-    "simulate": (simulate_events, 9, "BENCH_simulate_layers.json"),
+    "simulate": (simulate_events, 31, "BENCH_simulate_layers.json"),
     "state_space": (state_space, 7, "BENCH_state_space.json"),
     "solver_outcomes": (solver_outcomes, None, "BENCH_solver_outcomes.json"),
     "contract": (contract, None, "BENCH_contract.json"),

@@ -629,10 +629,13 @@ def test_solve_report_stores_one_iteration_counter():
 
 @pytest.mark.parametrize("K", [3, 10, 40])
 def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeypatch, K):
-    # Each fill evaluation is one curve point started from phi at the
-    # bracket's upper end (the cold start y = 1 until one is evaluated);
-    # where its fill is within the band of s, the point is solved again
-    # from the cold start, and that point decides.  rho2 is the last cold y.
+    # Until the bisection has an upper end, each fill evaluation is one
+    # curve point from the cold start y = 1.  After, it is a point bounded
+    # by phi at the bracket's two ends and started between them; only
+    # where that search returns nothing is the point solved from phi at
+    # the upper end.  Where the fill is within the band of s, the point
+    # is solved again from the cold start, and that point decides.  rho2
+    # is the last cold y.
     points = _spy_curve_points(monkeypatch)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
     s = K / 2
@@ -642,11 +645,20 @@ def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeyp
     c = equilibrium._car_weight(r)
     near = equilibrium._FILL_TOL + equilibrium._warm_band(K)
     calls = iter(points)
-    y_hi, evaluations, cold = 1.0, 0, []
-    for args, (y, sums) in calls:
+    y_lo, y_hi, upper, bounded, evaluations, cold = 0.0, 1.0, False, 0, 0, []
+    for args, point in calls:
         t = args[0]
-        assert args == (t, a, K, y_hi)
+        if upper:
+            assert args[:3] == (t, a, K) and args[4] == (y_lo, y_hi)
+            assert y_lo < args[3] < y_hi
+            bounded += 1
+            if point is None:
+                args, point = next(calls)
+                assert args == (t, a, K, y_hi)
+        else:
+            assert args == (t, a, K, 1.0)
         evaluations += 1
+        y, sums = point
         fill = equilibrium._sums_mean(t, y, sums, c)
         if abs(fill - s) < near:
             args, (y, sums) = next(calls)
@@ -654,9 +666,11 @@ def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeyp
             cold.append(y)
             fill = equilibrium._sums_mean(t, y, sums, c)
         if fill >= s:
-            y_hi = y
-    assert evaluations == rep.fill_evaluations
-    assert max(Counter(args[0] for args, _ in points).values()) <= 2
+            y_hi, upper = y, True
+        else:
+            y_lo = y
+    assert evaluations == rep.fill_evaluations and bounded > evaluations / 2
+    assert max(Counter(args[0] for args, _ in points).values()) <= 3
     assert cold and rep.rho.rho2 == cold[-1]
 
 
@@ -686,8 +700,128 @@ def test_a_warm_solve_ends_as_the_cold_solve_byte_for_byte(monkeypatch, K, s_ove
     p = ModelParams(lam=1.0, mu=1.0, nu=nu_over_mu, K=K)
     warm = _ending(p, s_over_K * K)
     point = equilibrium._curve_point
-    monkeypatch.setattr(equilibrium, "_curve_point", lambda x, a, K, y0=1.0: point(x, a, K))
+    monkeypatch.setattr(equilibrium, "_curve_point",
+                        lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
     assert _ending(p, s_over_K * K) == warm
+
+
+def _stage_ys(monkeypatch):
+    """The ``y`` of every Horner stage a curve point runs, in order.
+
+    ``E_1`` is replaced by a float that records what is added to it: in
+    the first step of each stage that is ``y * Z_0 = y``."""
+    ys = []
+
+    class E1(float):
+        def __add__(self, other):
+            ys.append(other)
+            return float(self) + other
+
+    build = equilibrium._partial_exponentials
+
+    def recording(x, K):
+        Es = build(x, K)
+        return [E1(Es[0])] + Es[1:]
+
+    monkeypatch.setattr(equilibrium, "_partial_exponentials", recording)
+    return ys
+
+
+def _bisection_cells():
+    """``(x, a, K, lo, hi)``: a point midway in ``t`` between two curve
+    points ``0.1 a`` apart, and phi at those two."""
+    for K, a, f in itertools.product((1, 3, 20, 200), (0.5, 3.0, 20.0), (0.1, 0.5, 0.9)):
+        lo, hi = (equilibrium._curve_point((f + d) * a, a, K)[0] for d in (-0.05, 0.05))
+        yield f * a, a, K, lo, hi
+
+
+@pytest.mark.parametrize("start", ["lo", "middle", "hi"])
+def test_a_warm_point_between_two_ends_never_brackets_by_doubling(monkeypatch, start):
+    # From any start within its bounds, every stage of a bounded search
+    # lies within them, and it ends within a few ulps of the cold point,
+    # on the point it evaluated last, with that point's own sums.
+    ys = _stage_ys(monkeypatch)
+    for x, a, K, lo, hi in _bisection_cells():
+        y0 = {"lo": lo, "middle": math.sqrt(lo * hi), "hi": hi}[start]
+        y = equilibrium._curve_point(x, a, K)[0]
+        ys.clear()
+        got, sums = equilibrium._curve_point(x, a, K, y0, (lo, hi))
+        assert all(lo <= v <= hi for v in ys), (x, a, K, ys)
+        assert ys[-1] == got and abs(got - y) <= 16 * math.ulp(y), (x, a, K)
+        Z, dZ, _, Z1, e = equilibrium._reduced_sums(x, got, K)
+        assert e == 0 and sums == (Z, dZ, Z1)
+
+
+def test_a_curve_point_whose_bounds_exclude_the_root_returns_nothing(monkeypatch):
+    # Bounds are phi at other values of t, never an answer: a search
+    # started between bounds that are swapped, or lie below or above the
+    # root, closes on them and returns None, as does a search that would
+    # raise; its caller then solves the point as today.
+    for x, a, K, lo, hi in _bisection_cells():
+        y = equilibrium._curve_point(x, a, K)[0]
+        for bounds, y0 in (((hi, lo), math.sqrt(lo * hi)), ((0.5 * lo, lo), 0.75 * lo),
+                           ((0.0, 0.5 * y), 0.25 * y), ((hi, 2.0 * hi), 1.5 * hi)):
+            assert equilibrium._curve_point(x, a, K, y0, bounds) is None, (x, a, K, bounds)
+    monkeypatch.setattr(equilibrium, "_PHI_MAX_ITER", 1)
+    assert equilibrium._curve_point(x, a, K, lo, (lo, hi)) is None
+    with pytest.raises(RuntimeError, match="no convergence after 1 steps"):
+        equilibrium._curve_point(x, a, K, lo)
+
+
+@pytest.mark.parametrize("corrupt", ["swapped", "below the root", "raising"])
+def test_a_solve_fed_corrupted_bounds_ends_as_the_all_cold_solve(monkeypatch, corrupt):
+    # Whatever a bounded search is given, a solve ends as the one that
+    # solves every point cold: a search that finds no root at its own t
+    # hands the point back to today's search, and one that does returns a
+    # point it evaluated there.  The last case lets every bounded search
+    # run out of steps, as a search from lo = 0 could.
+    point = equilibrium._curve_point
+    cells = [(K, f, nu) for K in (3, 10, 40) for f in (0.2, 0.61, 0.9) for nu in (0.01, 1.0, 100.0)]
+    cold = {}
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "_curve_point",
+                  lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
+        for K, f, nu in cells:
+            cold[K, f, nu] = _ending(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), f * K)
+    calls = Counter()
+
+    def corrupted(x, a, K, y0=1.0, bounds=None):
+        if bounds is None:
+            calls["plain" if y0 != 1.0 else "cold"] += 1
+            return point(x, a, K, y0)
+        lo, hi = bounds
+        calls["bounded"] += 1
+        if corrupt == "swapped":
+            return point(x, a, K, y0, (hi, lo))
+        if corrupt == "below the root":
+            return point(x, a, K, y0, (0.5 * lo, lo))
+        with monkeypatch.context() as m:
+            m.setattr(equilibrium, "_PHI_MAX_ITER", 0)
+            return point(x, a, K, y0, bounds)
+
+    monkeypatch.setattr(equilibrium, "_curve_point", corrupted)
+    for K, f, nu in cells:
+        assert _ending(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), f * K) == cold[K, f, nu]
+    assert 0 < calls["plain"] <= calls["bounded"]
+    assert (calls["plain"] == calls["bounded"]) == (corrupt == "raising")
+
+
+def test_warm_and_cold_solves_agree_byte_for_byte_over_a_jittered_grid(monkeypatch):
+    # 245 solves over a jittered grid: K in {3, 6, 10, 15, 20}, seven bins
+    # of s/K in (0.1, 0.9) by seven of log10(nu/mu) in (-1, 2), one draw in
+    # the middle half of each bin pair.
+    rng = np.random.default_rng(2026)
+    cells = []
+    for K in (3, 6, 10, 15, 20):
+        for i, j in itertools.product(range(7), repeat=2):
+            u, v = 0.5 + 0.25 * (rng.random(2) - 0.5)
+            cells.append((ModelParams(lam=1.0, mu=1.0, nu=10.0 ** (-1.0 + 3.0 * (j + v) / 7), K=K),
+                          (0.1 + 0.8 * (i + u) / 7) * K))
+    warm = [_ending(p, s) for p, s in cells]
+    point = equilibrium._curve_point
+    monkeypatch.setattr(equilibrium, "_curve_point",
+                        lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
+    assert [_ending(p, s) for p, s in cells] == warm
 
 
 def test_an_ordinary_solve_runs_no_full_pass(monkeypatch):

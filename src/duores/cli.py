@@ -48,7 +48,7 @@ from .io import (
     write_station_trajectory_csv,
     write_timed_measure_csv,
 )
-from .meanfield import _grid_plan, _stream, stationarity_residual
+from .meanfield import _flows_at, _grid_plan, stationarity_residual
 from .simulate import SimConfig, empirical_measure, run
 from .verify import _FIXED, ITEMS
 
@@ -263,7 +263,8 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
     sec = conf["meanfield"]
     every = _count(1).check("output_every", sec.get("output_every", 1))
     m0 = _initial_measure(sec.get("initial", "uniform"), p)
-    kept = [(0.0, m0), *_stream(m0, p, *_grid_plan(p, sec["T"], sec["dt"]), every)]
+    plan, n = _grid_plan(p, sec["T"], sec["dt"])
+    kept = [(0.0, m0), *((t, m) for t, (m,) in _flows_at([m0], p, plan, n, every))]
     out = _out_dir(cfg, args)
     write_timed_measure_csv([t for t, _ in kept], [m for _, m in kept],
                             out / "trajectory.csv")

@@ -143,32 +143,14 @@ def _each(rule: _Rule, entry="every entry of {}", least=0, what="value") -> _Rul
     return _Rule(check, text, {"int": "ints", "num": "nums"}[rule.kind])
 
 
-def _plain_times(vs: list) -> tuple | None:
-    """``vs`` as floats when every entry is a Python int or float (or a
-    float64), finite, ``>= 0`` and nondecreasing, checked as one array;
-    else ``None``, and the per-entry rule decides."""
-    if not set(map(type, vs)) <= {int, float, np.float64}:
-        return None
-    try:
-        ts = tuple(map(float, vs))
-    except OverflowError:  # an int beyond the doubles
-        return None
-    a = np.array(ts)
-    ok = np.isfinite(a).all() and (a >= 0.0).all() and not (a[1:] < a[:-1]).any()
-    return ts if ok else None
-
-
 def _times(least=0) -> _Rule:
-    """At least ``least`` times, as floats, each finite and ``>= 0``,
-    nondecreasing.  Plain times are checked whole (:func:`_plain_times`);
-    the per-entry rule runs for any other entry and names a refusal."""
+    """At least ``least`` times, as floats, each finite and ``>= 0``, checked
+    one entry at a time so that a refusal names its entry, and nondecreasing."""
     def check(name, times):
         vs = _listed(name, times, "times")
-        ts = _plain_times(vs)
-        if ts is None:
-            ts = tuple(float(_NONNEG.check(f"{name}[{k}]", t)) for k, t in enumerate(vs))
-            if any(b < a for a, b in zip(ts, ts[1:])):
-                raise ValueError(f"{name} must be nondecreasing")
+        ts = tuple(float(_NONNEG.check(f"{name}[{k}]", t)) for k, t in enumerate(vs))
+        if any(b < a for a, b in zip(ts, ts[1:])):
+            raise ValueError(f"{name} must be nondecreasing")
         return _least(name, ts, times, least, "time")
 
     return _Rule(check, f"a {'non-empty ' * least}sequence of times, each finite `>= 0`, "
@@ -536,7 +518,8 @@ def _masses(name: str, probs, K=None, *, adopt: bool = False, low=None) -> np.nd
     ``K`` is given; else a ValueError naming it.  It fails loudly instead of
     renormalizing.  With ``adopt``, ``probs`` is a float64 vector its caller
     hands over and never writes again: it is checked and frozen, not copied.
-    A given ``low`` is the caller's own ``probs.min()``, not taken again."""
+    A given ``low`` is the caller's own ``probs.min()``, or a positive
+    least mass over states that hold ``probs``, and is not taken again."""
     try:
         p = probs if adopt else np.array(probs, dtype=np.float64, copy=True)
     except (TypeError, ValueError):
@@ -581,7 +564,7 @@ class Measure:
         """The measure whose masses are the float64 vector ``probs`` itself,
         after the checks every measure gets; ``probs`` is made read-only, and
         the caller must not keep a writable view of it.  A given ``low`` is
-        the caller's own ``probs.min()``."""
+        the caller's own ``probs.min()``, or a positive lower bound of it."""
         m = object.__new__(cls)
         object.__setattr__(m, "probs", probs)
         object.__setattr__(m, "K", K)

@@ -20,11 +20,13 @@ use the numpy seed-sequence entropy ``(seed0, N, r)``, with ``r = 0``
 reserved for the shared initial placement.  Replicas are therefore
 independent of execution order.  A replica study makes every size's
 placement first, then integrates the flows from all their empirical
-measures in one block run (``meanfield._flows_at``), then runs each
-size's replicas, so its checks count the placements and the block of
-flows it holds through the runs.  A size's flow can differ from
-:func:`integrate_at` of the same start in the last bit, since a block
-sums in another order.
+measures in one run of the flow loop (``meanfield._flows_at``), which
+keeps their states in one block, then runs each size's replicas, so its
+checks count the placements and the block of flows it holds through the
+runs.  A size's flow can differ from :func:`integrate_at` of the same
+start in the last bit, since a group of starts sums in another order.
+The attraction study streams its flow through the same loop and keeps
+only the rows of its report.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .core import (
     tv_distance,
 )
 from .equilibrium import _check_solvable, product_form, solve_equilibrium
-from .meanfield import _default_dt, _flows_at, _grid_plan, _row_bytes, _stream, _times_plan
+from .meanfield import _default_dt, _flows_at, _grid_plan, _row_bytes, _times_plan
 from .meanfield import integrate_at  # noqa: F401  kept: the benchmark's traced pass wraps it
 from .simulate import (_COUNT_BYTES, SimConfig, _budgeted_counts, _check_run, _rank_counts,
                        empirical_measure, init_uniform, run)
@@ -175,7 +177,8 @@ def _replica_study(name, key, series, criterion, p, N_list, replicas, T, sample_
     def work() -> ExperimentReport:
         inits = [init_uniform(N, round(N * s), p.K, seed=derive_seed(seed0, N, 0))
                  for N in N_list]
-        flows = _flows_at([empirical_measure(init.counts(), p.K) for init in inits], p, plan)
+        starts = [empirical_measure(init.counts(), p.K) for init in inits]
+        flows = zip(*(ms for _, ms in _flows_at(starts, p, plan, len(plan), keep=True)))
         rows = []
         for N, init, flow in zip(N_list, inits, flows):
             M = round(N * s)
@@ -408,7 +411,7 @@ def attraction_experiment(
         stride = max(1, (n + 1) // _REPORT_POINTS)
         fill0, fill_drift, final_tv = mean_fill(start), 0.0, actual_size
         rows = [{"t": 0.0, "tv": final_tv, "fill": fill0}]
-        for k, (t, m) in enumerate(_stream(start, p, plan, n), 1):
+        for k, (t, (m,)) in enumerate(_flows_at([start], p, plan, n), 1):
             fill = mean_fill(m)
             fill_drift = max(fill_drift, abs(fill - fill0))
             if k % stride == 0 or k == n:

@@ -48,21 +48,23 @@ A step allocates nothing either.  The integrator allocates one
 workspace, the four stage derivatives, one stage vector and two
 inner-state vectors per call and reuses them for every step: inside a
 plan entry of several steps the states alternate between the two inner
-vectors.  :func:`integrate` and :func:`integrate_at` keep every state
-they emit, so each run writes its emitted states into the rows of one
-block allocated up front, rows padded to whole cache lines, and makes
-the block read-only when it ends.  A run that streams its states and
-drops them (the CLI, the attraction study) writes each into a new
-vector instead, so its memory is bounded by what its caller keeps.
+vectors.
 
-A replica study integrates one flow from each of its sizes' placements,
-all to the same times, and runs them as one block (``_flows_at``), whose
-kept states are the rows of one block too.  The starts go in groups of
-``G = max(1, _GROUP_MASSES // n)`` rows: 351 at K = 3, 12 at K = 10, 3
-at K = 15 and one from K = 18.  A group of one row is a single run, stepped
-by ``_drift_raw``, bit for bit.  A larger group steps its ``(G, n)``
-block of states through the same loop with ``_drift_block``, which makes
-the products of ``_drift_raw`` in four calls for the whole group: one
+Every flow runs through one loop, ``_flows_at``, which steps one or
+more starts through the same plan, checks every state and emits a
+:class:`Measure` per start.  A run that keeps every state
+(:func:`integrate`, :func:`integrate_at`, a replica study's flows from
+each of its sizes' placements) writes them into the rows of one block
+allocated up front, a row per plan entry and start, rows padded to
+whole cache lines, and makes the block read-only when it ends.  A run
+that streams its states and drops them (the CLI, the attraction study)
+writes each into a new vector instead, so its memory is bounded by what
+its caller keeps.  The starts go in groups of ``G = max(1,
+_GROUP_MASSES // n)`` rows: 351 at K = 3, 12 at K = 10, 3 at K = 15 and
+one from K = 18.  A group of one row is a single run, stepped by
+``_drift_raw``, bit for bit.  A larger group steps its ``(G, n)`` block
+of states through the same steps with ``_drift_block``, which makes the
+products of ``_drift_raw`` in four calls for the whole group: one
 ``(G, n) @ (n, 2)`` product for every row's ``pV`` and ``pF``; one
 ``take`` along axis 1 that gathers all five families into a ``(G, 5,
 n)`` buffer (the fifth by its gather row, not by a slice), weighted in
@@ -81,21 +83,22 @@ whether numpy's vector loops split cache lines, and that alone moved
 the step time by about 6% between runs of the same code.  An emitted
 state is not copied: no state is written after it is made, so the
 :class:`Measure` adopts it as its read-only masses, checked against the
-minimum the run takes anyway.  Only a state with a mass at or below 0
-is clamped into a new vector first, which keeps the clamp's bits, -0.0
-to 0.0 included.
+least mass of its plan entry's states, which the loop takes anyway.
+Only where that least mass is at or below 0 are the entry's states
+clamped into new vectors first, which keeps the clamp's bits, -0.0 to
+0.0 included.
 
 Integration is fixed-step classical Runge-Kutta; the step must satisfy
 ``dt * (lam + nu K + mu K) <= 0.5``, and the plan's steps and kept block
-pass the budget gate, ``core._gate``.  One loop checks every state but
-builds a :class:`Measure` only of those its caller keeps.
+pass the budget gate, ``core._gate``.  The one loop checks every state
+but builds a :class:`Measure` only of those its caller keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, tee
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -280,6 +283,12 @@ def _drift_block(V: np.ndarray, st: _Stencils, ws: _BlockWorkspace,
     return out
 
 
+def _fits(m: Measure, p: ModelParams) -> None:
+    """Refuse a measure of another capacity than the model's."""
+    if m.K != p.K:
+        raise ValueError(f"measure capacity {m.K} != model capacity {p.K}")
+
+
 def drift(m: Measure, p: ModelParams) -> np.ndarray:
     """Instantaneous drift of ``m`` under the five transition families,
     as a read-only vector over ranks.
@@ -289,8 +298,7 @@ def drift(m: Measure, p: ModelParams) -> np.ndarray:
     unit rates it is the plain 1e-12, at large rates the same relative
     accuracy is required.
     """
-    if m.K != p.K:
-        raise ValueError(f"measure capacity {m.K} != model capacity {p.K}")
+    _fits(m, p)
     st = _stencils(p.K)
     d = _drift_raw(m.probs, st, _workspace(st, p), np.empty(st.n))
     if abs(float(d.sum())) > 1e-12 * max(1.0, float(np.abs(d).sum())):
@@ -423,84 +431,60 @@ def _frozen(a: np.ndarray) -> None:
         a = a.base
 
 
-def _stream(m0: Measure, p: ModelParams, plan: Iterable, n: int,
-            every: int = 1, keep: bool = False) -> Iterator[tuple[float, Measure]]:
-    """Run the ``n`` entries of ``plan`` from ``m0``, checking every state (a
-    mass below -1e-12 aborts the run), and yield ``(t, Measure)`` at every
-    ``every``-th entry and the last.  A state whose masses are all positive
-    becomes the measure's read-only masses itself.  Any other is clamped to
-    ``>= 0`` (a -0.0 to 0.0 too), without renormalizing, into a new vector
-    that the measure adopts; the run reads the unclamped state for its next
-    step.
-
-    With ``keep`` (and ``every`` 1), for a caller that keeps every measure,
-    the states are the rows of one block of :func:`_aligned_rows`, made
-    read-only once the run ends."""
-    if m0.K != p.K:
-        raise ValueError(f"measure capacity {m0.K} != model capacity {p.K}")
-    st = _stencils(p.K)
-    rows = _aligned_rows(n, st.n) if keep else None
-    for i, (t, v) in enumerate(_rk4(m0.probs, p, st, plan, rows), 1):
-        lo = _checked(t, float(v.min()))
-        if i % every == 0 or i == n:
-            yield t, _measure(v, p.K, lo)
-    if keep:
-        _frozen(rows)
-
-
-def _checked(t: float, lo: float) -> float:
-    """``lo``, the least mass of the states at ``t``; a mass below -1e-12
-    aborts the run."""
-    if lo < -1e-12:
-        raise RuntimeError(f"integration produced mass {lo!r} at t={t}; the step is unstable")
-    return lo
-
-
-def _measure(v: np.ndarray, K: int, lo: float) -> Measure:
-    """The measure of the state ``v`` whose least mass is ``lo``: ``v`` itself
-    if every mass is positive, else ``v`` clamped to ``>= 0`` in a new vector."""
-    return Measure._adopt(v, K, lo) if lo > 0.0 else Measure._adopt(np.clip(v, 0.0, None), K)
-
-
 _GROUP_MASSES = 12_288
-"""Masses of one group of :func:`_flows_at`'s block run: ``max(1,
-_GROUP_MASSES // n)`` states of ``n`` masses step together.  Three flows
-stepped as one group took 0.44x the CPU of three single runs at K = 3,
-0.71x at K = 10 and 0.91x to 0.93x at K = 15 (11 628 masses), and 1.07x
-to 1.15x at K = 20 (31 878 masses), where a group's arrays, about 112
-bytes a mass, outgrow a core's 2 MB L2 cache (``tools/layers.py flow``,
-the ``study_flows_K{K}`` rows).  The bound keeps every group within the
-largest size measured to gain."""
+"""Masses of one group of :func:`_flows_at`'s run of several starts:
+``max(1, _GROUP_MASSES // n)`` states of ``n`` masses step together.
+Three flows stepped as one group took 0.44x the CPU of three single runs
+at K = 3, 0.71x at K = 10 and 0.91x to 0.93x at K = 15 (11 628 masses),
+and 1.07x to 1.15x at K = 20 (31 878 masses), where a group's arrays,
+about 112 bytes a mass, outgrow a core's 2 MB L2 cache (``tools/layers.py
+flow``, the ``study_flows_K{K}`` rows).  The bound keeps every group
+within the largest size measured to gain."""
 
 
-def _flows_at(starts: Sequence[Measure], p: ModelParams, plan: list) -> list[list[Measure]]:
-    """The measures of the flow from each of ``starts`` at the times of
-    ``plan``, :func:`_times_plan`'s, as :func:`integrate_at` gives them for
-    one start, in one block run.
+def _flows_at(starts: Sequence[Measure], p: ModelParams, plan: Iterable, n: int,
+              every: int = 1, keep: bool = False) -> Iterator[tuple[float, list[Measure]]]:
+    """Run the ``n`` entries of ``plan`` from each of ``starts``, which are
+    of capacity ``p.K``, checking every state (a mass below -1e-12 aborts
+    the run), and yield ``(t, [a Measure per start])`` at every
+    ``every``-th entry and the last.  Where every mass of an entry's
+    states is positive, each state becomes its measure's read-only masses
+    itself, checked against the entry's least mass.  Else each is clamped
+    to ``>= 0`` (a -0.0 to 0.0 too), without renormalizing, into a new
+    vector that the measure adopts; the run reads the unclamped states
+    for its next step.
 
-    The starts go in groups of ``max(1, _GROUP_MASSES // n)`` rows, each a
-    :func:`_rk4` run of its own, all advanced one plan entry at a time.  A
-    group of one row is a single run, bit for bit; a larger group
-    contracts its sums in another order, so its measures can differ from
-    :func:`integrate_at`'s in the last bit.  The states are the rows of one
-    read-only block of :func:`_aligned_rows`, a row per start and time, and
-    every entry's states are checked before the next entry is taken."""
+    The starts go in groups of at most :data:`_GROUP_MASSES` masses (one
+    row at least), each a :func:`_rk4` run of its own, all advanced one
+    plan entry at a time (a lazy plan is shared through ``tee``, which
+    holds at most one entry).  A group of one row is a single run; a
+    larger group contracts its sums in another order, so its states can
+    differ from the single runs of its starts in the last bit.  With
+    ``keep`` (and ``every`` 1), for a caller that keeps every measure, the
+    states are the rows of one block of :func:`_aligned_rows`, a row per
+    entry and start, made read-only once the run ends; without it each
+    state is a new array."""
     st = _stencils(p.K)
     B, G = len(starts), max(1, _GROUP_MASSES // st.n)
-    rows = _aligned_rows(len(plan) * B, st.n).reshape(len(plan), B, st.n)
+    rows = _aligned_rows(n * B, st.n).reshape(n, B, st.n) if keep else None
+    firsts = range(0, B, G)
     runs = []
-    for g in range(0, B, G):
+    for g, part in zip(firsts, tee(plan, len(firsts)) if len(firsts) > 1 else (plan,)):
         group = [m.probs for m in starts[g:g + G]]
-        runs.append(_rk4(group[0], p, st, plan, rows[:, g]) if len(group) == 1 else
-                    _rk4(np.stack(group), p, st, plan, rows[:, g:g + G]))
-    flows = [[] for _ in starts]
-    for block, entries in zip(rows, zip(*runs)):
-        lows = block.min(axis=1)
-        _checked(entries[0][0], float(lows.min()))
-        for flow, v, lo in zip(flows, block, lows.tolist()):
-            flow.append(_measure(v, p.K, lo))
-    _frozen(rows)
-    return flows
+        v, at = (group[0], g) if len(group) == 1 else (np.stack(group), slice(g, g + G))
+        runs.append(_rk4(v, p, st, part, None if rows is None else rows[:, at]))
+    for i, entries in enumerate(zip(*runs), 1):
+        lo = np.inf
+        for t, V in entries:  # every run is at the same t
+            lo = min(lo, float(V.min()))
+        if lo < -1e-12:
+            raise RuntimeError(f"integration produced mass {lo!r} at t={t}; the step is unstable")
+        if i % every == 0 or i == n:
+            yield t, [Measure._adopt(v, p.K, lo) if lo > 0.0 else
+                      Measure._adopt(np.clip(v, 0.0, None), p.K)
+                      for _, V in entries for v in (V if V.ndim > 1 else (V,))]
+    if keep:
+        _frozen(rows)
 
 
 def integrate(
@@ -515,11 +499,13 @@ def integrate(
     state: a mass in ``[-1e-12, 0)`` reads 0.  The returned measures after
     ``m0`` hold rows of one read-only block (all but a clamped state, which
     has its own vector), so keeping one of them keeps the whole block; a
-    block above :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step.
+    block above :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step,
+    and a measure of another capacity than ``p``'s before any budget.
     """
+    _fits(m0, p)
     plan, n = _grid_plan(p, T, dt)
     _gate(*_budgeted_block(p, n, T, dt, ("T", "dt")))
-    return [(0.0, m0), *_stream(m0, p, plan, n, keep=True)]
+    return [(0.0, m0), *((t, m) for t, (m,) in _flows_at([m0], p, plan, n, keep=True))]
 
 
 integrate.__domain__ = _grid_plan.__domain__  # which _grid_plan checks
@@ -553,7 +539,9 @@ def integrate_at(
     requested instants.  Every time must be finite and ``>= 0``.  As in
     :func:`integrate`, the measures hold rows of one read-only block, and
     a plan of more than :data:`MAX_STEPS` steps or a block above
-    :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step.
+    :data:`~duores.core.MAX_KEPT_BYTES` is refused before any step, and a
+    measure of another capacity than ``p``'s before any budget.
     """
+    _fits(m0, p)
     plan = _times_plan(p, times, dt_max)
-    return [m for _, m in _stream(m0, p, plan, len(plan), keep=True)]
+    return [m for _, (m,) in _flows_at([m0], p, plan, len(plan), keep=True)]

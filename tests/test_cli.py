@@ -557,7 +557,7 @@ def test_equilibrium_checks_the_state_budget_before_the_solve(tmp_path, capsys, 
 _COMMANDS = {
     "simulate": ({"model": _MODEL, "sim": {"N": 3, "M": 3, "T": 0.5, "sample_times": [0.5],
                                            "seed": 1}}, "run"),
-    "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "_stream"),
+    "meanfield": ({"model": _MODEL, "meanfield": {"T": 0.1, "dt": 0.05}}, "_flows_at"),
     "equilibrium": ({"model": _MODEL, "equilibrium": {"s": 1.0}}, "solve_equilibrium"),
     "verify": ({"checks": ["enumeration"], "experiments": {"attraction": _ATTRACTION}},
                "solve_equilibrium"),
@@ -744,8 +744,10 @@ def test_verify_refuses_a_degenerate_experiment_before_any_suite_runs(tmp_path, 
 @pytest.fixture
 def work_calls(monkeypatch):
     """Calls of the entries every item's work goes through, counted at each
-    module that binds them."""
-    calls = dict.fromkeys(("solve_equilibrium", "run", "_stream", "_curve_point"), 0)
+    module that binds them; a name that no module binds is an error, not a
+    count that stays 0."""
+    calls = dict.fromkeys(("solve_equilibrium", "run", "_flows_at", "_curve_point"), 0)
+    bound = set()
     for mod in (equilibrium, simulate, meanfield, experiments, verify, cli):
         for name in calls:
             if hasattr(mod, name):
@@ -754,6 +756,8 @@ def work_calls(monkeypatch):
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(mod, name, counted)
+                bound.add(name)
+    assert bound == set(calls)
     return calls
 
 
@@ -843,7 +847,7 @@ def test_verify_refuses_a_bad_argument_of_any_item_before_any_item_runs(
     # no item's work ran; a good attraction item read before a bad study
     # has made its start solve, which is part of its own refusal
     solves = int(name != "attraction")
-    assert work_calls["run"] == work_calls["_stream"] == 0
+    assert work_calls["run"] == work_calls["_flows_at"] == 0
     assert work_calls["solve_equilibrium"] == solves
     assert bool(work_calls["_curve_point"]) == bool(solves)
     assert not (tmp_path / "out").exists()

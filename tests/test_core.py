@@ -456,12 +456,3 @@ def test_times_are_accepted_and_refused_as_by_the_per_entry_rule():
         for times in cases:
             assert _ending(check, "times", times) == _ending(_per_entry_times, "times", times,
                                                              least), (least, times)
-
-
-def test_plain_times_are_checked_as_one_array(monkeypatch):
-    # the per-entry rule took about 0.6 us a time: 60 ms for 100 000 times
-    times = [0.001 * k for k in range(100_000)]
-    expected = core._times().check("times", times)
-    monkeypatch.setattr(core, "_NONNEG", core._Rule(lambda *a: pytest.fail("per entry"), ""))
-    assert core._times().check("times", times) == expected
-    assert core._times().check("times", np.array(times)) == expected

@@ -232,7 +232,7 @@ def test_a_rate_bound_that_overflows_is_refused_by_name_before_any_run_or_solve(
     # the step 0.25 / inf was 0: the replica studies accepted it and their
     # runs ended in an IndexError, and attraction refused a dt never given
     calls = []
-    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_stream"):
+    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_flows_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
     study, args, _ = _STUDIES[name]
     overflow = ModelParams(lam=1e308, mu=1e308, nu=1e308, K=3)
@@ -437,7 +437,7 @@ def test_a_flow_above_the_step_budget_is_refused_by_name_before_any_run_or_solve
     # the default step 0.25 / 7e307 is subnormal: attraction's .refuse ended
     # in an OverflowError, and the replica studies passed .refuse and ran
     calls = []
-    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_stream"):
+    for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_flows_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
     study, args, _ = _STUDIES[name]
     span = "T / dt" if name == "attraction" else "sample_times / dt_max"

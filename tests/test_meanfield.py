@@ -8,14 +8,16 @@ families, is the reference for the kernel's bits.
 """
 
 import importlib
+import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duores import core, meanfield
+from duores import cli, core, experiments, meanfield
 from duores.core import (
     Measure,
     ModelParams,
@@ -300,7 +302,7 @@ def test_a_state_just_below_zero_is_clamped_in_a_new_vector_and_stepped_unclampe
     dt = 0.25 / p.rate_bound
     m0 = _random_measure(p.K, 1400)
     plan, n = meanfield._grid_plan(p, 3 * dt, dt)
-    traj = list(meanfield._stream(m0, p, plan, n))
+    traj = [(t, m) for t, (m,) in meanfield._flows_at([m0], p, plan, n)]
     assert seen[1][7] == -1e-13  # the run's own state stays unclamped
     assert traj[1][1].probs[7] == 0.0
     assert not np.shares_memory(traj[1][1].probs, seen[1])
@@ -397,7 +399,7 @@ def test_a_kept_run_allocates_nothing_once_its_block_exists(steps):
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     dt = 0.25 / p.rate_bound
     plan = [(dt, 1, dt), ((steps + 1) * dt, steps, dt)]
-    run = meanfield._stream(_random_measure(p.K, 1210), p, plan, len(plan), keep=True)
+    run = meanfield._flows_at([_random_measure(p.K, 1210)], p, plan, len(plan), keep=True)
     next(run)  # allocates the block and the run's workspace
     assert _traced_peak(lambda: next(run)) <= 4096
 
@@ -413,7 +415,7 @@ def test_a_streamed_run_keeps_no_block_and_its_memory_does_not_grow(monkeypatch)
     arrays = _recording_aligned(monkeypatch)
 
     def stream(steps):
-        for _ in meanfield._stream(m0, p, *meanfield._grid_plan(p, steps * dt, dt)):
+        for _ in meanfield._flows_at([m0], p, *meanfield._grid_plan(p, steps * dt, dt)):
             pass
 
     short, long = _traced_peak(lambda: stream(20)), _traced_peak(lambda: stream(2000))
@@ -428,8 +430,8 @@ def test_an_integrator_step_allocates_only_its_state_and_measure():
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=15)
     st = meanfield._stencils(p.K)
     dt = 0.25 / p.rate_bound
-    steps = meanfield._stream(_random_measure(p.K, 1200), p,
-                              [(dt, 1, dt), (2 * dt, 1, dt)], 2)
+    steps = meanfield._flows_at([_random_measure(p.K, 1200)], p,
+                                [(dt, 1, dt), (2 * dt, 1, dt)], 2)
     next(steps)  # allocates the run's workspace
     # one n-vector plus the small objects around it, below a second
     assert _traced_peak(lambda: next(steps)) <= st.n * 8 + 4096
@@ -453,7 +455,7 @@ def test_a_negative_state_aborts_the_run_even_when_it_is_not_emitted(monkeypatch
     plan, n = meanfield._grid_plan(p, 20 * dt, dt)
     emitted = []
     with pytest.raises(RuntimeError, match=rf"mass -1e-09 at t={3 * dt}; the step is unstable"):
-        emitted.extend(meanfield._stream(m0, p, plan, n, every=10))
+        emitted.extend(meanfield._flows_at([m0], p, plan, n, every=10))
     assert emitted == []
 
 
@@ -605,11 +607,19 @@ def test_integrate_at_agrees_with_integrate():
 
 
 def test_integrators_refuse_a_measure_of_another_capacity():
-    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2)
-    for call in (lambda m: integrate(m, p, T=0.1, dt=0.01),
-                 lambda m: integrate_at(m, p, [0.1], dt_max=0.01)):
-        with pytest.raises(ValueError, match=r"^measure capacity 1 != model capacity 2$"):
-            call(Measure.uniform(1))
+    # at K = 80 each plan below breaks the kept-state or the step budget, and
+    # that refusal came first: a 14.9 GB block, not the capacity, was named
+    p, big = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=2), ModelParams(1.0, 1.0, 2.0, K=80)
+    dt = 0.25 / big.rate_bound
+    cases = [(p, 1, lambda m, q: integrate(m, q, T=0.1, dt=0.01)),
+             (p, 1, lambda m, q: integrate_at(m, q, [0.1], dt_max=0.01)),
+             (big, 3, lambda m, q: integrate(m, q, T=1.0, dt=dt)),
+             (big, 3, lambda m, q: integrate(m, q, T=1e4, dt=dt)),
+             (big, 3, lambda m, q: integrate_at(m, q, [k / 1999 for k in range(1, 2000)], dt)),
+             (big, 3, lambda m, q: integrate_at(m, q, [1e4], dt))]
+    for q, K, call in cases:
+        with pytest.raises(ValueError, match=rf"^measure capacity {K} != model capacity {q.K}$"):
+            call(Measure.uniform(K), q)
 
 
 def test_integrate_at_validates_order():
@@ -765,7 +775,9 @@ def _block_flows(K, B, seed):
     dt = 0.25 / p.rate_bound
     times = (0.0, 3 * dt, 0.5, 1.0)
     starts = [_random_measure(K, seed + b) for b in range(B)]
-    flows = meanfield._flows_at(starts, p, meanfield._times_plan(p, times, dt))
+    plan = meanfield._times_plan(p, times, dt)
+    run = meanfield._flows_at(starts, p, plan, len(plan), keep=True)
+    flows = [list(flow) for flow in zip(*(ms for _, ms in run))]
     return flows, [integrate_at(m0, p, times, dt) for m0 in starts]
 
 
@@ -804,4 +816,36 @@ def test_an_unstable_row_of_a_block_aborts_the_run():
     starts = [_random_measure(p.K, 1900), Measure.point((0, 0, 3, 0), 3), Measure.uniform(3)]
     with pytest.raises(RuntimeError, match=r"^integration produced mass -\d\S* at t=0\.4; "
                        r"the step is unstable$"):
-        meanfield._flows_at(starts, p, [(0.4, 1, 0.4)])
+        list(meanfield._flows_at(starts, p, [(0.4, 1, 0.4)], 1, keep=True))
+
+
+# ------------------------------------------------------------
+# One loop for every flow
+# ------------------------------------------------------------
+
+def test_every_flow_steps_through_the_one_emitting_loop(tmp_path, monkeypatch):
+    # the kept and streamed runs looped over _rk4 in _stream, the replica
+    # study's block run in _flows_at
+    rk4, callers = meanfield._rk4, {}
+
+    def spied(*args):
+        callers.setdefault(entry, set()).add(sys._getframe(1).f_code.co_name)
+        return rk4(*args)
+
+    monkeypatch.setattr(meanfield, "_rk4", spied)
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"lam": 1.0, "mu": 1.0, "nu": 2.0, "K": 2},
+                               "meanfield": {"T": 0.1, "dt": 0.05, "output_every": 2},
+                               "output_dir": str(tmp_path / "out")}))
+    entries = {
+        "integrate": lambda: integrate(Measure.uniform(2), p, T=0.1, dt=0.05),
+        "integrate_at": lambda: integrate_at(Measure.uniform(2), p, [0.05, 0.1], dt_max=0.05),
+        "duores meanfield": lambda: cli.main(["meanfield", str(cfg)]),
+        "attraction_experiment": lambda: experiments.attraction_experiment(p, 0.1, 0.1, s=1.0),
+        "convergence_experiment": lambda: experiments.convergence_experiment(
+            p, [4, 8], 1, 0.1, (0.1,), 5, s=1.0),
+    }
+    for entry, call in entries.items():
+        call()
+    assert callers == dict.fromkeys(entries, {"_flows_at"})

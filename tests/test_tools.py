@@ -155,11 +155,14 @@ def test_a_study_refuses_a_fill_its_networks_cannot_hold_by_name(sweep, entry):
 
 def test_staged_items_refuse_every_draw_before_any_run_stream_or_solve(monkeypatch):
     # the attraction item's start solve is part of its refusal
-    calls, outcome = [], LAYERS.sweep_outcome
+    calls, outcome, bound = [], LAYERS.sweep_outcome, set()
+    names = ("run", "_flows_at", "solve_equilibrium", "integrate_at")
     for mod in (experiments, verify):
-        for name in ("run", "_stream", "solve_equilibrium", "integrate_at"):
+        for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+                bound.add(name)
+    assert bound == set(names)  # a name bound nowhere would count nothing
 
     def watched(entry, arg, value):
         calls.clear()

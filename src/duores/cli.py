@@ -38,7 +38,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import (Measure, ModelParams, _budgeted_states, _count, mean_fill,
+from .core import (Measure, ModelParams, _budgeted_states, _count, _gate, mean_fill,
                    prob_no_available, prob_saturated)
 from .equilibrium import product_form, solve_equilibrium
 from .io import (
@@ -48,7 +48,7 @@ from .io import (
     write_station_trajectory_csv,
     write_timed_measure_csv,
 )
-from .meanfield import _flows_at, _grid_plan, stationarity_residual
+from .meanfield import _budgeted_block, _flows_at, _grid_plan, stationarity_residual
 from .simulate import SimConfig, empirical_measure, run
 from .verify import _FIXED, ITEMS
 
@@ -264,6 +264,7 @@ def _cmd_meanfield(cfg: dict, conf: dict, args) -> int:
     every = _count(1).check("output_every", sec.get("output_every", 1))
     m0 = _initial_measure(sec.get("initial", "uniform"), p)
     plan, n = _grid_plan(p, sec["T"], sec["dt"])
+    _gate(*_budgeted_block(p, -(-n // every), sec["T"], sec["dt"], ("T", "dt")))
     kept = [(0.0, m0), *((t, m) for t, (m,) in _flows_at([m0], p, plan, n, every))]
     out = _out_dir(cfg, args)
     write_timed_measure_csv([t for t, _ in kept], [m for _, m in kept],

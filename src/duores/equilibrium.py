@@ -52,24 +52,25 @@ doubles; at a ``y`` where the pass would rescale, the full pass runs.
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
 
-The bisection solves each curve point warm.  ``phi`` increases along
-the curve, so once the bracket has an upper end, ``phi(t)`` lies between
-``phi`` at its two ends (0 at ``t = 0``): the point starts between them,
-geometrically interpolated in ``t`` (linearly while the lower end is
-``t = 0``), and Newton's method runs within them as bounds.  Bounds are
-phi at other values of ``t``, never an answer: a search that closes on
-them, or runs out of steps, returns nothing, and the point is solved
-from ``phi`` at the upper end, as before any upper end exists.  A
-``sweep`` pass of the benchmark (seed 1, 9424 fill evaluations) runs
-27 250 Horner stages this way, against 38 842 from the upper end alone
-and 67 135 from the cold start ``y = 1``.  A warm point ends on another
-double than the cold one, a few ulps away, and its fill differs by up to
-about ``2e-17 K^2`` (measured up to K = 2000).  So where the warm fill
-lies within ``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could
-flip a decision, the point is solved again from the cold start, and the
-cold point decides: every step, the stop and the returned ``rho2`` are
-those of an all-cold bisection, bit for bit.  Only the fills an error
-message quotes may differ, in their last digits.
+The bisection solves each curve point warm, and hands it the bracket,
+``(t, phi)`` at both ends.  ``phi`` increases along the curve, so once
+the bracket has an upper end, ``phi(t)`` lies between ``phi`` at its two
+ends (0 at ``t = 0``): the point starts between them, geometrically
+interpolated in ``t`` (linearly while the lower end is ``t = 0``), and
+Newton's method runs within them as bounds.  Bounds are phi at other
+values of ``t``, never an answer: a search that closes on them, or runs
+out of steps, returns nothing, and the point is solved from ``phi`` at
+the upper end, as before any upper end exists.  A ``sweep`` pass of the
+benchmark (seed 1, 9424 fill evaluations) runs 27 250 Horner stages this
+way, against 38 842 from the upper end alone and 67 135 from the cold
+start ``y = 1``.  A warm point ends on another double than the cold one,
+a few ulps away, and its fill differs by up to about ``2e-17 K^2``
+(measured up to K = 2000).  So where the warm fill lies within
+``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could flip a
+decision, the point is solved again from the cold start, and the cold
+point decides: every step, the stop and the returned ``rho2`` are those
+of an all-cold bisection, bit for bit.  Only the fills an error message
+quotes may differ, in their last digits.
 
 The residuals are not read from the reduced family: ``_state_sums``
 takes them from O(K^2) convolutions of the four one-coordinate weight
@@ -506,14 +507,17 @@ class SolveReport:
 
 def _solve_fill(curve, a: float, K: int, s: float,
                 nu_over_mu: float) -> tuple[float, float, int]:
-    """Root ``t`` of ``fill(t) = s`` along ``curve(t) = (y, fill)``, the
-    ``y`` there and the number of fill evaluations.
+    """Root ``t`` of ``fill(t) = s`` along ``curve(t, lo, hi) = (y, fill)``,
+    the ``y`` there and the number of fill evaluations.
 
     Bisects on (0, a), whose virtual end values are 0 and K; the ends
-    are never evaluated.  Stops at ``|fill - s| < _FILL_TOL``, at adjacent
-    doubles or after ``_MAX_OUTER`` steps.  A root is returned only if
-    the evaluations, in ``t`` order, never decrease by more than
-    ``1e-12 max(1, K)``.
+    are never evaluated.  Each end is a pair ``(t, phi)``, handed to
+    every evaluation, which then moves one end to its ``(t, y)``: ``lo``
+    starts at ``(0.0, 0.0)`` and ``hi`` at ``(a, None)``, phi unknown
+    until an upper end is evaluated.  Stops at
+    ``|fill - s| < _FILL_TOL``, at adjacent doubles or after
+    ``_MAX_OUTER`` steps.  A root is returned only if the evaluations,
+    in ``t`` order, never decrease by more than ``1e-12 max(1, K)``.
 
     Raises
     ------
@@ -526,13 +530,13 @@ def _solve_fill(curve, a: float, K: int, s: float,
         If the bisection met ``_FILL_TOL`` but its evaluations decrease
         somewhere; no other root is searched for.
     """
-    lo, hi = 0.0, a
+    lo, hi = (0.0, 0.0), (a, None)
     evals = []
     for _ in range(_MAX_OUTER):
-        t = 0.5 * (lo + hi)
-        if t == lo or t == hi:
+        t = 0.5 * (lo[0] + hi[0])
+        if t == lo[0] or t == hi[0]:
             break
-        y, fill = curve(t)
+        y, fill = curve(t, lo, hi)
         evals.append((t, fill))
         if abs(fill - s) < _FILL_TOL:
             ordered = sorted(evals)
@@ -542,10 +546,11 @@ def _solve_fill(curve, a: float, K: int, s: float,
                     raise MultipleEquilibriaError(K, s, nu_over_mu, ((t0, f0), (t1, f1)))
             return t, y, len(evals)
         if fill < s:
-            lo = t
+            lo = t, y
         else:
-            hi = t
+            hi = t, y
     fills = dict(evals)
+    (lo, _), (hi, _) = lo, hi
     if hi == a:  # closed on the unevaluated top end: lo is a's lower neighbour
         raise ValueError(
             f"fill s={s!r} at K={K} is out of reach in double precision: "
@@ -610,26 +615,19 @@ def solve_equilibrium(p: ModelParams, s: float) -> SolveReport:
     c = _car_weight(r)
 
     near = _FILL_TOL + _warm_band(p.K)
-    # The bisection's bracket in t, and phi at its ends: 0 at t = 0, and
-    # the cold start y = 1 at t = a until an upper end is evaluated.
-    t_lo, y_lo, t_hi, y_hi = 0.0, 0.0, a, 1.0
 
-    def curve(t: float) -> tuple[float, float]:
-        nonlocal t_lo, y_lo, t_hi, y_hi
+    def curve(t: float, lo: tuple, hi: tuple) -> tuple[float, float]:
+        (t_lo, y_lo), (t_hi, y_hi) = lo, hi
         point = None
-        if t_hi < a:  # phi(t) lies between phi at the two ends
+        if y_hi is not None:  # phi(t) lies between phi at the two ends
             w = (t - t_lo) / (t_hi - t_lo)
             start = y_lo ** (1.0 - w) * y_hi ** w if y_lo else w * y_hi
             point = _curve_point(t, a, p.K, start, (y_lo, y_hi))
-        y, sums = point or _curve_point(t, a, p.K, y_hi)
+        y, sums = point or _curve_point(t, a, p.K, 1.0 if y_hi is None else y_hi)
         fill = _sums_mean(t, y, sums, c)
         if not abs(fill - s) >= near:  # a decision the warm fill could flip: solve cold
             y, sums = _curve_point(t, a, p.K)
             fill = _sums_mean(t, y, sums, c)
-        if fill < s:
-            t_lo, y_lo = t, y
-        else:
-            t_hi, y_hi = t, y
         return y, fill
 
     t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, p.nu / p.mu)

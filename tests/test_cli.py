@@ -489,6 +489,39 @@ def test_meanfield_reports_a_failed_start_solve(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+class _Stepped(Exception):
+    """Raised by a stubbed ``_rk4``: the run reached its first step."""
+
+
+@pytest.mark.parametrize("every", [1, 1000])
+def test_meanfield_budgets_its_kept_states_before_any_step(tmp_path, capsys, monkeypatch,
+                                                           every):
+    # T / dt = 625 000 steps at K = 20 (10 626 masses, 85 056 bytes a
+    # padded row): every state kept is 53 GB, every 1000th is 53 MB
+    calls = []
+
+    def stepped(*args):
+        calls.append(args)
+        raise _Stepped
+
+    monkeypatch.setattr(meanfield, "_rk4", stepped)
+    out = tmp_path / "out"
+    cfg = {"model": {**_MODEL, "K": 20},
+           "meanfield": {"T": 5000, "dt": 0.008, "output_every": every},
+           "output_dir": str(out)}
+    if every == 1:
+        assert main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: T / dt = 5000.0 / 0.008 keeps 625000 states of 10626 masses, "
+            "53160000000 bytes, above the kept-state budget MAX_KEPT_BYTES=1073741824\n")
+        assert calls == []
+    else:
+        with pytest.raises(_Stepped):
+            main(["meanfield", _write_cfg(tmp_path, "mf.json", cfg)])
+        assert len(calls) == 1
+    assert not out.exists()
+
+
 def test_simulate_reports_a_failed_audit(tmp_path, capsys, monkeypatch):
     def corrupted(p, config, audit):
         assert audit

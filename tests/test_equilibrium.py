@@ -842,11 +842,34 @@ def _piecewise_fill(knots):
     ts, fills = zip(*knots)
     calls = []
 
-    def curve(t):
+    def curve(t, lo, hi):
         calls.append(t)
         return 1.0, float(np.interp(t, ts, fills))
 
     return curve, calls
+
+
+def test_the_fill_bisection_hands_its_bracket_to_every_curve_point():
+    # The fill is 2 t on (0, 1), so s = 1.7 is met at t = 0.85, and the
+    # first upper end is the third evaluation.  Each point's phi is its
+    # call count, so an end carries the phi its own evaluation returned.
+    seen = []
+
+    def curve(t, lo, hi):
+        seen.append((t, lo, hi))
+        return float(len(seen)), 2.0 * t
+
+    t_star, y, n = equilibrium._solve_fill(curve, 1.0, 2, 1.7, 1.5)
+    assert abs(2.0 * t_star - 1.7) < equilibrium._FILL_TOL
+    assert (y, n) == (float(len(seen)), len(seen))
+    lo, hi = (0.0, 0.0), (1.0, None)
+    for i, (t, *ends) in enumerate(seen, 1):
+        assert t == 0.5 * (lo[0] + hi[0]) and ends == [lo, hi]
+        if 2.0 * t < 1.7:
+            lo = t, float(i)
+        else:
+            hi = t, float(i)
+    assert [h[1] for _, _, h in seen[:4]] == [None, None, None, 3.0]
 
 
 def test_a_decreasing_trace_with_one_root_is_refused():

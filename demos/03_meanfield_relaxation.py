@@ -33,7 +33,7 @@ def main() -> None:
     print(f"\nstart A: fixed point displaced by TV {tv_distance(start, pi):.4f}"
           f" at the same fill {mean_fill(start):.4f}")
 
-    dt = 0.02  # dt * (lam + nu K + mu K) = 0.2, well inside the guard
+    dt = 0.02  # dt * (2 lam + max(nu, mu) K) = 0.16, well inside the guard
     print("\n  t     TV to fixed point    mean fill")
     for t, m in integrate(start, p, T=8.0, dt=dt)[::50]:
         print(f"  {t:4.1f}       {tv_distance(m, pi):.2e}        "

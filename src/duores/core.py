@@ -500,8 +500,10 @@ class ModelParams:
 
     @property
     def rate_bound(self) -> float:
-        """Upper bound on total per-station outflow rate, used by the
-        integrator stability guard."""
+        """``lam + nu K + mu K``, the rate scale of a station.  It does not
+        bound a state's exit rate, whose arrivals alone reach ``2 lam``: the
+        integrator's guard reads ``2 lam + max(nu, mu) K``
+        (``meanfield._exit_bound``)."""
         return self.lam + self.nu * self.K + self.mu * self.K
 
 

@@ -8,7 +8,8 @@ byte-identical.  The three studies (convergence, chaos, attraction) take
 a model and a run shape; the bounds they are judged against are module
 constants.  The checks that take no arguments, the monotonicity scan
 among them, live in :mod:`duores.verify`.  The studies integrate at one
-step, ``meanfield._default_dt``, kept as ``config["dt_max"]`` or
+step, ``meanfield._default_dt``: ``0.5 / (2 lam + max(nu, mu) K)``, half
+RK4's positivity threshold for the flow, kept as ``config["dt_max"]`` or
 ``config["dt"]``.  Each study checks every argument before any run, its
 plans against the budgets through ``core._gate`` included, and has
 ``.refuse(*args, **kwargs)`` (``core._staged``), which runs those checks

@@ -88,10 +88,13 @@ Only where that least mass is at or below 0 are the entry's states
 clamped into new vectors first, which keeps the clamp's bits, -0.0 to
 0.0 included.
 
-Integration is fixed-step classical Runge-Kutta; the step must satisfy
-``dt * (lam + nu K + mu K) <= 0.5``, and the plan's steps and kept block
-pass the budget gate, ``core._gate``.  The one loop checks every state
-but builds a :class:`Measure` only of those its caller keeps.
+Integration is fixed-step classical Runge-Kutta.  The step must satisfy
+``dt * q_max <= 1``, where ``q_max = 2 lam + max(nu, mu) K`` bounds every
+state's exit rate (RK4's positivity threshold, :func:`_check_step`), and
+the plan's steps and kept block pass the budget gate, ``core._gate``.
+The studies step at half that bound, ``0.5 / q_max``
+(:func:`_default_dt`).  The one loop checks every state but builds a
+:class:`Measure` only of those its caller keeps.
 """
 
 from __future__ import annotations
@@ -315,19 +318,43 @@ def stationarity_residual(m: Measure, p: ModelParams) -> float:
 MAX_STEPS = 1_000_000
 """Largest step count of one integration plan, ``T / dt`` or the steps of
 :func:`integrate_at`'s segments.  A step of :func:`integrate` at K = 3
-took about 41 us of CPU on a 2-core Xeon VM (Python 3.11, numpy 2.4, one
-BLAS thread), so the budget is about 40 s of steps there."""
+took about 38 us of CPU on a 2-core Xeon VM (Python 3.11, numpy 2.4, one
+BLAS thread; the median of 31 calls of 2000 steps), so the budget is
+about 40 s of steps there."""
+
+
+def _exit_bound(p: ModelParams) -> float:
+    """``q_max = 2 lam + max(nu, mu) K``, a bound on every state's exit rate
+    ``lam pV + lam pF + nu (w + z) + mu x``, as ``w + x + z <= K``."""
+    return 2.0 * p.lam + max(p.nu, p.mu) * p.K
+
 
 def _check_step(p: ModelParams, span: float, dt: float, names: tuple[str, str],
                 steps: float) -> tuple:
-    """The guard ``dt (lam + nu K + mu K) <= 0.5`` of a plan of ``steps``
-    steps of at most ``dt`` over ``span``, checked here, then its use of
-    :data:`MAX_STEPS` for the gate; ``names`` are those of ``span`` and ``dt``."""
-    guard = dt * p.rate_bound
-    if guard > 0.5:
+    """The guard ``dt q_max <= 1`` (:func:`_exit_bound`) of a plan of
+    ``steps`` steps of at most ``dt`` over ``span``, checked here, then its
+    use of :data:`MAX_STEPS` for the gate; ``names`` are those of ``span``
+    and ``dt``.
+
+    The guard is RK4's positivity threshold.  With ``pV`` and ``pF``
+    frozen the flow is linear, ``v' = v A``, with ``A = q_max (B - I)``
+    and ``B = I + A / q_max`` nonnegative.  A step multiplies ``v`` by
+    ``R(h A)``, where ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``.  Expanded
+    about ``-r = -h q_max``, ``R(h A)`` is the sum over ``k`` of ``R^(k)(-r)
+    (r B)^k / k!``, and every derivative of ``R`` is ``>= 0`` on ``[-1,
+    0]`` (on no longer interval: the third vanishes at -1).  So a step with
+    ``r <= 1`` maps nonnegative masses to nonnegative masses: RK4's
+    threshold factor is 1 (Kraaijevanger, "Contractivity of Runge-Kutta
+    methods", BIT 1991).  The argument does not cover ``pV`` and ``pF``
+    changing between a step's stages; :func:`_flows_at`'s check of every
+    mass catches what it misses.  As ``q_max <= 2 (lam + nu K + mu K)``,
+    the guard accepts every step that ``dt (lam + nu K + mu K) <= 0.5``
+    accepts."""
+    guard = dt * _exit_bound(p)
+    if guard > 1.0:
         raise ValueError(
-            f"{names[1]} * (lam + nu K + mu K) = {guard:.3g} exceeds the stability "
-            f"bound 0.5; shrink {names[1]}"
+            f"{names[1]} * (2 lam + max(nu, mu) K) = {guard!r} exceeds the positivity "
+            f"bound 1; shrink {names[1]}"
         )
     return "MAX_STEPS", steps, lambda: (f"{names[0]} / {names[1]} = {span!r} / {dt!r} asks "
                                         f"for {steps:.3g} steps")
@@ -349,11 +376,16 @@ def _row_bytes(n: int) -> int:
 
 
 def _default_dt(p: ModelParams) -> float:
-    """The studies' step ``0.25 / (lam + nu K + mu K)``, half the guard's bound."""
-    if not np.isfinite(p.rate_bound):
-        raise ValueError(f"the rate bound lam + nu K + mu K at lam={p.lam!r}, nu={p.nu!r}, "
-                         f"mu={p.mu!r}, K={p.K} is not finite, and the step would be 0")
-    return 0.25 / p.rate_bound
+    """The studies' step ``0.5 / q_max``, half the guard's bound.  At the
+    bound itself, ``1 / q_max``, flows from point masses went below zero in
+    21 of 72 cells of K <= 15 and nine rate sets, down to -2.2e-5, and at
+    0.5 and 0.75 times it in none (``tools/layers.py positivity``)."""
+    q_max = _exit_bound(p)
+    if not np.isfinite(q_max):
+        raise ValueError(f"the exit-rate bound 2 lam + max(nu, mu) K at lam={p.lam!r}, "
+                         f"nu={p.nu!r}, mu={p.mu!r}, K={p.K} is not finite, and the step "
+                         f"would be 0")
+    return 0.5 / q_max
 
 
 def _rk4(

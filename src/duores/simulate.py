@@ -38,17 +38,21 @@ and ``run``: it fires a block of draw rows, with no Python call per
 event on a plain run.  ``run`` feeds it each block it draws, and
 ``step`` feeds it a single row.  ``run`` draws a block of ``b`` events
 as a ``(b, 4)`` array and transposes it into one copy, so that each of
-the four draws is a contiguous row of ``b``: the first, second and
-fourth become lists by one ``tolist`` each, and the arrival stations
-come from one numpy expression, ``min(int(u * N), N - 1)`` over the
-third and fourth rows, clamped in place.  That is exact, since ``u *
-N`` is the same IEEE double product as Python's and the cast truncates
-toward zero as ``int()`` does, and the rows hold the same draws, bit
-for bit.  ``step`` takes its one row's stations by the same rule in
-scalars, where numpy's per-call cost would outweigh the work.  The
-holding time ``-log1p(-u0) / rate`` stays a per-event ``math.log1p``:
-numpy's ``log1p`` differs from it in the last bit on some inputs, which
-would change every trajectory.
+the four draws is a contiguous row of ``b``: the second and fourth
+become lists by one ``tolist`` each, and the arrival stations come from
+one numpy expression, ``min(int(u * N), N - 1)`` over the third and
+fourth rows, clamped in place.  That is exact, since ``u * N`` is the
+same IEEE double product as Python's and the cast truncates toward zero
+as ``int()`` does, and the rows hold the same draws, bit for bit.
+``step`` takes its one row's stations by the same rule in scalars, where
+numpy's per-call cost would outweigh the work.  The holding time is
+``-log1p(-u0) / rate``: ``run`` takes the block's logs in one
+``list(map(math.log1p, (-u[0]).tolist()))`` and ``step`` its one log,
+still ``math.log1p`` of each draw, since numpy's ``log1p`` differs from
+it in the last bit on some inputs, which would change every trajectory.
+The total rate and its arrival-and-pickup part are summed again only
+after an event that changes the pending pickups or the driving cars; a
+blocked arrival changes neither.
 
 ``run`` keeps the counts in Python lists, where an event costs a few
 list operations, and reads a given ``initial`` into them.  Whatever
@@ -340,10 +344,14 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
 
     ``w, x, y, z`` are the counts (lists or arrays) and ``pickups``,
     ``driving`` the lists, all changed in place.  Each row is
-    ``(u0, u1, i, j, u3)``: the holding-time and event-class draws, the
-    arrival's origin and destination stations (the third and fourth
-    draws through :func:`_stations`), and the fourth draw again, which
-    picks a pending pickup or a driving car.
+    ``(l0, u1, i, j, u3)``: ``log1p(-u0)`` of the holding-time draw
+    ``u0``, the event-class draw, the arrival's origin and destination
+    stations (the third and fourth draws through :func:`_stations`), and
+    the fourth draw again, which picks a pending pickup or a driving car.
+    The total rate ``lam_N + nu P + mu D`` and its part ``lam_N + nu P``
+    are summed once, then again after each event that changes ``P`` or
+    ``D``, in the same order, so they are the same doubles as a sum per
+    event.
 
     Before an event past the sample time ``t_next`` fires,
     ``take(t_next)`` records the state and returns the next sample time,
@@ -353,15 +361,16 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
 
     Returns ``(t, t_next, tag, dt)``: the time and tag of the last event
     fired, the next sample time (``None`` once all are taken) and the
-    last holding time computed.  ``t + dt`` is the same double as
-    ``t - log1p(-u0) / rate``.
+    last holding time computed.  ``dt = -l0 / rate`` is the same double
+    as ``-log1p(-u0) / rate``, so ``t + dt`` is too.
     """
     P, D = len(pickups), len(driving)
     tag = dt = None
-    for u0, u1, i, j, u3 in rows:
-        rate = lam_N + nu * P + mu * D
+    split = lam_N + nu * P  # arrivals and pickups: r below it picks one of the two
+    rate = split + mu * D
+    for l0, u1, i, j, u3 in rows:
         if rate > 0.0:
-            dt = -log1p(-u0) / rate
+            dt = -l0 / rate
             t_event = t + dt
         else:
             t_event = inf
@@ -378,10 +387,12 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
                 w[j] += 1
                 pickups.append((i, j))
                 P += 1
+                split = lam_N + nu * P
+                rate = split + mu * D
                 tag = "arrival"
             else:
                 tag = "blocked"
-        elif r < lam_N + nu * P:
+        elif r < split:
             # an index draw picks one of n items as int(u3 * n), clamped
             # to n - 1 as min() would, at a fraction of a min() call's cost
             k = int(u3 * P)
@@ -396,6 +407,8 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
             driving.append(j)
             P -= 1
             D += 1
+            split = lam_N + nu * P
+            rate = split + mu * D
             tag = "pickup"
         else:
             k = int(u3 * D)
@@ -407,6 +420,7 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
             x[j] -= 1
             y[j] += 1
             D -= 1
+            rate = split + mu * D
             tag = "return"
     return t, t_next, tag, dt
 
@@ -435,7 +449,7 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
         j = N - 1
     state.t, _, tag, dt = _advance(state.w, state.x, state.y, state.z, state.pickups,
                                    state.driving, p.K, p.lam * N, p.nu, p.mu, state.t,
-                                   ((u0, u1, i, j, u3),))
+                                   ((log1p(-u0), u1, i, j, u3),))
     return state, dt, tag
 
 
@@ -570,18 +584,19 @@ def run(
         # rows of four draws in stream order: one block equals that many
         # successive rng.random(4) calls; one copy makes each draw a row
         u = rng.random((block, 4)).T.copy()
-        u0, u1, u3 = u[0].tolist(), u[1].tolist(), u[3].tolist()
+        l0 = list(map(log1p, (-u[0]).tolist()))
+        u1, u3 = u[1].tolist(), u[3].tolist()
         i, j = _stations(u[2:], N).tolist()
         if not audit:
-            t, t_next = advance(t, zip(u0, u1, i, j, u3), t_next)
+            t, t_next = advance(t, zip(l0, u1, i, j, u3), t_next)
         else:
             start = ([c.copy() for c in (*counts, pickups, driving)], t, len(out), t_next)
             try:
-                t, t_next = advance(t, zip(u0, u1, i, j, u3), t_next)
+                t, t_next = advance(t, zip(l0, u1, i, j, u3), t_next)
                 if t_next is not None:  # else the last snapshot has just been checked
                     _check_counts(_count_array(counts, N), pickups, driving, K, M, t)
             except SimInvariantError:
-                replay(start, zip(u0, u1, i, j, u3))
+                replay(start, zip(l0, u1, i, j, u3))
                 raise
         block = min(2 * block, _MAX_BLOCK)
     return out

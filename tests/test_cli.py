@@ -806,8 +806,8 @@ def _after_good_items(name, sec):
 
 
 _OVERFLOW = {"lam": 1e308, "mu": 1e308, "nu": 1e308, "K": 3}
-_NO_STEP = ("the rate bound lam + nu K + mu K at lam=1e+308, nu=1e+308, mu=1e+308, K=3 is "
-            "not finite, and the step would be 0")
+_NO_STEP = ("the exit-rate bound 2 lam + max(nu, mu) K at lam=1e+308, nu=1e+308, mu=1e+308, "
+            "K=3 is not finite, and the step would be 0")
 _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capacity K=2; "
                   "with no car or no free space nothing moves, so the study has nothing "
                   "to converge")
@@ -835,7 +835,7 @@ _NOTHING_MOVES = ("s={s} puts round(N s) = {cars} cars on N=5 stations of capaci
      "sample_times must be nondecreasing"),
     ("convergence", {**_STUDY, "seed0": -1}, "seed0 must be >= 0, got -1"),
     ("convergence", {**_STUDY, "s": -1.0}, "s must be finite and >= 0, got -1.0"),
-    # a rate bound that overflows: the default step 0.25 / inf would be 0
+    # an exit-rate bound that overflows: the default step 0.5 / inf would be 0
     ("convergence", {**_STUDY, "model": _OVERFLOW}, _NO_STEP),
     ("chaos", {**_STUDY, "N_list": []}, "N_list must hold at least one network size, got ()"),
     ("chaos", {**_STUDY, "N_list": [0, 4]}, "every N in N_list must be >= 2, got 0"),

@@ -212,7 +212,9 @@ def test_a_removed_step_is_refused_by_name_and_reported_at_the_default_step(name
     for entry in (study, study.refuse):
         with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
             entry(*args, s=1.0, **{key: 0.01})
-    assert study(*args, s=1.0).config[key] == 0.25 / _P.rate_bound == 0.25 / 7
+    # half RK4's positivity threshold 1 / (2 lam + max(nu, mu) K); it was
+    # 0.25 / (lam + nu K + mu K) = 0.25 / 7
+    assert study(*args, s=1.0).config[key] == meanfield._default_dt(_P) == 0.5 / 6
 
 
 @pytest.mark.parametrize("name", _STUDIES)
@@ -230,13 +232,14 @@ def test_a_study_s_work_reports_the_same_each_time_it_runs(name):
 def test_a_rate_bound_that_overflows_is_refused_by_name_before_any_run_or_solve(
         monkeypatch, name):
     # the step 0.25 / inf was 0: the replica studies accepted it and their
-    # runs ended in an IndexError, and attraction refused a dt never given
+    # runs ended in an IndexError, and attraction refused a dt never given;
+    # the bound is now the exit-rate bound 2 lam + max(nu, mu) K
     calls = []
     for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_flows_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
     study, args, _ = _STUDIES[name]
     overflow = ModelParams(lam=1e308, mu=1e308, nu=1e308, K=3)
-    with pytest.raises(ValueError, match=r"^the rate bound lam \+ nu K \+ mu K at "
+    with pytest.raises(ValueError, match=r"^the exit-rate bound 2 lam \+ max\(nu, mu\) K at "
                        r"lam=1e\+308, nu=1e\+308, mu=1e\+308, K=3 is not finite"):
         study.refuse(overflow, *args[1:], s=1.0)
     assert calls == []
@@ -329,15 +332,24 @@ def test_chaos_memory_does_not_grow_with_the_sample_times():
     assert peak(8) <= 1.25 * peak(1)
 
 
-# Golden digests of ``json.dumps(report.to_dict(), sort_keys=True)``,
-# taken at commit 67d531f before the two studies shared one replica loop.
-@pytest.mark.parametrize("study, sample_times, digest", [
+# Golden digests of ``json.dumps(report.to_dict(), sort_keys=True)``.  At
+# the earlier default step 0.25 / (lam + nu K + mu K) they are the ones
+# taken at commit 67d531f before the two studies shared one replica loop;
+# the default step 0.5 / (2 lam + max(nu, mu) K) moves only the flow.
+@pytest.mark.parametrize("step", ["earlier_step", "default_step"])
+@pytest.mark.parametrize("study, sample_times, digests", [
     (convergence_experiment, (0.0, 0.5, 1.0),
-     "8494f9183fb3da349380e0c7d0f132204df7adb76df975713d22d280144dcf95"),
+     {"earlier_step": "8494f9183fb3da349380e0c7d0f132204df7adb76df975713d22d280144dcf95",
+      "default_step": "222484f6431a0d59d75828155ed10e678177b6f7a8bad071b167648efd596822"}),
     (chaos_experiment, (0.5, 1.0),
-     "68d7e37b5efb650bf46f1ec24919934f235e18190b91f71a53f0968760fed36e"),
+     {"earlier_step": "68d7e37b5efb650bf46f1ec24919934f235e18190b91f71a53f0968760fed36e",
+      "default_step": "bb2ecf8a8867ca7a0d9a74f461d126d98365365c44b46459fb28cdc5ec786015"}),
 ], ids=["convergence", "chaos"])
-def test_study_reports_match_their_golden_digests(study, sample_times, digest):
+def test_study_reports_match_their_golden_digests(study, sample_times, digests, step,
+                                                  monkeypatch):
+    if step == "earlier_step":
+        monkeypatch.setattr(experiments, "_default_dt", lambda p: 0.25 / p.rate_bound)
+    digest = digests[step]
     rep = study(_P, N_list=[4, 8], replicas=4, T=1.0, sample_times=sample_times,
                 seed0=5, s=1.0)
     blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
@@ -418,31 +430,32 @@ def test_a_replica_study_counts_its_flow_as_integrate_at_does_before_any_run(mon
         monkeypatch.setattr(*fn, lambda *a, **k: pytest.fail("a run or a step started"))
     study = _STUDIES[name][0]
     monkeypatch.setattr(core, "MAX_KEPT_BYTES", 256)  # 128 bytes a row at K = 2
-    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 1\.0 / 0\.0357\d* keeps "
+    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 1\.0 / 0\.0833\d* keeps "
                        r"3 states of 15 masses, 384 bytes, above the kept-state budget "
                        r"MAX_KEPT_BYTES=256$"):
         study.refuse(_P, [4, 8], 1, 1.0, (0.5, 0.75, 1.0), 5, s=1.0)
     monkeypatch.setattr(meanfield, "MAX_STEPS", 10)
-    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 0\.011 / 0\.0357\d* asks "
+    with pytest.raises(ValueError, match=r"^sample_times / dt_max = 0\.011 / 0\.0833\d* asks "
                        r"for 11 steps, above the step budget MAX_STEPS=10$"):
         study.refuse(_P, [4, 8], 1, 1.0, tuple(0.001 * k for k in range(1, 12)), 5, s=1.0)
 
 
-_NEAR = ModelParams(lam=1e307, mu=1e307, nu=1e307, K=3)  # rate bound 7e307: a subnormal step
+_NEAR = ModelParams(lam=1e307, mu=1e307, nu=1e307, K=3)  # exit-rate bound 5e307: a subnormal step
 
 
 @pytest.mark.parametrize("name", _STUDIES)
 def test_a_flow_above_the_step_budget_is_refused_by_name_before_any_run_or_solve(
         monkeypatch, name):
-    # the default step 0.25 / 7e307 is subnormal: attraction's .refuse ended
-    # in an OverflowError, and the replica studies passed .refuse and ran
+    # the default step 0.25 / 7e307 was subnormal: attraction's .refuse ended
+    # in an OverflowError, and the replica studies passed .refuse and ran;
+    # at 0.5 / 5e307 = 1e-308 it asks for 1e308 steps, no longer inf
     calls = []
     for fn in ("run", "init_uniform", "solve_equilibrium", "integrate_at", "_flows_at"):
         monkeypatch.setattr(experiments, fn, lambda *a, _n=fn, **k: calls.append(_n))
     study, args, _ = _STUDIES[name]
     span = "T / dt" if name == "attraction" else "sample_times / dt_max"
-    dt = 0.25 / _NEAR.rate_bound
-    with pytest.raises(ValueError, match=rf"^{span} = 1\.0 / {dt!r} asks for inf steps, "
+    dt = meanfield._default_dt(_NEAR)
+    with pytest.raises(ValueError, match=rf"^{span} = 1\.0 / {dt!r} asks for 1e\+308 steps, "
                        r"above the step budget MAX_STEPS=1000000$"):
         study.refuse(_NEAR, *args[1:], s=1.5)
     assert calls == []

@@ -557,9 +557,53 @@ def test_integrate_grid_and_endpoint():
 
 
 def test_integrate_step_guard():
-    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=10)  # rate bound 21
+    p = ModelParams(lam=1.0, mu=1.0, nu=1.0, K=10)  # exit-rate bound 12
     with pytest.raises(ValueError):
-        integrate(Measure.uniform(10), p, T=1.0, dt=0.1)  # 2.1 > 0.5
+        integrate(Measure.uniform(10), p, T=1.0, dt=0.1)  # 1.2 > 1
+
+
+_POSITIVITY_RATES = [(0.2, 1.0, 1.0), (1.0, 1.0, 10.0), (1.0, 10.0, 1.0), (5.0, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("lam, mu, nu", _POSITIVITY_RATES)
+def test_every_point_mass_keeps_every_mass_nonnegative_at_the_default_step(lam, mu, nu):
+    # at the threshold 1 / q_max itself such starts reach -6.2e-6 at K = 6,
+    # and the loop's -1e-12 check aborts the run (tools/layers.py positivity)
+    for K in range(1, 7):
+        p = ModelParams(lam=lam, mu=mu, nu=nu, K=K)
+        st, n = meanfield._stencils(K), num_states(K)
+        plan = list(meanfield._grid_plan(p, 1.0, meanfield._default_dt(p))[0])
+        for _, V in meanfield._rk4(np.eye(n), p, st, plan, None):
+            assert V.min() >= 0.0, (K, V.min())
+
+
+@pytest.mark.parametrize("lam, mu, nu", [(1.0, 1.0, 2.0), (0.2, 1.0, 10.0), (5.0, 100.0, 0.01),
+                                         (1e-3, 1e3, 1.0), (0.0, 1.0, 1.0)])
+@pytest.mark.parametrize("K", [1, 3, 15, 200])
+def test_the_guard_admits_the_positivity_threshold_and_nothing_above(lam, mu, nu, K):
+    # the next double above 1 / q_max can round back to 1 in the product
+    p = ModelParams(lam=lam, mu=mu, nu=nu, K=K)
+    q_max = 2 * lam + max(nu, mu) * K
+    assert meanfield._exit_bound(p) == q_max
+    meanfield._grid_plan(p, 0.0, 1.0 / q_max)
+    with pytest.raises(ValueError, match=r"^dt \* \(2 lam \+ max\(nu, mu\) K\) = "
+                       r"1\.00000000000\d+ exceeds the positivity bound 1; shrink dt$"):
+        meanfield._grid_plan(p, 0.0, (1.0 + 1e-12) / q_max)
+    with pytest.raises(ValueError, match=r"^dt_max \* \(2 lam \+ max\(nu, mu\) K\) = \S+ "
+                       r"exceeds the positivity bound 1; shrink dt_max$"):
+        meanfield._times_plan(p, (1.0,), 2.0 / q_max)
+
+
+def test_the_guard_accepts_every_step_the_earlier_guard_accepted():
+    # dt (lam + nu K + mu K) <= 0.5 was the guard: 1 / q_max is never below
+    # its largest step
+    grid = 10.0 ** np.arange(-6.0, 6.5, 0.5)
+    for lam in [0.0, *grid]:
+        for nu in grid:
+            for mu in grid:
+                for K in (1, 2, 3, 7, 20, 150, 10_000):
+                    p = ModelParams(lam=lam, mu=mu, nu=nu, K=K)
+                    assert 1.0 / meanfield._exit_bound(p) >= 0.5 / p.rate_bound, p
 
 
 def test_integrate_matches_exponential_relaxation():

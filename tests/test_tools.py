@@ -23,7 +23,7 @@ def layers():
 
 def test_every_subject_writes_a_committed_bench_file_by_default(layers):
     assert set(layers.SUBJECTS) == {"flow", "simulate", "state_space", "solver_outcomes",
-                                    "contract"}
+                                    "contract", "positivity"}
     for measure, repeats, out in layers.SUBJECTS.values():
         assert callable(measure) and (repeats is None or repeats >= 2)
         assert out.startswith("BENCH_") and out.endswith(".json")
@@ -60,6 +60,30 @@ def test_solver_outcomes_times_each_capacity_row(layers, monkeypatch, tmp_path):
 def test_solver_outcomes_takes_no_repeats(layers):
     with pytest.raises(SystemExit):
         layers.main(["solver_outcomes", "--label", "x", "--repeats", "3"])
+
+
+def test_positivity_records_the_least_mass_of_each_cell_at_each_step(layers, monkeypatch,
+                                                                     tmp_path):
+    # a tiny grid: every point mass at K = 4, and two drawn at K = 6
+    monkeypatch.setattr(layers, "POSITIVITY_K", (4, 6))
+    monkeypatch.setattr(layers, "POSITIVITY_RATES", ((0.2, 1.0), (1.0, 10.0)))
+    monkeypatch.setattr(layers, "POSITIVITY_ALL_TO_K", 4)
+    monkeypatch.setattr(layers, "POSITIVITY_DRAWS", 2)
+    out = tmp_path / "positivity.json"
+    assert layers.main(["positivity", "--label", "x", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["x"]
+    assert list(record["cells"]) == ["K=4 lam=0.2 nu=1.0", "K=4 lam=1.0 nu=10.0",
+                                     "K=6 lam=0.2 nu=1.0", "K=6 lam=1.0 nu=10.0"]
+    fractions = ["0.5", "0.75", "1.0"]
+    assert all(list(cell) == fractions for cell in record["cells"].values())
+    # at the default step every mass stays >= 0; at the threshold itself the
+    # point masses at K = 4, lam = 0.2 go below zero
+    assert record["cells_below_zero"]["0.5"] == 0 and record["least"]["0.5"] == 0.0
+    assert record["cells"]["K=4 lam=0.2 nu=1.0"]["1.0"] < -1e-6
+    assert record["least"] == {f: min(c[f] for c in record["cells"].values())
+                               for f in fractions}
+    assert record["cells_below_zero"]["1.0"] == sum(
+        c["1.0"] < 0.0 for c in record["cells"].values())
 
 
 def test_first_solve_prints_the_solve_time_alone(layers, capsys):

@@ -73,6 +73,16 @@ subjects, each with its default ``FILE`` at the repository root:
   ``io.write_json`` followed by a strict JSON read of the file it wrote.
   The counts per entry and in total are deterministic; the draws and
   rows that end otherwise than due are listed.
+* ``positivity`` (``BENCH_positivity.json``, no repeats): the least mass
+  of any state of the mean-field flows from point masses over [0, 1],
+  per cell of K in {1, 2, 3, 4, 6, 8, 10, 15} and mu = 1, nu in {0.01,
+  1, 100}, lam in {0.2, 1, 5}, at the steps 0.5, 0.75 and 1 times ``1 /
+  q_max`` (``q_max = 2 lam + max(nu, mu) K``, ``meanfield._exit_bound``).
+  The starts are every point mass up to K = 10 and ``POSITIVITY_DRAWS``
+  seeded ones above, stepped by ``meanfield._rk4`` in groups as the flow
+  loop groups them, and every step's states are read.  The least masses
+  are deterministic; the cells whose least mass is below 0 are counted
+  per fraction, and the CPU time of the grid is recorded too.
 
 Each time is taken ``R`` times on ``time.process_time``, after one
 untimed warm-up call unless the layer clears the caches before each
@@ -383,6 +393,55 @@ def solver_outcomes(repeats: int) -> dict:
     }
 
 
+# ------------------------------------------------------------ positivity
+
+POSITIVITY_K = (1, 2, 3, 4, 6, 8, 10, 15)
+POSITIVITY_RATES = tuple((lam, nu) for lam in (0.2, 1.0, 5.0) for nu in (0.01, 1.0, 100.0))
+POSITIVITY_FRACTIONS = (0.5, 0.75, 1.0)  # of 1 / q_max
+POSITIVITY_T = 1.0
+POSITIVITY_ALL_TO_K, POSITIVITY_DRAWS = 10, 150  # every point mass to that K, else draws
+
+
+def _least_mass(p, ranks, dt: float) -> float:
+    """Least mass of every state of the flows from the point masses at
+    ``ranks``, each step of ``dt`` over [0, ``POSITIVITY_T``] read."""
+    st = meanfield._stencils(p.K)
+    plan = list(meanfield._grid_plan(p, POSITIVITY_T, dt)[0])
+    G = max(1, meanfield._GROUP_MASSES // st.n)
+    lo = math.inf
+    for g in range(0, len(ranks), G):
+        block = np.zeros((len(ranks[g:g + G]), st.n))
+        block[np.arange(len(block)), ranks[g:g + G]] = 1.0
+        for _, V in meanfield._rk4(block if len(block) > 1 else block[0], p, st, plan, None):
+            lo = min(lo, float(V.min()))
+    return lo
+
+
+def positivity(repeats: int) -> dict:
+    cells, below = {}, dict.fromkeys(map(str, POSITIVITY_FRACTIONS), 0)
+    t0 = time.process_time()
+    for K in POSITIVITY_K:
+        n = core.num_states(K)
+        ranks = (np.arange(n) if K <= POSITIVITY_ALL_TO_K else
+                 np.sort(np.random.default_rng(K).choice(n, POSITIVITY_DRAWS, replace=False)))
+        for lam, nu in POSITIVITY_RATES:
+            p = core.ModelParams(lam=lam, mu=1.0, nu=nu, K=K)
+            q_max = meanfield._exit_bound(p)
+            cell = {str(f): _least_mass(p, ranks, f / q_max) for f in POSITIVITY_FRACTIONS}
+            cells[f"K={K} lam={lam!r} nu={nu!r}"] = cell
+            for f, lo in cell.items():
+                below[f] += lo < 0.0
+    return {
+        "grid": {"K": list(POSITIVITY_K), "lam_nu": [list(r) for r in POSITIVITY_RATES],
+                 "mu": 1.0, "T": POSITIVITY_T, "fractions": list(POSITIVITY_FRACTIONS),
+                 "all_point_masses_to_K": POSITIVITY_ALL_TO_K, "draws": POSITIVITY_DRAWS},
+        "cpu_s": round(time.process_time() - t0, 3),
+        "cells_below_zero": below,
+        "least": {f: min(cell[f] for cell in cells.values()) for f in below},
+        "cells": cells,
+    }
+
+
 # ------------------------------------------------------------ contract
 
 NAN, INF = math.nan, math.inf
@@ -658,6 +717,7 @@ SUBJECTS = {  # name: (measure, default repeats, default --out)
     "state_space": (state_space, 7, "BENCH_state_space.json"),
     "solver_outcomes": (solver_outcomes, None, "BENCH_solver_outcomes.json"),
     "contract": (contract, None, "BENCH_contract.json"),
+    "positivity": (positivity, None, "BENCH_positivity.json"),
 }
 
 
@@ -716,7 +776,8 @@ def main(argv=None) -> int:
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
     _show(args.label, record.get("layers")
-          or {k: record[k] for k in ("cpu_s", "cpu_s_by_K", "totals", "unexpected")
+          or {k: record[k] for k in ("cpu_s", "cpu_s_by_K", "totals", "unexpected",
+                                    "cells_below_zero", "least")
               if k in record})
     return 0
 

@@ -52,25 +52,26 @@ doubles; at a ``y`` where the pass would rescale, the full pass runs.
 The remaining balance equation for ``rho2`` holds identically on the
 curve and is asserted, never solved.
 
-The bisection solves each curve point warm, and hands it the bracket,
-``(t, phi)`` at both ends.  ``phi`` increases along the curve, so once
+The bisection hands each curve point the bracket, ``(t, phi)`` at both
+ends, and the point is solved in one of two ways: cold, from ``y = 1``,
+or warm, inside the bracket.  ``phi`` increases along the curve, so once
 the bracket has an upper end, ``phi(t)`` lies between ``phi`` at its two
 ends (0 at ``t = 0``): the point starts between them, geometrically
 interpolated in ``t`` (linearly while the lower end is ``t = 0``), and
 Newton's method runs within them as bounds.  Bounds are phi at other
 values of ``t``, never an answer: a search that closes on them, or runs
-out of steps, returns nothing, and the point is solved from ``phi`` at
-the upper end, as before any upper end exists.  A ``sweep`` pass of the
-benchmark (seed 1, 9424 fill evaluations) runs 27 250 Horner stages this
-way, against 38 842 from the upper end alone and 67 135 from the cold
-start ``y = 1``.  A warm point ends on another double than the cold one,
-a few ulps away, and its fill differs by up to about ``2e-17 K^2``
-(measured up to K = 2000).  So where the warm fill lies within
-``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could flip a
-decision, the point is solved again from the cold start, and the cold
-point decides: every step, the stop and the returned ``rho2`` are those
-of an all-cold bisection, bit for bit.  Only the fills an error message
-quotes may differ, in their last digits.
+out of steps, returns nothing, and the point is solved cold, as every
+point is before an upper end exists.  On a ``sweep`` pass of the
+benchmark (seed 1, 9424 fill evaluations) 46 of the 8489 bracketed
+searches return nothing, and the pass runs 27 409 Horner stages, against
+67 135 from the cold start alone.  A warm point ends on another double
+than the cold one, a few ulps away, and its fill differs by up to about
+``2e-17 K^2`` (measured up to K = 2000).  So where the warm fill lies
+within ``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could flip
+a decision, the point is solved cold, and the cold point decides: every
+step, the stop and the returned ``rho2`` are those of an all-cold
+bisection, bit for bit.  No point is solved cold twice.  Only the fills
+an error message quotes may differ, in their last digits.
 
 The residuals are not read from the reduced family: ``_state_sums``
 takes them from O(K^2) convolutions of the four one-coordinate weight
@@ -299,36 +300,34 @@ def f_simple(x: float, y: float, a: float, K: int) -> float:
 _PHI_MAX_ITER = 400  # Newton and bisection steps of one curve point
 
 
-def _curve_point(x: float, a: float, K: int, y0: float = 1.0,
-                 bounds: tuple[float, float] | None = None
+def _curve_point(x: float, a: float, K: int,
+                 bracket: tuple[float, float, float] | None = None
                  ) -> tuple[float, tuple[float, float, float]] | None:
     """``y = phi(x)``, the zero in ``y`` of ``f(x, y) = (a - x) Z - a E``,
     and the pass's sums ``(Z, dZ/dy, Z_{K-1})`` at that ``y``, as
-    :func:`_reduced_sums` returns them: one curve point, searched from the
-    start ``y0`` (the cold start ``y = 1`` by default).
+    :func:`_reduced_sums` returns them: one curve point, solved in one of
+    two ways.
 
-    With ``bounds = (lo, hi)``, phi at the ends of the fill bisection's
-    bracket, the search starts at ``y0`` between them and never leaves
-    them: a Newton step that would is replaced by a bisection, and
-    nothing is doubled.  It stops at its first Newton step of at most 2
-    ulp and returns the point it has just evaluated, with that point's
-    sums.  The bounds are phi at other values of ``x`` and are never
-    returned: a bounded search that closes on its bracket ends, or that
-    runs out of steps, returns ``None``, and the caller solves the point
-    without bounds.  Every answer is thus a point evaluated at ``x``.
+    Cold, without ``bracket``, the search starts at ``y = 1`` and
+    brackets the root by doubling (``f(x, 0) < 0`` and ``f`` grows like
+    ``y^K``), then runs Newton's method on ``h(u) = log((a - x) Z / (a
+    E))`` with ``u = log y``, which has the sign of ``f`` and is convex
+    and increasing, so its steps close in from above; a step that would
+    leave the sign bracket is replaced by a bisection.  It stops when a
+    Newton step moves ``y`` by at most 2 ulp, or at adjacent bracket
+    ends, returning the end with the smaller ``|h|``.
 
-    Unbounded, a start above 1 is lowered to ``(x E / b)^(1/K)`` with
-    ``b = a - x``, a bound on the root since ``Z - E >= y^K``, so no
-    start lies so far above the root that halving down to it takes all
-    the steps.  The search brackets the root by doubling
-    (``f(x, 0) < 0`` and ``f`` grows like ``y^K``), then runs Newton's
-    method on ``h(u) = log((a - x) Z / (a E))`` with ``u = log y``, which
-    has the sign of ``f`` and is convex and increasing, so its steps
-    close in from above; a step that would leave the sign bracket is
-    replaced by a bisection.  It stops when a Newton step moves ``y`` by
-    at most 2 ulp, or at adjacent bracket ends, returning the end with
-    the smaller ``|h|``.  Where the scaled
-    ``E`` underflows to 0 (at large ``K``), ``h`` is taken as ``+inf``.
+    With ``bracket = (y0, lo, hi)``, ``lo`` and ``hi`` phi at the ends of
+    the fill bisection's bracket, the search starts at ``y0`` between
+    them and never leaves them: a Newton step that would is replaced by
+    a bisection, and nothing is doubled.  It stops at its first Newton
+    step of at most 2 ulp and returns the point it has just evaluated,
+    with that point's sums.  The ends are phi at other values of ``x``
+    and are never returned: a bracketed search that closes on them, or
+    that runs out of steps, returns ``None``, and the caller solves the
+    point cold.  Every answer is thus a point evaluated at ``x``.  Where
+    the scaled ``E`` underflows to 0 (at large ``K``), ``h`` is taken as
+    ``+inf``.
 
     The partial exponentials ``E_1..E_K`` are built once, and every
     evaluation (bracket, Newton steps, returned ``y``) runs only the
@@ -336,7 +335,7 @@ def _curve_point(x: float, a: float, K: int, y0: float = 1.0,
     ``n`` (the ``E_n`` are, ``Z_1 >= Z_0 = 1``, and rounding is
     monotone), so the pass rescales exactly where the last ``Z`` is above
     its threshold or NaN; only there does the scaled pass run, and
-    elsewhere every sum is the pass's own double.  Unbounded, where the
+    elsewhere every sum is the pass's own double.  Cold, where the
     returned ``y`` is not the last point evaluated (a Newton step within
     2 ulp, or the bracket end with the smaller ``|h|``), it is evaluated
     once more, and a ``RuntimeError`` ends a root that cannot be
@@ -347,12 +346,8 @@ def _curve_point(x: float, a: float, K: int, y0: float = 1.0,
     b = a - x
     Es = _partial_exponentials(x, K)
     top = max(1.0, x)
-    lo, h_lo = 0.0, math.log(b / a)
-    hi = h_hi = math.inf  # hi stays infinite until the root is bracketed
-    if bounds is None:
-        y = min(y0, (x * Es[-1] / b) ** (1.0 / K)) if y0 > 1.0 else y0
-    else:
-        (lo, hi), y = bounds, y0
+    y, lo, hi = bracket or (1.0, 0.0, math.inf)  # hi infinite until the root is bracketed
+    h_lo, h_hi = math.log(b / a), math.inf
     steps = 0
     final = False  # y is the answer; only its sums are wanted
     while True:
@@ -378,7 +373,7 @@ def _curve_point(x: float, a: float, K: int, y0: float = 1.0,
         else:
             hi, h_hi = y, h
         if steps == _PHI_MAX_ITER:
-            if bounds:
+            if bracket:
                 return None
             raise RuntimeError(f"no convergence after {_PHI_MAX_ITER} steps at x={x}")
         steps += 1
@@ -389,13 +384,13 @@ def _curve_point(x: float, a: float, K: int, y0: float = 1.0,
         except (OverflowError, ZeroDivisionError):
             cand = math.nan
         if lo <= cand <= hi and abs(cand - y) <= 2.0 * math.ulp(y):
-            if bounds:
+            if bracket:
                 return y, (Z, dZ, Z1)
             final = True
         elif not lo < cand < hi:
             cand = 0.5 * (lo + hi)
             if cand == lo or cand == hi:
-                if bounds:
+                if bracket:
                     return None
                 cand = lo if abs(h_lo) < abs(h_hi) else hi
                 final = True
@@ -618,17 +613,17 @@ def solve_equilibrium(p: ModelParams, s: float) -> SolveReport:
 
     def curve(t: float, lo: tuple, hi: tuple) -> tuple[float, float]:
         (t_lo, y_lo), (t_hi, y_hi) = lo, hi
-        point = None
         if y_hi is not None:  # phi(t) lies between phi at the two ends
             w = (t - t_lo) / (t_hi - t_lo)
             start = y_lo ** (1.0 - w) * y_hi ** w if y_lo else w * y_hi
-            point = _curve_point(t, a, p.K, start, (y_lo, y_hi))
-        y, sums = point or _curve_point(t, a, p.K, 1.0 if y_hi is None else y_hi)
-        fill = _sums_mean(t, y, sums, c)
-        if not abs(fill - s) >= near:  # a decision the warm fill could flip: solve cold
-            y, sums = _curve_point(t, a, p.K)
-            fill = _sums_mean(t, y, sums, c)
-        return y, fill
+            point = _curve_point(t, a, p.K, (start, y_lo, y_hi))
+            if point:
+                y, sums = point
+                fill = _sums_mean(t, y, sums, c)
+                if abs(fill - s) >= near:  # no decision the warm fill could flip
+                    return y, fill
+        y, sums = _curve_point(t, a, p.K)
+        return y, _sums_mean(t, y, sums, c)
 
     t_star, rho2, n_evals = _solve_fill(curve, a, p.K, s, p.nu / p.mu)
     rho1 = t_star / (1.0 + 2.0 * r)

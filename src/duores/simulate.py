@@ -52,7 +52,12 @@ still ``math.log1p`` of each draw, since numpy's ``log1p`` differs from
 it in the last bit on some inputs, which would change every trajectory.
 The total rate and its arrival-and-pickup part are summed again only
 after an event that changes the pending pickups or the driving cars; a
-blocked arrival changes neither.
+blocked arrival changes neither.  ``_advance`` returns the time of its
+last event and the next sample time, and keeps nothing per event.
+``step`` reads its one event's kind from the change in the counts of
+pending pickups and driving cars, and its holding time as
+``-log1p(-u0) / rate`` from the total rate it checks first, the same
+double that ``_advance`` adds to the time.
 
 ``run`` keeps the counts in Python lists, where an event costs a few
 list operations, and reads a given ``initial`` into them.  Whatever
@@ -359,25 +364,20 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
     event fires.  A network with no active transition never fires
     again: its next event lies at infinity.
 
-    Returns ``(t, t_next, tag, dt)``: the time and tag of the last event
-    fired, the next sample time (``None`` once all are taken) and the
-    last holding time computed.  ``dt = -l0 / rate`` is the same double
-    as ``-log1p(-u0) / rate``, so ``t + dt`` is too.
+    Returns ``(t, t_next)``: the time of the last event fired and the
+    next sample time (``None`` once all are taken).  Nothing is kept per
+    event: ``step`` reads an event's kind from the change in the lengths
+    of ``pickups`` and ``driving``.
     """
     P, D = len(pickups), len(driving)
-    tag = dt = None
     split = lam_N + nu * P  # arrivals and pickups: r below it picks one of the two
     rate = split + mu * D
     for l0, u1, i, j, u3 in rows:
-        if rate > 0.0:
-            dt = -l0 / rate
-            t_event = t + dt
-        else:
-            t_event = inf
+        t_event = t - l0 / rate if rate > 0.0 else inf
         while t_next < t_event:
             t_next = take(t_next)
             if t_next is None:
-                return t, None, tag, dt
+                return t, None
         t = t_event
         r = u1 * rate
         if r < lam_N:
@@ -389,9 +389,6 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
                 P += 1
                 split = lam_N + nu * P
                 rate = split + mu * D
-                tag = "arrival"
-            else:
-                tag = "blocked"
         elif r < split:
             # an index draw picks one of n items as int(u3 * n), clamped
             # to n - 1 as min() would, at a fraction of a min() call's cost
@@ -409,7 +406,6 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
             D += 1
             split = lam_N + nu * P
             rate = split + mu * D
-            tag = "pickup"
         else:
             k = int(u3 * D)
             if k >= D:
@@ -421,8 +417,11 @@ def _advance(w, x, y, z, pickups, driving, K, lam_N, nu, mu, t, rows, t_next=inf
             y[j] += 1
             D -= 1
             rate = split + mu * D
-            tag = "return"
-    return t, t_next, tag, dt
+    return t, t_next
+
+
+# an event's kind by the change it makes in the counts of pending pickups and driving cars
+_TAGS = {(1, 0): "arrival", (0, 0): "blocked", (-1, 1): "pickup", (0, -1): "return"}
 
 
 def step(state: SimState, p: ModelParams, rng: np.random.Generator):
@@ -447,10 +446,12 @@ def step(state: SimState, p: ModelParams, rng: np.random.Generator):
     j = int(u3 * N)
     if j >= N:
         j = N - 1
-    state.t, _, tag, dt = _advance(state.w, state.x, state.y, state.z, state.pickups,
-                                   state.driving, p.K, p.lam * N, p.nu, p.mu, state.t,
-                                   ((log1p(-u0), u1, i, j, u3),))
-    return state, dt, tag
+    P, D = len(state.pickups), len(state.driving)
+    l0 = log1p(-u0)
+    state.t, _ = _advance(state.w, state.x, state.y, state.z, state.pickups, state.driving,
+                          p.K, p.lam * N, p.nu, p.mu, state.t, ((l0, u1, i, j, u3),))
+    tag = _TAGS[len(state.pickups) - P, len(state.driving) - D]
+    return state, -l0 / rate, tag
 
 
 def _count_array(counts: list, N: int) -> np.ndarray:
@@ -563,8 +564,7 @@ def run(
         return samples[len(out)] if len(out) < len(samples) else None
 
     def advance(t: float, rows, t_next: float) -> tuple:
-        return _advance(*counts, pickups, driving, K, lam_N, p.nu, p.mu, t, rows, t_next,
-                        take)[:2]
+        return _advance(*counts, pickups, driving, K, lam_N, p.nu, p.mu, t, rows, t_next, take)
 
     def replay(start: tuple, rows) -> None:
         """Restore a block's ``start`` and fire its ``rows`` one event at a

@@ -383,16 +383,23 @@ def test_each_curve_point_builds_the_partial_exponentials_once(monkeypatch):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 1000])
 def test_a_curve_point_from_any_start_is_the_cold_point(K):
-    # From below the root the kernel doubles up to it; from the root, or
-    # from far above it (1e300, lowered to the bound (x E / b)^(1/K) on the
-    # root), Newton closes in from above.  Each ends within a few ulps of
-    # the cold point and meets the acceptance relation of the array.
+    # Bracketed by (0, 2e6 y): from below the root Newton's first step
+    # overshoots it; from the root, or from far above it, Newton closes in
+    # from above.  Each ends within a few ulps of the cold point and meets
+    # the acceptance relation of the array.  At K = 1, a = 9, x = 0.9 the
+    # rounding of h makes Newton's last steps jump several ulps, so the
+    # cold search ends on two adjacent doubles; a bracketed search, which
+    # never picks an end, gives nothing there from every start.
     cells = [(2.0, 0.5)] if K == 1000 else itertools.product((0.5, 2.0, 9.0), (0.1, 0.5, 0.9))
     for a, frac in cells:
         x = frac * a
         y = solve_phi(x, a, K)
-        for y0 in (0.5 * y, y, 1e300):
-            got = equilibrium._curve_point(x, a, K, y0)[0]
+        for y0 in (0.5 * y, y, 1e6 * y):
+            point = equilibrium._curve_point(x, a, K, (y0, 0.0, 2e6 * y))
+            if (K, a, frac) == (1, 9.0, 0.1):
+                assert point is None
+                continue
+            got = point[0]
             assert abs(got - y) <= 16 * math.ulp(y), (a, x, y0)
             no_car = _simple_form(x, got, K)[:, 0].sum()
             assert math.isclose(a * (1.0 - no_car), x, rel_tol=1e-12), (a, x, y0)
@@ -630,12 +637,11 @@ def test_solve_report_stores_one_iteration_counter():
 @pytest.mark.parametrize("K", [3, 10, 40])
 def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeypatch, K):
     # Until the bisection has an upper end, each fill evaluation is one
-    # curve point from the cold start y = 1.  After, it is a point bounded
-    # by phi at the bracket's two ends and started between them; only
-    # where that search returns nothing is the point solved from phi at
-    # the upper end.  Where the fill is within the band of s, the point
-    # is solved again from the cold start, and that point decides.  rho2
-    # is the last cold y.
+    # cold curve point, from y = 1.  After, it is a point bracketed by phi
+    # at the bracket's two ends and started strictly between them.  Where
+    # that search returns nothing, or its fill is within the band of s,
+    # the point is solved cold, once, and that point decides.  rho2 is
+    # the last cold y.
     points = _spy_curve_points(monkeypatch)
     p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=K)
     s = K / 2
@@ -645,33 +651,30 @@ def test_a_solve_solves_each_fill_evaluation_warm_and_its_decisions_cold(monkeyp
     c = equilibrium._car_weight(r)
     near = equilibrium._FILL_TOL + equilibrium._warm_band(K)
     calls = iter(points)
-    y_lo, y_hi, upper, bounded, evaluations, cold = 0.0, 1.0, False, 0, 0, []
+    y_lo, y_hi, bounded, evaluations, cold = 0.0, None, 0, 0, []
     for args, point in calls:
         t = args[0]
-        if upper:
-            assert args[:3] == (t, a, K) and args[4] == (y_lo, y_hi)
-            assert y_lo < args[3] < y_hi
-            bounded += 1
-            if point is None:
-                args, point = next(calls)
-                assert args == (t, a, K, y_hi)
-        else:
-            assert args == (t, a, K, 1.0)
         evaluations += 1
-        y, sums = point
-        fill = equilibrium._sums_mean(t, y, sums, c)
-        if abs(fill - s) < near:
-            args, (y, sums) = next(calls)
+        if y_hi is not None:
+            start, lo, hi = args[3]
+            assert args[:3] == (t, a, K) and (lo, hi) == (y_lo, y_hi) and lo < start < hi
+            bounded += 1
+            if point and abs(equilibrium._sums_mean(t, *point, c) - s) >= near:
+                args = None
+            else:
+                args, point = next(calls)
+        if args is not None:
             assert args == (t, a, K)
-            cold.append(y)
-            fill = equilibrium._sums_mean(t, y, sums, c)
-        if fill >= s:
-            y_hi, upper = y, True
+            cold.append(t)
+        y, sums = point
+        if equilibrium._sums_mean(t, y, sums, c) >= s:
+            y_hi = y
         else:
             y_lo = y
     assert evaluations == rep.fill_evaluations and bounded > evaluations / 2
-    assert max(Counter(args[0] for args, _ in points).values()) <= 3
-    assert cold and rep.rho.rho2 == cold[-1]
+    assert max(Counter(args[0] for args, _ in points).values()) <= 2
+    assert cold and len(set(cold)) == len(cold)
+    assert rep.rho.rho2 == points[-1][1][0] and points[-1][0] == (cold[-1], a, K)
 
 
 def _ending(p, s):
@@ -745,7 +748,7 @@ def test_a_warm_point_between_two_ends_never_brackets_by_doubling(monkeypatch, s
         y0 = {"lo": lo, "middle": math.sqrt(lo * hi), "hi": hi}[start]
         y = equilibrium._curve_point(x, a, K)[0]
         ys.clear()
-        got, sums = equilibrium._curve_point(x, a, K, y0, (lo, hi))
+        got, sums = equilibrium._curve_point(x, a, K, (y0, lo, hi))
         assert all(lo <= v <= hi for v in ys), (x, a, K, ys)
         assert ys[-1] == got and abs(got - y) <= 16 * math.ulp(y), (x, a, K)
         Z, dZ, _, Z1, e = equilibrium._reduced_sums(x, got, K)
@@ -755,55 +758,65 @@ def test_a_warm_point_between_two_ends_never_brackets_by_doubling(monkeypatch, s
 def test_a_curve_point_whose_bounds_exclude_the_root_returns_nothing(monkeypatch):
     # Bounds are phi at other values of t, never an answer: a search
     # started between bounds that are swapped, or lie below or above the
-    # root, closes on them and returns None, as does a search that would
-    # raise; its caller then solves the point as today.
+    # root, closes on them and returns None, as does a search that runs
+    # out of steps, where the cold search raises; its caller then solves
+    # the point cold.
     for x, a, K, lo, hi in _bisection_cells():
         y = equilibrium._curve_point(x, a, K)[0]
-        for bounds, y0 in (((hi, lo), math.sqrt(lo * hi)), ((0.5 * lo, lo), 0.75 * lo),
-                           ((0.0, 0.5 * y), 0.25 * y), ((hi, 2.0 * hi), 1.5 * hi)):
-            assert equilibrium._curve_point(x, a, K, y0, bounds) is None, (x, a, K, bounds)
+        for bracket in ((math.sqrt(lo * hi), hi, lo), (0.75 * lo, 0.5 * lo, lo),
+                        (0.25 * y, 0.0, 0.5 * y), (1.5 * hi, hi, 2.0 * hi)):
+            assert equilibrium._curve_point(x, a, K, bracket) is None, (x, a, K, bracket)
     monkeypatch.setattr(equilibrium, "_PHI_MAX_ITER", 1)
-    assert equilibrium._curve_point(x, a, K, lo, (lo, hi)) is None
+    assert equilibrium._curve_point(x, a, K, (lo, lo, hi)) is None
     with pytest.raises(RuntimeError, match="no convergence after 1 steps"):
-        equilibrium._curve_point(x, a, K, lo)
+        equilibrium._curve_point(x, a, K)
 
 
 @pytest.mark.parametrize("corrupt", ["swapped", "below the root", "raising"])
 def test_a_solve_fed_corrupted_bounds_ends_as_the_all_cold_solve(monkeypatch, corrupt):
-    # Whatever a bounded search is given, a solve ends as the one that
+    # Whatever a bracketed search is given, a solve ends as the one that
     # solves every point cold: a search that finds no root at its own t
-    # hands the point back to today's search, and one that does returns a
-    # point it evaluated there.  The last case lets every bounded search
-    # run out of steps, as a search from lo = 0 could.
+    # is followed by exactly one cold search there, and one that does
+    # returns a point it evaluated there.  No point is solved cold twice.
+    # The last case lets every bracketed search run out of steps, as a
+    # search from lo = 0 could.
     point = equilibrium._curve_point
     cells = [(K, f, nu) for K in (3, 10, 40) for f in (0.2, 0.61, 0.9) for nu in (0.01, 1.0, 100.0)]
     cold = {}
     with monkeypatch.context() as m:
-        m.setattr(equilibrium, "_curve_point",
-                  lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
+        m.setattr(equilibrium, "_curve_point", lambda x, a, K, bracket=None: point(x, a, K))
         for K, f, nu in cells:
             cold[K, f, nu] = _ending(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), f * K)
-    calls = Counter()
+    calls = []  # per call: its t, and "cold", or "found" or "failed" for a bracketed one
 
-    def corrupted(x, a, K, y0=1.0, bounds=None):
-        if bounds is None:
-            calls["plain" if y0 != 1.0 else "cold"] += 1
-            return point(x, a, K, y0)
-        lo, hi = bounds
-        calls["bounded"] += 1
+    def corrupted(x, a, K, bracket=None):
+        if bracket is None:
+            calls.append((x, "cold"))
+            return point(x, a, K)
+        y0, lo, hi = bracket
         if corrupt == "swapped":
-            return point(x, a, K, y0, (hi, lo))
-        if corrupt == "below the root":
-            return point(x, a, K, y0, (0.5 * lo, lo))
-        with monkeypatch.context() as m:
-            m.setattr(equilibrium, "_PHI_MAX_ITER", 0)
-            return point(x, a, K, y0, bounds)
+            got = point(x, a, K, (y0, hi, lo))
+        elif corrupt == "below the root":
+            got = point(x, a, K, (y0, 0.5 * lo, lo))
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(equilibrium, "_PHI_MAX_ITER", 0)
+                got = point(x, a, K, bracket)
+        calls.append((x, "found" if got else "failed"))
+        return got
 
     monkeypatch.setattr(equilibrium, "_curve_point", corrupted)
+    kinds = Counter()
     for K, f, nu in cells:
+        calls.clear()
         assert _ending(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), f * K) == cold[K, f, nu]
-    assert 0 < calls["plain"] <= calls["bounded"]
-    assert (calls["plain"] == calls["bounded"]) == (corrupt == "raising")
+        colds = [x for x, kind in calls if kind == "cold"]
+        assert len(set(colds)) == len(colds), (K, f, nu)
+        for (x, kind), after in zip(calls, calls[1:] + [(None, None)]):
+            if kind == "failed":
+                assert after == (x, "cold"), (K, f, nu)
+        kinds.update(kind for _, kind in calls)
+    assert kinds["failed"] > 0 and (kinds["found"] == 0) == (corrupt == "raising")
 
 
 def test_warm_and_cold_solves_agree_byte_for_byte_over_a_jittered_grid(monkeypatch):

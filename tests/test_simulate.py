@@ -526,6 +526,30 @@ def test_each_event_writes_only_the_stations_of_its_reservation():
     assert tags == {"arrival", "blocked", "pickup", "return"}
 
 
+_KIND_BY_CHANGE = {(1, 0, -1, 1): "arrival", (0, 0, 0, 0): "blocked",
+                   (-1, 1, 0, -1): "pickup", (0, -1, 1, 0): "return"}
+
+
+def test_step_tags_each_event_by_its_state_change_and_times_it_by_its_first_draw():
+    # the kind each event's change of the (w, x, y, z) totals shows, and
+    # the holding time -log1p(-u0) / rate of the rate before it, bit for
+    # bit, with u0 the first draw of a copy of the generator
+    p = ModelParams(lam=1.0, mu=1.0, nu=2.0, K=2)
+    rng = np.random.default_rng(7)
+    st = _init_with_rng(2, 2, p.K, rng)
+    seen = Counter()
+    for _ in range(200):
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        u0 = twin.random(4)[0]
+        rate, before = st.total_rate(p), st.counts().sum(axis=0)
+        _, dt, tag = step(st, p, rng)
+        assert tag == _KIND_BY_CHANGE[tuple((st.counts().sum(axis=0) - before).tolist())]
+        assert dt == -math.log1p(-u0) / rate
+        seen[tag] += 1
+    assert set(seen) == set(_KIND_BY_CHANGE.values()), seen
+
+
 def _shift(src, dst):
     """Corruption moving one unit between two counts of a station:
     occupancy and car total unchanged, one count sum off by one."""
@@ -555,19 +579,19 @@ def _add_car(counts, s, K):
     return True
 
 
-def _touched(tag, changed, N):
+def _touched(changed, N):
     """A station the event wrote, or ``None`` for a blocked arrival."""
     return changed[-1] if changed else None
 
 
-def _untouched(tag, changed, N):
+def _untouched(changed, N):
     return next(s for s in range(N) if s not in changed)
 
 
 def _corrupting_advance(after, pick, corrupt, K, every_pass=True):
     """``_advance`` that fires its rows one event at a time and applies
-    ``corrupt`` to the station ``pick`` chooses, from the event's tag and
-    the stations it wrote, after the first event from number ``after`` on
+    ``corrupt`` to the station ``pick`` chooses from the stations the
+    event wrote, after the first event from number ``after`` on
     where it can.  That event is then known by its time: with
     ``every_pass`` the same corruption follows it each time it fires
     again, as it does in a replay of its block.  ``calls`` records its
@@ -578,25 +602,23 @@ def _corrupting_advance(after, pick, corrupt, K, every_pass=True):
     def advance(w, x, y, z, pickups, driving, K_, lam_N, nu, mu, t, rows, t_next=math.inf,
                 take=None):
         counts = (w, x, y, z)
-        result = (t, t_next, None, None)
         for row in rows:
             before = [list(c) for c in counts]
-            result = real(w, x, y, z, pickups, driving, K_, lam_N, nu, mu, t, (row,), t_next,
-                          take)
-            t, t_next, tag, _ = result
+            t, t_next = real(w, x, y, z, pickups, driving, K_, lam_N, nu, mu, t, (row,), t_next,
+                             take)
             if t_next is None:  # the last snapshot is taken, the row not fired
-                return result
+                break
             if calls["t"] is None:
                 calls["n"] += 1
                 changed = [s for s in range(len(w))
                            if any(c[s] != b[s] for c, b in zip(counts, before))]
-                s = pick(tag, changed, len(w)) if calls["n"] >= after else None
+                s = pick(changed, len(w)) if calls["n"] >= after else None
                 if s is not None and corrupt(counts, s, K):
                     calls.update(at=calls["n"], t=t, station=s, applied=1)
             elif every_pass and t == calls["t"]:
                 assert corrupt(counts, calls["station"], K)
                 calls["applied"] += 1
-        return result
+        return t, t_next
     return advance, calls
 
 

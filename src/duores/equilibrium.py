@@ -58,17 +58,19 @@ or warm, inside the bracket.  ``phi`` increases along the curve, so once
 the bracket has an upper end, ``phi(t)`` lies between ``phi`` at its two
 ends (0 at ``t = 0``): the point starts between them, geometrically
 interpolated in ``t`` (linearly while the lower end is ``t = 0``), and
-Newton's method runs within them as bounds.  Bounds are phi at other
-values of ``t``, never an answer: a search that closes on them, or runs
-out of steps, returns nothing, and the point is solved cold, as every
-point is before an upper end exists.  On a ``sweep`` pass of the
-benchmark (seed 1, 9424 fill evaluations) 46 of the 8489 bracketed
-searches return nothing, and the pass runs 27 409 Horner stages, against
-67 135 from the cold start alone.  A warm point ends on another double
-than the cold one, a few ulps away, and its fill differs by up to about
-``2e-17 K^2`` (measured up to K = 2000).  So where the warm fill lies
-within ``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could flip
-a decision, the point is solved cold, and the cold point decides: every
+Newton's method runs within them as bounds.  Both searches close by one
+rule: at two adjacent doubles, they take the one where ``|log((a - t) Z
+/ (a E))|`` is smaller.  Bounds are phi at other values of ``t``, never
+evaluated at this one, so a search that would take one, or runs out of
+steps, returns nothing, and the point is solved cold, as every point is
+before an upper end exists.  On a ``sweep`` pass of the benchmark (seed
+1, 9424 fill evaluations) none of the 8489 bracketed searches returns
+nothing, and the pass runs 26 902 Horner stages, against 67 135 from the
+cold start alone.  A warm point ends on another double than the cold
+one, a few ulps away, and its fill differs by up to about ``2e-17 K^2``
+(measured up to K = 2000).  So where the warm fill lies within
+``_FILL_TOL + _warm_band(K)`` of ``s``, where that gap could flip a
+decision, the point is solved cold, and the cold point decides: every
 step, the stop and the returned ``rho2`` are those of an all-cold
 bisection, bit for bit.  No point is solved cold twice.  Only the fills
 an error message quotes may differ, in their last digits.
@@ -314,20 +316,19 @@ def _curve_point(x: float, a: float, K: int,
     E))`` with ``u = log y``, which has the sign of ``f`` and is convex
     and increasing, so its steps close in from above; a step that would
     leave the sign bracket is replaced by a bisection.  It stops when a
-    Newton step moves ``y`` by at most 2 ulp, or at adjacent bracket
-    ends, returning the end with the smaller ``|h|``.
+    Newton step moves ``y`` by at most 2 ulp.  With ``bracket = (y0, lo,
+    hi)``, ``lo`` and ``hi`` phi at the ends of the fill bisection's
+    bracket, the search starts at ``y0`` between them, never leaves them
+    and doubles nothing, and it stops at its first Newton step of at most
+    2 ulp on the point it has just evaluated, with that point's sums.
 
-    With ``bracket = (y0, lo, hi)``, ``lo`` and ``hi`` phi at the ends of
-    the fill bisection's bracket, the search starts at ``y0`` between
-    them and never leaves them: a Newton step that would is replaced by
-    a bisection, and nothing is doubled.  It stops at its first Newton
-    step of at most 2 ulp and returns the point it has just evaluated,
-    with that point's sums.  The ends are phi at other values of ``x``
-    and are never returned: a bracketed search that closes on them, or
-    that runs out of steps, returns ``None``, and the caller solves the
-    point cold.  Every answer is thus a point evaluated at ``x``.  Where
-    the scaled ``E`` underflows to 0 (at large ``K``), ``h`` is taken as
-    ``+inf``.
+    Both close by one rule: at two adjacent sign-bracket ends they take
+    the one with the smaller ``|h|``.  A bound handed in is phi at
+    another ``x`` and carries no ``h`` (taken as 0, which no evaluated
+    end has): a bracketed search that would take one, or that runs out
+    of steps, returns ``None``, and the caller solves the point cold.
+    Every answer is a point evaluated at ``x``.  Where the scaled ``E``
+    underflows to 0 (at large ``K``), ``h`` is taken as ``+inf``.
 
     The partial exponentials ``E_1..E_K`` are built once, and every
     evaluation (bracket, Newton steps, returned ``y``) runs only the
@@ -335,19 +336,18 @@ def _curve_point(x: float, a: float, K: int,
     ``n`` (the ``E_n`` are, ``Z_1 >= Z_0 = 1``, and rounding is
     monotone), so the pass rescales exactly where the last ``Z`` is above
     its threshold or NaN; only there does the scaled pass run, and
-    elsewhere every sum is the pass's own double.  Cold, where the
-    returned ``y`` is not the last point evaluated (a Newton step within
-    2 ulp, or the bracket end with the smaller ``|h|``), it is evaluated
-    once more, and a ``RuntimeError`` ends a root that cannot be
-    bracketed in doubles or a stop not reached in ``_PHI_MAX_ITER``
-    steps.  Nothing is checked here: every caller passes
-    ``0 < x < a < inf`` and an integer ``K >= 1``.
+    elsewhere every sum is the pass's own double.  A returned ``y`` that
+    is not the last point evaluated (a cold Newton step, or the end with
+    the smaller ``|h|``) is evaluated once more.  Cold, a
+    ``RuntimeError`` ends a root that cannot be bracketed in doubles or
+    a stop not reached in ``_PHI_MAX_ITER`` steps.  Nothing is checked
+    here: every caller passes ``0 < x < a < inf`` and an integer ``K >= 1``.
     """
     b = a - x
     Es = _partial_exponentials(x, K)
     top = max(1.0, x)
     y, lo, hi = bracket or (1.0, 0.0, math.inf)  # hi infinite until the root is bracketed
-    h_lo, h_hi = math.log(b / a), math.inf
+    h_lo, h_hi = (0.0, 0.0) if bracket else (math.log(b / a), math.inf)  # 0: a bound handed in
     steps = 0
     final = False  # y is the answer; only its sums are wanted
     while True:
@@ -390,9 +390,9 @@ def _curve_point(x: float, a: float, K: int,
         elif not lo < cand < hi:
             cand = 0.5 * (lo + hi)
             if cand == lo or cand == hi:
-                if bracket:
+                cand, h = (lo, h_lo) if abs(h_lo) < abs(h_hi) else (hi, h_hi)
+                if h == 0.0:  # a bound handed in, never evaluated at x
                     return None
-                cand = lo if abs(h_lo) < abs(h_hi) else hi
                 final = True
         if final and cand == y:
             return y, (Z, dZ, Z1)

@@ -387,9 +387,10 @@ def test_a_curve_point_from_any_start_is_the_cold_point(K):
     # overshoots it; from the root, or from far above it, Newton closes in
     # from above.  Each ends within a few ulps of the cold point and meets
     # the acceptance relation of the array.  At K = 1, a = 9, x = 0.9 the
-    # rounding of h makes Newton's last steps jump several ulps, so the
-    # cold search ends on two adjacent doubles; a bracketed search, which
-    # never picks an end, gives nothing there from every start.
+    # rounding of h makes Newton's last steps jump several ulps, so both
+    # searches end on two adjacent doubles they evaluated, and each takes
+    # the one with the smaller |h|: the cold point, with its sums, bit for
+    # bit, from every start.
     cells = [(2.0, 0.5)] if K == 1000 else itertools.product((0.5, 2.0, 9.0), (0.1, 0.5, 0.9))
     for a, frac in cells:
         x = frac * a
@@ -397,8 +398,7 @@ def test_a_curve_point_from_any_start_is_the_cold_point(K):
         for y0 in (0.5 * y, y, 1e6 * y):
             point = equilibrium._curve_point(x, a, K, (y0, 0.0, 2e6 * y))
             if (K, a, frac) == (1, 9.0, 0.1):
-                assert point is None
-                continue
+                assert point == equilibrium._curve_point(x, a, K), y0
             got = point[0]
             assert abs(got - y) <= 16 * math.ulp(y), (a, x, y0)
             no_car = _simple_form(x, got, K)[:, 0].sum()
@@ -601,6 +601,92 @@ def test_fast_reservations_approach_the_simple_variant():
         assert max(abs(v) for v in residuals) < 1e-6
 
 
+def _large_K_limits(sigma):
+    """``(K (1 - pV), K (1 - pF), K log rho2)`` as ``K -> inf`` at fill
+    fraction ``sigma``: ``theta / (e^theta - 1)``, ``theta e^theta /
+    (e^theta - 1)`` and ``theta``, where ``theta`` solves
+    ``1 / (1 - e^-theta) - 1 / theta = sigma``, the mean of a truncated
+    exponential on [0, 1] (``theta = 0`` at ``sigma = 1/2``)."""
+    if sigma == 0.5:
+        return 1.0, 1.0, 0.0
+    lo, hi = (-60.0, -1e-9) if sigma < 0.5 else (1e-9, 60.0)
+    while (theta := 0.5 * (lo + hi)) not in (lo, hi):
+        if 1.0 / -math.expm1(-theta) - 1.0 / theta < sigma:
+            lo = theta
+        else:
+            hi = theta
+    return theta / math.expm1(theta), theta / -math.expm1(-theta), theta
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 0.8])
+def test_large_capacities_approach_the_truncated_exponential_limit(sigma):
+    # Each gap to the limit keeps its sign and shrinks from K = 80 to
+    # K = 320 by more than the factor 2 of a K^-1/2 law (2.58 and above;
+    # the gaps shrink about as 1/K).
+    limits = _large_K_limits(sigma)
+    for nu in (0.1, 2.0, 10.0):
+        gaps = []
+        for K in (80, 160, 320):
+            rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), sigma * K)
+            pV, pF, _ = equilibrium._state_sums(rep.rho, K)
+            got = (K * (1.0 - pV), K * (1.0 - pF), K * math.log(rep.rho.rho2))
+            gaps.append([g - lim for g, lim in zip(got, limits)])
+        for g80, g160, g320 in zip(*gaps):
+            assert g80 * g160 > 0.0 and g80 * g320 > 0.0, (nu, gaps)
+            assert abs(g80) > 2.0 * abs(g320), (nu, gaps)
+
+
+def _parking_only(K, s, lam=1.0, mu=1.0):
+    """``(rho2, pV, pF)`` of the parking-only model at fill ``s``, the
+    fast-pickup limit: cars inbound (``x``) and parked (``y``) with
+    weights ``rho1^x / x! rho2^y`` on ``x + y <= K``, ``rho1 = (lam/mu)
+    pV`` and ``E[x + y] = s``.  A dense (K+1, K+1) table, a bisection in
+    ``rho1`` for the fixed point at each ``rho2``, and one in ``log
+    rho2`` on the fill, each run to adjacent doubles."""
+    n = np.arange(K + 1)
+    total = n[:, None] + n[None, :]
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+
+    def law(log_rho2):
+        lo, hi = 0.0, lam / mu
+        while (rho1 := 0.5 * (lo + hi)) not in (lo, hi):
+            lw = n[:, None] * math.log(rho1) - log_fact[:, None] + n[None, :] * log_rho2
+            w = np.exp(np.where(total <= K, lw, -np.inf) - lw[total <= K].max())
+            p = w / w.sum()
+            if rho1 < (lam / mu) * p[:, 1:].sum():
+                lo = rho1
+            else:
+                hi = rho1
+        return p
+
+    lo, hi = -60.0, 60.0
+    while (log_rho2 := 0.5 * (lo + hi)) not in (lo, hi):
+        p = law(log_rho2)
+        if (p * total).sum() < s:
+            lo = log_rho2
+        else:
+            hi = log_rho2
+    return math.exp(log_rho2), p[:, 1:].sum(), p[total < K].sum()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10])
+def test_fast_pickups_approach_the_parking_only_model_at_first_order(K):
+    # The parking-only model balances its parked cars identically, as the
+    # reduced family does; and pV, pF tend to its values with gaps of first
+    # order in 1/nu, so nu times each gap is the same at nu/mu = 1e4 and
+    # 1e6 (gaps up to 0.17, differences up to 1.5e-5).
+    for s_over_K in (0.1, 0.5, 0.9):
+        rho2, pV, pF = _parking_only(K, s_over_K * K)
+        assert rho2 == pytest.approx(pV / pF, rel=1e-12, abs=0.0)
+        scaled = []
+        for nu in (1e4, 1e6):
+            rep = solve_equilibrium(ModelParams(lam=1.0, mu=1.0, nu=nu, K=K), s_over_K * K)
+            got_V, got_F, _ = equilibrium._state_sums(rep.rho, K)
+            scaled.append((nu * (got_V - pV), nu * (got_F - pF)))
+        (v4, f4), (v6, f6) = scaled
+        assert abs(v4 - v6) <= 1e-3 and abs(f4 - f6) <= 1e-3, (s_over_K, scaled)
+
+
 def test_multiple_equilibria_error_names_the_decreasing_pair():
     err = MultipleEquilibriaError(4, 1.0, 0.5, ((0.25, 1.5), (0.375, 0.75)))
     assert err.s == 1.0
@@ -704,7 +790,7 @@ def test_a_warm_solve_ends_as_the_cold_solve_byte_for_byte(monkeypatch, K, s_ove
     warm = _ending(p, s_over_K * K)
     point = equilibrium._curve_point
     monkeypatch.setattr(equilibrium, "_curve_point",
-                        lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
+                        lambda x, a, K, bracket=None: point(x, a, K))
     assert _ending(p, s_over_K * K) == warm
 
 
@@ -822,7 +908,8 @@ def test_a_solve_fed_corrupted_bounds_ends_as_the_all_cold_solve(monkeypatch, co
 def test_warm_and_cold_solves_agree_byte_for_byte_over_a_jittered_grid(monkeypatch):
     # 245 solves over a jittered grid: K in {3, 6, 10, 15, 20}, seven bins
     # of s/K in (0.1, 0.9) by seven of log10(nu/mu) in (-1, 2), one draw in
-    # the middle half of each bin pair.
+    # the middle half of each bin pair.  No bracketed search gives nothing
+    # there: each closes on a point it evaluated.
     rng = np.random.default_rng(2026)
     cells = []
     for K in (3, 6, 10, 15, 20):
@@ -830,10 +917,14 @@ def test_warm_and_cold_solves_agree_byte_for_byte_over_a_jittered_grid(monkeypat
             u, v = 0.5 + 0.25 * (rng.random(2) - 0.5)
             cells.append((ModelParams(lam=1.0, mu=1.0, nu=10.0 ** (-1.0 + 3.0 * (j + v) / 7), K=K),
                           (0.1 + 0.8 * (i + u) / 7) * K))
-    warm = [_ending(p, s) for p, s in cells]
     point = equilibrium._curve_point
+    with monkeypatch.context() as m:
+        points = _spy_curve_points(m)
+        warm = [_ending(p, s) for p, s in cells]
+    bracketed = [found for args, found in points if len(args) == 4]
+    assert len(bracketed) > len(cells) and all(bracketed)
     monkeypatch.setattr(equilibrium, "_curve_point",
-                        lambda x, a, K, y0=1.0, bounds=None: point(x, a, K))
+                        lambda x, a, K, bracket=None: point(x, a, K))
     assert [_ending(p, s) for p, s in cells] == warm
 
 

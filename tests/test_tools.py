@@ -57,6 +57,41 @@ def test_solver_outcomes_times_each_capacity_row(layers, monkeypatch, tmp_path):
     assert record["cpu_s"] == pytest.approx(sum(by_K.values()), abs=0.01)
 
 
+@pytest.mark.parametrize("forced", [False, True])
+def test_solver_outcomes_counts_the_curve_points_of_each_capacity_row(layers, monkeypatch,
+                                                                     tmp_path, forced):
+    # On a small grid of real solves, every bracketed search finds its
+    # point.  Forced to give nothing, each is followed by a cold one, and
+    # the tool's counts equal those of a stub under its wrap, which it
+    # puts back after the run.
+    monkeypatch.setattr(layers, "K_VALUES", (3, 10))
+    monkeypatch.setattr(layers, "NU_OVER_MU", (0.1, 10.0))
+    monkeypatch.setattr(layers, "FILLS", (0.3, 0.6, 0.9))
+    equilibrium = layers.equilibrium
+    point, seen = equilibrium._curve_point, {3: [0, 0], 10: [0, 0]}
+
+    def stub(x, a, K, bracket=None):
+        seen[K][bracket is not None] += 1
+        return None if forced and bracket else point(x, a, K, bracket)
+
+    if forced:
+        monkeypatch.setattr(equilibrium, "_curve_point", stub)
+    out = tmp_path / "outcomes.json"
+    assert layers.main(["solver_outcomes", "--label", "x", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["x"]
+    assert equilibrium._curve_point is (stub if forced else point)
+    by_K = record["curve_points_by_K"]
+    assert list(by_K) == ["3", "10"]
+    assert record["curve_points"] == {k: by_K["3"][k] + by_K["10"][k] for k in layers.CURVE_POINTS}
+    for K, row in by_K.items():
+        assert row["bracketed"] > 0 and row["cold"] >= 6
+        if forced:
+            assert [row["cold"], row["bracketed"]] == seen[int(K)]
+            assert row["bracketed_gave_nothing"] == row["bracketed"] < row["cold"]
+        else:
+            assert row["bracketed_gave_nothing"] == 0 and row["bracketed"] > row["cold"]
+
+
 def test_solver_outcomes_takes_no_repeats(layers):
     with pytest.raises(SystemExit):
         layers.main(["solver_outcomes", "--label", "x", "--repeats", "3"])

@@ -61,9 +61,14 @@ subjects, each with its default ``FILE`` at the repository root:
   K in {1, 2, 3, 5, 10, 20, 40, 80}, nu/mu = 10^k for k = -4..3, and s/K
   at 50 evenly spaced points from 0.01 to 0.99, then 0.995 and 0.999:
   3328 solves, each counted under one of ``verify.OUTCOMES`` with the
-  residual bound 1e-10.  The counts per ``(K, nu/mu)`` cell and in total
-  are deterministic; the CPU time of each K's row of cells
-  (``cpu_s_by_K``) and of the whole grid is recorded too.
+  residual bound 1e-10.  Through a wrap of ``equilibrium._curve_point``
+  for the run, the curve points of each K's row (``curve_points_by_K``)
+  and of the grid (``curve_points``) are counted too: the ``cold`` ones,
+  the ``bracketed`` searches, and of those the ones that gave nothing
+  (``bracketed_gave_nothing``), each followed by a cold one.  The counts
+  per ``(K, nu/mu)`` cell and in total are deterministic; the CPU time of
+  each K's row of cells (``cpu_s_by_K``) and of the whole grid, the wrap
+  included, is recorded too.
 * ``contract`` (``BENCH_contract.json``, no repeats): a seeded sweep of
   every declared argument of every entry of ``BASE`` (README, "Input
   domains"), and each row of ``CONTRACT``, an input no declaration
@@ -378,23 +383,42 @@ NU_OVER_MU = tuple(10.0 ** k for k in range(-4, 4))
 FILLS = tuple(np.linspace(0.01, 0.99, 50).tolist()) + (0.995, 0.999)
 
 
+CURVE_POINTS = ("cold", "bracketed", "bracketed_gave_nothing")
+
+
 def solver_outcomes(repeats: int) -> dict:
     cells, totals, cpu_by_K = {}, dict.fromkeys(verify.OUTCOMES, 0), {}
-    for K in K_VALUES:
-        t0 = time.process_time()
-        for nu in NU_OVER_MU:
-            p = core.ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
-            _, counts = verify.solve_grid([(p, f) for f in FILLS])
-            cells[f"K={K} nu/mu={nu!r}"] = counts
-            for name, n in counts.items():
-                totals[name] += n
-        cpu_by_K[K] = time.process_time() - t0
+    points = {K: dict.fromkeys(CURVE_POINTS, 0) for K in K_VALUES}
+    point = equilibrium._curve_point
+
+    def counted(x, a, K, bracket=None):
+        row = points[K]
+        row["cold" if bracket is None else "bracketed"] += 1
+        found = point(x, a, K, bracket)
+        row["bracketed_gave_nothing"] += found is None
+        return found
+
+    equilibrium._curve_point = counted
+    try:
+        for K in K_VALUES:
+            t0 = time.process_time()
+            for nu in NU_OVER_MU:
+                p = core.ModelParams(lam=1.0, mu=1.0, nu=nu, K=K)
+                _, counts = verify.solve_grid([(p, f) for f in FILLS])
+                cells[f"K={K} nu/mu={nu!r}"] = counts
+                for name, n in counts.items():
+                    totals[name] += n
+            cpu_by_K[K] = time.process_time() - t0
+    finally:
+        equilibrium._curve_point = point
     return {
         "grid": {"K": list(K_VALUES), "nu_over_mu": list(NU_OVER_MU),
                  "s_over_K": list(FILLS), "residual_tol": verify._RESIDUAL_TOL},
         "cpu_s": round(sum(cpu_by_K.values()), 3),
         "cpu_s_by_K": {K: round(t, 3) for K, t in cpu_by_K.items()},
         "totals": totals,
+        "curve_points": {k: sum(row[k] for row in points.values()) for k in CURVE_POINTS},
+        "curve_points_by_K": points,
         "cells": cells,
     }
 
@@ -784,8 +808,8 @@ def main(argv=None) -> int:
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
     _show(args.label, record.get("layers")
-          or {k: record[k] for k in ("cpu_s", "cpu_s_by_K", "totals", "unexpected",
-                                    "cells_below_zero", "least")
+          or {k: record[k] for k in ("cpu_s", "cpu_s_by_K", "totals", "curve_points",
+                                    "unexpected", "cells_below_zero", "least")
               if k in record})
     return 0
 
